@@ -40,6 +40,7 @@ from .experiments import (
     evaluate_model,
     export_embeddings,
     load_model,
+    lookup_mode,
     run_experiment,
     save_model,
     train_once,
@@ -124,7 +125,6 @@ GEN_KEYS = (
     "informative", "step_dims", "t_range", "drift", "seed",
 )
 RUN_KEYS = tuple(k for k in SCHEMA if k != "kind")
-SEQ_MODE_NAMES = ("sfed", "local_seq_localmv", "local_seq_hfed", "central_seq_hfed")
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -190,9 +190,9 @@ def _add_schema_flags(parser: argparse.ArgumentParser, keys) -> None:
             )
 
 
-def _gen_specs(values: dict):
+def _gen_specs(values: dict, sequences: bool):
     """Generator spec (flat or sequence) from merged option values."""
-    if values["kind"] == "sequences":
+    if sequences:
         return SeqGeneratorSpec(
             n_samples=values["samples"],
             step_dims=tuple(values["step_dims"]),
@@ -202,8 +202,6 @@ def _gen_specs(values: dict):
             noise=values["noise"],
             seed=values["seed"],
         )
-    if values["kind"] not in GEN_KINDS:
-        raise ConfigError(f"kind: unknown generator {values['kind']!r}")
     return GeneratorSpec(
         n_samples=values["samples"],
         dims=tuple(values["dims"]),
@@ -227,12 +225,7 @@ def _view_count(values: dict, sequential: bool) -> int:
 
 def build_run_config(values: dict) -> RunConfig:
     """Assemble the RunConfig the experiment engine consumes."""
-    mode = values["mode"]
-    if mode not in MODES:
-        raise ConfigError(f"mode: unknown mode {mode!r}")
-    if values["generator"] not in ("multiview", "complementary"):
-        raise ConfigError(f"generator: unknown generator {values['generator']!r}")
-    sequential = mode in SEQ_MODE_NAMES
+    sequential = lookup_mode(values["mode"]).sequential
     k = _view_count(values, sequential)
     beta = values["beta"] if len(values["beta"]) > 1 else values["beta"][0]
     zeta = values["zeta"] if len(values["zeta"]) > 1 else values["zeta"][0]
@@ -252,13 +245,13 @@ def build_run_config(values: dict) -> RunConfig:
         spec = seq_spec = None
         if values["data"] is None:
             if sequential:
-                seq_spec = _gen_specs(dict(values, kind="sequences"))
+                seq_spec = _gen_specs(values, sequences=True)
             else:
-                spec = _gen_specs(dict(values, kind=values["generator"]))
+                spec = _gen_specs(values, sequences=False)
     except InvalidSpec as err:
         raise ConfigError(str(err))
     return RunConfig(
-        mode=mode,
+        mode=values["mode"],
         hp=hp,
         trainer=trainer,
         spec=spec,
@@ -430,7 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen_data(args) -> int:
     values = _merge_options(args, GEN_KEYS)
-    spec = _gen_specs(values)
+    if values["kind"] not in GEN_KINDS:
+        raise ConfigError(f"kind: unknown generator {values['kind']!r}")
+    spec = _gen_specs(values, sequences=values["kind"] == "sequences")
     if values["kind"] == "sequences":
         bundle = gen_sequences(spec)
         save_sequences(bundle, args.out)

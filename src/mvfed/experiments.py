@@ -5,7 +5,8 @@ a dataset directory), the hyperparameters and the repeat schedule.
 run_experiment executes every repeat with seed + r (repeat r regenerates
 the data with the shifted seed and trains with it too, so repeats vary
 both the draw and the initialization) and collects one metrics row per
-repeat into a MetricsReport.
+repeat into a MetricsReport.  The MODES table says what each mode
+does; every dispatch below reads its entries, never the mode names.
 
 Flat modes train on the train split and score the held-out test split.
 Per-client modes (mv_local and the local sequential baselines) evaluate
@@ -64,17 +65,65 @@ from .sfed import (
 )
 from .vfed import vfed_predict, vfed_train
 
-FLAT_MODES = ("mvl", "single_view", "pairwise", "vfed", "hfed", "mv_local")
-SEQ_MODES = ("sfed", "local_seq_localmv", "local_seq_hfed", "central_seq_hfed")
-MODES = FLAT_MODES + SEQ_MODES
 
-# Modes whose coupling weights the validation grid may tune.  single_view
-# has no zeta/eta, and the sequential pipelines bury the consensus stage
-# behind encoder training, so the grid is rejected for them.
-GRID_MODES = ("mvl", "pairwise", "vfed", "hfed", "mv_local")
+@dataclass(frozen=True)
+class Mode:
+    """What one experiment mode does; the code branches on these fields.
+
+    trainer fits and scores the views: "mvl" (train_mvl, consensus
+    scores), "single_view" (one view, X @ W scores), "vfed" (vfed_train,
+    vfed_predict) or "hfed" (hfed_train on client shards, consensus
+    scores).  isolated gives every client its own consensus stage and
+    averages the per-client rows.  encoders marks the sequential modes:
+    their per-view encoders are "federated" (sfed), "pooled" (trained
+    on all clients' rows) or "local" (one set per client).
+
+    Entries name trainers instead of holding functions, so the trainers
+    stay module globals looked up at call time, where tests and the
+    benchmark tracer can patch them.
+    """
+
+    trainer: str
+    n_views: int | None = None  # exact number of views the mask must keep
+    grid: bool = False  # the validation grid may tune zeta and eta
+    embeds: bool = False  # export-embeddings supports the mode
+    isolated: bool = False
+    encoders: str | None = None
+
+    @property
+    def sequential(self) -> bool:
+        return self.encoders is not None
+
+    @property
+    def global_model(self) -> bool:
+        """Ends in one set of transforms that train_once can return."""
+        return not (self.sequential or self.isolated)
+
+
+# single_view has no zeta/eta, and the sequential pipelines bury the
+# consensus stage behind encoder training, so neither takes the grid.
+MODES = {
+    "mvl": Mode("mvl", grid=True, embeds=True),
+    "single_view": Mode("single_view", n_views=1),
+    "pairwise": Mode("mvl", n_views=2, grid=True),
+    "vfed": Mode("vfed", grid=True, embeds=True),
+    "hfed": Mode("hfed", grid=True),
+    "mv_local": Mode("hfed", grid=True, isolated=True),
+    "sfed": Mode("hfed", embeds=True, encoders="federated"),
+    "local_seq_localmv": Mode("hfed", isolated=True, encoders="local"),
+    "local_seq_hfed": Mode("hfed", encoders="local"),
+    "central_seq_hfed": Mode("hfed", encoders="pooled"),
+}
 GRID_EXPONENTS = tuple(range(6))
 
 GENERATORS = ("multiview", "complementary")
+
+
+def lookup_mode(name: str) -> Mode:
+    """The table entry for a mode name; ConfigError for an unknown one."""
+    if name not in MODES:
+        raise ConfigError(f"mode: unknown mode {name!r}")
+    return MODES[name]
 
 
 @dataclass(frozen=True)
@@ -100,8 +149,7 @@ class RunConfig:
     grid: bool = False
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"mode: unknown mode {self.mode!r}")
+        mode = lookup_mode(self.mode)
         if self.generator not in GENERATORS:
             raise ConfigError(f"generator: unknown generator {self.generator!r}")
         if self.repeats < 1:
@@ -131,12 +179,11 @@ class RunConfig:
                     f"view_mask: indices must be strictly increasing, got {mask}"
                 )
             object.__setattr__(self, "view_mask", mask)
-        if self.grid and self.mode not in GRID_MODES:
+        if self.grid and not mode.grid:
             raise ConfigError(
                 f"grid: mode {self.mode!r} has no coupling weights to tune"
             )
-        sequential = self.mode in SEQ_MODES
-        if sequential:
+        if mode.sequential:
             if self.spec is not None:
                 raise ConfigError(
                     f"spec: sequential mode {self.mode!r} takes seq_spec or data_dir"
@@ -156,7 +203,7 @@ class RunConfig:
 
     @property
     def is_sequential(self) -> bool:
-        return self.mode in SEQ_MODES
+        return MODES[self.mode].sequential
 
 
 @dataclass
@@ -202,13 +249,11 @@ def _resolve_mask(cfg: RunConfig, n_views: int) -> tuple[int, ...]:
     mask = cfg.view_mask if cfg.view_mask is not None else tuple(range(n_views))
     if any(k >= n_views for k in mask):
         raise ConfigError(f"view_mask: {mask} out of range for {n_views} views")
-    if cfg.mode == "single_view" and len(mask) != 1:
+    need = MODES[cfg.mode].n_views
+    if need is not None and len(mask) != need:
+        views = {1: "one view", 2: "two views"}[need]
         raise ConfigError(
-            f"view_mask: single_view needs exactly one view, got {len(mask)}"
-        )
-    if cfg.mode == "pairwise" and len(mask) != 2:
-        raise ConfigError(
-            f"view_mask: pairwise needs exactly two views, got {len(mask)}"
+            f"view_mask: {cfg.mode} needs exactly {views}, got {len(mask)}"
         )
     return mask
 
@@ -235,61 +280,76 @@ def _mask_hp(hp: HyperParams, mask: tuple[int, ...], n_views: int) -> HyperParam
     )
 
 
-def _flat_data(cfg: RunConfig, provided, r: int) -> MultiViewDataset:
-    if provided is not None:
-        return provided
+def _select(cfg: RunConfig, data):
+    """The configured views of data, and the hyperparameters for them."""
+    mask = _resolve_mask(cfg, data.n_views)
+    return data.select_views(mask), _mask_hp(cfg.hp, mask, data.n_views)
+
+
+def _split(cfg: RunConfig, data, seed: int):
+    """Stratified train, validation and test parts of data."""
+    parts = split_indices(data.class_indices(), data.n_classes, cfg.split, seed)
+    return tuple(data.subset(p) for p in parts)
+
+
+def _source(cfg: RunConfig, given=None, r: int = 0):
+    """given if set, else the data_dir contents, else repeat r's draw."""
+    if given is not None:
+        return given
+    if cfg.data_dir is not None:
+        if cfg.is_sequential:
+            return load_sequences(cfg.data_dir)
+        return load_dataset(cfg.data_dir)
+    if cfg.is_sequential:
+        return gen_sequences(
+            dataclasses.replace(cfg.seq_spec, seed=cfg.seq_spec.seed + r)
+        )
     spec_r = dataclasses.replace(cfg.spec, seed=cfg.spec.seed + r)
     if cfg.generator == "complementary":
         return gen_complementary(spec_r)
     return gen_multiview(spec_r)
 
 
-def _seq_data(cfg: RunConfig, provided, r: int) -> SequenceClientData:
-    if provided is not None:
-        return provided
-    spec_r = dataclasses.replace(cfg.seq_spec, seed=cfg.seq_spec.seed + r)
-    return gen_sequences(spec_r)
-
-
-def _score_transforms(
-    mode: str, transforms, views, hp: HyperParams
-) -> np.ndarray:
-    if mode == "single_view":
-        return views[0] @ transforms[0]
-    if mode == "vfed":
-        return vfed_predict(
+def _eval_transforms(
+    trainer: str, transforms, data: MultiViewDataset, hp: HyperParams, positive: int
+) -> MetricsRow:
+    views = data.views
+    if trainer == "single_view":
+        scores = views[0] @ transforms[0]
+    elif trainer == "vfed":
+        scores = vfed_predict(
             views, transforms, hp.zeta, tol=hp.tol, max_rounds=hp.max_outer
         )
-    return predict_mvl(views, transforms, hp.zeta, tol=hp.tol, max_outer=hp.max_outer)
-
-
-def _eval_transforms(
-    mode: str, transforms, data: MultiViewDataset, hp: HyperParams, positive: int
-) -> MetricsRow:
-    scores = _score_transforms(mode, transforms, data.views, hp)
+    else:
+        scores = predict_mvl(
+            views, transforms, hp.zeta, tol=hp.tol, max_outer=hp.max_outer
+        )
     pred = argmax_decode(scores)
     return compute_metrics(pred, data.class_indices(), positive_class=positive)
 
 
+def _hfed(cfg: RunConfig, datasets, hp: HyperParams, seed: int) -> list[np.ndarray]:
+    return hfed_train(
+        datasets, hp, seed, rounds=cfg.rounds, max_local=cfg.max_local
+    ).transforms
+
+
 def _fit_flat(cfg: RunConfig, train: MultiViewDataset, hp: HyperParams, seed: int):
     """Global transforms for the single-model flat modes."""
-    if cfg.mode in ("mvl", "pairwise"):
+    trainer = MODES[cfg.mode].trainer
+    if trainer == "mvl":
         state, _ = train_mvl(train, hp, seed)
         return state.W
-    if cfg.mode == "single_view":
+    if trainer == "single_view":
         w = train_single_view(
             train.views[0], train.labels, beta=hp.beta[0],
             epsilon=hp.epsilon, max_inner=hp.max_inner, tol=hp.tol,
         )
         return [w]
-    if cfg.mode == "vfed":
+    if trainer == "vfed":
         return vfed_train(train, hp, seed).transforms
-    if cfg.mode == "hfed":
-        shards = partition_horizontal(train, cfg.n_clients, stratified=True, seed=seed)
-        return hfed_train(
-            shards, hp, seed, rounds=cfg.rounds, max_local=cfg.max_local
-        ).transforms
-    raise ConfigError(f"mode: {cfg.mode!r} does not produce one global model")
+    shards = partition_horizontal(train, cfg.n_clients, stratified=True, seed=seed)
+    return _hfed(cfg, shards, hp, seed)
 
 
 def _run_flat(
@@ -300,19 +360,18 @@ def _run_flat(
     seed: int,
 ) -> MetricsRow:
     """Train one flat mode and score it on eval_data."""
-    if cfg.mode == "mv_local":
+    mode = MODES[cfg.mode]
+    if mode.isolated:
         shards = partition_horizontal(train, cfg.n_clients, stratified=True, seed=seed)
-        rows = []
-        for shard in shards:
-            local = hfed_train(
-                [shard], hp, seed, rounds=cfg.rounds, max_local=cfg.max_local
-            ).transforms
-            rows.append(
-                _eval_transforms("mv_local", local, eval_data, hp, cfg.positive_class)
-            )
-        return average_rows(rows)
-    transforms = _fit_flat(cfg, train, hp, seed)
-    return _eval_transforms(cfg.mode, transforms, eval_data, hp, cfg.positive_class)
+        fits = [_hfed(cfg, [shard], hp, seed) for shard in shards]
+    else:
+        fits = [_fit_flat(cfg, train, hp, seed)]
+    return average_rows(
+        [
+            _eval_transforms(mode.trainer, w, eval_data, hp, cfg.positive_class)
+            for w in fits
+        ]
+    )
 
 
 def _grid_candidates(hp: HyperParams):
@@ -325,13 +384,8 @@ def _grid_candidates(hp: HyperParams):
 def _flat_repeat(
     cfg: RunConfig, data: MultiViewDataset, seed: int
 ) -> tuple[MetricsRow, tuple[float, float] | None]:
-    mask = _resolve_mask(cfg, data.n_views)
-    hp = _mask_hp(cfg.hp, mask, data.n_views)
-    masked = data.select_views(mask)
-    tr, va, te = split_indices(
-        masked.class_indices(), masked.n_classes, cfg.split, seed
-    )
-    train, val, test = masked.subset(tr), masked.subset(va), masked.subset(te)
+    masked, hp = _select(cfg, data)
+    train, val, test = _split(cfg, masked, seed)
     if not cfg.grid:
         return _run_flat(cfg, train, test, hp, seed), None
     if val.n_samples == 0:
@@ -373,12 +427,10 @@ def _feature_dataset(
 
 
 def _seq_repeat(cfg: RunConfig, bundle: SequenceClientData, seed: int) -> MetricsRow:
-    mask = _resolve_mask(cfg, bundle.n_views)
-    hp = _mask_hp(cfg.hp, mask, bundle.n_views)
-    masked = bundle.select_views(mask)
-    n_classes = masked.views[0].n_classes
-    tr, _, te = split_indices(masked.y, n_classes, cfg.split, seed)
-    train_b, test_b = masked.subset(tr), masked.subset(te)
+    mode = MODES[cfg.mode]
+    masked, hp = _select(cfg, bundle)
+    train_b, _, test_b = _split(cfg, masked, seed)
+    n_classes = masked.n_classes
     clients = partition_sequences(train_b, cfg.n_clients, stratified=True, seed=seed)
     trainer = dataclasses.replace(cfg.trainer, seed=seed)
     k_views = train_b.n_views
@@ -391,11 +443,10 @@ def _seq_repeat(cfg: RunConfig, bundle: SequenceClientData, seed: int) -> Metric
         for k in range(k_views)
     ]
 
-    if cfg.mode == "sfed":
-        res = sfed_train(clients, trainer, embed_dim=cfg.embed_dim)
-        params = res.params
+    if mode.encoders == "federated":
+        params = sfed_train(clients, trainer, embed_dim=cfg.embed_dim).params
         per_client = [params] * len(clients)
-    elif cfg.mode == "central_seq_hfed":
+    elif mode.encoders == "pooled":
         pooled = [
             SequenceDataset(
                 sequences=[s for c in clients for s in c.views[k].sequences],
@@ -417,40 +468,27 @@ def _seq_repeat(cfg: RunConfig, bundle: SequenceClientData, seed: int) -> Metric
             ]
             for l, c in enumerate(clients)
         ]
-        params = None
 
     feature_sets = [
         _feature_dataset(c, archs, per_client[l], n_classes)
         for l, c in enumerate(clients)
     ]
-
-    if cfg.mode == "local_seq_localmv":
-        rows = []
-        for l in range(len(clients)):
-            local_w = hfed_train(
-                [feature_sets[l]], hp, seed,
-                rounds=cfg.rounds, max_local=cfg.max_local,
-            ).transforms
-            test_feats = _feature_dataset(test_b, archs, per_client[l], n_classes)
-            rows.append(
-                _eval_transforms("mvl", local_w, test_feats, hp, cfg.positive_class)
-            )
-        return average_rows(rows)
-
-    shared_w = hfed_train(
-        feature_sets, hp, seed, rounds=cfg.rounds, max_local=cfg.max_local
-    ).transforms
-    if cfg.mode in ("sfed", "central_seq_hfed"):
-        test_feats = _feature_dataset(test_b, archs, params, n_classes)
-        return _eval_transforms("mvl", shared_w, test_feats, hp, cfg.positive_class)
-    # local_seq_hfed: shared consensus transforms, but every client can
-    # only embed the test rows with its own encoders.
-    rows = []
-    for l in range(len(clients)):
-        test_feats = _feature_dataset(test_b, archs, per_client[l], n_classes)
-        rows.append(
-            _eval_transforms("mvl", shared_w, test_feats, hp, cfg.positive_class)
+    if mode.isolated:
+        fits = [_hfed(cfg, [f], hp, seed) for f in feature_sets]
+    else:
+        fits = [_hfed(cfg, feature_sets, hp, seed)] * len(clients)
+    # Every client embeds the test rows with its own encoders; when all
+    # clients share the encoders and the consensus they score as one.
+    shared = mode.encoders != "local" and not mode.isolated
+    n_scored = 1 if shared else len(clients)
+    rows = [
+        _eval_transforms(
+            mode.trainer, fits[l],
+            _feature_dataset(test_b, archs, per_client[l], n_classes),
+            hp, cfg.positive_class,
         )
+        for l in range(n_scored)
+    ]
     return average_rows(rows)
 
 
@@ -463,12 +501,13 @@ def run_experiment(
     cfg.data_dir, is reused across repeats with varying splits; with a
     generator spec each repeat regenerates at the shifted seed.
     """
-    generated = dataset is None and sequences is None and cfg.data_dir is None
-    if cfg.data_dir is not None and dataset is None and sequences is None:
-        if cfg.is_sequential:
-            sequences = load_sequences(cfg.data_dir)
-        else:
-            dataset = load_dataset(cfg.data_dir)
+    given, wrong = (sequences, dataset) if cfg.is_sequential else (dataset, sequences)
+    if wrong is not None:
+        need = "sequence data" if cfg.is_sequential else "flat view matrices"
+        raise ConfigError(f"data source: mode {cfg.mode!r} needs {need}")
+    generated = given is None and cfg.data_dir is None
+    if not generated:
+        given = _source(cfg, given)
     rows: list[MetricsRow] = []
     seeds: list[int] = []
     data_seeds: list[int] = []
@@ -476,19 +515,10 @@ def run_experiment(
     for r in range(cfg.repeats):
         seed_r = cfg.seed + r
         seeds.append(seed_r)
+        data = _source(cfg, given, r)
         if cfg.is_sequential:
-            if dataset is not None:
-                raise ConfigError(
-                    f"data source: mode {cfg.mode!r} needs sequence data"
-                )
-            bundle = _seq_data(cfg, sequences, r)
-            rows.append(_seq_repeat(cfg, bundle, seed_r))
+            rows.append(_seq_repeat(cfg, data, seed_r))
         else:
-            if sequences is not None:
-                raise ConfigError(
-                    f"data source: mode {cfg.mode!r} needs flat view matrices"
-                )
-            data = _flat_data(cfg, dataset, r)
             row, chosen = _flat_repeat(cfg, data, seed_r)
             rows.append(row)
             if chosen is not None:
@@ -539,27 +569,18 @@ def train_once(cfg: RunConfig, dataset=None) -> tuple[ModelBundle, MetricsRow]:
     Only the flat modes that end in one global model support this; the
     per-client and sequential pipelines have no single artifact to save.
     """
-    if cfg.mode not in ("mvl", "pairwise", "single_view", "vfed", "hfed"):
+    mode = MODES[cfg.mode]
+    if not mode.global_model:
         raise ConfigError(f"mode: {cfg.mode!r} does not produce one global model")
-    if dataset is None:
-        if cfg.data_dir is not None:
-            dataset = load_dataset(cfg.data_dir)
-        else:
-            dataset = _flat_data(cfg, None, 0)
-    mask = _resolve_mask(cfg, dataset.n_views)
-    hp = _mask_hp(cfg.hp, mask, dataset.n_views)
-    masked = dataset.select_views(mask)
-    tr, _, te = split_indices(masked.class_indices(), masked.n_classes, cfg.split, cfg.seed)
-    train, test = masked.subset(tr), masked.subset(te)
-    transforms = _fit_flat(cfg, train, hp, cfg.seed)
+    masked, hp = _select(cfg, _source(cfg, dataset))
+    train, _, test = _split(cfg, masked, cfg.seed)
     model = ModelBundle(
-        transforms=transforms,
+        transforms=_fit_flat(cfg, train, hp, cfg.seed),
         zeta=hp.zeta,
-        single=cfg.mode == "single_view",
+        single=mode.trainer == "single_view",
         positive_class=cfg.positive_class,
     )
-    row = evaluate_model(model, test)
-    return model, row
+    return model, evaluate_model(model, test)
 
 
 def evaluate_model(model: ModelBundle, data: MultiViewDataset) -> MetricsRow:
@@ -665,31 +686,12 @@ def compute_embeddings(
     rows; sfed trains the federated encoders and exports the per-view
     features side by side.
     """
-    if cfg.mode in ("mvl", "vfed"):
-        if dataset is None:
-            dataset = (
-                load_dataset(cfg.data_dir)
-                if cfg.data_dir is not None
-                else _flat_data(cfg, None, 0)
-            )
-        mask = _resolve_mask(cfg, dataset.n_views)
-        hp = _mask_hp(cfg.hp, mask, dataset.n_views)
-        masked = dataset.select_views(mask)
-        if cfg.mode == "vfed":
-            consensus = vfed_train(masked, hp, cfg.seed).consensus
-        else:
-            state, _ = train_mvl(masked, hp, cfg.seed)
-            consensus = state.Z
-        return consensus, masked.class_indices()
-    if cfg.mode == "sfed":
-        if sequences is None:
-            sequences = (
-                load_sequences(cfg.data_dir)
-                if cfg.data_dir is not None
-                else _seq_data(cfg, None, 0)
-            )
-        mask = _resolve_mask(cfg, sequences.n_views)
-        masked = sequences.select_views(mask)
+    mode = MODES[cfg.mode]
+    if not mode.embeds:
+        raise ConfigError(f"mode: {cfg.mode!r} has no per-sample embedding to export")
+    if mode.sequential:
+        bundle = _source(cfg, sequences)
+        masked = bundle.select_views(_resolve_mask(cfg, bundle.n_views))
         clients = partition_sequences(
             masked, cfg.n_clients, stratified=True, seed=cfg.seed
         )
@@ -700,4 +702,10 @@ def compute_embeddings(
             for k in range(masked.n_views)
         ]
         return np.hstack(feats), masked.y.copy()
-    raise ConfigError(f"mode: {cfg.mode!r} has no per-sample embedding to export")
+    masked, hp = _select(cfg, _source(cfg, dataset))
+    if mode.trainer == "vfed":
+        consensus = vfed_train(masked, hp, cfg.seed).consensus
+    else:
+        state, _ = train_mvl(masked, hp, cfg.seed)
+        consensus = state.Z
+    return consensus, masked.class_indices()

@@ -10,16 +10,15 @@ A protocol is a server object plus client objects:
     client.step(round, msg) -> FedMessage | None
 
 Each round: the server's broadcast (if any) is sent to every client;
-clients run their steps (optionally in parallel threads) and send
-replies; after the barrier the server consumes replies in ascending
-client id order.  All traffic flows through a transport, so the same
+clients run their steps one after another in ascending client id order
+and send replies; after the barrier the server consumes the replies in
+that order.  All traffic flows through a transport, so the same
 protocol code runs over in-process queues or the framed byte pipes.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -90,7 +89,6 @@ def run_rounds(
     transport,
     max_rounds: int,
     stop: Callable[[], bool] | None = None,
-    parallel: bool = False,
     log: RoundLog | None = None,
 ) -> RoundLog:
     """Drive a protocol for up to max_rounds lock-step rounds.
@@ -134,14 +132,7 @@ def run_rounds(
                     )
                 )
         expect = broadcast is not None
-        if parallel and len(clients) > 1:
-            with ThreadPoolExecutor(max_workers=len(clients)) as pool:
-                futures = [
-                    pool.submit(client_turn, c, rnd, expect) for c in clients
-                ]
-                results = [f.result() for f in futures]
-        else:
-            results = [client_turn(c, rnd, expect) for c in clients]
+        results = [client_turn(c, rnd, expect) for c in clients]
         replies = []
         for client, record in zip(clients, results):
             if record is None:

@@ -29,7 +29,6 @@ from .mvl import (
     MultiViewDataset,
     MvlState,
     _fit_stats,
-    irls_row_weights,
     objective,
     predict_mvl,
     update_consensus,
@@ -57,7 +56,6 @@ class HorizontalClient:
     w: list[np.ndarray]
     pseudo: list[np.ndarray]
     consensus: np.ndarray
-    weights: list[np.ndarray]
 
     def step(self, rnd: int, msg: FedMessage | None) -> FedMessage:
         if msg is None or msg.kind is not MessageKind.TRANSFORM_SET:
@@ -72,10 +70,9 @@ class HorizontalClient:
         if got != expected:
             raise DimensionMismatch(f"broadcast shapes {got}, expected {expected}")
         self.w = [m.copy() for m in matrices]
-        self.weights = [irls_row_weights(m, self.hp.epsilon) for m in self.w]
 
     def local_objective(self) -> float:
-        state = MvlState(W=self.w, Zk=self.pseudo, Z=self.consensus, A=self.weights)
+        state = MvlState(W=self.w, Zk=self.pseudo, Z=self.consensus)
         return objective(self.data, state, self.hp)
 
     def optimize_local(self) -> None:
@@ -91,7 +88,7 @@ class HorizontalClient:
                 self.pseudo, data.labels, hp.zeta, hp.eta
             )
             for k in range(data.n_views):
-                self.w[k], self.weights[k], _ = _fit_stats(
+                self.w[k], _, _ = _fit_stats(
                     data.views[k], self.pseudo[k], hp.beta[k], hp.epsilon,
                     hp.max_inner, hp.tol, w_init=self.w[k],
                 )
@@ -222,7 +219,6 @@ def make_horizontal_parties(
             HorizontalClient(
                 party=PartyId.client(l), data=data, hp=h, max_local=max_local,
                 w=[m.copy() for m in w0], pseudo=pseudo, consensus=consensus,
-                weights=[irls_row_weights(m, h.epsilon) for m in w0],
             )
         )
     server = HorizontalServer(
@@ -247,7 +243,6 @@ def hfed_train(
     max_local: int = DEFAULT_MAX_LOCAL,
     stop_tol: float | None = None,
     transport=None,
-    parallel: bool = False,
     log: RoundLog | None = None,
 ) -> HfedResult:
     """Run the broadcast/refit/average protocol for the given rounds.
@@ -262,7 +257,7 @@ def hfed_train(
     log = run_rounds(
         server, clients,
         transport if transport is not None else InProcessTransport(),
-        max_rounds=rounds, parallel=parallel, log=log,
+        max_rounds=rounds, log=log,
     )
     for client in clients:
         client.set_transforms(server.w)

@@ -217,14 +217,12 @@ class MvlState:
     W: list[np.ndarray]
     Zk: list[np.ndarray]
     Z: np.ndarray
-    A: list[np.ndarray]
 
     def copy(self) -> "MvlState":
         return MvlState(
             W=[w.copy() for w in self.W],
             Zk=[z.copy() for z in self.Zk],
             Z=self.Z.copy(),
-            A=[a.copy() for a in self.A],
         )
 
 
@@ -445,8 +443,7 @@ def init_state(
         for k in range(len(dims))
     ]
     z = orthonormal_init(n_samples, n_classes, seed, KEY_CONSENSUS)
-    a = [irls_row_weights(wk, epsilon) for wk in w]
-    return MvlState(W=w, Zk=zk, Z=z, A=a)
+    return MvlState(W=w, Zk=zk, Z=z)
 
 
 def _trace_row(state: MvlState, iteration: int, value: float, residual: float) -> TraceRow:
@@ -480,11 +477,11 @@ def train_mvl(
     for t in range(1, hp.max_outer + 1):
         max_residual = 0.0
         for i in range(k):
-            w, a, res = _fit_stats(
+            w, _, res = _fit_stats(
                 data.views[i], state.Zk[i], hp.beta[i], hp.epsilon,
                 hp.max_inner, hp.tol, w_init=state.W[i],
             )
-            state.W[i], state.A[i] = w, a
+            state.W[i] = w
             max_residual = max(max_residual, res)
             state.Zk[i] = update_pseudo_labels(
                 data.views[i] @ w, state.Z, hp.zeta[i]

@@ -116,6 +116,13 @@ class SequenceClientData:
     def y(self) -> np.ndarray:
         return self.views[0].y
 
+    @property
+    def n_classes(self) -> int:
+        return self.views[0].n_classes
+
+    def class_indices(self) -> np.ndarray:
+        return self.y
+
     def subset(self, indices) -> "SequenceClientData":
         return SequenceClientData(views=[v.subset(indices) for v in self.views])
 
@@ -398,7 +405,6 @@ def train_view_encoder(
     arch: EncoderArch,
     cfg: TrainerConfig,
     transport=None,
-    parallel: bool = False,
     log: RoundLog | None = None,
 ) -> np.ndarray:
     """FedAvg rounds for one view across the given clients."""
@@ -427,7 +433,7 @@ def train_view_encoder(
     run_rounds(
         server, clients,
         transport if transport is not None else InProcessTransport(),
-        max_rounds=cfg.max_rounds, parallel=parallel, log=log,
+        max_rounds=cfg.max_rounds, log=log,
     )
     return server.w
 
@@ -446,7 +452,6 @@ def sfed_train(
     cfg: TrainerConfig,
     embed_dim: int = 8,
     transport=None,
-    parallel: bool = False,
     log: RoundLog | None = None,
 ) -> SfedResult:
     """Train every view's encoder independently across all clients.
@@ -471,7 +476,7 @@ def sfed_train(
         )
         w = train_view_encoder(
             [c.views[k] for c in clients], k, arch, cfg,
-            transport=transport, parallel=parallel, log=log,
+            transport=transport, log=log,
         )
         archs.append(arch)
         params.append(w)

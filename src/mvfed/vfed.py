@@ -49,7 +49,6 @@ class VerticalClient:
     tol: float
     w: np.ndarray
     pseudo: np.ndarray
-    weights: np.ndarray
 
     def step(self, rnd: int, msg: FedMessage | None) -> FedMessage:
         """Refit the local transform, blend the pseudo-labels, reply."""
@@ -60,7 +59,7 @@ class VerticalClient:
             raise DimensionMismatch(
                 f"server consensus is {z.shape}, client holds {self.pseudo.shape}"
             )
-        self.w, self.weights, _ = _fit_stats(
+        self.w, _, _ = _fit_stats(
             self.x, self.pseudo, self.beta, self.epsilon,
             self.max_inner, self.tol, w_init=self.w,
         )
@@ -110,8 +109,8 @@ def make_vertical_parties(
 ) -> tuple[VerticalServer, list[VerticalClient]]:
     """Build a server and one client per view from one seeded state.
 
-    The state split mirrors data ownership: client k receives W_k, Z_k
-    and its reweighting diagonal, the server receives Z and the labels.
+    The state split mirrors data ownership: client k receives W_k and
+    Z_k, the server receives Z and the labels.
     """
     if hp.n_views != data.n_views:
         raise DimensionMismatch(
@@ -127,7 +126,7 @@ def make_vertical_parties(
             party=PartyId.client(k), view_index=k, x=data.views[k],
             beta=hp.beta[k], zeta=hp.zeta[k], epsilon=hp.epsilon,
             max_inner=hp.max_inner, tol=hp.tol,
-            w=state.W[k], pseudo=state.Zk[k], weights=state.A[k],
+            w=state.W[k], pseudo=state.Zk[k],
         )
         for k in range(data.n_views)
     ]
@@ -149,7 +148,6 @@ def vfed_train(
     hp: HyperParams,
     seed: int,
     transport=None,
-    parallel: bool = False,
     log: RoundLog | None = None,
 ) -> VfedResult:
     """Train over the round protocol; each round is one outer iteration.
@@ -161,7 +159,7 @@ def vfed_train(
     log = run_rounds(
         server, clients,
         transport if transport is not None else InProcessTransport(),
-        max_rounds=hp.max_outer, parallel=parallel, log=log,
+        max_rounds=hp.max_outer, log=log,
     )
     return VfedResult(
         transforms=[c.w for c in clients],
@@ -241,7 +239,6 @@ def vfed_predict(
     tol: float = 1e-6,
     max_rounds: int = 100,
     transport=None,
-    parallel: bool = False,
     log: RoundLog | None = None,
 ) -> np.ndarray:
     """Consensus score estimates for test rows split across the clients.
@@ -266,6 +263,6 @@ def vfed_predict(
     run_rounds(
         server, clients,
         transport if transport is not None else InProcessTransport(),
-        max_rounds=max_rounds, parallel=parallel, log=log,
+        max_rounds=max_rounds, log=log,
     )
     return server.consensus

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from mvfed.cli import RUN_KEYS, SCHEMA, build_run_config
 from mvfed.data import (
     GeneratorSpec,
     SeqGeneratorSpec,
@@ -14,6 +15,7 @@ from mvfed.data import (
 )
 from mvfed.errors import ConfigError, ParseError, ShapeError
 from mvfed.experiments import (
+    MODES,
     RunConfig,
     compute_embeddings,
     evaluate_model,
@@ -294,6 +296,59 @@ class TestSequentialModes:
         bundle = gen_sequences(seq_cfg().seq_spec)
         with pytest.raises(ConfigError):
             run_experiment(base_cfg(), sequences=bundle)
+
+
+SEQUENTIAL = {"sfed", "local_seq_localmv", "local_seq_hfed", "central_seq_hfed"}
+GLOBAL_MODEL = {"mvl", "single_view", "pairwise", "vfed", "hfed"}
+EMBEDS = {"mvl", "vfed", "sfed"}
+GRID = {"mvl", "pairwise", "vfed", "hfed", "mv_local"}
+
+
+def tiny_cfg(mode):
+    if mode in SEQUENTIAL:
+        return seq_cfg(
+            mode=mode,
+            seq_spec=SeqGeneratorSpec(
+                n_samples=40, step_dims=(3, 2), t_range=(3, 5), seed=2
+            ),
+            trainer=TrainerConfig(batch_size=8, max_rounds=1),
+            hp=quick_hp(2, max_outer=2),
+            n_clients=2, rounds=1, max_local=1, embed_dim=2,
+        )
+    return base_cfg(
+        mode=mode, spec=easy_spec(n=60, dims=(3, 2)), hp=quick_hp(2, max_outer=2),
+        view_mask=(0,) if mode == "single_view" else None,
+        repeats=1, rounds=1, max_local=1,
+    )
+
+
+class TestModeTable:
+    def test_lists_the_ten_modes(self):
+        assert set(MODES) == SEQUENTIAL | GLOBAL_MODEL | {"mv_local"}
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_entry_points_accept_exactly_their_modes(self, mode):
+        cfg = tiny_cfg(mode)
+        if mode in GLOBAL_MODEL:
+            model, _ = train_once(cfg)
+            assert model.single == (mode == "single_view")
+        else:
+            with pytest.raises(ConfigError, match="global model"):
+                train_once(cfg)
+        if mode in EMBEDS:
+            matrix, y = compute_embeddings(cfg)
+            assert matrix.shape[0] == y.shape[0] == (40 if mode == "sfed" else 60)
+        else:
+            with pytest.raises(ConfigError, match="embedding"):
+                compute_embeddings(cfg)
+        if mode in GRID:
+            assert dataclasses.replace(cfg, grid=True).grid
+        else:
+            with pytest.raises(ConfigError, match="grid"):
+                dataclasses.replace(cfg, grid=True)
+        values = {key: SCHEMA[key][1] for key in RUN_KEYS}
+        values["mode"] = mode
+        assert build_run_config(values).is_sequential == (mode in SEQUENTIAL)
 
 
 class TestModels:

@@ -282,41 +282,6 @@ class TestRunRounds:
         assert info.value.round_index == 0
         assert info.value.party_id == 1
 
-    def test_parallel_matches_sequential(self):
-        class SummingServer:
-            def __init__(self):
-                self.party = SERVER
-                self.total = np.zeros((1, 1))
-
-            def broadcast(self, rnd):
-                return FedMessage.consensus(rnd, self.party, self.total)
-
-            def aggregate(self, rnd, replies):
-                acc = np.zeros((1, 1))
-                for r in replies:
-                    acc += r.matrix
-                self.total = acc
-
-        class AddingClient:
-            def __init__(self, i):
-                self.party = PartyId.client(i)
-                self.value = float(i + 1)
-
-            def step(self, rnd, msg):
-                return FedMessage.consensus(
-                    rnd, self.party, msg.matrix + self.value
-                )
-
-        def run(parallel):
-            server = SummingServer()
-            run_rounds(
-                server, [AddingClient(i) for i in range(4)],
-                InProcessTransport(), max_rounds=3, parallel=parallel,
-            )
-            return server.total
-
-        assert np.array_equal(run(False), run(True))
-
     def test_stop_predicate(self):
         server = EchoServer()
         stops_after = []

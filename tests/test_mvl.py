@@ -92,7 +92,6 @@ class TestObjective:
             W=[np.zeros((d, 2)) for d in dims],
             Zk=[np.zeros((4, 2)) for _ in dims],
             Z=data.labels.copy(),
-            A=[np.ones(d) for d in dims],
         )
         expected = 2.0 * 3 * eps + 3.0 * 5 * eps
         assert math.isclose(objective(data, state, hp), expected, rel_tol=1e-12)
@@ -108,7 +107,6 @@ class TestObjective:
             W=[np.array([[1.0]])],
             Zk=[np.array([[1.0]])],
             Z=np.array([[1.0]]),
-            A=[np.ones(1)],
         )
         hp = HyperParams(beta=(1.0,), zeta=(1.0,), eta=1.0, epsilon=0.0)
         assert objective(data, state, hp) == 1.0
