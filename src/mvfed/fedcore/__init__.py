@@ -11,6 +11,7 @@ from .messages import (
     PartyId,
     Role,
 )
+from .fedavg import fedavg_aggregate
 from .rounds import MessageRecord, RoundLog, RoundRecord, disallowed_kinds, run_rounds
 from .transport import FramedByteTransport, InProcessTransport
 from .wire import decode_message, encode_message, read_frame, write_frame
@@ -33,6 +34,7 @@ __all__ = [
     "decode_message",
     "disallowed_kinds",
     "encode_message",
+    "fedavg_aggregate",
     "read_frame",
     "run_rounds",
     "write_frame",

@@ -75,21 +75,24 @@ class MessageKind(enum.IntEnum):
     TEST_PSEUDO_LABEL = 6
 
 
-def _checked_matrix(m: np.ndarray, what: str) -> np.ndarray:
-    m = np.array(m, dtype=np.float64, order="C", copy=True)
-    if m.ndim != 2:
-        raise ValueError(f"{what} must be 2-D, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
+def _checked_array(a: np.ndarray, ndim: int, what: str) -> np.ndarray:
+    """The message's one copy of a payload array, finite and read-only."""
+    a = np.array(a, dtype=np.float64, order="C", copy=True)
+    if a.ndim != ndim:
+        raise ValueError(f"{what} must be {ndim}-D, got ndim={a.ndim}")
+    if not np.isfinite(a).all():
         raise ValueError(f"{what} contains non-finite entries")
-    return m
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
 class FedMessage:
     """One protocol message; payload fields depend on `kind`.
 
-    Arrays are copied at construction, so a message never aliases the
-    sender's mutable state.
+    Arrays are copied once at construction and marked read-only, so a
+    message never aliases the sender's mutable state and receivers can
+    share it without copying again.
     """
 
     round: int
@@ -112,7 +115,7 @@ class FedMessage:
         if want_matrix:
             if self.matrix is None:
                 raise ValueError(f"{self.kind.name} requires a matrix payload")
-            object.__setattr__(self, "matrix", _checked_matrix(self.matrix, "matrix"))
+            object.__setattr__(self, "matrix", _checked_array(self.matrix, 2, "matrix"))
         elif self.matrix is not None:
             raise ValueError(f"{self.kind.name} does not carry a single matrix")
         if want_scalar:
@@ -127,7 +130,7 @@ class FedMessage:
             object.__setattr__(
                 self,
                 "matrices",
-                tuple(_checked_matrix(m, f"matrices[{i}]") for i, m in enumerate(self.matrices)),
+                tuple(_checked_array(m, 2, f"matrices[{i}]") for i, m in enumerate(self.matrices)),
             )
         elif self.matrices is not None:
             raise ValueError(f"{self.kind.name} does not carry a matrix set")
@@ -136,12 +139,7 @@ class FedMessage:
                 raise ValueError("PARAM_VECTOR requires a u32 view index")
             if self.vector is None:
                 raise ValueError("PARAM_VECTOR requires a vector payload")
-            vec = np.array(self.vector, dtype=np.float64, order="C", copy=True)
-            if vec.ndim != 1:
-                raise ValueError(f"vector must be 1-D, got ndim={vec.ndim}")
-            if not np.isfinite(vec).all():
-                raise ValueError("vector contains non-finite entries")
-            object.__setattr__(self, "vector", vec)
+            object.__setattr__(self, "vector", _checked_array(self.vector, 1, "vector"))
         else:
             if self.view is not None:
                 raise ValueError(f"{self.kind.name} does not carry a view index")

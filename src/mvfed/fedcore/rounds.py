@@ -3,27 +3,37 @@
 A protocol is a server object plus client objects:
 
     server.party                        PartyId
+    server.reply_kind                   MessageKind (class constant)
     server.broadcast(round) -> FedMessage | None
     server.aggregate(round, replies: list[FedMessage]) -> None
     server.done() -> bool               optional early stop
     client.party                        PartyId
-    client.step(round, msg) -> FedMessage | None
+    client.step(round, msg) -> FedMessage
 
 Each round: the server's broadcast (if any) is sent to every client;
 clients run their steps one after another in ascending client id order
-and send replies; after the barrier the server consumes the replies in
-that order.  All traffic flows through a transport, so the same
-protocol code runs over in-process queues or the framed byte pipes.
+and send replies; after the barrier the server consumes the replies.
+`run_rounds` owns the round contract, so servers keep only their math:
+
+- every client replies: a `None` reply raises MissingClient naming the
+  round and the client;
+- every reply has the server's `reply_kind`, otherwise ValueError;
+- `aggregate` receives the replies in ascending client id order;
+- `transport=None` means a fresh InProcessTransport.
+
+All traffic flows through the transport, so the same protocol code runs
+over in-process queues or the framed byte pipes.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from ..errors import PartyFailure
+from ..errors import MissingClient, PartyFailure
 from .messages import FedMessage, MessageKind
+from .transport import InProcessTransport
 from .wire import encode_message
 
 __all__ = [
@@ -88,23 +98,22 @@ def run_rounds(
     clients: Sequence,
     transport,
     max_rounds: int,
-    stop: Callable[[], bool] | None = None,
     log: RoundLog | None = None,
 ) -> RoundLog:
     """Drive a protocol for up to max_rounds lock-step rounds.
 
-    Stops early when `stop()` (or the server's own done(), if it has
-    one) returns True after aggregation.  Client exceptions surface as
-    PartyFailure carrying the round and party id.
+    Stops early when the server's done(), if it has one, returns True
+    after aggregation.  Client exceptions surface as PartyFailure
+    carrying the round and party id.
     """
     log = log if log is not None else RoundLog()
+    transport = transport if transport is not None else InProcessTransport()
     clients = sorted(clients, key=lambda c: c.party.id)
     server_ep = transport.endpoint(server.party)
     client_eps = {c.party.id: transport.endpoint(c.party) for c in clients}
-    if stop is None and hasattr(server, "done"):
-        stop = server.done
+    done = getattr(server, "done", None)
 
-    def client_turn(client, rnd: int, expect_broadcast: bool):
+    def client_turn(client, rnd: int, expect_broadcast: bool) -> MessageRecord:
         ep = client_eps[client.party.id]
         inbound = ep.receive(server.party) if expect_broadcast else None
         try:
@@ -112,11 +121,20 @@ def run_rounds(
         except Exception as exc:
             raise PartyFailure(rnd, client.party.id, exc) from exc
         if reply is None:
-            return None
+            raise MissingClient(f"round {rnd}: no reply from client {client.party.id}")
         ep.send(server.party, reply)
         return MessageRecord(
             client.party.id, server.party.id, reply.kind, len(encode_message(reply))
         )
+
+    def receive(client, rnd: int) -> FedMessage:
+        reply = server_ep.receive(client.party)
+        if reply.kind is not server.reply_kind:
+            raise ValueError(
+                f"round {rnd}: client {client.party.id} sent {reply.kind.name}, "
+                f"expected {server.reply_kind.name}"
+            )
+        return reply
 
     for rnd in range(max_rounds):
         t0 = time.perf_counter()
@@ -132,15 +150,9 @@ def run_rounds(
                     )
                 )
         expect = broadcast is not None
-        results = [client_turn(c, rnd, expect) for c in clients]
-        replies = []
-        for client, record in zip(clients, results):
-            if record is None:
-                continue
-            records.append(record)
-            replies.append(server_ep.receive(client.party))
-        server.aggregate(rnd, replies)
+        records.extend(client_turn(c, rnd, expect) for c in clients)
+        server.aggregate(rnd, [receive(c, rnd) for c in clients])
         log.append(RoundRecord(rnd, tuple(records), time.perf_counter() - t0))
-        if stop is not None and stop():
+        if done is not None and done():
             break
     return log

@@ -7,26 +7,22 @@ Both present the same endpoint interface:
     msg = ep.receive(frm)
 
 Channels are per (sender, receiver) pairs with FIFO order and by-value
-delivery.  All operations are lock-guarded so client steps may send
-concurrently from separate threads.
+delivery: message payloads are read-only copies, so the in-process
+queues hand over the message itself.  All operations are lock-guarded
+so client steps may send concurrently from separate threads.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import MissingClient
 from .messages import FedMessage, PartyId
 from .wire import decode_message, encode_message, frame_length
 
 __all__ = ["InProcessTransport", "FramedByteTransport"]
-
-
-def _rebuild(msg: FedMessage) -> FedMessage:
-    """Fresh message whose arrays share nothing with the original."""
-    return replace(msg)  # __post_init__ re-copies all array payloads
 
 
 @dataclass
@@ -56,9 +52,8 @@ class InProcessTransport:
         return _Endpoint(self, party)
 
     def _push(self, frm: PartyId, to: PartyId, msg: FedMessage) -> None:
-        copied = _rebuild(msg)
         with self._lock:
-            self._channels.setdefault((frm.id, to.id), deque()).append(copied)
+            self._channels.setdefault((frm.id, to.id), deque()).append(msg)
 
     def _pop(self, frm: PartyId, to: PartyId) -> FedMessage:
         with self._lock:

@@ -64,7 +64,7 @@ def _decode_matrix(payload: bytes, offset: int) -> tuple[np.ndarray, int]:
     if offset + nbytes > len(payload):
         raise MalformedFrame("truncated matrix data")
     data = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=offset)
-    return data.reshape(rows, cols).copy(), offset + nbytes
+    return data.reshape(rows, cols), offset + nbytes
 
 
 def encode_message(msg: FedMessage) -> bytes:
@@ -141,7 +141,7 @@ def decode_message(frame: bytes) -> FedMessage:
         offset = _PARAM_HEAD.size
         if offset + length * 8 != len(payload):
             raise MalformedFrame("parameter vector length mismatch")
-        vector = np.frombuffer(payload, dtype="<f8", count=length, offset=offset).copy()
+        vector = np.frombuffer(payload, dtype="<f8", count=length, offset=offset)
         return FedMessage(
             round=round_, sender=sender, kind=kind, view=view, vector=vector
         )

@@ -11,17 +11,17 @@ pseudo-labels and consensus stay on the client between rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec, MissingClient
 from .fedcore import (
     FedMessage,
-    InProcessTransport,
     MessageKind,
     PartyId,
     RoundLog,
+    fedavg_aggregate,
     run_rounds,
 )
 from .mvl import (
@@ -104,63 +104,29 @@ def aggregate_transforms(
     """Per-view average of client transforms weighted by sample share."""
     if len(w_sets) == 0:
         raise MissingClient("no transform sets to aggregate")
-    if len(w_sets) != len(counts):
-        raise MissingClient(
-            f"{len(w_sets)} transform sets for {len(counts)} registered clients"
-        )
-    if any(n < 1 for n in counts):
-        raise InvalidSpec("every client must hold at least one sample")
     n_views = len(w_sets[0])
-    shapes = [m.shape for m in w_sets[0]]
-    for ws in w_sets:
-        if len(ws) != n_views or [m.shape for m in ws] != shapes:
-            raise DimensionMismatch("inconsistent transform shapes across clients")
-    total = float(sum(counts))
-    out = []
-    for k in range(n_views):
-        acc = (counts[0] / total) * w_sets[0][k]
-        for ws, n in zip(w_sets[1:], counts[1:]):
-            acc += (n / total) * ws[k]
-        out.append(acc)
-    return out
+    if any(len(ws) != n_views for ws in w_sets):
+        raise DimensionMismatch("clients sent different numbers of transforms")
+    return [fedavg_aggregate([ws[k] for ws in w_sets], counts) for k in range(n_views)]
 
 
 @dataclass
 class HorizontalServer:
     """Holds the global transforms and the per-client sample counts."""
 
+    reply_kind: ClassVar[MessageKind] = MessageKind.TRANSFORM_SET
+
     w: list[np.ndarray]
     counts: list[int]
-    stop_tol: float | None = None
     party: PartyId = field(default_factory=PartyId.server)
-    drift: float | None = None
 
     def broadcast(self, rnd: int) -> FedMessage:
         return FedMessage.transform_set(rnd, self.party, self.w)
 
     def aggregate(self, rnd: int, replies: Sequence[FedMessage]) -> None:
-        if len(replies) < len(self.counts):
-            raise MissingClient(
-                f"round {rnd}: {len(replies)} of {len(self.counts)} transform sets"
-            )
-        if any(m.kind is not MessageKind.TRANSFORM_SET for m in replies):
-            raise ValueError(f"round {rnd}: unexpected message kind in replies")
-        ordered = sorted(replies, key=lambda m: m.sender.id)
-        w_new = aggregate_transforms(
-            [m.matrices for m in ordered],
-            [self.counts[m.sender.id] for m in ordered],
-        )
-        self.drift = max(
-            float(np.max(np.abs(a - b))) if a.size else 0.0
-            for a, b in zip(w_new, self.w)
-        )
-        self.w = w_new
-
-    def done(self) -> bool:
-        return (
-            self.stop_tol is not None
-            and self.drift is not None
-            and self.drift < self.stop_tol
+        self.w = aggregate_transforms(
+            [m.matrices for m in replies],
+            [self.counts[m.sender.id] for m in replies],
         )
 
 
@@ -185,7 +151,6 @@ def make_horizontal_parties(
     hp: HyperParams | Sequence[HyperParams],
     seed: int,
     max_local: int = DEFAULT_MAX_LOCAL,
-    stop_tol: float | None = None,
 ) -> tuple[HorizontalServer, list[HorizontalClient]]:
     """Build a server and one client per local dataset.
 
@@ -221,9 +186,7 @@ def make_horizontal_parties(
                 w=[m.copy() for m in w0], pseudo=pseudo, consensus=consensus,
             )
         )
-    server = HorizontalServer(
-        w=w0, counts=[d.n_samples for d in datasets], stop_tol=stop_tol
-    )
+    server = HorizontalServer(w=w0, counts=[d.n_samples for d in datasets])
     return server, clients
 
 
@@ -241,24 +204,16 @@ def hfed_train(
     seed: int,
     rounds: int = DEFAULT_ROUNDS,
     max_local: int = DEFAULT_MAX_LOCAL,
-    stop_tol: float | None = None,
     transport=None,
     log: RoundLog | None = None,
 ) -> HfedResult:
     """Run the broadcast/refit/average protocol for the given rounds.
 
-    Early stopping on aggregated-transform drift is available through
-    stop_tol but disabled by default.  After the last round the final
-    global transforms are pushed back onto every client.
+    After the last round the final global transforms are pushed back
+    onto every client.
     """
-    server, clients = make_horizontal_parties(
-        datasets, hp, seed, max_local=max_local, stop_tol=stop_tol
-    )
-    log = run_rounds(
-        server, clients,
-        transport if transport is not None else InProcessTransport(),
-        max_rounds=rounds, log=log,
-    )
+    server, clients = make_horizontal_parties(datasets, hp, seed, max_local=max_local)
+    log = run_rounds(server, clients, transport, max_rounds=rounds, log=log)
     for client in clients:
         client.set_transforms(server.w)
     return HfedResult(transforms=[m.copy() for m in server.w], log=log)

@@ -158,6 +158,8 @@ class MultiViewDataset:
                 raise DimensionMismatch(
                     f"view {k} must be 2-D with {n} rows, got shape {v.shape}"
                 )
+            if not np.isfinite(v).all():
+                raise InvalidSpec(f"view {k} contains non-finite entries")
         _check_one_hot(self.labels)
         if self.labels.shape[0] != n:
             raise DimensionMismatch(
@@ -424,7 +426,7 @@ def test_consensus(pseudo_labels: Sequence[np.ndarray], zeta: Sequence[float]) -
 
 
 def init_state(
-    dims: Sequence[int], n_samples: int, n_classes: int, epsilon: float, seed: int
+    dims: Sequence[int], n_samples: int, n_classes: int, seed: int
 ) -> MvlState:
     """Seeded initial state shared by the centralized and federated trainers.
 
@@ -470,7 +472,7 @@ def train_mvl(
     k = data.n_views
     if hp.n_views != k:
         raise DimensionMismatch(f"hyperparams cover {hp.n_views} views, data has {k}")
-    state = init_state(data.dims, data.n_samples, data.n_classes, hp.epsilon, seed)
+    state = init_state(data.dims, data.n_samples, data.n_classes, seed)
     trace = TrainTrace()
     prev = objective(data, state, hp)
     trace.rows.append(_trace_row(state, 0, prev, 0.0))

@@ -12,7 +12,7 @@ flat vectors, so the wire format stays model-agnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -22,14 +22,13 @@ from .errors import (
     EmptyDataset,
     EmptySequence,
     InvalidSpec,
-    MissingClient,
 )
 from .fedcore import (
     FedMessage,
-    InProcessTransport,
     MessageKind,
     PartyId,
     RoundLog,
+    fedavg_aggregate,
     run_rounds,
 )
 from .numerics import KEY_ENCODER, KEY_SHUFFLE, make_rng
@@ -59,6 +58,8 @@ class SequenceDataset:
                 raise DimensionMismatch(f"sample {i}: expected 2-D steps array")
             if seq.shape[0] < 1:
                 raise EmptySequence(f"sample {i} has no time steps")
+            if not np.isfinite(seq).all():
+                raise InvalidSpec(f"sample {i} contains non-finite entries")
             if width is None:
                 width = seq.shape[1]
             elif seq.shape[1] != width:
@@ -322,29 +323,6 @@ def local_training(
     return w
 
 
-def fedavg_aggregate(
-    w_list: Sequence[np.ndarray], counts: Sequence[int]
-) -> np.ndarray:
-    """Sample-count-weighted average of parameter vectors."""
-    if len(w_list) == 0:
-        raise MissingClient("no parameter vectors to aggregate")
-    if len(w_list) != len(counts):
-        raise MissingClient(
-            f"{len(w_list)} vectors for {len(counts)} registered clients"
-        )
-    if any(n < 1 for n in counts):
-        raise InvalidSpec("every client must hold at least one sample")
-    length = w_list[0].shape
-    for v in w_list:
-        if v.ndim != 1 or v.shape != length:
-            raise DimensionMismatch("parameter vectors differ in length")
-    total = float(sum(counts))
-    acc = (counts[0] / total) * w_list[0]
-    for v, n in zip(w_list[1:], counts[1:]):
-        acc = acc + (n / total) * v
-    return acc
-
-
 @dataclass
 class SequenceClient:
     """Runs local SGD on one view's sequences when polled."""
@@ -374,6 +352,8 @@ class SequenceClient:
 class SequenceServer:
     """FedAvg server for a single view's encoder."""
 
+    reply_kind: ClassVar[MessageKind] = MessageKind.PARAM_VECTOR
+
     w: np.ndarray
     counts: list[int]
     view_index: int
@@ -383,19 +363,11 @@ class SequenceServer:
         return FedMessage.param_vector(rnd, self.party, self.view_index, self.w)
 
     def aggregate(self, rnd: int, replies: Sequence[FedMessage]) -> None:
-        if len(replies) < len(self.counts):
-            raise MissingClient(
-                f"round {rnd}: {len(replies)} of {len(self.counts)} updates"
-            )
-        if any(
-            m.kind is not MessageKind.PARAM_VECTOR or m.view != self.view_index
-            for m in replies
-        ):
+        if any(m.view != self.view_index for m in replies):
             raise ValueError(f"round {rnd}: unexpected reply for view {self.view_index}")
-        ordered = sorted(replies, key=lambda m: m.sender.id)
         self.w = fedavg_aggregate(
-            [m.vector for m in ordered],
-            [self.counts[m.sender.id] for m in ordered],
+            [m.vector for m in replies],
+            [self.counts[m.sender.id] for m in replies],
         )
 
 
@@ -430,11 +402,7 @@ def train_view_encoder(
         )
         for l, data in enumerate(datasets)
     ]
-    run_rounds(
-        server, clients,
-        transport if transport is not None else InProcessTransport(),
-        max_rounds=cfg.max_rounds, log=log,
-    )
+    run_rounds(server, clients, transport, max_rounds=cfg.max_rounds, log=log)
     return server.w
 
 

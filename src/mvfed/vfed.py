@@ -11,14 +11,13 @@ under equal iteration caps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSpec, MissingClient
+from .errors import DimensionMismatch, InvalidSpec
 from .fedcore import (
     FedMessage,
-    InProcessTransport,
     MessageKind,
     PartyId,
     RoundLog,
@@ -67,14 +66,21 @@ class VerticalClient:
         return FedMessage.pseudo_label(rnd, self.party, self.zeta, self.pseudo)
 
 
+def _relative_drift(new: np.ndarray, old: np.ndarray) -> float:
+    """||new - old|| / ||old||, or the plain distance when old is zero."""
+    denom = float(np.linalg.norm(old))
+    return float(np.linalg.norm(new - old)) / (denom if denom > 0.0 else 1.0)
+
+
 @dataclass
 class VerticalServer:
     """Keeps the labels and the consensus; stops on consensus drift."""
 
+    reply_kind: ClassVar[MessageKind] = MessageKind.PSEUDO_LABEL
+
     labels: np.ndarray
     eta: float
     tol: float
-    n_views: int
     z: np.ndarray
     party: PartyId = field(default_factory=PartyId.server)
     drift: float | None = None
@@ -83,21 +89,11 @@ class VerticalServer:
         return FedMessage.consensus(rnd, self.party, self.z)
 
     def aggregate(self, rnd: int, replies: Sequence[FedMessage]) -> None:
-        if len(replies) < self.n_views:
-            raise MissingClient(
-                f"round {rnd}: {len(replies)} of {self.n_views} pseudo-label updates"
-            )
-        if any(m.kind is not MessageKind.PSEUDO_LABEL for m in replies):
-            raise ValueError(f"round {rnd}: unexpected message kind in replies")
-        ordered = sorted(replies, key=lambda m: m.sender.id)
         z_new = update_consensus(
-            [m.matrix for m in ordered], self.labels,
-            [m.zeta for m in ordered], self.eta,
+            [m.matrix for m in replies], self.labels,
+            [m.zeta for m in replies], self.eta,
         )
-        denom = float(np.linalg.norm(self.z))
-        self.drift = float(np.linalg.norm(z_new - self.z)) / (
-            denom if denom > 0.0 else 1.0
-        )
+        self.drift = _relative_drift(z_new, self.z)
         self.z = z_new
 
     def done(self) -> bool:
@@ -116,11 +112,8 @@ def make_vertical_parties(
         raise DimensionMismatch(
             f"hyperparams cover {hp.n_views} views, data has {data.n_views}"
         )
-    state = init_state(data.dims, data.n_samples, data.n_classes, hp.epsilon, seed)
-    server = VerticalServer(
-        labels=data.labels, eta=hp.eta, tol=hp.tol,
-        n_views=data.n_views, z=state.Z,
-    )
+    state = init_state(data.dims, data.n_samples, data.n_classes, seed)
+    server = VerticalServer(labels=data.labels, eta=hp.eta, tol=hp.tol, z=state.Z)
     clients = [
         VerticalClient(
             party=PartyId.client(k), view_index=k, x=data.views[k],
@@ -156,11 +149,7 @@ def vfed_train(
     consensus drift falls below hp.tol.
     """
     server, clients = make_vertical_parties(data, hp, seed)
-    log = run_rounds(
-        server, clients,
-        transport if transport is not None else InProcessTransport(),
-        max_rounds=hp.max_outer, log=log,
-    )
+    log = run_rounds(server, clients, transport, max_rounds=hp.max_outer, log=log)
     return VfedResult(
         transforms=[c.w for c in clients],
         pseudo_labels=[c.pseudo for c in clients],
@@ -199,7 +188,8 @@ class VerticalPredictClient:
 class VerticalPredictServer:
     """Averages the clients' estimates; stops when the average settles."""
 
-    n_views: int
+    reply_kind: ClassVar[MessageKind] = MessageKind.TEST_PSEUDO_LABEL
+
     tol: float
     party: PartyId = field(default_factory=PartyId.server)
     consensus: np.ndarray | None = None
@@ -211,21 +201,9 @@ class VerticalPredictServer:
         return FedMessage.test_consensus(rnd, self.party, self.consensus)
 
     def aggregate(self, rnd: int, replies: Sequence[FedMessage]) -> None:
-        if len(replies) < self.n_views:
-            raise MissingClient(
-                f"round {rnd}: {len(replies)} of {self.n_views} estimates"
-            )
-        if any(m.kind is not MessageKind.TEST_PSEUDO_LABEL for m in replies):
-            raise ValueError(f"round {rnd}: unexpected message kind in replies")
-        ordered = sorted(replies, key=lambda m: m.sender.id)
-        z_new = test_consensus(
-            [m.matrix for m in ordered], [m.zeta for m in ordered]
-        )
+        z_new = test_consensus([m.matrix for m in replies], [m.zeta for m in replies])
         if self.consensus is not None:
-            denom = float(np.linalg.norm(self.consensus))
-            self.drift = float(np.linalg.norm(z_new - self.consensus)) / (
-                denom if denom > 0.0 else 1.0
-            )
+            self.drift = _relative_drift(z_new, self.consensus)
         self.consensus = z_new
 
     def done(self) -> bool:
@@ -259,10 +237,6 @@ def vfed_predict(
         VerticalPredictClient(party=PartyId.client(k), x=x, w=w, zeta=z)
         for k, (x, w, z) in enumerate(zip(test_views, transforms, zeta))
     ]
-    server = VerticalPredictServer(n_views=len(clients), tol=tol)
-    run_rounds(
-        server, clients,
-        transport if transport is not None else InProcessTransport(),
-        max_rounds=max_rounds, log=log,
-    )
+    server = VerticalPredictServer(tol=tol)
+    run_rounds(server, clients, transport, max_rounds=max_rounds, log=log)
     return server.consensus

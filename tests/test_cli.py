@@ -275,6 +275,48 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("mode", ["mvl", "vfed", "hfed"])
+    def test_non_finite_cell_exits_2(self, tmp_path, capsys, mode):
+        data_dir = os.path.join(tmp_path, "data")
+        assert run(capsys, "gen-data", "--out", data_dir, *SMALL_FLAT)[0] == 0
+        view = os.path.join(data_dir, "view_1.csv")
+        with open(view) as fh:
+            lines = fh.read().splitlines()
+        cells = lines[5].split(",")
+        cells[1] = "nan"
+        lines[5] = ",".join(cells)
+        with open(view, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code, _, stderr = run(
+            capsys, "train", "--mode", mode, "--data", data_dir, "--seed", "2",
+            *QUICK_FIT,
+        )
+        assert code == 2
+        assert "non-finite" in stderr
+
+    def test_non_finite_sequence_step_exits_2(self, tmp_path, capsys):
+        data_dir = os.path.join(tmp_path, "seq")
+        code, _, _ = run(
+            capsys, "gen-data", "--out", data_dir, "--kind", "sequences",
+            "--samples", "30", "--step-dims", "3,2", "--t-range", "3,5",
+        )
+        assert code == 0
+        view = os.path.join(data_dir, "sequences_view_0.csv")
+        with open(view) as fh:
+            lines = fh.read().splitlines()
+        cells = lines[4].split(",")
+        cells[-1] = "inf"
+        lines[4] = ",".join(cells)
+        with open(view, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code, _, stderr = run(
+            capsys, "export-embeddings", "--mode", "sfed", "--data", data_dir,
+            "--clients", "2", "--enc-rounds", "1", "--embed-dim", "2",
+            "--out", os.path.join(tmp_path, "emb.csv"),
+        )
+        assert code == 2
+        assert "non-finite" in stderr
+
     def test_training_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         def boom(cfg):
             raise NotSPD("system matrix lost positive definiteness")

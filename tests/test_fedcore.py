@@ -181,6 +181,20 @@ class TestTransports:
         got = tp.endpoint(SERVER).receive(C0)
         assert np.array_equal(got.matrix, np.ones((2, 2)))
 
+    def test_received_payload_is_read_only(self, transport_cls):
+        tp = transport_cls()
+        rng = np.random.default_rng(4)
+        for kind in MessageKind:
+            msg = random_message(rng, kind)
+            tp.endpoint(msg.sender).send(SERVER, msg)
+            got = tp.endpoint(SERVER).receive(msg.sender)
+            arrays = [a for a in (got.matrix, got.vector) if a is not None]
+            arrays += list(got.matrices or ())
+            assert arrays
+            for a in arrays:
+                with pytest.raises(ValueError):
+                    a[0] = 1.0
+
     def test_sender_binding_enforced(self, transport_cls):
         tp = transport_cls()
         msg = FedMessage.consensus(0, C1, np.ones((1, 1)))
@@ -209,31 +223,55 @@ class TestTransports:
 
 
 class EchoServer:
-    def __init__(self):
+    """Broadcasts the first reply of the previous round back to everyone."""
+
+    reply_kind = MessageKind.CONSENSUS
+
+    def __init__(self, stop_after=None):
         self.party = SERVER
         self.received = None
+        self.senders = []
+        self.stop_after = stop_after
 
     def broadcast(self, rnd):
-        if rnd == 0 or self.received is None:
+        if self.received is None:
             return None
         return FedMessage.consensus(rnd, self.party, self.received.matrix)
 
     def aggregate(self, rnd, replies):
-        if replies:
-            self.received = replies[0]
+        self.received = replies[0]
+        self.senders.append([m.sender.id for m in replies])
+
+    def done(self):
+        return self.stop_after is not None and len(self.senders) >= self.stop_after
 
 
 class EchoClient:
-    def __init__(self, payload):
-        self.party = C0
+    def __init__(self, payload, party=C0):
+        self.party = party
         self.payload = payload
         self.echoed = None
 
     def step(self, rnd, msg):
-        if rnd == 0:
-            return FedMessage.consensus(0, self.party, self.payload)
-        self.echoed = msg
+        if msg is not None:
+            self.echoed = msg
+        return FedMessage.consensus(rnd, self.party, self.payload)
+
+
+class SilentClient:
+    def __init__(self, party):
+        self.party = party
+
+    def step(self, rnd, msg):
         return None
+
+
+class WrongKindClient:
+    def __init__(self, party):
+        self.party = party
+
+    def step(self, rnd, msg):
+        return FedMessage.param_vector(rnd, self.party, 0, np.ones(2))
 
 
 class FailingClient:
@@ -283,15 +321,15 @@ class TestRunRounds:
         assert info.value.party_id == 1
 
     def test_stop_predicate(self):
-        server = EchoServer()
-        stops_after = []
-
-        def stop():
-            stops_after.append(len(stops_after))
-            return len(stops_after) >= 2
-
+        server = EchoServer(stop_after=2)
         log = run_rounds(server, [EchoClient(np.ones((1, 1)))],
-                         InProcessTransport(), max_rounds=10, stop=stop)
+                         InProcessTransport(), max_rounds=10)
+        assert log.n_rounds == 2
+
+    def test_default_transport_is_in_process(self):
+        client = EchoClient(np.full((2, 1), 3.0))
+        log = run_rounds(EchoServer(), [client], None, max_rounds=2)
+        assert np.array_equal(client.echoed.matrix, client.payload)
         assert log.n_rounds == 2
 
     def test_disallowed_kinds_helper(self):
@@ -312,3 +350,25 @@ class TestRunRounds:
         assert len(tp.captured) == log.message_count()
         for frame in tp.captured:
             decode_message(frame)
+
+
+@pytest.mark.parametrize("transport_cls", [InProcessTransport, FramedByteTransport])
+class TestRoundContract:
+    def test_missing_reply_names_round_and_client(self, transport_cls):
+        clients = [EchoClient(np.ones((1, 1))), SilentClient(C1)]
+        with pytest.raises(MissingClient, match=r"round 0\b.*client 1\b"):
+            run_rounds(EchoServer(), clients, transport_cls(), max_rounds=2)
+
+    def test_wrong_reply_kind_rejected(self, transport_cls):
+        clients = [EchoClient(np.ones((1, 1))), WrongKindClient(C1)]
+        with pytest.raises(ValueError, match="PARAM_VECTOR"):
+            run_rounds(EchoServer(), clients, transport_cls(), max_rounds=2)
+
+    def test_replies_arrive_in_client_order(self, transport_cls):
+        clients = [
+            EchoClient(np.full((1, 1), float(i)), PartyId.client(i)) for i in (2, 0, 1)
+        ]
+        server = EchoServer()
+        run_rounds(server, clients, transport_cls(), max_rounds=3)
+        assert server.senders == [[0, 1, 2]] * 3
+        assert server.received.matrix[0, 0] == 0.0

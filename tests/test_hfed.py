@@ -14,7 +14,6 @@ from mvfed.fedcore import (
     disallowed_kinds,
 )
 from mvfed.hfed import (
-    HorizontalServer,
     aggregate_transforms,
     hfed_predict,
     hfed_train,
@@ -172,24 +171,6 @@ class TestAggregate:
         with pytest.raises(DimensionMismatch):
             aggregate_transforms([w, [np.zeros((4, 2))]], counts=[1, 1])
 
-    def test_server_sorts_replies(self):
-        rng = np.random.default_rng(11)
-        sets = [[rng.standard_normal((3, 2))] for _ in range(3)]
-        counts = [4, 7, 2]
-        server = HorizontalServer(w=[np.zeros((3, 2))], counts=counts)
-        msgs = [
-            FedMessage.transform_set(0, PartyId.client(l), sets[l])
-            for l in range(3)
-        ]
-        server.aggregate(0, [msgs[2], msgs[0], msgs[1]])
-        assert np.array_equal(server.w[0], aggregate_transforms(sets, counts)[0])
-
-    def test_server_missing_client(self):
-        server = HorizontalServer(w=[np.zeros((3, 2))], counts=[4, 7])
-        msg = FedMessage.transform_set(0, PartyId.client(0), [np.zeros((3, 2))])
-        with pytest.raises(MissingClient):
-            server.aggregate(0, [msg])
-
 
 class TestTrain:
     def test_single_client_trajectory(self):
@@ -243,16 +224,6 @@ class TestTrain:
         b = hfed_train(parts, hp, seed=19, rounds=3, max_local=3)
         for wa, wb in zip(a.transforms, b.transforms):
             assert np.array_equal(wa, wb)
-
-    def test_round_early_stop_is_opt_in(self):
-        data = blob_dataset(22, n=40)
-        parts = split_rows(data, 2, seed=4)
-        hp = HyperParams.uniform(2)
-        free = hfed_train(parts, hp, seed=23, rounds=5, max_local=3)
-        assert free.log.n_rounds == 5
-        stopped = hfed_train(parts, hp, seed=23, rounds=5, max_local=3,
-                             stop_tol=1e9)
-        assert stopped.log.n_rounds == 1
 
     def test_validation(self):
         data = blob_dataset(24)

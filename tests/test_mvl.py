@@ -46,6 +46,13 @@ class TestTypes:
                 views=[np.ones((2, 3)), np.ones((3, 3))], labels=one_hot([0, 1], 2)
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_dataset_rejects_non_finite_features(self, bad):
+        views = [np.ones((2, 3)), np.ones((2, 2))]
+        views[1][1, 0] = bad
+        with pytest.raises(InvalidSpec, match="view 1"):
+            MultiViewDataset(views=views, labels=one_hot([0, 1], 2))
+
     def test_dataset_helpers(self):
         data = MultiViewDataset(
             views=[np.arange(8.0).reshape(4, 2), np.ones((4, 3))],
@@ -113,7 +120,7 @@ class TestObjective:
 
     def test_matches_term_by_term_oracle(self):
         data, hp = random_instance(3)
-        state = init_state(data.dims, data.n_samples, data.n_classes, hp.epsilon, seed=5)
+        state = init_state(data.dims, data.n_samples, data.n_classes, seed=5)
         total = 0.0
         for k in range(data.n_views):
             fit = data.views[k] @ state.W[k] - state.Zk[k]
@@ -131,7 +138,7 @@ class TestObjective:
 
     def test_shape_mismatch(self):
         data, hp = random_instance(4)
-        state = init_state(data.dims, data.n_samples, data.n_classes, hp.epsilon, seed=5)
+        state = init_state(data.dims, data.n_samples, data.n_classes, seed=5)
         state.Z = state.Z[:-1]
         with pytest.raises(DimensionMismatch):
             objective(data, state, hp)
@@ -323,7 +330,7 @@ class TestTrainMvl:
             tol=hp.tol, max_outer=0, max_inner=hp.max_inner,
         )
         state, trace = train_mvl(data, hp0, seed=42)
-        ref = init_state(data.dims, data.n_samples, data.n_classes, hp.epsilon, seed=42)
+        ref = init_state(data.dims, data.n_samples, data.n_classes, seed=42)
         for k in range(data.n_views):
             assert np.array_equal(state.W[k], ref.W[k])
             assert np.array_equal(state.Zk[k], ref.Zk[k])

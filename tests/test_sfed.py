@@ -84,6 +84,11 @@ class TestDatasetTypes:
             SequenceDataset([np.zeros((2, 3))], np.array([5]), 2)
         with pytest.raises(DimensionMismatch):
             SequenceDataset([np.zeros((2, 3))], np.array([0, 1]), 2)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidSpec, match="sample 1"):
+                SequenceDataset(
+                    [np.zeros((2, 3)), np.array([[0.0, bad, 0.0]])], np.array([0, 1]), 2
+                )
 
     def test_client_data_shares_labels(self):
         a = make_sequences(1, n=10)
