@@ -28,6 +28,7 @@ from .mvl import (
     HyperParams,
     MultiViewDataset,
     MvlState,
+    _check_irls_epsilon,
     _fit_stats,
     objective,
     predict_mvl,
@@ -173,6 +174,7 @@ def make_horizontal_parties(
             raise DimensionMismatch(
                 f"hyperparams cover {h.n_views} views, data has {len(dims)}"
             )
+        _check_irls_epsilon(h.epsilon)
     w0 = [
         gaussian_init(d, c, seed, KEY_TRANSFORM, k, scale=1.0 / np.sqrt(d))
         for k, d in enumerate(dims)

@@ -16,6 +16,20 @@ row-wise argmax of the consensus.
 The l2,1 norm is smoothed as sum_i sqrt(||row_i||^2 + epsilon^2) so the
 objective is differentiable at zero rows; the reported objective uses
 this smoothed form throughout.
+
+Every trainer (centralized, vertical, horizontal) fits W_k through the
+one IRLS kernel `_fit_stats`.  Each inner iteration solves the
+reweighted normal equations (X^T X + beta A) W = X^T T, A = diag(a),
+in one of two forms chosen by the shape of X (n rows, d columns) alone:
+
+* primal, d <= n: X^T X and X^T T are formed once per fit (O(n d^2))
+  and each iteration adds beta a to the diagonal and factors the d x d
+  system, O(d^3);
+* dual, d > n: (X A^{-1} X^T + beta I) U = T, W = A^{-1} X^T U, with
+  A^{-1} = diag(2 (||w_i|| + epsilon)); forming and factoring the n x n
+  system costs O(n^2 d + n^3) per iteration and nothing is d x d
+  (Nie et al., "Efficient and Robust Feature Selection via Joint
+  l2,1-Norms Minimization", NeurIPS 2010).
 """
 
 from __future__ import annotations
@@ -262,8 +276,11 @@ class TrainTrace:
 
 def smoothed_l21(w: np.ndarray, epsilon: float) -> float:
     """Sum over rows of sqrt(||row||^2 + epsilon^2)."""
-    norms = row_l2_norms(w)
-    return float(np.sum(np.sqrt(norms * norms + epsilon * epsilon)))
+    return _smoothed_l21_of(row_l2_norms(w), epsilon)
+
+
+def _smoothed_l21_of(norms: np.ndarray, epsilon: float) -> float:
+    return float(np.sqrt(norms * norms + epsilon * epsilon).sum())
 
 
 def _check_state_shapes(data: MultiViewDataset, state: MvlState, k: int) -> None:
@@ -303,51 +320,109 @@ def objective(data: MultiViewDataset, state: MvlState, hp: HyperParams) -> float
 
 def irls_row_weights(w: np.ndarray, epsilon: float) -> np.ndarray:
     """Diagonal IRLS reweighting: entry i = 1 / (2 (||row_i|| + epsilon))."""
-    return 1.0 / (2.0 * (row_l2_norms(w) + epsilon))
+    return _row_weights_of(row_l2_norms(w), epsilon)
 
 
-def _solve_with_residual(
-    x: np.ndarray, target: np.ndarray, row_weights: np.ndarray, beta: float
-) -> tuple[np.ndarray, float]:
-    gram = x.T @ x
-    gram[np.diag_indices_from(gram)] += beta * row_weights
-    rhs = x.T @ target
-    w = solve_spd(gram, rhs)
-    residual = float(np.max(np.abs(gram @ w - rhs))) if rhs.size else 0.0
-    return w, residual
+def _row_weights_of(norms: np.ndarray, epsilon: float) -> np.ndarray:
+    return 1.0 / (2.0 * (norms + epsilon))
+
+
+def _check_irls_epsilon(epsilon: float) -> None:
+    """IRLS divides by ||w_i|| + epsilon, so a zero row needs epsilon > 0."""
+    if epsilon <= 0:
+        raise InvalidSpec("IRLS requires epsilon > 0")
+
+
+def _normal_equations(
+    x: np.ndarray, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | tuple[None, None]:
+    """(X^T X, X^T T) for the primal form, or (None, None) when d > n
+    selects the dual form, which never forms a d x d matrix."""
+    if x.shape[1] > x.shape[0]:
+        return None, None
+    return x.T @ x, x.T @ target
+
+
+def _reweighted_solve(
+    x: np.ndarray,
+    target: np.ndarray,
+    row_weights: np.ndarray,
+    beta: float,
+    gram: np.ndarray | None,
+    rhs: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Solve (X^T X + beta diag(a)) W = X^T T; return (W, X W, residual).
+
+    `gram`/`rhs` come from `_normal_equations`: given, the d x d primal
+    system is factored; None, the n x n dual system is.  The residual is
+    the max-norm of (X^T X + beta diag(a)) W - X^T T in both forms.
+    """
+    if gram is None:
+        a_inv = 1.0 / row_weights
+        xs = x * np.sqrt(a_inv)
+        # X A^{-1} X^T as a product with its own transpose: numpy then
+        # computes one triangle, so the system is exactly symmetric.
+        system = xs @ xs.T
+        system.flat[:: x.shape[0] + 1] += beta
+        w = a_inv[:, None] * (x.T @ solve_spd(system, target))
+        xw = x @ w
+        r = x.T @ (xw - target) + beta * (row_weights[:, None] * w)
+    else:
+        system = gram.copy()
+        system.flat[:: x.shape[1] + 1] += beta * row_weights
+        w = solve_spd(system, rhs)
+        xw = x @ w
+        r = system @ w - rhs
+    return w, xw, float(np.abs(r).max()) if r.size else 0.0
 
 
 def solve_view_transform(
     x: np.ndarray, target: np.ndarray, row_weights: np.ndarray, beta: float
 ) -> np.ndarray:
-    """Closed-form transform update: (X^T X + beta A)^{-1} X^T target."""
+    """Closed-form transform update: (X^T X + beta A)^{-1} X^T target.
+
+    Solved in the primal form (d x d system) when X has at least as many
+    rows as columns, else in the dual form (n x n system, A^{-1} X^T U);
+    see the module docstring for the cost of each.  Row weights must be
+    positive, one per column of X.
+    """
     if x.shape[0] != target.shape[0]:
         raise DimensionMismatch(
             f"X has {x.shape[0]} rows, target has {target.shape[0]}"
         )
-    w, _ = _solve_with_residual(x, target, np.asarray(row_weights, dtype=np.float64), beta)
+    a = np.asarray(row_weights, dtype=np.float64)
+    if a.shape != (x.shape[1],) or not np.all(a > 0):
+        raise InvalidSpec(f"need {x.shape[1]} positive row weights, got shape {a.shape}")
+    gram, rhs = _normal_equations(x, target)
+    w, _, _ = _reweighted_solve(x, target, a, beta, gram, rhs)
     return w
 
 
 def _fit_stats(x, target, beta, epsilon, max_inner, tol, w_init):
-    """IRLS loop; returns (W, A, max normal-equation residual seen)."""
+    """The l2,1 IRLS kernel; returns (W, A, max normal-equation residual).
+
+    Each of at most max_inner (>= 1) iterations reweights with the
+    current row norms and solves the reweighted normal equations,
+    primal when d <= n and dual when d > n (module docstring); X^T X
+    and X^T T are formed once per call.  Stops when the smoothed
+    per-view value ||XW - T||^2 + beta sum_i sqrt(||w_i||^2 + eps^2)
+    changes by less than tol relative.  A is the reweighting of the
+    last solve.
+    """
+    gram, rhs = _normal_equations(x, target)
     w = w_init
-    a = None
+    norms = row_l2_norms(w)
     max_residual = 0.0
-    xw = x @ w
-    prev = float(np.sum((xw - target) ** 2)) + beta * smoothed_l21(w, epsilon)
+    prev = float(((x @ w - target) ** 2).sum()) + beta * _smoothed_l21_of(norms, epsilon)
     for _ in range(max_inner):
-        a = irls_row_weights(w, epsilon)
-        w, res = _solve_with_residual(x, target, a, beta)
+        a = _row_weights_of(norms, epsilon)
+        w, xw, res = _reweighted_solve(x, target, a, beta, gram, rhs)
         max_residual = max(max_residual, res)
-        xw = x @ w
-        value = float(np.sum((xw - target) ** 2)) + beta * smoothed_l21(w, epsilon)
+        norms = row_l2_norms(w)
+        value = float(((xw - target) ** 2).sum()) + beta * _smoothed_l21_of(norms, epsilon)
         if abs(value - prev) / max(1.0, abs(prev)) < tol:
-            prev = value
             break
         prev = value
-    if a is None:
-        a = irls_row_weights(w, epsilon)
     return w, a, max_residual
 
 
@@ -366,8 +441,9 @@ def fit_view_transform(
     the smoothed per-view value stabilizes or max_inner is reached.
     Returns the transform and the final reweighting diagonal.
     """
-    if epsilon <= 0:
-        raise InvalidSpec("IRLS requires epsilon > 0")
+    _check_irls_epsilon(epsilon)
+    if max_inner < 1:
+        raise InvalidSpec("max_inner must be >= 1")
     if x.ndim != 2 or target.ndim != 2 or x.shape[0] != target.shape[0]:
         raise DimensionMismatch(
             f"incompatible shapes X {x.shape}, target {target.shape}"
@@ -472,6 +548,7 @@ def train_mvl(
     k = data.n_views
     if hp.n_views != k:
         raise DimensionMismatch(f"hyperparams cover {hp.n_views} views, data has {k}")
+    _check_irls_epsilon(hp.epsilon)
     state = init_state(data.dims, data.n_samples, data.n_classes, seed)
     trace = TrainTrace()
     prev = objective(data, state, hp)

@@ -10,7 +10,7 @@ parties) derive bitwise-identical initial states from one seed.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DimensionMismatch, InvalidShape, NotSPD
 
@@ -114,16 +114,19 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"B must be 2-D with {a.shape[0]} rows, got shape {b.shape}"
         )
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    if a.size and float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
+    scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
+    if a.size and float(np.abs(a - a.T).max()) > 1e-12 * scale:
         raise NotSPD("matrix is not symmetric")
-    try:
-        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotSPD(str(exc)) from exc
-    x = scipy.linalg.cho_solve(factor, b, check_finite=False)
+    # The LAPACK calls and flags of scipy.linalg.cho_factor/cho_solve,
+    # without their per-call validation layers.
+    factor, info = dpotrf(a, lower=1, clean=0)
+    if info > 0:
+        raise NotSPD(f"{info}-th leading minor of the array is not positive definite")
+    if b.size == 0:
+        return np.zeros(b.shape)
+    x, _ = dpotrs(factor, b, lower=1)
     residual = b - a @ x
-    b_scale = 1.0 + (float(np.max(np.abs(b))) if b.size else 0.0)
-    if b.size and float(np.max(np.abs(residual))) > 1e-10 * b_scale:
-        x = x + scipy.linalg.cho_solve(factor, residual, check_finite=False)
+    b_scale = 1.0 + float(np.abs(b).max())
+    if float(np.abs(residual).max()) > 1e-10 * b_scale:
+        x = x + dpotrs(factor, residual, lower=1)[0]
     return np.ascontiguousarray(x)

@@ -26,6 +26,7 @@ from .fedcore import (
 from .mvl import (
     HyperParams,
     MultiViewDataset,
+    _check_irls_epsilon,
     _fit_stats,
     init_state,
     test_consensus,
@@ -112,6 +113,7 @@ def make_vertical_parties(
         raise DimensionMismatch(
             f"hyperparams cover {hp.n_views} views, data has {data.n_views}"
         )
+    _check_irls_epsilon(hp.epsilon)
     state = init_state(data.dims, data.n_samples, data.n_classes, seed)
     server = VerticalServer(labels=data.labels, eta=hp.eta, tol=hp.tol, z=state.Z)
     clients = [

@@ -294,6 +294,20 @@ class TestExitCodes:
         assert code == 2
         assert "non-finite" in stderr
 
+    @pytest.mark.parametrize(
+        "mode, extra",
+        [("mvl", ()), ("vfed", ()), ("hfed", ()), ("single_view", ("--views", "0"))],
+    )
+    def test_zero_epsilon_exits_2(self, tmp_path, capsys, mode, extra):
+        data_dir = os.path.join(tmp_path, "data")
+        assert run(capsys, "gen-data", "--out", data_dir, *SMALL_FLAT)[0] == 0
+        code, _, stderr = run(
+            capsys, "train", "--mode", mode, "--data", data_dir, "--epsilon", "0",
+            *extra, *QUICK_FIT,
+        )
+        assert code == 2
+        assert "epsilon > 0" in stderr
+
     def test_non_finite_sequence_step_exits_2(self, tmp_path, capsys):
         data_dir = os.path.join(tmp_path, "seq")
         code, _, _ = run(

@@ -9,7 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Demo 04 runs every sequential pipeline and takes about half a minute;
+# Demo 04 runs every sequential pipeline and takes about 20 seconds;
 # tests/test_experiments.py covers those modes at smaller sizes.
 DEMOS = (
     "01_multiview_training.py",

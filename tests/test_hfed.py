@@ -236,6 +236,15 @@ class TestTrain:
         with pytest.raises(InvalidSpec):
             make_horizontal_parties([data], [hp, hp], seed=1)
 
+    def test_zero_epsilon_rejected_before_any_round(self):
+        data = blob_dataset(24)
+        shared = HyperParams.uniform(2)
+        zero = dataclasses.replace(shared, epsilon=0.0)
+        log = RoundLog()
+        with pytest.raises(InvalidSpec, match="epsilon"):
+            hfed_train(split_rows(data, 2), [shared, zero], seed=1, log=log)
+        assert log.n_rounds == 0
+
 
 class TestPredict:
     def test_matches_centralized_per_client(self):

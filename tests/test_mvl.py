@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import mvfed.mvl
 from mvfed.errors import DimensionMismatch, InvalidSpec
 from mvfed.mvl import test_consensus as consensus_mean
 from mvfed.mvl import (
@@ -23,6 +24,7 @@ from mvfed.mvl import (
     update_consensus,
     update_pseudo_labels,
 )
+from mvfed.numerics import solve_spd
 from suite_utils import blob_dataset, random_instance
 
 
@@ -176,14 +178,23 @@ class TestSolveViewTransform:
         assert np.allclose(w, [[2.0]], atol=1e-6)
 
     def test_normal_equation_residual(self):
+        # (6, 15) is wider than its rows and takes the dual form.
         rng = np.random.default_rng(2)
-        x = rng.standard_normal((20, 4))
-        z = rng.standard_normal((20, 2))
-        a = irls_row_weights(rng.standard_normal((4, 2)), 1e-8)
-        beta = 4.0
-        w = solve_view_transform(x, z, a, beta)
-        gram = x.T @ x + beta * np.diag(a)
-        assert np.max(np.abs(gram @ w - x.T @ z)) < 1e-8
+        for n, d in [(20, 4), (6, 15)]:
+            x = rng.standard_normal((n, d))
+            z = rng.standard_normal((n, 2))
+            a = irls_row_weights(rng.standard_normal((d, 2)), 1e-8)
+            beta = 4.0
+            w = solve_view_transform(x, z, a, beta)
+            gram = x.T @ x + beta * np.diag(a)
+            assert np.max(np.abs(gram @ w - x.T @ z)) < 1e-8
+
+    def test_rejects_bad_row_weights(self):
+        x = np.ones((2, 3))
+        with pytest.raises(InvalidSpec):
+            solve_view_transform(x, np.ones((2, 1)), np.array([1.0, 0.0, 1.0]), 1.0)
+        with pytest.raises(InvalidSpec):
+            solve_view_transform(x, np.ones((2, 1)), np.ones(2), 1.0)
 
 
 class TestIrlsFit:
@@ -204,17 +215,19 @@ class TestIrlsFit:
         assert np.linalg.norm(w[2]) < 1e-3
 
     def test_cap_one_equals_single_alternation(self):
+        # (6, 20) is wider than its rows and takes the dual form.
         rng = np.random.default_rng(11)
-        x = rng.standard_normal((15, 4))
-        z = rng.standard_normal((15, 2))
-        w0 = rng.standard_normal((4, 2))
-        w_cap, a_cap = fit_view_transform(
-            x, z, beta=2.0, epsilon=1e-8, max_inner=1, tol=1e-12, w_init=w0
-        )
-        a_manual = irls_row_weights(w0, 1e-8)
-        w_manual = solve_view_transform(x, z, a_manual, 2.0)
-        assert np.array_equal(w_cap, w_manual)
-        assert np.array_equal(a_cap, a_manual)
+        for n, d in [(15, 4), (6, 20)]:
+            x = rng.standard_normal((n, d))
+            z = rng.standard_normal((n, 2))
+            w0 = rng.standard_normal((d, 2))
+            w_cap, a_cap = fit_view_transform(
+                x, z, beta=2.0, epsilon=1e-8, max_inner=1, tol=1e-12, w_init=w0
+            )
+            a_manual = irls_row_weights(w0, 1e-8)
+            w_manual = solve_view_transform(x, z, a_manual, 2.0)
+            assert np.array_equal(w_cap, w_manual)
+            assert np.array_equal(a_cap, a_manual)
 
     def test_inner_value_non_increasing(self):
         rng = np.random.default_rng(12)
@@ -235,6 +248,91 @@ class TestIrlsFit:
     def test_requires_positive_epsilon(self):
         with pytest.raises(InvalidSpec):
             fit_view_transform(np.eye(2), np.eye(2), beta=1.0, epsilon=0.0)
+
+    def test_requires_an_inner_iteration(self):
+        with pytest.raises(InvalidSpec):
+            fit_view_transform(np.eye(2), np.eye(2), beta=1.0, max_inner=0)
+
+
+def reference_fit_stats(x, target, beta, epsilon, max_inner, tol, w_init):
+    """The IRLS loop before the shared kernel, kept as its reference:
+    X^T X and X^T T rebuilt and the d x d system solved every inner
+    iteration.  Returns (W, A, max residual, inner iterations run)."""
+    w = w_init
+    a = None
+    max_residual = 0.0
+    xw = x @ w
+    prev = float(np.sum((xw - target) ** 2)) + beta * smoothed_l21(w, epsilon)
+    iterations = 0
+    for _ in range(max_inner):
+        iterations += 1
+        a = irls_row_weights(w, epsilon)
+        gram = x.T @ x
+        gram[np.diag_indices_from(gram)] += beta * a
+        rhs = x.T @ target
+        w = solve_spd(gram, rhs)
+        res = float(np.max(np.abs(gram @ w - rhs))) if rhs.size else 0.0
+        max_residual = max(max_residual, res)
+        xw = x @ w
+        value = float(np.sum((xw - target) ** 2)) + beta * smoothed_l21(w, epsilon)
+        if abs(value - prev) / max(1.0, abs(prev)) < tol:
+            prev = value
+            break
+        prev = value
+    if a is None:
+        a = irls_row_weights(w, epsilon)
+    return w, a, max_residual, iterations
+
+
+class TestKernel:
+    """`_fit_stats` against the reference loop, in both solve forms."""
+
+    @staticmethod
+    def fit(monkeypatch, x, z, beta, max_inner, tol, w0):
+        """Kernel output plus the number of solves it made."""
+        calls = []
+
+        def counting_solve(a, b):
+            calls.append(a.shape)
+            return solve_spd(a, b)
+
+        monkeypatch.setattr(mvfed.mvl, "solve_spd", counting_solve)
+        w, a, res = mvfed.mvl._fit_stats(x, z, beta, 1e-8, max_inner, tol, w0)
+        return w, a, res, calls
+
+    @staticmethod
+    def problem(n, d, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, d))
+        z = rng.standard_normal((n, 3))
+        w0 = rng.standard_normal((d, 3)) / np.sqrt(d)
+        return x, z, w0
+
+    @pytest.mark.parametrize("n, d", [(30, 6), (12, 12), (200, 40)])
+    @pytest.mark.parametrize("max_inner, tol", [(1, 1e-12), (50, 1e-6)])
+    def test_primal_is_bit_identical(self, monkeypatch, n, d, max_inner, tol):
+        x, z, w0 = self.problem(n, d, seed=n + d)
+        w, a, res, calls = self.fit(monkeypatch, x, z, 2.0, max_inner, tol, w0)
+        w_ref, a_ref, res_ref, iterations = reference_fit_stats(
+            x, z, 2.0, 1e-8, max_inner, tol, w0
+        )
+        assert np.array_equal(w, w_ref)
+        assert np.array_equal(a, a_ref)
+        assert res == res_ref
+        assert calls == [(d, d)] * iterations
+
+    @pytest.mark.parametrize("n, d", [(12, 13), (15, 40), (30, 300)])
+    @pytest.mark.parametrize("max_inner, tol", [(1, 1e-12), (20, 1e-6)])
+    def test_dual_matches_reference(self, monkeypatch, n, d, max_inner, tol):
+        x, z, w0 = self.problem(n, d, seed=n + d)
+        w, a, res, calls = self.fit(monkeypatch, x, z, 2.0, max_inner, tol, w0)
+        w_ref, a_ref, _, iterations = reference_fit_stats(
+            x, z, 2.0, 1e-8, max_inner, tol, w0
+        )
+        assert np.max(np.abs(w - w_ref)) <= 1e-10 * np.max(np.abs(w_ref))
+        assert np.max(np.abs(a - a_ref)) <= 1e-10 * np.max(np.abs(a_ref))
+        assert calls == [(n, n)] * iterations
+        assert res < 1e-8
 
 
 class TestClosedFormUpdates:
@@ -322,6 +420,15 @@ class TestTrainMvl:
             assert len(values) >= 2
             diffs = np.diff(values)
             assert (diffs <= 1e-10).all(), f"instance {seed}: increase {diffs.max()}"
+
+    def test_rejects_non_positive_epsilon(self):
+        # With a zero feature column, epsilon = 0 would give that row an
+        # infinite IRLS weight.
+        data = blob_dataset(seed=1, n=20, dims=(4,))
+        data.views[0][:, 1] = 0.0
+        hp = HyperParams.uniform(1, epsilon=0.0)
+        with pytest.raises(InvalidSpec, match="epsilon"):
+            train_mvl(data, hp, seed=0)
 
     def test_max_outer_zero_returns_initialization(self):
         data, hp = random_instance(6)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mvfed.errors import DimensionMismatch, InvalidShape, NotSPD
 from mvfed.numerics import (
@@ -9,6 +10,17 @@ from mvfed.numerics import (
     row_l2_norms,
     solve_spd,
 )
+
+
+def reference_solve_spd(a, b):
+    """solve_spd's solve through scipy's Cholesky wrappers: factor, solve,
+    and one refinement pass when the residual exceeds 1e-10 relative."""
+    factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
+    x = scipy.linalg.cho_solve(factor, b, check_finite=False)
+    residual = b - a @ x
+    if float(np.max(np.abs(residual))) > 1e-10 * (1.0 + float(np.max(np.abs(b)))):
+        x = x + scipy.linalg.cho_solve(factor, residual, check_finite=False)
+    return np.ascontiguousarray(x)
 
 
 class TestSolveSpd:
@@ -36,8 +48,37 @@ class TestSolveSpd:
         assert np.max(np.abs(a @ x - b)) < 1e-8
 
     def test_not_spd(self):
-        with pytest.raises(NotSPD):
-            solve_spd(np.diag([1.0, -1.0]), np.ones((2, 1)))
+        # a negative pivot, a dense indefinite matrix, a singular one;
+        # an empty right-hand side does not skip the check
+        for a in (
+            np.diag([1.0, -1.0]), np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones((3, 3))
+        ):
+            with pytest.raises(NotSPD):
+                solve_spd(a, np.ones((a.shape[0], 1)))
+            with pytest.raises(NotSPD):
+                solve_spd(a, np.ones((a.shape[0], 0)))
+
+    def test_empty_systems(self):
+        x = solve_spd(np.zeros((0, 0)), np.zeros((0, 3)))
+        assert x.shape == (0, 3) and x.dtype == np.float64
+        assert solve_spd(np.eye(2), np.zeros((2, 0))).shape == (2, 0)
+
+    def test_bitwise_equal_to_scipy_wrappers(self):
+        # Random eigenbases; odd trials spread the spectrum over twelve
+        # decades, which leaves raw residuals above 1e-10 and exercises
+        # the refinement branch too.
+        rng = np.random.default_rng(4321)
+        refined = 0
+        for trial, n in enumerate([1, 2, 5, 8, 20, 64, 150] * 2):
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            low = -4.0 if trial % 2 else -1.0
+            a = (q * 10.0 ** rng.uniform(low, 8.0 if trial % 2 else 1.0, n)) @ q.T
+            a = (a + a.T) / 2.0
+            b = rng.standard_normal((n, 3))
+            raw = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), b)
+            refined += float(np.max(np.abs(b - a @ raw))) > 1e-10 * (1.0 + np.max(np.abs(b)))
+            assert np.array_equal(solve_spd(a, b), reference_solve_spd(a, b))
+        assert 0 < refined < 14
 
     def test_not_symmetric(self):
         a = np.array([[1.0, 0.5], [0.0, 1.0]])

@@ -308,6 +308,15 @@ class TestPredict:
             vfed_predict([x], [w], [0.0], max_rounds=2)
 
 
+class TestValidation:
+    def test_zero_epsilon_rejected_before_any_round(self):
+        data, hp = random_instance(5, max_samples=30)
+        log = RoundLog()
+        with pytest.raises(InvalidSpec, match="epsilon"):
+            vfed_train(data, pinned(hp, epsilon=0.0), seed=1, log=log)
+        assert log.n_rounds == 0
+
+
 class TestResultShape:
     def test_fields(self):
         data, hp = random_instance(31, max_samples=30)
