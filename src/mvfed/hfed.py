@@ -6,10 +6,22 @@ consensus, then the IRLS refit, looping until the local objective
 settles), and the server takes the sample-count-weighted average of the
 returned transforms.  Only transform matrices ever cross the wire;
 pseudo-labels and consensus stay on the client between rounds.
+
+Clients with the same row count form a cohort.  Their local passes
+are independent and have one shape, so the first member stepped in a
+round runs them for every member as one stacked computation
+(`_local_passes`: one `_fit_stats` call per view and pass over an
+(s, n, d) stack), starting all of them from the broadcast it received.
+Each member's `step` then commits its own slice, which is bit-identical
+to what the member computes alone.  A member computes alone instead, as
+a cohort of one, when its broadcast differs bitwise from the one the
+pass used, or when the stacked pass raised; a failure is then reported
+by the member that fails, as without cohorts.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
@@ -27,10 +39,12 @@ from .fedcore import (
 from .mvl import (
     HyperParams,
     MultiViewDataset,
-    MvlState,
     _check_irls_epsilon,
     _fit_stats,
-    objective,
+    _stack_l21,
+    _stack_row_norms,
+    _stack_sums,
+    objective,  # not called here; mvbench/tracer.py wraps `mvfed.hfed:objective`
     predict_mvl,
     update_consensus,
     update_pseudo_labels,
@@ -47,7 +61,8 @@ class HorizontalClient:
 
     The pseudo-label and consensus blocks survive across rounds; the
     transforms are overwritten by every broadcast before the local
-    optimization reuses them as the IRLS warm start.
+    optimization reuses them as the IRLS warm start.  `cohort` is the
+    group of same-size clients this one is stepped with, if any.
     """
 
     party: PartyId
@@ -57,12 +72,14 @@ class HorizontalClient:
     w: list[np.ndarray]
     pseudo: list[np.ndarray]
     consensus: np.ndarray
+    cohort: "_Cohort | None" = field(default=None, repr=False, compare=False)
 
     def step(self, rnd: int, msg: FedMessage | None) -> FedMessage:
         if msg is None or msg.kind is not MessageKind.TRANSFORM_SET:
             raise ValueError(f"round {rnd}: expected a transform broadcast")
         self.set_transforms(msg.matrices)
-        self.optimize_local()
+        if self.cohort is None or not self.cohort.commit(self, rnd):
+            self.optimize_local()
         return FedMessage.transform_set(rnd, self.party, self.w)
 
     def set_transforms(self, matrices: Sequence[np.ndarray]) -> None:
@@ -72,31 +89,147 @@ class HorizontalClient:
             raise DimensionMismatch(f"broadcast shapes {got}, expected {expected}")
         self.w = [m.copy() for m in matrices]
 
-    def local_objective(self) -> float:
-        state = MvlState(W=self.w, Zk=self.pseudo, Z=self.consensus)
-        return objective(self.data, state, self.hp)
-
     def optimize_local(self) -> None:
-        """Local block-coordinate passes until the objective settles."""
-        hp, data = self.hp, self.data
-        prev = self.local_objective()
-        for _ in range(self.max_local):
-            for k in range(data.n_views):
-                self.pseudo[k] = update_pseudo_labels(
-                    data.views[k] @ self.w[k], self.consensus, hp.zeta[k]
-                )
-            self.consensus = update_consensus(
-                self.pseudo, data.labels, hp.zeta, hp.eta
+        """Local block-coordinate passes until the objective settles,
+        computed alone, as a stack of one."""
+        w, pseudo, consensus = _local_passes(
+            [v[None] for v in self.data.views], self.data.labels[None], self.hp,
+            self.max_local, [m[None] for m in self.w],
+            [m[None] for m in self.pseudo], self.consensus[None],
+        )
+        self.w, self.pseudo, self.consensus = _slice(w, pseudo, consensus, 0)
+
+
+def _slice(w, pseudo, consensus, i: int):
+    """Client i's (w, pseudo, consensus) out of stacked local state."""
+    return [m[i] for m in w], [m[i] for m in pseudo], consensus[i]
+
+
+def _local_objective(labels, w, xw, pseudo, consensus, hp: HyperParams) -> np.ndarray:
+    """`mvl.objective` of every client state in a stack, term by term in
+    its order, from the X_k W_k products already at hand."""
+    total = hp.eta * _stack_sums((consensus - labels) ** 2)
+    for k in range(len(w)):
+        fit = xw[k] - pseudo[k]
+        total = total + _stack_sums(fit * fit)
+        total = total + hp.beta[k] * _stack_l21(_stack_row_norms(w[k]), hp.epsilon)
+        gap = pseudo[k] - consensus
+        total = total + hp.zeta[k] * _stack_sums(gap * gap)
+    return total
+
+
+def _local_passes(views, labels, hp: HyperParams, max_local: int, w, pseudo, consensus):
+    """Local block-coordinate passes of a stack of equal-size clients.
+
+    views[k] is (s, n, d_k); labels and consensus are (s, n, c); w[k]
+    is (s, d_k, c) and pseudo[k] (s, n, c).  Slice i makes exactly the
+    passes a client holding only slice i makes: at most max_local, each
+    updating pseudo-labels, consensus and transforms, and it stops once
+    its local objective changes by less than hp.tol relative; later
+    passes run on the unfinished slices only.  Returns the stacked
+    (w, pseudo, consensus).
+    """
+    n_views = len(views)
+    w = list(w)
+    xw = [x @ m for x, m in zip(views, w)]
+    prev = _local_objective(labels, w, xw, pseudo, consensus, hp)
+    w_out = [m.copy() for m in w]
+    pseudo_out = [m.copy() for m in pseudo]
+    consensus_out = consensus.copy()
+    live = np.arange(len(labels))
+    for step in range(max_local):
+        pseudo = [update_pseudo_labels(xw[k], consensus, hp.zeta[k]) for k in range(n_views)]
+        consensus = update_consensus(pseudo, labels, hp.zeta, hp.eta)
+        for k in range(n_views):
+            w[k], _, _, xw[k] = _fit_stats(
+                views[k], pseudo[k], hp.beta[k], hp.epsilon,
+                hp.max_inner, hp.tol, w_init=w[k],
             )
-            for k in range(data.n_views):
-                self.w[k], _, _ = _fit_stats(
-                    data.views[k], self.pseudo[k], hp.beta[k], hp.epsilon,
-                    hp.max_inner, hp.tol, w_init=self.w[k],
-                )
-            value = self.local_objective()
-            if abs(value - prev) / max(1.0, abs(prev)) < hp.tol:
+        value = _local_objective(labels, w, xw, pseudo, consensus, hp)
+        stop = np.abs(value - prev) / np.maximum(1.0, np.abs(prev)) < hp.tol
+        if step == max_local - 1:
+            stop[:] = True
+        if stop.any():
+            done = live[stop]
+            for k in range(n_views):
+                w_out[k][done] = w[k][stop]
+                pseudo_out[k][done] = pseudo[k][stop]
+            consensus_out[done] = consensus[stop]
+            go = ~stop
+            if not go.any():
                 break
-            prev = value
+            live, labels, consensus, value = live[go], labels[go], consensus[go], value[go]
+            views = [m[go] for m in views]
+            w = [m[go] for m in w]
+            xw = [m[go] for m in xw]
+        prev = value
+    return w_out, pseudo_out, consensus_out
+
+
+def _bitwise_equal(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> bool:
+    return len(a) == len(b) and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b)
+    )
+
+
+class _Cohort:
+    """Clients with one row count, whose local passes run as one stack."""
+
+    def __init__(self, members: Sequence[HorizontalClient]) -> None:
+        # Members own their cohort; weak references back avoid a cycle
+        # that would keep a finished federation's arrays alive until the
+        # next garbage collection.
+        self.members = [weakref.ref(m) for m in members]
+        self.views = [
+            np.stack([m.data.views[k] for m in members])
+            for k in range(members[0].data.n_views)
+        ]
+        self.labels = np.stack([m.data.labels for m in members])
+        self.round: int | None = None
+        self.broadcast: list[np.ndarray] = []
+        # party id -> (consensus the pass started from, w, pseudo, consensus)
+        self.results: dict[int, tuple] = {}
+
+    def commit(self, client: HorizontalClient, rnd: int) -> bool:
+        """Give client its slice of round rnd's stacked pass.
+
+        The first member stepped in a round runs the pass for every
+        member, from the broadcast that member received.  Returns False,
+        and the client computes alone, when the pass raised, when the
+        client's broadcast differs bitwise from the pass's, or when its
+        state is no longer the one the pass started from.
+        """
+        if rnd != self.round:
+            self.round, self.broadcast = rnd, list(client.w)
+            self.results = self._run()
+        result = self.results.pop(client.party.id, None)
+        if (
+            result is None
+            or result[0] is not client.consensus
+            or not _bitwise_equal(client.w, self.broadcast)
+        ):
+            return False
+        _, client.w, client.pseudo, client.consensus = result
+        return True
+
+    def _run(self) -> dict[int, tuple]:
+        members, s = [ref() for ref in self.members], len(self.members)
+        if any(c is None for c in members):
+            return {}
+        try:
+            stacked = _local_passes(
+                self.views, self.labels, members[0].hp, members[0].max_local,
+                [np.repeat(m[None], s, axis=0) for m in self.broadcast],
+                [np.stack([c.pseudo[k] for c in members]) for k in range(len(self.views))],
+                np.stack([c.consensus for c in members]),
+            )
+        except Exception:
+            # Every member then computes alone, so the one that fails
+            # raises in its own step and is the one named.
+            return {}
+        return {
+            c.party.id: (c.consensus, *_slice(*stacked, i)) for i, c in enumerate(members)
+        }
 
 
 def aggregate_transforms(
@@ -149,45 +282,53 @@ def _client_init(
 
 def make_horizontal_parties(
     datasets: Sequence[MultiViewDataset],
-    hp: HyperParams | Sequence[HyperParams],
+    hp: HyperParams,
     seed: int,
     max_local: int = DEFAULT_MAX_LOCAL,
 ) -> tuple[HorizontalServer, list[HorizontalClient]]:
-    """Build a server and one client per local dataset.
+    """Build a server and one client per local dataset, sharing `hp`.
 
     All datasets must agree on view count, per-view widths and class
-    count.  `hp` is either shared or given per client.
+    count, and each needs at least as many rows as classes.  Clients
+    with equal row counts are grouped into cohorts (module docstring).
     """
     if len(datasets) == 0:
         raise InvalidSpec("horizontal training needs at least one client")
-    hps = list(hp) if isinstance(hp, (list, tuple)) else [hp] * len(datasets)
-    if len(hps) != len(datasets):
-        raise InvalidSpec(
-            f"{len(hps)} hyperparameter sets for {len(datasets)} clients"
-        )
     dims, c = datasets[0].dims, datasets[0].n_classes
     for d in datasets[1:]:
         if d.dims != dims or d.n_classes != c:
             raise DimensionMismatch("clients disagree on view widths or classes")
-    for h in hps:
-        if h.n_views != len(dims):
-            raise DimensionMismatch(
-                f"hyperparams cover {h.n_views} views, data has {len(dims)}"
+    for l, d in enumerate(datasets):
+        if d.n_samples < c:
+            raise InvalidSpec(
+                f"client {l} has {d.n_samples} rows, fewer than its {c} classes"
             )
-        _check_irls_epsilon(h.epsilon)
+    if hp.n_views != len(dims):
+        raise DimensionMismatch(
+            f"hyperparams cover {hp.n_views} views, data has {len(dims)}"
+        )
+    _check_irls_epsilon(hp.epsilon)
     w0 = [
         gaussian_init(d, c, seed, KEY_TRANSFORM, k, scale=1.0 / np.sqrt(d))
         for k, d in enumerate(dims)
     ]
     clients = []
-    for l, (data, h) in enumerate(zip(datasets, hps)):
+    for l, data in enumerate(datasets):
         pseudo, consensus = _client_init(data, seed, l)
         clients.append(
             HorizontalClient(
-                party=PartyId.client(l), data=data, hp=h, max_local=max_local,
+                party=PartyId.client(l), data=data, hp=hp, max_local=max_local,
                 w=[m.copy() for m in w0], pseudo=pseudo, consensus=consensus,
             )
         )
+    by_rows: dict[int, list[HorizontalClient]] = {}
+    for client in clients:
+        by_rows.setdefault(client.data.n_samples, []).append(client)
+    for members in by_rows.values():
+        if len(members) > 1:
+            cohort = _Cohort(members)
+            for client in members:
+                client.cohort = cohort
     server = HorizontalServer(w=w0, counts=[d.n_samples for d in datasets])
     return server, clients
 
@@ -202,22 +343,16 @@ class HfedResult:
 
 def hfed_train(
     datasets: Sequence[MultiViewDataset],
-    hp: HyperParams | Sequence[HyperParams],
+    hp: HyperParams,
     seed: int,
     rounds: int = DEFAULT_ROUNDS,
     max_local: int = DEFAULT_MAX_LOCAL,
     transport=None,
     log: RoundLog | None = None,
 ) -> HfedResult:
-    """Run the broadcast/refit/average protocol for the given rounds.
-
-    After the last round the final global transforms are pushed back
-    onto every client.
-    """
+    """Run the broadcast/refit/average protocol for the given rounds."""
     server, clients = make_horizontal_parties(datasets, hp, seed, max_local=max_local)
     log = run_rounds(server, clients, transport, max_rounds=rounds, log=log)
-    for client in clients:
-        client.set_transforms(server.w)
     return HfedResult(transforms=[m.copy() for m in server.w], log=log)
 
 

@@ -18,9 +18,11 @@ objective is differentiable at zero rows; the reported objective uses
 this smoothed form throughout.
 
 Every trainer (centralized, vertical, horizontal) fits W_k through the
-one IRLS kernel `_fit_stats`.  Each inner iteration solves the
-reweighted normal equations (X^T X + beta A) W = X^T T, A = diag(a),
-in one of two forms chosen by the shape of X (n rows, d columns) alone:
+one IRLS kernel `_fit_stats`; the horizontal trainer hands it stacks of
+same-size clients, each slice bit-identical to its own 2-D call.  Each
+inner iteration solves the reweighted normal equations
+(X^T X + beta A) W = X^T T, A = diag(a), in one of two forms chosen by
+the shape of X (n rows, d columns) alone:
 
 * primal, d <= n: X^T X and X^T T are formed once per fit (O(n d^2))
   and each iteration adds beta a to the diagonal and factors the d x d
@@ -35,6 +37,7 @@ in one of two forms chosen by the shape of X (n rows, d columns) alone:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
@@ -399,16 +402,31 @@ def solve_view_transform(
 
 
 def _fit_stats(x, target, beta, epsilon, max_inner, tol, w_init):
-    """The l2,1 IRLS kernel; returns (W, A, max normal-equation residual).
+    """The l2,1 IRLS kernel; returns (W, A, max normal-equation residual, X W).
 
     Each of at most max_inner (>= 1) iterations reweights with the
     current row norms and solves the reweighted normal equations,
     primal when d <= n and dual when d > n (module docstring); X^T X
     and X^T T are formed once per call.  Stops when the smoothed
     per-view value ||XW - T||^2 + beta sum_i sqrt(||w_i||^2 + eps^2)
-    changes by less than tol relative.  A is the reweighting of the
-    last solve.
+    changes by less than tol relative.  A is the reweighting and X W
+    the product of the last solve.
+
+    Given an (s, n, d) stack of X with (s, n, c) targets and (s, d, c)
+    initial transforms, it fits the s problems together and returns
+    their W, A and X W stacked and an (s,) residual; slice i is
+    bit-identical to the 2-D call on slice i (see `_fit_stack`).
     """
+    if x.ndim == 2:
+        return _fit_one(x, target, beta, epsilon, max_inner, tol, w_init)
+    if len(x) == 1:  # the 2-D loop costs less per iteration than a stack of one
+        w, a, res, xw = _fit_one(x[0], target[0], beta, epsilon, max_inner, tol, w_init[0])
+        return w[None], a[None], np.array([res]), xw[None]
+    return _fit_stack(x, target, beta, epsilon, max_inner, tol, w_init)
+
+
+def _fit_one(x, target, beta, epsilon, max_inner, tol, w_init):
+    """`_fit_stats` on one 2-D problem."""
     gram, rhs = _normal_equations(x, target)
     w = w_init
     norms = row_l2_norms(w)
@@ -423,7 +441,90 @@ def _fit_stats(x, target, beta, epsilon, max_inner, tol, w_init):
         if abs(value - prev) / max(1.0, abs(prev)) < tol:
             break
         prev = value
-    return w, a, max_residual
+    return w, a, max_residual, xw
+
+
+def _stack_sums(m: np.ndarray) -> np.ndarray:
+    """Per-slice sum of a C-ordered stack: each slice is summed as one
+    contiguous run, the order in which `.sum()` adds a 2-D slice."""
+    return m.reshape(m.shape[0], math.prod(m.shape[1:])).sum(axis=1)
+
+
+def _stack_row_norms(w: np.ndarray) -> np.ndarray:
+    """`row_l2_norms` of every (d, c) slice of a stack."""
+    return np.sqrt(np.einsum("sij,sij->si", w, w))
+
+
+def _stack_l21(norms: np.ndarray, epsilon: float) -> np.ndarray:
+    """`_smoothed_l21_of` of every row of an (s, d) stack of row norms."""
+    return np.sqrt(norms * norms + epsilon * epsilon).sum(axis=1)
+
+
+def _stack_solve(x, target, row_weights, beta, gram, rhs):
+    """`_reweighted_solve` on every slice of a stack, in the same
+    arithmetic; the residual is one max-norm per slice."""
+    xt = x.transpose(0, 2, 1)
+    if gram is None:
+        a_inv = 1.0 / row_weights
+        xs = x * np.sqrt(a_inv)[:, None, :]
+        system = xs @ xs.transpose(0, 2, 1)
+        diag = np.arange(x.shape[1])
+        system[:, diag, diag] += beta
+        w = a_inv[:, :, None] * (xt @ solve_spd(system, target))
+        xw = x @ w
+        r = xt @ (xw - target) + beta * (row_weights[:, :, None] * w)
+    else:
+        system = gram.copy()
+        diag = np.arange(x.shape[2])
+        system[:, diag, diag] += beta * row_weights
+        w = solve_spd(system, rhs)
+        xw = x @ w
+        r = system @ w - rhs
+    return w, xw, np.abs(r).max(axis=(1, 2), initial=0.0)
+
+
+def _fit_stack(x, target, beta, epsilon, max_inner, tol, w_init):
+    """`_fit_stats` over an (s, n, d) stack of problems of one shape.
+
+    Every iteration solves all unfinished slices in one `solve_spd`
+    call.  A slice finishes at the iteration where its own 2-D call
+    would stop; its W, A, X W and residual are then frozen and later
+    iterations run on the remaining slices only, so a slice never sees
+    an iteration its 2-D call would not have made.
+    """
+    s, n, d = x.shape
+    xt = x.transpose(0, 2, 1)
+    gram, rhs = (None, None) if d > n else (xt @ x, xt @ target)
+    norms = _stack_row_norms(w_init)
+    prev = _stack_sums((x @ w_init - target) ** 2) + beta * _stack_l21(norms, epsilon)
+    w_out = np.empty(w_init.shape)
+    a_out = np.empty((s, d))
+    xw_out = np.empty(target.shape)
+    res_out = np.empty(s)
+    max_residual = np.zeros(s)
+    live = np.arange(s)
+    for it in range(max_inner):
+        a = _row_weights_of(norms, epsilon)
+        w, xw, res = _stack_solve(x, target, a, beta, gram, rhs)
+        max_residual = np.where(res > max_residual, res, max_residual)
+        norms = _stack_row_norms(w)
+        value = _stack_sums((xw - target) ** 2) + beta * _stack_l21(norms, epsilon)
+        stop = np.abs(value - prev) / np.maximum(1.0, np.abs(prev)) < tol
+        if it == max_inner - 1:
+            stop[:] = True
+        if stop.any():
+            done = live[stop]
+            w_out[done], a_out[done] = w[stop], a[stop]
+            xw_out[done], res_out[done] = xw[stop], max_residual[stop]
+            go = ~stop
+            if not go.any():
+                break
+            live, x, target = live[go], x[go], target[go]
+            norms, value, max_residual = norms[go], value[go], max_residual[go]
+            if gram is not None:
+                gram, rhs = gram[go], rhs[go]
+        prev = value
+    return w_out, a_out, res_out, xw_out
 
 
 def fit_view_transform(
@@ -450,7 +551,7 @@ def fit_view_transform(
         )
     if w_init is None:
         w_init = np.zeros((x.shape[1], target.shape[1]))
-    w, a, _ = _fit_stats(x, target, beta, epsilon, max_inner, tol, w_init)
+    w, a, _, _ = _fit_stats(x, target, beta, epsilon, max_inner, tol, w_init)
     return w, a
 
 
@@ -556,15 +657,13 @@ def train_mvl(
     for t in range(1, hp.max_outer + 1):
         max_residual = 0.0
         for i in range(k):
-            w, _, res = _fit_stats(
+            w, _, res, xw = _fit_stats(
                 data.views[i], state.Zk[i], hp.beta[i], hp.epsilon,
                 hp.max_inner, hp.tol, w_init=state.W[i],
             )
             state.W[i] = w
             max_residual = max(max_residual, res)
-            state.Zk[i] = update_pseudo_labels(
-                data.views[i] @ w, state.Z, hp.zeta[i]
-            )
+            state.Zk[i] = update_pseudo_labels(xw, state.Z, hp.zeta[i])
         state.Z = update_consensus(state.Zk, data.labels, hp.zeta, hp.eta)
         value = objective(data, state, hp)
         trace.rows.append(_trace_row(state, t, value, max_residual))

@@ -59,11 +59,11 @@ class VerticalClient:
             raise DimensionMismatch(
                 f"server consensus is {z.shape}, client holds {self.pseudo.shape}"
             )
-        self.w, _, _ = _fit_stats(
+        self.w, _, _, xw = _fit_stats(
             self.x, self.pseudo, self.beta, self.epsilon,
             self.max_inner, self.tol, w_init=self.w,
         )
-        self.pseudo = update_pseudo_labels(self.x @ self.w, z, self.zeta)
+        self.pseudo = update_pseudo_labels(xw, z, self.zeta)
         return FedMessage.pseudo_label(rnd, self.party, self.zeta, self.pseudo)
 
 

@@ -308,6 +308,16 @@ class TestExitCodes:
         assert code == 2
         assert "epsilon > 0" in stderr
 
+    @pytest.mark.parametrize("mode", ["hfed", "mv_local"])
+    def test_client_with_fewer_rows_than_classes_exits_2(self, tmp_path, capsys, mode):
+        code, _, stderr = run(
+            capsys, "report", "--mode", mode, "--samples", "30", "--dims", "4,3",
+            "--classes", "3", "--clients", "12", "--seed", "0", "--rounds", "1",
+            "--max-local", "1", "--out", os.path.join(tmp_path, "r.csv"),
+        )
+        assert code == 2
+        assert "client 0 has 2 rows, fewer than its 3 classes" in stderr
+
     def test_non_finite_sequence_step_exits_2(self, tmp_path, capsys):
         data_dir = os.path.join(tmp_path, "seq")
         code, _, _ = run(

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mvfed.errors import DimensionMismatch, InvalidSpec, MissingClient
+import mvfed.hfed
+from mvfed.errors import DimensionMismatch, InvalidSpec, MissingClient, NotSPD, PartyFailure
 from mvfed.fedcore import (
     HORIZONTAL_KINDS,
     FedMessage,
@@ -12,6 +13,7 @@ from mvfed.fedcore import (
     PartyId,
     RoundLog,
     disallowed_kinds,
+    run_rounds,
 )
 from mvfed.hfed import (
     aggregate_transforms,
@@ -54,7 +56,7 @@ def alg3_local(data, hp, w, pseudo, consensus, max_local):
             )
         consensus = update_consensus(pseudo, data.labels, hp.zeta, hp.eta)
         for k in range(data.n_views):
-            w[k], _, _ = _fit_stats(
+            w[k], _, _, _ = _fit_stats(
                 data.views[k], pseudo[k], hp.beta[k], hp.epsilon,
                 hp.max_inner, hp.tol, w_init=w[k],
             )
@@ -233,17 +235,147 @@ class TestTrain:
         other = blob_dataset(25, dims=(6, 4))
         with pytest.raises(DimensionMismatch):
             hfed_train([data, other], hp, seed=1)
-        with pytest.raises(InvalidSpec):
-            make_horizontal_parties([data], [hp, hp], seed=1)
+
+    def test_client_with_fewer_rows_than_classes_rejected(self):
+        data = blob_dataset(24, n_classes=3)
+        tiny = data.subset(np.arange(2))
+        log = RoundLog()
+        with pytest.raises(InvalidSpec, match="client 1 has 2 rows, fewer than its 3 classes"):
+            hfed_train([data, tiny], HyperParams.uniform(2), seed=1, log=log)
+        assert log.n_rounds == 0
 
     def test_zero_epsilon_rejected_before_any_round(self):
         data = blob_dataset(24)
-        shared = HyperParams.uniform(2)
-        zero = dataclasses.replace(shared, epsilon=0.0)
+        zero = dataclasses.replace(HyperParams.uniform(2), epsilon=0.0)
         log = RoundLog()
         with pytest.raises(InvalidSpec, match="epsilon"):
-            hfed_train(split_rows(data, 2), [shared, zero], seed=1, log=log)
+            hfed_train(split_rows(data, 2), zero, seed=1, log=log)
         assert log.n_rounds == 0
+
+
+def rows_of(sizes, seed, dims):
+    """Consecutive row blocks of the given sizes from one blob dataset."""
+    data = blob_dataset(seed, n=sum(sizes), dims=dims)
+    bounds = np.cumsum([0, *sizes])
+    return [data.subset(np.arange(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+@dataclasses.dataclass
+class ReferenceClient:
+    """A horizontal client that runs `alg3_local` on its own rows."""
+
+    party: PartyId
+    data: MultiViewDataset
+    hp: HyperParams
+    max_local: int
+    pseudo: list
+    consensus: np.ndarray
+
+    def step(self, rnd, msg):
+        w, self.pseudo, self.consensus = alg3_local(
+            self.data, self.hp, msg.matrices, self.pseudo, self.consensus,
+            self.max_local,
+        )
+        return FedMessage.transform_set(rnd, self.party, w)
+
+
+def record_calls(monkeypatch, name, stacked_arg):
+    """Stack sizes of every call to mvfed.hfed.<name>, read from its
+    positional argument number stacked_arg."""
+    sizes = []
+    original = getattr(mvfed.hfed, name)
+
+    def recording(*args, **kwargs):
+        sizes.append(len(args[stacked_arg]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mvfed.hfed, name, recording)
+    return sizes
+
+
+class TestCohorts:
+    def test_matches_per_client_reference(self, monkeypatch):
+        # 19 clients in cohorts of 6, 7 and 9 rows plus one of 11; a view
+        # of width 8 takes the dual form on the 6- and 7-row clients.
+        sizes = [6, 7, 9] * 6 + [11]
+        shards = rows_of(sizes, seed=40, dims=(8, 3))
+        hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-3, max_inner=6)
+        server, clients = make_horizontal_parties(shards, hp, seed=41, max_local=8)
+        reference = [
+            ReferenceClient(c.party, c.data, hp, 8, c.pseudo, c.consensus)
+            for c in clients
+        ]
+        ref_log = run_rounds(server, reference, None, max_rounds=3)
+        fit_sizes = record_calls(monkeypatch, "_fit_stats", 0)
+        result = hfed_train(shards, hp, seed=41, rounds=3, max_local=8)
+        for got, want in zip(result.transforms, server.w):
+            assert np.array_equal(got, want)
+        assert [r.messages for r in result.log.records] == [
+            r.messages for r in ref_log.records
+        ]
+        # Members of a cohort stop after different numbers of passes.
+        assert set(fit_sizes) - {1, 6} and max(fit_sizes) == 6
+
+    def test_cohorts_group_by_row_count(self):
+        shards = rows_of([6, 7, 6, 9, 7, 6], seed=42, dims=(4, 3))
+        _, clients = make_horizontal_parties(shards, HyperParams.uniform(2), seed=1)
+        assert clients[0].cohort is clients[2].cohort is clients[5].cohort
+        assert clients[1].cohort is clients[4].cohort
+        assert clients[0].cohort is not clients[1].cohort
+        assert clients[3].cohort is None
+
+    def test_member_with_other_broadcast_computes_alone(self, monkeypatch):
+        shards = rows_of([8, 8, 8], seed=43, dims=(4, 3))
+        hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-9)
+        server, clients = make_horizontal_parties(shards, hp, seed=44, max_local=4)
+        sent = server.broadcast(0)
+        other = FedMessage.transform_set(0, SERVER, [m + 0.5 for m in server.w])
+        expected = [
+            alg3_local(c.data, hp, msg.matrices, c.pseudo, c.consensus, 4)
+            for c, msg in zip(clients, (sent, other, sent))
+        ]
+        passes = record_calls(monkeypatch, "_local_passes", 1)
+        for c, msg in zip(clients, (sent, other, sent)):
+            c.step(0, msg)
+        assert passes == [3, 1]
+        for c, (w, pseudo, consensus) in zip(clients, expected):
+            for k in range(2):
+                assert np.array_equal(c.w[k], w[k])
+                assert np.array_equal(c.pseudo[k], pseudo[k])
+            assert np.array_equal(c.consensus, consensus)
+
+    def test_member_whose_state_changed_computes_alone(self, monkeypatch):
+        shards = rows_of([8, 8], seed=47, dims=(4, 3))
+        hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-9)
+        server, clients = make_horizontal_parties(shards, hp, seed=48, max_local=3)
+        sent = server.broadcast(0)
+        passes = record_calls(monkeypatch, "_local_passes", 1)
+        clients[0].step(0, sent)
+        clients[1].optimize_local()
+        c = clients[1]
+        w, pseudo, consensus = alg3_local(c.data, hp, sent.matrices, c.pseudo, c.consensus, 3)
+        c.step(0, sent)
+        assert passes == [2, 1, 1]
+        assert all(np.array_equal(a, b) for a, b in zip(c.w, w))
+        assert np.array_equal(c.consensus, consensus)
+
+    def test_failing_member_is_named(self, monkeypatch):
+        shards = rows_of([8, 8, 8, 8], seed=45, dims=(4, 3))
+        shards[2].views[0][0, 0] = 777.0
+        original = mvfed.hfed._fit_stats
+
+        def failing(x, *args, **kwargs):
+            if (x == 777.0).any():
+                raise NotSPD("injected")
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(mvfed.hfed, "_fit_stats", failing)
+        passes = record_calls(monkeypatch, "_local_passes", 1)
+        with pytest.raises(PartyFailure) as err:
+            hfed_train(shards, HyperParams.uniform(2), seed=46, rounds=2, max_local=3)
+        assert (err.value.round_index, err.value.party_id) == (0, 2)
+        assert isinstance(err.value.cause, NotSPD)
+        assert passes == [4, 1, 1, 1]
 
 
 class TestPredict:

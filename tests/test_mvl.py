@@ -297,7 +297,8 @@ class TestKernel:
             return solve_spd(a, b)
 
         monkeypatch.setattr(mvfed.mvl, "solve_spd", counting_solve)
-        w, a, res = mvfed.mvl._fit_stats(x, z, beta, 1e-8, max_inner, tol, w0)
+        w, a, res, xw = mvfed.mvl._fit_stats(x, z, beta, 1e-8, max_inner, tol, w0)
+        assert np.array_equal(xw, x @ w)
         return w, a, res, calls
 
     @staticmethod
@@ -333,6 +334,40 @@ class TestKernel:
         assert np.max(np.abs(a - a_ref)) <= 1e-10 * np.max(np.abs(a_ref))
         assert calls == [(n, n)] * iterations
         assert res < 1e-8
+
+
+    @pytest.mark.parametrize("n, d", [(30, 6), (12, 12), (200, 40), (8, 20), (15, 40)])
+    def test_stack_is_bit_identical_per_slice(self, monkeypatch, n, d):
+        rng = np.random.default_rng(n * d)
+        s = 6
+        x = rng.standard_normal((s, n, d)) * rng.uniform(0.1, 3.0, (s, 1, 1))
+        z = rng.standard_normal((s, n, 3))
+        w0 = rng.standard_normal((s, d, 3)) / np.sqrt(d)
+        w, a, res, xw, calls = self.fit_stack(monkeypatch, x, z, 2.0, 30, 1e-4, w0)
+        iterations = []
+        for i in range(s):
+            w_i, a_i, res_i, calls_i = self.fit(monkeypatch, x[i], z[i], 2.0, 30, 1e-4, w0[i])
+            assert np.array_equal(w[i], w_i)
+            assert np.array_equal(a[i], a_i)
+            assert np.array_equal(xw[i], x[i] @ w_i)
+            assert res[i] == res_i
+            iterations.append(len(calls_i))
+        # each solve covers exactly the slices whose own fit is still running
+        assert len(set(iterations)) > 1
+        assert [c[0] for c in calls] == [
+            sum(it > j for it in iterations) for j in range(max(iterations))
+        ]
+
+    @staticmethod
+    def fit_stack(monkeypatch, x, z, beta, max_inner, tol, w0):
+        calls = []
+
+        def counting_solve(a, b):
+            calls.append(a.shape)
+            return solve_spd(a, b)
+
+        monkeypatch.setattr(mvfed.mvl, "solve_spd", counting_solve)
+        return (*mvfed.mvl._fit_stats(x, z, beta, 1e-8, max_inner, tol, w0), calls)
 
 
 class TestClosedFormUpdates:

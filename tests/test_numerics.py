@@ -116,6 +116,63 @@ class TestSolveSpd:
         assert np.array_equal(solve_spd(a, b), solve_spd(a, b))
 
 
+def spd_stack(rng, s, n, m, spread):
+    """s random SPD systems of size n with m right-hand sides; eigenvalues
+    spread over `spread` decades."""
+    a = np.empty((s, n, n))
+    for i in range(s):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a[i] = (q * 10.0 ** rng.uniform(-spread / 2, spread / 2, n)) @ q.T
+        a[i] = (a[i] + a[i].T) / 2.0
+    return a, rng.standard_normal((s, n, m))
+
+
+def refines(a, b):
+    """Whether the raw Cholesky solve of one system takes the refinement pass."""
+    raw = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), b)
+    return float(np.max(np.abs(b - a @ raw))) > 1e-10 * (1.0 + np.max(np.abs(b)))
+
+
+class TestSolveSpdStack:
+    def test_bitwise_equal_to_per_slice_calls(self):
+        rng = np.random.default_rng(98)
+        refined = 0
+        for s, n, m, spread in [(1, 1, 1, 2), (4, 2, 3, 2), (7, 6, 2, 4), (5, 20, 1, 12),
+                                (3, 64, 4, 12), (6, 8, 3, 12)]:
+            a, b = spd_stack(rng, s, n, m, spread)
+            x = solve_spd(a, b)
+            assert x.shape == (s, n, m) and x.flags.c_contiguous
+            for i in range(s):
+                assert np.array_equal(x[i], solve_spd(a[i], b[i]))
+                refined += refines(a[i], b[i])
+        assert refined > 0
+
+    def test_bad_slice_raises(self):
+        rng = np.random.default_rng(99)
+        a, b = spd_stack(rng, 4, 3, 2, 2)
+        for bad in (np.diag([1.0, -1.0, 1.0]), np.array([[1.0, 0.5, 0], [0, 1, 0], [0, 0, 1]])):
+            stack = a.copy()
+            stack[2] = bad
+            with pytest.raises(NotSPD, match="matrix 2"):
+                solve_spd(stack, b)
+            with pytest.raises(NotSPD, match="matrix 2"):
+                solve_spd(stack, b[:, :, :0])
+
+    def test_empty_stacks(self):
+        assert solve_spd(np.zeros((0, 3, 3)), np.zeros((0, 3, 2))).shape == (0, 3, 2)
+        assert solve_spd(np.zeros((2, 0, 0)), np.zeros((2, 0, 4))).shape == (2, 0, 4)
+        x = solve_spd(np.stack([np.eye(3)] * 2), np.zeros((2, 3, 0)))
+        assert x.shape == (2, 3, 0) and x.dtype == np.float64
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            solve_spd(np.zeros((2, 3, 3)), np.zeros((3, 2)))
+        with pytest.raises(DimensionMismatch):
+            solve_spd(np.zeros((2, 3, 3)), np.zeros((3, 3, 1)))
+        with pytest.raises(DimensionMismatch):
+            solve_spd(np.zeros((2, 3, 2)), np.zeros((2, 3, 1)))
+
+
 class TestOrthonormalInit:
     def test_gram_is_identity(self):
         q = orthonormal_init(10, 3, 7)

@@ -81,7 +81,7 @@ class TestClientStep:
         state = init_state(data.dims, data.n_samples, data.n_classes, seed=7)
         _, clients = make_vertical_parties(data, hp, seed=7)
         for k, client in enumerate(clients):
-            w, _, _ = _fit_stats(
+            w, _, _, _ = _fit_stats(
                 data.views[k], state.Zk[k], hp.beta[k], hp.epsilon,
                 hp.max_inner, hp.tol, w_init=state.W[k],
             )
