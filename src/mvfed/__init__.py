@@ -17,7 +17,6 @@ from .data import (
     load_sequences,
     partition_horizontal,
     partition_sequences,
-    partition_vertical,
     save_dataset,
     save_sequences,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "load_sequences",
     "partition_horizontal",
     "partition_sequences",
-    "partition_vertical",
     "predict_mvl",
     "run_experiment",
     "save_dataset",

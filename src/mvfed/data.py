@@ -223,14 +223,6 @@ def partition_sequences(
     return [bundle.subset(r) for r in rows]
 
 
-def partition_vertical(data: MultiViewDataset) -> list[MultiViewDataset]:
-    """One single-view shard per view, all sharing the label matrix."""
-    return [
-        MultiViewDataset(views=[data.views[k]], labels=data.labels)
-        for k in range(data.n_views)
-    ]
-
-
 def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -43,11 +43,12 @@ from .data import (
     partition_sequences,
 )
 from .errors import ConfigError, ShapeError
-from .hfed import DEFAULT_MAX_LOCAL, DEFAULT_ROUNDS, hfed_train
+from .hfed import DEFAULT_MAX_LOCAL, DEFAULT_ROUNDS, _check_client_rows, hfed_train
 from .metrics import MetricsReport, MetricsRow, average_rows, compute_metrics
 from .mvl import (
     HyperParams,
     MultiViewDataset,
+    _train_stack,
     argmax_decode,
     predict_mvl,
     train_mvl,
@@ -76,7 +77,10 @@ class Mode:
     scores).  isolated gives every client its own consensus stage and
     averages the per-client rows.  encoders marks the sequential modes:
     their per-view encoders are "federated" (sfed), "pooled" (trained
-    on all clients' rows) or "local" (one set per client).
+    on all clients' rows) or "local" (one set per client).  A grid
+    trains the 36 (zeta, eta) candidates of an "mvl" trainer together,
+    as one stack over the shared train split (`mvl._train_stack`); the
+    protocol trainers, vfed and hfed, train one candidate at a time.
 
     Entries name trainers instead of holding functions, so the trainers
     stay module globals looked up at call time, where tests and the
@@ -352,25 +356,21 @@ def _fit_flat(cfg: RunConfig, train: MultiViewDataset, hp: HyperParams, seed: in
     return _hfed(cfg, shards, hp, seed)
 
 
-def _run_flat(
-    cfg: RunConfig,
-    train: MultiViewDataset,
-    eval_data: MultiViewDataset,
-    hp: HyperParams,
-    seed: int,
-) -> MetricsRow:
-    """Train one flat mode and score it on eval_data."""
-    mode = MODES[cfg.mode]
-    if mode.isolated:
+def _flat_fits(cfg: RunConfig, train: MultiViewDataset, hp: HyperParams, seed: int):
+    """Every set of transforms a flat mode trains: one per client shard
+    in the isolated modes, else the one global set."""
+    if MODES[cfg.mode].isolated:
         shards = partition_horizontal(train, cfg.n_clients, stratified=True, seed=seed)
-        fits = [_hfed(cfg, [shard], hp, seed) for shard in shards]
-    else:
-        fits = [_fit_flat(cfg, train, hp, seed)]
+        _check_client_rows(shards)  # each shard trains alone, as client 0
+        return [_hfed(cfg, [shard], hp, seed) for shard in shards]
+    return [_fit_flat(cfg, train, hp, seed)]
+
+
+def _score(cfg: RunConfig, fits, data: MultiViewDataset, hp: HyperParams) -> MetricsRow:
+    """The mean metrics row of every set of transforms on data."""
+    trainer = MODES[cfg.mode].trainer
     return average_rows(
-        [
-            _eval_transforms(mode.trainer, w, eval_data, hp, cfg.positive_class)
-            for w in fits
-        ]
+        [_eval_transforms(trainer, w, data, hp, cfg.positive_class) for w in fits]
     )
 
 
@@ -384,19 +384,27 @@ def _grid_candidates(hp: HyperParams):
 def _flat_repeat(
     cfg: RunConfig, data: MultiViewDataset, seed: int
 ) -> tuple[MetricsRow, tuple[float, float] | None]:
+    """One repeat of a flat mode.  With the grid, every candidate is
+    trained and scored on the validation part; the first with the best
+    accuracy is the one whose fit is scored on the test part."""
     masked, hp = _select(cfg, data)
     train, val, test = _split(cfg, masked, seed)
     if not cfg.grid:
-        return _run_flat(cfg, train, test, hp, seed), None
+        return _score(cfg, _flat_fits(cfg, train, hp, seed), test, hp), None
     if val.n_samples == 0:
         raise ConfigError("split: the grid needs a non-empty validation part")
-    best_hp, best_acc = None, -1.0
-    for candidate in _grid_candidates(hp):
-        row = _run_flat(cfg, train, val, candidate, seed)
-        if row.accuracy > best_acc:
-            best_hp, best_acc = candidate, row.accuracy
-    chosen = (best_hp.zeta[0], best_hp.eta)
-    return _run_flat(cfg, train, test, best_hp, seed), chosen
+    candidates = list(_grid_candidates(hp))
+    if MODES[cfg.mode].trainer == "mvl":
+        fits = [[state.W] for state, _ in _train_stack(train, candidates, seed)]
+    else:
+        fits = [_flat_fits(cfg, train, candidate, seed) for candidate in candidates]
+    best, best_acc = None, -1.0
+    for i, candidate in enumerate(candidates):
+        accuracy = _score(cfg, fits[i], val, candidate).accuracy
+        if accuracy > best_acc:
+            best, best_acc = i, accuracy
+    chosen = candidates[best]
+    return _score(cfg, fits[best], test, chosen), (chosen.zeta[0], chosen.eta)
 
 
 def _local_encoder(
@@ -432,6 +440,8 @@ def _seq_repeat(cfg: RunConfig, bundle: SequenceClientData, seed: int) -> Metric
     train_b, _, test_b = _split(cfg, masked, seed)
     n_classes = masked.n_classes
     clients = partition_sequences(train_b, cfg.n_clients, stratified=True, seed=seed)
+    if mode.isolated:
+        _check_client_rows(clients)  # each client's consensus trains alone, as client 0
     trainer = dataclasses.replace(cfg.trainer, seed=seed)
     k_views = train_b.n_views
     archs = [

@@ -41,9 +41,11 @@ from .mvl import (
     MultiViewDataset,
     _check_irls_epsilon,
     _fit_stats,
-    _stack_l21,
+    _fit_sums,
+    _freeze,
+    _stack_objective,
     _stack_row_norms,
-    _stack_sums,
+    _stops,
     objective,  # not called here; mvbench/tracer.py wraps `mvfed.hfed:objective`
     predict_mvl,
     update_consensus,
@@ -106,16 +108,12 @@ def _slice(w, pseudo, consensus, i: int):
 
 
 def _local_objective(labels, w, xw, pseudo, consensus, hp: HyperParams) -> np.ndarray:
-    """`mvl.objective` of every client state in a stack, term by term in
-    its order, from the X_k W_k products already at hand."""
-    total = hp.eta * _stack_sums((consensus - labels) ** 2)
-    for k in range(len(w)):
-        fit = xw[k] - pseudo[k]
-        total = total + _stack_sums(fit * fit)
-        total = total + hp.beta[k] * _stack_l21(_stack_row_norms(w[k]), hp.epsilon)
-        gap = pseudo[k] - consensus
-        total = total + hp.zeta[k] * _stack_sums(gap * gap)
-    return total
+    """`mvl.objective` of every client state in a stack."""
+    norms = [_stack_row_norms(m) for m in w]
+    fits = [_fit_sums(a, b) for a, b in zip(xw, pseudo)]
+    return _stack_objective(
+        labels, norms, fits, pseudo, consensus, hp.beta, hp.zeta, hp.eta, hp.epsilon
+    )
 
 
 def _local_passes(views, labels, hp: HyperParams, max_local: int, w, pseudo, consensus):
@@ -146,22 +144,15 @@ def _local_passes(views, labels, hp: HyperParams, max_local: int, w, pseudo, con
                 hp.max_inner, hp.tol, w_init=w[k],
             )
         value = _local_objective(labels, w, xw, pseudo, consensus, hp)
-        stop = np.abs(value - prev) / np.maximum(1.0, np.abs(prev)) < hp.tol
-        if step == max_local - 1:
-            stop[:] = True
+        stop = _stops(value, prev, hp.tol, step == max_local - 1)
         if stop.any():
-            done = live[stop]
-            for k in range(n_views):
-                w_out[k][done] = w[k][stop]
-                pseudo_out[k][done] = pseudo[k][stop]
-            consensus_out[done] = consensus[stop]
-            go = ~stop
-            if not go.any():
+            live, (labels, consensus, value, views, w, xw) = _freeze(
+                stop, live,
+                [*zip(w_out, w), *zip(pseudo_out, pseudo), (consensus_out, consensus)],
+                [labels, consensus, value, views, w, xw],
+            )
+            if not live.size:
                 break
-            live, labels, consensus, value = live[go], labels[go], consensus[go], value[go]
-            views = [m[go] for m in views]
-            w = [m[go] for m in w]
-            xw = [m[go] for m in xw]
         prev = value
     return w_out, pseudo_out, consensus_out
 
@@ -280,6 +271,16 @@ def _client_init(
     return pseudo, consensus
 
 
+def _check_client_rows(datasets) -> None:
+    """Every client needs at least as many rows as classes; the first
+    that has fewer is named by its index in datasets."""
+    for l, d in enumerate(datasets):
+        if d.n_samples < d.n_classes:
+            raise InvalidSpec(
+                f"client {l} has {d.n_samples} rows, fewer than its {d.n_classes} classes"
+            )
+
+
 def make_horizontal_parties(
     datasets: Sequence[MultiViewDataset],
     hp: HyperParams,
@@ -298,11 +299,7 @@ def make_horizontal_parties(
     for d in datasets[1:]:
         if d.dims != dims or d.n_classes != c:
             raise DimensionMismatch("clients disagree on view widths or classes")
-    for l, d in enumerate(datasets):
-        if d.n_samples < c:
-            raise InvalidSpec(
-                f"client {l} has {d.n_samples} rows, fewer than its {c} classes"
-            )
+    _check_client_rows(datasets)
     if hp.n_views != len(dims):
         raise DimensionMismatch(
             f"hyperparams cover {hp.n_views} views, data has {len(dims)}"

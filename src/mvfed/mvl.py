@@ -18,9 +18,17 @@ objective is differentiable at zero rows; the reported objective uses
 this smoothed form throughout.
 
 Every trainer (centralized, vertical, horizontal) fits W_k through the
-one IRLS kernel `_fit_stats`; the horizontal trainer hands it stacks of
-same-size clients, each slice bit-identical to its own 2-D call.  Each
-inner iteration solves the reweighted normal equations
+one IRLS kernel `_fit_stats`.  The horizontal trainer hands it stacks
+of same-size clients; the centralized trainer hands it a stack of
+targets over one shared X, whose X^T X it forms once.  Each slice of a
+stack is bit-identical to its own 2-D call.
+
+`train_mvl` is the block-coordinate loop `_train_stack` on a stack of
+one; the validation grid runs it on all its (zeta, eta) candidates at
+once, with one kernel call per view and outer iteration, and freezes
+each candidate at the outer iteration where it would stop alone.
+
+Each inner iteration solves the reweighted normal equations
 (X^T X + beta A) W = X^T T, A = diag(a), in one of two forms chosen by
 the shape of X (n rows, d columns) alone:
 
@@ -37,6 +45,7 @@ the shape of X (n rows, d columns) alone:
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
@@ -311,14 +320,13 @@ def objective(data: MultiViewDataset, state: MvlState, hp: HyperParams) -> float
     if hp.n_views != k:
         raise DimensionMismatch(f"hyperparams cover {hp.n_views} views, data has {k}")
     _check_state_shapes(data, state, k)
-    total = hp.eta * float(np.sum((state.Z - data.labels) ** 2))
-    for i in range(k):
-        fit = data.views[i] @ state.W[i] - state.Zk[i]
-        total += float(np.sum(fit * fit))
-        total += hp.beta[i] * smoothed_l21(state.W[i], hp.epsilon)
-        gap = state.Zk[i] - state.Z
-        total += hp.zeta[i] * float(np.sum(gap * gap))
-    return total
+    zk = [m[None] for m in state.Zk]
+    value = _stack_objective(
+        data.labels, [row_l2_norms(w)[None] for w in state.W],
+        [_fit_sums((x @ w)[None], m) for x, w, m in zip(data.views, state.W, zk)],
+        zk, state.Z[None], hp.beta, hp.zeta, hp.eta, hp.epsilon,
+    )
+    return float(value[0])
 
 
 def irls_row_weights(w: np.ndarray, epsilon: float) -> np.ndarray:
@@ -412,15 +420,19 @@ def _fit_stats(x, target, beta, epsilon, max_inner, tol, w_init):
     changes by less than tol relative.  A is the reweighting and X W
     the product of the last solve.
 
-    Given an (s, n, d) stack of X with (s, n, c) targets and (s, d, c)
-    initial transforms, it fits the s problems together and returns
-    their W, A and X W stacked and an (s,) residual; slice i is
-    bit-identical to the 2-D call on slice i (see `_fit_stack`).
+    Given (s, n, c) targets and (s, d, c) initial transforms, it fits
+    the s problems together and returns their W, A and X W stacked and
+    an (s,) residual; slice i is bit-identical to the 2-D call on slice
+    i (see `_fit_stack`).  X is then either an (s, n, d) stack, one
+    matrix per problem, or one (n, d) matrix that every problem shares,
+    whose X^T X is formed once.
     """
-    if x.ndim == 2:
+    if target.ndim == 2:
         return _fit_one(x, target, beta, epsilon, max_inner, tol, w_init)
-    if len(x) == 1:  # the 2-D loop costs less per iteration than a stack of one
-        w, a, res, xw = _fit_one(x[0], target[0], beta, epsilon, max_inner, tol, w_init[0])
+    if len(target) == 1:  # the 2-D loop costs less per iteration than a stack of one
+        w, a, res, xw = _fit_one(
+            x if x.ndim == 2 else x[0], target[0], beta, epsilon, max_inner, tol, w_init[0]
+        )
         return w[None], a[None], np.array([res]), xw[None]
     return _fit_stack(x, target, beta, epsilon, max_inner, tol, w_init)
 
@@ -460,22 +472,45 @@ def _stack_l21(norms: np.ndarray, epsilon: float) -> np.ndarray:
     return np.sqrt(norms * norms + epsilon * epsilon).sum(axis=1)
 
 
+def _fit_sums(xw: np.ndarray, zk: np.ndarray) -> np.ndarray:
+    """||X W - Z_k||^2 of every slice of a stack, as `objective` sums it."""
+    fit = xw - zk
+    return _stack_sums(fit * fit)
+
+
+def _stack_objective(labels, norms, fits, zk, z, beta, zeta, eta, epsilon) -> np.ndarray:
+    """`objective` of every state in a stack, term by term in its order.
+
+    Built from values already at hand: the W_k row norms and the
+    `_fit_sums` of each view; zeta entries and eta are scalars or (s,)
+    per-slice weights.
+    """
+    total = eta * _stack_sums((z - labels) ** 2)
+    for k in range(len(fits)):
+        total = total + fits[k]
+        total = total + beta[k] * _stack_l21(norms[k], epsilon)
+        gap = zk[k] - z
+        total = total + zeta[k] * _stack_sums(gap * gap)
+    return total
+
+
 def _stack_solve(x, target, row_weights, beta, gram, rhs):
     """`_reweighted_solve` on every slice of a stack, in the same
-    arithmetic; the residual is one max-norm per slice."""
-    xt = x.transpose(0, 2, 1)
+    arithmetic; the residual is one max-norm per slice.  x and gram are
+    stacks, or one matrix that every slice shares."""
+    xt = x.swapaxes(-1, -2)
     if gram is None:
         a_inv = 1.0 / row_weights
         xs = x * np.sqrt(a_inv)[:, None, :]
         system = xs @ xs.transpose(0, 2, 1)
-        diag = np.arange(x.shape[1])
+        diag = np.arange(x.shape[-2])
         system[:, diag, diag] += beta
         w = a_inv[:, :, None] * (xt @ solve_spd(system, target))
         xw = x @ w
         r = xt @ (xw - target) + beta * (row_weights[:, :, None] * w)
     else:
-        system = gram.copy()
-        diag = np.arange(x.shape[2])
+        system = gram.copy() if gram.ndim == 3 else np.repeat(gram[None], len(rhs), axis=0)
+        diag = np.arange(x.shape[-1])
         system[:, diag, diag] += beta * row_weights
         w = solve_spd(system, rhs)
         xw = x @ w
@@ -483,17 +518,52 @@ def _stack_solve(x, target, row_weights, beta, gram, rhs):
     return w, xw, np.abs(r).max(axis=(1, 2), initial=0.0)
 
 
+def _stops(value, prev, tol, last):
+    """Which slices stop: those whose value changed by less than tol
+    relative, and every slice on the last iteration."""
+    stop = np.abs(value - prev) / np.maximum(1.0, np.abs(prev)) < tol
+    if last:
+        stop[:] = True
+    return stop
+
+
+def _freeze(stop, live, frozen, stacks):
+    """Write the stopped slices of a stack out and drop them from it;
+    callers skip it on iterations where no slice stops.
+
+    live holds the original index of every running slice; frozen pairs
+    outputs indexed by original slice (arrays, or lists of per-slice
+    arrays) with the running stacks they take the stopped slices from;
+    stacks lists the arrays, lists of arrays or Nones to shrink.
+    Returns the new live indices (empty once every slice has stopped)
+    and the shrunk stacks."""
+    done, go = live[stop], ~stop
+    for out, cur in frozen:
+        if isinstance(out, list):  # one array per slice, none a view of the stack
+            for i, m in zip(done.tolist(), cur[stop]):
+                out[i] = m
+        else:
+            out[done] = cur[stop]
+    if not go.any():
+        return live[go], stacks
+    return live[go], [
+        m if m is None else [v[go] for v in m] if isinstance(m, list) else m[go]
+        for m in stacks
+    ]
+
+
 def _fit_stack(x, target, beta, epsilon, max_inner, tol, w_init):
-    """`_fit_stats` over an (s, n, d) stack of problems of one shape.
+    """`_fit_stats` over a stack of s problems of one shape.
 
     Every iteration solves all unfinished slices in one `solve_spd`
     call.  A slice finishes at the iteration where its own 2-D call
     would stop; its W, A, X W and residual are then frozen and later
     iterations run on the remaining slices only, so a slice never sees
-    an iteration its 2-D call would not have made.
+    an iteration its 2-D call would not have made.  A shared 2-D X, and
+    its X^T X, stay whole as slices finish.
     """
-    s, n, d = x.shape
-    xt = x.transpose(0, 2, 1)
+    s, (n, d) = len(target), x.shape[-2:]
+    xt = x.swapaxes(-1, -2)
     gram, rhs = (None, None) if d > n else (xt @ x, xt @ target)
     norms = _stack_row_norms(w_init)
     prev = _stack_sums((x @ w_init - target) ** 2) + beta * _stack_l21(norms, epsilon)
@@ -509,20 +579,17 @@ def _fit_stack(x, target, beta, epsilon, max_inner, tol, w_init):
         max_residual = np.where(res > max_residual, res, max_residual)
         norms = _stack_row_norms(w)
         value = _stack_sums((xw - target) ** 2) + beta * _stack_l21(norms, epsilon)
-        stop = np.abs(value - prev) / np.maximum(1.0, np.abs(prev)) < tol
-        if it == max_inner - 1:
-            stop[:] = True
+        stop = _stops(value, prev, tol, it == max_inner - 1)
         if stop.any():
-            done = live[stop]
-            w_out[done], a_out[done] = w[stop], a[stop]
-            xw_out[done], res_out[done] = xw[stop], max_residual[stop]
-            go = ~stop
-            if not go.any():
+            live, (target, rhs, norms, value, max_residual, *per_slice) = _freeze(
+                stop, live,
+                [(w_out, w), (a_out, a), (xw_out, xw), (res_out, max_residual)],
+                [target, rhs, norms, value, max_residual] + ([x, gram] if x.ndim == 3 else []),
+            )
+            if not live.size:
                 break
-            live, x, target = live[go], x[go], target[go]
-            norms, value, max_residual = norms[go], value[go], max_residual[go]
-            if gram is not None:
-                gram, rhs = gram[go], rhs[go]
+            if per_slice:
+                x, gram = per_slice
         prev = value
     return w_out, a_out, res_out, xw_out
 
@@ -555,8 +622,12 @@ def fit_view_transform(
     return w, a
 
 
-def update_pseudo_labels(xw: np.ndarray, consensus: np.ndarray, zeta: float) -> np.ndarray:
-    """Closed-form pseudo-label update: (XW + zeta Z) / (1 + zeta)."""
+def update_pseudo_labels(
+    xw: np.ndarray, consensus: np.ndarray, zeta: float | np.ndarray
+) -> np.ndarray:
+    """Closed-form pseudo-label update: (XW + zeta Z) / (1 + zeta).
+
+    zeta may be an (s, 1, 1) array, one weight per slice of a stack."""
     if xw.shape != consensus.shape:
         raise DimensionMismatch(f"shape {xw.shape} != {consensus.shape}")
     return (xw + zeta * consensus) / (1.0 + zeta)
@@ -565,22 +636,25 @@ def update_pseudo_labels(xw: np.ndarray, consensus: np.ndarray, zeta: float) -> 
 def update_consensus(
     pseudo_labels: Sequence[np.ndarray],
     labels: np.ndarray,
-    zeta: Sequence[float],
-    eta: float,
+    zeta: Sequence,
+    eta: float | np.ndarray,
 ) -> np.ndarray:
-    """Closed-form consensus update: (sum_k zeta_k Z_k + eta Y) / (sum zeta + eta)."""
+    """Closed-form consensus update: (sum_k zeta_k Z_k + eta Y) / (sum zeta + eta).
+
+    The weights may be (s, 1, 1) arrays, one weight per slice of stacked
+    pseudo-label blocks; labels may be shared by every slice."""
     if len(pseudo_labels) != len(zeta):
         raise DimensionMismatch(
             f"{len(pseudo_labels)} pseudo-label blocks for {len(zeta)} zeta values"
         )
     acc = eta * labels
-    denom = float(eta)
+    denom = eta
     for z, zk in zip(zeta, pseudo_labels):
-        if zk.shape != labels.shape:
+        if zk.shape[-2:] != labels.shape[-2:]:
             raise DimensionMismatch(f"shape {zk.shape} != {labels.shape}")
         acc = acc + z * zk
-        denom += z
-    if denom <= 0.0:
+        denom = denom + z
+    if np.any(denom <= 0.0):
         raise InvalidSpec("consensus undefined: sum(zeta) + eta must be > 0")
     return acc / denom
 
@@ -625,17 +699,6 @@ def init_state(
     return MvlState(W=w, Zk=zk, Z=z)
 
 
-def _trace_row(state: MvlState, iteration: int, value: float, residual: float) -> TraceRow:
-    norms = [row_l2_norms(w) for w in state.W]
-    return TraceRow(
-        iteration=iteration,
-        objective=value,
-        w_rownorm_min=tuple(float(n.min()) for n in norms),
-        w_rownorm_max=tuple(float(n.max()) for n in norms),
-        max_solve_residual=residual,
-    )
-
-
 def train_mvl(
     data: MultiViewDataset, hp: HyperParams, seed: int
 ) -> tuple[MvlState, TrainTrace]:
@@ -646,31 +709,81 @@ def train_mvl(
     the smoothed objective.  Stops when the relative objective change
     drops below hp.tol or after hp.max_outer iterations.
     """
-    k = data.n_views
+    return _train_stack(data, [hp], seed)[0]
+
+
+def _train_stack(
+    data: MultiViewDataset, hps: Sequence[HyperParams], seed: int
+) -> list[tuple[MvlState, TrainTrace]]:
+    """`train_mvl` for several hyperparameter sets at once, as one stack.
+
+    The sets may differ in zeta and eta only, as the validation grid's
+    candidates do, so they share X and the seeded initial state.  Every
+    outer iteration fits each view for all running sets in one
+    `_fit_stats` call over the shared X, then updates pseudo-labels and
+    consensus with each set's own weights.  Set i stops at the outer
+    iteration where `train_mvl(data, hps[i], seed)` stops and is then
+    frozen, so its state and trace are bit-identical to that call's.
+    """
+    hp, k = hps[0], data.n_views
     if hp.n_views != k:
         raise DimensionMismatch(f"hyperparams cover {hp.n_views} views, data has {k}")
+    if any(dataclasses.replace(h, zeta=hp.zeta, eta=hp.eta) != hp for h in hps):
+        raise InvalidSpec("stacked hyperparameter sets may differ in zeta and eta only")
     _check_irls_epsilon(hp.epsilon)
-    state = init_state(data.dims, data.n_samples, data.n_classes, seed)
-    trace = TrainTrace()
-    prev = objective(data, state, hp)
-    trace.rows.append(_trace_row(state, 0, prev, 0.0))
+    s = len(hps)
+    zeta = [np.array([h.zeta[i] for h in hps]) for i in range(k)]
+    eta = np.array([h.eta for h in hps])
+    init = init_state(data.dims, data.n_samples, data.n_classes, seed)
+    w, zk = ([np.repeat(m[None], s, axis=0) for m in ms] for ms in (init.W, init.Zk))
+    z = np.repeat(init.Z[None], s, axis=0)
+    # The stopped slices go to per-slice outputs, so that the frozen
+    # states and the running stack together hold one state per slice.
+    w_out, zk_out = ([[m] * s for m in ms] for ms in (init.W, init.Zk))
+    z_out = [init.Z] * s
+    norms = [_stack_row_norms(m) for m in w]
+    fits = [_fit_sums(x @ m, q) for x, m, q in zip(data.views, w, zk)]
+    prev = _stack_objective(data.labels, norms, fits, zk, z, hp.beta, zeta, eta, hp.epsilon)
+    traces = [TrainTrace() for _ in hps]
+    live = np.arange(s)
+    _trace_rows(traces, live, 0, prev, norms, np.zeros(s))
     for t in range(1, hp.max_outer + 1):
-        max_residual = 0.0
+        residual = np.zeros(len(live))
         for i in range(k):
-            w, _, res, xw = _fit_stats(
-                data.views[i], state.Zk[i], hp.beta[i], hp.epsilon,
-                hp.max_inner, hp.tol, w_init=state.W[i],
+            w[i], _, res, xw = _fit_stats(
+                data.views[i], zk[i], hp.beta[i], hp.epsilon,
+                hp.max_inner, hp.tol, w_init=w[i],
             )
-            state.W[i] = w
-            max_residual = max(max_residual, res)
-            state.Zk[i] = update_pseudo_labels(xw, state.Z, hp.zeta[i])
-        state.Z = update_consensus(state.Zk, data.labels, hp.zeta, hp.eta)
-        value = objective(data, state, hp)
-        trace.rows.append(_trace_row(state, t, value, max_residual))
-        if abs(value - prev) / max(1.0, abs(prev)) < hp.tol:
-            break
+            residual = np.where(res > residual, res, residual)
+            zk[i] = update_pseudo_labels(xw, z, zeta[i][:, None, None])
+            fits[i] = _fit_sums(xw, zk[i])
+            del xw  # so that the next view's fit runs without this (s, n, c) block
+        z = update_consensus(zk, data.labels, [m[:, None, None] for m in zeta], eta[:, None, None])
+        norms = [_stack_row_norms(m) for m in w]
+        value = _stack_objective(data.labels, norms, fits, zk, z, hp.beta, zeta, eta, hp.epsilon)
+        _trace_rows(traces, live, t, value, norms, residual)
+        stop = _stops(value, prev, hp.tol, t == hp.max_outer)
+        if stop.any():
+            live, (w, zk, z, zeta, eta, value) = _freeze(
+                stop, live,
+                [*zip(w_out, w), *zip(zk_out, zk), (z_out, z)],
+                [w, zk, z, zeta, eta, value],
+            )
+            if not live.size:
+                break
         prev = value
-    return state, trace
+    return [
+        (MvlState(W=[m[i] for m in w_out], Zk=[m[i] for m in zk_out], Z=z_out[i]), traces[i])
+        for i in range(s)
+    ]
+
+
+def _trace_rows(traces, live, iteration, value, norms, residual) -> None:
+    """Append one row to the trace of every running slice."""
+    lows = np.stack([m.min(axis=1) for m in norms], axis=1).tolist()
+    highs = np.stack([m.max(axis=1) for m in norms], axis=1).tolist()
+    for j, (i, v, r) in enumerate(zip(live.tolist(), value.tolist(), residual.tolist())):
+        traces[i].rows.append(TraceRow(iteration, v, tuple(lows[j]), tuple(highs[j]), r))
 
 
 def test_objective(

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from mvfed.mvl import HyperParams, MultiViewDataset
+import dataclasses
+from itertools import product
+
+from mvfed.experiments import GRID_EXPONENTS, split_indices
+from mvfed.metrics import compute_metrics
+from mvfed.mvl import HyperParams, MultiViewDataset, argmax_decode, predict_mvl, train_mvl
 
 
 def random_instance(seed: int, max_samples: int = 100) -> tuple[MultiViewDataset, HyperParams]:
@@ -55,3 +60,38 @@ def blob_dataset(
     labels = np.zeros((n, n_classes))
     labels[np.arange(n), y] = 1.0
     return MultiViewDataset(views=views, labels=labels)
+
+
+def reference_grid(cfg, data: MultiViewDataset, seed: int):
+    """The validation grid of an mvl-trainer mode as the loop it was
+    before the candidate stack: one `train_mvl` + `predict_mvl` fit per
+    candidate, in (zeta, eta) exponent order, the first strictly best
+    validation accuracy winning; the winner is trained again for the
+    test part.  Returns the test metrics row and the chosen (zeta, eta).
+    """
+    mask = cfg.view_mask if cfg.view_mask is not None else tuple(range(data.n_views))
+    masked = data.select_views(mask)
+    hp = cfg.hp
+    if hp.n_views != len(mask):
+        hp = dataclasses.replace(
+            hp, beta=tuple(hp.beta[k] for k in mask), zeta=tuple(hp.zeta[k] for k in mask)
+        )
+    train, val, test = (
+        masked.subset(p)
+        for p in split_indices(masked.class_indices(), masked.n_classes, cfg.split, seed)
+    )
+
+    def score(candidate, part):
+        state, _ = train_mvl(train, candidate, seed)
+        scores = predict_mvl(
+            part.views, state.W, candidate.zeta, tol=candidate.tol, max_outer=candidate.max_outer
+        )
+        return compute_metrics(argmax_decode(scores), part.class_indices(), cfg.positive_class)
+
+    best, best_acc = None, -1.0
+    for ze, ee in product(GRID_EXPONENTS, GRID_EXPONENTS):
+        candidate = dataclasses.replace(hp, zeta=(2.0 ** ze,) * hp.n_views, eta=2.0 ** ee)
+        accuracy = score(candidate, val).accuracy
+        if accuracy > best_acc:
+            best, best_acc = candidate, accuracy
+    return score(best, test), (best.zeta[0], best.eta)

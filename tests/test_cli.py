@@ -1,14 +1,16 @@
 """End-to-end tests for the command line interface."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from mvfed.cli import main, parse_config_file, read_report
-from mvfed.data import load_dataset, load_sequences
+from mvfed.cli import RUN_KEYS, SCHEMA, build_run_config, main, parse_config_file, read_report
+from mvfed.data import gen_multiview, load_dataset, load_sequences
 from mvfed.errors import ConfigError, NotSPD, PartyFailure
 from mvfed.experiments import load_embeddings, load_model
+from suite_utils import reference_grid
 
 
 def run(capsys, *argv):
@@ -139,6 +141,37 @@ class TestReport:
         with open(b, "rb") as fh:
             bytes_b = fh.read()
         assert bytes_a == bytes_b
+
+    @pytest.mark.parametrize("mode, extra", [("mvl", ()), ("pairwise", ("--views", "0,2"))])
+    def test_grid_report_bytes_and_choices(self, tmp_path, capsys, mode, extra):
+        flags = {
+            "mode": mode, "samples": "90", "dims": "4,3,5", "classes": "3",
+            "noise": "3.0", "margin": "0.5", "repeats": "2", "seed": "5",
+            "max-outer": "20",
+        }
+        argv = ["report", "--grid", *extra]
+        for flag, value in flags.items():
+            argv += [f"--{flag}", value]
+        outs = [os.path.join(tmp_path, name) for name in ("a.csv", "b.csv")]
+        for out in outs:
+            assert main([*argv, "--out", out]) == 0
+        capsys.readouterr()
+        with open(outs[0], "rb") as fa, open(outs[1], "rb") as fb:
+            assert fa.read() == fb.read()
+
+        values = {key: SCHEMA[key][1] for key in RUN_KEYS}
+        values.update(
+            mode=mode, samples=90, dims=(4, 3, 5), classes=3, noise=3.0, margin=0.5,
+            repeats=2, seed=5, max_outer=20, grid=True,
+            views=(0, 2) if extra else None,
+        )
+        cfg = build_run_config(values)
+        expected = []
+        for r in range(2):
+            data = gen_multiview(dataclasses.replace(cfg.spec, seed=cfg.spec.seed + r))
+            expected += reference_grid(cfg, data, cfg.seed + r)[1]
+        provenance, _, _ = read_report(outs[0])
+        assert [float(v) for v in provenance["grid_choices"].split(",")] == expected
 
     def test_sequential_mode_report(self, tmp_path, capsys):
         out = os.path.join(tmp_path, "seq.csv")
@@ -317,6 +350,23 @@ class TestExitCodes:
         )
         assert code == 2
         assert "client 0 has 2 rows, fewer than its 3 classes" in stderr
+
+    @pytest.mark.parametrize("mode, extra", [
+        ("mv_local", ("--dims", "4,3")),
+        ("local_seq_localmv", (
+            "--step-dims", "3,2", "--t-range", "3,5", "--enc-rounds", "1",
+            "--embed-dim", "2",
+        )),
+    ])
+    def test_isolated_short_shard_names_its_own_index(self, tmp_path, capsys, mode, extra):
+        # 27 train rows dealt to 12 clients: shards of 3, 3, 3, then 2 rows
+        code, _, stderr = run(
+            capsys, "report", "--mode", mode, "--samples", "45", *extra,
+            "--classes", "3", "--clients", "12", "--seed", "0", "--repeats", "1",
+            "--rounds", "1", "--max-local", "1", "--out", os.path.join(tmp_path, "r.csv"),
+        )
+        assert code == 2
+        assert "client 3 has 2 rows, fewer than its 3 classes" in stderr
 
     def test_non_finite_sequence_step_exits_2(self, tmp_path, capsys):
         data_dir = os.path.join(tmp_path, "seq")

@@ -10,7 +10,6 @@ from mvfed.data import (
     load_dataset,
     load_sequences,
     partition_horizontal,
-    partition_vertical,
     save_dataset,
     save_sequences,
 )
@@ -179,20 +178,6 @@ class TestPartitionHorizontal:
             partition_horizontal(data, 5)
         with pytest.raises(InvalidSpec):
             partition_horizontal(data, 0)
-
-
-class TestPartitionVertical:
-    def test_reassembly_bitwise(self):
-        data = gen_multiview(GeneratorSpec(n_samples=30, dims=(4, 3, 5), seed=9))
-        shards = partition_vertical(data)
-        assert [s.views[0].shape[1] for s in shards] == [4, 3, 5]
-        rebuilt = MultiViewDataset(
-            views=[s.views[0] for s in shards], labels=shards[0].labels
-        )
-        for va, vb in zip(rebuilt.views, data.views):
-            assert np.array_equal(va, vb)
-        for shard in shards:
-            assert np.array_equal(shard.labels, data.labels)
 
 
 class TestDatasetFiles:

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import mvfed.experiments
 from mvfed.cli import RUN_KEYS, SCHEMA, build_run_config
 from mvfed.data import (
     GeneratorSpec,
@@ -31,6 +32,7 @@ from mvfed.hfed import hfed_train
 from mvfed.metrics import average_rows, compute_metrics
 from mvfed.mvl import HyperParams, argmax_decode, predict_mvl
 from mvfed.sfed import TrainerConfig
+from suite_utils import reference_grid
 
 
 def easy_spec(n=150, dims=(5, 4), seed=0, **kw):
@@ -198,6 +200,35 @@ class TestGrid:
         res = run_experiment(cfg)
         assert res.grid_choices == [(1.0, 1.0)]
         assert res.report.rows[0].accuracy == 1.0
+
+    @pytest.mark.parametrize("mode, mask", [("mvl", None), ("pairwise", (0, 2))])
+    def test_stacked_grid_equals_per_candidate_loop(self, monkeypatch, mode, mask):
+        spec = easy_spec(n=90, dims=(4, 3, 5), n_classes=3, noise=3.0, margin=0.5, seed=11)
+        cfg = base_cfg(
+            mode=mode, spec=spec, hp=quick_hp(3, max_outer=20), view_mask=mask,
+            grid=True, repeats=3,
+        )
+        stacks = []
+        train_stack = mvfed.experiments._train_stack
+
+        def counting_stack(train, hps, seed):
+            stacks.append(len(hps))
+            return train_stack(train, hps, seed)
+
+        def single_fit(*args):
+            raise AssertionError("the mvl grid trains its candidates as one stack")
+
+        monkeypatch.setattr(mvfed.experiments, "_train_stack", counting_stack)
+        monkeypatch.setattr(mvfed.experiments, "train_mvl", single_fit)
+        res = run_experiment(cfg)
+        monkeypatch.undo()
+        assert stacks == [36] * 3
+        for r in range(3):
+            data = gen_multiview(dataclasses.replace(spec, seed=spec.seed + r))
+            row, choice = reference_grid(cfg, data, cfg.seed + r)
+            assert res.report.rows[r] == row
+            assert res.grid_choices[r] == choice
+        assert any(choice != (1.0, 1.0) for choice in res.grid_choices)
 
     def test_grid_off_reports_none(self):
         res = run_experiment(base_cfg(repeats=1))

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -11,6 +12,7 @@ from mvfed.mvl import (
     HyperParams,
     MultiViewDataset,
     MvlState,
+    TraceRow,
     argmax_decode,
     fit_view_transform,
     init_state,
@@ -24,7 +26,7 @@ from mvfed.mvl import (
     update_consensus,
     update_pseudo_labels,
 )
-from mvfed.numerics import solve_spd
+from mvfed.numerics import row_l2_norms, solve_spd
 from suite_utils import blob_dataset, random_instance
 
 
@@ -358,6 +360,37 @@ class TestKernel:
             sum(it > j for it in iterations) for j in range(max(iterations))
         ]
 
+    @pytest.mark.parametrize("n, d", [(30, 6), (12, 12), (8, 20), (15, 40)])
+    def test_shared_x_is_bit_identical_per_slice(self, monkeypatch, n, d):
+        # One 2-D X under a stack of targets and warm starts: the form
+        # the grid's candidate stack uses, primal (d <= n) and dual.
+        rng = np.random.default_rng(n + 7 * d)
+        s = 5
+        x = rng.standard_normal((n, d))
+        z = rng.standard_normal((s, n, 3)) * rng.uniform(0.1, 3.0, (s, 1, 1))
+        w0 = rng.standard_normal((s, d, 3)) / np.sqrt(d)
+        w, a, res, xw, calls = self.fit_stack(monkeypatch, x, z, 2.0, 30, 1e-4, w0)
+        iterations = []
+        for i in range(s):
+            w_i, a_i, res_i, calls_i = self.fit(monkeypatch, x, z[i], 2.0, 30, 1e-4, w0[i])
+            assert np.array_equal(w[i], w_i)
+            assert np.array_equal(a[i], a_i)
+            assert np.array_equal(xw[i], x @ w_i)
+            assert res[i] == res_i
+            iterations.append(len(calls_i))
+        assert len(set(iterations)) > 1
+        assert [c[0] for c in calls] == [
+            sum(it > j for it in iterations) for j in range(max(iterations))
+        ]
+
+    def test_shared_x_stack_of_one_runs_the_2d_loop(self, monkeypatch):
+        x, z, w0 = self.problem(20, 5, seed=3)
+        w, a, res, xw, calls = self.fit_stack(monkeypatch, x, z[None], 2.0, 20, 1e-6, w0[None])
+        w_2d, a_2d, res_2d, calls_2d = self.fit(monkeypatch, x, z, 2.0, 20, 1e-6, w0)
+        assert np.array_equal(w[0], w_2d) and np.array_equal(a[0], a_2d)
+        assert res.tolist() == [res_2d]
+        assert calls == calls_2d == [(5, 5)] * len(calls_2d)
+
     @staticmethod
     def fit_stack(monkeypatch, x, z, beta, max_inner, tol, w0):
         calls = []
@@ -501,6 +534,145 @@ class TestTrainMvl:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[1]) == trace.rows[0].objective
+
+
+def reference_objective(data, state, hp):
+    """`objective` as it was written before the stacked form, kept as
+    the reference for its order of operations."""
+    total = hp.eta * float(np.sum((state.Z - data.labels) ** 2))
+    for i in range(data.n_views):
+        fit = data.views[i] @ state.W[i] - state.Zk[i]
+        total += float(np.sum(fit * fit))
+        total += hp.beta[i] * smoothed_l21(state.W[i], hp.epsilon)
+        gap = state.Zk[i] - state.Z
+        total += hp.zeta[i] * float(np.sum(gap * gap))
+    return total
+
+
+def reference_train_mvl(data, hp, seed):
+    """The per-candidate training loop before the candidate stack, kept
+    as its reference: 2-D `_fit_stats` calls and the objective
+    recomputed from the state for every trace row."""
+    state = init_state(data.dims, data.n_samples, data.n_classes, seed)
+    rows = []
+
+    def record(t, value, residual):
+        norms = [row_l2_norms(w) for w in state.W]
+        rows.append(TraceRow(
+            t, value, tuple(float(m.min()) for m in norms),
+            tuple(float(m.max()) for m in norms), residual,
+        ))
+
+    prev = reference_objective(data, state, hp)
+    record(0, prev, 0.0)
+    for t in range(1, hp.max_outer + 1):
+        max_residual = 0.0
+        for i in range(data.n_views):
+            w, _, res, xw = mvfed.mvl._fit_stats(
+                data.views[i], state.Zk[i], hp.beta[i], hp.epsilon,
+                hp.max_inner, hp.tol, state.W[i],
+            )
+            state.W[i] = w
+            max_residual = max(max_residual, res)
+            state.Zk[i] = update_pseudo_labels(xw, state.Z, hp.zeta[i])
+        state.Z = update_consensus(state.Zk, data.labels, hp.zeta, hp.eta)
+        value = reference_objective(data, state, hp)
+        record(t, value, max_residual)
+        if abs(value - prev) / max(1.0, abs(prev)) < hp.tol:
+            break
+        prev = value
+    return state, rows
+
+
+def assert_same_state(a, b):
+    for k in range(len(a.W)):
+        assert a.W[k].tobytes() == b.W[k].tobytes()
+        assert a.Zk[k].tobytes() == b.Zk[k].tobytes()
+    assert a.Z.tobytes() == b.Z.tobytes()
+
+
+class TestTrainStack:
+    """`_train_stack` (the grid's candidate stack) and `train_mvl`, its
+    stack of one, against the per-candidate reference loop."""
+
+    MAX_OUTER = 25
+
+    @classmethod
+    def candidates(cls, k):
+        # zeta differs between the views of one candidate; the weights
+        # spread the candidates over different stopping iterations.
+        return [
+            HyperParams(
+                beta=(2.0, 0.5, 1.0)[:k], zeta=(ze, 2.0 * ze, 0.5 * ze)[:k], eta=eta,
+                tol=1e-3, max_outer=cls.MAX_OUTER, max_inner=8,
+            )
+            for ze in (0.25, 4.0, 64.0) for eta in (0.125, 2.0, 32.0)
+        ]
+
+    @staticmethod
+    def data(n, dims, c, seed):
+        rng = np.random.default_rng(seed)
+        y = np.arange(n) % c
+        rng.shuffle(y)
+        views = [rng.standard_normal((n, d)) + y[:, None] for d in dims]
+        return MultiViewDataset.from_class_indices(views, y, c)
+
+    @pytest.mark.parametrize("n, dims, c", [(40, (5, 3, 7), 3), (15, (40, 3), 2)])
+    def test_bit_identical_to_per_candidate_training(self, monkeypatch, n, dims, c):
+        # the second shape has a view wider than its rows (dual form)
+        data = self.data(n, dims, c, seed=n)
+        hps = self.candidates(len(dims))
+        sizes = []
+        fit_stats = mvfed.mvl._fit_stats
+
+        def counting_fit_stats(x, target, *args, **kwargs):
+            sizes.append(len(target))
+            return fit_stats(x, target, *args, **kwargs)
+
+        monkeypatch.setattr(mvfed.mvl, "_fit_stats", counting_fit_stats)
+        stacked = mvfed.mvl._train_stack(data, hps, seed=4)
+        monkeypatch.setattr(mvfed.mvl, "_fit_stats", fit_stats)
+        outer = []
+        for hp, (state, trace) in zip(hps, stacked):
+            ref_state, ref_rows = reference_train_mvl(data, hp, seed=4)
+            assert_same_state(state, ref_state)
+            assert trace.rows == ref_rows
+            single_state, single_trace = train_mvl(data, hp, seed=4)
+            assert_same_state(single_state, ref_state)
+            assert single_trace.rows == ref_rows
+            outer.append(len(ref_rows) - 1)
+        # candidates stop at different outer iterations, one at max_outer
+        assert len(set(outer)) > 2 and max(outer) == self.MAX_OUTER
+        # one kernel call per view and outer iteration, over the
+        # candidates still running
+        assert sizes == [
+            sum(o > t for o in outer) for t in range(max(outer)) for _ in dims
+        ]
+
+    def test_trace_objectives_equal_objective_of_each_state(self):
+        data = self.data(40, (5, 3, 7), 3, seed=1)
+        hp = self.candidates(3)[4]
+        _, trace = train_mvl(data, hp, seed=2)
+        assert len(trace.rows) > 3
+        for t, row in enumerate(trace.rows):
+            state, _ = train_mvl(data, dataclasses.replace(hp, max_outer=t), seed=2)
+            assert row.objective == objective(data, state, hp)
+            assert row.objective == reference_objective(data, state, hp)
+
+    def test_candidates_differ_only_in_zeta_and_eta(self):
+        data = self.data(20, (4, 3), 2, seed=0)
+        hps = self.candidates(2)[:2]
+        hps[1] = dataclasses.replace(hps[1], beta=(1.0, 1.0))
+        with pytest.raises(InvalidSpec, match="zeta and eta"):
+            mvfed.mvl._train_stack(data, hps, seed=0)
+
+    def test_max_outer_zero_returns_initialization(self):
+        data = self.data(20, (4, 3), 2, seed=0)
+        hps = [dataclasses.replace(hp, max_outer=0) for hp in self.candidates(2)]
+        ref = init_state(data.dims, data.n_samples, data.n_classes, seed=1)
+        for state, trace in mvfed.mvl._train_stack(data, hps, seed=1):
+            assert_same_state(state, ref)
+            assert [r.iteration for r in trace.rows] == [0]
 
 
 class TestPredictMvl:
