@@ -21,6 +21,7 @@ import dataclasses
 import os
 from dataclasses import dataclass
 from itertools import product
+from typing import Sequence
 
 import numpy as np
 
@@ -61,7 +62,8 @@ from .sfed import (
     SequenceDataset,
     TrainerConfig,
     extract_features,
-    local_training,
+    local_training,  # not called here; mvbench/tracer.py wraps this name
+    local_training_stack,
     sfed_train,
 )
 from .vfed import vfed_predict, vfed_train
@@ -407,21 +409,24 @@ def _flat_repeat(
     return _score(cfg, fits[best], test, chosen), (chosen.zeta[0], chosen.eta)
 
 
-def _local_encoder(
-    data: SequenceDataset,
+def _local_encoders(
+    datasets: Sequence[SequenceDataset],
     arch: EncoderArch,
     trainer: TrainerConfig,
     view: int,
-    client: int,
-) -> np.ndarray:
-    """Train one encoder with no communication, matching the federated
-    compute budget (rounds times local epochs) and initialization."""
+) -> list[np.ndarray]:
+    """Train one encoder per dataset with no communication, matching the
+    federated compute budget (rounds times local epochs) and
+    initialization.  Dataset l shuffles with key (l, view, 0); all of
+    them train as one stack."""
     w = arch.init_params(trainer.seed, KEY_ENCODER, view)
+    stack = np.repeat(w[None], len(datasets), axis=0)
     epochs = trainer.local_epochs * trainer.max_rounds
     if epochs == 0:
-        return w
+        return list(stack)
     solo = dataclasses.replace(trainer, local_epochs=epochs)
-    return local_training(data, arch, w, solo, seed_key=(client, view, 0))
+    keys = [(l, view, 0) for l in range(len(datasets))]
+    return list(local_training_stack(datasets, arch, stack, solo, keys))
 
 
 def _feature_dataset(
@@ -466,18 +471,16 @@ def _seq_repeat(cfg: RunConfig, bundle: SequenceClientData, seed: int) -> Metric
             for k in range(k_views)
         ]
         params = [
-            _local_encoder(pooled[k], archs[k], trainer, view=k, client=0)
+            _local_encoders([pooled[k]], archs[k], trainer, view=k)[0]
             for k in range(k_views)
         ]
         per_client = [params] * len(clients)
     else:
-        per_client = [
-            [
-                _local_encoder(c.views[k], archs[k], trainer, view=k, client=l)
-                for k in range(k_views)
-            ]
-            for l, c in enumerate(clients)
+        by_view = [
+            _local_encoders([c.views[k] for c in clients], archs[k], trainer, view=k)
+            for k in range(k_views)
         ]
+        per_client = [list(params) for params in zip(*by_view)]
 
     feature_sets = [
         _feature_dataset(c, archs, per_client[l], n_classes)

@@ -51,7 +51,7 @@ from .mvl import (
     update_consensus,
     update_pseudo_labels,
 )
-from .numerics import KEY_CONSENSUS, KEY_PSEUDO, KEY_TRANSFORM, gaussian_init, orthonormal_init
+from .numerics import KEY_CONSENSUS, KEY_PSEUDO, KEY_TRANSFORM, gaussian_init, orthonormal_inits
 
 DEFAULT_ROUNDS = 20
 DEFAULT_MAX_LOCAL = 30
@@ -255,20 +255,24 @@ class HorizontalServer:
         )
 
 
-def _client_init(
-    data: MultiViewDataset, seed: int, index: int
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Seeded pseudo-label and consensus blocks for one client.
+def _client_inits(
+    datasets: Sequence[MultiViewDataset], seed: int, group: Sequence[int]
+) -> list[tuple[list[np.ndarray], np.ndarray]]:
+    """Seeded pseudo-label and consensus blocks for the clients in group,
+    which share one row count.
 
     Streams are keyed by role, client index and view so that no two
-    blocks anywhere in the federation share a draw.
+    blocks anywhere in the federation share a draw; the group's blocks
+    are orthonormalised as one stack.
     """
-    pseudo = [
-        orthonormal_init(data.n_samples, data.n_classes, seed, KEY_PSEUDO, index, k)
-        for k in range(data.n_views)
-    ]
-    consensus = orthonormal_init(data.n_samples, data.n_classes, seed, KEY_CONSENSUS, index)
-    return pseudo, consensus
+    first = datasets[group[0]]
+    n_views = first.n_views
+    keys = []
+    for l in group:
+        keys += [(KEY_PSEUDO, l, k) for k in range(n_views)] + [(KEY_CONSENSUS, l)]
+    blocks = orthonormal_inits(first.n_samples, first.n_classes, seed, keys)
+    blocks = blocks.reshape(len(group), n_views + 1, *blocks.shape[1:])
+    return [([m.copy() for m in own[:n_views]], own[n_views].copy()) for own in blocks]
 
 
 def _check_client_rows(datasets) -> None:
@@ -309,23 +313,20 @@ def make_horizontal_parties(
         gaussian_init(d, c, seed, KEY_TRANSFORM, k, scale=1.0 / np.sqrt(d))
         for k, d in enumerate(dims)
     ]
-    clients = []
+    by_rows: dict[int, list[int]] = {}
     for l, data in enumerate(datasets):
-        pseudo, consensus = _client_init(data, seed, l)
-        clients.append(
-            HorizontalClient(
-                party=PartyId.client(l), data=data, hp=hp, max_local=max_local,
+        by_rows.setdefault(data.n_samples, []).append(l)
+    clients: list[HorizontalClient] = [None] * len(datasets)
+    for group in by_rows.values():
+        for l, (pseudo, consensus) in zip(group, _client_inits(datasets, seed, group)):
+            clients[l] = HorizontalClient(
+                party=PartyId.client(l), data=datasets[l], hp=hp, max_local=max_local,
                 w=[m.copy() for m in w0], pseudo=pseudo, consensus=consensus,
             )
-        )
-    by_rows: dict[int, list[HorizontalClient]] = {}
-    for client in clients:
-        by_rows.setdefault(client.data.n_samples, []).append(client)
-    for members in by_rows.values():
-        if len(members) > 1:
-            cohort = _Cohort(members)
-            for client in members:
-                client.cohort = cohort
+        if len(group) > 1:
+            cohort = _Cohort([clients[l] for l in group])
+            for l in group:
+                clients[l].cohort = cohort
     server = HorizontalServer(w=w0, counts=[d.n_samples for d in datasets])
     return server, clients
 

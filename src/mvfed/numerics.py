@@ -9,6 +9,8 @@ parties) derive bitwise-identical initial states from one seed.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
@@ -24,6 +26,7 @@ __all__ = [
     "make_rng",
     "gaussian_init",
     "orthonormal_init",
+    "orthonormal_inits",
     "row_l2_norms",
     "solve_spd",
 ]
@@ -67,14 +70,22 @@ def orthonormal_init(n: int, c: int, seed: int, *key: int) -> np.ndarray:
     removes the sign ambiguity of QR and keeps the output stable for a
     given seed.
     """
+    return orthonormal_inits(n, c, seed, [key])[0]
+
+
+def orthonormal_inits(
+    n: int, c: int, seed: int, keys: Sequence[tuple[int, ...]]
+) -> np.ndarray:
+    """`orthonormal_init(n, c, seed, *key)` for every key, as one
+    (len(keys), n, c) stack: each block is drawn from its own stream,
+    and all of them are factored by one stacked QR."""
     if c < 1 or n < c:
         raise InvalidShape(f"need 1 <= c <= n, got n={n}, c={c}")
-    rng = make_rng(seed, *key)
-    g = rng.standard_normal((n, c))
+    g = np.stack([make_rng(seed, *key).standard_normal((n, c)) for key in keys])
     q, r = np.linalg.qr(g, mode="reduced")
-    signs = np.sign(np.diag(r))
+    signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
     signs[signs == 0.0] = 1.0
-    return np.ascontiguousarray(q * signs)
+    return q * signs[:, None, :]
 
 
 def row_l2_norms(m: np.ndarray) -> np.ndarray:

@@ -7,10 +7,27 @@ clients with plain FedAvg over minibatch SGD; afterwards every client
 embeds its own sequences locally, producing the per-view feature
 matrices that the horizontal trainer consumes.  Parameters travel as
 flat vectors, so the wire format stays model-agnostic.
+
+A view's clients are zero-padded once, when the parties are built,
+into one (clients, rows, steps, features) stack, and they form one
+cohort.  The first member stepped in a round runs every member's local
+SGD in lock-step from the broadcast it received (`_sgd`): each client
+keeps its own shuffle stream, batch membership and short final batch,
+step j of an epoch is one kernel call (`_grads`) over batch j of every
+client that has one, and a client out of batches sits the later steps
+out.  The kernel adds every padded term as an exact zero after or
+between real ones, so each member's slice is bit-identical to what it
+computes alone; `loss_and_grad` is the kernel on a stack of one and
+`local_training` the lock-step SGD of a stack of one.  A member whose
+broadcast differs bitwise from the one the pass used, or any member
+after the pass raised, computes alone, so a failure is reported by the
+client that fails.
 """
 
 from __future__ import annotations
 
+import math
+import weakref
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
@@ -159,20 +176,25 @@ class EncoderArch:
         return p * e + e + e * c + c
 
     def unpack(self, w: np.ndarray) -> tuple[np.ndarray, ...]:
-        if w.ndim != 1 or w.shape[0] != self.n_params:
+        """The four parameter blocks of a vector, or of each row of an
+        (S, n_params) stack."""
+        if w.ndim not in (1, 2) or w.shape[-1] != self.n_params:
             raise DimensionMismatch(
                 f"parameter vector has {w.shape}, arch needs {self.n_params}"
             )
         p, e, c = self.n_features, self.embed_dim, self.n_classes
-        step = w[: p * e].reshape(p, e)
-        step_bias = w[p * e : p * e + e]
-        head = w[p * e + e : p * e + e + e * c].reshape(e, c)
-        head_bias = w[p * e + e + e * c :]
+        lead = w.shape[:-1]
+        step = w[..., : p * e].reshape(*lead, p, e)
+        step_bias = w[..., p * e : p * e + e]
+        head = w[..., p * e + e : p * e + e + e * c].reshape(*lead, e, c)
+        head_bias = w[..., p * e + e + e * c :]
         return step, step_bias, head, head_bias
 
     def pack(self, step, step_bias, head, head_bias) -> np.ndarray:
+        lead = np.shape(step)[:-2]
         return np.concatenate(
-            [np.ravel(step), np.ravel(step_bias), np.ravel(head), np.ravel(head_bias)]
+            [np.reshape(a, (*lead, -1)) for a in (step, step_bias, head, head_bias)],
+            axis=-1,
         )
 
     def init_params(self, seed: int, *key: int) -> np.ndarray:
@@ -203,51 +225,165 @@ class TrainerConfig:
             raise InvalidSpec("epoch and round counts must be nonnegative")
 
 
-def _batch_tensors(
-    sequences: Sequence[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zero-padded (B, T, p) tensor plus step mask and lengths."""
-    lengths = np.array([s.shape[0] for s in sequences], dtype=np.int64)
-    t_max = int(lengths.max())
-    width = sequences[0].shape[1]
-    stacked = np.zeros((len(sequences), t_max, width))
-    mask = np.zeros((len(sequences), t_max))
-    for i, seq in enumerate(sequences):
-        stacked[i, : seq.shape[0]] = seq
-        mask[i, : seq.shape[0]] = 1.0
-    return stacked, mask, lengths
+@dataclass(frozen=True)
+class _Padded:
+    """Sets of sequences zero-padded into one stack, once.
+
+    Slice s holds counts[s] sequences in rows 0..counts[s]-1 of x
+    (S, n + 1, T, p + 1), whose last feature is the step mask.  Steps
+    are padded at the end of each sequence and rows at the end of each
+    slice; row n is padding in every slice, so a minibatch gather pads
+    a batch by pointing at it.  weights (S, n + 1, T) is mask / length,
+    and padding rows have length 1 and label 0.
+    """
+
+    x: np.ndarray
+    weights: np.ndarray
+    lengths: np.ndarray
+    y: np.ndarray
+    counts: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.x.shape[1] - 1
+
+    def __getitem__(self, s: int) -> "_Padded":
+        """Slice s alone, as a stack of one (views, no copy)."""
+        part = slice(s, s + 1)
+        return _Padded(
+            self.x[part], self.weights[part], self.lengths[part], self.y[part],
+            self.counts[part],
+        )
+
+    def gather(self, live: np.ndarray, rows: np.ndarray, work: dict | None = None):
+        """Batch tensors of slices live: rows (L, B) index each slice's
+        sequences, n marking padding.  A one-row batch gets a padding row
+        too, so every product in the kernel is a matrix product."""
+        if rows.shape[1] < 2:
+            rows = np.concatenate([rows, np.full((len(rows), 1), self.n)], axis=1)
+        flat = self.x.reshape(-1, *self.x.shape[2:])
+        x = _buffer(work, "x", (*rows.shape, *self.x.shape[2:]))
+        np.take(flat, live[:, None] * (self.n + 1) + rows, axis=0, out=x, mode="clip")
+        at = (live[:, None], rows)
+        return x, self.weights[at], self.lengths[at], self.y[at], rows < self.n
 
 
-def _forward_batch(arch: EncoderArch, w: np.ndarray, stacked, mask, lengths):
-    """Activations for a padded batch: hidden states, embeddings, scores."""
+def _buffer(work: dict | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Uninitialised array of the given shape, kept in work[name] for
+    the next call.  Lock-step steps share their large arrays this way:
+    a fresh array of a few hundred KB can cost more to allocate than
+    the arithmetic done on it."""
+    size = math.prod(shape)
+    if work is None:
+        return np.empty(shape)
+    if name not in work or work[name].size < size:
+        work[name] = np.empty(size)
+    return work[name][:size].reshape(shape)
+
+
+def _pad(sets: Sequence[tuple[Sequence[np.ndarray], np.ndarray]]) -> _Padded:
+    """Stack (sequences, labels) sets, zero-padded (see `_Padded`)."""
+    counts = np.array([len(seqs) for seqs, _ in sets], dtype=np.int64)
+    seqs = [s for group, _ in sets for s in group]
+    n, width = int(counts.max()), seqs[0].shape[1]
+    t_max = max(s.shape[0] for s in seqs)
+    x = np.zeros((len(sets), n + 1, t_max, width + 1))
+    lengths = np.zeros((len(sets), n + 1))
+    y = np.zeros((len(sets), n + 1), dtype=np.int64)
+    for i, (group, labels) in enumerate(sets):
+        y[i, : len(group)] = labels
+        for j, seq in enumerate(group):
+            x[i, j, : seq.shape[0], :width] = seq
+            lengths[i, j] = seq.shape[0]
+    mask = (np.arange(t_max) < lengths[..., None]).astype(float)
+    x[..., width] = mask
+    lengths = np.maximum(lengths, 1.0)
+    return _Padded(x, mask / lengths[..., None], lengths, y, counts)
+
+
+def _widen(arch: EncoderArch, w: np.ndarray) -> tuple[EncoderArch, np.ndarray]:
+    """The same encoder with at least two units.
+
+    The padded unit has zero weights, so its terms are exact zeros at
+    the end of each sum.  It keeps every product in the kernel matrix
+    by matrix: BLAS runs a one-row or one-column product as gemv, which
+    groups its sums by position.
+    """
+    if arch.embed_dim > 1:
+        return arch, w
+    wide = EncoderArch(arch.n_features, 2, arch.n_classes)
     step, step_bias, head, head_bias = arch.unpack(w)
-    hidden = np.tanh(stacked @ step + step_bias)
-    pooled = (hidden * mask[:, :, None]).sum(axis=1) / lengths[:, None]
-    scores = pooled @ head + head_bias
+    w = wide.pack(
+        np.pad(step, ((0, 0), (0, 0), (0, 1))), np.pad(step_bias, ((0, 0), (0, 1))),
+        np.pad(head, ((0, 0), (0, 1), (0, 0))), head_bias,
+    )
+    return wide, w
+
+
+def _forward(arch: EncoderArch, w: np.ndarray, x, lengths, work: dict | None = None):
+    """Hidden states (S, B, T, e), embeddings (S, B, e) and scores of a
+    batch stack; slice s runs under parameter row w[s].
+
+    The step bias multiplies x's mask feature, so a padded step's hidden
+    state is exactly 0.
+    """
+    step, step_bias, head, head_bias = arch.unpack(w)
+    s, b, t, q = x.shape
+    step_map = np.concatenate([step, step_bias[:, None]], axis=1)
+    hidden = _buffer(work, "hidden", (s, b * t, arch.embed_dim))
+    np.tanh(np.matmul(x.reshape(s, b * t, q), step_map, out=hidden), out=hidden)
+    hidden = hidden.reshape(s, b, t, -1)
+    # Step sums as ones^T H, which adds each entry in step order; the
+    # second column of ones keeps it a matrix product.
+    sums = (np.ones((t, 2)).T @ hidden.reshape(s * b, t, -1))[:, 0]
+    pooled = sums.reshape(s, b, -1) / lengths[..., None]
+    scores = pooled @ head + head_bias[:, None]
     return hidden, pooled, scores
 
 
-def encoder_forward(
-    arch: EncoderArch, w: np.ndarray, seq: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Embedding and class scores for a single sequence."""
-    seq = np.asarray(seq, dtype=float)
-    if seq.ndim != 2:
-        raise DimensionMismatch(f"expected (steps, features), got {seq.shape}")
-    if seq.shape[0] == 0:
-        raise EmptySequence("sequence has no time steps")
-    if seq.shape[1] != arch.n_features:
-        raise DimensionMismatch(
-            f"sequence width {seq.shape[1]}, arch expects {arch.n_features}"
-        )
-    stacked, mask, lengths = _batch_tensors([seq])
-    _, pooled, scores = _forward_batch(arch, w, stacked, mask, lengths)
-    return pooled[0], scores[0]
-
-
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _grads(arch: EncoderArch, w: np.ndarray, batch, work: dict | None = None):
+    """Each slice's log-probabilities and mean cross-entropy gradient.
+
+    The kernel of every encoder step, over a batch stack from
+    `_Padded.gather`: slice s's batch fills the first real[s].sum() rows;
+    the rest, and every step past a sequence's length, are zero padding.
+    Padding leaves each slice's bits as its own unpadded batch gives
+    them: products run per row or over a fixed-length axis, and each sum
+    over batch or steps adds in index order (BLAS forms P^T Q, P and Q
+    stored k-major, as rank-one updates in k order; numpy sums over a
+    non-last axis one index after another), so padded terms are exact
+    zeros after or between real ones.
+    """
+    x, weights, lengths, y, real = batch
+    e = arch.embed_dim
+    wide, w = _widen(arch, w)
+    hidden, pooled, scores = _forward(wide, w, x, lengths, work)
+    s, b, t, q = x.shape
+    log_probs = _log_softmax(scores)
+
+    d_scores = np.exp(log_probs)
+    d_scores[np.arange(s)[:, None], np.arange(b), y] -= 1.0
+    d_scores /= real.sum(axis=1)[:, None, None]
+    d_scores *= real[..., None]
+    _, _, head, _ = wide.unpack(w)
+    d_head = pooled.transpose(0, 2, 1) @ d_scores
+    d_head_bias = d_scores.sum(axis=1)
+    d_pooled = d_scores @ head.transpose(0, 2, 1)
+    d_pre = _buffer(work, "d_pre", hidden.shape)
+    np.multiply(d_pooled[:, :, None, :], weights[..., None], out=d_pre)
+    hidden *= hidden
+    d_pre *= np.subtract(1.0, hidden, out=hidden)
+    # One product per (slice, sequence) over its steps, then the batch
+    # sum; the mask feature's row is the step bias gradient.
+    d_steps = x.reshape(s * b, t, q).transpose(0, 2, 1) @ d_pre.reshape(s * b, t, -1)
+    d_steps = d_steps.reshape(s, b, q, -1).sum(axis=1)
+    grad = arch.pack(d_steps[:, :-1, :e], d_steps[:, -1, :e], d_head[:, :e], d_head_bias)
+    return log_probs, grad
 
 
 def loss_and_grad(
@@ -256,7 +392,8 @@ def loss_and_grad(
     sequences: Sequence[np.ndarray],
     labels: np.ndarray,
 ) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy over the batch and its exact gradient."""
+    """Mean softmax cross-entropy over the batch and its exact gradient:
+    the encoder kernel on a stack of one."""
     if len(sequences) == 0:
         raise EmptyBatch("loss needs at least one sequence")
     labels = np.asarray(labels, dtype=np.int64)
@@ -267,30 +404,69 @@ def loss_and_grad(
     for i, seq in enumerate(sequences):
         if seq.shape[0] == 0:
             raise EmptySequence(f"sample {i} has no time steps")
-    stacked, mask, lengths = _batch_tensors(sequences)
-    hidden, pooled, scores = _forward_batch(arch, w, stacked, mask, lengths)
-    log_probs = _log_softmax(scores)
-    batch = len(sequences)
-    loss = float(-log_probs[np.arange(batch), labels].mean())
-
-    d_scores = np.exp(log_probs)
-    d_scores[np.arange(batch), labels] -= 1.0
-    d_scores /= batch
-    _, _, head, _ = arch.unpack(w)
-    d_head = pooled.T @ d_scores
-    d_head_bias = d_scores.sum(axis=0)
-    d_pooled = d_scores @ head.T
-    d_hidden = d_pooled[:, None, :] * (mask / lengths[:, None])[:, :, None]
-    d_pre = d_hidden * (1.0 - hidden * hidden)
-    d_step = np.einsum("btp,bte->pe", stacked, d_pre)
-    d_step_bias = d_pre.sum(axis=(0, 1))
-    return loss, arch.pack(d_step, d_step_bias, d_head, d_head_bias)
+        if seq.shape[1] != arch.n_features:
+            raise DimensionMismatch(
+                f"sample {i} width {seq.shape[1]}, arch expects {arch.n_features}"
+            )
+    padded = _pad([(sequences, labels)])
+    batch = padded.gather(np.zeros(1, dtype=np.int64), np.arange(len(sequences))[None])
+    log_probs, grad = _grads(arch, np.asarray(w, dtype=float)[None], batch)
+    loss = float(-log_probs[0, np.arange(len(sequences)), labels].mean())
+    return loss, grad[0]
 
 
-def dataset_loss(arch: EncoderArch, w: np.ndarray, data: SequenceDataset) -> float:
-    """Mean cross-entropy over a whole dataset."""
-    loss, _ = loss_and_grad(arch, w, data.sequences, data.y)
-    return loss
+def _sgd(
+    arch: EncoderArch,
+    w: np.ndarray,
+    data: _Padded,
+    cfg: TrainerConfig,
+    seed_keys: Sequence[tuple[int, ...]],
+    work: dict | None = None,
+) -> np.ndarray:
+    """`local_training` of every slice of a padded stack, in lock-step.
+
+    Slice s starts from w[s] and shuffles with its own stream, keyed by
+    seed_keys[s].  Step j of an epoch runs batch j of every slice that
+    has one as one kernel call; a slice out of batches sits the later
+    steps out.  Returns the (S, n_params) trained rows.  work holds the
+    steps' buffers (see `_buffer`) and may be shared across calls.
+    """
+    w = np.array(w, dtype=float)
+    counts = data.counts
+    n_batches = -(-counts // cfg.batch_size)
+    steps = int(n_batches.max())
+    # A batch is at most `chunk` rows; past its own sequences a slice's
+    # order is padding (row n), which sorts to the end of its batch.
+    chunk = min(cfg.batch_size, data.n)
+    rngs = [make_rng(cfg.seed, KEY_SHUFFLE, *key) for key in seed_keys]
+    order = np.full((len(counts), steps * chunk), data.n)
+    work = {} if work is None else work
+    for _ in range(cfg.local_epochs):
+        for s, rng in enumerate(rngs):
+            order[s, : counts[s]] = rng.permutation(counts[s])
+        batches = np.sort(order.reshape(len(counts), steps, chunk), axis=2)
+        for j in range(steps):
+            live = np.flatnonzero(n_batches > j)
+            batch = data.gather(live, batches[live, j], work)
+            _, grad = _grads(arch, w[live], batch, work)
+            w[live] -= cfg.learning_rate * grad
+    return w
+
+
+def local_training_stack(
+    datasets: Sequence[SequenceDataset],
+    arch: EncoderArch,
+    w: np.ndarray,
+    cfg: TrainerConfig,
+    seed_keys: Sequence[tuple[int, ...]],
+) -> np.ndarray:
+    """`local_training` of each dataset from its row of w (S, n_params),
+    with its own seed key, run as one padded stack; row s of the result
+    is bit-identical to dataset s trained alone."""
+    for data in datasets:
+        if data.n_samples == 0:
+            raise EmptyDataset("local training needs at least one sequence")
+    return _sgd(arch, w, _pad([(d.sequences, d.y) for d in datasets]), cfg, seed_keys)
 
 
 def local_training(
@@ -306,32 +482,27 @@ def local_training(
     so callers distinguish client, view and round through seed_key.
     The shuffle decides batch membership only; indices are sorted
     within each batch so the mean gradient sums in a canonical order.
-    A short final batch is used as-is.
+    A short final batch is used as-is.  This is the lock-step SGD of a
+    stack of one.
     """
-    if data.n_samples == 0:
-        raise EmptyDataset("local training needs at least one sequence")
-    rng = make_rng(cfg.seed, KEY_SHUFFLE, *seed_key)
-    w = np.asarray(w, dtype=float).copy()
-    for _ in range(cfg.local_epochs):
-        order = rng.permutation(data.n_samples)
-        for start in range(0, data.n_samples, cfg.batch_size):
-            batch = np.sort(order[start : start + cfg.batch_size])
-            _, grad = loss_and_grad(
-                arch, w, [data.sequences[i] for i in batch], data.y[batch]
-            )
-            w -= cfg.learning_rate * grad
-    return w
+    w = np.asarray(w, dtype=float)[None]
+    return local_training_stack([data], arch, w, cfg, [seed_key])[0]
 
 
 @dataclass
 class SequenceClient:
-    """Runs local SGD on one view's sequences when polled."""
+    """Runs local SGD on one view's sequences when polled.
+
+    `data` is the client's slice of its federation's padded stack and
+    `cohort` the federation's clients stepped as one stack, if any.
+    """
 
     party: PartyId
-    data: SequenceDataset
+    data: _Padded
     arch: EncoderArch
     cfg: TrainerConfig
     view_index: int
+    cohort: "_Cohort | None" = field(default=None, repr=False, compare=False)
 
     def step(self, rnd: int, msg: FedMessage | None) -> FedMessage:
         if msg is None or msg.kind is not MessageKind.PARAM_VECTOR:
@@ -341,11 +512,61 @@ class SequenceClient:
                 f"round {rnd}: broadcast for view {msg.view}, "
                 f"client trains view {self.view_index}"
             )
-        w = local_training(
-            self.data, self.arch, msg.vector, self.cfg,
-            seed_key=(self.party.id, self.view_index, rnd),
-        )
+        w = None if self.cohort is None else self.cohort.commit(self, rnd, msg.vector)
+        if w is None:
+            w = _sgd(self.arch, msg.vector[None], self.data, self.cfg, [self.seed_key(rnd)])[0]
         return FedMessage.param_vector(rnd, self.party, self.view_index, w)
+
+    def seed_key(self, rnd: int) -> tuple[int, int, int]:
+        return (self.party.id, self.view_index, rnd)
+
+
+class _Cohort:
+    """The clients of one view's federation, whose local SGD runs as one
+    padded stack."""
+
+    def __init__(self, members: Sequence[SequenceClient], data: _Padded) -> None:
+        # Members own their cohort; weak references back avoid a cycle
+        # that would keep a finished federation's arrays alive until the
+        # next garbage collection.
+        self.members = [weakref.ref(m) for m in members]
+        self.data = data
+        self.work: dict[str, np.ndarray] = {}
+        self.round: int | None = None
+        self.broadcast = b""
+        self.results: dict[int, np.ndarray] = {}
+
+    def commit(self, client: SequenceClient, rnd: int, w: np.ndarray) -> np.ndarray | None:
+        """Client's slice of round rnd's stacked SGD.
+
+        The first member stepped in a round runs the SGD of every member
+        from the broadcast it received.  Returns None, and the client
+        computes alone, when the stacked SGD raised or the client's
+        broadcast differs bitwise from the one it started from.
+        """
+        if rnd != self.round:
+            self.round, self.broadcast = rnd, w.tobytes()
+            self.results = self._run(rnd, w)
+        result = self.results.pop(client.party.id, None)
+        if result is None or w.tobytes() != self.broadcast:
+            return None
+        return result
+
+    def _run(self, rnd: int, w: np.ndarray) -> dict[int, np.ndarray]:
+        members = [ref() for ref in self.members]
+        if any(c is None for c in members):
+            return {}
+        first = members[0]
+        try:
+            stacked = _sgd(
+                first.arch, np.repeat(w[None], len(members), axis=0), self.data,
+                first.cfg, [c.seed_key(rnd) for c in members], self.work,
+            )
+        except Exception:
+            # Every member then computes alone, so the one that fails
+            # raises in its own step and is the one named.
+            return {}
+        return {c.party.id: stacked[i] for i, c in enumerate(members)}
 
 
 @dataclass
@@ -371,6 +592,44 @@ class SequenceServer:
         )
 
 
+def make_sequence_parties(
+    datasets: Sequence[SequenceDataset],
+    view_index: int,
+    arch: EncoderArch,
+    cfg: TrainerConfig,
+) -> tuple[SequenceServer, list[SequenceClient]]:
+    """Server and one client per local dataset for one view's encoder.
+
+    Every client's sequences are padded once, here, into one stack;
+    client l holds slice l and all clients form one cohort.
+    """
+    if len(datasets) == 0:
+        raise InvalidSpec("sequence training needs at least one client")
+    for data in datasets:
+        if data.n_samples == 0:
+            raise EmptyDataset("every client must hold at least one sequence")
+        if data.n_features != arch.n_features:
+            raise DimensionMismatch(
+                f"client width {data.n_features}, arch expects {arch.n_features}"
+            )
+    server = SequenceServer(
+        w=arch.init_params(cfg.seed, KEY_ENCODER, view_index),
+        counts=[data.n_samples for data in datasets], view_index=view_index,
+    )
+    padded = _pad([(data.sequences, data.y) for data in datasets])
+    clients = [
+        SequenceClient(
+            party=PartyId.client(l), data=padded[l], arch=arch, cfg=cfg,
+            view_index=view_index,
+        )
+        for l in range(len(datasets))
+    ]
+    cohort = _Cohort(clients, padded)
+    for client in clients:
+        client.cohort = cohort
+    return server, clients
+
+
 def train_view_encoder(
     datasets: Sequence[SequenceDataset],
     view_index: int,
@@ -380,28 +639,7 @@ def train_view_encoder(
     log: RoundLog | None = None,
 ) -> np.ndarray:
     """FedAvg rounds for one view across the given clients."""
-    if len(datasets) == 0:
-        raise InvalidSpec("sequence training needs at least one client")
-    counts = []
-    for data in datasets:
-        if data.n_samples == 0:
-            raise EmptyDataset("every client must hold at least one sequence")
-        if data.n_features != arch.n_features:
-            raise DimensionMismatch(
-                f"client width {data.n_features}, arch expects {arch.n_features}"
-            )
-        counts.append(data.n_samples)
-    server = SequenceServer(
-        w=arch.init_params(cfg.seed, KEY_ENCODER, view_index),
-        counts=counts, view_index=view_index,
-    )
-    clients = [
-        SequenceClient(
-            party=PartyId.client(l), data=data, arch=arch, cfg=cfg,
-            view_index=view_index,
-        )
-        for l, data in enumerate(datasets)
-    ]
+    server, clients = make_sequence_parties(datasets, view_index, arch, cfg)
     run_rounds(server, clients, transport, max_rounds=cfg.max_rounds, log=log)
     return server.w
 
@@ -461,6 +699,9 @@ def extract_features(
         raise DimensionMismatch(
             f"sequence width {data.n_features}, arch expects {arch.n_features}"
         )
-    stacked, mask, lengths = _batch_tensors(data.sequences)
-    _, pooled, _ = _forward_batch(arch, w, stacked, mask, lengths)
-    return pooled
+    padded = _pad([(data.sequences, data.y)])
+    x, _, lengths, _, _ = padded.gather(
+        np.zeros(1, dtype=np.int64), np.arange(data.n_samples)[None]
+    )
+    _, pooled, _ = _forward(*_widen(arch, np.asarray(w, dtype=float)[None]), x, lengths)
+    return pooled[0, : data.n_samples, : arch.embed_dim]

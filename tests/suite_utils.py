@@ -95,3 +95,17 @@ def reference_grid(cfg, data: MultiViewDataset, seed: int):
         if accuracy > best_acc:
             best, best_acc = candidate, accuracy
     return score(best, test), (best.zeta[0], best.eta)
+
+
+def record_calls(monkeypatch, module, name, stacked_arg):
+    """Stack sizes of every call to module.<name>, read from its
+    positional argument number stacked_arg."""
+    sizes = []
+    original = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        sizes.append(len(args[stacked_arg]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return sizes

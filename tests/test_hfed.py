@@ -32,7 +32,7 @@ from mvfed.mvl import (
     update_consensus,
     update_pseudo_labels,
 )
-from suite_utils import blob_dataset
+from suite_utils import blob_dataset, record_calls
 
 SERVER = PartyId.server()
 
@@ -279,20 +279,6 @@ class ReferenceClient:
         return FedMessage.transform_set(rnd, self.party, w)
 
 
-def record_calls(monkeypatch, name, stacked_arg):
-    """Stack sizes of every call to mvfed.hfed.<name>, read from its
-    positional argument number stacked_arg."""
-    sizes = []
-    original = getattr(mvfed.hfed, name)
-
-    def recording(*args, **kwargs):
-        sizes.append(len(args[stacked_arg]))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(mvfed.hfed, name, recording)
-    return sizes
-
-
 class TestCohorts:
     def test_matches_per_client_reference(self, monkeypatch):
         # 19 clients in cohorts of 6, 7 and 9 rows plus one of 11; a view
@@ -306,7 +292,7 @@ class TestCohorts:
             for c in clients
         ]
         ref_log = run_rounds(server, reference, None, max_rounds=3)
-        fit_sizes = record_calls(monkeypatch, "_fit_stats", 0)
+        fit_sizes = record_calls(monkeypatch, mvfed.hfed, "_fit_stats", 0)
         result = hfed_train(shards, hp, seed=41, rounds=3, max_local=8)
         for got, want in zip(result.transforms, server.w):
             assert np.array_equal(got, want)
@@ -334,7 +320,7 @@ class TestCohorts:
             alg3_local(c.data, hp, msg.matrices, c.pseudo, c.consensus, 4)
             for c, msg in zip(clients, (sent, other, sent))
         ]
-        passes = record_calls(monkeypatch, "_local_passes", 1)
+        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 1)
         for c, msg in zip(clients, (sent, other, sent)):
             c.step(0, msg)
         assert passes == [3, 1]
@@ -349,7 +335,7 @@ class TestCohorts:
         hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-9)
         server, clients = make_horizontal_parties(shards, hp, seed=48, max_local=3)
         sent = server.broadcast(0)
-        passes = record_calls(monkeypatch, "_local_passes", 1)
+        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 1)
         clients[0].step(0, sent)
         clients[1].optimize_local()
         c = clients[1]
@@ -370,7 +356,7 @@ class TestCohorts:
             return original(x, *args, **kwargs)
 
         monkeypatch.setattr(mvfed.hfed, "_fit_stats", failing)
-        passes = record_calls(monkeypatch, "_local_passes", 1)
+        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 1)
         with pytest.raises(PartyFailure) as err:
             hfed_train(shards, HyperParams.uniform(2), seed=46, rounds=2, max_local=3)
         assert (err.value.round_index, err.value.party_id) == (0, 2)

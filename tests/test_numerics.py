@@ -7,6 +7,7 @@ from mvfed.numerics import (
     gaussian_init,
     make_rng,
     orthonormal_init,
+    orthonormal_inits,
     row_l2_norms,
     solve_spd,
 )
@@ -208,6 +209,20 @@ class TestOrthonormalInit:
     def test_square_has_unit_determinant(self):
         q = orthonormal_init(5, 5, 11)
         assert abs(abs(np.linalg.det(q)) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("n, c", [(10, 2), (7, 7), (40, 3), (3, 1)])
+    def test_stack_matches_each_block_alone(self, n, c):
+        keys = [(1, l, k) for l in range(6) for k in range(3)] + [(2, 4)]
+        stack = orthonormal_inits(n, c, 9, keys)
+        assert stack.shape == (len(keys), n, c)
+        for key, block in zip(keys, stack):
+            # The per-block recipe: one 2-D QR of the key's own draw.
+            g = make_rng(9, *key).standard_normal((n, c))
+            q, r = np.linalg.qr(g, mode="reduced")
+            signs = np.sign(np.diag(r))
+            signs[signs == 0.0] = 1.0
+            assert np.array_equal(block, q * signs)
+            assert np.array_equal(block, orthonormal_init(n, c, 9, *key))
 
 
 class TestRowL2Norms:

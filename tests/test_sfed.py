@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import mvfed.sfed
 from mvfed.errors import (
     DimensionMismatch,
     EmptyBatch,
@@ -10,12 +11,15 @@ from mvfed.errors import (
     EmptySequence,
     InvalidSpec,
     MissingClient,
+    PartyFailure,
 )
 from mvfed.fedcore import (
     SEQUENTIAL_KINDS,
+    FedMessage,
     FramedByteTransport,
     InProcessTransport,
     MessageKind,
+    PartyId,
     RoundLog,
     decode_message,
     disallowed_kinds,
@@ -27,15 +31,16 @@ from mvfed.sfed import (
     SequenceDataset,
     SfedResult,
     TrainerConfig,
-    dataset_loss,
-    encoder_forward,
     extract_features,
     fedavg_aggregate,
     local_training,
+    local_training_stack,
     loss_and_grad,
+    make_sequence_parties,
     sfed_train,
     train_view_encoder,
 )
+from suite_utils import record_calls
 
 ARCH = EncoderArch(n_features=3, embed_dim=4, n_classes=2)
 
@@ -115,41 +120,62 @@ class TestDatasetTypes:
             TrainerConfig(learning_rate=0.0)
 
 
+def embed_one(arch, w, seq, label=0):
+    """Embedding of a single sequence, through extract_features."""
+    return extract_features(arch, w, SequenceDataset([seq], np.array([label]), 2))[0]
+
+
+def dataset_loss(arch, w, data):
+    loss, _ = loss_and_grad(arch, w, data.sequences, data.y)
+    return loss
+
+
 class TestForward:
     def test_zero_weights(self):
         seq = np.random.default_rng(5).standard_normal((6, 3))
-        emb, scores = encoder_forward(ARCH, np.zeros(ARCH.n_params), seq)
+        emb = embed_one(ARCH, np.zeros(ARCH.n_params), seq)
         assert np.array_equal(emb, np.zeros(4))
-        assert np.array_equal(scores, np.zeros(2))
+        loss, grad = loss_and_grad(ARCH, np.zeros(ARCH.n_params), [seq], np.array([0]))
+        assert loss == math.log(2.0)
         biased = ARCH.pack(
             np.zeros((3, 4)), np.zeros(4), np.zeros((4, 2)), np.array([1.0, 2.0])
         )
-        _, scores = encoder_forward(ARCH, biased, seq)
-        assert np.array_equal(scores, np.array([1.0, 2.0]))
+        loss, grad = loss_and_grad(ARCH, biased, [seq], np.array([0]))
+        assert math.isclose(loss, math.log1p(math.exp(1.0)), rel_tol=1e-15)
+        d_head_bias = ARCH.unpack(grad)[3]
+        assert np.allclose(d_head_bias, [1 / (1 + math.e) - 1, math.e / (1 + math.e)])
 
     def test_single_step_pooling(self):
         w = random_params(ARCH, 6)
         step, step_bias, head, head_bias = ARCH.unpack(w)
         seq = np.random.default_rng(7).standard_normal((1, 3))
-        emb, scores = encoder_forward(ARCH, w, seq)
+        emb = embed_one(ARCH, w, seq)
         expected = np.tanh(seq[0] @ step + step_bias)
         assert np.allclose(emb, expected, atol=1e-15)
-        assert np.allclose(scores, expected @ head + head_bias, atol=1e-15)
+        scores = expected @ head + head_bias
+        loss, _ = loss_and_grad(ARCH, w, [seq], np.array([1]))
+        want = np.log(np.exp(scores).sum()) - scores[1]
+        assert math.isclose(loss, want, rel_tol=1e-14)
 
     def test_time_permutation_invariance(self):
         w = random_params(ARCH, 8)
         rng = np.random.default_rng(9)
         seq = rng.standard_normal((7, 3))
-        emb, _ = encoder_forward(ARCH, w, seq)
-        emb_p, _ = encoder_forward(ARCH, w, seq[rng.permutation(7)])
-        assert np.allclose(emb, emb_p, atol=1e-12)
+        shuffled = seq[rng.permutation(7)]
+        assert np.allclose(embed_one(ARCH, w, seq), embed_one(ARCH, w, shuffled), atol=1e-12)
+        loss, grad = loss_and_grad(ARCH, w, [seq], np.array([1]))
+        loss_p, grad_p = loss_and_grad(ARCH, w, [shuffled], np.array([1]))
+        assert math.isclose(loss, loss_p, rel_tol=1e-12)
+        assert np.allclose(grad, grad_p, atol=1e-12)
 
     def test_input_validation(self):
         w = np.zeros(ARCH.n_params)
         with pytest.raises(EmptySequence):
-            encoder_forward(ARCH, w, np.zeros((0, 3)))
+            loss_and_grad(ARCH, w, [np.zeros((0, 3))], np.array([0]))
         with pytest.raises(DimensionMismatch):
-            encoder_forward(ARCH, w, np.zeros((4, 5)))
+            loss_and_grad(ARCH, w, [np.zeros((4, 5))], np.array([0]))
+        with pytest.raises(DimensionMismatch):
+            extract_features(ARCH, w, SequenceDataset([np.zeros((4, 5))], np.array([0]), 2))
 
 
 class TestLoss:
@@ -390,10 +416,98 @@ class TestExtract:
         w = random_params(ARCH, 37)
         out = extract_features(ARCH, w, data)
         for i, seq in enumerate(data.sequences):
-            emb, _ = encoder_forward(ARCH, w, seq)
-            assert np.allclose(out[i], emb, atol=1e-12)
+            assert np.allclose(out[i], embed_one(ARCH, w, seq), atol=1e-12)
 
     def test_empty_dataset_empty_matrix(self):
         empty = SequenceDataset([], np.array([], dtype=np.int64), 2)
         out = extract_features(ARCH, np.zeros(ARCH.n_params), empty)
         assert out.shape == (0, 4)
+
+
+def ragged_clients(seed, p=3):
+    """Clients of 5, 9 and 14 sequences with different longest lengths."""
+    return [
+        make_sequences(seed + i, n=n, p=p, t_range=t_range)
+        for i, (n, t_range) in enumerate([(5, (3, 8)), (9, (10, 25)), (14, (1, 6))])
+    ]
+
+
+RAGGED_CFG = TrainerConfig(batch_size=4, local_epochs=2, learning_rate=0.2, max_rounds=3, seed=31)
+
+
+class TestCohort:
+    @pytest.mark.parametrize("arch", [ARCH, EncoderArch(1, 1, 2)], ids=["3x4", "1x1"])
+    def test_ragged_replies_match_solo_training(self, arch, monkeypatch):
+        datasets = ragged_clients(50, p=arch.n_features)
+        server, clients = make_sequence_parties(datasets, 2, arch, RAGGED_CFG)
+        sizes = record_calls(monkeypatch, mvfed.sfed, "_sgd", 1)
+        rounds = []
+        for rnd in range(2):
+            sent = server.broadcast(rnd)
+            replies = [c.step(rnd, sent) for c in clients]
+            server.aggregate(rnd, replies)
+            rounds.append((sent, replies))
+        assert sizes == [3, 3]
+        for rnd, (sent, replies) in enumerate(rounds):
+            for l, (data, reply) in enumerate(zip(datasets, replies)):
+                solo = local_training(data, arch, sent.vector, RAGGED_CFG, seed_key=(l, 2, rnd))
+                assert np.array_equal(reply.vector, solo)
+
+    def test_stack_rows_match_solo_training(self):
+        datasets = ragged_clients(60)
+        starts = np.stack([random_params(ARCH, 61 + l) for l in range(3)])
+        keys = [(l, 1, 0) for l in range(3)]
+        stacked = local_training_stack(datasets, ARCH, starts, RAGGED_CFG, keys)
+        for data, start, key, row in zip(datasets, starts, keys, stacked):
+            assert np.array_equal(row, local_training(data, ARCH, start, RAGGED_CFG, key))
+
+    def test_member_with_other_broadcast_computes_alone(self, monkeypatch):
+        datasets = ragged_clients(70)
+        server, clients = make_sequence_parties(datasets, 0, ARCH, RAGGED_CFG)
+        sent = server.broadcast(0)
+        other = FedMessage.param_vector(0, PartyId.server(), 0, sent.vector + 0.5)
+        messages = (sent, other, sent)
+        expected = [
+            local_training(data, ARCH, msg.vector, RAGGED_CFG, seed_key=(l, 0, 0))
+            for l, (data, msg) in enumerate(zip(datasets, messages))
+        ]
+        sizes = record_calls(monkeypatch, mvfed.sfed, "_sgd", 1)
+        for c, msg, solo in zip(clients, messages, expected):
+            assert np.array_equal(c.step(0, msg).vector, solo)
+        assert sizes == [3, 1]
+
+    def test_failing_member_is_named(self, monkeypatch):
+        datasets = ragged_clients(80)
+        datasets[2].sequences[3][0, 0] = 777.0
+        original = mvfed.sfed._grads
+
+        def failing(arch, w, batch, *args):
+            if (batch[0] == 777.0).any():
+                raise FloatingPointError("injected")
+            return original(arch, w, batch, *args)
+
+        monkeypatch.setattr(mvfed.sfed, "_grads", failing)
+        sizes = record_calls(monkeypatch, mvfed.sfed, "_sgd", 1)
+        with pytest.raises(PartyFailure) as err:
+            train_view_encoder(datasets, 0, ARCH, RAGGED_CFG)
+        assert (err.value.round_index, err.value.party_id) == (0, 2)
+        assert isinstance(err.value.cause, FloatingPointError)
+        assert sizes == [3, 1, 1, 1]
+
+    def test_one_kernel_call_per_step_and_one_padding_per_client(self, monkeypatch):
+        clients = []
+        for a in ragged_clients(90):
+            b = make_sequences(90 + a.n_samples, n=a.n_samples, p=5)
+            b.y[:] = a.y
+            clients.append(SequenceClientData(views=[a, b]))
+        kernel = record_calls(monkeypatch, mvfed.sfed, "_grads", 1)
+        padded = record_calls(monkeypatch, mvfed.sfed, "_pad", 0)
+        sfed_train(clients, RAGGED_CFG, embed_dim=4)
+        # Batches of 4 over 5, 9 and 14 sequences: the longest client
+        # takes 4 steps an epoch, the three 2 + 3 + 4 client-batches.
+        steps = RAGGED_CFG.local_epochs * 4
+        assert len(kernel) == 2 * RAGGED_CFG.max_rounds * steps
+        assert padded == [3, 3]
+        # All three clients run every step their longest member runs
+        # until the shorter ones run out of batches.
+        assert kernel[:steps] == [3, 3, 2, 1] * RAGGED_CFG.local_epochs
