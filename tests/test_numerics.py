@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import mvfed.numerics
+from mvfed.data import partition_horizontal
 from mvfed.errors import DimensionMismatch, InvalidShape, NotSPD
+from mvfed.hfed import hfed_train
+from mvfed.mvl import HyperParams
 from mvfed.numerics import (
     gaussian_init,
     make_rng,
@@ -11,6 +15,7 @@ from mvfed.numerics import (
     row_l2_norms,
     solve_spd,
 )
+from suite_utils import blob_dataset, record_calls
 
 
 def reference_solve_spd(a, b):
@@ -22,6 +27,18 @@ def reference_solve_spd(a, b):
     if float(np.max(np.abs(residual))) > 1e-10 * (1.0 + float(np.max(np.abs(b)))):
         x = x + scipy.linalg.cho_solve(factor, residual, check_finite=False)
     return np.ascontiguousarray(x)
+
+
+def gufunc_reference_solve_spd(a, b):
+    """solve_spd's solve of one system of order <= 16 through numpy's
+    public routines: the Cholesky check, an LU solve, and one more solve
+    of the residual when it exceeds 1e-10 relative."""
+    np.linalg.cholesky(a)
+    x = np.linalg.solve(a, b)
+    residual = b - a @ x
+    if float(np.max(np.abs(residual))) > 1e-10 * (1.0 + float(np.max(np.abs(b)))):
+        x = x + np.linalg.solve(a, residual)
+    return x
 
 
 class TestSolveSpd:
@@ -64,22 +81,27 @@ class TestSolveSpd:
         assert x.shape == (0, 3) and x.dtype == np.float64
         assert solve_spd(np.eye(2), np.zeros((2, 0))).shape == (2, 0)
 
-    def test_bitwise_equal_to_scipy_wrappers(self):
+    @pytest.mark.parametrize(
+        "orders, reference",
+        [((1, 2, 5, 8), gufunc_reference_solve_spd), ((20, 64, 150), reference_solve_spd)],
+        ids=["gufunc", "lapack"],
+    )
+    def test_bitwise_equal_to_engine_reference(self, orders, reference):
         # Random eigenbases; odd trials spread the spectrum over twelve
         # decades, which leaves raw residuals above 1e-10 and exercises
         # the refinement branch too.
         rng = np.random.default_rng(4321)
+        trials = orders * 2
         refined = 0
-        for trial, n in enumerate([1, 2, 5, 8, 20, 64, 150] * 2):
+        for trial, n in enumerate(trials):
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
             low = -4.0 if trial % 2 else -1.0
             a = (q * 10.0 ** rng.uniform(low, 8.0 if trial % 2 else 1.0, n)) @ q.T
             a = (a + a.T) / 2.0
             b = rng.standard_normal((n, 3))
-            raw = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), b)
-            refined += float(np.max(np.abs(b - a @ raw))) > 1e-10 * (1.0 + np.max(np.abs(b)))
-            assert np.array_equal(solve_spd(a, b), reference_solve_spd(a, b))
-        assert 0 < refined < 14
+            refined += refines(a, b)
+            assert np.array_equal(solve_spd(a, b), reference(a, b))
+        assert 0 < refined < len(trials)
 
     def test_not_symmetric(self):
         a = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -129,8 +151,12 @@ def spd_stack(rng, s, n, m, spread):
 
 
 def refines(a, b):
-    """Whether the raw Cholesky solve of one system takes the refinement pass."""
-    raw = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), b)
+    """Whether the raw solve of one system, by the engine that owns its
+    order, takes the refinement pass."""
+    if a.shape[0] <= 16:
+        raw = np.linalg.solve(a, b)
+    else:
+        raw = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), b)
     return float(np.max(np.abs(b - a @ raw))) > 1e-10 * (1.0 + np.max(np.abs(b)))
 
 
@@ -172,6 +198,61 @@ class TestSolveSpdStack:
             solve_spd(np.zeros((2, 3, 3)), np.zeros((3, 3, 1)))
         with pytest.raises(DimensionMismatch):
             solve_spd(np.zeros((2, 3, 2)), np.zeros((2, 3, 1)))
+
+
+@pytest.mark.parametrize("n", [16, 17])
+class TestEngineBoundary:
+    """The orders on each side of the switch from numpy's gufuncs to
+    per-system LAPACK keep every contract of solve_spd."""
+
+    def test_slices_equal_lone_calls_within_bound(self, n):
+        rng = np.random.default_rng(n)
+        # Twelve decades of spectrum take the refinement branch; the
+        # residual bound covers G^T G + delta I with delta >= 1e-6.
+        ill, ill_b = spd_stack(rng, 8, n, 2, 12)
+        g = rng.standard_normal((8, n, n))
+        g[::2, :, : n // 2] = 0.0
+        well = g.transpose(0, 2, 1) @ g + rng.uniform(1e-6, 1.0, (8, 1, 1)) * np.eye(n)
+        refined = 0
+        for a, b, bounded in ((ill, ill_b, False), (well, rng.standard_normal((8, n, 3)), True)):
+            x = solve_spd(a, b)
+            for i in range(len(a)):
+                alone = solve_spd(a[i], b[i])
+                assert np.array_equal(x[i], alone)
+                if bounded:
+                    bound = 1e-8 * (1.0 + np.max(np.abs(b[i])))
+                    assert np.max(np.abs(a[i] @ alone - b[i])) <= bound
+                refined += refines(a[i], b[i])
+        assert 0 < refined < 16
+
+    def test_bad_system_named_even_with_empty_rhs(self, n):
+        rng = np.random.default_rng(n)
+        a, b = spd_stack(rng, 4, n, 2, 2)
+        indefinite = np.eye(n)
+        indefinite[-1, -1] = -1.0
+        asymmetric = np.eye(n)
+        asymmetric[0, -1] = 0.5
+        for bad in (indefinite, asymmetric):
+            stack = a.copy()
+            stack[2] = bad
+            for rhs in (b, b[:, :, :0]):
+                with pytest.raises(NotSPD, match="matrix 2 of the stack"):
+                    solve_spd(stack, rhs)
+                with pytest.raises(NotSPD):
+                    solve_spd(bad, rhs[2])
+
+
+class TestEngineDispatch:
+    def test_dpotrf_runs_only_above_order_16(self, monkeypatch):
+        orders = record_calls(monkeypatch, mvfed.numerics, "dpotrf", 0)
+        # One many_clients-shaped hfed round: clients of 10 rows and three
+        # 6-wide views, so every IRLS solve is a stack of 6 x 6 systems.
+        clients = partition_horizontal(blob_dataset(3, n=80, dims=(6, 6, 6)), 8, seed=0)
+        hfed_train(clients, HyperParams.uniform(3), seed=0, rounds=1)
+        assert orders == []
+        a, b = spd_stack(np.random.default_rng(17), 5, 17, 2, 2)
+        solve_spd(a, b)
+        assert orders == [17] * 5
 
 
 class TestOrthonormalInit:

@@ -245,16 +245,21 @@ class TestPredict:
         return result, test_data, hp
 
     def test_matches_centralized_bitwise(self):
-        result, test_data, hp = self.trained()
-        central = predict_mvl(
-            test_data.views, result.transforms, hp.zeta,
-            tol=1e-300, max_outer=7,
-        )
-        federated = vfed_predict(
-            test_data.views, result.transforms, hp.zeta,
-            tol=1e-300, max_rounds=7,
-        )
-        assert np.array_equal(federated, central)
+        # Equal caps: vfed_predict stops on zero consensus drift and
+        # predict_mvl on zero objective change, which can fall in
+        # different rounds, so only tol=0.0 (met by neither) pins both
+        # loops to max rounds.
+        for seed in range(80, 120):
+            result, test_data, hp = self.trained(seed)
+            central = predict_mvl(
+                test_data.views, result.transforms, hp.zeta,
+                tol=0.0, max_outer=7,
+            )
+            federated = vfed_predict(
+                test_data.views, result.transforms, hp.zeta,
+                tol=0.0, max_rounds=7,
+            )
+            assert np.array_equal(federated, central), seed
 
     def test_framed_transport_within_tolerance(self):
         result, test_data, hp = self.trained(101)
