@@ -10,13 +10,14 @@ pseudo-labels and consensus stay on the client between rounds.
 Clients with the same row count form a cohort.  Their local passes
 are independent and have one shape, so the first member stepped in a
 round runs them for every member as one stacked computation
-(`_local_passes`: one `_fit_stats` call per view and pass over an
-(s, n, d) stack), starting all of them from the broadcast it received.
-Each member's `step` then commits its own slice, which is bit-identical
-to what the member computes alone.  A member computes alone instead, as
-a cohort of one, when its broadcast differs bitwise from the one the
-pass used, or when the stacked pass raised; a failure is then reported
-by the member that fails, as without cohorts.
+(`_local_passes`: one `_fit_stats` call per width group and pass over
+(s, n, d) stacks, each view's X^T X formed once per call), starting
+all of them from the broadcast it received.  Each member's `step` then
+commits its own slice, which is bit-identical to what the member
+computes alone.  A member computes alone instead, as a cohort of one,
+when its broadcast differs bitwise from the one the pass used, or when
+the stacked pass raised; a failure is then reported by the member that
+fails, as without cohorts.
 """
 
 from __future__ import annotations
@@ -40,9 +41,11 @@ from .mvl import (
     HyperParams,
     MultiViewDataset,
     _check_irls_epsilon,
-    _fit_stats,
+    _fit_stats,  # not called here; mvbench/tracer.py wraps `mvfed.hfed:_fit_stats`
     _fit_sums,
+    _fit_views,
     _freeze,
+    _grams,
     _stack_objective,
     _stack_row_norms,
     _stops,
@@ -129,6 +132,7 @@ def _local_passes(views, labels, hp: HyperParams, max_local: int, w, pseudo, con
     """
     n_views = len(views)
     w = list(w)
+    grams = _grams(views)
     xw = [x @ m for x, m in zip(views, w)]
     prev = _local_objective(labels, w, xw, pseudo, consensus, hp)
     w_out = [m.copy() for m in w]
@@ -138,18 +142,15 @@ def _local_passes(views, labels, hp: HyperParams, max_local: int, w, pseudo, con
     for step in range(max_local):
         pseudo = [update_pseudo_labels(xw[k], consensus, hp.zeta[k]) for k in range(n_views)]
         consensus = update_consensus(pseudo, labels, hp.zeta, hp.eta)
-        for k in range(n_views):
-            w[k], _, _, xw[k] = _fit_stats(
-                views[k], pseudo[k], hp.beta[k], hp.epsilon,
-                hp.max_inner, hp.tol, w_init=w[k],
-            )
+        for k, w_k, _, xw_k in _fit_views(views, grams, pseudo, w, hp):
+            w[k], xw[k] = w_k, xw_k
         value = _local_objective(labels, w, xw, pseudo, consensus, hp)
         stop = _stops(value, prev, hp.tol, step == max_local - 1)
         if stop.any():
-            live, (labels, consensus, value, views, w, xw) = _freeze(
+            live, (labels, consensus, value, views, grams, w, xw) = _freeze(
                 stop, live,
                 [*zip(w_out, w), *zip(pseudo_out, pseudo), (consensus_out, consensus)],
-                [labels, consensus, value, views, w, xw],
+                [labels, consensus, value, views, grams, w, xw],
             )
             if not live.size:
                 break

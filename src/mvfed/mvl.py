@@ -18,23 +18,30 @@ objective is differentiable at zero rows; the reported objective uses
 this smoothed form throughout.
 
 Every trainer (centralized, vertical, horizontal) fits W_k through the
-one IRLS kernel `_fit_stats`.  The horizontal trainer hands it stacks
-of same-size clients; the centralized trainer hands it a stack of
-targets over one shared X, whose X^T X it forms once.  Each slice of a
-stack is bit-identical to its own 2-D call.
+one IRLS kernel `_fit_stats`.  Once the pseudo-labels and consensus are
+fixed, the views' W_k fits are independent, so the centralized and
+horizontal trainers hand it width groups (`_fit_views`): every primal
+view of one width, for every grid candidate or cohort client, as one
+stack in one call; a dual view goes alone.  Each slice of a stack is
+bit-identical to its own 2-D call.
 
 `train_mvl` is the block-coordinate loop `_train_stack` on a stack of
 one; the validation grid runs it on all its (zeta, eta) candidates at
-once, with one kernel call per view and outer iteration, and freezes
-each candidate at the outer iteration where it would stop alone.
+once, with one kernel call per width group and outer iteration, and
+freezes each candidate at the outer iteration where it would stop
+alone.
 
 Each inner iteration solves the reweighted normal equations
 (X^T X + beta A) W = X^T T, A = diag(a), in one of two forms chosen by
 the shape of X (n rows, d columns) alone:
 
-* primal, d <= n: X^T X and X^T T are formed once per fit (O(n d^2))
-  and each iteration adds beta a to the diagonal and factors the d x d
-  system, O(d^3);
+* primal, d <= n: X^T T and ||T||^2 are formed once per fit, and X^T X
+  once per fit or, handed in, once per training (grid) or pass call
+  (hfed), O(n d^2); each iteration works on d-sized arrays only: it
+  adds beta a to the diagonal and factors the d x d system, O(d^3),
+  and takes the fit term from the Gram identity
+  ||X W - T||^2 = <W, X^T X W> - 2 <W, X^T T> + ||T||^2, O(d^2 c).
+  X W is formed once, after the last iteration;
 * dual, d > n: (X A^{-1} X^T + beta I) U = T, W = A^{-1} X^T U, with
   A^{-1} = diag(2 (||w_i|| + epsilon)); forming and factoring the n x n
   system costs O(n^2 d + n^3) per iteration and nothing is d x d
@@ -44,11 +51,11 @@ the shape of X (n rows, d columns) alone:
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import math
+import functools
+import itertools
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -272,19 +279,6 @@ class TrainTrace:
     def objectives(self) -> list[float]:
         return [r.objective for r in self.rows]
 
-    def write_csv(self, stream: IO[str]) -> None:
-        n_views = len(self.rows[0].w_rownorm_min) if self.rows else 0
-        writer = csv.writer(stream, lineterminator="\n")
-        header = ["iter", "objective"]
-        for k in range(n_views):
-            header += [f"w{k}_rownorm_min", f"w{k}_rownorm_max"]
-        writer.writerow(header)
-        for r in self.rows:
-            row = [r.iteration, repr(r.objective)]
-            for k in range(n_views):
-                row += [repr(r.w_rownorm_min[k]), repr(r.w_rownorm_max[k])]
-            writer.writerow(row)
-
 
 def smoothed_l21(w: np.ndarray, epsilon: float) -> float:
     """Sum over rows of sqrt(||row||^2 + epsilon^2)."""
@@ -344,47 +338,59 @@ def _check_irls_epsilon(epsilon: float) -> None:
         raise InvalidSpec("IRLS requires epsilon > 0")
 
 
-def _normal_equations(
-    x: np.ndarray, target: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | tuple[None, None]:
-    """(X^T X, X^T T) for the primal form, or (None, None) when d > n
-    selects the dual form, which never forms a d x d matrix."""
-    if x.shape[1] > x.shape[0]:
-        return None, None
-    return x.T @ x, x.T @ target
+def _grams(views: Sequence[np.ndarray]) -> list[np.ndarray | None]:
+    """X^T X of every view, one matrix or one per slice of a stack; None
+    for a view wider than its rows, which the dual form fits without it."""
+    return [None if x.shape[-1] > x.shape[-2] else x.swapaxes(-1, -2) @ x for x in views]
 
 
-def _reweighted_solve(
-    x: np.ndarray,
-    target: np.ndarray,
-    row_weights: np.ndarray,
-    beta: float,
-    gram: np.ndarray | None,
-    rhs: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Solve (X^T X + beta diag(a)) W = X^T T; return (W, X W, residual).
+def _gram_fit(w, gw, rhs, tt):
+    """||X W - T||^2 from d-sized arrays alone, 2-D or per slice of a
+    stack: <W, X^T X W> - 2 <W, X^T T> + ||T||^2, given gw = X^T X W."""
+    return tt + _stack_sums(w * (gw - 2.0 * rhs))
 
-    `gram`/`rhs` come from `_normal_equations`: given, the d x d primal
-    system is factored; None, the n x n dual system is.  The residual is
-    the max-norm of (X^T X + beta diag(a)) W - X^T T in both forms.
+
+def _diagonal(m: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of a C-ordered square matrix, or of
+    every matrix of a stack."""
+    return m.reshape(m.shape[:-2] + (-1,))[..., :: m.shape[-1] + 1]
+
+
+def _gram_step(gram, rhs, tt, row_weights, beta):
+    """Solve (X^T X + beta A) W = X^T T, A = diag(a), in the primal form.
+
+    2-D with a scalar beta, or stacked with an (s, 1) column of them.
+    Returns (W, ||X W - T||^2, max-norm residual of the normal
+    equations).  The fit term is `_gram_fit` with X^T X W taken from the
+    system product the residual already needs, so nothing n-sized is
+    formed.
     """
-    if gram is None:
-        a_inv = 1.0 / row_weights
-        xs = x * np.sqrt(a_inv)
-        # X A^{-1} X^T as a product with its own transpose: numpy then
-        # computes one triangle, so the system is exactly symmetric.
-        system = xs @ xs.T
-        system.flat[:: x.shape[0] + 1] += beta
-        w = a_inv[:, None] * (x.T @ solve_spd(system, target))
-        xw = x @ w
-        r = x.T @ (xw - target) + beta * (row_weights[:, None] * w)
-    else:
-        system = gram.copy()
-        system.flat[:: x.shape[1] + 1] += beta * row_weights
-        w = solve_spd(system, rhs)
-        xw = x @ w
-        r = system @ w - rhs
-    return w, xw, float(np.abs(r).max()) if r.size else 0.0
+    scaled = beta * row_weights
+    system = gram.copy()
+    diag = _diagonal(system)
+    diag += scaled
+    w = solve_spd(system, rhs)
+    sw = system @ w
+    fit = _gram_fit(w, sw - scaled[..., None] * w, rhs, tt)
+    return w, fit, np.abs(sw - rhs).max(axis=(-2, -1), initial=0.0)
+
+
+def _dual_step(x, target, row_weights, beta):
+    """`_gram_step` in the dual form, (X A^{-1} X^T + beta I) U = T,
+    W = A^{-1} X^T U, for one X, a stack, or one X that every slice
+    shares."""
+    xt = x.swapaxes(-1, -2)
+    a_inv = 1.0 / row_weights
+    xs = x * np.sqrt(a_inv)[..., None, :]
+    # X A^{-1} X^T as a product with its own transpose: numpy then
+    # computes one triangle, so the system is exactly symmetric.
+    system = xs @ xs.swapaxes(-1, -2)
+    diag = _diagonal(system)
+    diag += beta
+    w = a_inv[..., None] * (xt @ solve_spd(system, target))
+    err = x @ w - target
+    r = xt @ err + (beta * row_weights)[..., None] * w
+    return w, _stack_sums(err * err), np.abs(r).max(axis=(-2, -1), initial=0.0)
 
 
 def solve_view_transform(
@@ -404,62 +410,69 @@ def solve_view_transform(
     a = np.asarray(row_weights, dtype=np.float64)
     if a.shape != (x.shape[1],) or not np.all(a > 0):
         raise InvalidSpec(f"need {x.shape[1]} positive row weights, got shape {a.shape}")
-    gram, rhs = _normal_equations(x, target)
-    w, _, _ = _reweighted_solve(x, target, a, beta, gram, rhs)
-    return w
+    if x.shape[1] > x.shape[0]:
+        return _dual_step(x, target, a, beta)[0]
+    return _gram_step(x.T @ x, x.T @ target, 0.0, a, beta)[0]  # the fit term is unused
 
 
-def _fit_stats(x, target, beta, epsilon, max_inner, tol, w_init):
+def _fit_stats(x, target, beta, epsilon, max_inner, tol, w_init, gram=None):
     """The l2,1 IRLS kernel; returns (W, A, max normal-equation residual, X W).
 
     Each of at most max_inner (>= 1) iterations reweights with the
     current row norms and solves the reweighted normal equations,
-    primal when d <= n and dual when d > n (module docstring); X^T X
-    and X^T T are formed once per call.  Stops when the smoothed
-    per-view value ||XW - T||^2 + beta sum_i sqrt(||w_i||^2 + eps^2)
-    changes by less than tol relative.  A is the reweighting and X W
-    the product of the last solve.
+    primal when d <= n and dual when d > n (module docstring).  Stops
+    when the smoothed per-view value ||XW - T||^2 + beta sum_i
+    sqrt(||w_i||^2 + eps^2) changes by less than tol relative; the
+    primal form gets the fit term from the Gram identity, the dual from
+    X W.  A is the reweighting of the last solve; X W is formed once,
+    after the last iteration.
 
-    Given (s, n, c) targets and (s, d, c) initial transforms, it fits
-    the s problems together and returns their W, A and X W stacked and
-    an (s,) residual; slice i is bit-identical to the 2-D call on slice
-    i (see `_fit_stack`).  X is then either an (s, n, d) stack, one
-    matrix per problem, or one (n, d) matrix that every problem shares,
-    whose X^T X is formed once.
+    gram is X^T X when the caller has it, else None: it is then formed
+    here.
+
+    Given lists, it fits a width group (`_fit_views`): several views of
+    one width d <= n, or one view of any width, each with its X, (s, n, c)
+    targets, beta, (s, d, c) initial transforms and X^T X (or None) in
+    that argument's list, as one stack of all their slices.  A view's X
+    is an (s, n, d) stack, one matrix per slice, or one (n, d) matrix
+    that its slices share.  It returns lists of per-view stacked W and
+    A and (s,) residuals, and an iterator that forms each view's X W as
+    it is read.  Each slice is bit-identical to its own 2-D call.
     """
-    if target.ndim == 2:
-        return _fit_one(x, target, beta, epsilon, max_inner, tol, w_init)
-    if len(target) == 1:  # the 2-D loop costs less per iteration than a stack of one
-        w, a, res, xw = _fit_one(
-            x if x.ndim == 2 else x[0], target[0], beta, epsilon, max_inner, tol, w_init[0]
-        )
-        return w[None], a[None], np.array([res]), xw[None]
-    return _fit_stack(x, target, beta, epsilon, max_inner, tol, w_init)
+    if isinstance(x, list):
+        return _fit_group(x, target, beta, epsilon, max_inner, tol, w_init, gram)
+    return _fit_one(x, target, beta, epsilon, max_inner, tol, w_init, gram)
 
 
-def _fit_one(x, target, beta, epsilon, max_inner, tol, w_init):
+def _fit_one(x, target, beta, epsilon, max_inner, tol, w_init, gram=None):
     """`_fit_stats` on one 2-D problem."""
-    gram, rhs = _normal_equations(x, target)
-    w = w_init
-    norms = row_l2_norms(w)
+    if x.shape[1] > x.shape[0]:
+        fit = _stack_sums((x @ w_init - target) ** 2)
+        step = functools.partial(_dual_step, x, target)
+    else:
+        gram = x.T @ x if gram is None else gram
+        rhs, tt = x.T @ target, _stack_sums(target * target)
+        fit = _gram_fit(w_init, gram @ w_init, rhs, tt)
+        step = functools.partial(_gram_step, gram, rhs, tt)
+    w, norms = w_init, row_l2_norms(w_init)
+    prev = fit + beta * _smoothed_l21_of(norms, epsilon)
     max_residual = 0.0
-    prev = float(((x @ w - target) ** 2).sum()) + beta * _smoothed_l21_of(norms, epsilon)
     for _ in range(max_inner):
         a = _row_weights_of(norms, epsilon)
-        w, xw, res = _reweighted_solve(x, target, a, beta, gram, rhs)
-        max_residual = max(max_residual, res)
+        w, fit, res = step(a, beta)
+        max_residual = max(max_residual, float(res))
         norms = row_l2_norms(w)
-        value = float(((xw - target) ** 2).sum()) + beta * _smoothed_l21_of(norms, epsilon)
+        value = fit + beta * _smoothed_l21_of(norms, epsilon)
         if abs(value - prev) / max(1.0, abs(prev)) < tol:
             break
         prev = value
-    return w, a, max_residual, xw
+    return w, a, max_residual, x @ w
 
 
 def _stack_sums(m: np.ndarray) -> np.ndarray:
-    """Per-slice sum of a C-ordered stack: each slice is summed as one
-    contiguous run, the order in which `.sum()` adds a 2-D slice."""
-    return m.reshape(m.shape[0], math.prod(m.shape[1:])).sum(axis=1)
+    """Sum of every trailing 2-D block of a C-ordered array, each added
+    as one contiguous run: the order in which `.sum()` adds a 2-D array."""
+    return m.reshape(m.shape[:-2] + (-1,)).sum(axis=-1)
 
 
 def _stack_row_norms(w: np.ndarray) -> np.ndarray:
@@ -494,30 +507,6 @@ def _stack_objective(labels, norms, fits, zk, z, beta, zeta, eta, epsilon) -> np
     return total
 
 
-def _stack_solve(x, target, row_weights, beta, gram, rhs):
-    """`_reweighted_solve` on every slice of a stack, in the same
-    arithmetic; the residual is one max-norm per slice.  x and gram are
-    stacks, or one matrix that every slice shares."""
-    xt = x.swapaxes(-1, -2)
-    if gram is None:
-        a_inv = 1.0 / row_weights
-        xs = x * np.sqrt(a_inv)[:, None, :]
-        system = xs @ xs.transpose(0, 2, 1)
-        diag = np.arange(x.shape[-2])
-        system[:, diag, diag] += beta
-        w = a_inv[:, :, None] * (xt @ solve_spd(system, target))
-        xw = x @ w
-        r = xt @ (xw - target) + beta * (row_weights[:, :, None] * w)
-    else:
-        system = gram.copy() if gram.ndim == 3 else np.repeat(gram[None], len(rhs), axis=0)
-        diag = np.arange(x.shape[-1])
-        system[:, diag, diag] += beta * row_weights
-        w = solve_spd(system, rhs)
-        xw = x @ w
-        r = system @ w - rhs
-    return w, xw, np.abs(r).max(axis=(1, 2), initial=0.0)
-
-
 def _stops(value, prev, tol, last):
     """Which slices stop: those whose value changed by less than tol
     relative, and every slice on the last iteration."""
@@ -546,52 +535,98 @@ def _freeze(stop, live, frozen, stacks):
             out[done] = cur[stop]
     if not go.any():
         return live[go], stacks
-    return live[go], [
-        m if m is None else [v[go] for v in m] if isinstance(m, list) else m[go]
-        for m in stacks
-    ]
+
+    def shrink(m):
+        return None if m is None else [shrink(v) for v in m] if isinstance(m, list) else m[go]
+
+    return live[go], [shrink(m) for m in stacks]
 
 
-def _fit_stack(x, target, beta, epsilon, max_inner, tol, w_init):
-    """`_fit_stats` over a stack of s problems of one shape.
+def _fit_group(xs, targets, betas, epsilon, max_inner, tol, w_inits, grams):
+    """`_fit_stats` over a width group, as one stack of all its slices.
 
     Every iteration solves all unfinished slices in one `solve_spd`
-    call.  A slice finishes at the iteration where its own 2-D call
-    would stop; its W, A, X W and residual are then frozen and later
-    iterations run on the remaining slices only, so a slice never sees
-    an iteration its 2-D call would not have made.  A shared 2-D X, and
-    its X^T X, stay whole as slices finish.
+    call, primal on the stacked X^T X, X^T T and ||T||^2, which are
+    formed once per call, or dual on the group's one view.  A slice
+    finishes at the iteration where its own 2-D call would stop; its W,
+    A and residual are then frozen and later iterations run on the
+    remaining slices only, so a slice never sees an iteration its 2-D
+    call would not have made.  A shared 2-D X stays whole as slices
+    finish.
     """
-    s, (n, d) = len(target), x.shape[-2:]
-    xt = x.swapaxes(-1, -2)
-    gram, rhs = (None, None) if d > n else (xt @ x, xt @ target)
-    norms = _stack_row_norms(w_init)
-    prev = _stack_sums((x @ w_init - target) ** 2) + beta * _stack_l21(norms, epsilon)
-    w_out = np.empty(w_init.shape)
-    a_out = np.empty((s, d))
-    xw_out = np.empty(target.shape)
-    res_out = np.empty(s)
-    max_residual = np.zeros(s)
-    live = np.arange(s)
+    sizes = [len(t) for t in targets]
+    x, target = xs[0], targets[0]
+    if sizes == [1]:  # the 2-D loop costs less per iteration than a stack of one
+        gram = grams[0]
+        if x.ndim == 3:
+            x, gram = x[0], None if gram is None else gram[0]
+        w, a, res, xw = _fit_one(
+            x, target[0], betas[0], epsilon, max_inner, tol, w_inits[0][0], gram
+        )
+        return [w[None]], [a[None]], [np.array([res])], iter([xw[None]])
+    beta = np.repeat(betas, sizes)
+    w = np.concatenate(w_inits)
+    if x.shape[-1] > x.shape[-2]:
+        fit = _stack_sums((x @ w - target) ** 2)
+        step = _dual_step if x.ndim == 3 else functools.partial(_dual_step, x)
+        stacks = [x, target] if x.ndim == 3 else [target]
+    else:
+        d = x.shape[-1]
+        gram = np.concatenate([
+            np.broadcast_to(m.swapaxes(-1, -2) @ m if g is None else g, (len(t), d, d))
+            for m, g, t in zip(xs, grams, targets)
+        ])
+        rhs = np.concatenate([m.swapaxes(-1, -2) @ t for m, t in zip(xs, targets)])
+        tt = np.concatenate([_stack_sums(t * t) for t in targets])
+        fit = _gram_fit(w, gram @ w, rhs, tt)
+        step, stacks = _gram_step, [gram, rhs, tt]
+    norms = _stack_row_norms(w)
+    prev = fit + beta * _stack_l21(norms, epsilon)
+    w_out, a_out, res_out = np.empty(w.shape), np.empty(norms.shape), np.empty(len(w))
+    max_residual = np.zeros(len(w))
+    live = np.arange(len(w))
     for it in range(max_inner):
         a = _row_weights_of(norms, epsilon)
-        w, xw, res = _stack_solve(x, target, a, beta, gram, rhs)
+        w, fit, res = step(*stacks, a, beta[:, None])
         max_residual = np.where(res > max_residual, res, max_residual)
         norms = _stack_row_norms(w)
-        value = _stack_sums((xw - target) ** 2) + beta * _stack_l21(norms, epsilon)
+        value = fit + beta * _stack_l21(norms, epsilon)
         stop = _stops(value, prev, tol, it == max_inner - 1)
         if stop.any():
-            live, (target, rhs, norms, value, max_residual, *per_slice) = _freeze(
-                stop, live,
-                [(w_out, w), (a_out, a), (xw_out, xw), (res_out, max_residual)],
-                [target, rhs, norms, value, max_residual] + ([x, gram] if x.ndim == 3 else []),
+            live, (beta, norms, value, max_residual, *stacks) = _freeze(
+                stop, live, [(w_out, w), (a_out, a), (res_out, max_residual)],
+                [beta, norms, value, max_residual, *stacks],
             )
             if not live.size:
                 break
-            if per_slice:
-                x, gram = per_slice
         prev = value
-    return w_out, a_out, res_out, xw_out
+    bounds = np.cumsum(sizes)[:-1]
+    ws = np.split(w_out, bounds)
+    return ws, np.split(a_out, bounds), np.split(res_out, bounds), (m @ v for m, v in zip(xs, ws))
+
+
+def _fit_views(views, grams, targets, w, hp: HyperParams):
+    """Fit every view's transform for one stack of slices (grid
+    candidates, or clients): the views' fits are independent, so all
+    primal views of one width go to one `_fit_stats` call, and each
+    dual view to its own.
+
+    views[k] is one (n, d_k) matrix or an (s, n, d_k) stack, grams[k]
+    its `_grams` entry, targets[k] and w[k] the (s, n, c) targets and
+    (s, d_k, c) warm starts.  Returns an iterator of (k, W_k, residual_k,
+    X_k W_k) whose X W blocks are formed one at a time, as it is read.
+    """
+    groups: dict[int, list[int]] = {}
+    for k, (x, g) in enumerate(zip(views, grams)):
+        groups.setdefault(-1 - k if g is None else x.shape[-1], []).append(k)
+    fits = []
+    for ks in groups.values():
+        ws, _, res, xws = _fit_stats(
+            [views[k] for k in ks], [targets[k] for k in ks], [hp.beta[k] for k in ks],
+            hp.epsilon, hp.max_inner, hp.tol, [w[k] for k in ks], [grams[k] for k in ks],
+        )
+        fits.append(zip(ks, ws, res, xws))
+    return itertools.chain(*fits)
 
 
 def fit_view_transform(
@@ -718,10 +753,11 @@ def _train_stack(
     """`train_mvl` for several hyperparameter sets at once, as one stack.
 
     The sets may differ in zeta and eta only, as the validation grid's
-    candidates do, so they share X and the seeded initial state.  Every
-    outer iteration fits each view for all running sets in one
-    `_fit_stats` call over the shared X, then updates pseudo-labels and
-    consensus with each set's own weights.  Set i stops at the outer
+    candidates do, so they share X, its X^T X (formed once) and the
+    seeded initial state.  Every outer iteration fits the views for all
+    running sets with one `_fit_stats` call per width group
+    (`_fit_views`), then updates pseudo-labels and consensus with each
+    set's own weights.  Set i stops at the outer
     iteration where `train_mvl(data, hps[i], seed)` stops and is then
     frozen, so its state and trace are bit-identical to that call's.
     """
@@ -747,17 +783,15 @@ def _train_stack(
     traces = [TrainTrace() for _ in hps]
     live = np.arange(s)
     _trace_rows(traces, live, 0, prev, norms, np.zeros(s))
+    grams = _grams(data.views)
     for t in range(1, hp.max_outer + 1):
         residual = np.zeros(len(live))
-        for i in range(k):
-            w[i], _, res, xw = _fit_stats(
-                data.views[i], zk[i], hp.beta[i], hp.epsilon,
-                hp.max_inner, hp.tol, w_init=w[i],
-            )
+        for i, w_i, res, xw in _fit_views(data.views, grams, zk, w, hp):
+            w[i] = w_i
             residual = np.where(res > residual, res, residual)
             zk[i] = update_pseudo_labels(xw, z, zeta[i][:, None, None])
             fits[i] = _fit_sums(xw, zk[i])
-            del xw  # so that the next view's fit runs without this (s, n, c) block
+            del xw  # so that the next view's (s, n, c) block is formed without this one
         z = update_consensus(zk, data.labels, [m[:, None, None] for m in zeta], eta[:, None, None])
         norms = [_stack_row_norms(m) for m in w]
         value = _stack_objective(data.labels, norms, fits, zk, z, hp.beta, zeta, eta, hp.epsilon)

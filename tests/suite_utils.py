@@ -97,14 +97,17 @@ def reference_grid(cfg, data: MultiViewDataset, seed: int):
     return score(best, test), (best.zeta[0], best.eta)
 
 
-def record_calls(monkeypatch, module, name, stacked_arg):
+def record_calls(monkeypatch, module, name, stacked_arg, group=False):
     """Stack sizes of every call to module.<name>, read from its
-    positional argument number stacked_arg."""
+    positional argument number stacked_arg.  With group=True a call
+    that passes a group there (a list of stacks, as `_fit_stats` takes
+    a width group) counts the group's total slices."""
     sizes = []
     original = getattr(module, name)
 
     def recording(*args, **kwargs):
-        sizes.append(len(args[stacked_arg]))
+        arg = args[stacked_arg]
+        sizes.append(sum(map(len, arg)) if group and isinstance(arg, list) else len(arg))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, recording)

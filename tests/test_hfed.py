@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mvfed.hfed
+import mvfed.mvl
 from mvfed.errors import DimensionMismatch, InvalidSpec, MissingClient, NotSPD, PartyFailure
 from mvfed.fedcore import (
     HORIZONTAL_KINDS,
@@ -292,7 +293,7 @@ class TestCohorts:
             for c in clients
         ]
         ref_log = run_rounds(server, reference, None, max_rounds=3)
-        fit_sizes = record_calls(monkeypatch, mvfed.hfed, "_fit_stats", 0)
+        fit_sizes = record_calls(monkeypatch, mvfed.mvl, "_fit_stats", 0, group=True)
         result = hfed_train(shards, hp, seed=41, rounds=3, max_local=8)
         for got, want in zip(result.transforms, server.w):
             assert np.array_equal(got, want)
@@ -301,6 +302,34 @@ class TestCohorts:
         ]
         # Members of a cohort stop after different numbers of passes.
         assert set(fit_sizes) - {1, 6} and max(fit_sizes) == 6
+
+    @pytest.mark.parametrize("dims, groups", [
+        ((6, 6, 6), [3]), ((6, 6, 4), [2, 1]), ((6, 12, 6), [2, 1]),
+    ])
+    def test_width_groups_match_solo_members(self, monkeypatch, dims, groups):
+        # Views of one width are fitted in one kernel call for every
+        # member; the 12-wide view is wider than the 8-row clients (dual
+        # form) and is fitted alone.
+        shards = rows_of([8] * 5, seed=49, dims=dims)
+        hp = HyperParams(
+            beta=(2.0, 0.5, 1.0), zeta=(1.0, 4.0, 0.5), eta=2.0, tol=1e-3, max_inner=6
+        )
+        server, clients = make_horizontal_parties(shards, hp, seed=50, max_local=6)
+        sent = server.broadcast(0)
+        expected = [
+            alg3_local(c.data, hp, sent.matrices, c.pseudo, c.consensus, 6) for c in clients
+        ]
+        solo = [dataclasses.replace(c, cohort=None) for c in clients]
+        sizes = record_calls(monkeypatch, mvfed.mvl, "_fit_stats", 0, group=True)
+        for c in clients:
+            c.step(0, sent)
+        assert sizes[: len(groups)] == [5 * g for g in groups]
+        for c, alone, (w, pseudo, consensus) in zip(clients, solo, expected):
+            alone.step(0, sent)
+            for k in range(len(dims)):
+                assert c.w[k].tobytes() == w[k].tobytes() == alone.w[k].tobytes()
+                assert c.pseudo[k].tobytes() == pseudo[k].tobytes() == alone.pseudo[k].tobytes()
+            assert c.consensus.tobytes() == consensus.tobytes() == alone.consensus.tobytes()
 
     def test_cohorts_group_by_row_count(self):
         shards = rows_of([6, 7, 6, 9, 7, 6], seed=42, dims=(4, 3))
@@ -348,14 +377,14 @@ class TestCohorts:
     def test_failing_member_is_named(self, monkeypatch):
         shards = rows_of([8, 8, 8, 8], seed=45, dims=(4, 3))
         shards[2].views[0][0, 0] = 777.0
-        original = mvfed.hfed._fit_stats
+        original = mvfed.mvl._fit_stats
 
         def failing(x, *args, **kwargs):
-            if (x == 777.0).any():
+            if any((m == 777.0).any() for m in x):
                 raise NotSPD("injected")
             return original(x, *args, **kwargs)
 
-        monkeypatch.setattr(mvfed.hfed, "_fit_stats", failing)
+        monkeypatch.setattr(mvfed.mvl, "_fit_stats", failing)
         passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 1)
         with pytest.raises(PartyFailure) as err:
             hfed_train(shards, HyperParams.uniform(2), seed=46, rounds=2, max_local=3)

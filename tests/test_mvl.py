@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import math
 
 import numpy as np
@@ -27,7 +26,7 @@ from mvfed.mvl import (
     update_pseudo_labels,
 )
 from mvfed.numerics import row_l2_norms, solve_spd
-from suite_utils import blob_dataset, random_instance
+from suite_utils import blob_dataset, random_instance, record_calls
 
 
 def one_hot(y, c):
@@ -324,6 +323,27 @@ class TestKernel:
         assert res == res_ref
         assert calls == [(d, d)] * iterations
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_gram_fit_term_matches_explicit(self, seed):
+        # The primal loop's fit term <W, GW> - 2 <W, X^T T> + ||T||^2
+        # against ((X W - T) ** 2).sum(), also at a near-exact fit,
+        # where the identity cancels most.
+        rng = np.random.default_rng(seed)
+        n, d, c = int(rng.integers(8, 60)), int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        x = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0)
+        w0 = rng.standard_normal((d, c))
+        near = x @ w0 + 1e-8 * rng.standard_normal((n, c))
+        for t, beta in ((5.0 * rng.standard_normal((n, c)), 2.0), (near, 1e-12)):
+            gram, rhs, tt = x.T @ x, x.T @ t, float((t * t).sum())
+            bound = 1e-9 * max(1.0, tt)
+            for w in (w0, rng.standard_normal((d, c))):
+                fit = mvfed.mvl._gram_fit(w, gram @ w, rhs, tt)
+                assert abs(fit - ((x @ w - t) ** 2).sum()) <= bound
+            w, fit, _ = mvfed.mvl._gram_step(gram, rhs, tt, rng.uniform(0.1, 5.0, d), beta)
+            assert abs(fit - ((x @ w - t) ** 2).sum()) <= bound
+            w, _, _, xw = mvfed.mvl._fit_stats(x, t, beta, 1e-8, 20, 1e-9, w0)
+            assert np.array_equal(xw, x @ w)
+
     @pytest.mark.parametrize("n, d", [(12, 13), (15, 40), (30, 300)])
     @pytest.mark.parametrize("max_inner, tol", [(1, 1e-12), (20, 1e-6)])
     def test_dual_matches_reference(self, monkeypatch, n, d, max_inner, tol):
@@ -393,6 +413,7 @@ class TestKernel:
 
     @staticmethod
     def fit_stack(monkeypatch, x, z, beta, max_inner, tol, w0):
+        """The kernel on a stack, as a width group of one view."""
         calls = []
 
         def counting_solve(a, b):
@@ -400,7 +421,8 @@ class TestKernel:
             return solve_spd(a, b)
 
         monkeypatch.setattr(mvfed.mvl, "solve_spd", counting_solve)
-        return (*mvfed.mvl._fit_stats(x, z, beta, 1e-8, max_inner, tol, w0), calls)
+        w, a, res, xw = mvfed.mvl._fit_stats([x], [z], [beta], 1e-8, max_inner, tol, [w0], [None])
+        return w[0], a[0], res[0], next(xw), calls
 
 
 class TestClosedFormUpdates:
@@ -521,20 +543,6 @@ class TestTrainMvl:
             assert np.array_equal(s1.W[k], s2.W[k])
         assert t1.objectives() == t2.objectives()
 
-    def test_trace_csv_format(self):
-        data, hp = random_instance(8)
-        _, trace = train_mvl(data, hp, seed=1)
-        buf = io.StringIO()
-        trace.write_csv(buf)
-        lines = buf.getvalue().strip().split("\n")
-        header = lines[0].split(",")
-        assert header[:2] == ["iter", "objective"]
-        assert header[2:4] == ["w0_rownorm_min", "w0_rownorm_max"]
-        assert len(lines) == len(trace.rows) + 1
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert float(first[1]) == trace.rows[0].objective
-
 
 def reference_objective(data, state, hp):
     """`objective` as it was written before the stacked form, kept as
@@ -617,21 +625,23 @@ class TestTrainStack:
         views = [rng.standard_normal((n, d)) + y[:, None] for d in dims]
         return MultiViewDataset.from_class_indices(views, y, c)
 
-    @pytest.mark.parametrize("n, dims, c", [(40, (5, 3, 7), 3), (15, (40, 3), 2)])
+    @pytest.mark.parametrize("n, dims, c", [
+        (40, (5, 3, 7), 3), (15, (40, 3), 2), (30, (6, 6, 6), 3), (30, (6, 6, 4), 3),
+        (20, (6, 40, 6), 2),
+    ])
     def test_bit_identical_to_per_candidate_training(self, monkeypatch, n, dims, c):
-        # the second shape has a view wider than its rows (dual form)
+        # Views of one width share a kernel call; a view wider than its
+        # rows (dual form) is fitted alone.  The slice count of each
+        # call, per running candidate:
+        groups = {
+            (5, 3, 7): [1, 1, 1], (40, 3): [1, 1], (6, 6, 6): [3], (6, 6, 4): [2, 1],
+            (6, 40, 6): [2, 1],
+        }[dims]
         data = self.data(n, dims, c, seed=n)
         hps = self.candidates(len(dims))
-        sizes = []
-        fit_stats = mvfed.mvl._fit_stats
-
-        def counting_fit_stats(x, target, *args, **kwargs):
-            sizes.append(len(target))
-            return fit_stats(x, target, *args, **kwargs)
-
-        monkeypatch.setattr(mvfed.mvl, "_fit_stats", counting_fit_stats)
+        sizes = record_calls(monkeypatch, mvfed.mvl, "_fit_stats", 1, group=True)
         stacked = mvfed.mvl._train_stack(data, hps, seed=4)
-        monkeypatch.setattr(mvfed.mvl, "_fit_stats", fit_stats)
+        monkeypatch.undo()
         outer = []
         for hp, (state, trace) in zip(hps, stacked):
             ref_state, ref_rows = reference_train_mvl(data, hp, seed=4)
@@ -643,10 +653,10 @@ class TestTrainStack:
             outer.append(len(ref_rows) - 1)
         # candidates stop at different outer iterations, one at max_outer
         assert len(set(outer)) > 2 and max(outer) == self.MAX_OUTER
-        # one kernel call per view and outer iteration, over the
+        # one kernel call per width group and outer iteration, over the
         # candidates still running
         assert sizes == [
-            sum(o > t for o in outer) for t in range(max(outer)) for _ in dims
+            g * sum(o > t for o in outer) for t in range(max(outer)) for g in groups
         ]
 
     def test_trace_objectives_equal_objective_of_each_state(self):
