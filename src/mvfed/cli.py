@@ -348,46 +348,6 @@ def write_report(result: ExperimentResult, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_report(path: str):
-    """Parse a report file back into (provenance, rows, summary)."""
-    provenance: dict[str, str] = {}
-    rows: list[dict] = []
-    summary: dict[str, tuple[float, float]] = {}
-    section = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("# "):
-                key, _, value = line[2:].partition("=")
-                provenance[key] = value
-                continue
-            if line == "mode,repeat,accuracy,precision,recall,f1":
-                section = "rows"
-                continue
-            if line == "metric,mean,std":
-                section = "summary"
-                continue
-            cells = line.split(",")
-            if section == "rows":
-                rows.append(
-                    {
-                        "mode": cells[0],
-                        "repeat": int(cells[1]),
-                        **{
-                            name: float(cells[2 + i])
-                            for i, name in enumerate(METRIC_NAMES)
-                        },
-                    }
-                )
-            elif section == "summary":
-                summary[cells[0]] = (float(cells[1]), float(cells[2]))
-            else:
-                raise ConfigError(f"report: {path}: unexpected line {line!r}")
-    return provenance, rows, summary
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mvfed",

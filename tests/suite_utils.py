@@ -8,7 +8,7 @@ import dataclasses
 from itertools import product
 
 from mvfed.experiments import GRID_EXPONENTS, split_indices
-from mvfed.metrics import compute_metrics
+from mvfed.metrics import METRIC_NAMES, compute_metrics
 from mvfed.mvl import HyperParams, MultiViewDataset, argmax_decode, predict_mvl, train_mvl
 
 
@@ -112,3 +112,36 @@ def record_calls(monkeypatch, module, name, stacked_arg, group=False):
 
     monkeypatch.setattr(module, name, recording)
     return sizes
+
+
+def read_report(path: str):
+    """Parse a report file written by `mvfed report` back into
+    (provenance, rows, summary)."""
+    provenance: dict[str, str] = {}
+    rows: list[dict] = []
+    summary: dict[str, tuple[float, float]] = {}
+    section = None
+    with open(path) as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if line.startswith("# "):
+                key, _, value = line[2:].partition("=")
+                provenance[key] = value
+            elif line == "mode,repeat," + ",".join(METRIC_NAMES):
+                section = "rows"
+            elif line == "metric,mean,std":
+                section = "summary"
+            elif section == "rows":
+                cells = line.split(",")
+                rows.append(
+                    {"mode": cells[0], "repeat": int(cells[1]),
+                     **dict(zip(METRIC_NAMES, map(float, cells[2:]), strict=True))}
+                )
+            elif section == "summary":
+                name, mean, std = line.split(",")
+                summary[name] = (float(mean), float(std))
+            else:
+                raise AssertionError(f"report {path}: unexpected line {line!r}")
+    return provenance, rows, summary

@@ -6,11 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from mvfed.cli import RUN_KEYS, SCHEMA, build_run_config, main, parse_config_file, read_report
+from mvfed.cli import RUN_KEYS, SCHEMA, build_run_config, main, parse_config_file
 from mvfed.data import gen_multiview, load_dataset, load_sequences
 from mvfed.errors import ConfigError, NotSPD, PartyFailure
 from mvfed.experiments import load_embeddings, load_model
-from suite_utils import reference_grid
+from suite_utils import read_report, reference_grid
 
 
 def run(capsys, *argv):

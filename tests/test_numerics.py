@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -253,6 +258,45 @@ class TestEngineDispatch:
         a, b = spd_stack(np.random.default_rng(17), 5, 17, 2, 2)
         solve_spd(a, b)
         assert orders == [17] * 5
+
+
+# Run in a fresh interpreter: the package and the CLI load without scipy,
+# narrow trainings never load it, and the first order-17 solve does.
+SCIPY_ON_DEMAND = """
+import sys
+import numpy as np
+import mvfed
+import mvfed.cli
+assert mvfed.cli.main(["--help"]) == 0
+assert "scipy" not in sys.modules, "importing mvfed or its CLI loaded scipy"
+data = mvfed.gen_multiview(mvfed.GeneratorSpec(
+    n_samples=90, dims=(6, 16), n_classes=3, noise=0.5, margin=3.0, seed=0))
+hp = mvfed.HyperParams.uniform(2, max_outer=5)
+mvfed.train_mvl(data, hp, seed=0)
+mvfed.hfed_train(mvfed.partition_horizontal(data, 3, seed=0), hp, seed=0, rounds=2)
+assert "scipy" not in sys.modules, "a problem of order <= 16 loaded scipy"
+a, b = np.load(sys.argv[1]), np.load(sys.argv[2])
+np.save(sys.argv[3], mvfed.numerics.solve_spd(a, b))
+assert "scipy" in sys.modules
+"""
+
+
+class TestScipyOnDemand:
+    def test_imported_at_first_order_above_16(self, tmp_path):
+        a, b = spd_stack(np.random.default_rng(170), 1, 17, 2, 12)
+        paths = [tmp_path / name for name in ("a.npy", "b.npy", "x.npy")]
+        np.save(paths[0], a[0])
+        np.save(paths[1], b[0])
+        root = Path(__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_ON_DEMAND, *map(str, paths)],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert np.array_equal(np.load(paths[2]), reference_solve_spd(a[0], b[0]))
 
 
 class TestOrthonormalInit:
