@@ -11,9 +11,9 @@ clients' held-out rows.
 import numpy as np
 
 from mvfed.data import GeneratorSpec, gen_multiview, partition_horizontal
-from mvfed.hfed import hfed_predict, hfed_train
+from mvfed.hfed import hfed_train
 from mvfed.metrics import average_rows, compute_metrics
-from mvfed.mvl import HyperParams, argmax_decode
+from mvfed.mvl import HyperParams, argmax_decode, predict_mvl
 
 SEED = 3
 N_CLIENTS = 4
@@ -27,10 +27,11 @@ def split_shard(shard, rng):
 
 
 def score(transforms, zeta, test_shards):
-    """Average client metrics for one set of shared transforms."""
-    views = [shard.views for shard in test_shards]
+    """Average client metrics for one set of shared transforms; each
+    client predicts its own rows locally."""
     rows = []
-    for est, shard in zip(hfed_predict(views, transforms, zeta), test_shards):
+    for shard in test_shards:
+        est = predict_mvl(shard.views, transforms, zeta)
         rows.append(compute_metrics(argmax_decode(est), shard.class_indices()))
     return average_rows(rows)
 
@@ -62,7 +63,7 @@ def main():
     local_rows = []
     for k, (tr, te) in enumerate(pairs):
         solo = hfed_train([tr], hp, SEED, rounds=20, max_local=30)
-        est = hfed_predict([te.views], solo.transforms, hp.zeta)[0]
+        est = predict_mvl(te.views, solo.transforms, hp.zeta)
         row = compute_metrics(argmax_decode(est), te.class_indices())
         local_rows.append(row)
         print(f"client {k} alone: accuracy {row.accuracy:.3f} on {te.n_samples} rows")

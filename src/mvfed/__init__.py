@@ -35,7 +35,7 @@ from .experiments import (
     split_indices,
     train_once,
 )
-from .hfed import hfed_predict, hfed_train
+from .hfed import hfed_train
 from .metrics import MetricsReport, MetricsRow, average_rows, compute_metrics
 from .mvl import (
     HyperParams,
@@ -84,7 +84,6 @@ __all__ = [
     "gen_complementary",
     "gen_multiview",
     "gen_sequences",
-    "hfed_predict",
     "hfed_train",
     "load_dataset",
     "load_embeddings",

@@ -9,10 +9,22 @@ A protocol is a server object plus client objects:
     server.done() -> bool               optional early stop
     client.party                        PartyId
     client.step(round, msg) -> FedMessage
+    type(client).prestep(clients, round, msgs) -> None    optional
 
-Each round: the server's broadcast (if any) is sent to every client;
-clients run their steps one after another in ascending client id order
-and send replies; after the barrier the server consumes the replies.
+Each round: the server's broadcast (if any) is sent to every client and
+every client receives it; each client class that defines the classmethod
+`prestep` is then called once, with its clients in ascending id order
+and the message each received; then clients run their steps one after
+another in ascending client id order and send replies; after the
+barrier the server consumes the replies.
+
+`prestep` lets a class compute all its clients' work as one stacked
+computation.  It stores each client's result as `client.staged =
+(msg, result)`, and only once every result is computed; `step` pops
+`staged` and commits the result when `staged[0] is msg`, and otherwise
+computes alone.  An exception from `prestep` is dropped, so each client
+computes alone and the one that fails is named by its own step.
+
 `run_rounds` owns the round contract, so servers keep only their math:
 
 - every client replies: a `None` reply raises MissingClient naming the
@@ -112,10 +124,13 @@ def run_rounds(
     server_ep = transport.endpoint(server.party)
     client_eps = {c.party.id: transport.endpoint(c.party) for c in clients}
     done = getattr(server, "done", None)
+    by_class: dict[type, list[int]] = {}
+    for i, client in enumerate(clients):
+        by_class.setdefault(type(client), []).append(i)
+    presteps = [(cls.prestep, idx) for cls, idx in by_class.items() if hasattr(cls, "prestep")]
 
-    def client_turn(client, rnd: int, expect_broadcast: bool) -> MessageRecord:
+    def client_turn(client, rnd: int, inbound: FedMessage | None) -> MessageRecord:
         ep = client_eps[client.party.id]
-        inbound = ep.receive(server.party) if expect_broadcast else None
         try:
             reply = client.step(rnd, inbound)
         except Exception as exc:
@@ -149,8 +164,16 @@ def run_rounds(
                         server.party.id, client.party.id, broadcast.kind, size
                     )
                 )
-        expect = broadcast is not None
-        records.extend(client_turn(c, rnd, expect) for c in clients)
+        inbound = [
+            None if broadcast is None else client_eps[c.party.id].receive(server.party)
+            for c in clients
+        ]
+        for prestep, idx in presteps:
+            try:
+                prestep([clients[i] for i in idx], rnd, [inbound[i] for i in idx])
+            except Exception:
+                pass  # nothing is staged; each client computes alone
+        records.extend(client_turn(c, rnd, msg) for c, msg in zip(clients, inbound))
         server.aggregate(rnd, [receive(c, rnd) for c in clients])
         log.append(RoundRecord(rnd, tuple(records), time.perf_counter() - t0))
         if done is not None and done():

@@ -7,22 +7,21 @@ settles), and the server takes the sample-count-weighted average of the
 returned transforms.  Only transform matrices ever cross the wire;
 pseudo-labels and consensus stay on the client between rounds.
 
-Clients with the same row count form a cohort.  Their local passes
-are independent and have one shape, so the first member stepped in a
-round runs them for every member as one stacked computation
+Clients of one round are refitted as stacks: `HorizontalClient.prestep`,
+which the round driver calls before the steps, groups the clients by
+row count and runs each group's local passes as one stacked computation
 (`_local_passes`: one `_fit_stats` call per width group and pass over
-(s, n, d) stacks, each view's X^T X formed once per call), starting
-all of them from the broadcast it received.  Each member's `step` then
-commits its own slice, which is bit-identical to what the member
-computes alone.  A member computes alone instead, as a cohort of one,
-when its broadcast differs bitwise from the one the pass used, or when
-the stacked pass raised; a failure is then reported by the member that
-fails, as without cohorts.
+(s, n, d) stacks, each view's X^T X formed once per call), each slice
+starting from the transforms its own client received.  Each `step`
+then commits its client's staged slice, which is bit-identical to what
+the client computes alone.  A client computes alone instead, as a
+stack of one, when it steps with a message other than the staged one,
+or when the stacked pass raised; a failure is then reported by the
+client that fails.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
@@ -50,7 +49,7 @@ from .mvl import (
     _stack_row_norms,
     _stops,
     objective,  # not called here; mvbench/tracer.py wraps `mvfed.hfed:objective`
-    predict_mvl,
+    predict_mvl,  # not called here; mvbench/tracer.py wraps `mvfed.hfed:predict_mvl`
     update_consensus,
     update_pseudo_labels,
 )
@@ -66,8 +65,8 @@ class HorizontalClient:
 
     The pseudo-label and consensus blocks survive across rounds; the
     transforms are overwritten by every broadcast before the local
-    optimization reuses them as the IRLS warm start.  `cohort` is the
-    group of same-size clients this one is stepped with, if any.
+    optimization reuses them as the IRLS warm start.  `staged` holds
+    the (message, result) pair `prestep` computed for the next step.
     """
 
     party: PartyId
@@ -77,13 +76,37 @@ class HorizontalClient:
     w: list[np.ndarray]
     pseudo: list[np.ndarray]
     consensus: np.ndarray
-    cohort: "_Cohort | None" = field(default=None, repr=False, compare=False)
+    staged: tuple | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def prestep(cls, clients, rnd: int, msgs: Sequence[FedMessage]) -> None:
+        """Stage every client's local passes, one stack per row count."""
+        groups: dict[int, list[int]] = {}
+        for i, c in enumerate(clients):
+            groups.setdefault(c.data.n_samples, []).append(i)
+        staged = []
+        for idx in groups.values():
+            members = [clients[i] for i in idx]
+            stacked = _local_passes(
+                [np.stack(a) for a in zip(*(c.data.views for c in members))],
+                np.stack([c.data.labels for c in members]), members[0].hp,
+                members[0].max_local,
+                [np.stack(a) for a in zip(*(msgs[i].matrices for i in idx))],
+                [np.stack(a) for a in zip(*(c.pseudo for c in members))],
+                np.stack([c.consensus for c in members]),
+            )
+            staged += [(members[j], msgs[i], _slice(*stacked, j)) for j, i in enumerate(idx)]
+        for c, msg, result in staged:
+            c.staged = (msg, result)
 
     def step(self, rnd: int, msg: FedMessage | None) -> FedMessage:
         if msg is None or msg.kind is not MessageKind.TRANSFORM_SET:
             raise ValueError(f"round {rnd}: expected a transform broadcast")
         self.set_transforms(msg.matrices)
-        if self.cohort is None or not self.cohort.commit(self, rnd):
+        staged, self.staged = self.staged, None
+        if staged is not None and staged[0] is msg:
+            self.w, self.pseudo, self.consensus = staged[1]
+        else:
             self.optimize_local()
         return FedMessage.transform_set(rnd, self.party, self.w)
 
@@ -158,72 +181,6 @@ def _local_passes(views, labels, hp: HyperParams, max_local: int, w, pseudo, con
     return w_out, pseudo_out, consensus_out
 
 
-def _bitwise_equal(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> bool:
-    return len(a) == len(b) and all(
-        x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b)
-    )
-
-
-class _Cohort:
-    """Clients with one row count, whose local passes run as one stack."""
-
-    def __init__(self, members: Sequence[HorizontalClient]) -> None:
-        # Members own their cohort; weak references back avoid a cycle
-        # that would keep a finished federation's arrays alive until the
-        # next garbage collection.
-        self.members = [weakref.ref(m) for m in members]
-        self.views = [
-            np.stack([m.data.views[k] for m in members])
-            for k in range(members[0].data.n_views)
-        ]
-        self.labels = np.stack([m.data.labels for m in members])
-        self.round: int | None = None
-        self.broadcast: list[np.ndarray] = []
-        # party id -> (consensus the pass started from, w, pseudo, consensus)
-        self.results: dict[int, tuple] = {}
-
-    def commit(self, client: HorizontalClient, rnd: int) -> bool:
-        """Give client its slice of round rnd's stacked pass.
-
-        The first member stepped in a round runs the pass for every
-        member, from the broadcast that member received.  Returns False,
-        and the client computes alone, when the pass raised, when the
-        client's broadcast differs bitwise from the pass's, or when its
-        state is no longer the one the pass started from.
-        """
-        if rnd != self.round:
-            self.round, self.broadcast = rnd, list(client.w)
-            self.results = self._run()
-        result = self.results.pop(client.party.id, None)
-        if (
-            result is None
-            or result[0] is not client.consensus
-            or not _bitwise_equal(client.w, self.broadcast)
-        ):
-            return False
-        _, client.w, client.pseudo, client.consensus = result
-        return True
-
-    def _run(self) -> dict[int, tuple]:
-        members, s = [ref() for ref in self.members], len(self.members)
-        if any(c is None for c in members):
-            return {}
-        try:
-            stacked = _local_passes(
-                self.views, self.labels, members[0].hp, members[0].max_local,
-                [np.repeat(m[None], s, axis=0) for m in self.broadcast],
-                [np.stack([c.pseudo[k] for c in members]) for k in range(len(self.views))],
-                np.stack([c.consensus for c in members]),
-            )
-        except Exception:
-            # Every member then computes alone, so the one that fails
-            # raises in its own step and is the one named.
-            return {}
-        return {
-            c.party.id: (c.consensus, *_slice(*stacked, i)) for i, c in enumerate(members)
-        }
-
-
 def aggregate_transforms(
     w_sets: Sequence[Sequence[np.ndarray]], counts: Sequence[int]
 ) -> list[np.ndarray]:
@@ -295,8 +252,7 @@ def make_horizontal_parties(
     """Build a server and one client per local dataset, sharing `hp`.
 
     All datasets must agree on view count, per-view widths and class
-    count, and each needs at least as many rows as classes.  Clients
-    with equal row counts are grouped into cohorts (module docstring).
+    count, and each needs at least as many rows as classes.
     """
     if len(datasets) == 0:
         raise InvalidSpec("horizontal training needs at least one client")
@@ -324,10 +280,6 @@ def make_horizontal_parties(
                 party=PartyId.client(l), data=datasets[l], hp=hp, max_local=max_local,
                 w=[m.copy() for m in w0], pseudo=pseudo, consensus=consensus,
             )
-        if len(group) > 1:
-            cohort = _Cohort([clients[l] for l in group])
-            for l in group:
-                clients[l].cohort = cohort
     server = HorizontalServer(w=w0, counts=[d.n_samples for d in datasets])
     return server, clients
 
@@ -354,21 +306,3 @@ def hfed_train(
     log = run_rounds(server, clients, transport, max_rounds=rounds, log=log)
     return HfedResult(transforms=[m.copy() for m in server.w], log=log)
 
-
-def hfed_predict(
-    test_sets: Sequence[Sequence[np.ndarray]],
-    transforms: Sequence[np.ndarray],
-    zeta: Sequence[float],
-    tol: float = 1e-6,
-    max_rounds: int = 100,
-) -> list[np.ndarray]:
-    """Per-client consensus estimates from the shared global transforms.
-
-    Entirely local: every client runs the centralized test-time
-    alternation on its own rows, so no protocol messages are involved.
-    Zero-row clients get a zero-row estimate back.
-    """
-    return [
-        predict_mvl(views, transforms, zeta, tol=tol, max_outer=max_rounds)
-        for views in test_sets
-    ]

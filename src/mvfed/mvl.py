@@ -21,7 +21,7 @@ Every trainer (centralized, vertical, horizontal) fits W_k through the
 one IRLS kernel `_fit_stats`.  Once the pseudo-labels and consensus are
 fixed, the views' W_k fits are independent, so the centralized and
 horizontal trainers hand it width groups (`_fit_views`): every primal
-view of one width, for every grid candidate or cohort client, as one
+view of one width, for every grid candidate or same-size client, as one
 stack in one call; a dual view goes alone.  Each slice of a stack is
 bit-identical to its own 2-D call.
 

@@ -9,25 +9,25 @@ matrices that the horizontal trainer consumes.  Parameters travel as
 flat vectors, so the wire format stays model-agnostic.
 
 A view's clients are zero-padded once, when the parties are built,
-into one (clients, rows, steps, features) stack, and they form one
-cohort.  The first member stepped in a round runs every member's local
-SGD in lock-step from the broadcast it received (`_sgd`): each client
-keeps its own shuffle stream, batch membership and short final batch,
-step j of an epoch is one kernel call (`_grads`) over batch j of every
-client that has one, and a client out of batches sits the later steps
-out.  The kernel adds every padded term as an exact zero after or
-between real ones, so each member's slice is bit-identical to what it
-computes alone; `loss_and_grad` is the kernel on a stack of one and
-`local_training` the lock-step SGD of a stack of one.  A member whose
-broadcast differs bitwise from the one the pass used, or any member
-after the pass raised, computes alone, so a failure is reported by the
-client that fails.
+into one (clients, rows, steps, features) stack that they share, each
+holding its slot.  `SequenceClient.prestep`, which the round driver
+calls before the steps, runs every client's local SGD in lock-step
+(`_sgd`), each row starting from the vector its own client received:
+each client keeps its own shuffle stream, batch membership and short
+final batch, step j of an epoch is one kernel call (`_grads`) over
+batch j of every client that has one, and a client out of batches sits
+the later steps out.  The kernel adds every padded term as an exact
+zero after or between real ones, so each client's row is bit-identical
+to what it computes alone; `loss_and_grad` is the kernel on a stack of
+one and `local_training` the lock-step SGD of a stack of one.  A client
+that steps with a message other than the staged one, or any client
+after the stacked SGD raised, computes alone, so a failure is reported
+by the client that fails.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
@@ -421,15 +421,14 @@ def _sgd(
     data: _Padded,
     cfg: TrainerConfig,
     seed_keys: Sequence[tuple[int, ...]],
-    work: dict | None = None,
 ) -> np.ndarray:
     """`local_training` of every slice of a padded stack, in lock-step.
 
     Slice s starts from w[s] and shuffles with its own stream, keyed by
     seed_keys[s].  Step j of an epoch runs batch j of every slice that
     has one as one kernel call; a slice out of batches sits the later
-    steps out.  Returns the (S, n_params) trained rows.  work holds the
-    steps' buffers (see `_buffer`) and may be shared across calls.
+    steps out.  Returns the (S, n_params) trained rows.  The steps share
+    their buffers (see `_buffer`).
     """
     w = np.array(w, dtype=float)
     counts = data.counts
@@ -440,7 +439,7 @@ def _sgd(
     chunk = min(cfg.batch_size, data.n)
     rngs = [make_rng(cfg.seed, KEY_SHUFFLE, *key) for key in seed_keys]
     order = np.full((len(counts), steps * chunk), data.n)
-    work = {} if work is None else work
+    work: dict[str, np.ndarray] = {}
     for _ in range(cfg.local_epochs):
         for s, rng in enumerate(rngs):
             order[s, : counts[s]] = rng.permutation(counts[s])
@@ -493,16 +492,31 @@ def local_training(
 class SequenceClient:
     """Runs local SGD on one view's sequences when polled.
 
-    `data` is the client's slice of its federation's padded stack and
-    `cohort` the federation's clients stepped as one stack, if any.
+    `data` is its federation's padded stack, shared by all its clients,
+    and `slot` this client's slice of it.  `staged` holds the (message,
+    trained vector) pair `prestep` computed for the next step.
     """
 
     party: PartyId
     data: _Padded
+    slot: int
     arch: EncoderArch
     cfg: TrainerConfig
     view_index: int
-    cohort: "_Cohort | None" = field(default=None, repr=False, compare=False)
+    staged: tuple | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def prestep(cls, clients, rnd: int, msgs: Sequence[FedMessage]) -> None:
+        """Stage every client's local SGD, run as one lock-step pass over
+        the shared padded stack; clients are all of one federation's, in
+        slot order."""
+        first = clients[0]
+        stacked = _sgd(
+            first.arch, np.stack([m.vector for m in msgs]), first.data, first.cfg,
+            [c.seed_key(rnd) for c in clients],
+        )
+        for c, msg, w in zip(clients, msgs, stacked):
+            c.staged = (msg, w)
 
     def step(self, rnd: int, msg: FedMessage | None) -> FedMessage:
         if msg is None or msg.kind is not MessageKind.PARAM_VECTOR:
@@ -512,61 +526,16 @@ class SequenceClient:
                 f"round {rnd}: broadcast for view {msg.view}, "
                 f"client trains view {self.view_index}"
             )
-        w = None if self.cohort is None else self.cohort.commit(self, rnd, msg.vector)
-        if w is None:
-            w = _sgd(self.arch, msg.vector[None], self.data, self.cfg, [self.seed_key(rnd)])[0]
+        staged, self.staged = self.staged, None
+        if staged is not None and staged[0] is msg:
+            w = staged[1]
+        else:
+            data = self.data[self.slot]
+            w = _sgd(self.arch, msg.vector[None], data, self.cfg, [self.seed_key(rnd)])[0]
         return FedMessage.param_vector(rnd, self.party, self.view_index, w)
 
     def seed_key(self, rnd: int) -> tuple[int, int, int]:
         return (self.party.id, self.view_index, rnd)
-
-
-class _Cohort:
-    """The clients of one view's federation, whose local SGD runs as one
-    padded stack."""
-
-    def __init__(self, members: Sequence[SequenceClient], data: _Padded) -> None:
-        # Members own their cohort; weak references back avoid a cycle
-        # that would keep a finished federation's arrays alive until the
-        # next garbage collection.
-        self.members = [weakref.ref(m) for m in members]
-        self.data = data
-        self.work: dict[str, np.ndarray] = {}
-        self.round: int | None = None
-        self.broadcast = b""
-        self.results: dict[int, np.ndarray] = {}
-
-    def commit(self, client: SequenceClient, rnd: int, w: np.ndarray) -> np.ndarray | None:
-        """Client's slice of round rnd's stacked SGD.
-
-        The first member stepped in a round runs the SGD of every member
-        from the broadcast it received.  Returns None, and the client
-        computes alone, when the stacked SGD raised or the client's
-        broadcast differs bitwise from the one it started from.
-        """
-        if rnd != self.round:
-            self.round, self.broadcast = rnd, w.tobytes()
-            self.results = self._run(rnd, w)
-        result = self.results.pop(client.party.id, None)
-        if result is None or w.tobytes() != self.broadcast:
-            return None
-        return result
-
-    def _run(self, rnd: int, w: np.ndarray) -> dict[int, np.ndarray]:
-        members = [ref() for ref in self.members]
-        if any(c is None for c in members):
-            return {}
-        first = members[0]
-        try:
-            stacked = _sgd(
-                first.arch, np.repeat(w[None], len(members), axis=0), self.data,
-                first.cfg, [c.seed_key(rnd) for c in members], self.work,
-            )
-        except Exception:
-            # Every member then computes alone, so the one that fails
-            # raises in its own step and is the one named.
-            return {}
-        return {c.party.id: stacked[i] for i, c in enumerate(members)}
 
 
 @dataclass
@@ -600,8 +569,8 @@ def make_sequence_parties(
 ) -> tuple[SequenceServer, list[SequenceClient]]:
     """Server and one client per local dataset for one view's encoder.
 
-    Every client's sequences are padded once, here, into one stack;
-    client l holds slice l and all clients form one cohort.
+    Every client's sequences are padded once, here, into one stack
+    that all clients share; client l holds slot l.
     """
     if len(datasets) == 0:
         raise InvalidSpec("sequence training needs at least one client")
@@ -619,14 +588,11 @@ def make_sequence_parties(
     padded = _pad([(data.sequences, data.y) for data in datasets])
     clients = [
         SequenceClient(
-            party=PartyId.client(l), data=padded[l], arch=arch, cfg=cfg,
+            party=PartyId.client(l), data=padded, slot=l, arch=arch, cfg=cfg,
             view_index=view_index,
         )
         for l in range(len(datasets))
     ]
-    cohort = _Cohort(clients, padded)
-    for client in clients:
-        client.cohort = cohort
     return server, clients
 
 

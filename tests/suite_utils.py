@@ -114,6 +114,12 @@ def record_calls(monkeypatch, module, name, stacked_arg, group=False):
     return sizes
 
 
+def stage(clients, rnd, msgs):
+    """What the round driver does before the steps: the clients' class
+    stages their stacked work (`prestep`)."""
+    type(clients[0]).prestep(clients, rnd, msgs)
+
+
 def read_report(path: str):
     """Parse a report file written by `mvfed report` back into
     (provenance, rows, summary)."""

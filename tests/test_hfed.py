@@ -18,7 +18,6 @@ from mvfed.fedcore import (
 )
 from mvfed.hfed import (
     aggregate_transforms,
-    hfed_predict,
     hfed_train,
     make_horizontal_parties,
 )
@@ -33,7 +32,7 @@ from mvfed.mvl import (
     update_consensus,
     update_pseudo_labels,
 )
-from suite_utils import blob_dataset, record_calls
+from suite_utils import blob_dataset, record_calls, stage
 
 SERVER = PartyId.server()
 
@@ -282,7 +281,7 @@ class ReferenceClient:
 
 class TestCohorts:
     def test_matches_per_client_reference(self, monkeypatch):
-        # 19 clients in cohorts of 6, 7 and 9 rows plus one of 11; a view
+        # 19 clients in stacks of 6, 7 and 9 rows plus one of 11; a view
         # of width 8 takes the dual form on the 6- and 7-row clients.
         sizes = [6, 7, 9] * 6 + [11]
         shards = rows_of(sizes, seed=40, dims=(8, 3))
@@ -300,7 +299,7 @@ class TestCohorts:
         assert [r.messages for r in result.log.records] == [
             r.messages for r in ref_log.records
         ]
-        # Members of a cohort stop after different numbers of passes.
+        # Members of one stack stop after different numbers of passes.
         assert set(fit_sizes) - {1, 6} and max(fit_sizes) == 6
 
     @pytest.mark.parametrize("dims, groups", [
@@ -319,8 +318,9 @@ class TestCohorts:
         expected = [
             alg3_local(c.data, hp, sent.matrices, c.pseudo, c.consensus, 6) for c in clients
         ]
-        solo = [dataclasses.replace(c, cohort=None) for c in clients]
+        solo = [dataclasses.replace(c) for c in clients]
         sizes = record_calls(monkeypatch, mvfed.mvl, "_fit_stats", 0, group=True)
+        stage(clients, 0, [sent] * len(clients))
         for c in clients:
             c.step(0, sent)
         assert sizes[: len(groups)] == [5 * g for g in groups]
@@ -331,48 +331,90 @@ class TestCohorts:
                 assert c.pseudo[k].tobytes() == pseudo[k].tobytes() == alone.pseudo[k].tobytes()
             assert c.consensus.tobytes() == consensus.tobytes() == alone.consensus.tobytes()
 
-    def test_cohorts_group_by_row_count(self):
+    def test_cohorts_group_by_row_count(self, monkeypatch):
         shards = rows_of([6, 7, 6, 9, 7, 6], seed=42, dims=(4, 3))
-        _, clients = make_horizontal_parties(shards, HyperParams.uniform(2), seed=1)
-        assert clients[0].cohort is clients[2].cohort is clients[5].cohort
-        assert clients[1].cohort is clients[4].cohort
-        assert clients[0].cohort is not clients[1].cohort
-        assert clients[3].cohort is None
+        hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-9)
+        server, clients = make_horizontal_parties(shards, hp, seed=1, max_local=3)
+        sent = server.broadcast(0)
+        expected = [
+            alg3_local(c.data, hp, sent.matrices, c.pseudo, c.consensus, 3) for c in clients
+        ]
+        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 1)
+        stage(clients, 0, [sent] * len(clients))
+        for c in clients:
+            c.step(0, sent)
+        # One stack each for the 6-, 7- and 9-row clients, none alone.
+        assert passes == [3, 2, 1]
+        for c, (w, pseudo, consensus) in zip(clients, expected):
+            for k in range(2):
+                assert c.w[k].tobytes() == w[k].tobytes()
+                assert c.pseudo[k].tobytes() == pseudo[k].tobytes()
+            assert c.consensus.tobytes() == consensus.tobytes()
 
-    def test_member_with_other_broadcast_computes_alone(self, monkeypatch):
+    def test_member_with_other_broadcast_stays_in_the_stack(self, monkeypatch):
         shards = rows_of([8, 8, 8], seed=43, dims=(4, 3))
         hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-9)
         server, clients = make_horizontal_parties(shards, hp, seed=44, max_local=4)
         sent = server.broadcast(0)
         other = FedMessage.transform_set(0, SERVER, [m + 0.5 for m in server.w])
+        messages = [sent, other, sent]
         expected = [
             alg3_local(c.data, hp, msg.matrices, c.pseudo, c.consensus, 4)
-            for c, msg in zip(clients, (sent, other, sent))
+            for c, msg in zip(clients, messages)
         ]
         passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 1)
-        for c, msg in zip(clients, (sent, other, sent)):
+        stage(clients, 0, messages)
+        for c, msg in zip(clients, messages):
             c.step(0, msg)
-        assert passes == [3, 1]
+        assert passes == [3]
         for c, (w, pseudo, consensus) in zip(clients, expected):
             for k in range(2):
-                assert np.array_equal(c.w[k], w[k])
-                assert np.array_equal(c.pseudo[k], pseudo[k])
-            assert np.array_equal(c.consensus, consensus)
+                assert c.w[k].tobytes() == w[k].tobytes()
+                assert c.pseudo[k].tobytes() == pseudo[k].tobytes()
+            assert c.consensus.tobytes() == consensus.tobytes()
 
-    def test_member_whose_state_changed_computes_alone(self, monkeypatch):
+    def test_step_with_other_message_than_staged_computes_alone(self, monkeypatch):
         shards = rows_of([8, 8], seed=47, dims=(4, 3))
         hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-9)
         server, clients = make_horizontal_parties(shards, hp, seed=48, max_local=3)
         sent = server.broadcast(0)
+        # Bitwise the same transforms, but not the message that was staged.
+        copy = FedMessage.transform_set(0, SERVER, sent.matrices)
         passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 1)
-        clients[0].step(0, sent)
-        clients[1].optimize_local()
+        stage(clients, 0, [sent, sent])
         c = clients[1]
         w, pseudo, consensus = alg3_local(c.data, hp, sent.matrices, c.pseudo, c.consensus, 3)
-        c.step(0, sent)
-        assert passes == [2, 1, 1]
-        assert all(np.array_equal(a, b) for a, b in zip(c.w, w))
-        assert np.array_equal(c.consensus, consensus)
+        clients[0].step(0, sent)
+        c.step(0, copy)
+        assert passes == [2, 1]
+        assert c.staged is None
+        for k in range(2):
+            assert c.w[k].tobytes() == w[k].tobytes()
+            assert c.pseudo[k].tobytes() == pseudo[k].tobytes()
+        assert c.consensus.tobytes() == consensus.tobytes()
+
+    def test_framed_transport_stages_and_matches_in_process(self, monkeypatch):
+        # Over framed bytes every client decodes its own broadcast; the
+        # clients are still staged as one stack per row count, and every
+        # reply equals the client's solo run.
+        shards = rows_of([8, 9, 8, 9, 8, 8, 9], seed=51, dims=(4, 8))
+        hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-3, max_inner=6)
+        in_process = hfed_train(shards, hp, seed=52, rounds=3, max_local=4)
+        server, clients = make_horizontal_parties(shards, hp, seed=52, max_local=4)
+        reference = [
+            ReferenceClient(c.party, c.data, hp, 4, c.pseudo, c.consensus) for c in clients
+        ]
+        ref_log = run_rounds(server, reference, FramedByteTransport(), max_rounds=3)
+        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 1)
+        framed = hfed_train(
+            shards, hp, seed=52, rounds=3, max_local=4, transport=FramedByteTransport()
+        )
+        assert passes == [4, 3] * 3
+        for a, b, ref in zip(in_process.transforms, framed.transforms, server.w):
+            assert a.tobytes() == b.tobytes() == ref.tobytes()
+        assert [r.messages for r in framed.log.records] == [
+            r.messages for r in in_process.log.records
+        ] == [r.messages for r in ref_log.records]
 
     def test_failing_member_is_named(self, monkeypatch):
         shards = rows_of([8, 8, 8, 8], seed=45, dims=(4, 3))
@@ -394,31 +436,9 @@ class TestCohorts:
 
 
 class TestPredict:
-    def test_matches_centralized_per_client(self):
-        data = blob_dataset(26, n=60, dims=(5, 4))
-        parts = split_rows(data, 3, seed=5)
-        hp = HyperParams.uniform(2)
-        result = hfed_train(parts, hp, seed=27, rounds=3, max_local=5)
-        test_sets = [
-            blob_dataset(30 + i, n=10 + 4 * i, dims=(5, 4)).views
-            for i in range(3)
-        ]
-        outs = hfed_predict(test_sets, result.transforms, hp.zeta, tol=1e-300,
-                            max_rounds=6)
-        for views, got in zip(test_sets, outs):
-            ref = predict_mvl(views, result.transforms, hp.zeta, tol=1e-300,
-                              max_outer=6)
-            assert np.array_equal(got, ref)
-
-    def test_single_view_is_plain_scores(self):
-        rng = np.random.default_rng(28)
-        x = rng.standard_normal((9, 4))
-        w = rng.standard_normal((4, 3))
-        outs = hfed_predict([[x]], [w], [1.0], tol=1e-300, max_rounds=1)
-        assert np.array_equal(outs[0], x @ w)
-
     def test_zero_row_client(self):
+        # A client with no held-out rows predicts locally to an empty block.
         rng = np.random.default_rng(29)
         w = rng.standard_normal((4, 2))
-        outs = hfed_predict([[np.zeros((0, 4))]], [w], [2.0])
-        assert outs[0].shape == (0, 2)
+        out = predict_mvl([np.zeros((0, 4))], [w], [2.0])
+        assert out.shape == (0, 2)

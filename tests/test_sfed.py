@@ -40,7 +40,7 @@ from mvfed.sfed import (
     sfed_train,
     train_view_encoder,
 )
-from suite_utils import record_calls
+from suite_utils import record_calls, stage
 
 ARCH = EncoderArch(n_features=3, embed_dim=4, n_classes=2)
 
@@ -444,6 +444,7 @@ class TestCohort:
         rounds = []
         for rnd in range(2):
             sent = server.broadcast(rnd)
+            stage(clients, rnd, [sent] * len(clients))
             replies = [c.step(rnd, sent) for c in clients]
             server.aggregate(rnd, replies)
             rounds.append((sent, replies))
@@ -461,20 +462,54 @@ class TestCohort:
         for data, start, key, row in zip(datasets, starts, keys, stacked):
             assert np.array_equal(row, local_training(data, ARCH, start, RAGGED_CFG, key))
 
-    def test_member_with_other_broadcast_computes_alone(self, monkeypatch):
+    def test_member_with_other_broadcast_stays_in_the_stack(self, monkeypatch):
         datasets = ragged_clients(70)
         server, clients = make_sequence_parties(datasets, 0, ARCH, RAGGED_CFG)
         sent = server.broadcast(0)
         other = FedMessage.param_vector(0, PartyId.server(), 0, sent.vector + 0.5)
-        messages = (sent, other, sent)
+        messages = [sent, other, sent]
         expected = [
             local_training(data, ARCH, msg.vector, RAGGED_CFG, seed_key=(l, 0, 0))
             for l, (data, msg) in enumerate(zip(datasets, messages))
         ]
         sizes = record_calls(monkeypatch, mvfed.sfed, "_sgd", 1)
+        stage(clients, 0, messages)
         for c, msg, solo in zip(clients, messages, expected):
-            assert np.array_equal(c.step(0, msg).vector, solo)
+            assert c.step(0, msg).vector.tobytes() == solo.tobytes()
+        assert sizes == [3]
+
+    def test_step_with_other_message_than_staged_computes_alone(self, monkeypatch):
+        datasets = ragged_clients(75)
+        server, clients = make_sequence_parties(datasets, 1, ARCH, RAGGED_CFG)
+        sent = server.broadcast(0)
+        # Bitwise the same vector, but not the message that was staged.
+        copy = FedMessage.param_vector(0, PartyId.server(), 1, sent.vector)
+        sizes = record_calls(monkeypatch, mvfed.sfed, "_sgd", 1)
+        stage(clients, 0, [sent] * 3)
+        replies = [c.step(0, msg) for c, msg in zip(clients, (sent, copy, sent))]
         assert sizes == [3, 1]
+        assert clients[1].staged is None
+        for l, (data, reply) in enumerate(zip(datasets, replies)):
+            solo = local_training(data, ARCH, sent.vector, RAGGED_CFG, seed_key=(l, 1, 0))
+            assert reply.vector.tobytes() == solo.tobytes()
+
+    def test_framed_transport_stages_and_matches_in_process(self, monkeypatch):
+        # Over framed bytes every client decodes its own broadcast; each
+        # view's clients are still staged as one stack.
+        clients = []
+        for a in ragged_clients(95):
+            b = make_sequences(95 + a.n_samples, n=a.n_samples, p=5)
+            b.y[:] = a.y
+            clients.append(SequenceClientData(views=[a, b]))
+        in_process = sfed_train(clients, RAGGED_CFG, embed_dim=4)
+        sizes = record_calls(monkeypatch, mvfed.sfed, "_sgd", 1)
+        framed = sfed_train(clients, RAGGED_CFG, embed_dim=4, transport=FramedByteTransport())
+        assert sizes == [3] * (2 * RAGGED_CFG.max_rounds)
+        for a, b in zip(in_process.params, framed.params):
+            assert a.tobytes() == b.tobytes()
+        assert [r.messages for r in framed.log.records] == [
+            r.messages for r in in_process.log.records
+        ]
 
     def test_failing_member_is_named(self, monkeypatch):
         datasets = ragged_clients(80)
