@@ -2,7 +2,6 @@
 
 from .messages import (
     HORIZONTAL_KINDS,
-    PROTOCOL_KINDS,
     SEQUENTIAL_KINDS,
     SERVER_WIRE_ID,
     VERTICAL_KINDS,
@@ -14,7 +13,7 @@ from .messages import (
 from .fedavg import fedavg_aggregate
 from .rounds import MessageRecord, RoundLog, RoundRecord, disallowed_kinds, run_rounds
 from .transport import FramedByteTransport, InProcessTransport
-from .wire import decode_message, encode_message, read_frame, write_frame
+from .wire import decode_message, encode_message
 
 __all__ = [
     "FedMessage",
@@ -23,7 +22,6 @@ __all__ = [
     "InProcessTransport",
     "MessageKind",
     "MessageRecord",
-    "PROTOCOL_KINDS",
     "PartyId",
     "Role",
     "RoundLog",
@@ -35,7 +33,5 @@ __all__ = [
     "disallowed_kinds",
     "encode_message",
     "fedavg_aggregate",
-    "read_frame",
     "run_rounds",
-    "write_frame",
 ]

@@ -1,10 +1,12 @@
-"""Protocol message types and the per-protocol privacy allowlists.
+"""Protocol message types, their payload table and the per-protocol
+privacy allowlists.
 
 Message kinds carry only model-side quantities (consensus estimates,
-pseudo-labels, transform matrices, flat parameter vectors).  There is no
-kind whose meaning is a block of raw feature rows, so a conforming
-protocol cannot ship training data by construction; the allowlists below
-let tests audit logged traffic per protocol on top of that.
+pseudo-labels, transform matrices, flat parameter vectors), and
+`PAYLOADS` lists the fields each kind carries.  There is no kind whose
+meaning is a block of raw feature rows, so a conforming protocol cannot
+ship training data by construction; the allowlists below let tests audit
+logged traffic per protocol on top of that.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ __all__ = [
     "VERTICAL_KINDS",
     "HORIZONTAL_KINDS",
     "SEQUENTIAL_KINDS",
-    "PROTOCOL_KINDS",
+    "PAYLOADS",
 ]
 
 # Wire sender id reserved for the server; client ids are dense from 0.
@@ -75,6 +77,18 @@ class MessageKind(enum.IntEnum):
     TEST_PSEUDO_LABEL = 6
 
 
+# Each kind's payload fields in wire order: the one statement of what a
+# kind carries, read by the message checks and by the wire codec.
+PAYLOADS: dict[MessageKind, tuple[str, ...]] = {
+    MessageKind.CONSENSUS: ("matrix",),
+    MessageKind.PSEUDO_LABEL: ("zeta", "matrix"),
+    MessageKind.TRANSFORM_SET: ("matrices",),
+    MessageKind.PARAM_VECTOR: ("view", "vector"),
+    MessageKind.TEST_CONSENSUS: ("matrix",),
+    MessageKind.TEST_PSEUDO_LABEL: ("zeta", "matrix"),
+}
+
+
 def _checked_array(a: np.ndarray, ndim: int, what: str) -> np.ndarray:
     """The message's one copy of a payload array, finite and read-only."""
     a = np.array(a, dtype=np.float64, order="C", copy=True)
@@ -86,9 +100,44 @@ def _checked_array(a: np.ndarray, ndim: int, what: str) -> np.ndarray:
     return a
 
 
+def _check_zeta(zeta: float) -> float:
+    if not math.isfinite(zeta):
+        raise ValueError("zeta must be finite")
+    return float(zeta)
+
+
+def _check_matrices(matrices: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    if not matrices:
+        raise ValueError("matrices must hold at least one matrix")
+    return tuple(_checked_array(m, 2, f"matrices[{i}]") for i, m in enumerate(matrices))
+
+
+def _check_view(view: int) -> int:
+    if not 0 <= view < 2**32:
+        raise ValueError(f"view index {view} does not fit in u32")
+    return view
+
+
+# The value a message stores for each payload field.
+_CHECKS = {
+    "zeta": _check_zeta,
+    "matrix": lambda m: _checked_array(m, 2, "matrix"),
+    "matrices": _check_matrices,
+    "view": _check_view,
+    "vector": lambda v: _checked_array(v, 1, "vector"),
+}
+
+
+def _equal(a, b) -> bool:
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(np.array_equal, a, b))
+    return np.array_equal(a, b)
+
+
 @dataclass(frozen=True, eq=False)
 class FedMessage:
-    """One protocol message; payload fields depend on `kind`.
+    """One protocol message; `PAYLOADS[kind]` names its payload fields,
+    and every other payload field is None.
 
     Arrays are copied once at construction and marked read-only, so a
     message never aliases the sender's mutable state and receivers can
@@ -107,74 +156,26 @@ class FedMessage:
     def __post_init__(self) -> None:
         if not 0 <= self.round < 2**32:
             raise ValueError(f"round {self.round} does not fit in u32")
-        want_scalar = self.kind in (MessageKind.PSEUDO_LABEL, MessageKind.TEST_PSEUDO_LABEL)
-        want_matrix = want_scalar or self.kind in (
-            MessageKind.CONSENSUS,
-            MessageKind.TEST_CONSENSUS,
-        )
-        if want_matrix:
-            if self.matrix is None:
-                raise ValueError(f"{self.kind.name} requires a matrix payload")
-            object.__setattr__(self, "matrix", _checked_array(self.matrix, 2, "matrix"))
-        elif self.matrix is not None:
-            raise ValueError(f"{self.kind.name} does not carry a single matrix")
-        if want_scalar:
-            if self.zeta is None or not math.isfinite(self.zeta):
-                raise ValueError(f"{self.kind.name} requires a finite zeta")
-            object.__setattr__(self, "zeta", float(self.zeta))
-        elif self.zeta is not None:
-            raise ValueError(f"{self.kind.name} does not carry zeta")
-        if self.kind is MessageKind.TRANSFORM_SET:
-            if not self.matrices:
-                raise ValueError("TRANSFORM_SET requires at least one matrix")
-            object.__setattr__(
-                self,
-                "matrices",
-                tuple(_checked_array(m, 2, f"matrices[{i}]") for i, m in enumerate(self.matrices)),
-            )
-        elif self.matrices is not None:
-            raise ValueError(f"{self.kind.name} does not carry a matrix set")
-        if self.kind is MessageKind.PARAM_VECTOR:
-            if self.view is None or not 0 <= self.view < 2**32:
-                raise ValueError("PARAM_VECTOR requires a u32 view index")
-            if self.vector is None:
-                raise ValueError("PARAM_VECTOR requires a vector payload")
-            object.__setattr__(self, "vector", _checked_array(self.vector, 1, "vector"))
-        else:
-            if self.view is not None:
-                raise ValueError(f"{self.kind.name} does not carry a view index")
-            if self.vector is not None:
-                raise ValueError(f"{self.kind.name} does not carry a vector")
+        fields = PAYLOADS.get(self.kind)
+        if fields is None:
+            raise ValueError(f"unknown message kind {self.kind!r}")
+        for name, check in _CHECKS.items():
+            value = getattr(self, name)
+            if name in fields:
+                if value is None:
+                    raise ValueError(f"{self.kind.name} requires {name}")
+                object.__setattr__(self, name, check(value))
+            elif value is not None:
+                raise ValueError(f"{self.kind.name} does not carry {name}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FedMessage):
             return NotImplemented
-        if (self.round, self.sender, self.kind, self.zeta, self.view) != (
-            other.round,
-            other.sender,
-            other.kind,
-            other.zeta,
-            other.view,
-        ):
+        if (self.round, self.sender, self.kind) != (other.round, other.sender, other.kind):
             return False
-        if (self.matrix is None) != (other.matrix is None):
-            return False
-        if self.matrix is not None and not np.array_equal(self.matrix, other.matrix):
-            return False
-        if (self.matrices is None) != (other.matrices is None):
-            return False
-        if self.matrices is not None:
-            if len(self.matrices) != len(other.matrices):
-                return False
-            if not all(
-                np.array_equal(a, b) for a, b in zip(self.matrices, other.matrices)
-            ):
-                return False
-        if (self.vector is None) != (other.vector is None):
-            return False
-        if self.vector is not None and not np.array_equal(self.vector, other.vector):
-            return False
-        return True
+        return all(
+            _equal(getattr(self, name), getattr(other, name)) for name in PAYLOADS[self.kind]
+        )
 
     # --- constructors per kind -------------------------------------------
 
@@ -233,9 +234,3 @@ VERTICAL_KINDS = frozenset(
 )
 HORIZONTAL_KINDS = frozenset({MessageKind.TRANSFORM_SET})
 SEQUENTIAL_KINDS = frozenset({MessageKind.PARAM_VECTOR})
-
-PROTOCOL_KINDS = {
-    "vertical": VERTICAL_KINDS,
-    "horizontal": HORIZONTAL_KINDS,
-    "sequential": SEQUENTIAL_KINDS,
-}

@@ -34,7 +34,7 @@ computes alone and the one that fails is named by its own step.
 - `transport=None` means a fresh InProcessTransport.
 
 All traffic flows through the transport, so the same protocol code runs
-over in-process queues or the framed byte pipes.
+over in-process queues of messages or of encoded frames.
 """
 
 from __future__ import annotations

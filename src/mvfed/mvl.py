@@ -253,13 +253,6 @@ class MvlState:
     Zk: list[np.ndarray]
     Z: np.ndarray
 
-    def copy(self) -> "MvlState":
-        return MvlState(
-            W=[w.copy() for w in self.W],
-            Zk=[z.copy() for z in self.Zk],
-            Z=self.Z.copy(),
-        )
-
 
 @dataclass(frozen=True)
 class TraceRow:

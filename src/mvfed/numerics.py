@@ -11,16 +11,13 @@ on one of two engines, chosen by the order n alone: numpy's stacked
 LAPACK gufuncs, one call per stack, up to ``_GUFUNC_MAX_ORDER`` (16),
 where calling scipy's wrappers once per system cost more than the
 arithmetic; scipy's ``dpotrf``/``dpotrs`` above it, where they beat
-numpy's Cholesky plus LU solve.  scipy is imported at the first
-factorization of order > 16, never for narrower problems: the two
-wrappers are bound on first access as ``numerics.dpotrf``/``dpotrs``
-(a module ``__getattr__``), so a process whose systems are all of
-order <= 16 starts without it.
+numpy's Cholesky plus LU solve.  Only that engine imports scipy, inside
+its factor call, so a process whose systems are all of order <= 16
+never loads it.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Sequence
 
 import numpy as np
@@ -140,8 +137,9 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     stack instead of two scipy LAPACK wrapper calls per system; a lone
     system pays about 10-15 us more than on LAPACK.  Larger systems
     are factored and solved by scipy's ``dpotrf``/``dpotrs`` one at a
-    time, which beats numpy's Cholesky plus LU there.  The first such
-    factorization imports scipy; a call with n <= 16 never does.  Both
+    time, which beats numpy's Cholesky plus LU there.  Each such
+    factorization imports them from scipy, the first one loading scipy;
+    a call with n <= 16 never does.  Both
     engines share the checks, the residual product and the refinement
     rule, and since the engine never depends on the stack size, each
     slice of a stack's result is bit-identical to solving that system
@@ -234,24 +232,12 @@ def _gufunc_factor(a: np.ndarray):
     return None, lambda rhs, rows=slice(None): np.linalg.solve(a[rows], rhs)
 
 
-def __getattr__(name: str):
-    """Bind scipy's LAPACK wrappers into the module globals on their first
-    access (PEP 562), which imports scipy.  Later reads, and a monkeypatch
-    of either name, go to the globals."""
-    if name not in ("dpotrf", "dpotrs"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.linalg.lapack import dpotrf, dpotrs
-
-    globals().update(dpotrf=dpotrf, dpotrs=dpotrs)
-    return globals()[name]
-
-
 def _lapack_factor(a: np.ndarray):
     """`_factor` through scipy's dpotrf/dpotrs, once per system, with the
-    LAPACK flags of scipy.linalg.cho_factor/cho_solve.  Reads both wrappers
-    from the module at call time, so its first call imports scipy."""
-    module = sys.modules[__name__]
-    dpotrf, dpotrs = module.dpotrf, module.dpotrs
+    LAPACK flags of scipy.linalg.cho_factor/cho_solve.  Imports both
+    wrappers at call time, so its first call loads scipy."""
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
     if a.ndim == 2:
         factor, info = dpotrf(a, lower=1, clean=0)
         if info > 0:

@@ -40,7 +40,6 @@ class VerticalClient:
     """Holds one view's features plus the per-view optimization state."""
 
     party: PartyId
-    view_index: int
     x: np.ndarray
     beta: float
     zeta: float
@@ -118,7 +117,7 @@ def make_vertical_parties(
     server = VerticalServer(labels=data.labels, eta=hp.eta, tol=hp.tol, z=state.Z)
     clients = [
         VerticalClient(
-            party=PartyId.client(k), view_index=k, x=data.views[k],
+            party=PartyId.client(k), x=data.views[k],
             beta=hp.beta[k], zeta=hp.zeta[k], epsilon=hp.epsilon,
             max_inner=hp.max_inner, tol=hp.tol,
             w=state.W[k], pseudo=state.Zk[k],

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 
-import mvfed.numerics
 from mvfed.data import partition_horizontal
 from mvfed.errors import DimensionMismatch, InvalidShape, NotSPD
 from mvfed.hfed import hfed_train
@@ -249,7 +249,7 @@ class TestEngineBoundary:
 
 class TestEngineDispatch:
     def test_dpotrf_runs_only_above_order_16(self, monkeypatch):
-        orders = record_calls(monkeypatch, mvfed.numerics, "dpotrf", 0)
+        orders = record_calls(monkeypatch, scipy.linalg.lapack, "dpotrf", 0)
         # One many_clients-shaped hfed round: clients of 10 rows and three
         # 6-wide views, so every IRLS solve is a stack of 6 x 6 systems.
         clients = partition_horizontal(blob_dataset(3, n=80, dims=(6, 6, 6)), 8, seed=0)
