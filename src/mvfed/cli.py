@@ -8,14 +8,13 @@ the metrics CSV, and export-embeddings dumps per-sample embedding rows.
 Every run option can come from a flat key=value config file (--config)
 with explicit flags taking precedence over the file and the file over
 built-in defaults.  Exit codes: 0 on success, 2 for configuration
-problems (bad flags, unreadable files, inconsistent specs), 3 when
-training itself fails.
+problems (bad flags, unreadable or malformed files, inconsistent specs,
+data that does not fit the model), 3 when training itself fails.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -216,10 +215,7 @@ def _gen_specs(values: dict, sequences: bool):
 def _view_count(values: dict, sequential: bool) -> int:
     """How many views the run's data carries (before any mask)."""
     if values["data"] is not None:
-        manifest = _read_manifest(os.path.join(values["data"], "manifest.txt"))
-        if "views" not in manifest:
-            raise ConfigError(f"data: {values['data']} manifest lists no views")
-        return manifest["views"]
+        return _read_manifest(values["data"], ("views",))["views"]
     return len(values["step_dims"]) if sequential else len(values["dims"])
 
 
@@ -454,8 +450,8 @@ COMMANDS = {
 }
 
 # Error classes that mean the run itself was misconfigured (exit 2)
-# rather than a failure during training (exit 3).  Dataset files that
-# fail to parse count as configuration, wherever they surface.
+# rather than a failure during training (exit 3).  Dataset and model
+# files that fail to parse count as configuration, wherever they surface.
 SETUP_ERRORS = (ConfigError, InvalidSpec, ParseError, ShapeError, OSError)
 
 

@@ -1,20 +1,25 @@
-"""Synthetic data generation, partitioning and dataset file formats.
+"""Synthetic data generation, partitioning and every on-disk format.
 
 Generators draw class-conditional structure with a controllable noise
 level and seed, so every benchmark in the test suite and the demos is
 reproducible from a couple of integers.  Partitioners split a dataset
 by rows (for horizontal training) or by views (for vertical training).
-Datasets persist as one CSV per view plus a labels file and a flat
-key=value manifest; floats are printed with round-trip-exact decimal
-formatting so save/load is bitwise faithful.
+Four formats go through this module's one CSV matrix codec (a header
+row, then cells as repr(float), so save/load is bitwise faithful) and a
+key=value manifest.txt: dataset directories (view_k.csv, labels.csv),
+sequence directories (sequences_view_k.csv, one step per row, and
+labels.csv), model directories (transform_i.csv, zeta.csv) and
+embedding CSVs (a trailing class column).  A bad or non-finite cell or
+a missing manifest key is a ParseError, a wrong count a ShapeError.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -249,59 +254,93 @@ def _read_csv(path: str, header: list[str]) -> list[list[str]]:
     return rows
 
 
-def _parse_float(path: str, line_no: int, col: int, text: str) -> float:
+def _parse(kind, path: str, line_no: int, col: int, text: str):
+    """kind(text), kind float or int; ParseError naming path:line:col."""
     try:
-        return float(text)
+        return kind(text)
     except ValueError:
-        raise ParseError(
-            f"{path}:{line_no}:{col + 1}: not a number: {text!r}"
-        ) from None
+        what = "an integer" if kind is int else "a number"
+        raise ParseError(f"{path}:{line_no}:{col + 1}: not {what}: {text!r}") from None
 
 
-def _parse_int(path: str, line_no: int, col: int, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(
-            f"{path}:{line_no}:{col + 1}: not an integer: {text!r}"
-        ) from None
+def _write_matrix(path: str, prefix: str, m, classes=None) -> None:
+    """m's rows under the header {prefix}0..{prefix}{cols-1}, each cell
+    as repr(float) so it reads back bit for bit; with classes, a
+    trailing integer class column."""
+    m = np.asarray(m, dtype=np.float64)
+    header = [f"{prefix}{j}" for j in range(m.shape[1])]
+    rows = ([repr(v) for v in row] for row in m.tolist())
+    if classes is not None:
+        header.append("class")
+        rows = (row + [str(int(c))] for row, c in zip(rows, classes))
+    _write_csv(path, header, rows)
+
+
+def _read_matrix(path: str, prefix: str, cols: int, rows, classes: bool = False):
+    """Inverse of _write_matrix; rows None takes any row count."""
+    lines = _read_csv(path, [f"{prefix}{j}" for j in range(cols)] + ["class"] * classes)
+    if rows is not None and len(lines) != rows:
+        raise ShapeError(f"{path}: {len(lines)} rows, expected {rows}")
+    m = np.empty((len(lines), cols))
+    for i, line in enumerate(lines):
+        for j in range(cols):
+            m[i, j] = _parse(float, path, i + 2, j, line[j])
+            if not math.isfinite(m[i, j]):
+                raise ParseError(f"{path}:{i + 2}:{j + 1}: non-finite {line[j]!r}")
+    if not classes:
+        return m
+    y = [_parse(int, path, i + 2, cols, line[cols]) for i, line in enumerate(lines)]
+    return m, np.array(y, dtype=np.int64)
+
+
+def _write_labels(path: str, y) -> None:
+    """labels.csv: a class column beside zero feature columns."""
+    _write_matrix(os.path.join(path, "labels.csv"), "", np.empty((len(y), 0)), y)
+
+
+def _read_labels(path: str, n: int, c: int) -> np.ndarray:
+    labels_path = os.path.join(path, "labels.csv")
+    _, y = _read_matrix(labels_path, "", 0, n, classes=True)
+    bad = np.flatnonzero((y < 0) | (y >= c))
+    if bad.size:
+        i = bad[0]
+        raise ShapeError(f"{labels_path}:{i + 2}: class {y[i]} outside 0..{c - 1}")
+    return y
 
 
 def _write_manifest(path: str, entries: dict[str, int]) -> None:
-    with open(path, "w") as fh:
+    with open(os.path.join(path, "manifest.txt"), "w") as fh:
         for key, value in entries.items():
             fh.write(f"{key}={value}\n")
 
 
-def _read_manifest(path: str) -> dict[str, int]:
+def _read_manifest(path: str, required, per_view: str | None = None) -> dict[str, int]:
+    """The key=value entries of path/manifest.txt.  ParseError names the
+    first missing key of required, then of {per_view}_k for each view k."""
+    name = os.path.join(path, "manifest.txt")
     entries = {}
-    with open(path) as fh:
+    with open(name) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ParseError(f"{path}:{line_no}: expected key=value, got {line!r}")
+                raise ParseError(f"{name}:{line_no}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            entries[key.strip()] = _parse_int(path, line_no, 0, value.strip())
+            entries[key.strip()] = _parse(int, name, line_no, 0, value.strip())
+    views = range(entries.get("views", 0)) if per_view else ()
+    for key in chain(required, (f"{per_view}_{k}" for k in views)):
+        if key not in entries:
+            raise ParseError(f"{name}: missing {key}")
     return entries
-
-
-def _float_rows(matrix: np.ndarray):
-    for row in matrix:
-        yield [repr(float(v)) for v in row]
 
 
 def save_dataset(data: MultiViewDataset, path: str) -> None:
     """Write one CSV per view, the class indices, and a manifest."""
     os.makedirs(path, exist_ok=True)
     for k, view in enumerate(data.views):
-        header = [f"f{j}" for j in range(view.shape[1])]
-        _write_csv(os.path.join(path, f"view_{k}.csv"), header, _float_rows(view))
-    _write_csv(
-        os.path.join(path, "labels.csv"), ["class"],
-        ([str(int(c))] for c in data.class_indices()),
-    )
+        _write_matrix(os.path.join(path, f"view_{k}.csv"), "f", view)
+    _write_labels(path, data.class_indices())
     manifest = {
         "views": data.n_views,
         "samples": data.n_samples,
@@ -309,44 +348,18 @@ def save_dataset(data: MultiViewDataset, path: str) -> None:
     }
     for k, d in enumerate(data.dims):
         manifest[f"dim_{k}"] = d
-    _write_manifest(os.path.join(path, "manifest.txt"), manifest)
+    _write_manifest(path, manifest)
 
 
 def load_dataset(path: str) -> MultiViewDataset:
     """Read a dataset directory written by save_dataset."""
-    manifest = _read_manifest(os.path.join(path, "manifest.txt"))
-    for key in ("views", "samples", "classes"):
-        if key not in manifest:
-            raise ParseError(f"{path}/manifest.txt: missing {key}")
-    k_views, n, c = manifest["views"], manifest["samples"], manifest["classes"]
-    views = []
-    for k in range(k_views):
-        if f"dim_{k}" not in manifest:
-            raise ParseError(f"{path}/manifest.txt: missing dim_{k}")
-        d = manifest[f"dim_{k}"]
-        file_path = os.path.join(path, f"view_{k}.csv")
-        header = [f"f{j}" for j in range(d)]
-        rows = _read_csv(file_path, header)
-        if len(rows) != n:
-            raise ShapeError(
-                f"{file_path}: {len(rows)} rows, manifest says {n}"
-            )
-        matrix = np.empty((n, d))
-        for i, row in enumerate(rows):
-            for j, text in enumerate(row):
-                matrix[i, j] = _parse_float(file_path, i + 2, j, text)
-        views.append(matrix)
-    labels_path = os.path.join(path, "labels.csv")
-    rows = _read_csv(labels_path, ["class"])
-    if len(rows) != n:
-        raise ShapeError(f"{labels_path}: {len(rows)} rows, manifest says {n}")
-    y = np.empty(n, dtype=np.int64)
-    for i, row in enumerate(rows):
-        y[i] = _parse_int(labels_path, i + 2, 0, row[0])
-        if y[i] < 0 or y[i] >= c:
-            raise ShapeError(
-                f"{labels_path}:{i + 2}: class {y[i]} outside 0..{c - 1}"
-            )
+    manifest = _read_manifest(path, ("views", "samples", "classes"), "dim")
+    n, c = manifest["samples"], manifest["classes"]
+    views = [
+        _read_matrix(os.path.join(path, f"view_{k}.csv"), "f", manifest[f"dim_{k}"], n)
+        for k in range(manifest["views"])
+    ]
+    y = _read_labels(path, n, c)
     return MultiViewDataset.from_class_indices(views, y, n_classes=c)
 
 
@@ -357,8 +370,14 @@ def save_sequences(bundle: SequenceClientData, path: str) -> None:
     features; lengths are implicit in the step counts.
     """
     os.makedirs(path, exist_ok=True)
+    manifest = {
+        "views": bundle.n_views,
+        "samples": bundle.n_samples,
+        "classes": bundle.views[0].n_classes,
+    }
     for k, view in enumerate(bundle.views):
         width = view.sequences[0].shape[1] if view.n_samples else 0
+        manifest[f"step_dim_{k}"] = width
         header = ["sample_id", "t"] + [f"f{j}" for j in range(width)]
 
         def records(view=view):
@@ -367,44 +386,17 @@ def save_sequences(bundle: SequenceClientData, path: str) -> None:
                     yield [str(i), str(t)] + [repr(float(v)) for v in step]
 
         _write_csv(os.path.join(path, f"sequences_view_{k}.csv"), header, records())
-    _write_csv(
-        os.path.join(path, "labels.csv"), ["class"],
-        ([str(int(c))] for c in bundle.y),
-    )
-    manifest = {
-        "views": bundle.n_views,
-        "samples": bundle.n_samples,
-        "classes": bundle.views[0].n_classes,
-    }
-    for k, view in enumerate(bundle.views):
-        manifest[f"step_dim_{k}"] = (
-            view.sequences[0].shape[1] if view.n_samples else 0
-        )
-    _write_manifest(os.path.join(path, "manifest.txt"), manifest)
+    _write_labels(path, bundle.y)
+    _write_manifest(path, manifest)
 
 
 def load_sequences(path: str) -> SequenceClientData:
     """Read a sequence directory written by save_sequences."""
-    manifest = _read_manifest(os.path.join(path, "manifest.txt"))
-    for key in ("views", "samples", "classes"):
-        if key not in manifest:
-            raise ParseError(f"{path}/manifest.txt: missing {key}")
-    k_views, n, c = manifest["views"], manifest["samples"], manifest["classes"]
-    labels_path = os.path.join(path, "labels.csv")
-    rows = _read_csv(labels_path, ["class"])
-    if len(rows) != n:
-        raise ShapeError(f"{labels_path}: {len(rows)} rows, manifest says {n}")
-    y = np.empty(n, dtype=np.int64)
-    for i, row in enumerate(rows):
-        y[i] = _parse_int(labels_path, i + 2, 0, row[0])
-        if y[i] < 0 or y[i] >= c:
-            raise ShapeError(
-                f"{labels_path}:{i + 2}: class {y[i]} outside 0..{c - 1}"
-            )
+    manifest = _read_manifest(path, ("views", "samples", "classes"), "step_dim")
+    n, c = manifest["samples"], manifest["classes"]
+    y = _read_labels(path, n, c)
     views = []
-    for k in range(k_views):
-        if f"step_dim_{k}" not in manifest:
-            raise ParseError(f"{path}/manifest.txt: missing step_dim_{k}")
+    for k in range(manifest["views"]):
         p = manifest[f"step_dim_{k}"]
         file_path = os.path.join(path, f"sequences_view_{k}.csv")
         header = ["sample_id", "t"] + [f"f{j}" for j in range(p)]
@@ -412,8 +404,8 @@ def load_sequences(path: str) -> SequenceClientData:
         steps: list[list[np.ndarray]] = [[] for _ in range(n)]
         for i, row in enumerate(rows):
             line_no = i + 2
-            sample = _parse_int(file_path, line_no, 0, row[0])
-            t = _parse_int(file_path, line_no, 1, row[1])
+            sample = _parse(int, file_path, line_no, 0, row[0])
+            t = _parse(int, file_path, line_no, 1, row[1])
             if sample < 0 or sample >= n:
                 raise ShapeError(
                     f"{file_path}:{line_no}: sample_id {sample} outside 0..{n - 1}"
@@ -425,7 +417,7 @@ def load_sequences(path: str) -> SequenceClientData:
                 )
             steps[sample].append(
                 np.array(
-                    [_parse_float(file_path, line_no, j + 2, v)
+                    [_parse(float, file_path, line_no, j + 2, v)
                      for j, v in enumerate(row[2:])]
                 )
             )

@@ -28,13 +28,10 @@ import numpy as np
 from .data import (
     GeneratorSpec,
     SeqGeneratorSpec,
-    _float_rows,
-    _parse_float,
-    _parse_int,
-    _read_csv,
     _read_manifest,
-    _write_csv,
+    _read_matrix,
     _write_manifest,
+    _write_matrix,
     gen_complementary,
     gen_multiview,
     gen_sequences,
@@ -597,12 +594,15 @@ def train_once(cfg: RunConfig, dataset=None) -> tuple[ModelBundle, MetricsRow]:
 
 
 def evaluate_model(model: ModelBundle, data: MultiViewDataset) -> MetricsRow:
+    dims = tuple(w.shape[0] for w in model.transforms)
+    if data.dims != dims:
+        raise ShapeError(f"model: data has view widths {data.dims}, model has {dims}")
     pred = model.predict(data.views)
     return compute_metrics(pred, data.class_indices(), model.positive_class)
 
 
 def save_model(model: ModelBundle, path: str) -> None:
-    """Persist a model as one CSV per transform plus a manifest."""
+    """Persist a model as one CSV per transform, zeta.csv and a manifest."""
     os.makedirs(path, exist_ok=True)
     k = len(model.transforms)
     classes = model.transforms[0].shape[1]
@@ -612,41 +612,23 @@ def save_model(model: ModelBundle, path: str) -> None:
         if w.ndim != 2 or w.shape[1] != classes:
             raise ShapeError(f"transform {i} has shape {w.shape}")
         entries[f"dim_{i}"] = w.shape[0]
-        header = [f"c{j}" for j in range(classes)]
-        _write_csv(os.path.join(path, f"transform_{i}.csv"), header, _float_rows(w))
-    _write_csv(
-        os.path.join(path, "zeta.csv"),
-        [f"z{i}" for i in range(k)],
-        [[repr(float(z)) for z in model.zeta]],
-    )
-    _write_manifest(os.path.join(path, "manifest.txt"), entries)
+        _write_matrix(os.path.join(path, f"transform_{i}.csv"), "c", w)
+    _write_matrix(os.path.join(path, "zeta.csv"), "z", [model.zeta])
+    _write_manifest(path, entries)
 
 
 def load_model(path: str) -> ModelBundle:
-    manifest = _read_manifest(os.path.join(path, "manifest.txt"))
-    k = manifest["views"]
-    classes = manifest["classes"]
-    transforms = []
-    for i in range(k):
-        name = os.path.join(path, f"transform_{i}.csv")
-        header = [f"c{j}" for j in range(classes)]
-        rows = _read_csv(name, header)
-        dim = manifest[f"dim_{i}"]
-        if len(rows) != dim:
-            raise ShapeError(f"{name}: expected {dim} rows, found {len(rows)}")
-        transforms.append(
-            np.array(
-                [
-                    [_parse_float(name, r + 2, j, v) for j, v in enumerate(row)]
-                    for r, row in enumerate(rows)
-                ]
-            )
-        )
-    zeta_path = os.path.join(path, "zeta.csv")
-    zeta_rows = _read_csv(zeta_path, [f"z{i}" for i in range(k)])
-    if len(zeta_rows) != 1:
-        raise ShapeError(f"{zeta_path}: expected one row, found {len(zeta_rows)}")
-    zeta = [_parse_float(zeta_path, 2, j, v) for j, v in enumerate(zeta_rows[0])]
+    """Read a model directory written by save_model."""
+    manifest = _read_manifest(
+        path, ("views", "classes", "single", "positive_class"), "dim"
+    )
+    k, classes = manifest["views"], manifest["classes"]
+    transforms = [
+        _read_matrix(os.path.join(path, f"transform_{i}.csv"), "c", classes,
+                     manifest[f"dim_{i}"])
+        for i in range(k)
+    ]
+    (zeta,) = _read_matrix(os.path.join(path, "zeta.csv"), "z", k, 1)
     return ModelBundle(
         transforms=transforms,
         zeta=tuple(zeta),
@@ -663,31 +645,16 @@ def export_embeddings(matrix: np.ndarray, y: np.ndarray, path: str) -> None:
         raise ShapeError(
             f"embeddings {matrix.shape} do not align with labels {y.shape}"
         )
-    header = [f"e{j}" for j in range(matrix.shape[1])] + ["class"]
-    rows = (
-        [repr(float(v)) for v in row] + [str(int(label))]
-        for row, label in zip(matrix, y)
-    )
-    _write_csv(path, header, rows)
+    _write_matrix(path, "e", matrix, y)
 
 
 def load_embeddings(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of export_embeddings; exact for finite doubles."""
     with open(path, newline="") as fh:
-        first = fh.readline().rstrip("\n")
-    header = first.split(",")
-    if not header or header[-1] != "class":
+        header = fh.readline().rstrip("\n").split(",")
+    if header[-1] != "class":
         raise ShapeError(f"{path}: expected a trailing class column")
-    dim = len(header) - 1
-    expected = [f"e{j}" for j in range(dim)] + ["class"]
-    rows = _read_csv(path, expected)
-    matrix = np.zeros((len(rows), dim))
-    y = np.zeros(len(rows), dtype=np.int64)
-    for r, row in enumerate(rows):
-        for j in range(dim):
-            matrix[r, j] = _parse_float(path, r + 2, j, row[j])
-        y[r] = _parse_int(path, r + 2, dim, row[dim])
-    return matrix, y
+    return _read_matrix(path, "e", len(header) - 1, None, classes=True)
 
 
 def compute_embeddings(

@@ -156,9 +156,11 @@ class FedMessage:
     def __post_init__(self) -> None:
         if not 0 <= self.round < 2**32:
             raise ValueError(f"round {self.round} does not fit in u32")
-        fields = PAYLOADS.get(self.kind)
-        if fields is None:
-            raise ValueError(f"unknown message kind {self.kind!r}")
+        try:
+            object.__setattr__(self, "kind", MessageKind(self.kind))
+        except ValueError:
+            raise ValueError(f"unknown message kind {self.kind!r}") from None
+        fields = PAYLOADS[self.kind]
         for name, check in _CHECKS.items():
             value = getattr(self, name)
             if name in fields:

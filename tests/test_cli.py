@@ -98,6 +98,40 @@ class TestTrainEvaluate:
         assert code == 2
         assert "error:" in stderr
 
+    def train_model(self, tmp_path, dims="4,3"):
+        data_dir = os.path.join(tmp_path, "data")
+        model_dir = os.path.join(tmp_path, "model")
+        main(["gen-data", "--out", data_dir, *SMALL_FLAT, "--dims", dims])
+        main(["train", "--mode", "mvl", "--data", data_dir, *QUICK_FIT,
+              "--model-out", model_dir])
+        return model_dir
+
+    def test_evaluate_manifest_without_views_exits_2(self, tmp_path, capsys):
+        model_dir = self.train_model(tmp_path)
+        manifest = os.path.join(model_dir, "manifest.txt")
+        with open(manifest) as fh:
+            kept = [line for line in fh if not line.startswith("views=")]
+        with open(manifest, "w") as fh:
+            fh.writelines(kept)
+        capsys.readouterr()
+        code, _, stderr = run(
+            capsys, "evaluate", "--model", model_dir,
+            "--data", os.path.join(tmp_path, "data"),
+        )
+        assert code == 2
+        assert stderr.startswith("error:") and "missing views" in stderr
+        assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("dims", ["4,3,2", "4,5"])
+    def test_evaluate_on_data_that_does_not_fit_exits_2(self, tmp_path, capsys, dims):
+        model_dir = self.train_model(tmp_path, dims=dims)
+        other = os.path.join(tmp_path, "other")
+        main(["gen-data", "--out", other, *SMALL_FLAT])
+        capsys.readouterr()
+        code, _, stderr = run(capsys, "evaluate", "--model", model_dir, "--data", other)
+        assert code == 2
+        assert "(4, 3)" in stderr and f"({dims.replace(',', ', ')})" in stderr
+
     def test_evaluate_missing_model_dir(self, tmp_path, capsys):
         code, _, stderr = run(
             capsys, "evaluate", "--model", os.path.join(tmp_path, "nope"),

@@ -22,6 +22,7 @@ from mvfed.mvl import (
     train_mvl,
     train_single_view,
 )
+from mvfed.sfed import SequenceClientData, SequenceDataset
 
 
 def single_view_accuracy(x, labels, beta=1.0):
@@ -228,6 +229,32 @@ class TestDatasetFiles:
             load_dataset(str(root))
         assert ":4:2" in str(info.value)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        data = gen_multiview(GeneratorSpec(n_samples=4, dims=(2,), seed=13))
+        root = tmp_path / "ds"
+        save_dataset(data, str(root))
+        view = root / "view_0.csv"
+        lines = view.read_text().splitlines()
+        lines[3] = lines[3].split(",")[0] + "," + cell
+        view.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="non-finite") as info:
+            load_dataset(str(root))
+        assert f"{view}:4:2" in str(info.value)
+
+    def test_missing_manifest_key(self, tmp_path):
+        data = gen_multiview(GeneratorSpec(n_samples=4, dims=(2, 3), seed=13))
+        root = tmp_path / "ds"
+        save_dataset(data, str(root))
+        manifest = root / "manifest.txt"
+        lines = manifest.read_text().splitlines(True)
+        for key in ("views", "samples", "classes", "dim_1"):
+            manifest.write_text(
+                "".join(line for line in lines if not line.startswith(key + "="))
+            )
+            with pytest.raises(ParseError, match=f"missing {key}"):
+                load_dataset(str(root))
+
     def test_label_out_of_range(self, tmp_path):
         data = gen_multiview(GeneratorSpec(n_samples=4, dims=(2,), seed=14))
         root = tmp_path / "ds"
@@ -319,3 +346,60 @@ class TestSequences:
         seq_file.write_text("\n".join(lines) + "\n")
         with pytest.raises(ShapeError):
             load_sequences(str(root))
+
+
+# Golden files: the exact bytes each on-disk format writes for a tiny
+# fixed input, with the cells -0.0, 1e-300 and 0.1 and three classes.
+GOLDEN_VIEWS = [
+    np.array([[-0.0, 1e-300], [0.1, 2.5], [1.0, -3.0]]),
+    np.array([[0.1], [-0.0], [7.0]]),
+]
+GOLDEN_Y = np.array([0, 2, 1])
+GOLDEN_DATASET = {
+    "labels.csv": b"class\n0\n2\n1\n",
+    "manifest.txt": b"views=2\nsamples=3\nclasses=3\ndim_0=2\ndim_1=1\n",
+    "view_0.csv": b"f0,f1\n-0.0,1e-300\n0.1,2.5\n1.0,-3.0\n",
+    "view_1.csv": b"f0\n0.1\n-0.0\n7.0\n",
+}
+GOLDEN_SEQUENCES = {
+    "labels.csv": b"class\n0\n2\n1\n",
+    "manifest.txt": b"views=2\nsamples=3\nclasses=3\nstep_dim_0=2\nstep_dim_1=1\n",
+    "sequences_view_0.csv": (
+        b"sample_id,t,f0,f1\n0,0,-0.0,1e-300\n1,0,0.1,2.5\n1,1,1.0,-3.0\n"
+        b"2,0,0.5,0.25\n"
+    ),
+    "sequences_view_1.csv": b"sample_id,t,f0\n0,0,0.1\n1,0,-0.0\n2,0,7.0\n2,1,1e-300\n",
+}
+
+
+def read_tree(root) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+class TestGoldenFiles:
+    def test_dataset_bytes(self, tmp_path):
+        data = MultiViewDataset.from_class_indices(GOLDEN_VIEWS, GOLDEN_Y, n_classes=3)
+        save_dataset(data, str(tmp_path / "ds"))
+        assert read_tree(tmp_path / "ds") == GOLDEN_DATASET
+        loaded = load_dataset(str(tmp_path / "ds"))
+        for va, vb in zip(loaded.views, GOLDEN_VIEWS):
+            assert np.array_equal(va, vb)
+            assert np.array_equal(np.signbit(va), np.signbit(vb))
+        assert np.array_equal(loaded.class_indices(), GOLDEN_Y)
+
+    def test_sequence_bytes(self, tmp_path):
+        views = [
+            [GOLDEN_VIEWS[0][:1], GOLDEN_VIEWS[0][1:], np.array([[0.5, 0.25]])],
+            [GOLDEN_VIEWS[1][:1], GOLDEN_VIEWS[1][1:2], np.array([[7.0], [1e-300]])],
+        ]
+        bundle = SequenceClientData(
+            views=[SequenceDataset(seqs, GOLDEN_Y, 3) for seqs in views]
+        )
+        save_sequences(bundle, str(tmp_path / "seq"))
+        assert read_tree(tmp_path / "seq") == GOLDEN_SEQUENCES
+        loaded = load_sequences(str(tmp_path / "seq"))
+        assert np.array_equal(loaded.y, GOLDEN_Y)
+        for va, seqs in zip(loaded.views, views):
+            for sa, sb in zip(va.sequences, seqs):
+                assert np.array_equal(sa, sb)
+                assert np.array_equal(np.signbit(sa), np.signbit(sb))

@@ -17,6 +17,7 @@ from mvfed.data import (
 from mvfed.errors import ConfigError, ParseError, ShapeError
 from mvfed.experiments import (
     MODES,
+    ModelBundle,
     RunConfig,
     compute_embeddings,
     evaluate_model,
@@ -433,6 +434,17 @@ class TestModels:
             load_model(path)
 
 
+def replace_cell(path, line_no, col, text):
+    """Overwrite one CSV cell; line_no and col count from 1."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    cells = lines[line_no - 1].split(",")
+    cells[col - 1] = text
+    lines[line_no - 1] = ",".join(cells)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 class TestEmbeddings:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -449,6 +461,15 @@ class TestEmbeddings:
     def test_shape_validation(self, tmp_path):
         with pytest.raises(ShapeError):
             export_embeddings(np.zeros((3, 2)), np.zeros(4, dtype=int), "unused")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell(self, tmp_path, cell):
+        path = os.path.join(tmp_path, "emb.csv")
+        export_embeddings(np.ones((3, 2)), np.array([0, 1, 0]), path)
+        replace_cell(path, 3, 2, cell)
+        with pytest.raises(ParseError, match="non-finite") as info:
+            load_embeddings(path)
+        assert f"{path}:3:2" in str(info.value)
 
     def test_load_requires_class_column(self, tmp_path):
         path = os.path.join(tmp_path, "bad.csv")
@@ -473,3 +494,96 @@ class TestEmbeddings:
     def test_unsupported_mode_rejected(self):
         with pytest.raises(ConfigError):
             compute_embeddings(base_cfg(mode="hfed"))
+
+
+# Golden files: the exact bytes a model directory and an embeddings CSV
+# hold for a tiny fixed input, with the cells -0.0, 1e-300 and 0.1 and
+# three classes.
+GOLDEN_TRANSFORMS = [
+    np.array([[-0.0, 1e-300, 0.1], [2.5, -3.0, 1.0]]),
+    np.array([[0.1, -0.0, 7.0]]),
+]
+GOLDEN_MODEL = {
+    "manifest.txt": b"views=2\nclasses=3\nsingle=0\npositive_class=2\ndim_0=2\ndim_1=1\n",
+    "transform_0.csv": b"c0,c1,c2\n-0.0,1e-300,0.1\n2.5,-3.0,1.0\n",
+    "transform_1.csv": b"c0,c1,c2\n0.1,-0.0,7.0\n",
+    "zeta.csv": b"z0,z1\n8.0,0.1\n",
+}
+GOLDEN_EMBEDDINGS = b"e0,e1,class\n-0.0,1e-300,0\n0.1,2.5,2\n1.0,-3.0,1\n"
+
+
+def same_bits(a, b) -> bool:
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestGoldenFiles:
+    def test_model_bytes(self, tmp_path):
+        model = ModelBundle(
+            transforms=GOLDEN_TRANSFORMS, zeta=(8.0, 0.1), single=False,
+            positive_class=2,
+        )
+        save_model(model, str(tmp_path / "model"))
+        files = {p.name: p.read_bytes() for p in sorted((tmp_path / "model").iterdir())}
+        assert files == GOLDEN_MODEL
+        loaded = load_model(str(tmp_path / "model"))
+        assert loaded.zeta == (8.0, 0.1)
+        assert not loaded.single and loaded.positive_class == 2
+        assert all(map(same_bits, loaded.transforms, GOLDEN_TRANSFORMS))
+
+    def test_embeddings_bytes(self, tmp_path):
+        matrix = np.array([[-0.0, 1e-300], [0.1, 2.5], [1.0, -3.0]])
+        y = np.array([0, 2, 1])
+        path = tmp_path / "emb.csv"
+        export_embeddings(matrix, y, str(path))
+        assert path.read_bytes() == GOLDEN_EMBEDDINGS
+        back, y_back = load_embeddings(str(path))
+        assert same_bits(back, matrix)
+        assert np.array_equal(y_back, y)
+
+
+MANIFEST_KEYS = ("views", "classes", "single", "positive_class", "dim_0", "dim_1")
+
+
+class TestModelBoundary:
+    """Malformed model directories are ParseError or ShapeError, never a
+    KeyError or a silently scored model."""
+
+    def saved(self, tmp_path):
+        path = os.path.join(tmp_path, "model")
+        save_model(
+            ModelBundle(transforms=GOLDEN_TRANSFORMS, zeta=(8.0, 0.1), single=False),
+            path,
+        )
+        return path
+
+    @pytest.mark.parametrize("key", MANIFEST_KEYS)
+    def test_missing_manifest_key(self, tmp_path, key):
+        path = self.saved(tmp_path)
+        manifest = os.path.join(path, "manifest.txt")
+        with open(manifest) as fh:
+            kept = [line for line in fh if not line.startswith(key + "=")]
+        with open(manifest, "w") as fh:
+            fh.writelines(kept)
+        with pytest.raises(ParseError, match=f"missing {key}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "name, line_no, col",
+        [("transform_0.csv", 3, 2), ("transform_1.csv", 2, 3), ("zeta.csv", 2, 1)],
+    )
+    def test_non_finite_cell(self, tmp_path, name, line_no, col, cell):
+        path = self.saved(tmp_path)
+        target = os.path.join(path, name)
+        replace_cell(target, line_no, col, cell)
+        with pytest.raises(ParseError, match="non-finite") as info:
+            load_model(path)
+        assert f"{target}:{line_no}:{col}" in str(info.value)
+
+    @pytest.mark.parametrize("dims", [(2,), (2, 1, 1), (2, 2), (3, 1)])
+    def test_evaluate_on_data_that_does_not_fit(self, dims):
+        model = ModelBundle(transforms=GOLDEN_TRANSFORMS, zeta=(8.0, 0.1), single=False)
+        data = gen_multiview(easy_spec(n=12, dims=dims))
+        with pytest.raises(ShapeError) as info:
+            evaluate_model(model, data)
+        assert str(dims) in str(info.value) and "(2, 1)" in str(info.value)

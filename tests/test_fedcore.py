@@ -134,6 +134,15 @@ class TestMessages:
         with pytest.raises(ValueError):
             FedMessage(round=0, sender=C0, kind=42)
 
+    def test_int_kind_becomes_its_member(self):
+        msg = FedMessage(round=0, sender=C0, kind=1, matrix=np.ones((1, 1)))
+        assert msg.kind is MessageKind.CONSENSUS
+        assert msg == FedMessage.consensus(0, C0, np.ones((1, 1)))
+        with pytest.raises(ValueError, match="CONSENSUS requires matrix"):
+            FedMessage(round=0, sender=C0, kind=1)
+        with pytest.raises(ValueError, match="unknown message kind"):
+            FedMessage(round=0, sender=C0, kind="1", matrix=np.ones((1, 1)))
+
     def test_equality_compares_every_payload_field(self):
         m = np.ones((1, 1))
         assert FedMessage.transform_set(0, C0, [m]) != FedMessage.transform_set(0, C0, [m, m])
