@@ -263,6 +263,14 @@ def _parse(kind, path: str, line_no: int, col: int, text: str):
         raise ParseError(f"{path}:{line_no}:{col + 1}: not {what}: {text!r}") from None
 
 
+def _parse_finite(path: str, line_no: int, col: int, text: str) -> float:
+    """`_parse(float, ...)` that also rejects nan and inf."""
+    value = _parse(float, path, line_no, col, text)
+    if not math.isfinite(value):
+        raise ParseError(f"{path}:{line_no}:{col + 1}: non-finite {text!r}")
+    return value
+
+
 def _write_matrix(path: str, prefix: str, m, classes=None) -> None:
     """m's rows under the header {prefix}0..{prefix}{cols-1}, each cell
     as repr(float) so it reads back bit for bit; with classes, a
@@ -284,9 +292,7 @@ def _read_matrix(path: str, prefix: str, cols: int, rows, classes: bool = False)
     m = np.empty((len(lines), cols))
     for i, line in enumerate(lines):
         for j in range(cols):
-            m[i, j] = _parse(float, path, i + 2, j, line[j])
-            if not math.isfinite(m[i, j]):
-                raise ParseError(f"{path}:{i + 2}:{j + 1}: non-finite {line[j]!r}")
+            m[i, j] = _parse_finite(path, i + 2, j, line[j])
     if not classes:
         return m
     y = [_parse(int, path, i + 2, cols, line[cols]) for i, line in enumerate(lines)]
@@ -417,7 +423,7 @@ def load_sequences(path: str) -> SequenceClientData:
                 )
             steps[sample].append(
                 np.array(
-                    [_parse(float, file_path, line_no, j + 2, v)
+                    [_parse_finite(file_path, line_no, j + 2, v)
                      for j, v in enumerate(row[2:])]
                 )
             )

@@ -13,7 +13,7 @@ from .messages import (
 from .fedavg import fedavg_aggregate
 from .rounds import MessageRecord, RoundLog, RoundRecord, disallowed_kinds, run_rounds
 from .transport import FramedByteTransport, InProcessTransport
-from .wire import decode_message, encode_message
+from .wire import decode_message, encode_message, frame_size
 
 __all__ = [
     "FedMessage",
@@ -33,5 +33,6 @@ __all__ = [
     "disallowed_kinds",
     "encode_message",
     "fedavg_aggregate",
+    "frame_size",
     "run_rounds",
 ]

@@ -14,8 +14,9 @@ __all__ = ["fedavg_aggregate"]
 def fedavg_aggregate(arrays: Sequence[np.ndarray], counts: Sequence[int]) -> np.ndarray:
     """Sample-count-weighted average of same-shape arrays, one per client.
 
-    Sums `n / total * array` in client order, so equal inputs give
-    bit-identical results.
+    One weighted sum over the stacked arrays that adds `n / total *
+    array` in client order, so equal inputs give bit-identical results,
+    equal to adding the terms one by one.
     """
     if len(arrays) == 0:
         raise MissingClient("no arrays to aggregate")
@@ -25,8 +26,11 @@ def fedavg_aggregate(arrays: Sequence[np.ndarray], counts: Sequence[int]) -> np.
         raise InvalidSpec("every client must hold at least one sample")
     if any(a.shape != arrays[0].shape for a in arrays):
         raise DimensionMismatch("client arrays differ in shape")
-    total = float(sum(counts))
-    acc = (counts[0] / total) * arrays[0]
-    for a, n in zip(arrays[1:], counts[1:]):
-        acc += (n / total) * a
-    return acc
+    weights = np.asarray(counts, dtype=np.float64) / float(sum(counts))
+    terms = weights.reshape((-1,) + (1,) * arrays[0].ndim) * np.stack(arrays)
+    if arrays[0].size == 1:
+        # numpy reduces a lone column pairwise; a running sum keeps the order.
+        return np.add.accumulate(terms, axis=0)[-1]
+    # Over axis 0 numpy adds row after row; starting from -0.0, the exact
+    # additive identity, keeps the first term's sign of zero.
+    return np.add.reduce(terms, axis=0, initial=-0.0)

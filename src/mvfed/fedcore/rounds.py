@@ -34,7 +34,9 @@ computes alone and the one that fails is named by its own step.
 - `transport=None` means a fresh InProcessTransport.
 
 All traffic flows through the transport, so the same protocol code runs
-over in-process queues of messages or of encoded frames.
+over in-process queues of messages or of encoded frames.  Each logged
+message's byte count is its `frame_size`, the length of its encoded
+frame, computed without encoding.
 """
 
 from __future__ import annotations
@@ -46,7 +48,10 @@ from typing import Iterable, Sequence
 from ..errors import MissingClient, PartyFailure
 from .messages import FedMessage, MessageKind
 from .transport import InProcessTransport
-from .wire import encode_message
+from .wire import (
+    encode_message,  # not called here; mvbench/tracer.py wraps this binding
+    frame_size,
+)
 
 __all__ = [
     "MessageRecord",
@@ -138,9 +143,7 @@ def run_rounds(
         if reply is None:
             raise MissingClient(f"round {rnd}: no reply from client {client.party.id}")
         ep.send(server.party, reply)
-        return MessageRecord(
-            client.party.id, server.party.id, reply.kind, len(encode_message(reply))
-        )
+        return MessageRecord(client.party.id, server.party.id, reply.kind, frame_size(reply))
 
     def receive(client, rnd: int) -> FedMessage:
         reply = server_ep.receive(client.party)
@@ -156,7 +159,7 @@ def run_rounds(
         records: list[MessageRecord] = []
         broadcast = server.broadcast(rnd)
         if broadcast is not None:
-            size = len(encode_message(broadcast))
+            size = frame_size(broadcast)
             for client in clients:
                 server_ep.send(client.party, broadcast)
                 records.append(

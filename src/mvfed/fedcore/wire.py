@@ -19,6 +19,9 @@ each field encoded as
     matrices  count u32 | count * matrix
     view      u32
     vector    length u64 | f64 array
+
+so a frame's length follows from its payload shapes alone: `frame_size`
+gives it without encoding.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "HEADER_SIZE",
     "encode_message",
     "decode_message",
+    "frame_size",
 ]
 
 MAGIC = b"FMV1"
@@ -88,23 +92,35 @@ def _decode_vector(frame: bytes, offset: int) -> tuple[np.ndarray, int]:
     return _decode_floats(frame, offset + _U64.size, length)
 
 
-# One (encode, decode) pair per payload field: encode(value) -> bytes,
-# decode(frame, offset) -> (value, offset past the field).
+def _matrix_size(m: np.ndarray) -> int:
+    return _MATRIX_HEAD.size + 8 * m.size
+
+
+# One (encode, decode, size) triple per payload field: encode(value) ->
+# bytes, decode(frame, offset) -> (value, offset past the field), and
+# size(value) == len(encode(value)), read off the value's shape.
 _CODECS = {
     "zeta": (
         _SCALAR.pack,
         lambda frame, offset: (_unpack(_SCALAR, frame, offset, "zeta")[0], offset + 8),
+        lambda zeta: _SCALAR.size,
     ),
-    "matrix": (_encode_matrix, _decode_matrix),
+    "matrix": (_encode_matrix, _decode_matrix, _matrix_size),
     "matrices": (
         lambda ms: _U32.pack(len(ms)) + b"".join(map(_encode_matrix, ms)),
         _decode_matrices,
+        lambda ms: _U32.size + sum(map(_matrix_size, ms)),
     ),
     "view": (
         _U32.pack,
         lambda frame, offset: (_unpack(_U32, frame, offset, "view")[0], offset + 4),
+        lambda view: _U32.size,
     ),
-    "vector": (lambda v: _U64.pack(v.shape[0]) + v.tobytes(), _decode_vector),
+    "vector": (
+        lambda v: _U64.pack(v.shape[0]) + v.tobytes(),
+        _decode_vector,
+        lambda v: _U64.size + 8 * v.shape[0],
+    ),
 }
 
 
@@ -117,6 +133,14 @@ def encode_message(msg: FedMessage) -> bytes:
         MAGIC, VERSION, int(msg.kind), msg.round, msg.sender.id, len(payload)
     )
     return header + payload
+
+
+def frame_size(msg: FedMessage) -> int:
+    """`len(encode_message(msg))`, computed from the payload shapes
+    without encoding."""
+    return HEADER_SIZE + sum(
+        _CODECS[name][2](getattr(msg, name)) for name in PAYLOADS[msg.kind]
+    )
 
 
 def decode_message(frame: bytes) -> FedMessage:

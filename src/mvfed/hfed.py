@@ -7,17 +7,19 @@ settles), and the server takes the sample-count-weighted average of the
 returned transforms.  Only transform matrices ever cross the wire;
 pseudo-labels and consensus stay on the client between rounds.
 
-Clients of one round are refitted as stacks: `HorizontalClient.prestep`,
-which the round driver calls before the steps, groups the clients by
-row count and runs each group's local passes as one stacked computation
-(`_local_passes`: one `_fit_stats` call per width group and pass over
-(s, n, d) stacks, each view's X^T X formed once per call), each slice
-starting from the transforms its own client received.  Each `step`
-then commits its client's staged slice, which is bit-identical to what
-the client computes alone.  A client computes alone instead, as a
-stack of one, when it steps with a message other than the staged one,
-or when the stacked pass raised; a failure is then reported by the
-client that fails.
+Clients of one round are refitted as stacks.  `make_horizontal_parties`
+stacks the views and labels of the clients of each row count once, into
+one `_Rows` block they share.  `HorizontalClient.prestep`, which the
+round driver calls before the steps, runs each block's local passes as
+one stacked computation (`_local_passes`: one `_fit_stats` call per
+width group and pass over (s, n, d) stacks, each view's X^T X formed
+once per call), each slice starting from the transforms its own client
+received.  Each `step` then checks the broadcast's shapes and commits
+its client's staged slice, which is bit-identical to what the client
+computes alone.  A client computes alone instead, as a stack of one,
+when it steps with a message other than the staged one, or when the
+stacked pass raised; a failure is then reported by the client that
+fails.
 """
 
 from __future__ import annotations
@@ -59,14 +61,43 @@ DEFAULT_ROUNDS = 20
 DEFAULT_MAX_LOCAL = 30
 
 
+@dataclass(frozen=True)
+class _Rows:
+    """The views and labels of clients of one row count, stacked once:
+    views[k] is (s, n, d_k) and labels (s, n, c), slot i holding the
+    i-th client's rows.  Read-only, so clients can share it.
+    `transform_shapes` lists the (d_k, c) a broadcast must carry."""
+
+    views: list[np.ndarray]
+    labels: np.ndarray
+    transform_shapes: list[tuple[int, int]]
+
+    @classmethod
+    def stack(cls, datasets: Sequence[MultiViewDataset]) -> "_Rows":
+        views = [np.stack(v) for v in zip(*(d.views for d in datasets))]
+        labels = np.stack([d.labels for d in datasets])
+        for m in (*views, labels):
+            m.setflags(write=False)
+        return cls(views, labels, [(v.shape[2], labels.shape[2]) for v in views])
+
+    def take(self, slots: list[int]):
+        """(views, labels) of the given slots; all of them, in order,
+        without a copy."""
+        if slots == list(range(len(self.labels))):
+            return self.views, self.labels
+        return [v[slots] for v in self.views], self.labels[slots]
+
+
 @dataclass
 class HorizontalClient:
     """One participant's samples plus its persistent local state.
 
     The pseudo-label and consensus blocks survive across rounds; the
     transforms are overwritten by every broadcast before the local
-    optimization reuses them as the IRLS warm start.  `staged` holds
-    the (message, result) pair `prestep` computed for the next step.
+    optimization reuses them as the IRLS warm start.  `rows` is the
+    stacked block of every client with this one's row count, and
+    `slot` this client's slice of it.  `staged` holds the (message,
+    result) pair `prestep` computed for the next step.
     """
 
     party: PartyId
@@ -76,21 +107,22 @@ class HorizontalClient:
     w: list[np.ndarray]
     pseudo: list[np.ndarray]
     consensus: np.ndarray
+    rows: _Rows = field(repr=False, compare=False)
+    slot: int
     staged: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def prestep(cls, clients, rnd: int, msgs: Sequence[FedMessage]) -> None:
-        """Stage every client's local passes, one stack per row count."""
+        """Stage every client's local passes, one stack per row block."""
         groups: dict[int, list[int]] = {}
         for i, c in enumerate(clients):
-            groups.setdefault(c.data.n_samples, []).append(i)
+            groups.setdefault(id(c.rows), []).append(i)
         staged = []
         for idx in groups.values():
             members = [clients[i] for i in idx]
+            views, labels = members[0].rows.take([c.slot for c in members])
             stacked = _local_passes(
-                [np.stack(a) for a in zip(*(c.data.views for c in members))],
-                np.stack([c.data.labels for c in members]), members[0].hp,
-                members[0].max_local,
+                views, labels, members[0].hp, members[0].max_local,
                 [np.stack(a) for a in zip(*(msgs[i].matrices for i in idx))],
                 [np.stack(a) for a in zip(*(c.pseudo for c in members))],
                 np.stack([c.consensus for c in members]),
@@ -102,27 +134,32 @@ class HorizontalClient:
     def step(self, rnd: int, msg: FedMessage | None) -> FedMessage:
         if msg is None or msg.kind is not MessageKind.TRANSFORM_SET:
             raise ValueError(f"round {rnd}: expected a transform broadcast")
-        self.set_transforms(msg.matrices)
         staged, self.staged = self.staged, None
         if staged is not None and staged[0] is msg:
+            self._check_shapes(msg.matrices)
             self.w, self.pseudo, self.consensus = staged[1]
         else:
+            self.set_transforms(msg.matrices)
             self.optimize_local()
         return FedMessage.transform_set(rnd, self.party, self.w)
 
-    def set_transforms(self, matrices: Sequence[np.ndarray]) -> None:
-        expected = [(d, self.data.n_classes) for d in self.data.dims]
+    def _check_shapes(self, matrices: Sequence[np.ndarray]) -> None:
         got = [m.shape for m in matrices]
-        if got != expected:
-            raise DimensionMismatch(f"broadcast shapes {got}, expected {expected}")
+        if got != self.rows.transform_shapes:
+            raise DimensionMismatch(
+                f"broadcast shapes {got}, expected {self.rows.transform_shapes}"
+            )
+
+    def set_transforms(self, matrices: Sequence[np.ndarray]) -> None:
+        self._check_shapes(matrices)
         self.w = [m.copy() for m in matrices]
 
     def optimize_local(self) -> None:
         """Local block-coordinate passes until the objective settles,
         computed alone, as a stack of one."""
+        views, labels = self.rows.take([self.slot])
         w, pseudo, consensus = _local_passes(
-            [v[None] for v in self.data.views], self.data.labels[None], self.hp,
-            self.max_local, [m[None] for m in self.w],
+            views, labels, self.hp, self.max_local, [m[None] for m in self.w],
             [m[None] for m in self.pseudo], self.consensus[None],
         )
         self.w, self.pseudo, self.consensus = _slice(w, pseudo, consensus, 0)
@@ -221,7 +258,8 @@ def _client_inits(
 
     Streams are keyed by role, client index and view so that no two
     blocks anywhere in the federation share a draw; the group's blocks
-    are orthonormalised as one stack.
+    are orthonormalised as one stack, and each client's blocks are
+    views of it.
     """
     first = datasets[group[0]]
     n_views = first.n_views
@@ -230,7 +268,7 @@ def _client_inits(
         keys += [(KEY_PSEUDO, l, k) for k in range(n_views)] + [(KEY_CONSENSUS, l)]
     blocks = orthonormal_inits(first.n_samples, first.n_classes, seed, keys)
     blocks = blocks.reshape(len(group), n_views + 1, *blocks.shape[1:])
-    return [([m.copy() for m in own[:n_views]], own[n_views].copy()) for own in blocks]
+    return [(list(own[:n_views]), own[n_views]) for own in blocks]
 
 
 def _check_client_rows(datasets) -> None:
@@ -275,10 +313,12 @@ def make_horizontal_parties(
         by_rows.setdefault(data.n_samples, []).append(l)
     clients: list[HorizontalClient] = [None] * len(datasets)
     for group in by_rows.values():
-        for l, (pseudo, consensus) in zip(group, _client_inits(datasets, seed, group)):
+        rows = _Rows.stack([datasets[l] for l in group])
+        inits = _client_inits(datasets, seed, group)
+        for slot, (l, (pseudo, consensus)) in enumerate(zip(group, inits)):
             clients[l] = HorizontalClient(
                 party=PartyId.client(l), data=datasets[l], hp=hp, max_local=max_local,
-                w=[m.copy() for m in w0], pseudo=pseudo, consensus=consensus,
+                w=list(w0), pseudo=pseudo, consensus=consensus, rows=rows, slot=slot,
             )
     server = HorizontalServer(w=w0, counts=[d.n_samples for d in datasets])
     return server, clients

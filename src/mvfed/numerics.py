@@ -5,6 +5,10 @@ which maps an unsigned integer seed plus a tuple of small integer labels
 to an independent PCG64 stream.  Using fixed labels per role lets two
 different drivers (e.g. a centralized trainer and a set of federated
 parties) derive bitwise-identical initial states from one seed.
+:func:`draw_streams` derives the same streams for a batch of keys in
+one pass, running numpy's `SeedSequence` hash as uint32 array
+operations over all keys; its fixed cost of about 150 array operations
+pays off from about 30 streams, so lone streams stay on `make_rng`.
 
 :func:`solve_spd` solves one SPD system or an (s, n, n) stack of them
 on one of two engines, chosen by the order n alone: numpy's stacked
@@ -18,7 +22,8 @@ never loads it.
 
 from __future__ import annotations
 
-from typing import Sequence
+import operator
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -32,6 +37,7 @@ __all__ = [
     "KEY_SHUFFLE",
     "KEY_DATA",
     "make_rng",
+    "draw_streams",
     "gaussian_init",
     "orthonormal_init",
     "orthonormal_inits",
@@ -49,17 +55,147 @@ KEY_SHUFFLE = 4  # minibatch shuffles
 KEY_DATA = 5  # synthetic data generation
 
 
+def _entropy(seed, key: Sequence) -> list[int]:
+    """[seed, *key] as Python ints; InvalidShape unless each is a
+    non-negative integer."""
+    try:
+        ints = list(map(operator.index, (seed, *key)))
+    except TypeError:
+        ints = [-1]
+    if min(ints) < 0:
+        raise InvalidShape(
+            "seed and key entries must be non-negative integers, "
+            f"got seed={seed!r}, key={tuple(key)!r}"
+        )
+    return ints
+
+
 def make_rng(seed: int, *key: int) -> np.random.Generator:
     """Return a deterministic PCG64 generator for (seed, key).
 
     Distinct keys yield statistically independent streams; identical
-    (seed, key) pairs always yield the same stream.
+    (seed, key) pairs always yield the same stream.  The seed and every
+    key entry must be non-negative integers (InvalidShape otherwise).
     """
-    if seed < 0:
-        raise InvalidShape(f"seed must be non-negative, got {seed}")
+    seed, *key = _entropy(seed, key)
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key))
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=tuple(key)))
     )
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit multiplier.  NEP 19 keeps both streams fixed across numpy
+# versions, so `draw_streams` can derive them a second way, bit for bit.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(value: int) -> list[int]:
+    """SeedSequence's uint32 words of one non-negative int, low first."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _pcg64_states(seed: int, keys: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """The (state, inc) of `make_rng(seed, *key).bit_generator` for every
+    key, hashed together.
+
+    SeedSequence pads the seed's words with zeros to its 4-word pool when
+    the key is not empty, and hashing a missing pool word is hashing a 0,
+    so every stream's entropy is the padded seed followed by its key
+    words.  The hash's multiplier sequence depends only on word
+    positions, so all keys step through it together; a word past a
+    key's end leaves that key's pool as it is.
+    """
+    try:
+        seed, *words = _entropy(seed, [v for key in keys for v in key])
+    except InvalidShape:
+        for key in keys:
+            _entropy(seed, key)  # names the first bad key
+        raise
+    if not keys:
+        return []
+    lengths = [len(key) for key in keys]
+    if words and max(words) > _MASK32:
+        split = [[w for v in _entropy(seed, key)[1:] for w in _words(v)] for key in keys]
+        lengths, words = [len(k) for k in split], [w for k in split for w in k]
+    run = _words(seed)
+    run += [0] * (_POOL_SIZE - len(run))
+    lengths = len(run) + np.array(lengths, dtype=np.int64)
+    width = int(lengths.max())
+    entropy = np.zeros((len(keys), width), dtype=np.uint32)
+    entropy[:, : len(run)] = run
+    entropy[:, len(run):][np.arange(len(run), width) < lengths[:, None]] = words
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = (const * _MULT_A) & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return value ^ (value >> 16)
+
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, width):
+        live = lengths > src
+        for dst in range(_POOL_SIZE):
+            pool[dst] = np.where(live, mix(pool[dst], hashmix(entropy[:, src])), pool[dst])
+    # generate_state(4, np.uint64): eight words, little-endian pairs.
+    const = _INIT_B
+    words = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ const
+        const = (const * _MULT_B) & _MASK32
+        value = value * const
+        words.append(value ^ (value >> 16))
+    seeds = np.stack(words, axis=1).astype("<u4").view("<u8").tolist()
+    states = []
+    # PCG64 seeding: inc = 2 * initseq + 1; state = ((inc + initstate) * M + inc).
+    for state_hi, state_lo, seq_hi, seq_lo in seeds:
+        inc = ((((seq_hi << 64) | seq_lo) << 1) | 1) & _MASK128
+        state = ((inc + ((state_hi << 64) | state_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+T = TypeVar("T")
+
+
+def draw_streams(
+    seed: int, keys: Sequence[tuple[int, ...]], draw: Callable[[np.random.Generator], T]
+) -> list[T]:
+    """`[draw(make_rng(seed, *key)) for key in keys]`, bit for bit.
+
+    The streams are derived for all keys in one pass and each is set in
+    turn on one reused generator, so `draw` must finish with its
+    generator before it returns.  Worth it from about 30 keys.
+    """
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    out = []
+    for state, inc in _pcg64_states(seed, keys):
+        bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        out.append(draw(rng))
+    return out
 
 
 def gaussian_init(rows: int, cols: int, seed: int, *key: int, scale: float = 1.0) -> np.ndarray:
@@ -78,7 +214,8 @@ def orthonormal_init(n: int, c: int, seed: int, *key: int) -> np.ndarray:
     removes the sign ambiguity of QR and keeps the output stable for a
     given seed.
     """
-    return orthonormal_inits(n, c, seed, [key])[0]
+    _check_init_shape(n, c)
+    return _orthonormalize(make_rng(seed, *key).standard_normal((1, n, c)))[0]
 
 
 def orthonormal_inits(
@@ -86,10 +223,20 @@ def orthonormal_inits(
 ) -> np.ndarray:
     """`orthonormal_init(n, c, seed, *key)` for every key, as one
     (len(keys), n, c) stack: each block is drawn from its own stream,
-    and all of them are factored by one stacked QR."""
+    the streams derived together by `draw_streams`, and all of them are
+    factored by one stacked QR."""
+    _check_init_shape(n, c)
+    g = draw_streams(seed, keys, lambda rng: rng.standard_normal((n, c)))
+    return _orthonormalize(np.stack(g))
+
+
+def _check_init_shape(n: int, c: int) -> None:
     if c < 1 or n < c:
         raise InvalidShape(f"need 1 <= c <= n, got n={n}, c={c}")
-    g = np.stack([make_rng(seed, *key).standard_normal((n, c)) for key in keys])
+
+
+def _orthonormalize(g: np.ndarray) -> np.ndarray:
+    """Q of each slice's QR, columns signed so R's diagonal is non-negative."""
     q, r = np.linalg.qr(g, mode="reduced")
     signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
     signs[signs == 0.0] = 1.0

@@ -423,7 +423,7 @@ class TestExitCodes:
             "--out", os.path.join(tmp_path, "emb.csv"),
         )
         assert code == 2
-        assert "non-finite" in stderr
+        assert f"{view}:5:5: non-finite 'inf'" in stderr
 
     def test_training_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         def boom(cfg):

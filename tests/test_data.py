@@ -347,6 +347,21 @@ class TestSequences:
         with pytest.raises(ShapeError):
             load_sequences(str(root))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_step_rejected(self, tmp_path, cell):
+        bundle = gen_sequences(
+            SeqGeneratorSpec(n_samples=4, step_dims=(2,), t_range=(2, 3), seed=21)
+        )
+        root = tmp_path / "seq"
+        save_sequences(bundle, str(root))
+        seq_file = root / "sequences_view_0.csv"
+        lines = seq_file.read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:3] + [cell])
+        seq_file.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as info:
+            load_sequences(str(root))
+        assert f"{seq_file}:4:4: non-finite {cell!r}" in str(info.value)
+
 
 # Golden files: the exact bytes each on-disk format writes for a tiny
 # fixed input, with the cells -0.0, 1e-300 and 0.1 and three classes.

@@ -16,6 +16,8 @@ from mvfed.fedcore import (
     decode_message,
     disallowed_kinds,
     encode_message,
+    fedavg_aggregate,
+    frame_size,
     run_rounds,
 )
 from mvfed.fedcore.messages import PAYLOADS
@@ -209,6 +211,19 @@ class TestWireFormat:
             "eec3a397c4a0033426b26f1316297ce753970eed03713a0944274bb0dc6aba3a"
         )
 
+    @pytest.mark.parametrize("kind", list(MessageKind))
+    def test_frame_size_of_golden_frame(self, kind):
+        msg, frame = GOLDEN[kind]
+        assert frame_size(msg) == len(frame)
+
+    def test_frame_size_of_seeded_random_frames(self):
+        # The 3000 messages of test_seeded_random_frames_unchanged.
+        rng = np.random.default_rng(0)
+        for kind in MessageKind:
+            for _ in range(500):
+                msg = random_message(rng, kind)
+                assert frame_size(msg) == len(encode_message(msg))
+
     def test_truncated_frame(self):
         frame = encode_message(FedMessage.consensus(0, C0, np.ones((2, 3))))
         with pytest.raises(MalformedFrame):
@@ -251,6 +266,38 @@ class TestWireFormat:
             for _ in range(20):
                 msg = random_message(rng, kind)
                 assert decode_message(encode_message(msg)) == msg
+
+
+def fedavg_in_order(arrays, counts):
+    """FedAvg as the terms are added one by one, in client order."""
+    total = float(sum(counts))
+    acc = (counts[0] / total) * arrays[0]
+    for a, n in zip(arrays[1:], counts[1:]):
+        acc += (n / total) * a
+    return acc
+
+
+class TestFedavg:
+    @pytest.mark.parametrize("shape", [(1,), (2,), (57,), (1, 1), (1, 3), (3, 1), (6, 2)])
+    def test_bitwise_equal_to_in_order_loop(self, shape):
+        rng = np.random.default_rng(3)
+        for n_clients in [*range(1, 40), 128, 129, 1000]:
+            arrays = [
+                rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8)
+                for _ in range(n_clients)
+            ]
+            for a in arrays:
+                a[rng.random(shape) < 0.2] = -0.0
+            counts = [int(n) for n in rng.integers(1, 100, n_clients)]
+            got = fedavg_aggregate(arrays, counts)
+            want = fedavg_in_order(arrays, counts)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_negative_zero_kept(self):
+        zeros = [np.full((2, 2), -0.0), np.full((2, 2), -0.0)]
+        assert np.signbit(fedavg_aggregate(zeros, [1, 3])).all()
+        assert np.signbit(fedavg_aggregate([np.array([-0.0])] * 9, [1] * 9)).all()
 
 
 @pytest.mark.parametrize("transport_cls", [InProcessTransport, FramedByteTransport])

@@ -218,6 +218,14 @@ class TestTrain:
             for blob in raw:
                 assert frame.find(blob) == -1
 
+    def test_logged_bytes_equal_over_both_transports(self):
+        parts = split_rows(blob_dataset(20, n=48), 3, seed=3)
+        hp = HyperParams.uniform(2)
+        framed = FramedByteTransport(capture=True)
+        a = hfed_train(parts, hp, seed=21, rounds=2, max_local=3)
+        b = hfed_train(parts, hp, seed=21, rounds=2, max_local=3, transport=framed)
+        assert a.log.total_bytes() == b.log.total_bytes() == sum(map(len, framed.captured))
+
     def test_deterministic_across_runs(self):
         data = blob_dataset(18, n=40)
         parts = split_rows(data, 2, seed=2)
@@ -415,6 +423,19 @@ class TestCohorts:
         assert [r.messages for r in framed.log.records] == [
             r.messages for r in in_process.log.records
         ] == [r.messages for r in ref_log.records]
+
+    def test_staged_step_checks_broadcast_shapes(self):
+        # With no local passes the stack stages the broadcast as it came;
+        # committing it must still check its shapes.
+        shards = rows_of([8, 8], seed=53, dims=(4, 3))
+        _, clients = make_horizontal_parties(
+            shards, HyperParams.uniform(2), seed=54, max_local=0
+        )
+        bad = FedMessage.transform_set(0, SERVER, [np.zeros((4, 1)), np.zeros((3, 1))])
+        stage(clients, 0, [bad, bad])
+        assert clients[0].staged is not None
+        with pytest.raises(DimensionMismatch):
+            clients[0].step(0, bad)
 
     def test_failing_member_is_named(self, monkeypatch):
         shards = rows_of([8, 8, 8, 8], seed=45, dims=(4, 3))

@@ -13,6 +13,7 @@ from mvfed.errors import DimensionMismatch, InvalidShape, NotSPD
 from mvfed.hfed import hfed_train
 from mvfed.mvl import HyperParams
 from mvfed.numerics import (
+    draw_streams,
     gaussian_init,
     make_rng,
     orthonormal_init,
@@ -380,8 +381,54 @@ class TestRng:
         with pytest.raises(InvalidShape):
             make_rng(-1)
 
+    @pytest.mark.parametrize("bad", [(-1,), (1.5,), (1, -1), (1, 0.5), (1, 2, "3")])
+    def test_bad_seed_or_key_rejected(self, bad):
+        with pytest.raises(InvalidShape):
+            make_rng(*bad)
+        with pytest.raises(InvalidShape):
+            draw_streams(bad[0], [(0,), bad[1:]], lambda rng: rng.random())
+
     def test_gaussian_init_scale(self):
         m = gaussian_init(4, 3, 9, 0, scale=0.0)
         assert np.array_equal(m, np.zeros((4, 3)))
         m2 = gaussian_init(2000, 1, 9, scale=2.0)
         assert abs(float(np.std(m2)) - 2.0) < 0.2
+
+
+BATCH_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1]
+MIXED_KEYS = [(), (0,), (2**32,), (4, 1, 2), (2**64 + 3, 7), (9,), (1, 2, 3, 4, 5, 6)]
+
+
+class TestDrawStreams:
+    """The batch path must give `make_rng(seed, *key)`'s streams bit for bit."""
+
+    @pytest.mark.parametrize("seed", BATCH_SEEDS)
+    @pytest.mark.parametrize("keys", [[()], [(0,)], [(2**32,)], MIXED_KEYS])
+    @pytest.mark.parametrize("draw", [
+        lambda rng: rng.standard_normal((3, 4)),
+        lambda rng: rng.permutation(17),
+    ])
+    def test_equals_make_rng(self, seed, keys, draw):
+        got = draw_streams(seed, keys, draw)
+        assert len(got) == len(keys)
+        for key, g in zip(keys, got):
+            assert g.tobytes() == draw(make_rng(seed, *key)).tobytes()
+
+    def test_many_keys(self):
+        keys = [(1, l, k) for l in range(100) for k in range(4)] + MIXED_KEYS
+        got = draw_streams(5, keys, lambda rng: rng.standard_normal(6))
+        for key, g in zip(keys, got):
+            assert g.tobytes() == make_rng(5, *key).standard_normal(6).tobytes()
+
+    def test_no_keys(self):
+        assert draw_streams(3, [], lambda rng: rng.random()) == []
+
+    def test_orthonormal_inits_match_make_rng_reference(self):
+        # hfed's client init keys for 128 clients of 3 views.
+        keys = [(1, l, k) for l in range(128) for k in range(3)] + [(2, l) for l in range(128)]
+        stack = orthonormal_inits(10, 2, 7, keys)
+        for key, block in zip(keys, stack):
+            q, r = np.linalg.qr(make_rng(7, *key).standard_normal((10, 2)), mode="reduced")
+            signs = np.sign(np.diag(r))
+            signs[signs == 0.0] = 1.0
+            assert block.tobytes() == (q * signs).tobytes()

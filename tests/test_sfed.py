@@ -364,6 +364,14 @@ class TestProtocol:
         for wa, wb in zip(a.params, b.params):
             assert np.array_equal(wa, wb)
 
+    def test_logged_bytes_equal_over_both_transports(self):
+        clients = two_view_clients(32, m=3)
+        cfg = TrainerConfig(batch_size=8, max_rounds=2, seed=29)
+        framed = FramedByteTransport(capture=True)
+        a = sfed_train(clients, cfg, embed_dim=4)
+        b = sfed_train(clients, cfg, embed_dim=4, transport=framed)
+        assert a.log.total_bytes() == b.log.total_bytes() == sum(map(len, framed.captured))
+
     def test_message_audit(self):
         clients = two_view_clients(31, m=2)
         cfg = TrainerConfig(batch_size=8, max_rounds=2, seed=23)
