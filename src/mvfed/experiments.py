@@ -548,12 +548,17 @@ def run_experiment(
 
 @dataclass
 class ModelBundle:
-    """A trained set of view transforms plus what prediction needs."""
+    """A trained set of view transforms plus what prediction needs.
+
+    views, when known, are the indices of the source data's views the
+    transforms were trained on, one per transform, ascending.
+    """
 
     transforms: list[np.ndarray]
     zeta: tuple[float, ...]
     single: bool
     positive_class: int = 1
+    views: tuple[int, ...] | None = None
 
     def __post_init__(self):
         self.zeta = tuple(float(z) for z in self.zeta)
@@ -564,6 +569,15 @@ class ModelBundle:
             )
         if self.single and len(self.transforms) != 1:
             raise ConfigError("model: a single-view model holds one transform")
+        if self.views is not None:
+            self.views = tuple(int(k) for k in self.views)
+            if len(self.views) != len(self.transforms) or any(
+                b <= a for a, b in zip((-1, *self.views), self.views)
+            ):
+                raise ConfigError(
+                    f"model: source views {self.views} for "
+                    f"{len(self.transforms)} transforms"
+                )
 
     def predict(self, views) -> np.ndarray:
         if self.single:
@@ -582,18 +596,25 @@ def train_once(cfg: RunConfig, dataset=None) -> tuple[ModelBundle, MetricsRow]:
     mode = MODES[cfg.mode]
     if not mode.global_model:
         raise ConfigError(f"mode: {cfg.mode!r} does not produce one global model")
-    masked, hp = _select(cfg, _source(cfg, dataset))
+    data = _source(cfg, dataset)
+    masked, hp = _select(cfg, data)
     train, _, test = _split(cfg, masked, cfg.seed)
     model = ModelBundle(
         transforms=_fit_flat(cfg, train, hp, cfg.seed),
         zeta=hp.zeta,
         single=mode.trainer == "single_view",
         positive_class=cfg.positive_class,
+        views=_resolve_mask(cfg, data.n_views),
     )
     return model, evaluate_model(model, test)
 
 
 def evaluate_model(model: ModelBundle, data: MultiViewDataset) -> MetricsRow:
+    """Metrics of the model's predictions on data.  A model that knows
+    its source views scores those views of data when data has them all;
+    otherwise data's views must be the model's, in order."""
+    if model.views is not None and data.n_views > model.views[-1]:
+        data = data.select_views(model.views)
     dims = tuple(w.shape[0] for w in model.transforms)
     if data.dims != dims:
         raise ShapeError(f"model: data has view widths {data.dims}, model has {dims}")
@@ -612,17 +633,24 @@ def save_model(model: ModelBundle, path: str) -> None:
         if w.ndim != 2 or w.shape[1] != classes:
             raise ShapeError(f"transform {i} has shape {w.shape}")
         entries[f"dim_{i}"] = w.shape[0]
+        if model.views is not None:
+            entries[f"source_view_{i}"] = model.views[i]
         _write_matrix(os.path.join(path, f"transform_{i}.csv"), "c", w)
     _write_matrix(os.path.join(path, "zeta.csv"), "z", [model.zeta])
     _write_manifest(path, entries)
 
 
 def load_model(path: str) -> ModelBundle:
-    """Read a model directory written by save_model."""
+    """Read a model directory written by save_model.  The source view
+    entries are optional, as in models saved before they were kept."""
     manifest = _read_manifest(
         path, ("views", "classes", "single", "positive_class"), "dim"
     )
     k, classes = manifest["views"], manifest["classes"]
+    views = None
+    if "source_view_0" in manifest:
+        keys = [f"source_view_{i}" for i in range(k)]
+        views = tuple(map(_read_manifest(path, keys).get, keys))  # ParseError names a gap
     transforms = [
         _read_matrix(os.path.join(path, f"transform_{i}.csv"), "c", classes,
                      manifest[f"dim_{i}"])
@@ -634,6 +662,7 @@ def load_model(path: str) -> ModelBundle:
         zeta=tuple(zeta),
         single=bool(manifest["single"]),
         positive_class=manifest["positive_class"],
+        views=views,
     )
 
 

@@ -5,10 +5,14 @@ which maps an unsigned integer seed plus a tuple of small integer labels
 to an independent PCG64 stream.  Using fixed labels per role lets two
 different drivers (e.g. a centralized trainer and a set of federated
 parties) derive bitwise-identical initial states from one seed.
-:func:`draw_streams` derives the same streams for a batch of keys in
-one pass, running numpy's `SeedSequence` hash as uint32 array
-operations over all keys; its fixed cost of about 150 array operations
-pays off from about 30 streams, so lone streams stay on `make_rng`.
+:func:`stream_states` derives the same streams' start states for a
+batch of keys in one pass, running numpy's `SeedSequence` hash as uint32
+array operations over all keys, and :func:`draw_streams` draws from
+them on one reused generator.  The pass has a fixed cost of about 150
+array operations, so it pays off from about 30 keys: a caller that
+knows many keys in advance derives them together (hfed's client inits,
+one row-count group at a time; sfed's shuffles, every client and round
+of a view's federation), and a lone stream stays on `make_rng`.
 
 :func:`solve_spd` solves one SPD system or an (s, n, n) stack of them
 on one of two engines, chosen by the order n alone: numpy's stacked
@@ -37,6 +41,8 @@ __all__ = [
     "KEY_SHUFFLE",
     "KEY_DATA",
     "make_rng",
+    "stream_states",
+    "pcg64_state",
     "draw_streams",
     "gaussian_init",
     "orthonormal_init",
@@ -85,8 +91,9 @@ def make_rng(seed: int, *key: int) -> np.random.Generator:
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
 # PCG64's 128-bit multiplier.  NEP 19 keeps both streams fixed across numpy
-# versions, so `draw_streams` can derive them a second way, bit for bit.
+# versions, so `stream_states` can derive them a second way, bit for bit.
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -102,6 +109,31 @@ def _words(value: int) -> list[int]:
         value >>= 32
         words.append(value & _MASK32)
     return words
+
+
+def stream_states(seed: int, keys: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """The start state of `make_rng(seed, *key).bit_generator` for every
+    key, derived in one pass, as a (len(keys), 4) uint64 array of the
+    PCG64 state's and increment's high and low words: 32 bytes a stream.
+    `pcg64_state` turns a row into the generator's state."""
+    words = [
+        (state >> 64, state & _MASK64, inc >> 64, inc & _MASK64)
+        for state, inc in _pcg64_states(seed, keys)
+    ]
+    return np.array(words, dtype=np.uint64).reshape(-1, 4)
+
+
+def pcg64_state(words) -> dict:
+    """The PCG64 `bit_generator.state` of one `stream_states` row."""
+    state_hi, state_lo, inc_hi, inc_lo = map(int, words)
+    return _state_dict((state_hi << 64) | state_lo, (inc_hi << 64) | inc_lo)
+
+
+def _state_dict(state: int, inc: int) -> dict:
+    return {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+        "has_uint32": 0, "uinteger": 0,
+    }
 
 
 def _pcg64_states(seed: int, keys: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
@@ -182,18 +214,16 @@ def draw_streams(
 ) -> list[T]:
     """`[draw(make_rng(seed, *key)) for key in keys]`, bit for bit.
 
-    The streams are derived for all keys in one pass and each is set in
-    turn on one reused generator, so `draw` must finish with its
-    generator before it returns.  Worth it from about 30 keys.
+    The streams are derived for all keys in one pass, as in
+    `stream_states`, and each is set in turn on one reused generator, so
+    `draw` must finish with its generator before it returns.  Worth it
+    from about 30 keys.
     """
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
     out = []
     for state, inc in _pcg64_states(seed, keys):
-        bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0,
-        }
+        bit_generator.state = _state_dict(state, inc)
         out.append(draw(rng))
     return out
 

@@ -23,6 +23,13 @@ one and `local_training` the lock-step SGD of a stack of one.  A client
 that steps with a message other than the staged one, or any client
 after the stacked SGD raised, computes alone, so a failure is reported
 by the client that fails.
+
+The shuffle streams of every client and round of a view, keyed (client,
+view, round), are derived together when the parties are built
+(`numerics.stream_states`) and kept as 32-byte start states.  `_sgd`
+draws each slice's order from one reused generator set to the slice's
+state, so each stream is bit for bit the `make_rng` generator of its
+key; lone callers pass that generator's state.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from .fedcore import (
     fedavg_aggregate,
     run_rounds,
 )
-from .numerics import KEY_ENCODER, KEY_SHUFFLE, make_rng
+from .numerics import KEY_ENCODER, KEY_SHUFFLE, make_rng, pcg64_state, stream_states
 
 
 @dataclass
@@ -420,15 +427,19 @@ def _sgd(
     w: np.ndarray,
     data: _Padded,
     cfg: TrainerConfig,
-    seed_keys: Sequence[tuple[int, ...]],
+    streams: Sequence[dict],
 ) -> np.ndarray:
     """`local_training` of every slice of a padded stack, in lock-step.
 
-    Slice s starts from w[s] and shuffles with its own stream, keyed by
-    seed_keys[s].  Step j of an epoch runs batch j of every slice that
-    has one as one kernel call; a slice out of batches sits the later
-    steps out.  Returns the (S, n_params) trained rows.  The steps share
-    their buffers (see `_buffer`).
+    Slice s starts from w[s] and shuffles with its own stream, which
+    starts at the PCG64 state streams[s] (a `bit_generator.state`).
+    Each epoch sets every slice's state in turn on one generator, draws
+    the slice's order and, when another epoch follows, keeps the state
+    it reached, so a stream continues as a live generator would.  Step j
+    of an epoch runs batch j of every slice that has one as one kernel
+    call; a slice out of batches sits the later steps out.  Returns the
+    (S, n_params) trained rows.  The steps share their buffers (see
+    `_buffer`).
     """
     w = np.array(w, dtype=float)
     counts = data.counts
@@ -437,12 +448,17 @@ def _sgd(
     # A batch is at most `chunk` rows; past its own sequences a slice's
     # order is padding (row n), which sorts to the end of its batch.
     chunk = min(cfg.batch_size, data.n)
-    rngs = [make_rng(cfg.seed, KEY_SHUFFLE, *key) for key in seed_keys]
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    streams = list(streams)
     order = np.full((len(counts), steps * chunk), data.n)
     work: dict[str, np.ndarray] = {}
-    for _ in range(cfg.local_epochs):
-        for s, rng in enumerate(rngs):
+    for epoch in range(cfg.local_epochs):
+        for s, state in enumerate(streams):
+            bit_generator.state = state
             order[s, : counts[s]] = rng.permutation(counts[s])
+            if epoch + 1 < cfg.local_epochs:
+                streams[s] = bit_generator.state
         batches = np.sort(order.reshape(len(counts), steps, chunk), axis=2)
         for j in range(steps):
             live = np.flatnonzero(n_batches > j)
@@ -465,7 +481,10 @@ def local_training_stack(
     for data in datasets:
         if data.n_samples == 0:
             raise EmptyDataset("local training needs at least one sequence")
-    return _sgd(arch, w, _pad([(d.sequences, d.y) for d in datasets]), cfg, seed_keys)
+    streams = [
+        make_rng(cfg.seed, KEY_SHUFFLE, *key).bit_generator.state for key in seed_keys
+    ]
+    return _sgd(arch, w, _pad([(d.sequences, d.y) for d in datasets]), cfg, streams)
 
 
 def local_training(
@@ -493,8 +512,11 @@ class SequenceClient:
     """Runs local SGD on one view's sequences when polled.
 
     `data` is its federation's padded stack, shared by all its clients,
-    and `slot` this client's slice of it.  `staged` holds the (message,
-    trained vector) pair `prestep` computed for the next step.
+    and `slot` this client's slice of it.  `streams` (rounds, clients, 4)
+    holds the `numerics.stream_states` row of every client's shuffle
+    stream of every round below cfg.max_rounds, also shared.  `staged`
+    holds the (message, trained vector) pair `prestep` computed for the
+    next step.
     """
 
     party: PartyId
@@ -503,6 +525,7 @@ class SequenceClient:
     arch: EncoderArch
     cfg: TrainerConfig
     view_index: int
+    streams: np.ndarray = field(repr=False, compare=False)
     staged: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
@@ -513,7 +536,7 @@ class SequenceClient:
         first = clients[0]
         stacked = _sgd(
             first.arch, np.stack([m.vector for m in msgs]), first.data, first.cfg,
-            [c.seed_key(rnd) for c in clients],
+            [c.stream(rnd) for c in clients],
         )
         for c, msg, w in zip(clients, msgs, stacked):
             c.staged = (msg, w)
@@ -531,11 +554,16 @@ class SequenceClient:
             w = staged[1]
         else:
             data = self.data[self.slot]
-            w = _sgd(self.arch, msg.vector[None], data, self.cfg, [self.seed_key(rnd)])[0]
+            w = _sgd(self.arch, msg.vector[None], data, self.cfg, [self.stream(rnd)])[0]
         return FedMessage.param_vector(rnd, self.party, self.view_index, w)
 
-    def seed_key(self, rnd: int) -> tuple[int, int, int]:
-        return (self.party.id, self.view_index, rnd)
+    def stream(self, rnd: int) -> dict:
+        """Start state of this client's round-rnd shuffle stream, keyed
+        (client, view, round); from the shared table below max_rounds."""
+        if rnd < len(self.streams):
+            return pcg64_state(self.streams[rnd, self.slot])
+        key = (self.party.id, self.view_index, rnd)
+        return make_rng(self.cfg.seed, KEY_SHUFFLE, *key).bit_generator.state
 
 
 @dataclass
@@ -570,7 +598,8 @@ def make_sequence_parties(
     """Server and one client per local dataset for one view's encoder.
 
     Every client's sequences are padded once, here, into one stack
-    that all clients share; client l holds slot l.
+    that all clients share; client l holds slot l.  The shuffle streams
+    of every client and round are derived here too, in one pass.
     """
     if len(datasets) == 0:
         raise InvalidSpec("sequence training needs at least one client")
@@ -586,10 +615,15 @@ def make_sequence_parties(
         counts=[data.n_samples for data in datasets], view_index=view_index,
     )
     padded = _pad([(data.sequences, data.y) for data in datasets])
+    keys = [
+        (KEY_SHUFFLE, l, view_index, rnd)
+        for rnd in range(cfg.max_rounds) for l in range(len(datasets))
+    ]
+    streams = stream_states(cfg.seed, keys).reshape(cfg.max_rounds, len(datasets), 4)
     clients = [
         SequenceClient(
             party=PartyId.client(l), data=padded, slot=l, arch=arch, cfg=cfg,
-            view_index=view_index,
+            view_index=view_index, streams=streams,
         )
         for l in range(len(datasets))
     ]
@@ -666,8 +700,9 @@ def extract_features(
             f"sequence width {data.n_features}, arch expects {arch.n_features}"
         )
     padded = _pad([(data.sequences, data.y)])
-    x, _, lengths, _, _ = padded.gather(
-        np.zeros(1, dtype=np.int64), np.arange(data.n_samples)[None]
-    )
+    # The padded rows in place; a lone sequence keeps the padding row,
+    # so every product in `_forward` stays a matrix product.
+    rows = max(data.n_samples, 2)
+    x, lengths = padded.x[:, :rows], padded.lengths[:, :rows]
     _, pooled, _ = _forward(*_widen(arch, np.asarray(w, dtype=float)[None]), x, lengths)
     return pooled[0, : data.n_samples, : arch.embed_dim]

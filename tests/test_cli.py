@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from mvfed.cli import RUN_KEYS, SCHEMA, build_run_config, main, parse_config_file
-from mvfed.data import gen_multiview, load_dataset, load_sequences
+from mvfed.data import gen_multiview, load_dataset, load_sequences, save_dataset
 from mvfed.errors import ConfigError, NotSPD, PartyFailure
-from mvfed.experiments import load_embeddings, load_model
+from mvfed.experiments import load_embeddings, load_model, split_indices
 from suite_utils import read_report, reference_grid
 
 
@@ -131,6 +131,29 @@ class TestTrainEvaluate:
         code, _, stderr = run(capsys, "evaluate", "--model", model_dir, "--data", other)
         assert code == 2
         assert "(4, 3)" in stderr and f"({dims.replace(',', ', ')})" in stderr
+
+    @pytest.mark.parametrize("mode, views", [("single_view", "1"), ("mvl", "0,2")])
+    def test_view_subset_model_evaluates_on_its_source_data(self, tmp_path, capsys, mode, views):
+        data_dir = os.path.join(tmp_path, "data")
+        model_dir = os.path.join(tmp_path, "model")
+        main(["gen-data", "--out", data_dir, *SMALL_FLAT, "--dims", "4,3,2"])
+        capsys.readouterr()
+        code, trained, _ = run(
+            capsys, "train", "--mode", mode, "--views", views, "--data", data_dir,
+            *QUICK_FIT, "--model-out", model_dir,
+        )
+        assert code == 0
+        code, _, stderr = run(capsys, "evaluate", "--model", model_dir, "--data", data_dir)
+        assert code == 0, stderr
+        # On the test rows of train's split, evaluate prints train's metrics.
+        data = load_dataset(data_dir)
+        cfg = build_run_config({key: SCHEMA[key][1] for key in RUN_KEYS})
+        _, _, test = split_indices(data.class_indices(), data.n_classes, cfg.split, cfg.seed)
+        test_dir = os.path.join(tmp_path, "test")
+        save_dataset(data.subset(test), test_dir)
+        code, scored, _ = run(capsys, "evaluate", "--model", model_dir, "--data", test_dir)
+        assert code == 0
+        assert "accuracy=" in scored and trained == scored + f"model -> {model_dir}\n"
 
     def test_evaluate_missing_model_dir(self, tmp_path, capsys):
         code, _, stderr = run(

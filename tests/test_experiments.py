@@ -408,6 +408,58 @@ class TestModels:
             model.predict([x]), argmax_decode(x @ model.transforms[0])
         )
 
+    @pytest.mark.parametrize(
+        "mode, mask", [("single_view", (1,)), ("mvl", (0, 2)), ("mvl", None)]
+    )
+    def test_view_subset_model_scores_its_source_data(self, tmp_path, mode, mask):
+        cfg = base_cfg(
+            mode=mode, view_mask=mask, spec=easy_spec(dims=(5, 4, 3)), hp=quick_hp(3), repeats=1,
+        )
+        model, row = train_once(cfg)
+        assert model.views == (mask or (0, 1, 2))
+        path = os.path.join(tmp_path, "model")
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.views == model.views
+        data = gen_multiview(cfg.spec)
+        _, _, test = split_indices(data.class_indices(), data.n_classes, cfg.split, cfg.seed)
+        assert evaluate_model(loaded, data.subset(test)) == row
+        # Data that holds only the model's views is scored as it is.
+        only = data.select_views(model.views).subset(test)
+        assert evaluate_model(loaded, only) == row
+
+    def test_model_without_source_views_needs_its_views(self, tmp_path):
+        cfg = base_cfg(mode="single_view", view_mask=(1,), spec=easy_spec(dims=(5, 4)), repeats=1)
+        model, _ = train_once(cfg)
+        path = os.path.join(tmp_path, "model")
+        save_model(dataclasses.replace(model, views=None), path)
+        with open(os.path.join(path, "manifest.txt")) as fh:
+            assert "source_view" not in fh.read()
+        loaded = load_model(path)
+        assert loaded.views is None
+        data = gen_multiview(cfg.spec)
+        with pytest.raises(ShapeError, match=r"\(5, 4\), model has \(4,\)"):
+            evaluate_model(loaded, data)
+        assert evaluate_model(loaded, data.select_views([1])) == evaluate_model(model, data)
+
+    def test_bad_source_views_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="source views"):
+            ModelBundle(transforms=GOLDEN_TRANSFORMS, zeta=(8.0, 0.1), single=False, views=(1, 1))
+        with pytest.raises(ConfigError, match="source views"):
+            ModelBundle(transforms=GOLDEN_TRANSFORMS, zeta=(8.0, 0.1), single=False, views=(0,))
+        path = os.path.join(tmp_path, "model")
+        model = ModelBundle(
+            transforms=GOLDEN_TRANSFORMS, zeta=(8.0, 0.1), single=False, views=(0, 2)
+        )
+        save_model(model, path)
+        manifest = os.path.join(path, "manifest.txt")
+        with open(manifest) as fh:
+            kept = [line for line in fh if not line.startswith("source_view_1=")]
+        with open(manifest, "w") as fh:
+            fh.writelines(kept)
+        with pytest.raises(ParseError, match="missing source_view_1"):
+            load_model(path)
+
     def test_train_once_needs_global_model_mode(self):
         with pytest.raises(ConfigError):
             train_once(base_cfg(mode="mv_local"))

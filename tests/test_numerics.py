@@ -18,8 +18,10 @@ from mvfed.numerics import (
     make_rng,
     orthonormal_init,
     orthonormal_inits,
+    pcg64_state,
     row_l2_norms,
     solve_spd,
+    stream_states,
 )
 from suite_utils import blob_dataset, record_calls
 
@@ -422,6 +424,15 @@ class TestDrawStreams:
 
     def test_no_keys(self):
         assert draw_streams(3, [], lambda rng: rng.random()) == []
+        assert stream_states(3, []).shape == (0, 4)
+
+    @pytest.mark.parametrize("seed", BATCH_SEEDS)
+    def test_states_equal_make_rng_state(self, seed):
+        keys = MIXED_KEYS + [(4, l, 1, r) for r in range(3) for l in range(24)]
+        states = stream_states(seed, keys)
+        assert states.shape == (len(keys), 4) and states.dtype == np.uint64
+        for key, words in zip(keys, states):
+            assert pcg64_state(words) == make_rng(seed, *key).bit_generator.state
 
     def test_orthonormal_inits_match_make_rng_reference(self):
         # hfed's client init keys for 128 clients of 3 views.

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import mvfed.experiments
 import mvfed.sfed
 from mvfed.errors import (
     DimensionMismatch,
@@ -130,6 +132,19 @@ def dataset_loss(arch, w, data):
     return loss
 
 
+def reference_sgd(data, arch, w, cfg, key):
+    """Minibatch SGD one batch at a time, every epoch drawing its order
+    from one live `make_rng` shuffle stream."""
+    rng = make_rng(cfg.seed, KEY_SHUFFLE, *key)
+    for _ in range(cfg.local_epochs):
+        order = rng.permutation(data.n_samples)
+        for start in range(0, data.n_samples, cfg.batch_size):
+            batch = np.sort(order[start : start + cfg.batch_size])
+            _, grad = loss_and_grad(arch, w, [data.sequences[i] for i in batch], data.y[batch])
+            w = w - cfg.learning_rate * grad
+    return w
+
+
 class TestForward:
     def test_zero_weights(self):
         seq = np.random.default_rng(5).standard_normal((6, 3))
@@ -255,6 +270,23 @@ class TestLocalTraining:
             )
             expected = expected - 0.1 * grad
         assert np.array_equal(got, expected)
+
+    def test_epochs_continue_one_stream(self):
+        data = make_sequences(23, n=9)
+        w = random_params(ARCH, 24)
+        cfg = TrainerConfig(batch_size=4, local_epochs=3, learning_rate=0.1, seed=3)
+        got = local_training(data, ARCH, w, cfg, seed_key=(0, 1, 2))
+        assert got.tobytes() == reference_sgd(data, ARCH, w, cfg, (0, 1, 2)).tobytes()
+
+    def test_local_encoders_equal_per_dataset_loop(self):
+        # Isolated encoders run rounds x local epochs epochs on one stream each.
+        datasets = ragged_clients(40)
+        cfg = TrainerConfig(batch_size=4, local_epochs=2, learning_rate=0.1, max_rounds=3, seed=9)
+        got = mvfed.experiments._local_encoders(datasets, ARCH, cfg, view=1)
+        start = ARCH.init_params(9, KEY_ENCODER, 1)
+        solo = dataclasses.replace(cfg, local_epochs=6)
+        for l, (data, row) in enumerate(zip(datasets, got)):
+            assert row.tobytes() == local_training(data, ARCH, start, solo, (l, 1, 0)).tobytes()
 
     def test_descent_at_small_rate(self):
         for seed in range(10):
@@ -431,6 +463,19 @@ class TestExtract:
         out = extract_features(ARCH, np.zeros(ARCH.n_params), empty)
         assert out.shape == (0, 4)
 
+    @pytest.mark.parametrize("arch", [ARCH, EncoderArch(3, 1, 2)], ids=["3x4", "3x1"])
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    def test_equals_gathered_batch(self, arch, n):
+        # The embedding as it was computed on a gathered copy of the rows.
+        data = make_sequences(38 + n, n=n)
+        w = random_params(arch, 39)
+        padded = mvfed.sfed._pad([(data.sequences, data.y)])
+        x, _, lengths, _, _ = padded.gather(np.zeros(1, dtype=np.int64), np.arange(n)[None])
+        wide = mvfed.sfed._widen(arch, w[None])
+        _, pooled, _ = mvfed.sfed._forward(*wide, x, lengths)
+        want = pooled[0, :n, : arch.embed_dim]
+        assert extract_features(arch, w, data).tobytes() == want.tobytes()
+
 
 def ragged_clients(seed, p=3):
     """Clients of 5, 9 and 14 sequences with different longest lengths."""
@@ -461,6 +506,20 @@ class TestCohort:
             for l, (data, reply) in enumerate(zip(datasets, replies)):
                 solo = local_training(data, arch, sent.vector, RAGGED_CFG, seed_key=(l, 2, rnd))
                 assert np.array_equal(reply.vector, solo)
+
+    def test_two_epoch_stack_and_federation_match_reference(self):
+        datasets = ragged_clients(65)
+        starts = np.stack([random_params(ARCH, 66 + l) for l in range(3)])
+        keys = [(l, 1, 0) for l in range(3)]
+        stacked = local_training_stack(datasets, ARCH, starts, RAGGED_CFG, keys)
+        server, clients = make_sequence_parties(datasets, 1, ARCH, RAGGED_CFG)
+        sent = server.broadcast(2)
+        stage(clients, 2, [sent] * 3)
+        for l, (data, start, row) in enumerate(zip(datasets, starts, stacked)):
+            want = reference_sgd(data, ARCH, start, RAGGED_CFG, keys[l])
+            assert row.tobytes() == want.tobytes()
+            want = reference_sgd(data, ARCH, sent.vector, RAGGED_CFG, (l, 1, 2))
+            assert clients[l].step(2, sent).vector.tobytes() == want.tobytes()
 
     def test_stack_rows_match_solo_training(self):
         datasets = ragged_clients(60)
@@ -554,3 +613,31 @@ class TestCohort:
         # All three clients run every step their longest member runs
         # until the shorter ones run out of batches.
         assert kernel[:steps] == [3, 3, 2, 1] * RAGGED_CFG.local_epochs
+
+
+class TestStreams:
+    def test_make_rng_only_for_the_inits(self, monkeypatch):
+        clients = two_view_clients(45)
+        calls = []
+        original = mvfed.sfed.make_rng
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(mvfed.sfed, "make_rng", counting)
+        sfed_train(clients, RAGGED_CFG, embed_dim=4)
+        assert calls == [(RAGGED_CFG.seed, KEY_ENCODER, 0), (RAGGED_CFG.seed, KEY_ENCODER, 1)]
+
+    @pytest.mark.parametrize("n_clients, rounds", [(3, 4), (1, 3), (3, 0), (1, 0)])
+    def test_table_states_equal_make_rng(self, n_clients, rounds):
+        datasets = ragged_clients(46)[:n_clients]
+        cfg = dataclasses.replace(RAGGED_CFG, max_rounds=rounds)
+        _, clients = make_sequence_parties(datasets, 2, ARCH, cfg)
+        assert clients[0].streams.shape == (rounds, n_clients, 4)
+        for l, c in enumerate(clients):
+            assert c.streams is clients[0].streams
+            # Rounds past the table fall back to a stream of their own.
+            for rnd in range(rounds + 1):
+                want = make_rng(cfg.seed, KEY_SHUFFLE, l, 2, rnd).bit_generator.state
+                assert c.stream(rnd) == want
