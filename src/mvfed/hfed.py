@@ -8,22 +8,25 @@ returned transforms.  Only transform matrices ever cross the wire;
 pseudo-labels and consensus stay on the client between rounds.
 
 Clients of one round are refitted as stacks.  `make_horizontal_parties`
-stacks the views and labels of the clients of each row count once, into
-one `_Rows` block they share.  `HorizontalClient.prestep`, which the
-round driver calls before the steps, runs each block's local passes as
-one stacked computation (`_local_passes`: one `_fit_stats` call per
-width group and pass over (s, n, d) stacks, each view's X^T X formed
-once per call), each slice starting from the transforms its own client
-received.  Each `step` then checks the broadcast's shapes and commits
-its client's staged slice, which is bit-identical to what the client
-computes alone.  A client computes alone instead, as a stack of one,
-when it steps with a message other than the staged one, or when the
-stacked pass raised; a failure is then reported by the client that
-fails.
+stacks the views and labels of every client whose views all take the
+primal form (d_k <= n_i) once, whatever its row count, into one `_Rows`
+block they share; a client with a view wider than its rows (dual form)
+shares one with the clients of its row count only.
+`HorizontalClient.prestep`, which the round driver calls before the
+steps, runs each block's local passes as one stacked computation
+(`_local_passes`): products and sums over rows once per row count, the
+solves and all other d-space work once per block, each slice starting
+from the transforms its own client received.  Each `step` then checks
+the broadcast's shapes and commits its client's staged slice, which is
+bit-identical to what the client computes alone.  A client computes
+alone instead, on its own rows as a stack of one, when it steps with a
+message other than the staged one, or when the stacked pass raised; a
+failure is then reported by the client that fails.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
@@ -47,6 +50,10 @@ from .mvl import (
     _fit_views,
     _freeze,
     _grams,
+    _join,
+    _layout,
+    _row_products,
+    _runs,
     _stack_objective,
     _stack_row_norms,
     _stops,
@@ -63,29 +70,50 @@ DEFAULT_MAX_LOCAL = 30
 
 @dataclass(frozen=True)
 class _Rows:
-    """The views and labels of clients of one row count, stacked once:
-    views[k] is (s, n, d_k) and labels (s, n, c), slot i holding the
-    i-th client's rows.  Read-only, so clients can share it.
-    `transform_shapes` lists the (d_k, c) a broadcast must carry."""
+    """The views and labels of one block of clients, stacked once and
+    read-only, so that clients can share it.
+
+    The block is a ragged stack in slot order: views[k] is (N, d_k) and
+    labels (N, c), slot after slot, `rows` lists each slot's row count
+    and slots of one row count are adjacent.  grams[k] is the (s, d_k,
+    d_k) stack of every slot's X^T X, formed once per row count, or None
+    for a view in dual form.  `transform_shapes` lists the (d_k, c) a
+    broadcast must carry."""
 
     views: list[np.ndarray]
     labels: np.ndarray
+    rows: list[int]
+    grams: list[np.ndarray | None]
     transform_shapes: list[tuple[int, int]]
 
     @classmethod
     def stack(cls, datasets: Sequence[MultiViewDataset]) -> "_Rows":
-        views = [np.stack(v) for v in zip(*(d.views for d in datasets))]
-        labels = np.stack([d.labels for d in datasets])
-        for m in (*views, labels):
+        views = [np.concatenate(v) for v in zip(*(d.views for d in datasets))]
+        labels = np.concatenate([d.labels for d in datasets])
+        rows = [d.n_samples for d in datasets]
+        layout = _layout(rows)
+        grams = []
+        for x in views:
+            g = _grams(_runs(x, layout))
+            grams.append(None if g[0] is None else _join(g))
+        for m in (*views, labels, *(g for g in grams if g is not None)):
             m.setflags(write=False)
-        return cls(views, labels, [(v.shape[2], labels.shape[2]) for v in views])
+        return cls(views, labels, rows, grams, [(v.shape[1], labels.shape[1]) for v in views])
 
-    def take(self, slots: list[int]):
-        """(views, labels) of the given slots; all of them, in order,
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def take(self, slots: list[int]) -> "_Rows":
+        """The block of the given slots, in order; the whole block
         without a copy."""
-        if slots == list(range(len(self.labels))):
-            return self.views, self.labels
-        return [v[slots] for v in self.views], self.labels[slots]
+        if slots == list(range(len(self))):
+            return self
+        starts = [0, *itertools.accumulate(self.rows)]
+        idx = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in slots])
+        return _Rows(
+            [v[idx] for v in self.views], self.labels[idx], [self.rows[i] for i in slots],
+            [None if g is None else g[slots] for g in self.grams], self.transform_shapes,
+        )
 
 
 @dataclass
@@ -95,9 +123,11 @@ class HorizontalClient:
     The pseudo-label and consensus blocks survive across rounds; the
     transforms are overwritten by every broadcast before the local
     optimization reuses them as the IRLS warm start.  `rows` is the
-    stacked block of every client with this one's row count, and
-    `slot` this client's slice of it.  `staged` holds the (message,
-    result) pair `prestep` computed for the next step.
+    block this client is stacked in: every client whose views are all
+    in primal form, or, if one of this client's views is wider than its
+    rows, every client of its row count.  `slot` is this client's slice
+    of the block.  `staged` holds the (message, result) pair `prestep`
+    computed for the next step.
     """
 
     party: PartyId
@@ -113,21 +143,26 @@ class HorizontalClient:
 
     @classmethod
     def prestep(cls, clients, rnd: int, msgs: Sequence[FedMessage]) -> None:
-        """Stage every client's local passes, one stack per row block."""
+        """Stage every client's local passes, one stack per block."""
         groups: dict[int, list[int]] = {}
         for i, c in enumerate(clients):
             groups.setdefault(id(c.rows), []).append(i)
         staged = []
         for idx in groups.values():
+            idx.sort(key=lambda i: clients[i].slot)
             members = [clients[i] for i in idx]
-            views, labels = members[0].rows.take([c.slot for c in members])
+            block = members[0].rows.take([c.slot for c in members])
             stacked = _local_passes(
-                views, labels, members[0].hp, members[0].max_local,
+                members[0].hp, block, members[0].max_local,
                 [np.stack(a) for a in zip(*(msgs[i].matrices for i in idx))],
-                [np.stack(a) for a in zip(*(c.pseudo for c in members))],
-                np.stack([c.consensus for c in members]),
+                [np.concatenate(a) for a in zip(*(c.pseudo for c in members))],
+                np.concatenate([c.consensus for c in members]),
             )
-            staged += [(members[j], msgs[i], _slice(*stacked, j)) for j, i in enumerate(idx)]
+            starts = [0, *itertools.accumulate(block.rows)]
+            staged += [
+                (c, msgs[i], _slice(*stacked, j, slice(starts[j], starts[j + 1])))
+                for j, (c, i) in enumerate(zip(members, idx))
+            ]
         for c, msg, result in staged:
             c.staged = (msg, result)
 
@@ -156,64 +191,71 @@ class HorizontalClient:
 
     def optimize_local(self) -> None:
         """Local block-coordinate passes until the objective settles,
-        computed alone, as a stack of one."""
-        views, labels = self.rows.take([self.slot])
+        computed alone on this client's own rows, as a stack of one."""
         w, pseudo, consensus = _local_passes(
-            views, labels, self.hp, self.max_local, [m[None] for m in self.w],
-            [m[None] for m in self.pseudo], self.consensus[None],
+            self.hp, _Rows.stack([self.data]), self.max_local, [m[None] for m in self.w],
+            self.pseudo, self.consensus,
         )
-        self.w, self.pseudo, self.consensus = _slice(w, pseudo, consensus, 0)
+        self.w, self.pseudo, self.consensus = _slice(w, pseudo, consensus, 0, slice(None))
 
 
-def _slice(w, pseudo, consensus, i: int):
-    """Client i's (w, pseudo, consensus) out of stacked local state."""
-    return [m[i] for m in w], [m[i] for m in pseudo], consensus[i]
+def _slice(w, pseudo, consensus, i: int, rows: slice):
+    """Client i's (w, pseudo, consensus) out of stacked local state, its
+    rows being `rows` of the ragged blocks."""
+    return [m[i] for m in w], [m[rows] for m in pseudo], consensus[rows]
 
 
-def _local_objective(labels, w, xw, pseudo, consensus, hp: HyperParams) -> np.ndarray:
-    """`mvl.objective` of every client state in a stack."""
+def _local_objective(labels, w, xw, pseudo, consensus, hp: HyperParams, layout) -> np.ndarray:
+    """`mvl.objective` of every client state in a ragged stack."""
     norms = [_stack_row_norms(m) for m in w]
-    fits = [_fit_sums(a, b) for a, b in zip(xw, pseudo)]
+    fits = [_fit_sums(a, b, layout) for a, b in zip(xw, pseudo)]
     return _stack_objective(
-        labels, norms, fits, pseudo, consensus, hp.beta, hp.zeta, hp.eta, hp.epsilon
+        labels, norms, fits, pseudo, consensus, hp.beta, hp.zeta, hp.eta, hp.epsilon, layout
     )
 
 
-def _local_passes(views, labels, hp: HyperParams, max_local: int, w, pseudo, consensus):
-    """Local block-coordinate passes of a stack of equal-size clients.
+def _local_passes(hp: HyperParams, block: _Rows, max_local: int, w, pseudo, consensus):
+    """Local block-coordinate passes of a block of clients.
 
-    views[k] is (s, n, d_k); labels and consensus are (s, n, c); w[k]
-    is (s, d_k, c) and pseudo[k] (s, n, c).  Slice i makes exactly the
-    passes a client holding only slice i makes: at most max_local, each
+    w[k] is (s, d_k, c); pseudo[k] and consensus are (N, c) ragged
+    stacks in the block's row order.  Slice i makes exactly the passes
+    a client holding only slice i makes: at most max_local, each
     updating pseudo-labels, consensus and transforms, and it stops once
     its local objective changes by less than hp.tol relative; later
-    passes run on the unfinished slices only.  Returns the stacked
-    (w, pseudo, consensus).
+    passes run on the unfinished slices only.  The elementwise updates
+    run once over all rows, each product and sum over rows once per row
+    count, and the fits, objective and stopping rule once per stack.
+    Returns the stacked (w, pseudo, consensus).
     """
-    n_views = len(views)
+    views, labels, grams = block.views, block.labels, block.grams
+    rows = np.array(block.rows)
+    layout = _layout(block.rows)
     w = list(w)
-    grams = _grams(views)
-    xw = [x @ m for x, m in zip(views, w)]
-    prev = _local_objective(labels, w, xw, pseudo, consensus, hp)
+    xw = [_row_products(x, m, layout) for x, m in zip(views, w)]
+    prev = _local_objective(labels, w, xw, pseudo, consensus, hp, layout)
     w_out = [m.copy() for m in w]
     pseudo_out = [m.copy() for m in pseudo]
     consensus_out = consensus.copy()
-    live = np.arange(len(labels))
+    live, live_rows = np.arange(len(rows)), np.arange(len(labels))
     for step in range(max_local):
-        pseudo = [update_pseudo_labels(xw[k], consensus, hp.zeta[k]) for k in range(n_views)]
+        pseudo = [update_pseudo_labels(m, consensus, z) for m, z in zip(xw, hp.zeta)]
         consensus = update_consensus(pseudo, labels, hp.zeta, hp.eta)
-        for k, w_k, _, xw_k in _fit_views(views, grams, pseudo, w, hp):
+        for k, w_k, _, xw_k in _fit_views(views, grams, pseudo, w, hp, layout):
             w[k], xw[k] = w_k, xw_k
-        value = _local_objective(labels, w, xw, pseudo, consensus, hp)
+        value = _local_objective(labels, w, xw, pseudo, consensus, hp, layout)
         stop = _stops(value, prev, hp.tol, step == max_local - 1)
         if stop.any():
-            live, (labels, consensus, value, views, grams, w, xw) = _freeze(
-                stop, live,
-                [*zip(w_out, w), *zip(pseudo_out, pseudo), (consensus_out, consensus)],
-                [labels, consensus, value, views, grams, w, xw],
+            live_rows, (labels, consensus, views, xw) = _freeze(
+                np.repeat(stop, rows), live_rows,
+                [*zip(pseudo_out, pseudo), (consensus_out, consensus)],
+                [labels, consensus, views, xw],
+            )
+            live, (rows, value, grams, w) = _freeze(
+                stop, live, list(zip(w_out, w)), [rows, value, grams, w]
             )
             if not live.size:
                 break
+            layout = _layout(rows.tolist())
         prev = value
     return w_out, pseudo_out, consensus_out
 
@@ -308,13 +350,22 @@ def make_horizontal_parties(
         gaussian_init(d, c, seed, KEY_TRANSFORM, k, scale=1.0 / np.sqrt(d))
         for k, d in enumerate(dims)
     ]
-    by_rows: dict[int, list[int]] = {}
+    # One block for every client whose views all take the primal form,
+    # whatever its row count; a client with a view wider than its rows
+    # shares one with the clients of its row count only.
+    blocks: dict[int | None, list[int]] = {}
     for l, data in enumerate(datasets):
-        by_rows.setdefault(data.n_samples, []).append(l)
+        n = data.n_samples
+        blocks.setdefault(None if max(dims) <= n else n, []).append(l)
     clients: list[HorizontalClient] = [None] * len(datasets)
-    for group in by_rows.values():
+    for group in blocks.values():
+        group.sort(key=lambda l: datasets[l].n_samples)
         rows = _Rows.stack([datasets[l] for l in group])
-        inits = _client_inits(datasets, seed, group)
+        inits = [
+            init
+            for _, run in itertools.groupby(group, key=lambda l: datasets[l].n_samples)
+            for init in _client_inits(datasets, seed, list(run))
+        ]
         for slot, (l, (pseudo, consensus)) in enumerate(zip(group, inits)):
             clients[l] = HorizontalClient(
                 party=PartyId.client(l), data=datasets[l], hp=hp, max_local=max_local,

@@ -21,9 +21,14 @@ Every trainer (centralized, vertical, horizontal) fits W_k through the
 one IRLS kernel `_fit_stats`.  Once the pseudo-labels and consensus are
 fixed, the views' W_k fits are independent, so the centralized and
 horizontal trainers hand it width groups (`_fit_views`): every primal
-view of one width, for every grid candidate or same-size client, as one
-stack in one call; a dual view goes alone.  Each slice of a stack is
-bit-identical to its own 2-D call.
+view of one width, for every grid candidate or client, as one stack in
+one call; a dual view goes alone.  Each slice of a stack is
+bit-identical to its own 2-D call.  Clients of different row counts
+form a ragged stack (`_runs`): their rows one client after another, cut
+into runs of one row count.  Zero padding would change BLAS products
+and numpy's pairwise sums, so every product and sum over rows runs once
+per run, on the (slots, rows, ...) stack that row count alone would
+form, while everything in d-space runs once for the whole stack.
 
 `train_mvl` is the block-coordinate loop `_train_stack` on a stack of
 one; the validation grid runs it on all its (zeta, eta) candidates at
@@ -468,6 +473,56 @@ def _stack_sums(m: np.ndarray) -> np.ndarray:
     return m.reshape(m.shape[:-2] + (-1,)).sum(axis=-1)
 
 
+def _layout(rows: Sequence[int]) -> list[tuple[int, int]]:
+    """The runs of a ragged stack: (rows, slots) for each run of slots
+    of one row count, in slot order."""
+    return [(r, len(list(run))) for r, run in itertools.groupby(rows)]
+
+
+def _runs(m: np.ndarray, layout) -> list[np.ndarray]:
+    """The (slots, rows, ...) stack of each run of a ragged stack m,
+    which holds its slots' rows one slot after another; each is a
+    C-ordered view of m, as the stack of that row count alone would be."""
+    runs, start = [], 0
+    for r, s in layout:
+        runs.append(m[start : start + r * s].reshape(s, r, *m.shape[1:]))
+        start += r * s
+    return runs
+
+
+def _slot_runs(m: np.ndarray, layout) -> list[np.ndarray]:
+    """A per-slot stack (W, X^T X) cut at the runs of a layout."""
+    runs, start = [], 0
+    for _, s in layout:
+        runs.append(m[start : start + s])
+        start += s
+    return runs
+
+
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts as one array along their first axis; a lone part as is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _ragged(runs: list[np.ndarray]) -> np.ndarray:
+    """The ragged stack of run stacks, the inverse of `_runs`."""
+    return _join([m.reshape(-1, m.shape[-1]) for m in runs])
+
+
+def _row_products(x: np.ndarray, w: np.ndarray, layout) -> np.ndarray:
+    """X W of every slot of a ragged stack, one product per run."""
+    return _ragged([p @ m for p, m in zip(_runs(x, layout), _slot_runs(w, layout))])
+
+
+def _row_sums(m: np.ndarray, layout=None) -> np.ndarray:
+    """`_stack_sums` of every slot of a stack or, given its layout, of a
+    ragged stack, run by run: zero padding would move numpy's pairwise
+    association, so each run is summed as its own (slots, rows, c) stack."""
+    if layout is None:
+        return _stack_sums(m)
+    return _join([_stack_sums(p) for p in _runs(m, layout)])
+
+
 def _stack_row_norms(w: np.ndarray) -> np.ndarray:
     """`row_l2_norms` of every (d, c) slice of a stack."""
     return np.sqrt(np.einsum("sij,sij->si", w, w))
@@ -478,25 +533,29 @@ def _stack_l21(norms: np.ndarray, epsilon: float) -> np.ndarray:
     return np.sqrt(norms * norms + epsilon * epsilon).sum(axis=1)
 
 
-def _fit_sums(xw: np.ndarray, zk: np.ndarray) -> np.ndarray:
-    """||X W - Z_k||^2 of every slice of a stack, as `objective` sums it."""
+def _fit_sums(xw: np.ndarray, zk: np.ndarray, layout=None) -> np.ndarray:
+    """||X W - Z_k||^2 of every slice of a stack, or of a ragged stack
+    given its layout, as `objective` sums it."""
     fit = xw - zk
-    return _stack_sums(fit * fit)
+    return _row_sums(fit * fit, layout)
 
 
-def _stack_objective(labels, norms, fits, zk, z, beta, zeta, eta, epsilon) -> np.ndarray:
+def _stack_objective(
+    labels, norms, fits, zk, z, beta, zeta, eta, epsilon, layout=None
+) -> np.ndarray:
     """`objective` of every state in a stack, term by term in its order.
 
     Built from values already at hand: the W_k row norms and the
     `_fit_sums` of each view; zeta entries and eta are scalars or (s,)
-    per-slice weights.
+    per-slice weights.  Given a layout, the row-space blocks are ragged
+    stacks.
     """
-    total = eta * _stack_sums((z - labels) ** 2)
+    total = eta * _row_sums((z - labels) ** 2, layout)
     for k in range(len(fits)):
         total = total + fits[k]
         total = total + beta[k] * _stack_l21(norms[k], epsilon)
         gap = zk[k] - z
-        total = total + zeta[k] * _stack_sums(gap * gap)
+        total = total + zeta[k] * _row_sums(gap * gap, layout)
     return total
 
 
@@ -598,7 +657,7 @@ def _fit_group(xs, targets, betas, epsilon, max_inner, tol, w_inits, grams):
     return ws, np.split(a_out, bounds), np.split(res_out, bounds), (m @ v for m, v in zip(xs, ws))
 
 
-def _fit_views(views, grams, targets, w, hp: HyperParams):
+def _fit_views(views, grams, targets, w, hp: HyperParams, layout=None):
     """Fit every view's transform for one stack of slices (grid
     candidates, or clients): the views' fits are independent, so all
     primal views of one width go to one `_fit_stats` call, and each
@@ -606,20 +665,49 @@ def _fit_views(views, grams, targets, w, hp: HyperParams):
 
     views[k] is one (n, d_k) matrix or an (s, n, d_k) stack, grams[k]
     its `_grams` entry, targets[k] and w[k] the (s, n, c) targets and
-    (s, d_k, c) warm starts.  Returns an iterator of (k, W_k, residual_k,
-    X_k W_k) whose X W blocks are formed one at a time, as it is read.
+    (s, d_k, c) warm starts.  Given a layout, the slots are a ragged
+    stack: views[k] and targets[k] hold their rows one slot after
+    another, grams[k] is (s, d_k, d_k) or None, and each run of one row
+    count goes to the width group as its own part, so that X^T T,
+    ||T||^2 and X W are formed per row count while the solves run once
+    for the group.  Returns an iterator of (k, W_k, residual_k, X_k W_k)
+    whose X W blocks, ragged if the views are, are formed one at a time,
+    as it is read.
     """
     groups: dict[int, list[int]] = {}
     for k, (x, g) in enumerate(zip(views, grams)):
         groups.setdefault(-1 - k if g is None else x.shape[-1], []).append(k)
+    if layout is None:
+        parts = {k: [(views[k], targets[k], w[k], grams[k])] for k in range(len(views))}
+    else:
+        parts = {
+            k: list(zip(
+                _runs(views[k], layout), _runs(targets[k], layout), _slot_runs(w[k], layout),
+                [None] * len(layout) if grams[k] is None else _slot_runs(grams[k], layout),
+            ))
+            for k in range(len(views))
+        }
     fits = []
     for ks in groups.values():
-        ws, _, res, xws = _fit_stats(
-            [views[k] for k in ks], [targets[k] for k in ks], [hp.beta[k] for k in ks],
-            hp.epsilon, hp.max_inner, hp.tol, [w[k] for k in ks], [grams[k] for k in ks],
-        )
-        fits.append(zip(ks, ws, res, xws))
+        x, t, w0, g = (list(a) for a in zip(*(p for k in ks for p in parts[k])))
+        betas = [hp.beta[k] for k in ks for _ in parts[k]]
+        ws, _, res, xws = _fit_stats(x, t, betas, hp.epsilon, hp.max_inner, hp.tol, w0, g)
+        fits.append(_view_fits(ks, [len(parts[k]) for k in ks], ws, res, xws, layout))
     return itertools.chain(*fits)
+
+
+def _view_fits(ks, n_parts, ws, res, xws, layout):
+    """(k, W_k, residual_k, X_k W_k) of each view of a width group, its
+    parts joined back into one stack; X W is formed as it is read."""
+    start = 0
+    for k, n in zip(ks, n_parts):
+        end = start + n
+        xw = [next(xws) for _ in range(n)]
+        yield k, _join(ws[start:end]), _join(res[start:end]), (
+            xw[0] if layout is None else _ragged(xw)
+        )
+        del xw  # so that the next view's block is formed without this one
+        start = end
 
 
 def fit_view_transform(

@@ -289,8 +289,9 @@ class ReferenceClient:
 
 class TestCohorts:
     def test_matches_per_client_reference(self, monkeypatch):
-        # 19 clients in stacks of 6, 7 and 9 rows plus one of 11; a view
-        # of width 8 takes the dual form on the 6- and 7-row clients.
+        # 19 clients of 6, 7, 9 and 11 rows; a view of width 8 takes the
+        # dual form on the 6- and 7-row clients, which stack by row count,
+        # while the 9- and 11-row clients share one block of 7.
         sizes = [6, 7, 9] * 6 + [11]
         shards = rows_of(sizes, seed=40, dims=(8, 3))
         hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-3, max_inner=6)
@@ -308,7 +309,7 @@ class TestCohorts:
             r.messages for r in ref_log.records
         ]
         # Members of one stack stop after different numbers of passes.
-        assert set(fit_sizes) - {1, 6} and max(fit_sizes) == 6
+        assert set(fit_sizes) - {1, 6, 7} and max(fit_sizes) == 7
 
     @pytest.mark.parametrize("dims, groups", [
         ((6, 6, 6), [3]), ((6, 6, 4), [2, 1]), ((6, 12, 6), [2, 1]),
@@ -339,8 +340,12 @@ class TestCohorts:
                 assert c.pseudo[k].tobytes() == pseudo[k].tobytes() == alone.pseudo[k].tobytes()
             assert c.consensus.tobytes() == consensus.tobytes() == alone.consensus.tobytes()
 
-    def test_cohorts_group_by_row_count(self, monkeypatch):
-        shards = rows_of([6, 7, 6, 9, 7, 6], seed=42, dims=(4, 3))
+    @pytest.mark.parametrize("dims, stacks", [((4, 3), [6]), ((8, 3), [3, 2, 1])])
+    def test_cohorts_group_by_width_pattern(self, monkeypatch, dims, stacks):
+        # Every client whose views are all no wider than its rows is in one
+        # stack, whatever its row count; with a view of width 8 the 6- and
+        # 7-row clients take the dual form and stack by row count.
+        shards = rows_of([6, 7, 6, 9, 7, 6], seed=42, dims=dims)
         hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-9)
         server, clients = make_horizontal_parties(shards, hp, seed=1, max_local=3)
         sent = server.broadcast(0)
@@ -351,16 +356,61 @@ class TestCohorts:
         stage(clients, 0, [sent] * len(clients))
         for c in clients:
             c.step(0, sent)
-        # One stack each for the 6-, 7- and 9-row clients, none alone.
-        assert passes == [3, 2, 1]
+        assert passes == stacks
         for c, (w, pseudo, consensus) in zip(clients, expected):
             for k in range(2):
                 assert c.w[k].tobytes() == w[k].tobytes()
                 assert c.pseudo[k].tobytes() == pseudo[k].tobytes()
             assert c.consensus.tobytes() == consensus.tobytes()
 
+    @pytest.mark.parametrize("dims, n_classes", [((6, 3), 2), ((17, 4), 2), ((6, 3, 8), 3)])
+    def test_ragged_clients_match_reference(self, monkeypatch, dims, n_classes):
+        # Clients of 2-40 rows: those with a view wider than their rows
+        # stack by row count (dual form), all others in one ragged block
+        # whose products and sums over rows must run per row count
+        # (13 and 17 rows put n c on both sides of a multiple of 8).
+        sizes = [13, 2, 17, 40, 13, 29, 5, 17, 36, 3, 23, 8, 18, 13, 2]
+        sizes = [max(n, n_classes) for n in sizes]
+        pool = blob_dataset(55, n=sum(sizes), dims=dims, n_classes=n_classes)
+        bounds = np.cumsum([0, *sizes])
+        shards = [pool.subset(np.arange(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
+        hp = dataclasses.replace(HyperParams.uniform(len(dims)), tol=1e-4, max_inner=6)
+        server, clients = make_horizontal_parties(shards, hp, seed=56, max_local=5)
+        reference = [
+            ReferenceClient(c.party, c.data, hp, 5, c.pseudo, c.consensus) for c in clients
+        ]
+        primal = [n for n in sizes if n >= max(dims)]
+        assert len(set(primal)) > 1 and len(primal) < len(sizes)
+        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 1)
+        for rnd in range(3):
+            sent = server.broadcast(rnd)
+            stage(clients, rnd, [sent] * len(clients))
+            replies = [c.step(rnd, sent) for c in clients]
+            for c, ref, reply in zip(clients, reference, replies):
+                want = ref.step(rnd, sent)
+                for k in range(len(dims)):
+                    assert reply.matrices[k].tobytes() == want.matrices[k].tobytes()
+                    assert c.pseudo[k].tobytes() == ref.pseudo[k].tobytes()
+                assert c.consensus.tobytes() == ref.consensus.tobytes()
+            server.aggregate(rnd, replies)
+        assert max(passes) == len(primal) and sum(passes) == 3 * len(sizes)
+        # The objective the ragged block computes for each of its slots,
+        # which decides when the slot stops, is the client's own.
+        block = next(c.rows for c in clients if c.data.n_samples >= max(dims))
+        members = sorted((c for c in clients if c.rows is block), key=lambda c: c.slot)
+        layout = mvfed.mvl._layout(block.rows)
+        w = [np.stack([c.w[k] for c in members]) for k in range(len(dims))]
+        values = mvfed.hfed._local_objective(
+            block.labels, w,
+            [mvfed.mvl._row_products(x, m, layout) for x, m in zip(block.views, w)],
+            [np.concatenate([c.pseudo[k] for c in members]) for k in range(len(dims))],
+            np.concatenate([c.consensus for c in members]), hp, layout,
+        )
+        for c, value in zip(members, values.tolist()):
+            assert value == objective(c.data, MvlState(W=c.w, Zk=c.pseudo, Z=c.consensus), hp)
+
     def test_member_with_other_broadcast_stays_in_the_stack(self, monkeypatch):
-        shards = rows_of([8, 8, 8], seed=43, dims=(4, 3))
+        shards = rows_of([8, 11, 9], seed=43, dims=(4, 3))
         hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-9)
         server, clients = make_horizontal_parties(shards, hp, seed=44, max_local=4)
         sent = server.broadcast(0)
@@ -381,8 +431,30 @@ class TestCohorts:
                 assert c.pseudo[k].tobytes() == pseudo[k].tobytes()
             assert c.consensus.tobytes() == consensus.tobytes()
 
+    def test_subset_of_a_block_stages_its_own_rows(self, monkeypatch):
+        # Staging some clients of a ragged block stacks only their rows,
+        # whatever order they come in.
+        shards = rows_of([8, 11, 9, 8], seed=57, dims=(4, 3))
+        hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-9)
+        server, clients = make_horizontal_parties(shards, hp, seed=58, max_local=3)
+        sent = server.broadcast(0)
+        some = [clients[3], clients[1]]
+        expected = [
+            alg3_local(c.data, hp, sent.matrices, c.pseudo, c.consensus, 3) for c in some
+        ]
+        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 1)
+        stage(some, 0, [sent, sent])
+        assert passes == [2] and all(c.staged is not None for c in some)
+        for c, (w, pseudo, consensus) in zip(some, expected):
+            c.step(0, sent)
+            for k in range(2):
+                assert c.w[k].tobytes() == w[k].tobytes()
+                assert c.pseudo[k].tobytes() == pseudo[k].tobytes()
+            assert c.consensus.tobytes() == consensus.tobytes()
+        assert passes == [2]
+
     def test_step_with_other_message_than_staged_computes_alone(self, monkeypatch):
-        shards = rows_of([8, 8], seed=47, dims=(4, 3))
+        shards = rows_of([8, 11], seed=47, dims=(4, 3))
         hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-9)
         server, clients = make_horizontal_parties(shards, hp, seed=48, max_local=3)
         sent = server.broadcast(0)
@@ -403,8 +475,8 @@ class TestCohorts:
 
     def test_framed_transport_stages_and_matches_in_process(self, monkeypatch):
         # Over framed bytes every client decodes its own broadcast; the
-        # clients are still staged as one stack per row count, and every
-        # reply equals the client's solo run.
+        # clients are still staged as one stack, and every reply equals the
+        # client's solo run.
         shards = rows_of([8, 9, 8, 9, 8, 8, 9], seed=51, dims=(4, 8))
         hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-3, max_inner=6)
         in_process = hfed_train(shards, hp, seed=52, rounds=3, max_local=4)
@@ -417,7 +489,7 @@ class TestCohorts:
         framed = hfed_train(
             shards, hp, seed=52, rounds=3, max_local=4, transport=FramedByteTransport()
         )
-        assert passes == [4, 3] * 3
+        assert passes == [7] * 3
         for a, b, ref in zip(in_process.transforms, framed.transforms, server.w):
             assert a.tobytes() == b.tobytes() == ref.tobytes()
         assert [r.messages for r in framed.log.records] == [
