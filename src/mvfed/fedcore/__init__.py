@@ -9,6 +9,8 @@ from .messages import (
     MessageKind,
     PartyId,
     Role,
+    seal_rows,
+    stack_rows,
 )
 from .fedavg import fedavg_aggregate
 from .rounds import MessageRecord, RoundLog, RoundRecord, disallowed_kinds, run_rounds
@@ -35,4 +37,6 @@ __all__ = [
     "fedavg_aggregate",
     "frame_size",
     "run_rounds",
+    "seal_rows",
+    "stack_rows",
 ]

@@ -7,6 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import DimensionMismatch, InvalidSpec, MissingClient
+from .messages import stack_rows
 
 __all__ = ["fedavg_aggregate"]
 
@@ -16,7 +17,9 @@ def fedavg_aggregate(arrays: Sequence[np.ndarray], counts: Sequence[int]) -> np.
 
     One weighted sum over the stacked arrays that adds `n / total *
     array` in client order, so equal inputs give bit-identical results,
-    equal to adding the terms one by one.
+    equal to adding the terms one by one.  Replies that are rows of one
+    sealed stack (`seal_rows`) are not stacked again: the sum reads that
+    stack, or one gather of its rows when they come in another order.
     """
     if len(arrays) == 0:
         raise MissingClient("no arrays to aggregate")
@@ -27,7 +30,7 @@ def fedavg_aggregate(arrays: Sequence[np.ndarray], counts: Sequence[int]) -> np.
     if any(a.shape != arrays[0].shape for a in arrays):
         raise DimensionMismatch("client arrays differ in shape")
     weights = np.asarray(counts, dtype=np.float64) / float(sum(counts))
-    terms = weights.reshape((-1,) + (1,) * arrays[0].ndim) * np.stack(arrays)
+    terms = weights.reshape((-1,) + (1,) * arrays[0].ndim) * stack_rows(arrays)
     if arrays[0].size == 1:
         # numpy reduces a lone column pairwise; a running sum keeps the order.
         return np.add.accumulate(terms, axis=0)[-1]

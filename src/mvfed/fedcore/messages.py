@@ -7,12 +7,22 @@ pseudo-labels, transform matrices, flat parameter vectors), and
 meaning is a block of raw feature rows, so a conforming protocol cannot
 ship training data by construction; the allowlists below let tests audit
 logged traffic per protocol on top of that.
+
+A message's arrays are read-only: copies of what the sender passed, or
+rows of a sealed stack.  `seal_rows` checks a stack that a client class
+has just computed for all its clients finite once, marks it read-only
+and hands out its rows; a message keeps such a row as it is, and
+`stack_rows` gives `np.stack` of such rows back as the stack itself.
+The invariant is that nothing writes a stack once rows of it are out:
+the stack and every view of it refuse writes.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
+import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,6 +38,8 @@ __all__ = [
     "HORIZONTAL_KINDS",
     "SEQUENTIAL_KINDS",
     "PAYLOADS",
+    "seal_rows",
+    "stack_rows",
 ]
 
 # Wire sender id reserved for the server; client ids are dense from 0.
@@ -89,14 +101,82 @@ PAYLOADS: dict[MessageKind, tuple[str, ...]] = {
 }
 
 
+class _Sealed:
+    """The owner of a sealed stack's memory.
+
+    `seal_rows` views the checked, read-only stack through this owner,
+    so every view of it, each row included, has a base whose base is a
+    `_Sealed`: one identity test, with no lookup table, tells a message
+    that the array needs no copy and no check.  `rows` holds weak
+    references to the rows handed out, in stack order, so `stack_rows`
+    can tell which rows it was given without keeping any of them alive.
+    """
+
+    def __init__(self, stack: np.ndarray) -> None:
+        self.stack = stack
+        self.__array_interface__ = stack.__array_interface__
+        self.rows: list[weakref.ref] = []
+
+
+def seal_rows(stack: np.ndarray) -> list[np.ndarray]:
+    """The rows of a freshly computed stack, one per client, for its
+    messages to carry without a copy each.
+
+    The stack is marked read-only and checked finite once.  A finite
+    stack is sealed: a message keeps its rows as they are.  Otherwise
+    the rows are plain read-only views, so each client's own message
+    copies and checks its row, and the one with a non-finite entry
+    raises.  The caller must not hold a writable view of the stack.
+    """
+    stack = np.ascontiguousarray(stack, dtype=np.float64)
+    stack.setflags(write=False)
+    if not np.isfinite(stack).all():
+        return list(stack)
+    owner = _Sealed(stack)
+    rows = list(np.asarray(owner))
+    owner.rows = [weakref.ref(r) for r in rows]
+    return rows
+
+
+def stack_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """`np.stack(arrays)`, bit for bit, without copying each array where
+    it can: the sealed stack itself when the arrays are all its rows in
+    order, one gather of its rows when they are rows of it in another
+    order, and one repeat when they are all one array."""
+    first = arrays[0]
+    owner = getattr(getattr(first, "base", None), "base", None)
+    if type(owner) is _Sealed:
+        live = [r() for r in owner.rows]
+        if len(live) == len(arrays) and all(map(operator.is_, arrays, live)):
+            return owner.stack
+        # Live rows have distinct ids, and `arrays` keeps its own alive.
+        at = {id(r): i for i, r in enumerate(live) if r is not None}
+        idx = [at.get(id(a)) for a in arrays]
+        if None not in idx:
+            return owner.stack[idx]
+    if all(a is first for a in arrays):
+        return np.repeat(first[None], len(arrays), axis=0)
+    return np.stack(arrays)
+
+
 def _checked_array(a: np.ndarray, ndim: int, what: str) -> np.ndarray:
-    """The message's one copy of a payload array, finite and read-only."""
-    a = np.array(a, dtype=np.float64, order="C", copy=True)
+    """The message's read-only payload array: a C-ordered float64 view
+    of a sealed stack as it is, since the stack was checked finite once
+    and refuses writes, and otherwise one copy, checked finite."""
+    sealed = (
+        type(a) is np.ndarray
+        and type(getattr(a.base, "base", None)) is _Sealed
+        and a.dtype == np.float64
+        and a.flags.c_contiguous
+    )
+    if not sealed:
+        a = np.array(a, dtype=np.float64, order="C", copy=True)
     if a.ndim != ndim:
         raise ValueError(f"{what} must be {ndim}-D, got ndim={a.ndim}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{what} contains non-finite entries")
-    a.setflags(write=False)
+    if not sealed:
+        if not np.isfinite(a).all():
+            raise ValueError(f"{what} contains non-finite entries")
+        a.setflags(write=False)
     return a
 
 
@@ -139,9 +219,12 @@ class FedMessage:
     """One protocol message; `PAYLOADS[kind]` names its payload fields,
     and every other payload field is None.
 
-    Arrays are copied once at construction and marked read-only, so a
-    message never aliases the sender's mutable state and receivers can
-    share it without copying again.
+    Every array is read-only and finite.  A row of a sealed stack
+    (`seal_rows`) is kept as it is: it was checked with its stack, and
+    nothing writes the stack once its rows are out.  Any other array,
+    a read-only view of a writable one included, is copied once at
+    construction and checked, so a message never aliases the sender's
+    mutable state and receivers can share it without copying again.
     """
 
     round: int

@@ -7,7 +7,8 @@ Both present the same endpoint interface:
     msg = ep.receive(frm)
 
 Channels are per (sender, receiver) pairs with FIFO order and by-value
-delivery: message payloads are read-only copies, so the in-process
+delivery: message payloads are read-only, either copies or rows of a
+sealed stack that nothing writes (see `messages`), so the in-process
 queues hand over the message itself, and the framed queues hold each
 message's encoded frame, which the receiver decodes.  All operations are
 lock-guarded so client steps may send concurrently from separate threads.

@@ -22,11 +22,22 @@ bit-identical to what the client computes alone.  A client computes
 alone instead, on its own rows as a stack of one, when it steps with a
 message other than the staged one, or when the stacked pass raised; a
 failure is then reported by the client that fails.
+
+The stacked results stay stacked.  Each block's transform stacks are
+sealed (`fedcore.seal_rows`): checked finite once and read-only, so a
+reply carries its client's rows without a copy and the server's FedAvg
+sums the stack itself.  The block keeps its pseudo-label and consensus
+stacks, and the next round's passes start from them as they are while
+the same members stage and each still holds the slices it was given;
+otherwise, say after a member computed alone, the block stacks its
+members' blocks afresh.  Nothing writes a stack once slices of it are
+out.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
@@ -40,6 +51,8 @@ from .fedcore import (
     RoundLog,
     fedavg_aggregate,
     run_rounds,
+    seal_rows,
+    stack_rows,
 )
 from .mvl import (
     HyperParams,
@@ -68,7 +81,7 @@ DEFAULT_ROUNDS = 20
 DEFAULT_MAX_LOCAL = 30
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _Rows:
     """The views and labels of one block of clients, stacked once and
     read-only, so that clients can share it.
@@ -78,13 +91,16 @@ class _Rows:
     and slots of one row count are adjacent.  grams[k] is the (s, d_k,
     d_k) stack of every slot's X^T X, formed once per row count, or None
     for a view in dual form.  `transform_shapes` lists the (d_k, c) a
-    broadcast must carry."""
+    broadcast must carry.  `last` is what the last `hand_out` left:
+    the members' slots, their pseudo-label and consensus stacks, and
+    every slice it gave them."""
 
     views: list[np.ndarray]
     labels: np.ndarray
     rows: list[int]
     grams: list[np.ndarray | None]
     transform_shapes: list[tuple[int, int]]
+    last: tuple | None = field(default=None, repr=False)
 
     @classmethod
     def stack(cls, datasets: Sequence[MultiViewDataset]) -> "_Rows":
@@ -114,6 +130,35 @@ class _Rows:
             [v[idx] for v in self.views], self.labels[idx], [self.rows[i] for i in slots],
             [None if g is None else g[slots] for g in self.grams], self.transform_shapes,
         )
+
+    def held(self, members, slots: list[int]) -> tuple[list[np.ndarray], np.ndarray]:
+        """The pseudo-label and consensus blocks of the members, which
+        hold the given slots, as ragged stacks: those the last
+        `hand_out` left while the same members stage and each still
+        holds the slices it was given, otherwise stacked afresh."""
+        if self.last is not None:
+            last_slots, pseudo, consensus, given = self.last
+            held = [m for c in members for m in (c.consensus, *c.pseudo)]
+            if last_slots == slots and all(map(operator.is_, held, given)):
+                return pseudo, consensus
+        return (
+            [np.concatenate(a) for a in zip(*(c.pseudo for c in members))],
+            np.concatenate([c.consensus for c in members]),
+        )
+
+    def hand_out(self, slots: list[int], w, pseudo, consensus) -> list[tuple]:
+        """Each slot's (w, pseudo, consensus) out of the stacked local
+        state of the given slots.  The transform stacks are sealed for
+        the replies; the pseudo-label and consensus stacks turn
+        read-only and are kept for `held`."""
+        layout = _layout([self.rows[i] for i in slots])
+        for m in (*pseudo, consensus):
+            m.setflags(write=False)
+        ws = [seal_rows(m) for m in w]
+        ps = [[v for run in _runs(m, layout) for v in run] for m in (*pseudo, consensus)]
+        results = list(zip(map(list, zip(*ws)), map(list, zip(*ps[:-1])), ps[-1]))
+        self.last = (slots, pseudo, consensus, [m for _, p, q in results for m in (q, *p)])
+        return results
 
 
 @dataclass
@@ -151,18 +196,13 @@ class HorizontalClient:
         for idx in groups.values():
             idx.sort(key=lambda i: clients[i].slot)
             members = [clients[i] for i in idx]
-            block = members[0].rows.take([c.slot for c in members])
+            rows, slots = members[0].rows, [c.slot for c in members]
             stacked = _local_passes(
-                members[0].hp, block, members[0].max_local,
-                [np.stack(a) for a in zip(*(msgs[i].matrices for i in idx))],
-                [np.concatenate(a) for a in zip(*(c.pseudo for c in members))],
-                np.concatenate([c.consensus for c in members]),
+                members[0].hp, rows.take(slots), members[0].max_local,
+                [stack_rows(a) for a in zip(*(msgs[i].matrices for i in idx))],
+                *rows.held(members, slots),
             )
-            starts = [0, *itertools.accumulate(block.rows)]
-            staged += [
-                (c, msgs[i], _slice(*stacked, j, slice(starts[j], starts[j + 1])))
-                for j, (c, i) in enumerate(zip(members, idx))
-            ]
+            staged += zip(members, [msgs[i] for i in idx], rows.hand_out(slots, *stacked))
         for c, msg, result in staged:
             c.staged = (msg, result)
 
@@ -196,13 +236,7 @@ class HorizontalClient:
             self.hp, _Rows.stack([self.data]), self.max_local, [m[None] for m in self.w],
             self.pseudo, self.consensus,
         )
-        self.w, self.pseudo, self.consensus = _slice(w, pseudo, consensus, 0, slice(None))
-
-
-def _slice(w, pseudo, consensus, i: int, rows: slice):
-    """Client i's (w, pseudo, consensus) out of stacked local state, its
-    rows being `rows` of the ragged blocks."""
-    return [m[i] for m in w], [m[rows] for m in pseudo], consensus[rows]
+        self.w, self.pseudo, self.consensus = [m[0] for m in w], pseudo, consensus
 
 
 def _local_objective(labels, w, xw, pseudo, consensus, hp: HyperParams, layout) -> np.ndarray:

@@ -22,7 +22,11 @@ to what it computes alone; `loss_and_grad` is the kernel on a stack of
 one and `local_training` the lock-step SGD of a stack of one.  A client
 that steps with a message other than the staged one, or any client
 after the stacked SGD raised, computes alone, so a failure is reported
-by the client that fails.
+by the client that fails.  The trained stack is sealed
+(`fedcore.seal_rows`): checked finite once and read-only, so each
+reply carries its client's row without a copy and the server's FedAvg
+sums the stack itself; when every client got the one broadcast, the
+start stack is one repeat of its vector.
 
 The shuffle streams of every client and round of a view, keyed (client,
 view, round), are derived together when the parties are built
@@ -54,6 +58,8 @@ from .fedcore import (
     RoundLog,
     fedavg_aggregate,
     run_rounds,
+    seal_rows,
+    stack_rows,
 )
 from .numerics import KEY_ENCODER, KEY_SHUFFLE, make_rng, pcg64_state, stream_states
 
@@ -535,10 +541,10 @@ class SequenceClient:
         slot order."""
         first = clients[0]
         stacked = _sgd(
-            first.arch, np.stack([m.vector for m in msgs]), first.data, first.cfg,
+            first.arch, stack_rows([m.vector for m in msgs]), first.data, first.cfg,
             [c.stream(rnd) for c in clients],
         )
-        for c, msg, w in zip(clients, msgs, stacked):
+        for c, msg, w in zip(clients, msgs, seal_rows(stacked)):
             c.staged = (msg, w)
 
     def step(self, rnd: int, msg: FedMessage | None) -> FedMessage:

@@ -19,6 +19,8 @@ from mvfed.fedcore import (
     fedavg_aggregate,
     frame_size,
     run_rounds,
+    seal_rows,
+    stack_rows,
 )
 from mvfed.fedcore.messages import PAYLOADS
 
@@ -158,6 +160,55 @@ class TestMessages:
         msg = FedMessage.consensus(0, C0, m)
         m[0, 0] = 99.0
         assert msg.matrix[0, 0] == 1.0
+        # A read-only view of a writable array is copied too.
+        m = np.ones((2, 2))
+        view = m.view()
+        view.setflags(write=False)
+        msg = FedMessage.consensus(0, C0, view)
+        m[0, 0] = 99.0
+        assert msg.matrix[0, 0] == 1.0 and not np.shares_memory(msg.matrix, m)
+
+    def test_message_from_sealed_row_shares_its_memory(self):
+        stack = np.arange(24.0).reshape(4, 3, 2)
+        rows = seal_rows(stack)
+        assert len(rows) == 4
+        msg = FedMessage.transform_set(0, C0, [rows[2], rows[0]])
+        assert msg.matrices[0] is rows[2] and msg.matrices[1] is rows[0]
+        assert np.shares_memory(msg.matrices[0], stack)
+        vectors = seal_rows(np.ones((3, 5)))
+        assert FedMessage.param_vector(0, C0, 1, vectors[1]).vector is vectors[1]
+        # The ndim check still runs on a sealed row.
+        with pytest.raises(ValueError, match="must be 1-D"):
+            FedMessage.param_vector(0, C0, 1, rows[0])
+        # Views of a sealed stack that are not C-ordered float64 rows are copied.
+        for other in (rows[1].T, rows[1].view(np.int64)):
+            got = FedMessage.consensus(0, C0, other).matrix
+            assert not np.shares_memory(got, stack)
+            assert got.flags.c_contiguous and got.dtype == np.float64
+
+    def test_sealed_stack_cannot_be_written_through_any_row(self):
+        stack = np.zeros((3, 2, 2))
+        rows = seal_rows(stack)
+        for row in rows:
+            with pytest.raises(ValueError):
+                row[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                row.setflags(write=True)
+            with pytest.raises(ValueError):
+                row.T[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 1.0
+        assert not stack.any()
+
+    def test_non_finite_stack_is_not_sealed(self):
+        stack = np.ones((3, 2, 2))
+        stack[2, 1, 0] = np.nan
+        rows = seal_rows(stack)
+        msg = FedMessage.consensus(0, C0, rows[0])
+        assert msg.matrix is not rows[0] and not np.shares_memory(msg.matrix, stack)
+        with pytest.raises(ValueError, match="non-finite"):
+            FedMessage.consensus(0, C0, rows[2])
+        assert np.array_equal(stack_rows(rows[:2]), np.ones((2, 2, 2)))
 
     def test_party_ids(self):
         assert PartyId.from_wire(0xFFFFFFFF) == SERVER
@@ -293,6 +344,35 @@ class TestFedavg:
             want = fedavg_in_order(arrays, counts)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1,), (57,), (1, 1), (6, 2)])
+    def test_sealed_rows_equal_the_stacked_path(self, shape):
+        # Rows of a sealed stack in client order, out of order, a subset of
+        # them, or mixed with plain arrays: each bit equal to np.stack of
+        # plain copies.
+        rng = np.random.default_rng(5)
+        for n_clients in (1, 2, 7, 128):
+            stack = rng.standard_normal((n_clients, *shape)) * 10.0 ** rng.uniform(-8, 8)
+            stack[rng.random(stack.shape) < 0.2] = -0.0
+            rows = seal_rows(stack)
+            counts = [int(n) for n in rng.integers(1, 100, n_clients)]
+            perm = rng.permutation(n_clients).tolist()
+            some = perm[: max(1, n_clients // 2)]
+            mixed = [r if i % 2 else r.copy() for i, r in enumerate(rows)]
+            cases = [
+                (rows, counts),
+                ([rows[i] for i in perm], [counts[i] for i in perm]),
+                ([rows[i] for i in some], [counts[i] for i in some]),
+                (mixed, counts),
+                ([rows[0]] * n_clients, counts),
+            ]
+            for arrays, weights in cases:
+                plain = [a.copy() for a in arrays]
+                got = fedavg_aggregate(arrays, weights)
+                assert stack_rows(arrays).tobytes() == np.stack(plain).tobytes()
+                assert got.tobytes() == fedavg_aggregate(plain, weights).tobytes()
+                assert got.tobytes() == fedavg_in_order(plain, weights).tobytes()
+            assert stack_rows(rows) is stack
 
     def test_negative_zero_kept(self):
         zeros = [np.full((2, 2), -0.0), np.full((2, 2), -0.0)]
@@ -550,6 +630,16 @@ class StagedEcho(EchoClient):
         return FedMessage.consensus(rnd, self.party, 2.0 * self.payload)
 
 
+class SealedEcho(StagedEcho):
+    """StagedEcho whose `prestep` stages rows of one sealed stack."""
+
+    @classmethod
+    def prestep(cls, clients, rnd, msgs):
+        rows = seal_rows(np.stack([2.0 * c.payload for c in clients]))
+        for c, msg, row in zip(clients, msgs, rows):
+            c.staged = (msg, row)
+
+
 @pytest.mark.parametrize("transport_cls", [InProcessTransport, FramedByteTransport])
 class TestPrestep:
     def test_called_once_per_round_before_the_steps(self, transport_cls):
@@ -604,3 +694,28 @@ class TestPrestep:
         assert str(info.value.cause) == "boom"
         assert [c.alone for c in clients] == [1, 1, 1, 0]
         assert all(c.staged is None for c in clients)
+
+    def test_sealed_replies_reach_the_server_as_sent(self, transport_cls):
+        events = []
+        clients = [
+            SealedEcho(np.full((2, 2), float(i)), PartyId.client(i), events) for i in range(3)
+        ]
+        server = EchoServer()
+        run_rounds(server, clients, transport_cls(), max_rounds=2)
+        assert [c.alone for c in clients] == [0, 0, 0]
+        assert server.received.matrix.tobytes() == np.zeros((2, 2)).tobytes()
+        # In process the server holds the client's row of the sealed stack.
+        in_process = transport_cls is InProcessTransport
+        assert (server.received.matrix.base is not None) == in_process
+
+    def test_non_finite_stack_names_the_failing_client(self, transport_cls):
+        events = []
+        clients = [
+            SealedEcho(np.full((2, 2), float(i)), PartyId.client(i), events) for i in range(4)
+        ]
+        clients[2].payload[1, 0] = np.inf
+        with pytest.raises(PartyFailure) as info:
+            run_rounds(EchoServer(), clients, transport_cls(), max_rounds=2)
+        assert (info.value.round_index, info.value.party_id) == (0, 2)
+        assert "non-finite" in str(info.value.cause)
+        assert [c.alone for c in clients] == [0, 0, 0, 0]

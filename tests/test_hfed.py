@@ -1,4 +1,5 @@
 import dataclasses
+import operator
 
 import numpy as np
 import pytest
@@ -408,6 +409,64 @@ class TestCohorts:
         )
         for c, value in zip(members, values.tolist()):
             assert value == objective(c.data, MvlState(W=c.w, Zk=c.pseudo, Z=c.consensus), hp)
+
+    def test_block_restacks_after_a_member_computes_alone(self, monkeypatch):
+        # The block's passes start from the stacks the last round left
+        # while every member holds the slices it was given.  In round 1
+        # member 1 steps with another broadcast than it was staged with and
+        # computes alone, so round 2 stacks its members' blocks afresh.
+        shards = rows_of([8, 11, 9, 8, 13, 11], seed=59, dims=(4, 3))
+        hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-4, max_inner=6)
+        server, clients = make_horizontal_parties(shards, hp, seed=60, max_local=4)
+        reference = [
+            ReferenceClient(c.party, c.data, hp, 4, c.pseudo, c.consensus) for c in clients
+        ]
+        calls = []
+        original = mvfed.hfed._local_passes
+
+        def recording(hp, block, max_local, w, pseudo, consensus):
+            out = original(hp, block, max_local, w, pseudo, consensus)
+            calls.append((len(block), pseudo, consensus, out))
+            return out
+
+        monkeypatch.setattr(mvfed.hfed, "_local_passes", recording)
+        for rnd in range(4):
+            sent = server.broadcast(rnd)
+            other = FedMessage.transform_set(rnd, SERVER, [m + 0.5 for m in sent.matrices])
+            stage(clients, rnd, [sent] * len(clients))
+            replies = []
+            for i, (c, ref) in enumerate(zip(clients, reference)):
+                msg = other if rnd == 1 and i == 1 else sent
+                reply, want = c.step(rnd, msg), ref.step(rnd, msg)
+                for k in range(2):
+                    assert reply.matrices[k].tobytes() == want.matrices[k].tobytes()
+                    assert c.pseudo[k].tobytes() == ref.pseudo[k].tobytes()
+                assert c.consensus.tobytes() == ref.consensus.tobytes()
+                replies.append(reply)
+            server.aggregate(rnd, replies)
+        stacked = [call for call in calls if call[0] == len(clients)]
+        assert [n for n, *_ in calls] == [6, 6, 1, 6, 6]
+        for rnd in range(1, 4):
+            _, pseudo, consensus, _ = stacked[rnd]
+            _, last_pseudo, last_consensus = stacked[rnd - 1][3]
+            kept = consensus is last_consensus and all(map(operator.is_, pseudo, last_pseudo))
+            assert kept == (rnd != 2)
+
+    def test_back_to_back_federations_are_equal(self):
+        # Blocks keep their state per federation: a federation run after
+        # another, in one process, trains and logs exactly as the first.
+        sizes = [8, 11, 9, 3, 13, 5]
+        shards = rows_of(sizes, seed=61, dims=(4, 6))
+        others = rows_of(sizes[::-1], seed=62, dims=(4, 6))
+        hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-4, max_inner=6)
+        first = hfed_train(shards, hp, seed=63, rounds=3, max_local=4)
+        hfed_train(others, hp, seed=64, rounds=3, max_local=4)
+        again = hfed_train(shards, hp, seed=63, rounds=3, max_local=4)
+        for a, b in zip(first.transforms, again.transforms):
+            assert a.tobytes() == b.tobytes()
+        assert [r.messages for r in first.log.records] == [
+            r.messages for r in again.log.records
+        ]
 
     def test_member_with_other_broadcast_stays_in_the_stack(self, monkeypatch):
         shards = rows_of([8, 11, 9], seed=43, dims=(4, 3))
