@@ -9,21 +9,20 @@ A protocol is a server object plus client objects:
     server.done() -> bool               optional early stop
     client.party                        PartyId
     client.step(round, msg) -> FedMessage
-    type(client).prestep(clients, round, msgs) -> None    optional
+    type(client).steps(clients, round, msgs) -> list[FedMessage]  optional
 
 Each round: the server's broadcast (if any) is sent to every client and
 every client receives it; each client class that defines the classmethod
-`prestep` is then called once, with its clients in ascending id order
-and the message each received; then clients run their steps one after
-another in ascending client id order and send replies; after the
-barrier the server consumes the replies.
+`steps` is then called once, with its clients in ascending id order and
+the message each received, and answers them all; every other client
+runs its own `step`.  Replies are sent in ascending client id order, and
+after the barrier the server consumes them.
 
-`prestep` lets a class compute all its clients' work as one stacked
-computation.  It stores each client's result as `client.staged =
-(msg, result)`, and only once every result is computed; `step` pops
-`staged` and commits the result when `staged[0] is msg`, and otherwise
-computes alone.  An exception from `prestep` is dropped, so each client
-computes alone and the one that fails is named by its own step.
+`steps` lets a class compute all its clients' work as one stacked
+computation, so a lone `step` can be that stack of one.  An exception
+from `steps` is dropped and each of the class's clients runs its own
+`step` instead, so the one that fails is named; a `steps` must
+therefore commit no client's state unless it returns.
 
 `run_rounds` owns the round contract, so servers keep only their math:
 
@@ -132,12 +131,15 @@ def run_rounds(
     by_class: dict[type, list[int]] = {}
     for i, client in enumerate(clients):
         by_class.setdefault(type(client), []).append(i)
-    presteps = [(cls.prestep, idx) for cls, idx in by_class.items() if hasattr(cls, "prestep")]
+    stacked = [(cls.steps, idx) for cls, idx in by_class.items() if hasattr(cls, "steps")]
 
-    def client_turn(client, rnd: int, inbound: FedMessage | None) -> MessageRecord:
+    def client_turn(i: int, rnd: int, inbound: FedMessage | None, answered) -> MessageRecord:
+        """Send client i's reply: its class's `steps` answer, or else the
+        reply of its own `step`."""
+        client = clients[i]
         ep = client_eps[client.party.id]
         try:
-            reply = client.step(rnd, inbound)
+            reply = answered[i] if i in answered else client.step(rnd, inbound)
         except Exception as exc:
             raise PartyFailure(rnd, client.party.id, exc) from exc
         if reply is None:
@@ -171,12 +173,14 @@ def run_rounds(
             None if broadcast is None else client_eps[c.party.id].receive(server.party)
             for c in clients
         ]
-        for prestep, idx in presteps:
+        answered: dict[int, FedMessage | None] = {}
+        for steps, idx in stacked:
+            msgs = [inbound[i] for i in idx]
             try:
-                prestep([clients[i] for i in idx], rnd, [inbound[i] for i in idx])
+                answered.update(zip(idx, steps([clients[i] for i in idx], rnd, msgs)))
             except Exception:
-                pass  # nothing is staged; each client computes alone
-        records.extend(client_turn(c, rnd, msg) for c, msg in zip(clients, inbound))
+                pass  # each of the class's clients steps alone
+        records.extend(client_turn(i, rnd, msg, answered) for i, msg in enumerate(inbound))
         server.aggregate(rnd, [receive(c, rnd) for c in clients])
         log.append(RoundRecord(rnd, tuple(records), time.perf_counter() - t0))
         if done is not None and done():

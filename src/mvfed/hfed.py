@@ -12,26 +12,27 @@ stacks the views and labels of every client whose views all take the
 primal form (d_k <= n_i) once, whatever its row count, into one `_Rows`
 block they share; a client with a view wider than its rows (dual form)
 shares one with the clients of its row count only.
-`HorizontalClient.prestep`, which the round driver calls before the
-steps, runs each block's local passes as one stacked computation
-(`_local_passes`): products and sums over rows once per row count, the
-solves and all other d-space work once per block, each slice starting
-from the transforms its own client received.  Each `step` then checks
-the broadcast's shapes and commits its client's staged slice, which is
-bit-identical to what the client computes alone.  A client computes
-alone instead, on its own rows as a stack of one, when it steps with a
-message other than the staged one, or when the stacked pass raised; a
-failure is then reported by the client that fails.
+`HorizontalClient.steps`, which the round driver calls once a round
+with all the clients, checks every broadcast's shapes, then runs each
+block's local passes as one stacked computation (`_local_passes`):
+products and sums over rows once per row count, the solves and all
+other d-space work once per block, each slice starting from the
+transforms its own client received.  Each slice is bit-identical to
+what its client computes alone.  A lone `step` is `steps` of a stack of
+one, on its own slot of the block.  The clients' state is committed
+only once every reply is built, so when `steps` raises no client has
+changed, and the driver lets each client step alone; a failure is then
+reported by the client that fails.
 
 The stacked results stay stacked.  Each block's transform stacks are
 sealed (`fedcore.seal_rows`): checked finite once and read-only, so a
 reply carries its client's rows without a copy and the server's FedAvg
 sums the stack itself.  The block keeps its pseudo-label and consensus
 stacks, and the next round's passes start from them as they are while
-the same members stage and each still holds the slices it was given;
-otherwise, say after a member computed alone, the block stacks its
-members' blocks afresh.  Nothing writes a stack once slices of it are
-out.
+the same members step together and each still holds the slices it was
+given; otherwise, say after a member stepped alone, the block stacks
+its members' blocks afresh.  Nothing writes a stack once slices of it
+are out.
 """
 
 from __future__ import annotations
@@ -134,8 +135,8 @@ class _Rows:
     def held(self, members, slots: list[int]) -> tuple[list[np.ndarray], np.ndarray]:
         """The pseudo-label and consensus blocks of the members, which
         hold the given slots, as ragged stacks: those the last
-        `hand_out` left while the same members stage and each still
-        holds the slices it was given, otherwise stacked afresh."""
+        `hand_out` left while the same members step together and each
+        still holds the slices it was given, otherwise stacked afresh."""
         if self.last is not None:
             last_slots, pseudo, consensus, given = self.last
             held = [m for c in members for m in (c.consensus, *c.pseudo)]
@@ -163,20 +164,17 @@ class _Rows:
 
 @dataclass
 class HorizontalClient:
-    """One participant's samples plus its persistent local state.
+    """One participant's persistent local state.
 
     The pseudo-label and consensus blocks survive across rounds; the
-    transforms are overwritten by every broadcast before the local
-    optimization reuses them as the IRLS warm start.  `rows` is the
-    block this client is stacked in: every client whose views are all
-    in primal form, or, if one of this client's views is wider than its
-    rows, every client of its row count.  `slot` is this client's slice
-    of the block.  `staged` holds the (message, result) pair `prestep`
-    computed for the next step.
+    transforms are replaced by every round's result, whose passes start
+    from the broadcast.  `rows` is the block this client is stacked in:
+    every client whose views are all in primal form, or, if one of this
+    client's views is wider than its rows, every client of its row
+    count.  `slot` is this client's slice of the block.
     """
 
     party: PartyId
-    data: MultiViewDataset
     hp: HyperParams
     max_local: int
     w: list[np.ndarray]
@@ -184,16 +182,22 @@ class HorizontalClient:
     consensus: np.ndarray
     rows: _Rows = field(repr=False, compare=False)
     slot: int
-    staged: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def prestep(cls, clients, rnd: int, msgs: Sequence[FedMessage]) -> None:
-        """Stage every client's local passes, one stack per block."""
-        groups: dict[int, list[int]] = {}
+    def steps(cls, clients, rnd: int, msgs: Sequence[FedMessage]) -> list[FedMessage]:
+        """Every client's local passes, one stack per block, and its
+        reply.  All messages are checked before any computation and the
+        clients' state is committed only after every reply is built, so
+        a call that raises changes no client."""
+        for c, msg in zip(clients, msgs):
+            if msg is None or msg.kind is not MessageKind.TRANSFORM_SET:
+                raise ValueError(f"round {rnd}: expected a transform broadcast")
+            c._check_shapes(msg.matrices)
+        blocks: dict[int, list[int]] = {}
         for i, c in enumerate(clients):
-            groups.setdefault(id(c.rows), []).append(i)
-        staged = []
-        for idx in groups.values():
+            blocks.setdefault(id(c.rows), []).append(i)
+        results = [None] * len(clients)
+        for idx in blocks.values():
             idx.sort(key=lambda i: clients[i].slot)
             members = [clients[i] for i in idx]
             rows, slots = members[0].rows, [c.slot for c in members]
@@ -202,21 +206,18 @@ class HorizontalClient:
                 [stack_rows(a) for a in zip(*(msgs[i].matrices for i in idx))],
                 *rows.held(members, slots),
             )
-            staged += zip(members, [msgs[i] for i in idx], rows.hand_out(slots, *stacked))
-        for c, msg, result in staged:
-            c.staged = (msg, result)
+            for i, result in zip(idx, rows.hand_out(slots, *stacked)):
+                results[i] = result
+        replies = [
+            FedMessage.transform_set(rnd, c.party, w) for c, (w, _, _) in zip(clients, results)
+        ]
+        for c, result in zip(clients, results):
+            c.w, c.pseudo, c.consensus = result
+        return replies
 
     def step(self, rnd: int, msg: FedMessage | None) -> FedMessage:
-        if msg is None or msg.kind is not MessageKind.TRANSFORM_SET:
-            raise ValueError(f"round {rnd}: expected a transform broadcast")
-        staged, self.staged = self.staged, None
-        if staged is not None and staged[0] is msg:
-            self._check_shapes(msg.matrices)
-            self.w, self.pseudo, self.consensus = staged[1]
-        else:
-            self.set_transforms(msg.matrices)
-            self.optimize_local()
-        return FedMessage.transform_set(rnd, self.party, self.w)
+        """This client's round alone: `steps` of a stack of one."""
+        return type(self).steps([self], rnd, [msg])[0]
 
     def _check_shapes(self, matrices: Sequence[np.ndarray]) -> None:
         got = [m.shape for m in matrices]
@@ -224,19 +225,6 @@ class HorizontalClient:
             raise DimensionMismatch(
                 f"broadcast shapes {got}, expected {self.rows.transform_shapes}"
             )
-
-    def set_transforms(self, matrices: Sequence[np.ndarray]) -> None:
-        self._check_shapes(matrices)
-        self.w = [m.copy() for m in matrices]
-
-    def optimize_local(self) -> None:
-        """Local block-coordinate passes until the objective settles,
-        computed alone on this client's own rows, as a stack of one."""
-        w, pseudo, consensus = _local_passes(
-            self.hp, _Rows.stack([self.data]), self.max_local, [m[None] for m in self.w],
-            self.pseudo, self.consensus,
-        )
-        self.w, self.pseudo, self.consensus = [m[0] for m in w], pseudo, consensus
 
 
 def _local_objective(labels, w, xw, pseudo, consensus, hp: HyperParams, layout) -> np.ndarray:
@@ -402,7 +390,7 @@ def make_horizontal_parties(
         ]
         for slot, (l, (pseudo, consensus)) in enumerate(zip(group, inits)):
             clients[l] = HorizontalClient(
-                party=PartyId.client(l), data=datasets[l], hp=hp, max_local=max_local,
+                party=PartyId.client(l), hp=hp, max_local=max_local,
                 w=list(w0), pseudo=pseudo, consensus=consensus, rows=rows, slot=slot,
             )
     server = HorizontalServer(w=w0, counts=[d.n_samples for d in datasets])

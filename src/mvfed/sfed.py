@@ -10,19 +10,19 @@ flat vectors, so the wire format stays model-agnostic.
 
 A view's clients are zero-padded once, when the parties are built,
 into one (clients, rows, steps, features) stack that they share, each
-holding its slot.  `SequenceClient.prestep`, which the round driver
-calls before the steps, runs every client's local SGD in lock-step
-(`_sgd`), each row starting from the vector its own client received:
-each client keeps its own shuffle stream, batch membership and short
-final batch, step j of an epoch is one kernel call (`_grads`) over
-batch j of every client that has one, and a client out of batches sits
-the later steps out.  The kernel adds every padded term as an exact
-zero after or between real ones, so each client's row is bit-identical
-to what it computes alone; `loss_and_grad` is the kernel on a stack of
-one and `local_training` the lock-step SGD of a stack of one.  A client
-that steps with a message other than the staged one, or any client
-after the stacked SGD raised, computes alone, so a failure is reported
-by the client that fails.  The trained stack is sealed
+holding its slot.  `SequenceClient.steps`, which the round driver calls
+once a round with all the clients, checks every broadcast, then runs
+every client's local SGD in lock-step (`_sgd`), each row starting from
+the vector its own client received: each client keeps its own shuffle
+stream, batch membership and short final batch, step j of an epoch is
+one kernel call (`_grads`) over batch j of every client that has one,
+and a client out of batches sits the later steps out.  The kernel adds
+every padded term as an exact zero after or between real ones, so each
+client's row is bit-identical to what it computes alone; a lone `step`
+is `steps` of a stack of one, `loss_and_grad` is the kernel on a stack
+of one and `local_training` the lock-step SGD of a stack of one.  When
+`steps` raises, the driver lets each client step alone, so a failure is
+reported by the client that fails.  The trained stack is sealed
 (`fedcore.seal_rows`): checked finite once and read-only, so each
 reply carries its client's row without a copy and the server's FedAvg
 sums the stack itself; when every client got the one broadcast, the
@@ -260,12 +260,14 @@ class _Padded:
     def n(self) -> int:
         return self.x.shape[1] - 1
 
-    def __getitem__(self, s: int) -> "_Padded":
-        """Slice s alone, as a stack of one (views, no copy)."""
-        part = slice(s, s + 1)
+    def take(self, slots: list[int]) -> "_Padded":
+        """The stack of the given slots, in order; the whole stack
+        without a copy."""
+        if slots == list(range(len(self.counts))):
+            return self
         return _Padded(
-            self.x[part], self.weights[part], self.lengths[part], self.y[part],
-            self.counts[part],
+            self.x[slots], self.weights[slots], self.lengths[slots], self.y[slots],
+            self.counts[slots],
         )
 
     def gather(self, live: np.ndarray, rows: np.ndarray, work: dict | None = None):
@@ -520,9 +522,7 @@ class SequenceClient:
     `data` is its federation's padded stack, shared by all its clients,
     and `slot` this client's slice of it.  `streams` (rounds, clients, 4)
     holds the `numerics.stream_states` row of every client's shuffle
-    stream of every round below cfg.max_rounds, also shared.  `staged`
-    holds the (message, trained vector) pair `prestep` computed for the
-    next step.
+    stream of every round below cfg.max_rounds, also shared.
     """
 
     party: PartyId
@@ -532,36 +532,34 @@ class SequenceClient:
     cfg: TrainerConfig
     view_index: int
     streams: np.ndarray = field(repr=False, compare=False)
-    staged: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def prestep(cls, clients, rnd: int, msgs: Sequence[FedMessage]) -> None:
-        """Stage every client's local SGD, run as one lock-step pass over
-        the shared padded stack; clients are all of one federation's, in
-        slot order."""
+    def steps(cls, clients, rnd: int, msgs: Sequence[FedMessage]) -> list[FedMessage]:
+        """Every client's local SGD, run as one lock-step pass over their
+        slots of the shared padded stack, and its reply; clients are all
+        of one federation's.  All messages are checked first."""
+        for c, msg in zip(clients, msgs):
+            if msg is None or msg.kind is not MessageKind.PARAM_VECTOR:
+                raise ValueError(f"round {rnd}: expected a parameter broadcast")
+            if msg.view != c.view_index:
+                raise ValueError(
+                    f"round {rnd}: broadcast for view {msg.view}, "
+                    f"client trains view {c.view_index}"
+                )
         first = clients[0]
         stacked = _sgd(
-            first.arch, stack_rows([m.vector for m in msgs]), first.data, first.cfg,
+            first.arch, stack_rows([m.vector for m in msgs]),
+            first.data.take([c.slot for c in clients]), first.cfg,
             [c.stream(rnd) for c in clients],
         )
-        for c, msg, w in zip(clients, msgs, seal_rows(stacked)):
-            c.staged = (msg, w)
+        return [
+            FedMessage.param_vector(rnd, c.party, c.view_index, w)
+            for c, w in zip(clients, seal_rows(stacked))
+        ]
 
     def step(self, rnd: int, msg: FedMessage | None) -> FedMessage:
-        if msg is None or msg.kind is not MessageKind.PARAM_VECTOR:
-            raise ValueError(f"round {rnd}: expected a parameter broadcast")
-        if msg.view != self.view_index:
-            raise ValueError(
-                f"round {rnd}: broadcast for view {msg.view}, "
-                f"client trains view {self.view_index}"
-            )
-        staged, self.staged = self.staged, None
-        if staged is not None and staged[0] is msg:
-            w = staged[1]
-        else:
-            data = self.data[self.slot]
-            w = _sgd(self.arch, msg.vector[None], data, self.cfg, [self.stream(rnd)])[0]
-        return FedMessage.param_vector(rnd, self.party, self.view_index, w)
+        """This client's round alone: `steps` of a stack of one."""
+        return type(self).steps([self], rnd, [msg])[0]
 
     def stream(self, rnd: int) -> dict:
         """Start state of this client's round-rnd shuffle stream, keyed

@@ -115,9 +115,9 @@ def record_calls(monkeypatch, module, name, stacked_arg, group=False):
 
 
 def stage(clients, rnd, msgs):
-    """What the round driver does before the steps: the clients' class
-    stages their stacked work (`prestep`)."""
-    type(clients[0]).prestep(clients, rnd, msgs)
+    """What the round driver does with a client class: its `steps`
+    answers all the clients as one stack.  Returns the replies."""
+    return type(clients[0]).steps(clients, rnd, msgs)
 
 
 def read_report(path: str):

@@ -598,73 +598,66 @@ class TestRoundContract:
         assert server.received.matrix[0, 0] == 0.0
 
 
-class StagedEcho(EchoClient):
-    """Echo client whose reply payload, twice its own, `prestep` computes
-    for every client of the class at once.  Events go to a shared list;
-    a client with fail=True makes the stacked computation raise, and
-    raises in its own step too."""
+class StackedEcho(EchoClient):
+    """Echo client whose reply payload, twice its own, `steps` computes
+    for every client of the class at once; a lone `step` is `steps` of a
+    stack of one.  Events go to a shared list; a client with fail=True
+    makes every stack it is in raise."""
 
     def __init__(self, payload, party, events, fail=False):
         super().__init__(payload, party)
         self.events = events
         self.fail = fail
-        self.staged = None
-        self.alone = 0
 
     @classmethod
-    def prestep(cls, clients, rnd, msgs):
-        clients[0].events.append(("prestep", rnd, [c.party.id for c in clients]))
+    def steps(cls, clients, rnd, msgs):
+        clients[0].events.append(("steps", rnd, [c.party.id for c in clients]))
         if any(c.fail for c in clients):
-            raise RuntimeError("stack failed")
-        for c, msg in zip(clients, msgs):
-            c.staged = (msg, 2.0 * c.payload)
+            raise RuntimeError("boom")
+        return [FedMessage.consensus(rnd, c.party, 2.0 * c.payload) for c in clients]
 
     def step(self, rnd, msg):
         self.events.append(("step", rnd, self.party.id))
-        staged, self.staged = self.staged, None
-        if staged is not None and staged[0] is msg:
-            return FedMessage.consensus(rnd, self.party, staged[1])
-        self.alone += 1
-        if self.fail:
-            raise RuntimeError("boom")
-        return FedMessage.consensus(rnd, self.party, 2.0 * self.payload)
+        return type(self).steps([self], rnd, [msg])[0]
 
 
-class SealedEcho(StagedEcho):
-    """StagedEcho whose `prestep` stages rows of one sealed stack."""
+class SealedEcho(StackedEcho):
+    """StackedEcho whose `steps` replies with the rows of one sealed
+    stack."""
 
     @classmethod
-    def prestep(cls, clients, rnd, msgs):
+    def steps(cls, clients, rnd, msgs):
         rows = seal_rows(np.stack([2.0 * c.payload for c in clients]))
-        for c, msg, row in zip(clients, msgs, rows):
-            c.staged = (msg, row)
+        return [FedMessage.consensus(rnd, c.party, row) for c, row in zip(clients, rows)]
+
+
+def lone_steps(events):
+    return [e[1:] for e in events if e[0] == "step"]
 
 
 @pytest.mark.parametrize("transport_cls", [InProcessTransport, FramedByteTransport])
 class TestPrestep:
+    """The driver's per-class `steps` call.  The class and two of its
+    cases are named after `prestep`, the staging call `steps` replaced."""
+
     def test_called_once_per_round_before_the_steps(self, transport_cls):
         events = []
         clients = [
-            StagedEcho(np.full((1, 1), float(i)), PartyId.client(i), events)
+            StackedEcho(np.full((1, 1), float(i)), PartyId.client(i), events)
             for i in (2, 0, 1)
         ]
         server = EchoServer()
         run_rounds(server, clients, transport_cls(), max_rounds=3)
-        assert events == [
-            e for rnd in range(3)
-            for e in [("prestep", rnd, [0, 1, 2])] + [("step", rnd, i) for i in range(3)]
-        ]
-        # A client commits its staged payload only if it was staged with
-        # the very message the client steps with; over framed bytes each
-        # client decodes a message object of its own.
-        assert [c.alone for c in clients] == [0, 0, 0]
+        # One stack a round, in client id order, and no lone step.
+        assert events == [("steps", rnd, [0, 1, 2]) for rnd in range(3)]
+        assert server.senders == [[0, 1, 2]] * 3
         assert server.received.matrix[0, 0] == 0.0
 
     def test_class_without_prestep_is_unaffected(self, transport_cls):
         def run(mixed):
             events = []
             clients = [
-                StagedEcho(np.full((1, 1), 2.0 * i), PartyId.client(i), events)
+                StackedEcho(np.full((1, 1), 2.0 * i), PartyId.client(i), events)
                 if mixed and i % 2 else EchoClient(np.full((1, 1), 4.0 * i), PartyId.client(i))
                 for i in range(4)
             ]
@@ -674,10 +667,9 @@ class TestPrestep:
 
         mixed, mixed_log, events = run(mixed=True)
         plain, plain_log, _ = run(mixed=False)
-        assert [e for e in events if e[0] == "prestep"] == [
-            ("prestep", 0, [1, 3]), ("prestep", 1, [1, 3])
-        ]
+        assert events == [("steps", 0, [1, 3]), ("steps", 1, [1, 3])]
         assert mixed.senders == plain.senders == [[0, 1, 2, 3]] * 2
+        assert mixed.received.matrix.tobytes() == plain.received.matrix.tobytes()
         assert [r.messages for r in mixed_log.records] == [
             r.messages for r in plain_log.records
         ]
@@ -685,15 +677,17 @@ class TestPrestep:
     def test_failing_prestep_leaves_each_client_to_step_alone(self, transport_cls):
         events = []
         clients = [
-            StagedEcho(np.ones((1, 1)), PartyId.client(i), events, fail=i == 2)
+            StackedEcho(np.ones((1, 1)), PartyId.client(i), events, fail=i == 2)
             for i in range(4)
         ]
         with pytest.raises(PartyFailure) as info:
             run_rounds(EchoServer(), clients, transport_cls(), max_rounds=2)
         assert (info.value.round_index, info.value.party_id) == (0, 2)
         assert str(info.value.cause) == "boom"
-        assert [c.alone for c in clients] == [1, 1, 1, 0]
-        assert all(c.staged is None for c in clients)
+        # The stack raised, so each client stepped alone until client 2
+        # failed; client 3 never stepped.
+        assert events[0] == ("steps", 0, [0, 1, 2, 3])
+        assert lone_steps(events) == [(0, 0), (0, 1), (0, 2)]
 
     def test_sealed_replies_reach_the_server_as_sent(self, transport_cls):
         events = []
@@ -702,7 +696,7 @@ class TestPrestep:
         ]
         server = EchoServer()
         run_rounds(server, clients, transport_cls(), max_rounds=2)
-        assert [c.alone for c in clients] == [0, 0, 0]
+        assert lone_steps(events) == []
         assert server.received.matrix.tobytes() == np.zeros((2, 2)).tobytes()
         # In process the server holds the client's row of the sealed stack.
         in_process = transport_cls is InProcessTransport
@@ -718,4 +712,6 @@ class TestPrestep:
             run_rounds(EchoServer(), clients, transport_cls(), max_rounds=2)
         assert (info.value.round_index, info.value.party_id) == (0, 2)
         assert "non-finite" in str(info.value.cause)
-        assert [c.alone for c in clients] == [0, 0, 0, 0]
+        # The stack's reply for client 2 raised, so each client stepped
+        # alone, as a stack of one, until client 2 failed.
+        assert lone_steps(events) == [(0, 0), (0, 1), (0, 2)]

@@ -11,6 +11,7 @@ from mvfed.fedcore import (
     HORIZONTAL_KINDS,
     FedMessage,
     FramedByteTransport,
+    InProcessTransport,
     MessageKind,
     PartyId,
     RoundLog,
@@ -111,10 +112,7 @@ class TestClientStep:
         )
         _, clients = make_horizontal_parties([data], hp, seed=6, max_local=50)
         client = clients[0]
-        client.set_transforms(
-            [np.zeros((6, 2))]
-        )
-        client.optimize_local()
+        client.step(0, FedMessage.transform_set(0, SERVER, [np.zeros((6, 2))]))
         assert np.allclose(client.consensus, labels, atol=1e-5)
         w_direct, _ = fit_view_transform(x, labels, beta=0.1, epsilon=1e-8)
         assert np.allclose(client.w[0], w_direct, atol=1e-3)
@@ -298,8 +296,8 @@ class TestCohorts:
         hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-3, max_inner=6)
         server, clients = make_horizontal_parties(shards, hp, seed=41, max_local=8)
         reference = [
-            ReferenceClient(c.party, c.data, hp, 8, c.pseudo, c.consensus)
-            for c in clients
+            ReferenceClient(c.party, d, hp, 8, c.pseudo, c.consensus)
+            for c, d in zip(clients, shards)
         ]
         ref_log = run_rounds(server, reference, None, max_rounds=3)
         fit_sizes = record_calls(monkeypatch, mvfed.mvl, "_fit_stats", 0, group=True)
@@ -326,17 +324,17 @@ class TestCohorts:
         server, clients = make_horizontal_parties(shards, hp, seed=50, max_local=6)
         sent = server.broadcast(0)
         expected = [
-            alg3_local(c.data, hp, sent.matrices, c.pseudo, c.consensus, 6) for c in clients
+            alg3_local(d, hp, sent.matrices, c.pseudo, c.consensus, 6)
+            for c, d in zip(clients, shards)
         ]
         solo = [dataclasses.replace(c) for c in clients]
         sizes = record_calls(monkeypatch, mvfed.mvl, "_fit_stats", 0, group=True)
-        stage(clients, 0, [sent] * len(clients))
-        for c in clients:
-            c.step(0, sent)
+        replies = stage(clients, 0, [sent] * len(clients))
         assert sizes[: len(groups)] == [5 * g for g in groups]
-        for c, alone, (w, pseudo, consensus) in zip(clients, solo, expected):
-            alone.step(0, sent)
+        for c, reply, alone, (w, pseudo, consensus) in zip(clients, replies, solo, expected):
+            lone = alone.step(0, sent)
             for k in range(len(dims)):
+                assert reply.matrices[k].tobytes() == lone.matrices[k].tobytes()
                 assert c.w[k].tobytes() == w[k].tobytes() == alone.w[k].tobytes()
                 assert c.pseudo[k].tobytes() == pseudo[k].tobytes() == alone.pseudo[k].tobytes()
             assert c.consensus.tobytes() == consensus.tobytes() == alone.consensus.tobytes()
@@ -351,16 +349,15 @@ class TestCohorts:
         server, clients = make_horizontal_parties(shards, hp, seed=1, max_local=3)
         sent = server.broadcast(0)
         expected = [
-            alg3_local(c.data, hp, sent.matrices, c.pseudo, c.consensus, 3) for c in clients
+            alg3_local(d, hp, sent.matrices, c.pseudo, c.consensus, 3)
+            for c, d in zip(clients, shards)
         ]
         passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 1)
-        stage(clients, 0, [sent] * len(clients))
-        for c in clients:
-            c.step(0, sent)
+        replies = stage(clients, 0, [sent] * len(clients))
         assert passes == stacks
-        for c, (w, pseudo, consensus) in zip(clients, expected):
+        for c, reply, (w, pseudo, consensus) in zip(clients, replies, expected):
             for k in range(2):
-                assert c.w[k].tobytes() == w[k].tobytes()
+                assert reply.matrices[k].tobytes() == c.w[k].tobytes() == w[k].tobytes()
                 assert c.pseudo[k].tobytes() == pseudo[k].tobytes()
             assert c.consensus.tobytes() == consensus.tobytes()
 
@@ -378,15 +375,15 @@ class TestCohorts:
         hp = dataclasses.replace(HyperParams.uniform(len(dims)), tol=1e-4, max_inner=6)
         server, clients = make_horizontal_parties(shards, hp, seed=56, max_local=5)
         reference = [
-            ReferenceClient(c.party, c.data, hp, 5, c.pseudo, c.consensus) for c in clients
+            ReferenceClient(c.party, d, hp, 5, c.pseudo, c.consensus)
+            for c, d in zip(clients, shards)
         ]
         primal = [n for n in sizes if n >= max(dims)]
         assert len(set(primal)) > 1 and len(primal) < len(sizes)
         passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 1)
         for rnd in range(3):
             sent = server.broadcast(rnd)
-            stage(clients, rnd, [sent] * len(clients))
-            replies = [c.step(rnd, sent) for c in clients]
+            replies = stage(clients, rnd, [sent] * len(clients))
             for c, ref, reply in zip(clients, reference, replies):
                 want = ref.step(rnd, sent)
                 for k in range(len(dims)):
@@ -397,7 +394,7 @@ class TestCohorts:
         assert max(passes) == len(primal) and sum(passes) == 3 * len(sizes)
         # The objective the ragged block computes for each of its slots,
         # which decides when the slot stops, is the client's own.
-        block = next(c.rows for c in clients if c.data.n_samples >= max(dims))
+        block = next(c.rows for c, n in zip(clients, sizes) if n >= max(dims))
         members = sorted((c for c in clients if c.rows is block), key=lambda c: c.slot)
         layout = mvfed.mvl._layout(block.rows)
         w = [np.stack([c.w[k] for c in members]) for k in range(len(dims))]
@@ -408,18 +405,21 @@ class TestCohorts:
             np.concatenate([c.consensus for c in members]), hp, layout,
         )
         for c, value in zip(members, values.tolist()):
-            assert value == objective(c.data, MvlState(W=c.w, Zk=c.pseudo, Z=c.consensus), hp)
+            state = MvlState(W=c.w, Zk=c.pseudo, Z=c.consensus)
+            assert value == objective(shards[c.party.id], state, hp)
 
     def test_block_restacks_after_a_member_computes_alone(self, monkeypatch):
         # The block's passes start from the stacks the last round left
-        # while every member holds the slices it was given.  In round 1
-        # member 1 steps with another broadcast than it was staged with and
-        # computes alone, so round 2 stacks its members' blocks afresh.
+        # while the same members step together and each holds the slices
+        # it was given.  In round 2 member 1 steps alone with another
+        # broadcast, so the 6-member stack of round 3 restacks its
+        # members' blocks, and round 4 starts from round 3's stacks again.
         shards = rows_of([8, 11, 9, 8, 13, 11], seed=59, dims=(4, 3))
         hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-4, max_inner=6)
         server, clients = make_horizontal_parties(shards, hp, seed=60, max_local=4)
         reference = [
-            ReferenceClient(c.party, c.data, hp, 4, c.pseudo, c.consensus) for c in clients
+            ReferenceClient(c.party, d, hp, 4, c.pseudo, c.consensus)
+            for c, d in zip(clients, shards)
         ]
         calls = []
         original = mvfed.hfed._local_passes
@@ -430,27 +430,30 @@ class TestCohorts:
             return out
 
         monkeypatch.setattr(mvfed.hfed, "_local_passes", recording)
-        for rnd in range(4):
+        for rnd in range(5):
             sent = server.broadcast(rnd)
-            other = FedMessage.transform_set(rnd, SERVER, [m + 0.5 for m in sent.matrices])
-            stage(clients, rnd, [sent] * len(clients))
-            replies = []
-            for i, (c, ref) in enumerate(zip(clients, reference)):
-                msg = other if rnd == 1 and i == 1 else sent
-                reply, want = c.step(rnd, msg), ref.step(rnd, msg)
+            msgs = [sent] * len(clients)
+            if rnd == 2:
+                msgs[1] = FedMessage.transform_set(rnd, SERVER, [m + 0.5 for m in sent.matrices])
+                others = [c for i, c in enumerate(clients) if i != 1]
+                replies = stage(others, rnd, msgs[:1] + msgs[2:])
+                replies.insert(1, clients[1].step(rnd, msgs[1]))
+            else:
+                replies = stage(clients, rnd, msgs)
+            for c, ref, msg, reply in zip(clients, reference, msgs, replies):
+                want = ref.step(rnd, msg)
                 for k in range(2):
                     assert reply.matrices[k].tobytes() == want.matrices[k].tobytes()
                     assert c.pseudo[k].tobytes() == ref.pseudo[k].tobytes()
                 assert c.consensus.tobytes() == ref.consensus.tobytes()
-                replies.append(reply)
             server.aggregate(rnd, replies)
+        assert [n for n, *_ in calls] == [6, 6, 5, 1, 6, 6]
         stacked = [call for call in calls if call[0] == len(clients)]
-        assert [n for n, *_ in calls] == [6, 6, 1, 6, 6]
-        for rnd in range(1, 4):
-            _, pseudo, consensus, _ = stacked[rnd]
-            _, last_pseudo, last_consensus = stacked[rnd - 1][3]
-            kept = consensus is last_consensus and all(map(operator.is_, pseudo, last_pseudo))
-            assert kept == (rnd != 2)
+        kept = [
+            consensus is last[2] and all(map(operator.is_, pseudo, last[1]))
+            for (*_, last), (_, pseudo, consensus, _) in zip(stacked, stacked[1:])
+        ]
+        assert kept == [True, False, True]
 
     def test_back_to_back_federations_are_equal(self):
         # Blocks keep their state per federation: a federation run after
@@ -476,22 +479,20 @@ class TestCohorts:
         other = FedMessage.transform_set(0, SERVER, [m + 0.5 for m in server.w])
         messages = [sent, other, sent]
         expected = [
-            alg3_local(c.data, hp, msg.matrices, c.pseudo, c.consensus, 4)
-            for c, msg in zip(clients, messages)
+            alg3_local(d, hp, msg.matrices, c.pseudo, c.consensus, 4)
+            for c, d, msg in zip(clients, shards, messages)
         ]
         passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 1)
-        stage(clients, 0, messages)
-        for c, msg in zip(clients, messages):
-            c.step(0, msg)
+        replies = stage(clients, 0, messages)
         assert passes == [3]
-        for c, (w, pseudo, consensus) in zip(clients, expected):
+        for c, reply, (w, pseudo, consensus) in zip(clients, replies, expected):
             for k in range(2):
-                assert c.w[k].tobytes() == w[k].tobytes()
+                assert reply.matrices[k].tobytes() == c.w[k].tobytes() == w[k].tobytes()
                 assert c.pseudo[k].tobytes() == pseudo[k].tobytes()
             assert c.consensus.tobytes() == consensus.tobytes()
 
     def test_subset_of_a_block_stages_its_own_rows(self, monkeypatch):
-        # Staging some clients of a ragged block stacks only their rows,
+        # Stepping some clients of a ragged block stacks only their rows,
         # whatever order they come in.
         shards = rows_of([8, 11, 9, 8], seed=57, dims=(4, 3))
         hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-9)
@@ -499,49 +500,30 @@ class TestCohorts:
         sent = server.broadcast(0)
         some = [clients[3], clients[1]]
         expected = [
-            alg3_local(c.data, hp, sent.matrices, c.pseudo, c.consensus, 3) for c in some
+            alg3_local(shards[c.party.id], hp, sent.matrices, c.pseudo, c.consensus, 3)
+            for c in some
         ]
         passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 1)
-        stage(some, 0, [sent, sent])
-        assert passes == [2] and all(c.staged is not None for c in some)
-        for c, (w, pseudo, consensus) in zip(some, expected):
-            c.step(0, sent)
+        replies = stage(some, 0, [sent, sent])
+        assert passes == [2]
+        assert [r.sender for r in replies] == [c.party for c in some]
+        for c, reply, (w, pseudo, consensus) in zip(some, replies, expected):
             for k in range(2):
-                assert c.w[k].tobytes() == w[k].tobytes()
+                assert reply.matrices[k].tobytes() == c.w[k].tobytes() == w[k].tobytes()
                 assert c.pseudo[k].tobytes() == pseudo[k].tobytes()
             assert c.consensus.tobytes() == consensus.tobytes()
-        assert passes == [2]
-
-    def test_step_with_other_message_than_staged_computes_alone(self, monkeypatch):
-        shards = rows_of([8, 11], seed=47, dims=(4, 3))
-        hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-9)
-        server, clients = make_horizontal_parties(shards, hp, seed=48, max_local=3)
-        sent = server.broadcast(0)
-        # Bitwise the same transforms, but not the message that was staged.
-        copy = FedMessage.transform_set(0, SERVER, sent.matrices)
-        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 1)
-        stage(clients, 0, [sent, sent])
-        c = clients[1]
-        w, pseudo, consensus = alg3_local(c.data, hp, sent.matrices, c.pseudo, c.consensus, 3)
-        clients[0].step(0, sent)
-        c.step(0, copy)
-        assert passes == [2, 1]
-        assert c.staged is None
-        for k in range(2):
-            assert c.w[k].tobytes() == w[k].tobytes()
-            assert c.pseudo[k].tobytes() == pseudo[k].tobytes()
-        assert c.consensus.tobytes() == consensus.tobytes()
 
     def test_framed_transport_stages_and_matches_in_process(self, monkeypatch):
         # Over framed bytes every client decodes its own broadcast; the
-        # clients are still staged as one stack, and every reply equals the
+        # clients still step as one stack, and every reply equals the
         # client's solo run.
         shards = rows_of([8, 9, 8, 9, 8, 8, 9], seed=51, dims=(4, 8))
         hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-3, max_inner=6)
         in_process = hfed_train(shards, hp, seed=52, rounds=3, max_local=4)
         server, clients = make_horizontal_parties(shards, hp, seed=52, max_local=4)
         reference = [
-            ReferenceClient(c.party, c.data, hp, 4, c.pseudo, c.consensus) for c in clients
+            ReferenceClient(c.party, d, hp, 4, c.pseudo, c.consensus)
+            for c, d in zip(clients, shards)
         ]
         ref_log = run_rounds(server, reference, FramedByteTransport(), max_rounds=3)
         passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 1)
@@ -556,17 +538,63 @@ class TestCohorts:
         ] == [r.messages for r in ref_log.records]
 
     def test_staged_step_checks_broadcast_shapes(self):
-        # With no local passes the stack stages the broadcast as it came;
-        # committing it must still check its shapes.
+        # With no local passes the stack would return the broadcast as it
+        # came; the stack must still check its shapes.
         shards = rows_of([8, 8], seed=53, dims=(4, 3))
         _, clients = make_horizontal_parties(
             shards, HyperParams.uniform(2), seed=54, max_local=0
         )
         bad = FedMessage.transform_set(0, SERVER, [np.zeros((4, 1)), np.zeros((3, 1))])
-        stage(clients, 0, [bad, bad])
-        assert clients[0].staged is not None
+        with pytest.raises(DimensionMismatch):
+            stage(clients, 0, [bad, bad])
         with pytest.raises(DimensionMismatch):
             clients[0].step(0, bad)
+
+    def test_raising_steps_commits_nothing(self, monkeypatch):
+        # `steps` checks every broadcast before it computes and commits
+        # the clients' state only once every reply is built: when one
+        # client's broadcast has the wrong shapes, or its result is not
+        # finite, no client's state changes.
+        shards = rows_of([8, 11, 9, 8], seed=65, dims=(4, 3))
+        hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-4, max_inner=6)
+        server, clients = make_horizontal_parties(shards, hp, seed=66, max_local=3)
+        stage(clients, 0, [server.broadcast(0)] * len(clients))
+        sent = server.broadcast(1)
+        bad = FedMessage.transform_set(1, SERVER, [np.zeros((4, 2)), np.zeros((4, 2))])
+
+        def state():
+            return [m for c in clients for m in (*c.w, *c.pseudo, c.consensus)]
+
+        before = state()
+        with pytest.raises(DimensionMismatch):
+            stage(clients, 1, [sent, sent, bad, sent])
+        assert all(map(operator.is_, state(), before))
+
+        original = mvfed.hfed._local_passes
+
+        def poisoned(*args):
+            w, pseudo, consensus = original(*args)
+            w[0][clients[2].slot, 0, 0] = np.nan
+            return w, pseudo, consensus
+
+        monkeypatch.setattr(mvfed.hfed, "_local_passes", poisoned)
+        with pytest.raises(ValueError, match="non-finite"):
+            stage(clients, 1, [sent] * len(clients))
+        assert all(map(operator.is_, state(), before))
+        monkeypatch.undo()
+
+        class Garbling(InProcessTransport):
+            """Delivers the wrong-shape broadcast to client 2."""
+
+            def _push(self, frm, to, msg):
+                super()._push(frm, to, bad if to == PartyId.client(2) else msg)
+
+        server, clients = make_horizontal_parties(shards, hp, seed=66, max_local=3)
+        run_rounds(server, clients, None, max_rounds=1)
+        with pytest.raises(PartyFailure) as err:
+            run_rounds(server, clients, Garbling(), max_rounds=2)
+        assert (err.value.round_index, err.value.party_id) == (0, 2)
+        assert isinstance(err.value.cause, DimensionMismatch)
 
     def test_failing_member_is_named(self, monkeypatch):
         shards = rows_of([8, 8, 8, 8], seed=45, dims=(4, 3))

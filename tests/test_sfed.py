@@ -497,8 +497,7 @@ class TestCohort:
         rounds = []
         for rnd in range(2):
             sent = server.broadcast(rnd)
-            stage(clients, rnd, [sent] * len(clients))
-            replies = [c.step(rnd, sent) for c in clients]
+            replies = stage(clients, rnd, [sent] * len(clients))
             server.aggregate(rnd, replies)
             rounds.append((sent, replies))
         assert sizes == [3, 3]
@@ -514,11 +513,12 @@ class TestCohort:
         stacked = local_training_stack(datasets, ARCH, starts, RAGGED_CFG, keys)
         server, clients = make_sequence_parties(datasets, 1, ARCH, RAGGED_CFG)
         sent = server.broadcast(2)
-        stage(clients, 2, [sent] * 3)
+        replies = stage(clients, 2, [sent] * 3)
         for l, (data, start, row) in enumerate(zip(datasets, starts, stacked)):
             want = reference_sgd(data, ARCH, start, RAGGED_CFG, keys[l])
             assert row.tobytes() == want.tobytes()
             want = reference_sgd(data, ARCH, sent.vector, RAGGED_CFG, (l, 1, 2))
+            assert replies[l].vector.tobytes() == want.tobytes()
             assert clients[l].step(2, sent).vector.tobytes() == want.tobytes()
 
     def test_stack_rows_match_solo_training(self):
@@ -540,29 +540,34 @@ class TestCohort:
             for l, (data, msg) in enumerate(zip(datasets, messages))
         ]
         sizes = record_calls(monkeypatch, mvfed.sfed, "_sgd", 1)
-        stage(clients, 0, messages)
-        for c, msg, solo in zip(clients, messages, expected):
-            assert c.step(0, msg).vector.tobytes() == solo.tobytes()
+        replies = stage(clients, 0, messages)
+        for reply, solo in zip(replies, expected):
+            assert reply.vector.tobytes() == solo.tobytes()
         assert sizes == [3]
 
-    def test_step_with_other_message_than_staged_computes_alone(self, monkeypatch):
-        datasets = ragged_clients(75)
+    def test_subset_of_clients_steps_its_own_slots(self, monkeypatch):
+        # Stepping some clients gathers only their slots, in the order
+        # given; all slots in order are the shared stack itself.
+        datasets = ragged_clients(72)
         server, clients = make_sequence_parties(datasets, 1, ARCH, RAGGED_CFG)
+        padded = clients[0].data
+        assert padded.take([0, 1, 2]) is padded
+        assert padded.take([2, 0]).counts.tolist() == [14, 5]
         sent = server.broadcast(0)
-        # Bitwise the same vector, but not the message that was staged.
-        copy = FedMessage.param_vector(0, PartyId.server(), 1, sent.vector)
         sizes = record_calls(monkeypatch, mvfed.sfed, "_sgd", 1)
-        stage(clients, 0, [sent] * 3)
-        replies = [c.step(0, msg) for c, msg in zip(clients, (sent, copy, sent))]
-        assert sizes == [3, 1]
-        assert clients[1].staged is None
-        for l, (data, reply) in enumerate(zip(datasets, replies)):
-            solo = local_training(data, ARCH, sent.vector, RAGGED_CFG, seed_key=(l, 1, 0))
+        replies = stage([clients[2], clients[0]], 0, [sent, sent])
+        assert sizes == [2]
+        for l, reply in zip((2, 0), replies):
+            solo = local_training(datasets[l], ARCH, sent.vector, RAGGED_CFG, seed_key=(l, 1, 0))
+            assert reply.sender == clients[l].party
             assert reply.vector.tobytes() == solo.tobytes()
+        wrong = FedMessage.param_vector(0, PartyId.server(), 0, sent.vector)
+        with pytest.raises(ValueError, match="view 0"):
+            stage(clients, 0, [sent, wrong, sent])
 
     def test_framed_transport_stages_and_matches_in_process(self, monkeypatch):
         # Over framed bytes every client decodes its own broadcast; each
-        # view's clients are still staged as one stack.
+        # view's clients still step as one stack.
         clients = []
         for a in ragged_clients(95):
             b = make_sequences(95 + a.n_samples, n=a.n_samples, p=5)
