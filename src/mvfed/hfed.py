@@ -13,13 +13,14 @@ primal form (d_k <= n_i) once, whatever its row count, into one `_Rows`
 block they share; a client with a view wider than its rows (dual form)
 shares one with the clients of its row count only.
 `HorizontalClient.steps`, which the round driver calls once a round
-with all the clients, checks every broadcast's shapes, then runs each
-block's local passes as one stacked computation (`_local_passes`):
+with all the clients, is the first client's `step` with the others as
+its peers: it checks every broadcast's shapes, then runs each block's
+local passes as one stacked computation (`_local_passes`):
 products and sums over rows once per row count, the solves and all
 other d-space work once per block, each slice starting from the
 transforms its own client received.  Each slice is bit-identical to
-what its client computes alone.  A lone `step` is `steps` of a stack of
-one, on its own slot of the block.  The clients' state is committed
+what its client computes alone.  A lone `step` is a stack of one, on
+its own slot of the block.  The clients' state is committed
 only once every reply is built, so when `steps` raises no client has
 changed, and the driver lets each client step alone; a failure is then
 reported by the client that fails.
@@ -185,10 +186,22 @@ class HorizontalClient:
 
     @classmethod
     def steps(cls, clients, rnd: int, msgs: Sequence[FedMessage]) -> list[FedMessage]:
-        """Every client's local passes, one stack per block, and its
-        reply.  All messages are checked before any computation and the
-        clients' state is committed only after every reply is built, so
-        a call that raises changes no client."""
+        """Every client's reply: the first client's `step`, with the
+        others as its peers (mvbench/tracer.py's `hfed.client_step` span
+        wraps `step`, so the stacked round runs inside it)."""
+        first, *peers = clients
+        return first.step(rnd, msgs[0], peers=list(zip(peers, msgs[1:])))
+
+    def step(self, rnd: int, msg: FedMessage | None, peers=None):
+        """This client's round, and its reply.  With `peers`, (client,
+        broadcast) pairs of other clients of this class, the round of
+        this client and its peers, and every reply, this client's first;
+        alone, a stack of one.  Every client's local passes run as one
+        stack per block.  All messages are checked before any
+        computation and the clients' state is committed only after every
+        reply is built, so a call that raises changes no client."""
+        clients = [self, *(c for c, _ in peers or ())]
+        msgs = [msg, *(m for _, m in peers or ())]
         for c, msg in zip(clients, msgs):
             if msg is None or msg.kind is not MessageKind.TRANSFORM_SET:
                 raise ValueError(f"round {rnd}: expected a transform broadcast")
@@ -213,11 +226,7 @@ class HorizontalClient:
         ]
         for c, result in zip(clients, results):
             c.w, c.pseudo, c.consensus = result
-        return replies
-
-    def step(self, rnd: int, msg: FedMessage | None) -> FedMessage:
-        """This client's round alone: `steps` of a stack of one."""
-        return type(self).steps([self], rnd, [msg])[0]
+        return replies if peers is not None else replies[0]
 
     def _check_shapes(self, matrices: Sequence[np.ndarray]) -> None:
         got = [m.shape for m in matrices]
