@@ -46,6 +46,7 @@ from .metrics import MetricsReport, MetricsRow, average_rows, compute_metrics
 from .mvl import (
     HyperParams,
     MultiViewDataset,
+    _predict_stack,
     _train_stack,
     argmax_decode,
     predict_mvl,
@@ -78,8 +79,10 @@ class Mode:
     their per-view encoders are "federated" (sfed), "pooled" (trained
     on all clients' rows) or "local" (one set per client).  A grid
     trains the 36 (zeta, eta) candidates of an "mvl" trainer together,
-    as one stack over the shared train split (`mvl._train_stack`); the
-    protocol trainers, vfed and hfed, train one candidate at a time.
+    as one stack over the shared train split (`mvl._train_stack`), and
+    scores them on the validation part as one stack too
+    (`mvl._predict_stack`); the protocol trainers, vfed and hfed, train
+    and score one candidate at a time.
 
     Entries name trainers instead of holding functions, so the trainers
     stay module globals looked up at call time, where tests and the
@@ -327,8 +330,12 @@ def _eval_transforms(
         scores = predict_mvl(
             views, transforms, hp.zeta, tol=hp.tol, max_outer=hp.max_outer
         )
-    pred = argmax_decode(scores)
-    return compute_metrics(pred, data.class_indices(), positive_class=positive)
+    return _metrics(scores, data, positive)
+
+
+def _metrics(scores: np.ndarray, data: MultiViewDataset, positive: int) -> MetricsRow:
+    """The metrics row of class scores for the rows of data."""
+    return compute_metrics(argmax_decode(scores), data.class_indices(), positive_class=positive)
 
 
 def _hfed(cfg: RunConfig, datasets, hp: HyperParams, seed: int) -> list[np.ndarray]:
@@ -385,7 +392,10 @@ def _flat_repeat(
 ) -> tuple[MetricsRow, tuple[float, float] | None]:
     """One repeat of a flat mode.  With the grid, every candidate is
     trained and scored on the validation part; the first with the best
-    accuracy is the one whose fit is scored on the test part."""
+    accuracy is the one whose fit is scored on the test part.  An "mvl"
+    trainer's candidates are trained as one stack and scored in one
+    stacked prediction pass (`mvl._predict_stack`), each slice equal to
+    its own `predict_mvl`."""
     masked, hp = _select(cfg, data)
     train, val, test = _split(cfg, masked, seed)
     if not cfg.grid:
@@ -394,14 +404,18 @@ def _flat_repeat(
         raise ConfigError("split: the grid needs a non-empty validation part")
     candidates = list(_grid_candidates(hp))
     if MODES[cfg.mode].trainer == "mvl":
-        fits = [[state.W] for state, _ in _train_stack(train, candidates, seed)]
+        transforms = [state.W for state, _ in _train_stack(train, candidates, seed)]
+        fits = [[w] for w in transforms]
+        scores = _predict_stack(
+            val.views, [np.stack(ws) for ws in zip(*transforms)],
+            [np.array([c.zeta[k] for c in candidates]) for k in range(hp.n_views)],
+            hp.tol, hp.max_outer,
+        )
+        accuracy = [_metrics(m, val, cfg.positive_class).accuracy for m in scores]
     else:
         fits = [_flat_fits(cfg, train, candidate, seed) for candidate in candidates]
-    best, best_acc = None, -1.0
-    for i, candidate in enumerate(candidates):
-        accuracy = _score(cfg, fits[i], val, candidate).accuracy
-        if accuracy > best_acc:
-            best, best_acc = i, accuracy
+        accuracy = [_score(cfg, f, val, c).accuracy for f, c in zip(fits, candidates)]
+    best = max(range(len(candidates)), key=accuracy.__getitem__)  # the first of equals
     chosen = candidates[best]
     return _score(cfg, fits[best], test, chosen), (chosen.zeta[0], chosen.eta)
 

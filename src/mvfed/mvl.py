@@ -34,7 +34,9 @@ form, while everything in d-space runs once for the whole stack.
 one; the validation grid runs it on all its (zeta, eta) candidates at
 once, with one kernel call per width group and outer iteration, and
 freezes each candidate at the outer iteration where it would stop
-alone.
+alone.  Prediction is stacked the same way: `predict_mvl` is
+`_predict_stack` on a stack of one, and the grid scores all its
+candidates' transforms on the validation rows in one call.
 
 Each inner iteration solves the reweighted normal equations
 (X^T X + beta A) W = X^T T, A = diag(a), in one of two forms chosen by
@@ -577,21 +579,23 @@ def _freeze(stop, live, frozen, stacks):
     arrays) with the running stacks they take the stopped slices from;
     stacks lists the arrays, lists of arrays or Nones to shrink.
     Returns the new live indices (empty once every slice has stopped)
-    and the shrunk stacks."""
-    done, go = live[stop], ~stop
+    and the shrunk stacks.  Stopped and kept slices are gathered by
+    index, which costs less than a boolean mask per array."""
+    gone, kept = stop.nonzero()[0], (~stop).nonzero()[0]
+    done = live[gone]
     for out, cur in frozen:
         if isinstance(out, list):  # one array per slice, none a view of the stack
-            for i, m in zip(done.tolist(), cur[stop]):
+            for i, m in zip(done.tolist(), cur.take(gone, axis=0)):
                 out[i] = m
         else:
-            out[done] = cur[stop]
-    if not go.any():
-        return live[go], stacks
+            out[done] = cur.take(gone, axis=0)
+    if not kept.size:
+        return live[kept], stacks
 
     def shrink(m):
-        return None if m is None else [shrink(v) for v in m] if isinstance(m, list) else m[go]
+        return None if m is None else [shrink(v) for v in m] if isinstance(m, list) else m.take(kept, axis=0)
 
-    return live[go], [shrink(m) for m in stacks]
+    return live[kept], [shrink(m) for m in stacks]
 
 
 def _fit_group(xs, targets, betas, epsilon, max_inner, tol, w_inits, grams):
@@ -636,10 +640,10 @@ def _fit_group(xs, targets, betas, epsilon, max_inner, tol, w_inits, grams):
     prev = fit + beta * _stack_l21(norms, epsilon)
     w_out, a_out, res_out = np.empty(w.shape), np.empty(norms.shape), np.empty(len(w))
     max_residual = np.zeros(len(w))
-    live = np.arange(len(w))
+    live, column = np.arange(len(w)), beta[:, None]
     for it in range(max_inner):
         a = _row_weights_of(norms, epsilon)
-        w, fit, res = step(*stacks, a, beta[:, None])
+        w, fit, res = step(*stacks, a, column)
         max_residual = np.where(res > max_residual, res, max_residual)
         norms = _stack_row_norms(w)
         value = fit + beta * _stack_l21(norms, epsilon)
@@ -651,6 +655,7 @@ def _fit_group(xs, targets, betas, epsilon, max_inner, tol, w_inits, grams):
             )
             if not live.size:
                 break
+            column = beta[:, None]
         prev = value
     bounds = np.cumsum(sizes)[:-1]
     ws = np.split(w_out, bounds)
@@ -775,14 +780,17 @@ def update_consensus(
     return acc / denom
 
 
-def test_consensus(pseudo_labels: Sequence[np.ndarray], zeta: Sequence[float]) -> np.ndarray:
-    """Test-time consensus: zeta-weighted mean of the per-view estimates."""
+def test_consensus(pseudo_labels: Sequence[np.ndarray], zeta: Sequence) -> np.ndarray:
+    """Test-time consensus: zeta-weighted mean of the per-view estimates.
+
+    The weights may be (s, 1, 1) arrays, one weight per slice of stacked
+    estimates."""
     if len(pseudo_labels) != len(zeta):
         raise DimensionMismatch(
             f"{len(pseudo_labels)} pseudo-label blocks for {len(zeta)} zeta values"
         )
-    denom = float(sum(zeta))
-    if denom <= 0.0:
+    denom = sum(zeta)
+    if np.any(denom <= 0.0):
         raise InvalidSpec("test consensus undefined: sum(zeta) must be > 0")
     acc = zeta[0] * pseudo_labels[0]
     for z, zk in zip(zeta[1:], pseudo_labels[1:]):
@@ -895,10 +903,11 @@ def _train_stack(
 
 def _trace_rows(traces, live, iteration, value, norms, residual) -> None:
     """Append one row to the trace of every running slice."""
-    lows = np.stack([m.min(axis=1) for m in norms], axis=1).tolist()
-    highs = np.stack([m.max(axis=1) for m in norms], axis=1).tolist()
-    for j, (i, v, r) in enumerate(zip(live.tolist(), value.tolist(), residual.tolist())):
-        traces[i].rows.append(TraceRow(iteration, v, tuple(lows[j]), tuple(highs[j]), r))
+    lows = zip(*[m.min(axis=1).tolist() for m in norms])
+    highs = zip(*[m.max(axis=1).tolist() for m in norms])
+    rows = map(TraceRow, itertools.repeat(iteration), value.tolist(), lows, highs, residual.tolist())
+    for i, row in zip(live.tolist(), rows):
+        traces[i].rows.append(row)
 
 
 def test_objective(
@@ -908,11 +917,17 @@ def test_objective(
     zeta: Sequence[float],
 ) -> float:
     """Test-phase objective: fit of each view plus consensus disagreement."""
+    return float(_test_objectives(xw, pseudo_labels, consensus, zeta))
+
+
+def _test_objectives(xw, pseudo_labels, consensus, zeta) -> np.ndarray:
+    """`test_objective` of every slice of a stack, term by term in its
+    order; zeta entries are scalars or (s,) per-slice weights."""
     total = 0.0
     for k in range(len(xw)):
         fit = xw[k] - pseudo_labels[k]
         gap = pseudo_labels[k] - consensus
-        total += float(np.sum(fit * fit)) + zeta[k] * float(np.sum(gap * gap))
+        total = total + (_stack_sums(fit * fit) + zeta[k] * _stack_sums(gap * gap))
     return total
 
 
@@ -927,32 +942,54 @@ def predict_mvl(
 
     Initializes each view's estimate at X_k W_k and alternates the
     test-time consensus and per-view blends until the test objective's
-    relative change falls below tol (or max_outer rounds).
+    relative change falls below tol (or max_outer rounds).  It is the
+    stacked predictor `_predict_stack` on a stack of one transform set.
     """
     if len(test_views) != len(transforms) or len(test_views) != len(zeta):
         raise DimensionMismatch(
             f"{len(test_views)} views, {len(transforms)} transforms, "
             f"{len(zeta)} zeta values"
         )
-    xw = []
     for k, (x, w) in enumerate(zip(test_views, transforms)):
         if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
             raise DimensionMismatch(
                 f"view {k}: X shape {x.shape} incompatible with W shape {w.shape}"
             )
-        xw.append(x @ w)
-    estimates = [m.copy() for m in xw]
-    consensus = test_consensus(estimates, zeta)
-    prev = np.inf
-    for _ in range(max_outer):
+    return _predict_stack(
+        test_views, [w[None] for w in transforms],
+        [np.array([z], dtype=np.float64) for z in zeta], tol, max_outer,
+    )[0]
+
+
+def _predict_stack(test_views, transforms, zeta, tol, max_outer) -> np.ndarray:
+    """`predict_mvl` of every transform set of a stack, as one stack.
+
+    transforms[k] is the (s, d_k, c) stack of view k's transforms and
+    zeta[k] its (s,) per-slice weights; the (n, d_k) test views are
+    shared.  Slice i stops at the round where `predict_mvl` with its
+    own transforms and weights stops, and is then frozen, so each
+    (n, c) slice of the result is bit-identical to that call's.
+    """
+    xw = [x @ w for x, w in zip(test_views, transforms)]
+    zeta = [z[:, None, None] for z in zeta]
+    # Every slice's answer when max_outer is 0; otherwise each slice is
+    # overwritten at the round where it stops.
+    out = test_consensus(xw, zeta)
+    estimates, prev, live = xw, np.full(len(out), np.inf), np.arange(len(out))
+    for it in range(max_outer):
         consensus = test_consensus(estimates, zeta)
-        for k in range(len(estimates)):
-            estimates[k] = update_pseudo_labels(xw[k], consensus, zeta[k])
-        value = test_objective(xw, estimates, consensus, zeta)
-        if abs(value - prev) / max(1.0, abs(prev)) < tol:
-            break
+        estimates = [update_pseudo_labels(m, consensus, z) for m, z in zip(xw, zeta)]
+        value = _test_objectives(xw, estimates, consensus, [z[:, 0, 0] for z in zeta])
+        with np.errstate(invalid="ignore"):  # the first round's inf / inf: NaN, no stop
+            stop = _stops(value, prev, tol, it == max_outer - 1)
+        if stop.any():
+            live, (xw, estimates, zeta, value) = _freeze(
+                stop, live, [(out, consensus)], [xw, estimates, zeta, value]
+            )
+            if not live.size:
+                break
         prev = value
-    return consensus
+    return out
 
 
 def train_single_view(

@@ -21,7 +21,9 @@ where calling scipy's wrappers once per system cost more than the
 arithmetic; scipy's ``dpotrf``/``dpotrs`` above it, where they beat
 numpy's Cholesky plus LU solve.  Only that engine imports scipy, inside
 its factor call, so a process whose systems are all of order <= 16
-never loads it.
+never loads it.  Its symmetry and refinement checks are each one
+comparison over the whole stack, made system by system only when that
+comparison fails.
 """
 
 from __future__ import annotations
@@ -322,6 +324,15 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     slice of a stack's result is bit-identical to solving that system
     alone.
 
+    Each check is first settled for the whole stack (2-D or stacked) by
+    one comparison, and measured system by system only when that fails:
+    symmetry by ``A == A^T`` exactly, then by the skew of each system
+    against max(1, its largest |entry|); refinement by a residual of at
+    most 1e-10 everywhere, then by each system's residual against
+    1e-10 (1 + max|B|).  Both per-system bounds are at least the
+    whole-stack ones, so the comparison never changes a decision, and a
+    NaN fails it and takes the per-system path.
+
     Raises
     ------
     DimensionMismatch : shapes are incompatible.
@@ -338,8 +349,7 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"B must be 2-D with {a.shape[0]} rows, got shape {b.shape}"
         )
-    scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
-    if a.size and float(np.abs(a - a.T).max()) > 1e-12 * scale:
+    if _asymmetric(a[None]).size:
         raise NotSPD("matrix is not symmetric")
     failed, solve = _factor(a)
     if failed is not None:
@@ -348,8 +358,7 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.zeros(b.shape)
     x = solve(b)
     residual = b - a @ x
-    b_scale = 1.0 + float(np.abs(b).max())
-    if float(np.abs(residual).max()) > 1e-10 * b_scale:
+    if _to_refine(residual[None], b[None]).size:
         x = x + solve(residual)
     return np.ascontiguousarray(x)
 
@@ -364,12 +373,9 @@ def _solve_spd_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"B must be 3-D with leading shape {(s, n)}, got shape {b.shape}"
         )
-    if a.size:
-        scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
-        skew = np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2))
-        bad = np.flatnonzero(skew > 1e-12 * scale)
-        if bad.size:
-            raise NotSPD(f"matrix {bad[0]} of the stack is not symmetric")
+    bad = _asymmetric(a)
+    if bad.size:
+        raise NotSPD(f"matrix {bad[0]} of the stack is not symmetric")
     failed, solve = _factor(a)
     if failed is not None:
         raise NotSPD(f"matrix {failed} of the stack is not positive definite")
@@ -377,11 +383,32 @@ def _solve_spd_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.zeros(b.shape)
     x = solve(b)
     residual = b - a @ x
-    b_scale = 1.0 + np.abs(b).max(axis=(1, 2))
-    rows = np.flatnonzero(np.abs(residual).max(axis=(1, 2)) > 1e-10 * b_scale)
+    rows = _to_refine(residual, b)
     if rows.size:
         x[rows] += solve(residual[rows], rows)
     return np.ascontiguousarray(x)
+
+
+
+def _asymmetric(a: np.ndarray) -> np.ndarray:
+    """The indices of the systems of an (s, n, n) stack that are not
+    symmetric within 1e-12 relative to max(1, their largest |entry|),
+    measured one by one only if the stack is not exactly symmetric."""
+    at = a.transpose(0, 2, 1)
+    if (a == at).all():
+        return np.empty(0, dtype=np.intp)
+    scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
+    return np.flatnonzero(np.abs(a - at).max(axis=(1, 2)) > 1e-12 * scale)
+
+
+def _to_refine(residual: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The indices of the systems of an (s, n, m) stack whose max-norm
+    residual exceeds 1e-10 (1 + max|B|), B their right-hand sides,
+    measured one by one only if some residual entry is not <= 1e-10."""
+    err = np.abs(residual)
+    if err.max() <= 1e-10:
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(err.max(axis=(1, 2)) > 1e-10 * (1.0 + np.abs(b).max(axis=(1, 2))))
 
 
 def _factor(a: np.ndarray):

@@ -231,6 +231,23 @@ class TestGrid:
             assert res.grid_choices[r] == choice
         assert any(choice != (1.0, 1.0) for choice in res.grid_choices)
 
+    def test_validation_scored_in_one_stacked_pass(self, monkeypatch):
+        # Each repeat scores its 36 candidates with one stacked prediction
+        # and calls predict_mvl once, for the chosen fit on the test part.
+        cfg = base_cfg(grid=True, repeats=2, hp=quick_hp(2, max_outer=8))
+        calls = []
+        stacked, lone = mvfed.experiments._predict_stack, mvfed.experiments.predict_mvl
+        monkeypatch.setattr(
+            mvfed.experiments, "_predict_stack",
+            lambda views, w, *args: calls.append(len(w[0])) or stacked(views, w, *args),
+        )
+        monkeypatch.setattr(
+            mvfed.experiments, "predict_mvl",
+            lambda *args, **kw: calls.append("predict_mvl") or lone(*args, **kw),
+        )
+        run_experiment(cfg)
+        assert calls == [36, "predict_mvl"] * 2
+
     def test_grid_off_reports_none(self):
         res = run_experiment(base_cfg(repeats=1))
         assert res.grid_choices is None

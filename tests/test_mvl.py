@@ -734,6 +734,85 @@ class TestPredictMvl:
         assert np.allclose(out, (zks[0] + 3.0 * zks[1]) / 4.0, atol=1e-14)
 
 
+def reference_predict(views, transforms, zeta, tol=1e-6, max_outer=100):
+    """`predict_mvl` as the loop over Python floats it was before the
+    stacked predictor; also returns how many rounds it made."""
+    xw = [x @ w for x, w in zip(views, transforms)]
+
+    def consensus_of(estimates):
+        acc = zeta[0] * estimates[0]
+        for z, m in zip(zeta[1:], estimates[1:]):
+            acc = acc + z * m
+        return acc / float(sum(zeta))
+
+    estimates = [m.copy() for m in xw]
+    consensus = consensus_of(estimates)
+    prev, rounds = np.inf, 0
+    for _ in range(max_outer):
+        rounds += 1
+        consensus = consensus_of(estimates)
+        estimates = [(m + z * consensus) / (1.0 + z) for m, z in zip(xw, zeta)]
+        value = 0.0
+        for k in range(len(xw)):
+            fit = xw[k] - estimates[k]
+            gap = estimates[k] - consensus
+            value += float(np.sum(fit * fit)) + zeta[k] * float(np.sum(gap * gap))
+        if abs(value - prev) / max(1.0, abs(prev)) < tol:
+            break
+        prev = value
+    return consensus, rounds
+
+
+class TestPredictStack:
+    """`_predict_stack` runs many transform sets over one set of test
+    views; each slice must be bit-identical to its own `predict_mvl`, and
+    that to the loop over Python floats."""
+
+    @staticmethod
+    def problem(n_views, s, seed):
+        rng = np.random.default_rng(seed)
+        dims = (4, 3, 5)[:n_views]
+        views = [rng.standard_normal((30, d)) for d in dims]
+        transforms = [rng.standard_normal((s, d, 3)) for d in dims]
+        zeta = [2.0 ** rng.integers(-4, 6, size=s) for _ in dims]
+        return views, transforms, zeta
+
+    @pytest.mark.parametrize("n_views", [1, 3])
+    @pytest.mark.parametrize("tol, max_outer", [(1e-6, 100), (1e-9, 100), (1e-12, 60), (1e-6, 1), (1e-6, 0)])
+    def test_slices_equal_per_candidate_predict(self, n_views, tol, max_outer):
+        views, transforms, zeta = self.problem(n_views, 10, seed=7 + n_views)
+        stacked = mvfed.mvl._predict_stack(views, transforms, zeta, tol, max_outer)
+        assert stacked.shape == (10, 30, 3)
+        rounds = []
+        for i in range(10):
+            w = [m[i] for m in transforms]
+            z = [float(m[i]) for m in zeta]
+            alone = predict_mvl(views, w, z, tol=tol, max_outer=max_outer)
+            reference, r = reference_predict(views, w, z, tol, max_outer)
+            assert np.array_equal(stacked[i], alone)
+            assert np.array_equal(alone, reference)
+            rounds.append(r)
+        if n_views == 3 and max_outer > 1:
+            # the slices stop at different rounds, and some run to the cap
+            assert len(set(rounds)) >= 3
+            assert min(rounds) < max_outer == max(rounds)
+
+    def test_one_slice_stack_is_predict_mvl(self):
+        views, transforms, zeta = self.problem(3, 1, seed=3)
+        alone = predict_mvl(views, [m[0] for m in transforms], [float(z[0]) for z in zeta])
+        stacked = mvfed.mvl._predict_stack(views, transforms, zeta, 1e-6, 100)
+        assert np.array_equal(stacked[0], alone)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_runs_clean_with_runtime_warnings_as_errors(self):
+        # The first round compares against an infinite previous value;
+        # numpy's inf / inf must stay silent (and is no stop).
+        views, transforms, zeta = self.problem(3, 6, seed=5)
+        predict_mvl(views, [m[0] for m in transforms], [float(z[0]) for z in zeta])
+        mvfed.mvl._predict_stack(views, transforms, zeta, 1e-6, 100)
+        predict_mvl([np.zeros((0, 4))], [np.ones((4, 2))], [2.0])
+
+
 class TestSingleViewBaseline:
     def test_matches_irls_fit(self):
         rng = np.random.default_rng(17)

@@ -208,6 +208,159 @@ class TestSolveSpdStack:
             solve_spd(np.zeros((2, 3, 2)), np.zeros((2, 3, 1)))
 
 
+def per_system_solve_spd(a, b):
+    """solve_spd with its checks made system by system on every call, as
+    before the whole-stack comparisons; the engines are solve_spd's own."""
+    from mvfed.numerics import _factor
+
+    if a.ndim == 2:
+        scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
+        if a.size and float(np.abs(a - a.T).max()) > 1e-12 * scale:
+            raise NotSPD("matrix is not symmetric")
+        failed, solve = _factor(a)
+        if failed is not None:
+            raise NotSPD("matrix is not positive definite")
+        if b.size == 0:
+            return np.zeros(b.shape)
+        x = solve(b)
+        residual = b - a @ x
+        b_scale = 1.0 + float(np.abs(b).max())
+        if float(np.abs(residual).max()) > 1e-10 * b_scale:
+            x = x + solve(residual)
+        return np.ascontiguousarray(x)
+    if a.size:
+        scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
+        skew = np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2))
+        bad = np.flatnonzero(skew > 1e-12 * scale)
+        if bad.size:
+            raise NotSPD(f"matrix {bad[0]} of the stack is not symmetric")
+    failed, solve = _factor(a)
+    if failed is not None:
+        raise NotSPD(f"matrix {failed} of the stack is not positive definite")
+    if b.size == 0:
+        return np.zeros(b.shape)
+    x = solve(b)
+    residual = b - a @ x
+    b_scale = 1.0 + np.abs(b).max(axis=(1, 2))
+    rows = np.flatnonzero(np.abs(residual).max(axis=(1, 2)) > 1e-10 * b_scale)
+    if rows.size:
+        x[rows] += solve(residual[rows], rows)
+    return np.ascontiguousarray(x)
+
+
+def raw_residual(a, b):
+    """Max-norm residual of one system's raw solve, before refinement."""
+    if a.shape[0] <= 16:
+        raw = np.linalg.solve(a, b)
+    else:
+        raw = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), b)
+    return float(np.max(np.abs(b - a @ raw)))
+
+
+def outcome(solve, a, b):
+    """What a solve does with (a, b): the NotSPD message it raises, or its
+    output's shape and bytes."""
+    with np.errstate(all="ignore"):
+        try:
+            x = solve(a, b)
+        except NotSPD as exc:
+            return "NotSPD", str(exc)
+    return x.shape, x.dtype, x.tobytes()
+
+
+class TestWholeStackChecks:
+    """solve_spd settles symmetry and refinement by one comparison over
+    the whole stack and checks system by system only when that fails: it
+    must decide, raise and answer exactly as checking every system
+    does."""
+
+    S = 4
+
+    @staticmethod
+    def cases(n, rng):
+        """(name, a, b, slice) stacks of S systems: slice is the one the
+        case changes."""
+        s = TestWholeStackChecks.S
+        a, b = spd_stack(rng, s, n, 3, 1)
+        i = int(rng.integers(s))
+        p, q = (int(v) for v in rng.choice(n, size=2, replace=False))
+        scale = max(1.0, float(np.abs(a[i]).max()))
+        out = [("symmetric", a, b, i)]
+        near = a.copy()
+        near[i, p, q] += 0.5e-12 * scale
+        out.append(("asymmetric within 1e-12", near, b, i))
+        far = a.copy()
+        far[i, p, q] += 1e-9 * scale
+        out.append(("asymmetric beyond 1e-12", far, b, i))
+        for value in (np.nan, np.inf):
+            for where in ("diagonal", "pair", "rhs"):
+                a2, b2 = a.copy(), b.copy()
+                if where == "diagonal":
+                    a2[i, p, p] = value
+                elif where == "pair":
+                    a2[i, p, q] = a2[i, q, p] = value
+                else:
+                    b2[i, p, 0] = value
+                out.append((f"{value} {where}", a2, b2, i))
+        ill = a.copy()
+        ill[i] = spd_stack(rng, 1, n, 3, 14)[0][0]
+        out.append(("one slice refines", ill, b, i))
+        out.append(("large right-hand side", a, b * 1e7, i))
+        for name, a2, _, j in list(out):
+            out.append((f"{name}, empty rhs", a2, np.zeros((s, n, 0)), j))
+        return out
+
+    @pytest.mark.parametrize("n", [6, 16, 17, 100])
+    def test_same_decisions_messages_and_bits(self, n):
+        rng = np.random.default_rng(n)
+        seen = set()
+        for name, a, b, i in self.cases(n, rng):
+            got = outcome(solve_spd, a, b)
+            assert got == outcome(per_system_solve_spd, a, b), name
+            assert outcome(solve_spd, a[i], b[i]) == outcome(per_system_solve_spd, a[i], b[i]), name
+            seen.add((name, got[0] == "NotSPD"))
+        # the cases reach every branch they are named for
+        assert ("asymmetric within 1e-12", False) in seen
+        assert ("asymmetric beyond 1e-12", True) in seen
+        assert ("asymmetric beyond 1e-12, empty rhs", True) in seen
+        assert ("nan rhs", False) in seen
+
+    @pytest.mark.parametrize("n", [6, 16, 17, 100])
+    def test_refinement_cases_take_the_per_system_rule(self, n):
+        # The ill-conditioned slice, and only it, refines; a large
+        # right-hand side leaves residuals above 1e-10 that its relative
+        # bound still accepts.
+        rng = np.random.default_rng(n)
+        cases = {name: (a, b, i) for name, a, b, i in self.cases(n, rng)}
+        a, b, i = cases["one slice refines"]
+        big = [raw_residual(a[j], b[j]) > 1e-10 * (1.0 + np.abs(b[j]).max()) for j in range(self.S)]
+        assert big == [j == i for j in range(self.S)]
+        a, b, _ = cases["large right-hand side"]
+        residuals = [raw_residual(a[j], b[j]) for j in range(self.S)]
+        assert max(residuals) > 1e-10
+        assert all(r <= 1e-10 * (1.0 + np.abs(b[j]).max()) for j, r in enumerate(residuals))
+
+    def test_residual_of_exactly_1e10_settles_on_the_whole_stack(self):
+        # A residual of at most 1e-10 needs no per-system rule, so the
+        # right-hand sides are never read; just above it, they are.
+        from mvfed.numerics import _to_refine
+
+        class Unread(np.ndarray):
+            def __array_ufunc__(self, *args, **kwargs):
+                raise AssertionError("the per-system rule read B")
+
+        b = np.zeros((3, 6, 2)).view(Unread)
+        residual = np.zeros((3, 6, 2))
+        residual[1, 4, 0] = -1e-10
+        assert _to_refine(residual, b).size == 0
+        residual[1, 4, 0] = np.nextafter(1e-10, 1.0)
+        with pytest.raises(AssertionError, match="per-system rule"):
+            _to_refine(residual, b)
+        assert _to_refine(residual, np.zeros((3, 6, 2))).tolist() == [1]
+        residual[1, 4, 0] = np.nan
+        assert _to_refine(residual, np.zeros((3, 6, 2))).size == 0
+
+
 @pytest.mark.parametrize("n", [16, 17])
 class TestEngineBoundary:
     """The orders on each side of the switch from numpy's gufuncs to
