@@ -7,40 +7,40 @@ settles), and the server takes the sample-count-weighted average of the
 returned transforms.  Only transform matrices ever cross the wire;
 pseudo-labels and consensus stay on the client between rounds.
 
-Clients of one round are refitted as stacks.  `make_horizontal_parties`
-stacks the views and labels of every client whose views all take the
-primal form (d_k <= n_i) once, whatever its row count, into one `_Rows`
-block they share; a client with a view wider than its rows (dual form)
-shares one with the clients of its row count only.
+Clients are slots of blocks.  `make_horizontal_parties` stacks the
+views and labels of every client whose views all take the primal form
+(d_k <= n_i) once, whatever its row count, into one `_Rows` block; a
+client with a view wider than its rows (dual form) shares one with the
+clients of its row count only.  The block also owns its members' local
+state: their pseudo-label and consensus blocks, as ragged stacks, and
+the hyperparameters they share.  A `HorizontalClient` is its party, its
+block and its slot.
+
 `HorizontalClient.steps`, which the round driver calls once a round
 with all the clients, is the first client's `step` with the others as
 its peers: it checks every broadcast's shapes, then runs each block's
-local passes as one stacked computation (`_local_passes`):
-products and sums over rows once per row count, the solves and all
-other d-space work once per block, each slice starting from the
-transforms its own client received.  Each slice is bit-identical to
-what its client computes alone.  A lone `step` is a stack of one, on
-its own slot of the block.  The clients' state is committed
-only once every reply is built, so when `steps` raises no client has
-changed, and the driver lets each client step alone; a failure is then
-reported by the client that fails.
+local passes as one stacked computation (`_local_passes`): products and
+sums over rows once per row count, the solves and all other d-space
+work once per block, each slice starting from the transforms its own
+client received.  Each slice is bit-identical to what its client
+computes alone.  A lone `step` is a stack of one, on its own slot of
+the block.
 
-The stacked results stay stacked.  Each block's transform stacks are
-sealed (`fedcore.seal_rows`): checked finite once and read-only, so a
-reply carries its client's rows without a copy and the server's FedAvg
-sums the stack itself.  The block keeps its pseudo-label and consensus
-stacks, and the next round's passes start from them as they are while
-the same members step together and each still holds the slices it was
-given; otherwise, say after a member stepped alone, the block stacks
-its members' blocks afresh.  Nothing writes a stack once slices of it
-are out.
+Each block's transform stacks are sealed (`fedcore.seal_rows`): checked
+finite once and read-only, so a reply carries its client's rows without
+a copy and the server's FedAvg sums the stack itself.  The local state
+is committed to the blocks (`_Rows.commit`) only once every reply is
+built, so when `steps` raises no client has changed, and the driver
+lets each client step alone; a failure is then reported by the client
+that fails.  Committed stacks are read-only and never written: a step
+of every member replaces them, and a step of some members writes its
+rows into copies.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -85,102 +85,101 @@ DEFAULT_MAX_LOCAL = 30
 
 @dataclass(eq=False)
 class _Rows:
-    """The views and labels of one block of clients, stacked once and
-    read-only, so that clients can share it.
+    """One block of clients: their data, stacked once, and their local
+    state.  Every array is read-only, so the block never changes under
+    an array taken from it.
 
     The block is a ragged stack in slot order: views[k] is (N, d_k) and
     labels (N, c), slot after slot, `rows` lists each slot's row count
     and slots of one row count are adjacent.  grams[k] is the (s, d_k,
     d_k) stack of every slot's X^T X, formed once per row count, or None
     for a view in dual form.  `transform_shapes` lists the (d_k, c) a
-    broadcast must carry.  `last` is what the last `hand_out` left:
-    the members' slots, their pseudo-label and consensus stacks, and
-    every slice it gave them."""
+    broadcast must carry.  pseudo[k] and consensus are the members'
+    (N, c) pseudo-label and consensus blocks in the same row order, and
+    `hp` and `max_local` are every member's."""
 
     views: list[np.ndarray]
     labels: np.ndarray
     rows: list[int]
     grams: list[np.ndarray | None]
     transform_shapes: list[tuple[int, int]]
-    last: tuple | None = field(default=None, repr=False)
+    hp: HyperParams
+    max_local: int
+    pseudo: list[np.ndarray]
+    consensus: np.ndarray
 
     @classmethod
-    def stack(cls, datasets: Sequence[MultiViewDataset]) -> "_Rows":
-        views = [np.concatenate(v) for v in zip(*(d.views for d in datasets))]
-        labels = np.concatenate([d.labels for d in datasets])
-        rows = [d.n_samples for d in datasets]
+    def stack(
+        cls, datasets, group: list[int], hp: HyperParams, max_local: int, seed: int
+    ) -> "_Rows":
+        """The block of the clients in group, indices into datasets in
+        slot order (ascending row count), holding their seeded initial
+        pseudo-label and consensus blocks (`_client_inits`)."""
+        members = [datasets[l] for l in group]
+        views = [np.concatenate(v) for v in zip(*(d.views for d in members))]
+        labels = np.concatenate([d.labels for d in members])
+        rows = [d.n_samples for d in members]
         layout = _layout(rows)
         grams = []
         for x in views:
             g = _grams(_runs(x, layout))
             grams.append(None if g[0] is None else _join(g))
-        for m in (*views, labels, *(g for g in grams if g is not None)):
+        runs = itertools.groupby(group, key=lambda l: datasets[l].n_samples)
+        inits = [_client_inits(datasets, seed, list(run)) for _, run in runs]
+        *pseudo, consensus = (np.concatenate(m) for m in zip(*inits))
+        for m in (*views, labels, *pseudo, consensus, *(g for g in grams if g is not None)):
             m.setflags(write=False)
-        return cls(views, labels, rows, grams, [(v.shape[1], labels.shape[1]) for v in views])
+        shapes = [(v.shape[1], labels.shape[1]) for v in views]
+        return cls(views, labels, rows, grams, shapes, hp, max_local, pseudo, consensus)
 
     def __len__(self) -> int:
         return len(self.rows)
 
+    def _index(self, slots: list[int]) -> np.ndarray:
+        """The row indices of the given slots, in order."""
+        starts = [0, *itertools.accumulate(self.rows)]
+        return np.concatenate([np.arange(starts[i], starts[i + 1]) for i in slots])
+
     def take(self, slots: list[int]) -> "_Rows":
-        """The block of the given slots, in order; the whole block
-        without a copy."""
+        """The block of the given slots, in order, with their state; the
+        whole block as it is."""
         if slots == list(range(len(self))):
             return self
-        starts = [0, *itertools.accumulate(self.rows)]
-        idx = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in slots])
-        return _Rows(
-            [v[idx] for v in self.views], self.labels[idx], [self.rows[i] for i in slots],
-            [None if g is None else g[slots] for g in self.grams], self.transform_shapes,
+        idx = self._index(slots)
+        return replace(
+            self, views=[v[idx] for v in self.views], labels=self.labels[idx],
+            rows=[self.rows[i] for i in slots],
+            grams=[None if g is None else g[slots] for g in self.grams],
+            pseudo=[m[idx] for m in self.pseudo], consensus=self.consensus[idx],
         )
 
-    def held(self, members, slots: list[int]) -> tuple[list[np.ndarray], np.ndarray]:
-        """The pseudo-label and consensus blocks of the members, which
-        hold the given slots, as ragged stacks: those the last
-        `hand_out` left while the same members step together and each
-        still holds the slices it was given, otherwise stacked afresh."""
-        if self.last is not None:
-            last_slots, pseudo, consensus, given = self.last
-            held = [m for c in members for m in (c.consensus, *c.pseudo)]
-            if last_slots == slots and all(map(operator.is_, held, given)):
-                return pseudo, consensus
-        return (
-            [np.concatenate(a) for a in zip(*(c.pseudo for c in members))],
-            np.concatenate([c.consensus for c in members]),
-        )
-
-    def hand_out(self, slots: list[int], w, pseudo, consensus) -> list[tuple]:
-        """Each slot's (w, pseudo, consensus) out of the stacked local
-        state of the given slots.  The transform stacks are sealed for
-        the replies; the pseudo-label and consensus stacks turn
-        read-only and are kept for `held`."""
-        layout = _layout([self.rows[i] for i in slots])
+    def commit(self, slots: list[int], pseudo, consensus) -> None:
+        """Make pseudo and consensus, ragged stacks of the given slots in
+        order, those slots' state.  They replace the state when every
+        member stepped; otherwise their rows go into copies of it."""
+        if slots != list(range(len(self))):
+            idx = self._index(slots)
+            state = [m.copy() for m in (*self.pseudo, self.consensus)]
+            for m, new in zip(state, (*pseudo, consensus)):
+                m[idx] = new
+            *pseudo, consensus = state
         for m in (*pseudo, consensus):
             m.setflags(write=False)
-        ws = [seal_rows(m) for m in w]
-        ps = [[v for run in _runs(m, layout) for v in run] for m in (*pseudo, consensus)]
-        results = list(zip(map(list, zip(*ws)), map(list, zip(*ps[:-1])), ps[-1]))
-        self.last = (slots, pseudo, consensus, [m for _, p, q in results for m in (q, *p)])
-        return results
+        self.pseudo, self.consensus = list(pseudo), consensus
 
 
 @dataclass
 class HorizontalClient:
-    """One participant's persistent local state.
+    """One participant: its slot of the block it is stacked in.
 
-    The pseudo-label and consensus blocks survive across rounds; the
-    transforms are replaced by every round's result, whose passes start
-    from the broadcast.  `rows` is the block this client is stacked in:
-    every client whose views are all in primal form, or, if one of this
-    client's views is wider than its rows, every client of its row
-    count.  `slot` is this client's slice of the block.
+    `rows` is that block: every client whose views are all in primal
+    form, or, if one of this client's views is wider than its rows,
+    every client of its row count.  The block holds this client's rows
+    and its pseudo-label and consensus blocks, which survive across
+    rounds; each round's passes start from the broadcast transforms.
     """
 
     party: PartyId
-    hp: HyperParams
-    max_local: int
-    w: list[np.ndarray]
-    pseudo: list[np.ndarray]
-    consensus: np.ndarray
     rows: _Rows = field(repr=False, compare=False)
     slot: int
 
@@ -198,7 +197,7 @@ class HorizontalClient:
         this client and its peers, and every reply, this client's first;
         alone, a stack of one.  Every client's local passes run as one
         stack per block.  All messages are checked before any
-        computation and the clients' state is committed only after every
+        computation and the blocks' state is committed only after every
         reply is built, so a call that raises changes no client."""
         clients = [self, *(c for c, _ in peers or ())]
         msgs = [msg, *(m for _, m in peers or ())]
@@ -209,23 +208,19 @@ class HorizontalClient:
         blocks: dict[int, list[int]] = {}
         for i, c in enumerate(clients):
             blocks.setdefault(id(c.rows), []).append(i)
-        results = [None] * len(clients)
+        replies = [None] * len(clients)
+        commits = []
         for idx in blocks.values():
             idx.sort(key=lambda i: clients[i].slot)
-            members = [clients[i] for i in idx]
-            rows, slots = members[0].rows, [c.slot for c in members]
-            stacked = _local_passes(
-                members[0].hp, rows.take(slots), members[0].max_local,
-                [stack_rows(a) for a in zip(*(msgs[i].matrices for i in idx))],
-                *rows.held(members, slots),
+            rows, slots = clients[idx[0]].rows, [clients[i].slot for i in idx]
+            w, pseudo, consensus = _local_passes(
+                rows.take(slots), [stack_rows(a) for a in zip(*(msgs[i].matrices for i in idx))]
             )
-            for i, result in zip(idx, rows.hand_out(slots, *stacked)):
-                results[i] = result
-        replies = [
-            FedMessage.transform_set(rnd, c.party, w) for c, (w, _, _) in zip(clients, results)
-        ]
-        for c, result in zip(clients, results):
-            c.w, c.pseudo, c.consensus = result
+            for i, *w_i in zip(idx, *map(seal_rows, w)):
+                replies[i] = FedMessage.transform_set(rnd, clients[i].party, w_i)
+            commits.append((rows, slots, pseudo, consensus))
+        for rows, *state in commits:
+            rows.commit(*state)
         return replies if peers is not None else replies[0]
 
     def _check_shapes(self, matrices: Sequence[np.ndarray]) -> None:
@@ -245,20 +240,23 @@ def _local_objective(labels, w, xw, pseudo, consensus, hp: HyperParams, layout) 
     )
 
 
-def _local_passes(hp: HyperParams, block: _Rows, max_local: int, w, pseudo, consensus):
-    """Local block-coordinate passes of a block of clients.
+def _local_passes(block: _Rows, w):
+    """Local block-coordinate passes of a block of clients, from its
+    pseudo-label and consensus stacks and the (s, d_k, c) transform
+    stacks w.
 
-    w[k] is (s, d_k, c); pseudo[k] and consensus are (N, c) ragged
-    stacks in the block's row order.  Slice i makes exactly the passes
-    a client holding only slice i makes: at most max_local, each
-    updating pseudo-labels, consensus and transforms, and it stops once
-    its local objective changes by less than hp.tol relative; later
-    passes run on the unfinished slices only.  The elementwise updates
-    run once over all rows, each product and sum over rows once per row
-    count, and the fits, objective and stopping rule once per stack.
-    Returns the stacked (w, pseudo, consensus).
+    Slice i makes exactly the passes a client holding only slice i
+    makes: at most the block's max_local, each updating pseudo-labels,
+    consensus and transforms, and it stops once its local objective
+    changes by less than hp.tol relative; later passes run on the
+    unfinished slices only.  The elementwise updates run once over all
+    rows, each product and sum over rows once per row count, and the
+    fits, objective and stopping rule once per stack.  Returns the
+    stacked (w, pseudo, consensus), new arrays.
     """
+    hp, max_local = block.hp, block.max_local
     views, labels, grams = block.views, block.labels, block.grams
+    pseudo, consensus = block.pseudo, block.consensus
     rows = np.array(block.rows)
     layout = _layout(block.rows)
     w = list(w)
@@ -325,23 +323,23 @@ class HorizontalServer:
 
 def _client_inits(
     datasets: Sequence[MultiViewDataset], seed: int, group: Sequence[int]
-) -> list[tuple[list[np.ndarray], np.ndarray]]:
+) -> np.ndarray:
     """Seeded pseudo-label and consensus blocks for the clients in group,
-    which share one row count.
+    which share one row count n: the (K + 1, len(group) n, c) stack of
+    the K views' pseudo-label ragged stacks, then the consensus one.
 
     Streams are keyed by role, client index and view so that no two
-    blocks anywhere in the federation share a draw; the group's blocks
-    are orthonormalised as one stack, and each client's blocks are
-    views of it.
+    blocks anywhere in the federation share a draw, and the group's
+    blocks are orthonormalised as one stack.
     """
     first = datasets[group[0]]
-    n_views = first.n_views
+    n_views, c = first.n_views, first.n_classes
     keys = []
     for l in group:
         keys += [(KEY_PSEUDO, l, k) for k in range(n_views)] + [(KEY_CONSENSUS, l)]
-    blocks = orthonormal_inits(first.n_samples, first.n_classes, seed, keys)
-    blocks = blocks.reshape(len(group), n_views + 1, *blocks.shape[1:])
-    return [(list(own[:n_views]), own[n_views]) for own in blocks]
+    blocks = orthonormal_inits(first.n_samples, c, seed, keys)
+    blocks = blocks.reshape(len(group), n_views + 1, first.n_samples, c)
+    return blocks.swapaxes(0, 1).reshape(n_views + 1, -1, c)
 
 
 def _check_client_rows(datasets) -> None:
@@ -391,17 +389,9 @@ def make_horizontal_parties(
     clients: list[HorizontalClient] = [None] * len(datasets)
     for group in blocks.values():
         group.sort(key=lambda l: datasets[l].n_samples)
-        rows = _Rows.stack([datasets[l] for l in group])
-        inits = [
-            init
-            for _, run in itertools.groupby(group, key=lambda l: datasets[l].n_samples)
-            for init in _client_inits(datasets, seed, list(run))
-        ]
-        for slot, (l, (pseudo, consensus)) in enumerate(zip(group, inits)):
-            clients[l] = HorizontalClient(
-                party=PartyId.client(l), hp=hp, max_local=max_local,
-                w=list(w0), pseudo=pseudo, consensus=consensus, rows=rows, slot=slot,
-            )
+        rows = _Rows.stack(datasets, group, hp, max_local, seed)
+        for slot, l in enumerate(group):
+            clients[l] = HorizontalClient(PartyId.client(l), rows, slot)
     server = HorizontalServer(w=w0, counts=[d.n_samples for d in datasets])
     return server, clients
 

@@ -86,11 +86,8 @@ __all__ = [
     "argmax_decode",
     "fit_view_transform",
     "init_state",
-    "irls_row_weights",
     "objective",
     "predict_mvl",
-    "smoothed_l21",
-    "solve_view_transform",
     "test_consensus",
     "test_objective",
     "train_mvl",
@@ -280,12 +277,8 @@ class TrainTrace:
         return [r.objective for r in self.rows]
 
 
-def smoothed_l21(w: np.ndarray, epsilon: float) -> float:
-    """Sum over rows of sqrt(||row||^2 + epsilon^2)."""
-    return _smoothed_l21_of(row_l2_norms(w), epsilon)
-
-
 def _smoothed_l21_of(norms: np.ndarray, epsilon: float) -> float:
+    """Sum over rows of sqrt(||row||^2 + epsilon^2), given the row norms."""
     return float(np.sqrt(norms * norms + epsilon * epsilon).sum())
 
 
@@ -323,12 +316,9 @@ def objective(data: MultiViewDataset, state: MvlState, hp: HyperParams) -> float
     return float(value[0])
 
 
-def irls_row_weights(w: np.ndarray, epsilon: float) -> np.ndarray:
-    """Diagonal IRLS reweighting: entry i = 1 / (2 (||row_i|| + epsilon))."""
-    return _row_weights_of(row_l2_norms(w), epsilon)
-
-
 def _row_weights_of(norms: np.ndarray, epsilon: float) -> np.ndarray:
+    """Diagonal IRLS reweighting, given the row norms: entry i =
+    1 / (2 (||row_i|| + epsilon))."""
     return 1.0 / (2.0 * (norms + epsilon))
 
 
@@ -391,28 +381,6 @@ def _dual_step(x, target, row_weights, beta):
     err = x @ w - target
     r = xt @ err + (beta * row_weights)[..., None] * w
     return w, _stack_sums(err * err), np.abs(r).max(axis=(-2, -1), initial=0.0)
-
-
-def solve_view_transform(
-    x: np.ndarray, target: np.ndarray, row_weights: np.ndarray, beta: float
-) -> np.ndarray:
-    """Closed-form transform update: (X^T X + beta A)^{-1} X^T target.
-
-    Solved in the primal form (d x d system) when X has at least as many
-    rows as columns, else in the dual form (n x n system, A^{-1} X^T U);
-    see the module docstring for the cost of each.  Row weights must be
-    positive, one per column of X.
-    """
-    if x.shape[0] != target.shape[0]:
-        raise DimensionMismatch(
-            f"X has {x.shape[0]} rows, target has {target.shape[0]}"
-        )
-    a = np.asarray(row_weights, dtype=np.float64)
-    if a.shape != (x.shape[1],) or not np.all(a > 0):
-        raise InvalidSpec(f"need {x.shape[1]} positive row weights, got shape {a.shape}")
-    if x.shape[1] > x.shape[0]:
-        return _dual_step(x, target, a, beta)[0]
-    return _gram_step(x.T @ x, x.T @ target, 0.0, a, beta)[0]  # the fit term is unused
 
 
 def _fit_stats(x, target, beta, epsilon, max_inner, tol, w_init, gram=None):

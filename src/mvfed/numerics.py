@@ -290,6 +290,8 @@ def row_l2_norms(m: np.ndarray) -> np.ndarray:
 # its LU solve stands in for dpotrs.
 _GUFUNC_MAX_ORDER = 16
 
+_NONE = np.empty(0, dtype=np.intp)
+
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A X = B for symmetric positive definite A.
@@ -330,14 +332,19 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     against max(1, its largest |entry|); refinement by a residual of at
     most 1e-10 everywhere, then by each system's residual against
     1e-10 (1 + max|B|).  Both per-system bounds are at least the
-    whole-stack ones, so the comparison never changes a decision, and a
-    NaN fails it and takes the per-system path.
+    whole-stack ones, so the comparison never changes a decision.  A
+    non-finite A fails one of them and is rejected on the per-system
+    path: a NaN fails the symmetry test, and an infinity leaves a
+    residual that is not finite, so a system whose residual is not
+    finite is checked for a non-finite A (with an empty B, every
+    system is).
 
     Raises
     ------
     DimensionMismatch : shapes are incompatible.
     NotSPD : A (any system of a stack, which the message names) is not
-        symmetric within 1e-12 relative, or is not positive definite.
+        symmetric within 1e-12 relative, is not positive definite, or
+        has an entry that is not finite.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -355,10 +362,14 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if failed is not None:
         raise NotSPD("matrix is not positive definite")
     if b.size == 0:
+        _reject_nonfinite(a[None], [0], stacked=False)
         return np.zeros(b.shape)
     x = solve(b)
     residual = b - a @ x
-    if _to_refine(residual[None], b[None]).size:
+    rows, lost = _to_refine(residual[None], b[None])
+    if lost.size:
+        _reject_nonfinite(a[None], lost, stacked=False)
+    if rows.size:
         x = x + solve(residual)
     return np.ascontiguousarray(x)
 
@@ -380,10 +391,13 @@ def _solve_spd_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if failed is not None:
         raise NotSPD(f"matrix {failed} of the stack is not positive definite")
     if b.size == 0:
+        _reject_nonfinite(a, range(s), stacked=True)
         return np.zeros(b.shape)
     x = solve(b)
     residual = b - a @ x
-    rows = _to_refine(residual, b)
+    rows, lost = _to_refine(residual, b)
+    if lost.size:
+        _reject_nonfinite(a, lost, stacked=True)
     if rows.size:
         x[rows] += solve(residual[rows], rows)
     return np.ascontiguousarray(x)
@@ -394,21 +408,38 @@ def _asymmetric(a: np.ndarray) -> np.ndarray:
     """The indices of the systems of an (s, n, n) stack that are not
     symmetric within 1e-12 relative to max(1, their largest |entry|),
     measured one by one only if the stack is not exactly symmetric."""
-    at = a.transpose(0, 2, 1)
-    if (a == at).all():
-        return np.empty(0, dtype=np.intp)
+    equal = a == a.transpose(0, 2, 1)
+    if equal.all():
+        return _NONE
     scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
-    return np.flatnonzero(np.abs(a - at).max(axis=(1, 2)) > 1e-12 * scale)
+    # Equal entries have no skew, even infinite ones; a NaN is never equal
+    # and its skew is not within any bound.
+    skew = np.where(equal, 0.0, np.abs(a - a.transpose(0, 2, 1))).max(axis=(1, 2))
+    return np.flatnonzero(~(skew <= 1e-12 * scale))
 
 
-def _to_refine(residual: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _to_refine(residual: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The indices of the systems of an (s, n, m) stack whose max-norm
-    residual exceeds 1e-10 (1 + max|B|), B their right-hand sides,
-    measured one by one only if some residual entry is not <= 1e-10."""
+    residual exceeds 1e-10 (1 + max|B|), B their right-hand sides, and
+    those whose residual is not finite, measured one by one only if
+    some residual entry is not <= 1e-10."""
     err = np.abs(residual)
     if err.max() <= 1e-10:
-        return np.empty(0, dtype=np.intp)
-    return np.flatnonzero(err.max(axis=(1, 2)) > 1e-10 * (1.0 + np.abs(b).max(axis=(1, 2))))
+        return _NONE, _NONE
+    worst = err.max(axis=(1, 2))
+    return (
+        np.flatnonzero(worst > 1e-10 * (1.0 + np.abs(b).max(axis=(1, 2)))),
+        np.flatnonzero(~np.isfinite(worst)),
+    )
+
+
+def _reject_nonfinite(a: np.ndarray, systems, stacked: bool) -> None:
+    """Raise NotSPD for the first of the given systems of an (s, n, n)
+    stack with an entry that is not finite."""
+    for i in systems:
+        if not np.isfinite(a[i]).all():
+            what = f"matrix {i} of the stack" if stacked else "matrix"
+            raise NotSPD(f"{what} is not finite")
 
 
 def _factor(a: np.ndarray):

@@ -120,6 +120,15 @@ def stage(clients, rnd, msgs):
     return type(clients[0]).steps(clients, rnd, msgs)
 
 
+def client_state(client):
+    """A horizontal client's pseudo-label and consensus blocks: its
+    slot's rows of the stacks its block holds."""
+    block = client.rows
+    start = sum(block.rows[: client.slot])
+    rows = slice(start, start + block.rows[client.slot])
+    return [m[rows] for m in block.pseudo], block.consensus[rows]
+
+
 def read_report(path: str):
     """Parse a report file written by `mvfed report` back into
     (provenance, rows, summary)."""

@@ -1,5 +1,4 @@
 import dataclasses
-import operator
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from mvfed.fedcore import (
     run_rounds,
 )
 from mvfed.hfed import (
+    HorizontalClient,
     aggregate_transforms,
     hfed_train,
     make_horizontal_parties,
@@ -34,7 +34,7 @@ from mvfed.mvl import (
     update_consensus,
     update_pseudo_labels,
 )
-from suite_utils import blob_dataset, record_calls, stage
+from suite_utils import blob_dataset, client_state, record_calls, stage
 
 SERVER = PartyId.server()
 
@@ -76,6 +76,16 @@ def split_rows(data, m, seed=0):
     return [data.subset(np.sort(order[i::m])) for i in range(m)]
 
 
+def assert_client_is(client, reply, w, pseudo, consensus):
+    """The client's reply carries w, and its state is pseudo and
+    consensus, bit for bit."""
+    got, got_consensus = client_state(client)
+    for k in range(len(w)):
+        assert reply.matrices[k].tobytes() == w[k].tobytes()
+        assert got[k].tobytes() == pseudo[k].tobytes()
+    assert got_consensus.tobytes() == consensus.tobytes()
+
+
 class TestClientStep:
     def test_local_cap_zero_returns_broadcast(self):
         data = blob_dataset(1)
@@ -91,13 +101,14 @@ class TestClientStep:
         server, clients = make_horizontal_parties([data], hp, seed=4, max_local=5)
         client = clients[0]
         w_ref, pseudo_ref, consensus_ref = alg3_local(
-            data, hp, server.w, client.pseudo, client.consensus, max_local=5
+            data, hp, server.w, *client_state(client), max_local=5
         )
-        client.step(0, server.broadcast(0))
+        reply = client.step(0, server.broadcast(0))
+        pseudo, consensus = client_state(client)
         for k in range(data.n_views):
-            assert np.array_equal(client.w[k], w_ref[k])
-            assert np.array_equal(client.pseudo[k], pseudo_ref[k])
-        assert np.array_equal(client.consensus, consensus_ref)
+            assert np.array_equal(reply.matrices[k], w_ref[k])
+            assert np.array_equal(pseudo[k], pseudo_ref[k])
+        assert np.array_equal(consensus, consensus_ref)
 
     def test_one_class_strong_coupling_limit(self):
         rng = np.random.default_rng(5)
@@ -111,11 +122,10 @@ class TestClientStep:
             tol=1e-12, max_outer=100, max_inner=20,
         )
         _, clients = make_horizontal_parties([data], hp, seed=6, max_local=50)
-        client = clients[0]
-        client.step(0, FedMessage.transform_set(0, SERVER, [np.zeros((6, 2))]))
-        assert np.allclose(client.consensus, labels, atol=1e-5)
+        reply = clients[0].step(0, FedMessage.transform_set(0, SERVER, [np.zeros((6, 2))]))
+        assert np.allclose(client_state(clients[0])[1], labels, atol=1e-5)
         w_direct, _ = fit_view_transform(x, labels, beta=0.1, epsilon=1e-8)
-        assert np.allclose(client.w[0], w_direct, atol=1e-3)
+        assert np.allclose(reply.matrices[0], w_direct, atol=1e-3)
 
     def test_shape_drift_rejected(self):
         data = blob_dataset(7)
@@ -179,8 +189,7 @@ class TestTrain:
         hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-9, max_inner=5)
         server, clients = make_horizontal_parties([data], hp, seed=13, max_local=4)
         w = [m.copy() for m in server.w]
-        pseudo = [m.copy() for m in clients[0].pseudo]
-        consensus = clients[0].consensus.copy()
+        pseudo, consensus = client_state(clients[0])
         for _ in range(3):
             w, pseudo, consensus = alg3_local(data, hp, w, pseudo, consensus, 4)
         result = hfed_train([data], hp, seed=13, rounds=3, max_local=4)
@@ -296,7 +305,7 @@ class TestCohorts:
         hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-3, max_inner=6)
         server, clients = make_horizontal_parties(shards, hp, seed=41, max_local=8)
         reference = [
-            ReferenceClient(c.party, d, hp, 8, c.pseudo, c.consensus)
+            ReferenceClient(c.party, d, hp, 8, *client_state(c))
             for c, d in zip(clients, shards)
         ]
         ref_log = run_rounds(server, reference, None, max_rounds=3)
@@ -324,20 +333,16 @@ class TestCohorts:
         server, clients = make_horizontal_parties(shards, hp, seed=50, max_local=6)
         sent = server.broadcast(0)
         expected = [
-            alg3_local(d, hp, sent.matrices, c.pseudo, c.consensus, 6)
+            alg3_local(d, hp, sent.matrices, *client_state(c), 6)
             for c, d in zip(clients, shards)
         ]
-        solo = [dataclasses.replace(c) for c in clients]
+        _, solo = make_horizontal_parties(shards, hp, seed=50, max_local=6)
         sizes = record_calls(monkeypatch, mvfed.mvl, "_fit_stats", 0, group=True)
         replies = stage(clients, 0, [sent] * len(clients))
         assert sizes[: len(groups)] == [5 * g for g in groups]
         for c, reply, alone, (w, pseudo, consensus) in zip(clients, replies, solo, expected):
-            lone = alone.step(0, sent)
-            for k in range(len(dims)):
-                assert reply.matrices[k].tobytes() == lone.matrices[k].tobytes()
-                assert c.w[k].tobytes() == w[k].tobytes() == alone.w[k].tobytes()
-                assert c.pseudo[k].tobytes() == pseudo[k].tobytes() == alone.pseudo[k].tobytes()
-            assert c.consensus.tobytes() == consensus.tobytes() == alone.consensus.tobytes()
+            assert_client_is(c, reply, w, pseudo, consensus)
+            assert_client_is(alone, alone.step(0, sent), w, pseudo, consensus)
 
     @pytest.mark.parametrize("dims, stacks", [((4, 3), [6]), ((8, 3), [3, 2, 1])])
     def test_cohorts_group_by_width_pattern(self, monkeypatch, dims, stacks):
@@ -349,17 +354,14 @@ class TestCohorts:
         server, clients = make_horizontal_parties(shards, hp, seed=1, max_local=3)
         sent = server.broadcast(0)
         expected = [
-            alg3_local(d, hp, sent.matrices, c.pseudo, c.consensus, 3)
+            alg3_local(d, hp, sent.matrices, *client_state(c), 3)
             for c, d in zip(clients, shards)
         ]
-        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 1)
+        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 0)
         replies = stage(clients, 0, [sent] * len(clients))
         assert passes == stacks
         for c, reply, (w, pseudo, consensus) in zip(clients, replies, expected):
-            for k in range(2):
-                assert reply.matrices[k].tobytes() == c.w[k].tobytes() == w[k].tobytes()
-                assert c.pseudo[k].tobytes() == pseudo[k].tobytes()
-            assert c.consensus.tobytes() == consensus.tobytes()
+            assert_client_is(c, reply, w, pseudo, consensus)
 
     @pytest.mark.parametrize("dims, n_classes", [((6, 3), 2), ((17, 4), 2), ((6, 3, 8), 3)])
     def test_ragged_clients_match_reference(self, monkeypatch, dims, n_classes):
@@ -375,21 +377,18 @@ class TestCohorts:
         hp = dataclasses.replace(HyperParams.uniform(len(dims)), tol=1e-4, max_inner=6)
         server, clients = make_horizontal_parties(shards, hp, seed=56, max_local=5)
         reference = [
-            ReferenceClient(c.party, d, hp, 5, c.pseudo, c.consensus)
+            ReferenceClient(c.party, d, hp, 5, *client_state(c))
             for c, d in zip(clients, shards)
         ]
         primal = [n for n in sizes if n >= max(dims)]
         assert len(set(primal)) > 1 and len(primal) < len(sizes)
-        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 1)
+        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 0)
         for rnd in range(3):
             sent = server.broadcast(rnd)
             replies = stage(clients, rnd, [sent] * len(clients))
             for c, ref, reply in zip(clients, reference, replies):
                 want = ref.step(rnd, sent)
-                for k in range(len(dims)):
-                    assert reply.matrices[k].tobytes() == want.matrices[k].tobytes()
-                    assert c.pseudo[k].tobytes() == ref.pseudo[k].tobytes()
-                assert c.consensus.tobytes() == ref.consensus.tobytes()
+                assert_client_is(c, reply, want.matrices, ref.pseudo, ref.consensus)
             server.aggregate(rnd, replies)
         assert max(passes) == len(primal) and sum(passes) == 3 * len(sizes)
         # The objective the ragged block computes for each of its slots,
@@ -397,40 +396,40 @@ class TestCohorts:
         block = next(c.rows for c, n in zip(clients, sizes) if n >= max(dims))
         members = sorted((c for c in clients if c.rows is block), key=lambda c: c.slot)
         layout = mvfed.mvl._layout(block.rows)
-        w = [np.stack([c.w[k] for c in members]) for k in range(len(dims))]
+        sent_back = [replies[c.party.id].matrices for c in members]
+        w = [np.stack(m) for m in zip(*sent_back)]
         values = mvfed.hfed._local_objective(
             block.labels, w,
             [mvfed.mvl._row_products(x, m, layout) for x, m in zip(block.views, w)],
-            [np.concatenate([c.pseudo[k] for c in members]) for k in range(len(dims))],
-            np.concatenate([c.consensus for c in members]), hp, layout,
+            block.pseudo, block.consensus, hp, layout,
         )
         for c, value in zip(members, values.tolist()):
-            state = MvlState(W=c.w, Zk=c.pseudo, Z=c.consensus)
+            pseudo, consensus = client_state(c)
+            state = MvlState(W=list(replies[c.party.id].matrices), Zk=pseudo, Z=consensus)
             assert value == objective(shards[c.party.id], state, hp)
 
     def test_block_restacks_after_a_member_computes_alone(self, monkeypatch):
-        # The block's passes start from the stacks the last round left
-        # while the same members step together and each holds the slices
-        # it was given.  In round 2 member 1 steps alone with another
-        # broadcast, so the 6-member stack of round 3 restacks its
-        # members' blocks, and round 4 starts from round 3's stacks again.
+        # Every stack of passes starts from the state its block holds for
+        # its members.  In round 2 member 1 steps alone with another
+        # broadcast, after the other five stepped as one stack; the
+        # 6-member stack of round 3 starts from both steps' rows.
         shards = rows_of([8, 11, 9, 8, 13, 11], seed=59, dims=(4, 3))
         hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-4, max_inner=6)
         server, clients = make_horizontal_parties(shards, hp, seed=60, max_local=4)
         reference = [
-            ReferenceClient(c.party, d, hp, 4, c.pseudo, c.consensus)
+            ReferenceClient(c.party, d, hp, 4, *client_state(c))
             for c, d in zip(clients, shards)
         ]
-        calls = []
+        calls, before = [], []
         original = mvfed.hfed._local_passes
 
-        def recording(hp, block, max_local, w, pseudo, consensus):
-            out = original(hp, block, max_local, w, pseudo, consensus)
-            calls.append((len(block), pseudo, consensus, out))
-            return out
+        def recording(block, w):
+            calls.append((len(block), [m.copy() for m in block.pseudo], block.consensus.copy()))
+            return original(block, w)
 
         monkeypatch.setattr(mvfed.hfed, "_local_passes", recording)
         for rnd in range(5):
+            before.append([(ref.pseudo, ref.consensus) for ref in reference])
             sent = server.broadcast(rnd)
             msgs = [sent] * len(clients)
             if rnd == 2:
@@ -442,18 +441,49 @@ class TestCohorts:
                 replies = stage(clients, rnd, msgs)
             for c, ref, msg, reply in zip(clients, reference, msgs, replies):
                 want = ref.step(rnd, msg)
-                for k in range(2):
-                    assert reply.matrices[k].tobytes() == want.matrices[k].tobytes()
-                    assert c.pseudo[k].tobytes() == ref.pseudo[k].tobytes()
-                assert c.consensus.tobytes() == ref.consensus.tobytes()
+                assert_client_is(c, reply, want.matrices, ref.pseudo, ref.consensus)
             server.aggregate(rnd, replies)
-        assert [n for n, *_ in calls] == [6, 6, 5, 1, 6, 6]
-        stacked = [call for call in calls if call[0] == len(clients)]
-        kept = [
-            consensus is last[2] and all(map(operator.is_, pseudo, last[1]))
-            for (*_, last), (_, pseudo, consensus, _) in zip(stacked, stacked[1:])
-        ]
-        assert kept == [True, False, True]
+        everyone = sorted(range(len(clients)), key=lambda l: clients[l].slot)
+        others = [l for l in everyone if l != 1]
+        members = [everyone, everyone, others, [1], everyone, everyone]
+        assert [n for n, *_ in calls] == list(map(len, members))
+        for (_, pseudo, consensus), who, rnd in zip(calls, members, [0, 1, 2, 2, 3, 4]):
+            state = [before[rnd][l] for l in who]
+            for k in range(2):
+                assert pseudo[k].tobytes() == np.concatenate([p[k] for p, _ in state]).tobytes()
+            assert consensus.tobytes() == np.concatenate([z for _, z in state]).tobytes()
+
+    def test_lone_step_changes_only_its_own_rows(self):
+        # A client is its slot of the block, and the block owns the state.
+        # After a stacked round, a member that steps alone commits its own
+        # rows into copies of the block's stacks: every other row, and every
+        # array taken from the block before the step, stays as it was.
+        assert [f.name for f in dataclasses.fields(HorizontalClient)] == ["party", "rows", "slot"]
+        shards = rows_of([8, 11, 9, 8, 13], seed=67, dims=(4, 3))
+        hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-4, max_inner=6)
+        server, clients = make_horizontal_parties(shards, hp, seed=68, max_local=3)
+        stage(clients, 0, [server.broadcast(0)] * len(clients))
+        block, lone = clients[0].rows, clients[2]
+
+        def as_bytes(arrays):
+            return [m.tobytes() for m in arrays]
+
+        taken = [*block.pseudo, block.consensus]
+        slices = [[*pseudo, consensus] for pseudo, consensus in map(client_state, clients)]
+        saved, saved_slices = as_bytes(taken), [as_bytes(m) for m in slices]
+        sent = server.broadcast(1)
+        w, pseudo, consensus = alg3_local(shards[2], hp, sent.matrices, *client_state(lone), 3)
+        reply = lone.step(1, sent)
+        assert as_bytes(taken) == saved
+        assert [as_bytes(m) for m in slices] == saved_slices
+        for c, was in zip(clients, saved_slices):
+            now = as_bytes([*client_state(c)[0], client_state(c)[1]])
+            if c is lone:
+                assert_client_is(c, reply, w, pseudo, consensus)
+                assert now != was
+            else:
+                assert now == was
+        assert not any(m.flags.writeable for m in (*block.pseudo, block.consensus))
 
     def test_back_to_back_federations_are_equal(self):
         # Blocks keep their state per federation: a federation run after
@@ -479,17 +509,14 @@ class TestCohorts:
         other = FedMessage.transform_set(0, SERVER, [m + 0.5 for m in server.w])
         messages = [sent, other, sent]
         expected = [
-            alg3_local(d, hp, msg.matrices, c.pseudo, c.consensus, 4)
+            alg3_local(d, hp, msg.matrices, *client_state(c), 4)
             for c, d, msg in zip(clients, shards, messages)
         ]
-        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 1)
+        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 0)
         replies = stage(clients, 0, messages)
         assert passes == [3]
         for c, reply, (w, pseudo, consensus) in zip(clients, replies, expected):
-            for k in range(2):
-                assert reply.matrices[k].tobytes() == c.w[k].tobytes() == w[k].tobytes()
-                assert c.pseudo[k].tobytes() == pseudo[k].tobytes()
-            assert c.consensus.tobytes() == consensus.tobytes()
+            assert_client_is(c, reply, w, pseudo, consensus)
 
     def test_subset_of_a_block_stages_its_own_rows(self, monkeypatch):
         # Stepping some clients of a ragged block stacks only their rows,
@@ -500,18 +527,15 @@ class TestCohorts:
         sent = server.broadcast(0)
         some = [clients[3], clients[1]]
         expected = [
-            alg3_local(shards[c.party.id], hp, sent.matrices, c.pseudo, c.consensus, 3)
+            alg3_local(shards[c.party.id], hp, sent.matrices, *client_state(c), 3)
             for c in some
         ]
-        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 1)
+        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 0)
         replies = stage(some, 0, [sent, sent])
         assert passes == [2]
         assert [r.sender for r in replies] == [c.party for c in some]
         for c, reply, (w, pseudo, consensus) in zip(some, replies, expected):
-            for k in range(2):
-                assert reply.matrices[k].tobytes() == c.w[k].tobytes() == w[k].tobytes()
-                assert c.pseudo[k].tobytes() == pseudo[k].tobytes()
-            assert c.consensus.tobytes() == consensus.tobytes()
+            assert_client_is(c, reply, w, pseudo, consensus)
 
     def test_framed_transport_stages_and_matches_in_process(self, monkeypatch):
         # Over framed bytes every client decodes its own broadcast; the
@@ -522,11 +546,11 @@ class TestCohorts:
         in_process = hfed_train(shards, hp, seed=52, rounds=3, max_local=4)
         server, clients = make_horizontal_parties(shards, hp, seed=52, max_local=4)
         reference = [
-            ReferenceClient(c.party, d, hp, 4, c.pseudo, c.consensus)
+            ReferenceClient(c.party, d, hp, 4, *client_state(c))
             for c, d in zip(clients, shards)
         ]
         ref_log = run_rounds(server, reference, FramedByteTransport(), max_rounds=3)
-        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 1)
+        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 0)
         framed = hfed_train(
             shards, hp, seed=52, rounds=3, max_local=4, transport=FramedByteTransport()
         )
@@ -552,35 +576,39 @@ class TestCohorts:
 
     def test_raising_steps_commits_nothing(self, monkeypatch):
         # `steps` checks every broadcast before it computes and commits
-        # the clients' state only once every reply is built: when one
+        # the blocks' state only once every reply is built: when one
         # client's broadcast has the wrong shapes, or its result is not
-        # finite, no client's state changes.
-        shards = rows_of([8, 11, 9, 8], seed=65, dims=(4, 3))
+        # finite, no client's state changes.  The 9-wide view puts the
+        # 8-row clients in a block of their own (dual form), stepped
+        # before the block of the others, whose result is poisoned.
+        shards = rows_of([8, 11, 9, 8], seed=65, dims=(4, 9))
         hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-4, max_inner=6)
         server, clients = make_horizontal_parties(shards, hp, seed=66, max_local=3)
+        assert clients[0].rows is clients[3].rows is not clients[1].rows is clients[2].rows
         stage(clients, 0, [server.broadcast(0)] * len(clients))
         sent = server.broadcast(1)
         bad = FedMessage.transform_set(1, SERVER, [np.zeros((4, 2)), np.zeros((4, 2))])
 
         def state():
-            return [m for c in clients for m in (*c.w, *c.pseudo, c.consensus)]
+            return [m.tobytes() for pseudo, z in map(client_state, clients) for m in (*pseudo, z)]
 
         before = state()
         with pytest.raises(DimensionMismatch):
             stage(clients, 1, [sent, sent, bad, sent])
-        assert all(map(operator.is_, state(), before))
+        assert state() == before
 
         original = mvfed.hfed._local_passes
 
-        def poisoned(*args):
-            w, pseudo, consensus = original(*args)
-            w[0][clients[2].slot, 0, 0] = np.nan
+        def poisoned(block, w):
+            w, pseudo, consensus = original(block, w)
+            if block is clients[2].rows:
+                w[0][clients[2].slot, 0, 0] = np.nan
             return w, pseudo, consensus
 
         monkeypatch.setattr(mvfed.hfed, "_local_passes", poisoned)
         with pytest.raises(ValueError, match="non-finite"):
             stage(clients, 1, [sent] * len(clients))
-        assert all(map(operator.is_, state(), before))
+        assert state() == before
         monkeypatch.undo()
 
         class Garbling(InProcessTransport):
@@ -607,7 +635,7 @@ class TestCohorts:
             return original(x, *args, **kwargs)
 
         monkeypatch.setattr(mvfed.mvl, "_fit_stats", failing)
-        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 1)
+        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 0)
         with pytest.raises(PartyFailure) as err:
             hfed_train(shards, HyperParams.uniform(2), seed=46, rounds=2, max_local=3)
         assert (err.value.round_index, err.value.party_id) == (0, 2)

@@ -210,37 +210,51 @@ class TestSolveSpdStack:
 
 def per_system_solve_spd(a, b):
     """solve_spd with its checks made system by system on every call, as
-    before the whole-stack comparisons; the engines are solve_spd's own."""
+    before the whole-stack comparisons; the engines are solve_spd's own.
+    Equal entries have no skew, a NaN skew is not within the symmetry
+    bound, and a system whose residual is not finite (every system, for
+    an empty B) is rejected if its A has an entry that is not finite."""
     from mvfed.numerics import _factor
 
     if a.ndim == 2:
         scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
-        if a.size and float(np.abs(a - a.T).max()) > 1e-12 * scale:
+        if a.size and not float(np.where(a == a.T, 0.0, np.abs(a - a.T)).max()) <= 1e-12 * scale:
             raise NotSPD("matrix is not symmetric")
         failed, solve = _factor(a)
         if failed is not None:
             raise NotSPD("matrix is not positive definite")
+        if b.size == 0 and not np.isfinite(a).all():
+            raise NotSPD("matrix is not finite")
         if b.size == 0:
             return np.zeros(b.shape)
         x = solve(b)
         residual = b - a @ x
+        if not np.isfinite(residual).all() and not np.isfinite(a).all():
+            raise NotSPD("matrix is not finite")
         b_scale = 1.0 + float(np.abs(b).max())
         if float(np.abs(residual).max()) > 1e-10 * b_scale:
             x = x + solve(residual)
         return np.ascontiguousarray(x)
     if a.size:
         scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
-        skew = np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2))
-        bad = np.flatnonzero(skew > 1e-12 * scale)
+        at = a.transpose(0, 2, 1)
+        skew = np.where(a == at, 0.0, np.abs(a - at)).max(axis=(1, 2))
+        bad = np.flatnonzero(~(skew <= 1e-12 * scale))
         if bad.size:
             raise NotSPD(f"matrix {bad[0]} of the stack is not symmetric")
     failed, solve = _factor(a)
     if failed is not None:
         raise NotSPD(f"matrix {failed} of the stack is not positive definite")
+    residual = None
+    if b.size:
+        x = solve(b)
+        residual = b - a @ x
+    for i in range(len(a)):
+        lost = residual is None or not np.isfinite(residual[i]).all()
+        if lost and not np.isfinite(a[i]).all():
+            raise NotSPD(f"matrix {i} of the stack is not finite")
     if b.size == 0:
         return np.zeros(b.shape)
-    x = solve(b)
-    residual = b - a @ x
     b_scale = 1.0 + np.abs(b).max(axis=(1, 2))
     rows = np.flatnonzero(np.abs(residual).max(axis=(1, 2)) > 1e-10 * b_scale)
     if rows.size:
@@ -324,6 +338,30 @@ class TestWholeStackChecks:
         assert ("asymmetric beyond 1e-12", True) in seen
         assert ("asymmetric beyond 1e-12, empty rhs", True) in seen
         assert ("nan rhs", False) in seen
+        for value in ("nan", "inf"):
+            for where in ("diagonal", "pair", "diagonal, empty rhs", "pair, empty rhs"):
+                assert (f"{value} {where}", True) in seen
+
+    @pytest.mark.parametrize("n", [6, 16, 17, 100])
+    def test_non_finite_a_raises_naming_the_system(self, n):
+        # A NaN fails the symmetry test; an infinity that the factorization
+        # passes leaves a residual that is not finite.
+        rng = np.random.default_rng(n)
+        cases = {name: (a, b, i) for name, a, b, i in self.cases(n, rng)}
+        for name, (a, b, i) in cases.items():
+            if name.split(" ")[0] in ("nan", "inf") and "rhs" not in name.split(",")[0]:
+                with pytest.raises(NotSPD, match=f"matrix {i} of the stack is not"):
+                    solve_spd(a, b)
+                with pytest.raises(NotSPD, match="matrix is not"):
+                    solve_spd(a[i], b[i])
+        # Beside a slice that is not exactly symmetric, an infinite entry
+        # still equals its mirror: it has no skew, as in its lone call.
+        a, b, i = cases["inf diagonal"]
+        mixed = a.copy()
+        mixed[(i + 1) % self.S] = cases["asymmetric within 1e-12"][0][i]
+        assert outcome(solve_spd, mixed, b) == outcome(per_system_solve_spd, mixed, b)
+        with pytest.raises(NotSPD, match=f"matrix {i} of the stack is not finite"):
+            solve_spd(mixed, b)
 
     @pytest.mark.parametrize("n", [6, 16, 17, 100])
     def test_refinement_cases_take_the_per_system_rule(self, n):
@@ -352,13 +390,13 @@ class TestWholeStackChecks:
         b = np.zeros((3, 6, 2)).view(Unread)
         residual = np.zeros((3, 6, 2))
         residual[1, 4, 0] = -1e-10
-        assert _to_refine(residual, b).size == 0
+        assert [m.size for m in _to_refine(residual, b)] == [0, 0]
         residual[1, 4, 0] = np.nextafter(1e-10, 1.0)
         with pytest.raises(AssertionError, match="per-system rule"):
             _to_refine(residual, b)
-        assert _to_refine(residual, np.zeros((3, 6, 2))).tolist() == [1]
+        assert [m.tolist() for m in _to_refine(residual, np.zeros((3, 6, 2)))] == [[1], []]
         residual[1, 4, 0] = np.nan
-        assert _to_refine(residual, np.zeros((3, 6, 2))).size == 0
+        assert [m.tolist() for m in _to_refine(residual, np.zeros((3, 6, 2)))] == [[], [1]]
 
 
 @pytest.mark.parametrize("n", [16, 17])
