@@ -271,6 +271,14 @@ def _parse_finite(path: str, line_no: int, col: int, text: str) -> float:
     return value
 
 
+def _parse_int64(path: str, line_no: int, col: int, text: str) -> int:
+    """`_parse(int, ...)` that also rejects values outside int64."""
+    value = _parse(int, path, line_no, col, text)
+    if not -(2**63) <= value < 2**63:
+        raise ParseError(f"{path}:{line_no}:{col + 1}: outside int64: {text!r}")
+    return value
+
+
 def _write_matrix(path: str, prefix: str, m, classes=None) -> None:
     """m's rows under the header {prefix}0..{prefix}{cols-1}, each cell
     as repr(float) so it reads back bit for bit; with classes, a
@@ -295,7 +303,7 @@ def _read_matrix(path: str, prefix: str, cols: int, rows, classes: bool = False)
             m[i, j] = _parse_finite(path, i + 2, j, line[j])
     if not classes:
         return m
-    y = [_parse(int, path, i + 2, cols, line[cols]) for i, line in enumerate(lines)]
+    y = [_parse_int64(path, i + 2, cols, line[cols]) for i, line in enumerate(lines)]
     return m, np.array(y, dtype=np.int64)
 
 

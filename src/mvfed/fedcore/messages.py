@@ -207,6 +207,16 @@ _CHECKS = {
     "vector": lambda v: _checked_array(v, 1, "vector"),
 }
 
+# Per kind: (field, check) of each field it carries, and the payload
+# fields it must leave None.
+_FIELDS = {
+    kind: (
+        tuple((name, _CHECKS[name]) for name in fields),
+        tuple(name for name in _CHECKS if name not in fields),
+    )
+    for kind, fields in PAYLOADS.items()
+}
+
 
 def _equal(a, b) -> bool:
     if isinstance(a, tuple):
@@ -239,19 +249,24 @@ class FedMessage:
     def __post_init__(self) -> None:
         if not 0 <= self.round < 2**32:
             raise ValueError(f"round {self.round} does not fit in u32")
-        try:
-            object.__setattr__(self, "kind", MessageKind(self.kind))
-        except ValueError:
-            raise ValueError(f"unknown message kind {self.kind!r}") from None
-        fields = PAYLOADS[self.kind]
-        for name, check in _CHECKS.items():
+        if not isinstance(self.sender, PartyId):
+            raise ValueError(f"sender must be a PartyId, got {self.sender!r}")
+        kind = self.kind
+        if type(kind) is not MessageKind:
+            try:
+                kind = MessageKind(kind)
+            except ValueError:
+                raise ValueError(f"unknown message kind {kind!r}") from None
+            object.__setattr__(self, "kind", kind)
+        carried, absent = _FIELDS[kind]
+        for name, check in carried:
             value = getattr(self, name)
-            if name in fields:
-                if value is None:
-                    raise ValueError(f"{self.kind.name} requires {name}")
-                object.__setattr__(self, name, check(value))
-            elif value is not None:
-                raise ValueError(f"{self.kind.name} does not carry {name}")
+            if value is None:
+                raise ValueError(f"{kind.name} requires {name}")
+            object.__setattr__(self, name, check(value))
+        for name in absent:
+            if getattr(self, name) is not None:
+                raise ValueError(f"{kind.name} does not carry {name}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FedMessage):

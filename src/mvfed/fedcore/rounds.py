@@ -126,7 +126,7 @@ def run_rounds(
     transport = transport if transport is not None else InProcessTransport()
     clients = sorted(clients, key=lambda c: c.party.id)
     server_ep = transport.endpoint(server.party)
-    client_eps = {c.party.id: transport.endpoint(c.party) for c in clients}
+    client_eps = [transport.endpoint(c.party) for c in clients]
     done = getattr(server, "done", None)
     by_class: dict[type, list[int]] = {}
     for i, client in enumerate(clients):
@@ -137,14 +137,13 @@ def run_rounds(
         """Send client i's reply: its class's `steps` answer, or else the
         reply of its own `step`."""
         client = clients[i]
-        ep = client_eps[client.party.id]
         try:
             reply = answered[i] if i in answered else client.step(rnd, inbound)
         except Exception as exc:
             raise PartyFailure(rnd, client.party.id, exc) from exc
         if reply is None:
             raise MissingClient(f"round {rnd}: no reply from client {client.party.id}")
-        ep.send(server.party, reply)
+        client_eps[i].send(server.party, reply)
         return MessageRecord(client.party.id, server.party.id, reply.kind, frame_size(reply))
 
     def receive(client, rnd: int) -> FedMessage:
@@ -170,8 +169,7 @@ def run_rounds(
                     )
                 )
         inbound = [
-            None if broadcast is None else client_eps[c.party.id].receive(server.party)
-            for c in clients
+            None if broadcast is None else ep.receive(server.party) for ep in client_eps
         ]
         answered: dict[int, FedMessage | None] = {}
         for steps, idx in stacked:

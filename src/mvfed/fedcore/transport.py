@@ -33,7 +33,7 @@ class _Endpoint:
     party: PartyId
 
     def send(self, to: PartyId, msg: FedMessage) -> None:
-        if msg.sender != self.party:
+        if msg.sender is not self.party and msg.sender != self.party:
             raise ValueError(
                 f"endpoint bound to {self.party} cannot send as {msg.sender}"
             )

@@ -365,7 +365,7 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         _reject_nonfinite(a[None], [0], stacked=False)
         return np.zeros(b.shape)
     x = solve(b)
-    residual = b - a @ x
+    residual = _residual(a, x, b)
     rows, lost = _to_refine(residual[None], b[None])
     if lost.size:
         _reject_nonfinite(a[None], lost, stacked=False)
@@ -394,7 +394,7 @@ def _solve_spd_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         _reject_nonfinite(a, range(s), stacked=True)
         return np.zeros(b.shape)
     x = solve(b)
-    residual = b - a @ x
+    residual = _residual(a, x, b)
     rows, lost = _to_refine(residual, b)
     if lost.size:
         _reject_nonfinite(a, lost, stacked=True)
@@ -402,6 +402,13 @@ def _solve_spd_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         x[rows] += solve(residual[rows], rows)
     return np.ascontiguousarray(x)
 
+
+def _residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """B - A X.  An infinite entry of A that the factorization passed
+    makes inf * 0 here, quietly: the residual is then not finite, and
+    `_to_refine` hands its system to `_reject_nonfinite`."""
+    with np.errstate(invalid="ignore"):
+        return b - a @ x
 
 
 def _asymmetric(a: np.ndarray) -> np.ndarray:
@@ -412,9 +419,11 @@ def _asymmetric(a: np.ndarray) -> np.ndarray:
     if equal.all():
         return _NONE
     scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
-    # Equal entries have no skew, even infinite ones; a NaN is never equal
-    # and its skew is not within any bound.
-    skew = np.where(equal, 0.0, np.abs(a - a.transpose(0, 2, 1))).max(axis=(1, 2))
+    # Equal entries have no skew, even infinite ones, whose difference is
+    # NaN; a NaN is never equal and its skew is not within any bound.
+    with np.errstate(invalid="ignore"):
+        diff = np.abs(a - a.transpose(0, 2, 1))
+    skew = np.where(equal, 0.0, diff).max(axis=(1, 2))
     return np.flatnonzero(~(skew <= 1e-12 * scale))
 
 

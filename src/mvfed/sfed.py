@@ -31,9 +31,9 @@ start stack is one repeat of its vector.
 The shuffle streams of every client and round of a view, keyed (client,
 view, round), are derived together when the parties are built
 (`numerics.stream_states`) and kept as 32-byte start states.  `_sgd`
-draws each slice's order from one reused generator set to the slice's
-state, so each stream is bit for bit the `make_rng` generator of its
-key; lone callers pass that generator's state.
+draws each slice's order from the federation's one generator set to the
+slice's state, so each stream is bit for bit the `make_rng` generator of
+its key; lone callers derive their start states the same way.
 """
 
 from __future__ import annotations
@@ -285,9 +285,9 @@ class _Padded:
 
 def _buffer(work: dict | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
     """Uninitialised array of the given shape, kept in work[name] for
-    the next call.  Lock-step steps share their large arrays this way:
-    a fresh array of a few hundred KB can cost more to allocate than
-    the arithmetic done on it."""
+    the next call.  Lock-step steps, and a federation's rounds, share
+    their large arrays this way: a fresh array of a few hundred KB can
+    cost more to allocate than the arithmetic done on it."""
     size = math.prod(shape)
     if work is None:
         return np.empty(shape)
@@ -390,7 +390,12 @@ def _grads(arch: EncoderArch, w: np.ndarray, batch, work: dict | None = None):
     d_head_bias = d_scores.sum(axis=1)
     d_pooled = d_scores @ head.transpose(0, 2, 1)
     d_pre = _buffer(work, "d_pre", hidden.shape)
-    np.multiply(d_pooled[:, :, None, :], weights[..., None], out=d_pre)
+    # The outer product d_pooled[:, :, None] * weights[..., None] without
+    # a broadcast's embed_dim-long inner loops.  einsum adds each product
+    # to +0.0, so a -0.0 product (a padded step's) comes out +0.0; nothing
+    # downstream can tell, since d_pre only enters x^T d_pre, whose sums
+    # start from +0.0 and so end alike whatever the signs of their zeros.
+    np.einsum("sbe,sbt->sbte", d_pooled, weights, out=d_pre)
     hidden *= hidden
     d_pre *= np.subtract(1.0, hidden, out=hidden)
     # One product per (slice, sequence) over its steps, then the batch
@@ -430,49 +435,66 @@ def loss_and_grad(
     return loss, grad[0]
 
 
+class _Scratch:
+    """What one federation's lock-step passes reuse from round to round:
+    the generator `_sgd` sets to each slice's stream in turn, and the
+    kernel's large arrays (`_buffer`).  The passes must run one at a
+    time."""
+
+    def __init__(self) -> None:
+        self.rng = np.random.Generator(np.random.PCG64(0))
+        self.work: dict[str, np.ndarray] = {}
+
+
 def _sgd(
     arch: EncoderArch,
     w: np.ndarray,
     data: _Padded,
     cfg: TrainerConfig,
-    streams: Sequence[dict],
+    streams: np.ndarray,
+    scratch: _Scratch,
 ) -> np.ndarray:
     """`local_training` of every slice of a padded stack, in lock-step.
 
     Slice s starts from w[s] and shuffles with its own stream, which
-    starts at the PCG64 state streams[s] (a `bit_generator.state`).
-    Each epoch sets every slice's state in turn on one generator, draws
-    the slice's order and, when another epoch follows, keeps the state
-    it reached, so a stream continues as a live generator would.  Step j
-    of an epoch runs batch j of every slice that has one as one kernel
-    call; a slice out of batches sits the later steps out.  Returns the
-    (S, n_params) trained rows.  The steps share their buffers (see
-    `_buffer`).
+    starts at the PCG64 state of row s of streams (S, 4), a
+    `numerics.stream_states` row.  Each epoch sets every slice's state
+    in turn on scratch's generator, draws the slice's order and, when
+    another epoch follows, keeps the state it reached, so a stream
+    continues as a live generator would.  Step j of an epoch runs batch
+    j of every slice that has one as one kernel call; a slice out of
+    batches sits the later steps out.  Returns the (S, n_params) trained
+    rows.  The steps share scratch's buffers (see `_buffer`).
     """
     w = np.array(w, dtype=float)
     counts = data.counts
     n_batches = -(-counts // cfg.batch_size)
-    steps = int(n_batches.max())
+    steps, most = int(n_batches.max()), int(counts.max())
     # A batch is at most `chunk` rows; past its own sequences a slice's
     # order is padding (row n), which sorts to the end of its batch.
     chunk = min(cfg.batch_size, data.n)
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    streams = list(streams)
+    rng, work = scratch.rng, scratch.work
+    bit_generator = rng.bit_generator
+    states = [pcg64_state(row) for row in streams.tolist()]
     order = np.full((len(counts), steps * chunk), data.n)
-    work: dict[str, np.ndarray] = {}
     for epoch in range(cfg.local_epochs):
-        for s, state in enumerate(streams):
+        for s, state in enumerate(states):
             bit_generator.state = state
             order[s, : counts[s]] = rng.permutation(counts[s])
             if epoch + 1 < cfg.local_epochs:
-                streams[s] = bit_generator.state
+                states[s] = bit_generator.state
         batches = np.sort(order.reshape(len(counts), steps, chunk), axis=2)
         for j in range(steps):
             live = np.flatnonzero(n_batches > j)
-            batch = data.gather(live, batches[live, j], work)
-            _, grad = _grads(arch, w[live], batch, work)
-            w[live] -= cfg.learning_rate * grad
+            # Past the fullest batch of step j, every column is padding.
+            rows = batches[live, j, : min(chunk, most - j * chunk)]
+            batch = data.gather(live, rows, work)
+            if len(live) == len(counts):  # w itself, no gather and scatter
+                _, grad = _grads(arch, w, batch, work)
+                w -= cfg.learning_rate * grad
+            else:
+                _, grad = _grads(arch, w[live], batch, work)
+                w[live] -= cfg.learning_rate * grad
     return w
 
 
@@ -489,10 +511,9 @@ def local_training_stack(
     for data in datasets:
         if data.n_samples == 0:
             raise EmptyDataset("local training needs at least one sequence")
-    streams = [
-        make_rng(cfg.seed, KEY_SHUFFLE, *key).bit_generator.state for key in seed_keys
-    ]
-    return _sgd(arch, w, _pad([(d.sequences, d.y) for d in datasets]), cfg, streams)
+    streams = stream_states(cfg.seed, [(KEY_SHUFFLE, *key) for key in seed_keys])
+    padded = _pad([(d.sequences, d.y) for d in datasets])
+    return _sgd(arch, w, padded, cfg, streams, _Scratch())
 
 
 def local_training(
@@ -522,7 +543,8 @@ class SequenceClient:
     `data` is its federation's padded stack, shared by all its clients,
     and `slot` this client's slice of it.  `streams` (rounds, clients, 4)
     holds the `numerics.stream_states` row of every client's shuffle
-    stream of every round below cfg.max_rounds, also shared.
+    stream of every round below cfg.max_rounds, also shared, as is the
+    `scratch` its lock-step passes reuse.
     """
 
     party: PartyId
@@ -532,6 +554,7 @@ class SequenceClient:
     cfg: TrainerConfig
     view_index: int
     streams: np.ndarray = field(repr=False, compare=False)
+    scratch: _Scratch = field(repr=False, compare=False)
 
     @classmethod
     def steps(cls, clients, rnd: int, msgs: Sequence[FedMessage]) -> list[FedMessage]:
@@ -550,7 +573,7 @@ class SequenceClient:
         stacked = _sgd(
             first.arch, stack_rows([m.vector for m in msgs]),
             first.data.take([c.slot for c in clients]), first.cfg,
-            [c.stream(rnd) for c in clients],
+            np.array([c.stream(rnd) for c in clients]), first.scratch,
         )
         return [
             FedMessage.param_vector(rnd, c.party, c.view_index, w)
@@ -561,13 +584,14 @@ class SequenceClient:
         """This client's round alone: `steps` of a stack of one."""
         return type(self).steps([self], rnd, [msg])[0]
 
-    def stream(self, rnd: int) -> dict:
-        """Start state of this client's round-rnd shuffle stream, keyed
-        (client, view, round); from the shared table below max_rounds."""
+    def stream(self, rnd: int) -> np.ndarray:
+        """The `numerics.stream_states` row of this client's round-rnd
+        shuffle stream, keyed (client, view, round); from the shared
+        table below max_rounds."""
         if rnd < len(self.streams):
-            return pcg64_state(self.streams[rnd, self.slot])
-        key = (self.party.id, self.view_index, rnd)
-        return make_rng(self.cfg.seed, KEY_SHUFFLE, *key).bit_generator.state
+            return self.streams[rnd, self.slot]
+        key = (KEY_SHUFFLE, self.party.id, self.view_index, rnd)
+        return stream_states(self.cfg.seed, [key])[0]
 
 
 @dataclass
@@ -624,10 +648,12 @@ def make_sequence_parties(
         for rnd in range(cfg.max_rounds) for l in range(len(datasets))
     ]
     streams = stream_states(cfg.seed, keys).reshape(cfg.max_rounds, len(datasets), 4)
+    streams.setflags(write=False)  # `stream` hands out its rows
+    scratch = _Scratch()
     clients = [
         SequenceClient(
             party=PartyId.client(l), data=padded, slot=l, arch=arch, cfg=cfg,
-            view_index=view_index, streams=streams,
+            view_index=view_index, streams=streams, scratch=scratch,
         )
         for l in range(len(datasets))
     ]

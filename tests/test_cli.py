@@ -448,6 +448,21 @@ class TestExitCodes:
         assert code == 2
         assert f"{view}:5:5: non-finite 'inf'" in stderr
 
+    def test_label_outside_int64_exits_2(self, tmp_path, capsys):
+        data_dir = os.path.join(tmp_path, "data")
+        assert run(capsys, "gen-data", "--out", data_dir, *SMALL_FLAT)[0] == 0
+        labels = os.path.join(data_dir, "labels.csv")
+        with open(labels) as fh:
+            lines = fh.read().splitlines()
+        lines[5] = "99999999999999999999"
+        with open(labels, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code, _, stderr = run(capsys, "train", "--mode", "mvl", "--data", data_dir, *QUICK_FIT)
+        assert code == 2
+        assert stderr.splitlines() == [
+            f"error: {labels}:6:1: outside int64: '99999999999999999999'"
+        ]
+
     def test_training_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         def boom(cfg):
             raise NotSPD("system matrix lost positive definiteness")

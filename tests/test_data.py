@@ -266,6 +266,19 @@ class TestDatasetFiles:
         with pytest.raises(ShapeError):
             load_dataset(str(root))
 
+    @pytest.mark.parametrize("cell", ["99999999999999999999", "-9223372036854775809"])
+    def test_label_outside_int64_rejected(self, tmp_path, cell):
+        data = gen_multiview(GeneratorSpec(n_samples=4, dims=(2,), seed=14))
+        root = tmp_path / "ds"
+        save_dataset(data, str(root))
+        labels = root / "labels.csv"
+        lines = labels.read_text().splitlines()
+        lines[3] = cell
+        labels.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="outside int64") as info:
+            load_dataset(str(root))
+        assert f"{labels}:4:1" in str(info.value)
+
     def test_row_count_mismatch(self, tmp_path):
         data = gen_multiview(GeneratorSpec(n_samples=5, dims=(2,), seed=15))
         root = tmp_path / "ds"

@@ -210,6 +210,13 @@ class TestMessages:
             FedMessage.consensus(0, C0, rows[2])
         assert np.array_equal(stack_rows(rows[:2]), np.ones((2, 2, 2)))
 
+    @pytest.mark.parametrize("sender", [0, 3, None, (3, "client")])
+    def test_sender_must_be_a_party_id(self, sender):
+        with pytest.raises(ValueError, match="sender must be a PartyId"):
+            FedMessage.param_vector(0, sender, 0, np.ones(3))
+        with pytest.raises(ValueError, match="sender must be a PartyId"):
+            FedMessage(round=0, sender=sender, kind=1, matrix=np.ones((1, 1)))
+
     def test_party_ids(self):
         assert PartyId.from_wire(0xFFFFFFFF) == SERVER
         assert PartyId.from_wire(3) == PartyId.client(3)
@@ -424,6 +431,9 @@ class TestTransports:
         msg = FedMessage.consensus(0, C1, np.ones((1, 1)))
         with pytest.raises(ValueError):
             tp.endpoint(C0).send(SERVER, msg)
+        # An equal PartyId that is another object may send too.
+        tp.endpoint(PartyId.client(1)).send(SERVER, msg)
+        assert tp.endpoint(SERVER).receive(C1) == msg
 
     def test_concurrent_sends(self, transport_cls):
         tp = transport_cls()

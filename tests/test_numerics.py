@@ -282,6 +282,7 @@ def outcome(solve, a, b):
     return x.shape, x.dtype, x.tobytes()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestWholeStackChecks:
     """solve_spd settles symmetry and refinement by one comparison over
     the whole stack and checks system by system only when that fails: it
