@@ -273,7 +273,7 @@ def _local_passes(block: _Rows, w):
             w[k], xw[k] = w_k, xw_k
         value = _local_objective(labels, w, xw, pseudo, consensus, hp, layout)
         stop = _stops(value, prev, hp.tol, step == max_local - 1)
-        if stop.any():
+        if stop is not None:
             live_rows, (labels, consensus, views, xw) = _freeze(
                 np.repeat(stop, rows), live_rows,
                 [*zip(pseudo_out, pseudo), (consensus_out, consensus)],

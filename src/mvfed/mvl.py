@@ -22,10 +22,12 @@ one IRLS kernel `_fit_stats`.  Once the pseudo-labels and consensus are
 fixed, the views' W_k fits are independent, so the centralized and
 horizontal trainers hand it width groups (`_fit_views`): every primal
 view of one width, for every grid candidate or client, as one stack in
-one call; a dual view goes alone.  Each slice of a stack is
-bit-identical to its own 2-D call.  Clients of different row counts
-form a ragged stack (`_runs`): their rows one client after another, cut
-into runs of one row count.  Zero padding would change BLAS products
+one call; a dual view goes alone.  A lone view (a vertical client's,
+`fit_view_transform`'s) is fitted as a stack of one, so there is one
+IRLS loop, and each slice of a stack is bit-identical to its own fit
+as a stack of one.  Clients of different row counts form a ragged
+stack (`_runs`): their rows one client after another, cut into runs of
+one row count.  Zero padding would change BLAS products
 and numpy's pairwise sums, so every product and sum over rows runs once
 per run, on the (slots, rows, ...) stack that row count alone would
 form, while everything in d-space runs once for the whole stack.
@@ -277,11 +279,6 @@ class TrainTrace:
         return [r.objective for r in self.rows]
 
 
-def _smoothed_l21_of(norms: np.ndarray, epsilon: float) -> float:
-    """Sum over rows of sqrt(||row||^2 + epsilon^2), given the row norms."""
-    return float(np.sqrt(norms * norms + epsilon * epsilon).sum())
-
-
 def _check_state_shapes(data: MultiViewDataset, state: MvlState, k: int) -> None:
     n, c = data.n_samples, data.n_classes
     if len(state.W) != k or len(state.Zk) != k:
@@ -318,8 +315,10 @@ def objective(data: MultiViewDataset, state: MvlState, hp: HyperParams) -> float
 
 def _row_weights_of(norms: np.ndarray, epsilon: float) -> np.ndarray:
     """Diagonal IRLS reweighting, given the row norms: entry i =
-    1 / (2 (||row_i|| + epsilon))."""
-    return 1.0 / (2.0 * (norms + epsilon))
+    1 / (2 (||row_i|| + epsilon)), formed as 0.5 / (||row_i|| + epsilon):
+    both round the same real number once, so the bits agree wherever
+    2 (||row_i|| + epsilon) is finite."""
+    return 0.5 / (norms + epsilon)
 
 
 def _check_irls_epsilon(epsilon: float) -> None:
@@ -395,46 +394,23 @@ def _fit_stats(x, target, beta, epsilon, max_inner, tol, w_init, gram=None):
     X W.  A is the reweighting of the last solve; X W is formed once,
     after the last iteration.
 
-    gram is X^T X when the caller has it, else None: it is then formed
-    here.
-
-    Given lists, it fits a width group (`_fit_views`): several views of
-    one width d <= n, or one view of any width, each with its X, (s, n, c)
-    targets, beta, (s, d, c) initial transforms and X^T X (or None) in
-    that argument's list, as one stack of all their slices.  A view's X
-    is an (s, n, d) stack, one matrix per slice, or one (n, d) matrix
-    that its slices share.  It returns lists of per-view stacked W and
-    A and (s,) residuals, and an iterator that forms each view's X W as
-    it is read.  Each slice is bit-identical to its own 2-D call.
+    One (n, d) X with an (n, c) target, a scalar beta, a (d, c) initial
+    transform and X^T X (or None: it is then formed here) is fitted as
+    a stack of one.  Given lists, it fits a width group (`_fit_views`):
+    several views of one width d <= n, or one view of any width, each
+    with its X, (s, n, c) targets, beta, (s, d, c) initial transforms
+    and X^T X (or None) in that argument's list, as one stack of all
+    their slices.  A view's X is an (s, n, d) stack, one matrix per
+    slice, or one (n, d) matrix that its slices share.  It returns lists
+    of per-view stacked W and A and (s,) residuals, and an iterator that
+    forms each view's X W as it is read.
     """
     if isinstance(x, list):
         return _fit_group(x, target, beta, epsilon, max_inner, tol, w_init, gram)
-    return _fit_one(x, target, beta, epsilon, max_inner, tol, w_init, gram)
-
-
-def _fit_one(x, target, beta, epsilon, max_inner, tol, w_init, gram=None):
-    """`_fit_stats` on one 2-D problem."""
-    if x.shape[1] > x.shape[0]:
-        fit = _stack_sums((x @ w_init - target) ** 2)
-        step = functools.partial(_dual_step, x, target)
-    else:
-        gram = x.T @ x if gram is None else gram
-        rhs, tt = x.T @ target, _stack_sums(target * target)
-        fit = _gram_fit(w_init, gram @ w_init, rhs, tt)
-        step = functools.partial(_gram_step, gram, rhs, tt)
-    w, norms = w_init, row_l2_norms(w_init)
-    prev = fit + beta * _smoothed_l21_of(norms, epsilon)
-    max_residual = 0.0
-    for _ in range(max_inner):
-        a = _row_weights_of(norms, epsilon)
-        w, fit, res = step(a, beta)
-        max_residual = max(max_residual, float(res))
-        norms = row_l2_norms(w)
-        value = fit + beta * _smoothed_l21_of(norms, epsilon)
-        if abs(value - prev) / max(1.0, abs(prev)) < tol:
-            break
-        prev = value
-    return w, a, max_residual, x @ w
+    w, a, res, _ = _fit_group(
+        [x], [target[None]], [beta], epsilon, max_inner, tol, [w_init[None]], [gram]
+    )
+    return w[0][0], a[0][0], float(res[0][0]), x @ w[0][0]
 
 
 def _stack_sums(m: np.ndarray) -> np.ndarray:
@@ -499,7 +475,8 @@ def _stack_row_norms(w: np.ndarray) -> np.ndarray:
 
 
 def _stack_l21(norms: np.ndarray, epsilon: float) -> np.ndarray:
-    """`_smoothed_l21_of` of every row of an (s, d) stack of row norms."""
+    """The smoothed l2,1 penalty sum_i sqrt(||w_i||^2 + epsilon^2) of
+    every slice, given the (s, d) stack of its row norms."""
     return np.sqrt(norms * norms + epsilon * epsilon).sum(axis=1)
 
 
@@ -530,12 +507,13 @@ def _stack_objective(
 
 
 def _stops(value, prev, tol, last):
-    """Which slices stop: those whose value changed by less than tol
-    relative, and every slice on the last iteration."""
-    stop = np.abs(value - prev) / np.maximum(1.0, np.abs(prev)) < tol
+    """The mask of the slices that stop, or None if none does: those
+    whose value changed by less than tol relative, and every slice on
+    the last iteration."""
     if last:
-        stop[:] = True
-    return stop
+        return np.ones(len(value), dtype=bool)
+    stop = np.abs(value - prev) / np.maximum(1.0, np.abs(prev)) < tol
+    return stop if np.count_nonzero(stop) else None
 
 
 def _freeze(stop, live, frozen, stacks):
@@ -572,51 +550,52 @@ def _fit_group(xs, targets, betas, epsilon, max_inner, tol, w_inits, grams):
     Every iteration solves all unfinished slices in one `solve_spd`
     call, primal on the stacked X^T X, X^T T and ||T||^2, which are
     formed once per call, or dual on the group's one view.  A slice
-    finishes at the iteration where its own 2-D call would stop; its W,
-    A and residual are then frozen and later iterations run on the
-    remaining slices only, so a slice never sees an iteration its 2-D
-    call would not have made.  A shared 2-D X stays whole as slices
-    finish.
+    finishes at the iteration where it would stop if fitted alone; its
+    W, A and residual are then frozen and later iterations run on the
+    remaining slices only, so a slice never sees an iteration its own
+    fit would not have made, and each slice is bit-identical to its
+    stack of one.  A shared 2-D X stays whole as slices finish.  When
+    every slice stops at one iteration, as a stack of one always does,
+    the running stacks are the outputs; output buffers are made only at
+    a freeze that leaves slices running.
     """
     sizes = [len(t) for t in targets]
-    x, target = xs[0], targets[0]
-    if sizes == [1]:  # the 2-D loop costs less per iteration than a stack of one
-        gram = grams[0]
-        if x.ndim == 3:
-            x, gram = x[0], None if gram is None else gram[0]
-        w, a, res, xw = _fit_one(
-            x, target[0], betas[0], epsilon, max_inner, tol, w_inits[0][0], gram
-        )
-        return [w[None]], [a[None]], [np.array([res])], iter([xw[None]])
-    beta = np.repeat(betas, sizes)
-    w = np.concatenate(w_inits)
+    x = xs[0]
+    beta = np.array(betas).repeat(sizes)
+    w = _join(w_inits)
     if x.shape[-1] > x.shape[-2]:
+        target = targets[0]
         fit = _stack_sums((x @ w - target) ** 2)
         step = _dual_step if x.ndim == 3 else functools.partial(_dual_step, x)
         stacks = [x, target] if x.ndim == 3 else [target]
     else:
-        d = x.shape[-1]
-        gram = np.concatenate([
-            np.broadcast_to(m.swapaxes(-1, -2) @ m if g is None else g, (len(t), d, d))
+        gram = _join([
+            _stacked_gram(m.swapaxes(-1, -2) @ m if g is None else g, len(t))
             for m, g, t in zip(xs, grams, targets)
         ])
-        rhs = np.concatenate([m.swapaxes(-1, -2) @ t for m, t in zip(xs, targets)])
-        tt = np.concatenate([_stack_sums(t * t) for t in targets])
+        rhs = _join([m.swapaxes(-1, -2) @ t for m, t in zip(xs, targets)])
+        tt = _join([_stack_sums(t * t) for t in targets])
         fit = _gram_fit(w, gram @ w, rhs, tt)
         step, stacks = _gram_step, [gram, rhs, tt]
     norms = _stack_row_norms(w)
     prev = fit + beta * _stack_l21(norms, epsilon)
-    w_out, a_out, res_out = np.empty(w.shape), np.empty(norms.shape), np.empty(len(w))
-    max_residual = np.zeros(len(w))
-    live, column = np.arange(len(w)), beta[:, None]
+    s = len(w)
+    max_residual, column = np.zeros(s), beta[:, None]
+    live = None  # the running slices, tracked from the first freeze that keeps some
     for it in range(max_inner):
         a = _row_weights_of(norms, epsilon)
         w, fit, res = step(*stacks, a, column)
-        max_residual = np.where(res > max_residual, res, max_residual)
+        max_residual = np.fmax(max_residual, res)
         norms = _stack_row_norms(w)
         value = fit + beta * _stack_l21(norms, epsilon)
         stop = _stops(value, prev, tol, it == max_inner - 1)
-        if stop.any():
+        if stop is not None:
+            if live is None:
+                if np.count_nonzero(stop) == s:
+                    w_out, a_out, res_out = w, a, max_residual
+                    break
+                live = np.arange(s)
+                w_out, a_out, res_out = np.empty(w.shape), np.empty(a.shape), np.empty(s)
             live, (beta, norms, value, max_residual, *stacks) = _freeze(
                 stop, live, [(w_out, w), (a_out, a), (res_out, max_residual)],
                 [beta, norms, value, max_residual, *stacks],
@@ -625,9 +604,18 @@ def _fit_group(xs, targets, betas, epsilon, max_inner, tol, w_inits, grams):
                 break
             column = beta[:, None]
         prev = value
-    bounds = np.cumsum(sizes)[:-1]
-    ws = np.split(w_out, bounds)
-    return ws, np.split(a_out, bounds), np.split(res_out, bounds), (m @ v for m, v in zip(xs, ws))
+    parts = list(itertools.pairwise(itertools.accumulate(sizes, initial=0)))
+    ws = [w_out[i:j] for i, j in parts]
+    return (
+        ws, [a_out[i:j] for i, j in parts], [res_out[i:j] for i, j in parts],
+        (m @ v for m, v in zip(xs, ws)),
+    )
+
+
+def _stacked_gram(gram: np.ndarray, s: int) -> np.ndarray:
+    """An (s, d, d) stack of X^T X: as is, or s copies of one shared
+    (d, d) matrix."""
+    return gram if gram.ndim == 3 else gram[None].repeat(s, axis=0)
 
 
 def _fit_views(views, grams, targets, w, hp: HyperParams, layout=None):
@@ -696,17 +684,25 @@ def fit_view_transform(
 
     Alternates the diagonal reweighting and the closed-form solve until
     the smoothed per-view value stabilizes or max_inner is reached.
-    Returns the transform and the final reweighting diagonal.
+    Returns the transform and the final reweighting diagonal.  X and the
+    target are fitted as float64; beta must be > 0 (InvalidSpec) and a
+    given w_init must be (d, c) (DimensionMismatch).
     """
     _check_irls_epsilon(epsilon)
     if max_inner < 1:
         raise InvalidSpec("max_inner must be >= 1")
+    if not beta > 0:
+        raise InvalidSpec("beta must be > 0")
+    x = np.asarray(x, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
     if x.ndim != 2 or target.ndim != 2 or x.shape[0] != target.shape[0]:
         raise DimensionMismatch(
             f"incompatible shapes X {x.shape}, target {target.shape}"
         )
-    if w_init is None:
-        w_init = np.zeros((x.shape[1], target.shape[1]))
+    shape = (x.shape[1], target.shape[1])
+    w_init = np.zeros(shape) if w_init is None else np.asarray(w_init, dtype=np.float64)
+    if w_init.shape != shape:
+        raise DimensionMismatch(f"w_init shape {w_init.shape} != {shape}")
     w, a, _, _ = _fit_stats(x, target, beta, epsilon, max_inner, tol, w_init)
     return w, a
 
@@ -854,7 +850,7 @@ def _train_stack(
         value = _stack_objective(data.labels, norms, fits, zk, z, hp.beta, zeta, eta, hp.epsilon)
         _trace_rows(traces, live, t, value, norms, residual)
         stop = _stops(value, prev, hp.tol, t == hp.max_outer)
-        if stop.any():
+        if stop is not None:
             live, (w, zk, z, zeta, eta, value) = _freeze(
                 stop, live,
                 [*zip(w_out, w), *zip(zk_out, zk), (z_out, z)],
@@ -950,7 +946,7 @@ def _predict_stack(test_views, transforms, zeta, tol, max_outer) -> np.ndarray:
         value = _test_objectives(xw, estimates, consensus, [z[:, 0, 0] for z in zeta])
         with np.errstate(invalid="ignore"):  # the first round's inf / inf: NaN, no stop
             stop = _stops(value, prev, tol, it == max_outer - 1)
-        if stop.any():
+        if stop is not None:
             live, (xw, estimates, zeta, value) = _freeze(
                 stop, live, [(out, consensus)], [xw, estimates, zeta, value]
             )

@@ -14,20 +14,22 @@ knows many keys in advance derives them together (hfed's client inits,
 one row-count group at a time; sfed's shuffles, every client and round
 of a view's federation), and a lone stream stays on `make_rng`.
 
-:func:`solve_spd` solves one SPD system or an (s, n, n) stack of them
-on one of two engines, chosen by the order n alone: numpy's stacked
-LAPACK gufuncs, one call per stack, up to ``_GUFUNC_MAX_ORDER`` (16),
-where calling scipy's wrappers once per system cost more than the
-arithmetic; scipy's ``dpotrf``/``dpotrs`` above it, where they beat
-numpy's Cholesky plus LU solve.  Only that engine imports scipy, inside
-its factor call, so a process whose systems are all of order <= 16
-never loads it.  Its symmetry and refinement checks are each one
+:func:`solve_spd` solves an (s, n, n) stack of SPD systems, and one
+system as a stack of one, on one of two engines, chosen by the order n
+alone: numpy's stacked LAPACK gufuncs, one call per stack, up to
+``_GUFUNC_MAX_ORDER`` (16), where calling scipy's wrappers once per
+system cost more than the arithmetic; scipy's ``dpotrf``/``dpotrs``
+above it, where they beat numpy's Cholesky plus LU solve.  Only that
+engine imports scipy, binding the two wrappers at its first
+factorization, so a process whose systems are all of order <= 16 never
+loads it.  Its symmetry and refinement checks are each one
 comparison over the whole stack, made system by system only when that
 comparison fails.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Callable, Sequence, TypeVar
 
@@ -311,6 +313,7 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         above 1e-10 relative, which keeps the bound comfortable for
         ill-conditioned inputs.
 
+    A lone system is solved as a stack of one, so there is one path.
     The order n alone picks the engine.  For n <= 16, one
     ``np.linalg.cholesky`` over the whole stack is the positive
     definiteness check and one ``np.linalg.solve`` (LU) gives the
@@ -318,19 +321,18 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     stack instead of two scipy LAPACK wrapper calls per system; a lone
     system pays about 10-15 us more than on LAPACK.  Larger systems
     are factored and solved by scipy's ``dpotrf``/``dpotrs`` one at a
-    time, which beats numpy's Cholesky plus LU there.  Each such
-    factorization imports them from scipy, the first one loading scipy;
-    a call with n <= 16 never does.  Both
-    engines share the checks, the residual product and the refinement
-    rule, and since the engine never depends on the stack size, each
-    slice of a stack's result is bit-identical to solving that system
-    alone.
+    time, which beats numpy's Cholesky plus LU there.  The first such
+    factorization imports the two wrappers, loading scipy, and later
+    ones reuse them; a call with n <= 16 never does.  Both engines
+    share the checks, the residual product and the refinement rule, and
+    since the engine never depends on the stack size, each slice of a
+    stack's result is bit-identical to solving that system alone.
 
-    Each check is first settled for the whole stack (2-D or stacked) by
-    one comparison, and measured system by system only when that fails:
-    symmetry by ``A == A^T`` exactly, then by the skew of each system
-    against max(1, its largest |entry|); refinement by a residual of at
-    most 1e-10 everywhere, then by each system's residual against
+    Each check is first settled for the whole stack by one comparison,
+    and measured system by system only when that fails: symmetry by
+    ``A == A^T`` exactly, then by the skew of each system against
+    max(1, its largest |entry|); refinement by a residual of at most
+    1e-10 everywhere, then by each system's residual against
     1e-10 (1 + max|B|).  Both per-system bounds are at least the
     whole-stack ones, so the comparison never changes a decision.  A
     non-finite A fails one of them and is rejected on the per-system
@@ -349,58 +351,49 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim == 3:
-        return _solve_spd_stack(a, b)
+        s, n = a.shape[0], a.shape[1]
+        if a.shape[2] != n:
+            raise DimensionMismatch(f"A must be a stack of square matrices, got shape {a.shape}")
+        if b.ndim != 3 or b.shape[:2] != (s, n):
+            raise DimensionMismatch(
+                f"B must be 3-D with leading shape {(s, n)}, got shape {b.shape}"
+            )
+        return _solve_spd_stack(a, b, stacked=True)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"A must be square, got shape {a.shape}")
     if b.ndim != 2 or b.shape[0] != a.shape[0]:
         raise DimensionMismatch(
             f"B must be 2-D with {a.shape[0]} rows, got shape {b.shape}"
         )
-    if _asymmetric(a[None]).size:
-        raise NotSPD("matrix is not symmetric")
-    failed, solve = _factor(a)
-    if failed is not None:
-        raise NotSPD("matrix is not positive definite")
-    if b.size == 0:
-        _reject_nonfinite(a[None], [0], stacked=False)
-        return np.zeros(b.shape)
-    x = solve(b)
-    residual = _residual(a, x, b)
-    rows, lost = _to_refine(residual[None], b[None])
-    if lost.size:
-        _reject_nonfinite(a[None], lost, stacked=False)
-    if rows.size:
-        x = x + solve(residual)
-    return np.ascontiguousarray(x)
+    return _solve_spd_stack(a[None], b[None], stacked=False)[0]
 
 
-def _solve_spd_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`solve_spd` over an (s, n, n) stack: the same checks and rules,
-    vectorized over the stack."""
-    s, n = a.shape[0], a.shape[1]
-    if a.shape[2] != n:
-        raise DimensionMismatch(f"A must be a stack of square matrices, got shape {a.shape}")
-    if b.ndim != 3 or b.shape[:2] != (s, n):
-        raise DimensionMismatch(
-            f"B must be 3-D with leading shape {(s, n)}, got shape {b.shape}"
-        )
+def _solve_spd_stack(a: np.ndarray, b: np.ndarray, stacked: bool) -> np.ndarray:
+    """`solve_spd` over an (s, n, n) stack and its (s, n, m) right-hand
+    sides; a NotSPD message names the system of a stack, and a lone
+    system (stacked=False) as "matrix"."""
     bad = _asymmetric(a)
     if bad.size:
-        raise NotSPD(f"matrix {bad[0]} of the stack is not symmetric")
+        raise NotSPD(f"{_matrix(bad[0], stacked)} is not symmetric")
     failed, solve = _factor(a)
     if failed is not None:
-        raise NotSPD(f"matrix {failed} of the stack is not positive definite")
+        raise NotSPD(f"{_matrix(failed, stacked)} is not positive definite")
     if b.size == 0:
-        _reject_nonfinite(a, range(s), stacked=True)
+        _reject_nonfinite(a, range(len(a)), stacked)
         return np.zeros(b.shape)
     x = solve(b)
     residual = _residual(a, x, b)
     rows, lost = _to_refine(residual, b)
     if lost.size:
-        _reject_nonfinite(a, lost, stacked=True)
+        _reject_nonfinite(a, lost, stacked)
     if rows.size:
         x[rows] += solve(residual[rows], rows)
     return np.ascontiguousarray(x)
+
+
+def _matrix(i, stacked: bool) -> str:
+    """How a NotSPD message names system i."""
+    return f"matrix {i} of the stack" if stacked else "matrix"
 
 
 def _residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -447,16 +440,15 @@ def _reject_nonfinite(a: np.ndarray, systems, stacked: bool) -> None:
     stack with an entry that is not finite."""
     for i in systems:
         if not np.isfinite(a[i]).all():
-            what = f"matrix {i} of the stack" if stacked else "matrix"
-            raise NotSPD(f"{what} is not finite")
+            raise NotSPD(f"{_matrix(i, stacked)} is not finite")
 
 
 def _factor(a: np.ndarray):
-    """Factor an (n, n) matrix or an (s, n, n) stack with the engine that
-    owns its order.  Returns (the index of the first system that is not
-    positive definite, or None; ``solve(rhs)``, which solves every system
-    against its right-hand side, or for a stack ``solve(rhs, rows)``,
-    which solves only the systems ``rows``)."""
+    """Factor an (s, n, n) stack with the engine that owns its order.
+    Returns (the index of the first system that is not positive
+    definite, or None; ``solve(rhs, rows)``, which solves the systems
+    ``rows``, by default all of them, against the (len(rows), n, m)
+    right-hand sides)."""
     if a.shape[-1] <= _GUFUNC_MAX_ORDER:
         return _gufunc_factor(a)
     return _lapack_factor(a)
@@ -468,7 +460,7 @@ def _gufunc_factor(a: np.ndarray):
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        for i, ai in enumerate(a.reshape((-1,) + a.shape[-2:])):
+        for i, ai in enumerate(a):
             try:
                 np.linalg.cholesky(ai)
             except np.linalg.LinAlgError:
@@ -476,28 +468,33 @@ def _gufunc_factor(a: np.ndarray):
     return None, lambda rhs, rows=slice(None): np.linalg.solve(a[rows], rhs)
 
 
-def _lapack_factor(a: np.ndarray):
-    """`_factor` through scipy's dpotrf/dpotrs, once per system, with the
-    LAPACK flags of scipy.linalg.cho_factor/cho_solve.  Imports both
-    wrappers at call time, so its first call loads scipy."""
+@functools.cache
+def _lapack():
+    """scipy's (dpotrf, dpotrs), imported at the first call, which loads
+    scipy."""
     from scipy.linalg.lapack import dpotrf, dpotrs
 
-    if a.ndim == 2:
-        factor, info = dpotrf(a, lower=1, clean=0)
-        if info > 0:
-            return 0, None
-        return None, lambda rhs: dpotrs(factor, rhs, lower=1)[0]
-    factors = [dpotrf(ai, lower=1, clean=0) for ai in a]
-    for i, (_, info) in enumerate(factors):
+    return dpotrf, dpotrs
+
+
+def _lapack_factor(a: np.ndarray):
+    """`_factor` through scipy's dpotrf/dpotrs, once per system, with the
+    LAPACK flags of scipy.linalg.cho_factor/cho_solve."""
+    dpotrf, dpotrs = _lapack()
+    factors = []
+    for i in range(len(a)):
+        factor, info = dpotrf(a[i], lower=1, clean=0)
         if info > 0:
             return i, None
+        factors.append(factor)
 
     def solve(rhs, rows=range(len(a))):
-        # dpotrs returns Fortran-ordered solutions; stacking their
-        # transposes keeps that layout in every slice, so the residual
-        # product of a stack makes the same BLAS call as a lone system's.
-        return np.stack(
-            [dpotrs(factors[i][0], ri, lower=1)[0].T for i, ri in zip(rows, rhs)]
-        ).transpose(0, 2, 1)
+        # dpotrs returns Fortran-ordered solutions; each slice keeps that
+        # layout, since the residual product's BLAS call, and so its
+        # bits, depend on it.
+        out = np.empty((len(rhs), rhs.shape[2], rhs.shape[1]))
+        for j, i in enumerate(rows):
+            out[j] = dpotrs(factors[i], rhs[j], lower=1)[0].T
+        return out.transpose(0, 2, 1)
 
     return None, solve

@@ -27,13 +27,15 @@ from suite_utils import blob_dataset, random_instance, record_calls
 
 
 def irls_row_weights(w, epsilon):
-    """The kernel's IRLS reweighting of w's rows."""
-    return mvfed.mvl._row_weights_of(row_l2_norms(w), epsilon)
+    """The IRLS reweighting of w's rows, 1 / (2 (||w_i|| + epsilon))."""
+    return 1.0 / (2.0 * (row_l2_norms(w) + epsilon))
 
 
 def smoothed_l21(w, epsilon):
-    """The smoothed l2,1 penalty of w, as the objective reports it."""
-    return mvfed.mvl._smoothed_l21_of(row_l2_norms(w), epsilon)
+    """The smoothed l2,1 penalty of w, sum_i sqrt(||w_i||^2 + eps^2), as
+    the objective reports it."""
+    norms = row_l2_norms(w)
+    return float(np.sqrt(norms * norms + epsilon * epsilon).sum())
 
 
 def solve_view_transform(x, target, row_weights, beta):
@@ -262,11 +264,40 @@ class TestIrlsFit:
         with pytest.raises(InvalidSpec):
             fit_view_transform(np.eye(2), np.eye(2), beta=1.0, max_inner=0)
 
+    @pytest.mark.parametrize("n, d", [(12, 4), (5, 9)])
+    def test_integer_input_fits_as_float64(self, n, d):
+        # An integer X used to fail in the primal form's diagonal update
+        # with numpy's UFuncTypeError; it is fitted as its float64 copy,
+        # in both forms.
+        rng = np.random.default_rng(n + d)
+        x = rng.integers(-3, 4, (n, d))
+        y = rng.integers(0, 3, n)
+        labels = one_hot(y, 3).astype(np.int64)
+        w, a = fit_view_transform(x, labels, beta=2.0)
+        w_ref, a_ref = fit_view_transform(x.astype(np.float64), labels.astype(np.float64), beta=2.0)
+        assert np.array_equal(w, w_ref) and np.array_equal(a, a_ref)
+        assert np.array_equal(train_single_view(x, labels, beta=2.0), w_ref)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3), (3,)])
+    def test_w_init_of_wrong_shape_rejected(self, shape):
+        with pytest.raises(DimensionMismatch, match="w_init"):
+            fit_view_transform(np.ones((6, 3)), np.ones((6, 2)), beta=1.0, w_init=np.zeros(shape))
+
+    @pytest.mark.parametrize("beta", [-1.0, 0.0, np.nan])
+    def test_beta_must_be_positive(self, beta):
+        # A negative or NaN beta used to surface as NotSPD from the solve.
+        with pytest.raises(InvalidSpec, match="beta"):
+            fit_view_transform(np.eye(3), np.eye(3), beta=beta)
+        with pytest.raises(InvalidSpec, match="beta"):
+            train_single_view(np.eye(3), np.eye(3), beta=beta)
+
 
 def reference_fit_stats(x, target, beta, epsilon, max_inner, tol, w_init):
-    """The IRLS loop before the shared kernel, kept as its reference:
-    X^T X and X^T T rebuilt and the d x d system solved every inner
-    iteration.  Returns (W, A, max residual, inner iterations run)."""
+    """The IRLS loop before the shared kernel, kept as its reference, in
+    plain 2-D numpy: the reweighted system rebuilt and solved every inner
+    iteration, X^T X + beta A when d <= n, else the dual
+    X A^{-1} X^T + beta I.  Returns (W, A, max residual, inner
+    iterations run)."""
     w = w_init
     a = None
     max_residual = 0.0
@@ -276,11 +307,20 @@ def reference_fit_stats(x, target, beta, epsilon, max_inner, tol, w_init):
     for _ in range(max_inner):
         iterations += 1
         a = irls_row_weights(w, epsilon)
-        gram = x.T @ x
-        gram[np.diag_indices_from(gram)] += beta * a
-        rhs = x.T @ target
-        w = solve_spd(gram, rhs)
-        res = float(np.max(np.abs(gram @ w - rhs))) if rhs.size else 0.0
+        if x.shape[1] > x.shape[0]:
+            a_inv = 1.0 / a
+            xs = x * np.sqrt(a_inv)
+            system = xs @ xs.T
+            system[np.diag_indices_from(system)] += beta
+            w = a_inv[:, None] * (x.T @ solve_spd(system, target))
+            r = x.T @ (x @ w - target) + (beta * a)[:, None] * w
+        else:
+            gram = x.T @ x
+            gram[np.diag_indices_from(gram)] += beta * a
+            rhs = x.T @ target
+            w = solve_spd(gram, rhs)
+            r = gram @ w - rhs
+        res = float(np.max(np.abs(r))) if r.size else 0.0
         max_residual = max(max_residual, res)
         xw = x @ w
         value = float(np.sum((xw - target) ** 2)) + beta * smoothed_l21(w, epsilon)
@@ -298,7 +338,8 @@ class TestKernel:
 
     @staticmethod
     def fit(monkeypatch, x, z, beta, max_inner, tol, w0):
-        """Kernel output plus the number of solves it made."""
+        """Kernel output plus the shapes of the solves it made: a lone fit
+        is a stack of one, so each solve is a (1, order, order) stack."""
         calls = []
 
         def counting_solve(a, b):
@@ -329,7 +370,7 @@ class TestKernel:
         assert np.array_equal(w, w_ref)
         assert np.array_equal(a, a_ref)
         assert res == res_ref
-        assert calls == [(d, d)] * iterations
+        assert calls == [(1, d, d)] * iterations
 
     @pytest.mark.parametrize("seed", range(8))
     def test_gram_fit_term_matches_explicit(self, seed):
@@ -352,19 +393,19 @@ class TestKernel:
             w, _, _, xw = mvfed.mvl._fit_stats(x, t, beta, 1e-8, 20, 1e-9, w0)
             assert np.array_equal(xw, x @ w)
 
-    @pytest.mark.parametrize("n, d", [(12, 13), (15, 40), (30, 300)])
+    @pytest.mark.parametrize("n, d", [(12, 13), (15, 40), (30, 300), (100, 300), (100, 150)])
     @pytest.mark.parametrize("max_inner, tol", [(1, 1e-12), (20, 1e-6)])
     def test_dual_matches_reference(self, monkeypatch, n, d, max_inner, tol):
         x, z, w0 = self.problem(n, d, seed=n + d)
         w, a, res, calls = self.fit(monkeypatch, x, z, 2.0, max_inner, tol, w0)
-        w_ref, a_ref, _, iterations = reference_fit_stats(
+        w_ref, a_ref, res_ref, iterations = reference_fit_stats(
             x, z, 2.0, 1e-8, max_inner, tol, w0
         )
-        assert np.max(np.abs(w - w_ref)) <= 1e-10 * np.max(np.abs(w_ref))
-        assert np.max(np.abs(a - a_ref)) <= 1e-10 * np.max(np.abs(a_ref))
-        assert calls == [(n, n)] * iterations
+        assert np.array_equal(w, w_ref)
+        assert np.array_equal(a, a_ref)
+        assert res == res_ref
+        assert calls == [(1, n, n)] * iterations
         assert res < 1e-8
-
 
     @pytest.mark.parametrize("n, d", [(30, 6), (12, 12), (200, 40), (8, 20), (15, 40)])
     def test_stack_is_bit_identical_per_slice(self, monkeypatch, n, d):
@@ -411,13 +452,14 @@ class TestKernel:
             sum(it > j for it in iterations) for j in range(max(iterations))
         ]
 
-    def test_shared_x_stack_of_one_runs_the_2d_loop(self, monkeypatch):
+    def test_shared_x_stack_of_one_equals_the_2d_call(self, monkeypatch):
         x, z, w0 = self.problem(20, 5, seed=3)
         w, a, res, xw, calls = self.fit_stack(monkeypatch, x, z[None], 2.0, 20, 1e-6, w0[None])
         w_2d, a_2d, res_2d, calls_2d = self.fit(monkeypatch, x, z, 2.0, 20, 1e-6, w0)
         assert np.array_equal(w[0], w_2d) and np.array_equal(a[0], a_2d)
+        assert np.array_equal(xw[0], x @ w_2d)
         assert res.tolist() == [res_2d]
-        assert calls == calls_2d == [(5, 5)] * len(calls_2d)
+        assert calls == calls_2d == [(1, 5, 5)] * len(calls_2d)
 
     @staticmethod
     def fit_stack(monkeypatch, x, z, beta, max_inner, tol, w0):

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.linalg.lapack
 
+import mvfed.numerics
 from mvfed.data import partition_horizontal
 from mvfed.errors import DimensionMismatch, InvalidShape, NotSPD
 from mvfed.hfed import hfed_train
@@ -23,7 +23,7 @@ from mvfed.numerics import (
     solve_spd,
     stream_states,
 )
-from suite_utils import blob_dataset, record_calls
+from suite_utils import blob_dataset
 
 
 def reference_solve_spd(a, b):
@@ -220,20 +220,20 @@ def per_system_solve_spd(a, b):
         scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
         if a.size and not float(np.where(a == a.T, 0.0, np.abs(a - a.T)).max()) <= 1e-12 * scale:
             raise NotSPD("matrix is not symmetric")
-        failed, solve = _factor(a)
+        failed, solve = _factor(a[None])
         if failed is not None:
             raise NotSPD("matrix is not positive definite")
         if b.size == 0 and not np.isfinite(a).all():
             raise NotSPD("matrix is not finite")
         if b.size == 0:
             return np.zeros(b.shape)
-        x = solve(b)
+        x = solve(b[None])[0]
         residual = b - a @ x
         if not np.isfinite(residual).all() and not np.isfinite(a).all():
             raise NotSPD("matrix is not finite")
         b_scale = 1.0 + float(np.abs(b).max())
         if float(np.abs(residual).max()) > 1e-10 * b_scale:
-            x = x + solve(residual)
+            x = x + solve(residual[None])[0]
         return np.ascontiguousarray(x)
     if a.size:
         scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
@@ -444,15 +444,26 @@ class TestEngineBoundary:
 
 class TestEngineDispatch:
     def test_dpotrf_runs_only_above_order_16(self, monkeypatch):
-        orders = record_calls(monkeypatch, scipy.linalg.lapack, "dpotrf", 0)
+        # The LAPACK engine calls the wrappers that `_lapack` binds once,
+        # so the recording wrapper stands in for that binding.
+        dpotrf, dpotrs = mvfed.numerics._lapack()
+        orders = []
+
+        def recording(a, *args, **kwargs):
+            orders.append(len(a))
+            return dpotrf(a, *args, **kwargs)
+
+        monkeypatch.setattr(mvfed.numerics, "_lapack", lambda: (recording, dpotrs))
         # One many_clients-shaped hfed round: clients of 10 rows and three
         # 6-wide views, so every IRLS solve is a stack of 6 x 6 systems.
         clients = partition_horizontal(blob_dataset(3, n=80, dims=(6, 6, 6)), 8, seed=0)
         hfed_train(clients, HyperParams.uniform(3), seed=0, rounds=1)
         assert orders == []
-        a, b = spd_stack(np.random.default_rng(17), 5, 17, 2, 2)
-        solve_spd(a, b)
-        assert orders == [17] * 5
+        for n in (16, 17):
+            a, b = spd_stack(np.random.default_rng(n), 5, n, 2, 2)
+            solve_spd(a, b)
+            solve_spd(a[0], b[0])
+        assert orders == [17] * 6
 
 
 # Run in a fresh interpreter: the package and the CLI load without scipy,
