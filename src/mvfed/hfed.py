@@ -19,12 +19,12 @@ block and its slot.
 `HorizontalClient.steps`, which the round driver calls once a round
 with all the clients, is the first client's `step` with the others as
 its peers: it checks every broadcast's shapes, then runs each block's
-local passes as one stacked computation (`_local_passes`): products and
-sums over rows once per row count, the solves and all other d-space
-work once per block, each slice starting from the transforms its own
-client received.  Each slice is bit-identical to what its client
-computes alone.  A lone `step` is a stack of one, on its own slot of
-the block.
+local passes as one stacked computation in the centralized trainer's
+loop (`mvl._passes`, refit last): products and sums over rows once per
+row count, the solves and all other d-space work once per block, each
+slice starting from the transforms its own client received.  Each
+slice is bit-identical to what its client computes alone.  A lone
+`step` is a stack of one, on its own slot of the block.
 
 Each block's transform stacks are sealed (`fedcore.seal_rows`): checked
 finite once and read-only, so a reply carries its client's rows without
@@ -61,21 +61,13 @@ from .mvl import (
     MultiViewDataset,
     _check_irls_epsilon,
     _fit_stats,  # not called here; mvbench/tracer.py wraps `mvfed.hfed:_fit_stats`
-    _fit_sums,
-    _fit_views,
-    _freeze,
     _grams,
     _join,
     _layout,
-    _row_products,
+    _passes,
     _runs,
-    _stack_objective,
-    _stack_row_norms,
-    _stops,
     objective,  # not called here; mvbench/tracer.py wraps `mvfed.hfed:objective`
     predict_mvl,  # not called here; mvbench/tracer.py wraps `mvfed.hfed:predict_mvl`
-    update_consensus,
-    update_pseudo_labels,
 )
 from .numerics import KEY_CONSENSUS, KEY_PSEUDO, KEY_TRANSFORM, gaussian_init, orthonormal_inits
 
@@ -95,8 +87,8 @@ class _Rows:
     d_k) stack of every slot's X^T X, formed once per row count, or None
     for a view in dual form.  `transform_shapes` lists the (d_k, c) a
     broadcast must carry.  pseudo[k] and consensus are the members'
-    (N, c) pseudo-label and consensus blocks in the same row order, and
-    `hp` and `max_local` are every member's."""
+    (N, c) pseudo-label and consensus blocks, in that row order, which
+    `mvl._passes` updates; `hp` and `max_local` are every member's."""
 
     views: list[np.ndarray]
     labels: np.ndarray
@@ -176,7 +168,7 @@ class HorizontalClient:
     form, or, if one of this client's views is wider than its rows,
     every client of its row count.  The block holds this client's rows
     and its pseudo-label and consensus blocks, which survive across
-    rounds; each round's passes start from the broadcast transforms.
+    rounds; its passes (`mvl._passes`) start from each broadcast.
     """
 
     party: PartyId
@@ -213,8 +205,13 @@ class HorizontalClient:
         for idx in blocks.values():
             idx.sort(key=lambda i: clients[i].slot)
             rows, slots = clients[idx[0]].rows, [clients[i].slot for i in idx]
-            w, pseudo, consensus = _local_passes(
-                rows.take(slots), [stack_rows(a) for a in zip(*(msgs[i].matrices for i in idx))]
+            block, hp = rows.take(slots), rows.hp
+            w, pseudo, consensus, _ = _passes(
+                block.views, block.labels, block.grams,
+                [stack_rows(a) for a in zip(*(msgs[i].matrices for i in idx))],
+                block.pseudo, block.consensus,
+                [np.full(len(slots), q) for q in hp.zeta], np.full(len(slots), hp.eta),
+                hp, block.max_local, fit_first=False, layout=_layout(block.rows),
             )
             for i, *w_i in zip(idx, *map(seal_rows, w)):
                 replies[i] = FedMessage.transform_set(rnd, clients[i].party, w_i)
@@ -229,64 +226,6 @@ class HorizontalClient:
             raise DimensionMismatch(
                 f"broadcast shapes {got}, expected {self.rows.transform_shapes}"
             )
-
-
-def _local_objective(labels, w, xw, pseudo, consensus, hp: HyperParams, layout) -> np.ndarray:
-    """`mvl.objective` of every client state in a ragged stack."""
-    norms = [_stack_row_norms(m) for m in w]
-    fits = [_fit_sums(a, b, layout) for a, b in zip(xw, pseudo)]
-    return _stack_objective(
-        labels, norms, fits, pseudo, consensus, hp.beta, hp.zeta, hp.eta, hp.epsilon, layout
-    )
-
-
-def _local_passes(block: _Rows, w):
-    """Local block-coordinate passes of a block of clients, from its
-    pseudo-label and consensus stacks and the (s, d_k, c) transform
-    stacks w.
-
-    Slice i makes exactly the passes a client holding only slice i
-    makes: at most the block's max_local, each updating pseudo-labels,
-    consensus and transforms, and it stops once its local objective
-    changes by less than hp.tol relative; later passes run on the
-    unfinished slices only.  The elementwise updates run once over all
-    rows, each product and sum over rows once per row count, and the
-    fits, objective and stopping rule once per stack.  Returns the
-    stacked (w, pseudo, consensus), new arrays.
-    """
-    hp, max_local = block.hp, block.max_local
-    views, labels, grams = block.views, block.labels, block.grams
-    pseudo, consensus = block.pseudo, block.consensus
-    rows = np.array(block.rows)
-    layout = _layout(block.rows)
-    w = list(w)
-    xw = [_row_products(x, m, layout) for x, m in zip(views, w)]
-    prev = _local_objective(labels, w, xw, pseudo, consensus, hp, layout)
-    w_out = [m.copy() for m in w]
-    pseudo_out = [m.copy() for m in pseudo]
-    consensus_out = consensus.copy()
-    live, live_rows = np.arange(len(rows)), np.arange(len(labels))
-    for step in range(max_local):
-        pseudo = [update_pseudo_labels(m, consensus, z) for m, z in zip(xw, hp.zeta)]
-        consensus = update_consensus(pseudo, labels, hp.zeta, hp.eta)
-        for k, w_k, _, xw_k in _fit_views(views, grams, pseudo, w, hp, layout):
-            w[k], xw[k] = w_k, xw_k
-        value = _local_objective(labels, w, xw, pseudo, consensus, hp, layout)
-        stop = _stops(value, prev, hp.tol, step == max_local - 1)
-        if stop is not None:
-            live_rows, (labels, consensus, views, xw) = _freeze(
-                np.repeat(stop, rows), live_rows,
-                [*zip(pseudo_out, pseudo), (consensus_out, consensus)],
-                [labels, consensus, views, xw],
-            )
-            live, (rows, value, grams, w) = _freeze(
-                stop, live, list(zip(w_out, w)), [rows, value, grams, w]
-            )
-            if not live.size:
-                break
-            layout = _layout(rows.tolist())
-        prev = value
-    return w_out, pseudo_out, consensus_out
 
 
 def aggregate_transforms(

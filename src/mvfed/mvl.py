@@ -32,13 +32,13 @@ and numpy's pairwise sums, so every product and sum over rows runs once
 per run, on the (slots, rows, ...) stack that row count alone would
 form, while everything in d-space runs once for the whole stack.
 
-`train_mvl` is the block-coordinate loop `_train_stack` on a stack of
-one; the validation grid runs it on all its (zeta, eta) candidates at
-once, with one kernel call per width group and outer iteration, and
-freezes each candidate at the outer iteration where it would stop
-alone.  Prediction is stacked the same way: `predict_mvl` is
-`_predict_stack` on a stack of one, and the grid scores all its
-candidates' transforms on the validation rows in one call.
+There is one block-coordinate loop too, `_passes`: one kernel call per
+width group and pass for a stack of states, each with its own zeta and
+eta, frozen at the pass where it would stop alone.  `train_mvl` runs
+it on a stack of one, the grid on its candidates over one X, and hfed
+on a ragged block of clients.  Prediction is stacked the same way:
+`predict_mvl` is `_predict_stack` on a stack of one, and the grid
+scores all its candidates' transforms on the validation rows at once.
 
 Each inner iteration solves the reweighted normal equations
 (X^T X + beta A) W = X^T T, A = diag(a), in one of two forms chosen by
@@ -112,8 +112,9 @@ def _as_float_tuple(values: float | Iterable[float], k: int, name: str) -> tuple
 class HyperParams:
     """Weights and loop controls for the multi-view objective.
 
-    beta/zeta hold one entry per view.  Iteration caps may be zero (the
-    corresponding loop is skipped); the IRLS cap must be at least 1.
+    beta/zeta hold one entry per view; weights and epsilon are finite.
+    Iteration caps are integers and may be zero (the corresponding loop
+    is skipped); the IRLS cap must be at least 1.
     """
 
     beta: tuple[float, ...]
@@ -132,20 +133,20 @@ class HyperParams:
                 f"beta and zeta must be non-empty and equal length, "
                 f"got {len(self.beta)} and {len(self.zeta)}"
             )
-        if any(b <= 0 for b in self.beta):
-            raise InvalidSpec("every beta must be > 0")
-        if any(z < 0 for z in self.zeta):
-            raise InvalidSpec("every zeta must be >= 0")
-        if self.eta < 0:
-            raise InvalidSpec("eta must be >= 0")
-        if self.epsilon < 0:
-            raise InvalidSpec("epsilon must be >= 0")
+        if not all(0 < b < np.inf for b in self.beta):
+            raise InvalidSpec("every beta must be finite and > 0")
+        if not all(0 <= z < np.inf for z in self.zeta):
+            raise InvalidSpec("every zeta must be finite and >= 0")
+        if not 0 <= self.eta < np.inf:
+            raise InvalidSpec("eta must be finite and >= 0")
+        if not 0 <= self.epsilon < np.inf:
+            raise InvalidSpec("epsilon must be finite and >= 0")
         if not 0.0 < self.tol < 1.0:
             raise InvalidSpec("tol must lie in (0, 1)")
-        if self.max_outer < 0:
-            raise InvalidSpec("max_outer must be >= 0")
-        if self.max_inner < 1:
-            raise InvalidSpec("max_inner must be >= 1")
+        if not isinstance(self.max_outer, (int, np.integer)) or self.max_outer < 0:
+            raise InvalidSpec(f"max_outer must be an integer >= 0, got {self.max_outer!r}")
+        if not isinstance(self.max_inner, (int, np.integer)) or self.max_inner < 1:
+            raise InvalidSpec(f"max_inner must be an integer >= 1, got {self.max_inner!r}")
 
     @property
     def n_views(self) -> int:
@@ -455,8 +456,11 @@ def _ragged(runs: list[np.ndarray]) -> np.ndarray:
     return _join([m.reshape(-1, m.shape[-1]) for m in runs])
 
 
-def _row_products(x: np.ndarray, w: np.ndarray, layout) -> np.ndarray:
-    """X W of every slot of a ragged stack, one product per run."""
+def _row_products(x: np.ndarray, w: np.ndarray, layout=None) -> np.ndarray:
+    """X W of every slice of a stack over one shared X or, given its
+    layout, of every slot of a ragged stack, one product per run."""
+    if layout is None:
+        return x @ w
     return _ragged([p @ m for p, m in zip(_runs(x, layout), _slot_runs(w, layout))])
 
 
@@ -517,24 +521,18 @@ def _stops(value, prev, tol, last):
 
 
 def _freeze(stop, live, frozen, stacks):
-    """Write the stopped slices of a stack out and drop them from it;
+    """Set the stopped slices of a stack aside and drop them from it;
     callers skip it on iterations where no slice stops.
 
-    live holds the original index of every running slice; frozen pairs
-    outputs indexed by original slice (arrays, or lists of per-slice
-    arrays) with the running stacks they take the stopped slices from;
-    stacks lists the arrays, lists of arrays or Nones to shrink.
-    Returns the new live indices (empty once every slice has stopped)
-    and the shrunk stacks.  Stopped and kept slices are gathered by
-    index, which costs less than a boolean mask per array."""
+    live holds the original index of every running slice; the stopped
+    slices of the arrays of frozen, a (pieces, arrays) pair, go to the
+    list pieces with their original indices, for `_thawed`; stacks lists
+    the arrays, lists of arrays or Nones to shrink.  Returns the new live
+    indices (empty once every slice has stopped) and the shrunk stacks,
+    gathered by index, which costs less than a boolean mask per array."""
     gone, kept = stop.nonzero()[0], (~stop).nonzero()[0]
-    done = live[gone]
-    for out, cur in frozen:
-        if isinstance(out, list):  # one array per slice, none a view of the stack
-            for i, m in zip(done.tolist(), cur.take(gone, axis=0)):
-                out[i] = m
-        else:
-            out[done] = cur.take(gone, axis=0)
+    pieces, arrays = frozen
+    pieces.append((live[gone], [m.take(gone, axis=0) for m in arrays]))
     if not kept.size:
         return live[kept], stacks
 
@@ -542,6 +540,20 @@ def _freeze(stop, live, frozen, stacks):
         return None if m is None else [shrink(v) for v in m] if isinstance(m, list) else m.take(kept, axis=0)
 
     return live[kept], [shrink(m) for m in stacks]
+
+
+def _thawed(pieces):
+    """Stacks put together in original slice order from the (original
+    indices, [stopped slices of each stack]) that each freeze set aside,
+    freeing those as it goes."""
+    n = sum(len(idx) for idx, _ in pieces)
+    stacks = []
+    for j, first in enumerate(pieces[0][1]):
+        out = np.empty((n, *first.shape[1:]))
+        for idx, parts in pieces:
+            out[idx], parts[j] = parts[j], None
+        stacks.append(out)
+    return stacks
 
 
 def _fit_group(xs, targets, betas, epsilon, max_inner, tol, w_inits, grams):
@@ -556,8 +568,8 @@ def _fit_group(xs, targets, betas, epsilon, max_inner, tol, w_inits, grams):
     fit would not have made, and each slice is bit-identical to its
     stack of one.  A shared 2-D X stays whole as slices finish.  When
     every slice stops at one iteration, as a stack of one always does,
-    the running stacks are the outputs; output buffers are made only at
-    a freeze that leaves slices running.
+    the running stacks are the outputs; otherwise the frozen slices are
+    put together at the end (`_thawed`).
     """
     sizes = [len(t) for t in targets]
     x = xs[0]
@@ -592,22 +604,22 @@ def _fit_group(xs, targets, betas, epsilon, max_inner, tol, w_inits, grams):
         if stop is not None:
             if live is None:
                 if np.count_nonzero(stop) == s:
-                    w_out, a_out, res_out = w, a, max_residual
                     break
-                live = np.arange(s)
-                w_out, a_out, res_out = np.empty(w.shape), np.empty(a.shape), np.empty(s)
+                live, frozen = np.arange(s), []
             live, (beta, norms, value, max_residual, *stacks) = _freeze(
-                stop, live, [(w_out, w), (a_out, a), (res_out, max_residual)],
+                stop, live, (frozen, [w, a, max_residual]),
                 [beta, norms, value, max_residual, *stacks],
             )
             if not live.size:
                 break
             column = beta[:, None]
         prev = value
+    if live is not None:
+        w, a, max_residual = _thawed(frozen)
     parts = list(itertools.pairwise(itertools.accumulate(sizes, initial=0)))
-    ws = [w_out[i:j] for i, j in parts]
+    ws = [w[i:j] for i, j in parts]
     return (
-        ws, [a_out[i:j] for i, j in parts], [res_out[i:j] for i, j in parts],
+        ws, [a[i:j] for i, j in parts], [max_residual[i:j] for i, j in parts],
         (m @ v for m, v in zip(xs, ws)),
     )
 
@@ -806,13 +818,9 @@ def _train_stack(
     """`train_mvl` for several hyperparameter sets at once, as one stack.
 
     The sets may differ in zeta and eta only, as the validation grid's
-    candidates do, so they share X, its X^T X (formed once) and the
-    seeded initial state.  Every outer iteration fits the views for all
-    running sets with one `_fit_stats` call per width group
-    (`_fit_views`), then updates pseudo-labels and consensus with each
-    set's own weights.  Set i stops at the outer
-    iteration where `train_mvl(data, hps[i], seed)` stops and is then
-    frozen, so its state and trace are bit-identical to that call's.
+    candidates do, so they share X, its X^T X and the seeded initial
+    state; `_passes` runs them, the fit first in every pass.  Set i's
+    state and trace are bit-identical to `train_mvl(data, hps[i], seed)`.
     """
     hp, k = hps[0], data.n_views
     if hp.n_views != k:
@@ -821,57 +829,110 @@ def _train_stack(
         raise InvalidSpec("stacked hyperparameter sets may differ in zeta and eta only")
     _check_irls_epsilon(hp.epsilon)
     s = len(hps)
-    zeta = [np.array([h.zeta[i] for h in hps]) for i in range(k)]
-    eta = np.array([h.eta for h in hps])
     init = init_state(data.dims, data.n_samples, data.n_classes, seed)
-    w, zk = ([np.repeat(m[None], s, axis=0) for m in ms] for ms in (init.W, init.Zk))
-    z = np.repeat(init.Z[None], s, axis=0)
-    # The stopped slices go to per-slice outputs, so that the frozen
-    # states and the running stack together hold one state per slice.
-    w_out, zk_out = ([[m] * s for m in ms] for ms in (init.W, init.Zk))
-    z_out = [init.Z] * s
-    norms = [_stack_row_norms(m) for m in w]
-    fits = [_fit_sums(x @ m, q) for x, m, q in zip(data.views, w, zk)]
-    prev = _stack_objective(data.labels, norms, fits, zk, z, hp.beta, zeta, eta, hp.epsilon)
+    # No name here holds the initial stacks, so the passes free each one they replace.
+    w, zk, z, passes = _passes(
+        data.views, data.labels, _grams(data.views),
+        [np.repeat(m[None], s, axis=0) for m in init.W],
+        [np.repeat(m[None], s, axis=0) for m in init.Zk], np.repeat(init.Z[None], s, axis=0),
+        [np.array([h.zeta[i] for h in hps]) for i in range(k)], np.array([h.eta for h in hps]),
+        hp, hp.max_outer, fit_first=True,
+    )
     traces = [TrainTrace() for _ in hps]
-    live = np.arange(s)
-    _trace_rows(traces, live, 0, prev, norms, np.zeros(s))
-    grams = _grams(data.views)
-    for t in range(1, hp.max_outer + 1):
-        residual = np.zeros(len(live))
-        for i, w_i, res, xw in _fit_views(data.views, grams, zk, w, hp):
-            w[i] = w_i
-            residual = np.where(res > residual, res, residual)
-            zk[i] = update_pseudo_labels(xw, z, zeta[i][:, None, None])
-            fits[i] = _fit_sums(xw, zk[i])
-            del xw  # so that the next view's (s, n, c) block is formed without this one
-        z = update_consensus(zk, data.labels, [m[:, None, None] for m in zeta], eta[:, None, None])
-        norms = [_stack_row_norms(m) for m in w]
-        value = _stack_objective(data.labels, norms, fits, zk, z, hp.beta, zeta, eta, hp.epsilon)
-        _trace_rows(traces, live, t, value, norms, residual)
-        stop = _stops(value, prev, hp.tol, t == hp.max_outer)
-        if stop is not None:
-            live, (w, zk, z, zeta, eta, value) = _freeze(
-                stop, live,
-                [*zip(w_out, w), *zip(zk_out, zk), (z_out, z)],
-                [w, zk, z, zeta, eta, value],
-            )
-            if not live.size:
-                break
-        prev = value
+    for t, (live, value, norms, residual) in enumerate(passes):
+        lows = zip(*[m.min(axis=1).tolist() for m in norms])
+        highs = zip(*[m.max(axis=1).tolist() for m in norms])
+        rows = map(TraceRow, itertools.repeat(t), value.tolist(), lows, highs, residual.tolist())
+        for i, row in zip(live.tolist(), rows):
+            traces[i].rows.append(row)
     return [
-        (MvlState(W=[m[i] for m in w_out], Zk=[m[i] for m in zk_out], Z=z_out[i]), traces[i])
+        (MvlState(W=[m[i] for m in w], Zk=[m[i] for m in zk], Z=z[i]), traces[i])
         for i in range(s)
     ]
 
 
-def _trace_rows(traces, live, iteration, value, norms, residual) -> None:
-    """Append one row to the trace of every running slice."""
-    lows = zip(*[m.min(axis=1).tolist() for m in norms])
-    highs = zip(*[m.max(axis=1).tolist() for m in norms])
-    rows = map(TraceRow, itertools.repeat(iteration), value.tolist(), lows, highs, residual.tolist())
-    for i, row in zip(live.tolist(), rows):
-        traces[i].rows.append(row)
+def _passes(views, labels, grams, w, zk, z, zeta, eta, hp, max_passes, fit_first, layout=None):
+    """Block-coordinate passes over a stack of multi-view states: the
+    loop of `train_mvl` (grid candidates) and of hfed (a client block).
+
+    A pass fits the views (`_fit_views`, warm-started at w, the
+    pseudo-labels as targets) and updates the pseudo-labels, then the
+    consensus; fit_first puts the fit first (`train_mvl`), else last
+    (hfed).  Slice i, weighted by zeta[k][i], eta[i] and hp, stops when
+    its objective changes by less than hp.tol relative, or after
+    max_passes, and is frozen: it makes exactly the passes it would
+    make alone.  With no layout, zk and z are (s, n, c) stacks over
+    shared views, labels and `_grams` entries, never shrunk; given a
+    layout, the slots are a ragged stack (`_fit_views`), and a stopped
+    slot's rows go with it.  Returns (w, zk, z), the running stacks if
+    every slice stops at one pass, and one report per pass, the start
+    included: the running slices' original indices, objective values,
+    W row norms and maximum solve residuals.
+    """
+    s = len(w[0])
+    rows = None if layout is None else np.array([r for r, n in layout for _ in range(n)])
+
+    def in_rows(q):
+        """Per-slice weights as factors of a row-space block."""
+        if layout is None:
+            return q[:, None, None]
+        return np.repeat(q, rows * labels.shape[1]).reshape(labels.shape)
+
+    w, zk = list(w), list(zk)
+    products = (_row_products(x, m, layout) for x, m in zip(views, w))
+    # With the fit first, each pass's fit forms X W afresh, so these go one at a time.
+    xw = None if fit_first else list(products)
+    fits = [_fit_sums(a, b, layout) for a, b in zip(xw or products, zk)]
+    norms = [_stack_row_norms(m) for m in w]
+    prev = _stack_objective(labels, norms, fits, zk, z, hp.beta, zeta, eta, hp.epsilon, layout)
+    live = np.arange(s)
+    live_rows = live if layout is None else np.arange(len(labels))
+    reports = [(live, prev, norms, np.zeros(s))]
+    zeta_rows, eta_rows = [in_rows(q) for q in zeta], in_rows(eta)
+    frozen = None  # set aside from the first freeze that keeps slices running
+    for t in range(1, max_passes + 1):
+        if not fit_first:
+            zk = [update_pseudo_labels(m, z, q) for m, q in zip(xw, zeta_rows)]
+            z = update_consensus(zk, labels, zeta_rows, eta_rows)
+        residual = np.zeros(len(live))
+        for k, w_k, res, xw_k in _fit_views(views, grams, zk, w, hp, layout):
+            w[k] = w_k
+            residual = np.where(res > residual, res, residual)
+            if fit_first:
+                zk[k] = update_pseudo_labels(xw_k, z, zeta_rows[k])
+            else:
+                xw[k] = xw_k
+            fits[k] = _fit_sums(xw_k, zk[k], layout)
+            del xw_k  # so that the next view's block is formed without this one
+        if fit_first:
+            z = update_consensus(zk, labels, zeta_rows, eta_rows)
+        norms = [_stack_row_norms(m) for m in w]
+        value = _stack_objective(labels, norms, fits, zk, z, hp.beta, zeta, eta, hp.epsilon, layout)
+        reports.append((live, value, norms, residual))
+        stop = _stops(value, prev, hp.tol, t == max_passes)
+        if stop is not None:
+            if frozen is None:
+                if np.count_nonzero(stop) == s:
+                    break
+                frozen = [], []
+            slot_data, row_data = ([], []) if layout is None else ([grams, rows], [labels, views])
+            live, (w, value, zeta, eta, *slot_data) = _freeze(
+                stop, live, (frozen[0], w), [w, value, zeta, eta, *slot_data]
+            )
+            live_rows, (zk, z, xw, *row_data) = _freeze(
+                stop if layout is None else np.repeat(stop, rows), live_rows,
+                (frozen[1], [*zk, z]), [zk, z, xw, *row_data],
+            )
+            if not live.size:
+                break
+            if layout is not None:
+                (grams, rows), (labels, views) = slot_data, row_data
+                layout = _layout(rows.tolist())
+            zeta_rows, eta_rows = [in_rows(q) for q in zeta], in_rows(eta)
+        prev = value
+    if frozen is not None:
+        w, (*zk, z) = map(_thawed, frozen)
+    return w, zk, z, reports
 
 
 def test_objective(
@@ -936,10 +997,8 @@ def _predict_stack(test_views, transforms, zeta, tol, max_outer) -> np.ndarray:
     """
     xw = [x @ w for x, w in zip(test_views, transforms)]
     zeta = [z[:, None, None] for z in zeta]
-    # Every slice's answer when max_outer is 0; otherwise each slice is
-    # overwritten at the round where it stops.
-    out = test_consensus(xw, zeta)
-    estimates, prev, live = xw, np.full(len(out), np.inf), np.arange(len(out))
+    s = len(xw[0])
+    estimates, prev, live, frozen = xw, np.full(s, np.inf), np.arange(s), []
     for it in range(max_outer):
         consensus = test_consensus(estimates, zeta)
         estimates = [update_pseudo_labels(m, consensus, z) for m, z in zip(xw, zeta)]
@@ -948,12 +1007,12 @@ def _predict_stack(test_views, transforms, zeta, tol, max_outer) -> np.ndarray:
             stop = _stops(value, prev, tol, it == max_outer - 1)
         if stop is not None:
             live, (xw, estimates, zeta, value) = _freeze(
-                stop, live, [(out, consensus)], [xw, estimates, zeta, value]
+                stop, live, (frozen, [consensus]), [xw, estimates, zeta, value]
             )
             if not live.size:
                 break
         prev = value
-    return out
+    return _thawed(frozen)[0] if frozen else test_consensus(xw, zeta)
 
 
 def train_single_view(

@@ -398,6 +398,13 @@ class TestExitCodes:
         assert code == 2
         assert "epsilon > 0" in stderr
 
+    def test_non_finite_beta_exits_2(self, tmp_path, capsys):
+        data_dir = os.path.join(tmp_path, "data")
+        assert run(capsys, "gen-data", "--out", data_dir, *SMALL_FLAT)[0] == 0
+        code, _, stderr = run(capsys, "train", "--data", data_dir, "--beta", "nan", *QUICK_FIT)
+        assert code == 2
+        assert "error:" in stderr and "beta must be finite" in stderr
+
     @pytest.mark.parametrize("mode", ["hfed", "mv_local"])
     def test_client_with_fewer_rows_than_classes_exits_2(self, tmp_path, capsys, mode):
         code, _, stderr = run(

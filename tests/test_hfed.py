@@ -69,6 +69,12 @@ def alg3_local(data, hp, w, pseudo, consensus, max_local):
     return w, pseudo, consensus
 
 
+def record_stacks(monkeypatch):
+    """The slot count of every stack of local passes hfed runs, read
+    from the engine's eta, which holds one weight per slot."""
+    return record_calls(monkeypatch, mvfed.hfed, "_passes", 7)
+
+
 def split_rows(data, m, seed=0):
     """Near-stratified split: deal a label-shuffled permutation round-robin."""
     rng = np.random.default_rng(seed)
@@ -357,7 +363,7 @@ class TestCohorts:
             alg3_local(d, hp, sent.matrices, *client_state(c), 3)
             for c, d in zip(clients, shards)
         ]
-        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 0)
+        passes = record_stacks(monkeypatch)
         replies = stage(clients, 0, [sent] * len(clients))
         assert passes == stacks
         for c, reply, (w, pseudo, consensus) in zip(clients, replies, expected):
@@ -382,7 +388,7 @@ class TestCohorts:
         ]
         primal = [n for n in sizes if n >= max(dims)]
         assert len(set(primal)) > 1 and len(primal) < len(sizes)
-        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 0)
+        passes = record_stacks(monkeypatch)
         for rnd in range(3):
             sent = server.broadcast(rnd)
             replies = stage(clients, rnd, [sent] * len(clients))
@@ -398,11 +404,12 @@ class TestCohorts:
         layout = mvfed.mvl._layout(block.rows)
         sent_back = [replies[c.party.id].matrices for c in members]
         w = [np.stack(m) for m in zip(*sent_back)]
-        values = mvfed.hfed._local_objective(
-            block.labels, w,
-            [mvfed.mvl._row_products(x, m, layout) for x, m in zip(block.views, w)],
-            block.pseudo, block.consensus, hp, layout,
+        s = len(members)
+        *_, reports = mvfed.mvl._passes(
+            block.views, block.labels, block.grams, w, block.pseudo, block.consensus,
+            [np.full(s, q) for q in hp.zeta], np.full(s, hp.eta), hp, 0, False, layout,
         )
+        (_, values, _, _), = reports
         for c, value in zip(members, values.tolist()):
             pseudo, consensus = client_state(c)
             state = MvlState(W=list(replies[c.party.id].matrices), Zk=pseudo, Z=consensus)
@@ -421,13 +428,13 @@ class TestCohorts:
             for c, d in zip(clients, shards)
         ]
         calls, before = [], []
-        original = mvfed.hfed._local_passes
+        original = mvfed.hfed._passes
 
-        def recording(block, w):
-            calls.append((len(block), [m.copy() for m in block.pseudo], block.consensus.copy()))
-            return original(block, w)
+        def recording(views, labels, grams, w, pseudo, consensus, zeta, eta, *args, **kwargs):
+            calls.append((len(eta), [m.copy() for m in pseudo], consensus.copy()))
+            return original(views, labels, grams, w, pseudo, consensus, zeta, eta, *args, **kwargs)
 
-        monkeypatch.setattr(mvfed.hfed, "_local_passes", recording)
+        monkeypatch.setattr(mvfed.hfed, "_passes", recording)
         for rnd in range(5):
             before.append([(ref.pseudo, ref.consensus) for ref in reference])
             sent = server.broadcast(rnd)
@@ -512,7 +519,7 @@ class TestCohorts:
             alg3_local(d, hp, msg.matrices, *client_state(c), 4)
             for c, d, msg in zip(clients, shards, messages)
         ]
-        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 0)
+        passes = record_stacks(monkeypatch)
         replies = stage(clients, 0, messages)
         assert passes == [3]
         for c, reply, (w, pseudo, consensus) in zip(clients, replies, expected):
@@ -530,7 +537,7 @@ class TestCohorts:
             alg3_local(shards[c.party.id], hp, sent.matrices, *client_state(c), 3)
             for c in some
         ]
-        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 0)
+        passes = record_stacks(monkeypatch)
         replies = stage(some, 0, [sent, sent])
         assert passes == [2]
         assert [r.sender for r in replies] == [c.party for c in some]
@@ -550,7 +557,7 @@ class TestCohorts:
             for c, d in zip(clients, shards)
         ]
         ref_log = run_rounds(server, reference, FramedByteTransport(), max_rounds=3)
-        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 0)
+        passes = record_stacks(monkeypatch)
         framed = hfed_train(
             shards, hp, seed=52, rounds=3, max_local=4, transport=FramedByteTransport()
         )
@@ -597,15 +604,15 @@ class TestCohorts:
             stage(clients, 1, [sent, sent, bad, sent])
         assert state() == before
 
-        original = mvfed.hfed._local_passes
+        original = mvfed.hfed._passes
 
-        def poisoned(block, w):
-            w, pseudo, consensus = original(block, w)
-            if block is clients[2].rows:
+        def poisoned(views, labels, *args, **kwargs):
+            w, pseudo, consensus, reports = original(views, labels, *args, **kwargs)
+            if labels is clients[2].rows.labels:
                 w[0][clients[2].slot, 0, 0] = np.nan
-            return w, pseudo, consensus
+            return w, pseudo, consensus, reports
 
-        monkeypatch.setattr(mvfed.hfed, "_local_passes", poisoned)
+        monkeypatch.setattr(mvfed.hfed, "_passes", poisoned)
         with pytest.raises(ValueError, match="non-finite"):
             stage(clients, 1, [sent] * len(clients))
         assert state() == before
@@ -635,7 +642,7 @@ class TestCohorts:
             return original(x, *args, **kwargs)
 
         monkeypatch.setattr(mvfed.mvl, "_fit_stats", failing)
-        passes = record_calls(monkeypatch, mvfed.hfed, "_local_passes", 0)
+        passes = record_stacks(monkeypatch)
         with pytest.raises(PartyFailure) as err:
             hfed_train(shards, HyperParams.uniform(2), seed=46, rounds=2, max_local=3)
         assert (err.value.round_index, err.value.party_id) == (0, 2)

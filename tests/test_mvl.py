@@ -103,6 +103,21 @@ class TestTypes:
         # zero caps are usable (loops skipped)
         HyperParams(beta=(1.0,), zeta=(1.0,), eta=1.0, max_outer=0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        *((f, v, f"{f} must be finite")
+          for f in ("beta", "zeta", "eta", "epsilon") for v in (np.nan, np.inf, -np.inf)),
+        ("max_inner", 2.5, "max_inner must be an integer"),
+        ("max_outer", 2.5, "max_outer must be an integer"),
+        ("max_outer", 3.0, "max_outer must be an integer"),
+    ])
+    def test_hyperparams_reject_non_finite_weights_and_fractional_caps(
+        self, field, value, message
+    ):
+        # Each would otherwise surface later, as NotSPD inside the solve or
+        # a TypeError from range().
+        with pytest.raises(InvalidSpec, match=message):
+            HyperParams.uniform(2, **{field: value})
+
 
 class TestObjective:
     def test_zero_state(self):
@@ -733,6 +748,52 @@ class TestTrainStack:
         for state, trace in mvfed.mvl._train_stack(data, hps, seed=1):
             assert_same_state(state, ref)
             assert [r.iteration for r in trace.rows] == [0]
+
+
+class TestPasses:
+    """`_passes`, the block-coordinate engine, over a ragged block whose
+    slots carry their own zeta and eta."""
+
+    @pytest.mark.parametrize("fit_first", [True, False])
+    @pytest.mark.parametrize("rows, dims", [([5, 5, 7, 9, 9, 12], (4, 3, 4)), ([6] * 5, (4, 9))])
+    def test_each_slot_equals_its_stack_of_one(self, fit_first, rows, dims):
+        # The second block's 9-wide view is wider than its rows (dual form).
+        mvl = mvfed.mvl
+        rng = np.random.default_rng(len(rows))
+        s, n, c = len(rows), sum(rows), 3
+        y = rng.integers(0, c, n)
+        views = [rng.standard_normal((n, d)) + y[:, None] for d in dims]
+        labels = np.eye(c)[y]
+        w = [rng.standard_normal((s, d, c)) for d in dims]
+        zk = [rng.standard_normal((n, c)) for _ in dims]
+        z = rng.standard_normal((n, c))
+        zeta = [rng.uniform(0.25, 16.0, s) for _ in dims]
+        eta = rng.uniform(0.25, 16.0, s)
+        hp = HyperParams.uniform(len(dims), beta=(2.0, 0.5, 1.0)[: len(dims)], tol=1e-3, max_inner=6)
+
+        def passes(slots):
+            idx = np.concatenate([np.arange(sum(rows[:i]), sum(rows[: i + 1])) for i in slots])
+            layout = mvl._layout([rows[i] for i in slots])
+            xs = [x[idx] for x in views]
+            grams = [mvl._grams(mvl._runs(x, layout)) for x in xs]
+            return mvl._passes(
+                xs, labels[idx], [None if g[0] is None else mvl._join(g) for g in grams],
+                [m[slots] for m in w], [m[idx] for m in zk], z[idx],
+                [q[slots] for q in zeta], eta[slots], hp, 20, fit_first, layout,
+            )
+
+        w_all, zk_all, z_all, reports = passes(list(range(s)))
+        made = [sum(i in live for live, *_ in reports[1:]) for i in range(s)]
+        assert len(set(made)) > 1 and max(made) == 20  # some stop early, some at the cap
+        start = 0
+        for i, r in enumerate(rows):
+            w_i, zk_i, z_i, alone = passes([i])
+            assert len(alone) - 1 == made[i]
+            for k in range(len(dims)):
+                assert w_i[k][0].tobytes() == w_all[k][i].tobytes()
+                assert zk_i[k].tobytes() == zk_all[k][start : start + r].tobytes()
+            assert z_i.tobytes() == z_all[start : start + r].tobytes()
+            start += r
 
 
 class TestPredictMvl:
