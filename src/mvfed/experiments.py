@@ -404,7 +404,7 @@ def _flat_repeat(
         raise ConfigError("split: the grid needs a non-empty validation part")
     candidates = list(_grid_candidates(hp))
     if MODES[cfg.mode].trainer == "mvl":
-        transforms = [state.W for state, _ in _train_stack(train, candidates, seed)]
+        transforms = [state.W for state in _train_stack(train, candidates, seed)[0]]
         fits = [[w] for w in transforms]
         scores = _predict_stack(
             val.views, [np.stack(ws) for ws in zip(*transforms)],

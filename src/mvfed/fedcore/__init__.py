@@ -13,12 +13,21 @@ from .messages import (
     stack_rows,
 )
 from .fedavg import fedavg_aggregate
-from .rounds import MessageRecord, RoundLog, RoundRecord, disallowed_kinds, run_rounds
+from .rounds import (
+    Federation,
+    MessageRecord,
+    RoundLog,
+    RoundRecord,
+    disallowed_kinds,
+    run_federations,
+    run_rounds,
+)
 from .transport import FramedByteTransport, InProcessTransport
 from .wire import decode_message, encode_message, frame_size
 
 __all__ = [
     "FedMessage",
+    "Federation",
     "FramedByteTransport",
     "HORIZONTAL_KINDS",
     "InProcessTransport",
@@ -36,6 +45,7 @@ __all__ = [
     "encode_message",
     "fedavg_aggregate",
     "frame_size",
+    "run_federations",
     "run_rounds",
     "seal_rows",
     "stack_rows",

@@ -11,25 +11,38 @@ A protocol is a server object plus client objects:
     client.step(round, msg) -> FedMessage
     type(client).steps(clients, round, msgs) -> list[FedMessage]  optional
 
-Each round: the server's broadcast (if any) is sent to every client and
-every client receives it; each client class that defines the classmethod
-`steps` is then called once, with its clients in ascending id order and
-the message each received, and answers them all; every other client
-runs its own `step`.  Replies are sent in ascending client id order, and
-after the barrier the server consumes them.
+`run_federations` drives several such federations in lock-step, and
+`run_rounds` is its list of one.  Each round runs in phases:
+
+1. each live federation in turn: its server broadcasts (if it has a
+   message), and every client receives;
+2. each client class that defines the classmethod `steps` is called
+   once, with its clients of every live federation (federation order,
+   then ascending id) and the message each received, and answers them
+   all;
+3. each federation in turn sends its replies in ascending client id
+   order, a client that `steps` did not answer running its own `step`,
+   and after the barrier its server consumes them; the round is
+   logged, and a server whose done() is True leaves the later rounds.
 
 `steps` lets a class compute all its clients' work as one stacked
-computation, so a lone `step` can be that stack of one.  An exception
-from `steps` is dropped and each of the class's clients runs its own
-`step` instead, so the one that fails is named; a `steps` must
-therefore commit no client's state unless it returns.
+computation, across federations too, so a lone `step` can be that
+stack of one.  An exception from `steps` is dropped and each of the
+class's clients runs its own `step` instead, so the one that fails is
+named; a `steps` must therefore commit no client's state unless it
+returns.
 
-`run_rounds` owns the round contract, so servers keep only their math:
+Federations may share a transport: channels are FIFO per (sender,
+receiver) pair, and each phase sends and receives in federation order,
+so every message reaches the client or server of its own federation.
+
+The driver owns the round contract, so servers keep only their math:
 
 - every client replies: a `None` reply raises MissingClient naming the
   round and the client;
 - every reply has the server's `reply_kind`, otherwise ValueError;
 - `aggregate` receives the replies in ascending client id order;
+- each federation keeps its own RoundLog and stop rule;
 - `transport=None` means a fresh InProcessTransport.
 
 All traffic flows through the transport, so the same protocol code runs
@@ -42,7 +55,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from ..errors import MissingClient, PartyFailure
 from .messages import FedMessage, MessageKind
@@ -56,6 +69,8 @@ __all__ = [
     "MessageRecord",
     "RoundRecord",
     "RoundLog",
+    "Federation",
+    "run_federations",
     "run_rounds",
     "disallowed_kinds",
 ]
@@ -109,6 +124,125 @@ def disallowed_kinds(log: RoundLog, allowed: Iterable[MessageKind]) -> set[Messa
     return log.message_kinds() - set(allowed)
 
 
+
+
+@dataclass(frozen=True)
+class Federation:
+    """One protocol run for `run_federations`: its server and clients,
+    the transport their traffic crosses (None: a fresh
+    InProcessTransport; several federations may share one) and the log
+    its rounds append to (None: a fresh RoundLog)."""
+
+    server: Any
+    clients: Sequence
+    transport: Any = None
+    log: RoundLog | None = None
+
+
+class _Run:
+    """A federation inside `run_federations`: its clients in id order,
+    their endpoints, its log and what its current round has received."""
+
+    def __init__(self, fed: Federation) -> None:
+        self.server = fed.server
+        self.clients = sorted(fed.clients, key=lambda c: c.party.id)
+        transport = fed.transport if fed.transport is not None else InProcessTransport()
+        self.server_ep = transport.endpoint(self.server.party)
+        self.client_eps = [transport.endpoint(c.party) for c in self.clients]
+        self.done = getattr(self.server, "done", None)
+        self.log = fed.log if fed.log is not None else RoundLog()
+        self.by_class: dict[type, list[int]] = {}
+        for i, client in enumerate(self.clients):
+            self.by_class.setdefault(type(client), []).append(i)
+        self.records: list[MessageRecord] = []
+        self.inbound: list[FedMessage | None] = []
+        self.answered: dict[int, FedMessage | None] = {}
+
+    def broadcast(self, rnd: int) -> None:
+        """Open the round: the server's broadcast, if any, is sent to
+        every client and every client receives it."""
+        self.records, self.answered = [], {}
+        msg = self.server.broadcast(rnd)
+        if msg is None:
+            self.inbound = [None] * len(self.clients)
+            return
+        size, server = frame_size(msg), self.server.party
+        for client in self.clients:
+            self.server_ep.send(client.party, msg)
+            self.records.append(MessageRecord(server.id, client.party.id, msg.kind, size))
+        self.inbound = [ep.receive(server) for ep in self.client_eps]
+
+    def close(self, rnd: int, t0: float) -> bool:
+        """Send every client's reply, its class's `steps` answer or else
+        the reply of its own `step`, aggregate them and log the round;
+        True when the server is done."""
+        server = self.server
+        for i, (client, inbound) in enumerate(zip(self.clients, self.inbound)):
+            try:
+                reply = self.answered[i] if i in self.answered else client.step(rnd, inbound)
+            except Exception as exc:
+                raise PartyFailure(rnd, client.party.id, exc) from exc
+            if reply is None:
+                raise MissingClient(f"round {rnd}: no reply from client {client.party.id}")
+            self.client_eps[i].send(server.party, reply)
+            self.records.append(
+                MessageRecord(client.party.id, server.party.id, reply.kind, frame_size(reply))
+            )
+        replies = []
+        for client in self.clients:
+            reply = self.server_ep.receive(client.party)
+            if reply.kind is not server.reply_kind:
+                raise ValueError(
+                    f"round {rnd}: client {client.party.id} sent {reply.kind.name}, "
+                    f"expected {server.reply_kind.name}"
+                )
+            replies.append(reply)
+        server.aggregate(rnd, replies)
+        self.log.append(RoundRecord(rnd, tuple(self.records), time.perf_counter() - t0))
+        return self.done is not None and self.done()
+
+
+def run_federations(federations: Sequence[Federation], max_rounds: int) -> list[RoundLog]:
+    """Drive several federations in lock-step for up to max_rounds
+    rounds; returns their logs, in order.
+
+    Each round runs in phases: every live server broadcasts and its
+    clients receive, federation by federation; each client class's `steps` runs once over its
+    clients of every live federation (federation order, then client id);
+    then each federation in turn sends its replies, aggregates and logs.
+    A federation whose server's done() is True leaves the later rounds.
+    Client exceptions surface as PartyFailure carrying the round and
+    party id.
+    """
+    runs = [_Run(fed) for fed in federations]
+    classes = [
+        cls for cls in dict.fromkeys(c for run in runs for c in run.by_class)
+        if hasattr(cls, "steps")
+    ]
+    live = runs
+    for rnd in range(max_rounds):
+        if not live:
+            break
+        t0 = time.perf_counter()
+        for run in live:
+            run.broadcast(rnd)
+        for cls in classes:
+            members = [(run, i) for run in live for i in run.by_class.get(cls, ())]
+            if not members:
+                continue
+            try:
+                replies = cls.steps(
+                    [run.clients[i] for run, i in members], rnd,
+                    [run.inbound[i] for run, i in members],
+                )
+            except Exception:
+                continue  # each of the class's clients steps alone
+            for (run, i), reply in zip(members, replies):
+                run.answered[i] = reply
+        live = [run for run in live if not run.close(rnd, t0)]
+    return [run.log for run in runs]
+
+
 def run_rounds(
     server,
     clients: Sequence,
@@ -116,71 +250,11 @@ def run_rounds(
     max_rounds: int,
     log: RoundLog | None = None,
 ) -> RoundLog:
-    """Drive a protocol for up to max_rounds lock-step rounds.
+    """Drive one federation for up to max_rounds lock-step rounds:
+    `run_federations` of a list of one.
 
     Stops early when the server's done(), if it has one, returns True
     after aggregation.  Client exceptions surface as PartyFailure
     carrying the round and party id.
     """
-    log = log if log is not None else RoundLog()
-    transport = transport if transport is not None else InProcessTransport()
-    clients = sorted(clients, key=lambda c: c.party.id)
-    server_ep = transport.endpoint(server.party)
-    client_eps = [transport.endpoint(c.party) for c in clients]
-    done = getattr(server, "done", None)
-    by_class: dict[type, list[int]] = {}
-    for i, client in enumerate(clients):
-        by_class.setdefault(type(client), []).append(i)
-    stacked = [(cls.steps, idx) for cls, idx in by_class.items() if hasattr(cls, "steps")]
-
-    def client_turn(i: int, rnd: int, inbound: FedMessage | None, answered) -> MessageRecord:
-        """Send client i's reply: its class's `steps` answer, or else the
-        reply of its own `step`."""
-        client = clients[i]
-        try:
-            reply = answered[i] if i in answered else client.step(rnd, inbound)
-        except Exception as exc:
-            raise PartyFailure(rnd, client.party.id, exc) from exc
-        if reply is None:
-            raise MissingClient(f"round {rnd}: no reply from client {client.party.id}")
-        client_eps[i].send(server.party, reply)
-        return MessageRecord(client.party.id, server.party.id, reply.kind, frame_size(reply))
-
-    def receive(client, rnd: int) -> FedMessage:
-        reply = server_ep.receive(client.party)
-        if reply.kind is not server.reply_kind:
-            raise ValueError(
-                f"round {rnd}: client {client.party.id} sent {reply.kind.name}, "
-                f"expected {server.reply_kind.name}"
-            )
-        return reply
-
-    for rnd in range(max_rounds):
-        t0 = time.perf_counter()
-        records: list[MessageRecord] = []
-        broadcast = server.broadcast(rnd)
-        if broadcast is not None:
-            size = frame_size(broadcast)
-            for client in clients:
-                server_ep.send(client.party, broadcast)
-                records.append(
-                    MessageRecord(
-                        server.party.id, client.party.id, broadcast.kind, size
-                    )
-                )
-        inbound = [
-            None if broadcast is None else ep.receive(server.party) for ep in client_eps
-        ]
-        answered: dict[int, FedMessage | None] = {}
-        for steps, idx in stacked:
-            msgs = [inbound[i] for i in idx]
-            try:
-                answered.update(zip(idx, steps([clients[i] for i in idx], rnd, msgs)))
-            except Exception:
-                pass  # each of the class's clients steps alone
-        records.extend(client_turn(i, rnd, msg, answered) for i, msg in enumerate(inbound))
-        server.aggregate(rnd, [receive(c, rnd) for c in clients])
-        log.append(RoundRecord(rnd, tuple(records), time.perf_counter() - t0))
-        if done is not None and done():
-            break
-    return log
+    return run_federations([Federation(server, clients, transport, log)], max_rounds)[0]

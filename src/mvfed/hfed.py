@@ -59,6 +59,7 @@ from .fedcore import (
 from .mvl import (
     HyperParams,
     MultiViewDataset,
+    _check_cap,
     _check_irls_epsilon,
     _fit_stats,  # not called here; mvbench/tracer.py wraps `mvfed.hfed:_fit_stats`
     _grams,
@@ -309,6 +310,7 @@ def make_horizontal_parties(
         if d.dims != dims or d.n_classes != c:
             raise DimensionMismatch("clients disagree on view widths or classes")
     _check_client_rows(datasets)
+    _check_cap("max_local", max_local)
     if hp.n_views != len(dims):
         raise DimensionMismatch(
             f"hyperparams cover {hp.n_views} views, data has {len(dims)}"
@@ -353,6 +355,7 @@ def hfed_train(
     log: RoundLog | None = None,
 ) -> HfedResult:
     """Run the broadcast/refit/average protocol for the given rounds."""
+    _check_cap("rounds", rounds)
     server, clients = make_horizontal_parties(datasets, hp, seed, max_local=max_local)
     log = run_rounds(server, clients, transport, max_rounds=rounds, log=log)
     return HfedResult(transforms=[m.copy() for m in server.w], log=log)

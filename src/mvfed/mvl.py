@@ -99,6 +99,13 @@ __all__ = [
 ]
 
 
+def _check_cap(name: str, value, low: int = 0) -> None:
+    """Reject an iteration or round cap that is not an integer >= low
+    with InvalidSpec."""
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise InvalidSpec(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _as_float_tuple(values: float | Iterable[float], k: int, name: str) -> tuple[float, ...]:
     if isinstance(values, (int, float)):
         return (float(values),) * k
@@ -143,10 +150,8 @@ class HyperParams:
             raise InvalidSpec("epsilon must be finite and >= 0")
         if not 0.0 < self.tol < 1.0:
             raise InvalidSpec("tol must lie in (0, 1)")
-        if not isinstance(self.max_outer, (int, np.integer)) or self.max_outer < 0:
-            raise InvalidSpec(f"max_outer must be an integer >= 0, got {self.max_outer!r}")
-        if not isinstance(self.max_inner, (int, np.integer)) or self.max_inner < 1:
-            raise InvalidSpec(f"max_inner must be an integer >= 1, got {self.max_inner!r}")
+        _check_cap("max_outer", self.max_outer)
+        _check_cap("max_inner", self.max_inner, low=1)
 
     @property
     def n_views(self) -> int:
@@ -701,8 +706,7 @@ def fit_view_transform(
     given w_init must be (d, c) (DimensionMismatch).
     """
     _check_irls_epsilon(epsilon)
-    if max_inner < 1:
-        raise InvalidSpec("max_inner must be >= 1")
+    _check_cap("max_inner", max_inner, low=1)
     if not beta > 0:
         raise InvalidSpec("beta must be > 0")
     x = np.asarray(x, dtype=np.float64)
@@ -809,18 +813,36 @@ def train_mvl(
     the smoothed objective.  Stops when the relative objective change
     drops below hp.tol or after hp.max_outer iterations.
     """
-    return _train_stack(data, [hp], seed)[0]
+    (state,), reports = _train_stack(data, [hp], seed)
+    return state, _trace(reports, 0)
+
+
+def _trace(reports, i: int) -> TrainTrace:
+    """Slice i's `TrainTrace` from `_passes`' per-pass reports: one row
+    per pass that slice ran, the start included."""
+    trace = TrainTrace()
+    for t, (live, value, norms, residual) in enumerate(reports):
+        if i not in live:  # stopped: a slice never runs again
+            break
+        at = live.tolist().index(i)
+        trace.rows.append(TraceRow(
+            t, value[at].item(), tuple(m[at].min().item() for m in norms),
+            tuple(m[at].max().item() for m in norms), residual[at].item(),
+        ))
+    return trace
 
 
 def _train_stack(
     data: MultiViewDataset, hps: Sequence[HyperParams], seed: int
-) -> list[tuple[MvlState, TrainTrace]]:
+) -> tuple[list[MvlState], list]:
     """`train_mvl` for several hyperparameter sets at once, as one stack.
 
     The sets may differ in zeta and eta only, as the validation grid's
     candidates do, so they share X, its X^T X and the seeded initial
-    state; `_passes` runs them, the fit first in every pass.  Set i's
-    state and trace are bit-identical to `train_mvl(data, hps[i], seed)`.
+    state; `_passes` runs them, the fit first in every pass.  Returns
+    each set's state, bit-identical to `train_mvl(data, hps[i], seed)`'s,
+    and `_passes`' per-pass reports, from which `_trace` makes set i's
+    trace.
     """
     hp, k = hps[0], data.n_views
     if hp.n_views != k:
@@ -838,17 +860,8 @@ def _train_stack(
         [np.array([h.zeta[i] for h in hps]) for i in range(k)], np.array([h.eta for h in hps]),
         hp, hp.max_outer, fit_first=True,
     )
-    traces = [TrainTrace() for _ in hps]
-    for t, (live, value, norms, residual) in enumerate(passes):
-        lows = zip(*[m.min(axis=1).tolist() for m in norms])
-        highs = zip(*[m.max(axis=1).tolist() for m in norms])
-        rows = map(TraceRow, itertools.repeat(t), value.tolist(), lows, highs, residual.tolist())
-        for i, row in zip(live.tolist(), rows):
-            traces[i].rows.append(row)
-    return [
-        (MvlState(W=[m[i] for m in w], Zk=[m[i] for m in zk], Z=z[i]), traces[i])
-        for i in range(s)
-    ]
+    states = [MvlState(W=[m[i] for m in w], Zk=[m[i] for m in zk], Z=z[i]) for i in range(s)]
+    return states, passes
 
 
 def _passes(views, labels, grams, w, zk, z, zeta, eta, hp, max_passes, fit_first, layout=None):
@@ -970,6 +983,7 @@ def predict_mvl(
     relative change falls below tol (or max_outer rounds).  It is the
     stacked predictor `_predict_stack` on a stack of one transform set.
     """
+    _check_cap("max_outer", max_outer)
     if len(test_views) != len(transforms) or len(test_views) != len(zeta):
         raise DimensionMismatch(
             f"{len(test_views)} views, {len(transforms)} transforms, "

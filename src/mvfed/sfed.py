@@ -8,36 +8,41 @@ embeds its own sequences locally, producing the per-view feature
 matrices that the horizontal trainer consumes.  Parameters travel as
 flat vectors, so the wire format stays model-agnostic.
 
-A view's clients are zero-padded once, when the parties are built,
-into one (clients, rows, steps, features) stack that they share, each
-holding its slot.  `SequenceClient.steps`, which the round driver calls
-once a round with all the clients, checks every broadcast, then runs
-every client's local SGD in lock-step (`_sgd`), each row starting from
-the vector its own client received: each client keeps its own shuffle
-stream, batch membership and short final batch, step j of an epoch is
-one kernel call (`_grads`) over batch j of every client that has one,
-and a client out of batches sits the later steps out.  The kernel adds
-every padded term as an exact zero after or between real ones, so each
-client's row is bit-identical to what it computes alone; a lone `step`
-is `steps` of a stack of one, `loss_and_grad` is the kernel on a stack
-of one and `local_training` the lock-step SGD of a stack of one.  When
-`steps` raises, the driver lets each client step alone, so a failure is
-reported by the client that fails.  The trained stack is sealed
-(`fedcore.seal_rows`): checked finite once and read-only, so each
-reply carries its client's row without a copy and the server's FedAvg
-sums the stack itself; when every client got the one broadcast, the
-start stack is one repeat of its vector.
+The views' federations run in lock-step (`fedcore.run_federations`).
+The clients of every view of one feature width are zero-padded once,
+when the parties are built, into one (slots, rows, steps, features)
+stack that they share, slots view-major, each client holding its slot;
+the stack keeps no step weights, which each batch gather forms from
+its mask feature.  `SequenceClient.steps`, which the round driver
+calls once a round with the clients of every view, checks every
+broadcast, then runs the local SGD of each stack's clients in
+lock-step (`_sgd`), each row starting from the vector its own client
+received: each client keeps its own shuffle stream, batch membership
+and short final batch, step j of an epoch is one kernel call
+(`_grads`) over batch j of every client that has one, and a client out
+of batches sits the later steps out.  The kernel adds every padded
+term as an exact zero after or between real ones, so each client's row
+is bit-identical to what it computes alone, in its own view's
+federation; a lone `step` is `steps` of a stack of one,
+`loss_and_grad` is the kernel on a stack of one and `local_training`
+the lock-step SGD of a stack of one.  When `steps` raises, the driver
+lets each client step alone, so a failure is reported by the client
+that fails.  The trained stack is sealed (`fedcore.seal_rows`): checked
+finite once and read-only, so each reply carries its client's row
+without a copy and the server's FedAvg sums its view's rows of the
+stack.
 
-The shuffle streams of every client and round of a view, keyed (client,
+The shuffle streams of every client, view and round, keyed (client,
 view, round), are derived together when the parties are built
 (`numerics.stream_states`) and kept as 32-byte start states.  `_sgd`
-draws each slice's order from the federation's one generator set to the
-slice's state, so each stream is bit for bit the `make_rng` generator of
+draws each slice's order from one shared generator set to the slice's
+state, so each stream is bit for bit the `make_rng` generator of
 its key; lone callers derive their start states the same way.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
@@ -53,10 +58,13 @@ from .errors import (
 )
 from .fedcore import (
     FedMessage,
+    Federation,
+    InProcessTransport,
     MessageKind,
     PartyId,
     RoundLog,
     fedavg_aggregate,
+    run_federations,
     run_rounds,
     seal_rows,
     stack_rows,
@@ -246,12 +254,12 @@ class _Padded:
     (S, n + 1, T, p + 1), whose last feature is the step mask.  Steps
     are padded at the end of each sequence and rows at the end of each
     slice; row n is padding in every slice, so a minibatch gather pads
-    a batch by pointing at it.  weights (S, n + 1, T) is mask / length,
-    and padding rows have length 1 and label 0.
+    a batch by pointing at it.  Padding rows have length 1 and label 0.
+    The stack keeps no step weights: a gather forms its batch's, mask /
+    length, from x's mask feature.
     """
 
     x: np.ndarray
-    weights: np.ndarray
     lengths: np.ndarray
     y: np.ndarray
     counts: np.ndarray
@@ -265,22 +273,22 @@ class _Padded:
         without a copy."""
         if slots == list(range(len(self.counts))):
             return self
-        return _Padded(
-            self.x[slots], self.weights[slots], self.lengths[slots], self.y[slots],
-            self.counts[slots],
-        )
+        return _Padded(self.x[slots], self.lengths[slots], self.y[slots], self.counts[slots])
 
     def gather(self, live: np.ndarray, rows: np.ndarray, work: dict | None = None):
         """Batch tensors of slices live: rows (L, B) index each slice's
         sequences, n marking padding.  A one-row batch gets a padding row
-        too, so every product in the kernel is a matrix product."""
+        too, so every product in the kernel is a matrix product.  Returns
+        x, the step weights mask / length, lengths, labels and the mask
+        of real rows."""
         if rows.shape[1] < 2:
             rows = np.concatenate([rows, np.full((len(rows), 1), self.n)], axis=1)
         flat = self.x.reshape(-1, *self.x.shape[2:])
         x = _buffer(work, "x", (*rows.shape, *self.x.shape[2:]))
         np.take(flat, live[:, None] * (self.n + 1) + rows, axis=0, out=x, mode="clip")
         at = (live[:, None], rows)
-        return x, self.weights[at], self.lengths[at], self.y[at], rows < self.n
+        lengths = self.lengths[at]
+        return x, x[..., -1] / lengths[..., None], lengths, self.y[at], rows < self.n
 
 
 def _buffer(work: dict | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -310,10 +318,8 @@ def _pad(sets: Sequence[tuple[Sequence[np.ndarray], np.ndarray]]) -> _Padded:
         for j, seq in enumerate(group):
             x[i, j, : seq.shape[0], :width] = seq
             lengths[i, j] = seq.shape[0]
-    mask = (np.arange(t_max) < lengths[..., None]).astype(float)
-    x[..., width] = mask
-    lengths = np.maximum(lengths, 1.0)
-    return _Padded(x, mask / lengths[..., None], lengths, y, counts)
+    x[..., width] = np.arange(t_max) < lengths[..., None]
+    return _Padded(x, np.maximum(lengths, 1.0), y, counts)
 
 
 def _widen(arch: EncoderArch, w: np.ndarray) -> tuple[EncoderArch, np.ndarray]:
@@ -361,6 +367,9 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+_BLOCK = 24  # slices of d_pre's outer product formed at a time in `_grads`
+
+
 def _grads(arch: EncoderArch, w: np.ndarray, batch, work: dict | None = None):
     """Each slice's log-probabilities and mean cross-entropy gradient.
 
@@ -389,18 +398,27 @@ def _grads(arch: EncoderArch, w: np.ndarray, batch, work: dict | None = None):
     d_head = pooled.transpose(0, 2, 1) @ d_scores
     d_head_bias = d_scores.sum(axis=1)
     d_pooled = d_scores @ head.transpose(0, 2, 1)
-    d_pre = _buffer(work, "d_pre", hidden.shape)
-    # The outer product d_pooled[:, :, None] * weights[..., None] without
-    # a broadcast's embed_dim-long inner loops.  einsum adds each product
-    # to +0.0, so a -0.0 product (a padded step's) comes out +0.0; nothing
-    # downstream can tell, since d_pre only enters x^T d_pre, whose sums
-    # start from +0.0 and so end alike whatever the signs of their zeros.
-    np.einsum("sbe,sbt->sbte", d_pooled, weights, out=d_pre)
+    # d_pre, the pre-activation gradient, overwrites hidden: 1 - h^2 times
+    # the outer product d_pooled[:, :, None] * weights[..., None], formed
+    # _BLOCK slices at a time so that its buffer stays small.  einsum
+    # makes the outer product without a broadcast's embed_dim-long inner
+    # loops; it adds each product to +0.0, so a -0.0 product (a padded
+    # step's) comes out +0.0.  Nothing downstream can tell, since d_pre
+    # only enters x^T d_pre, whose sums start from +0.0 and so end alike
+    # whatever the signs of their zeros.
     hidden *= hidden
-    d_pre *= np.subtract(1.0, hidden, out=hidden)
+    d_pre = np.subtract(1.0, hidden, out=hidden)
+    for a in range(0, s, _BLOCK):
+        part = slice(a, a + _BLOCK)
+        outer = _buffer(work, "outer", d_pre[part].shape)
+        d_pre[part] *= np.einsum("sbe,sbt->sbte", d_pooled[part], weights[part], out=outer)
     # One product per (slice, sequence) over its steps, then the batch
-    # sum; the mask feature's row is the step bias gradient.
-    d_steps = x.reshape(s * b, t, q).transpose(0, 2, 1) @ d_pre.reshape(s * b, t, -1)
+    # sum; the mask feature's row is the step bias gradient.  The products
+    # reuse the outer product's buffer, which is free again.
+    d_steps = np.matmul(
+        x.reshape(s * b, t, q).transpose(0, 2, 1), d_pre.reshape(s * b, t, -1),
+        out=_buffer(work, "outer", (s * b, q, d_pre.shape[-1])),
+    )
     d_steps = d_steps.reshape(s, b, q, -1).sum(axis=1)
     grad = arch.pack(d_steps[:, :-1, :e], d_steps[:, -1, :e], d_head[:, :e], d_head_bias)
     return log_probs, grad
@@ -436,10 +454,10 @@ def loss_and_grad(
 
 
 class _Scratch:
-    """What one federation's lock-step passes reuse from round to round:
-    the generator `_sgd` sets to each slice's stream in turn, and the
-    kernel's large arrays (`_buffer`).  The passes must run one at a
-    time."""
+    """What the lock-step passes of lock-step federations reuse from
+    pass to pass: the generator `_sgd` sets to each slice's stream in
+    turn, and the kernel's large arrays (`_buffer`).  The passes must
+    run one at a time."""
 
     def __init__(self) -> None:
         self.rng = np.random.Generator(np.random.PCG64(0))
@@ -540,11 +558,11 @@ def local_training(
 class SequenceClient:
     """Runs local SGD on one view's sequences when polled.
 
-    `data` is its federation's padded stack, shared by all its clients,
-    and `slot` this client's slice of it.  `streams` (rounds, clients, 4)
-    holds the `numerics.stream_states` row of every client's shuffle
-    stream of every round below cfg.max_rounds, also shared, as is the
-    `scratch` its lock-step passes reuse.
+    `data` is the padded stack its federation shares with every other
+    view of its feature width, and `slot` this client's slice of it.
+    `streams` (rounds, slots, 4) holds the `numerics.stream_states` row
+    of every slot's shuffle stream of every round below cfg.max_rounds,
+    also shared, as is the `scratch` its lock-step passes reuse.
     """
 
     party: PartyId
@@ -558,9 +576,9 @@ class SequenceClient:
 
     @classmethod
     def steps(cls, clients, rnd: int, msgs: Sequence[FedMessage]) -> list[FedMessage]:
-        """Every client's local SGD, run as one lock-step pass over their
-        slots of the shared padded stack, and its reply; clients are all
-        of one federation's.  All messages are checked first."""
+        """Every client's local SGD and its reply.  The clients of one
+        padded stack, of every view of its width, run as one lock-step
+        pass over their slots.  All messages are checked first."""
         for c, msg in zip(clients, msgs):
             if msg is None or msg.kind is not MessageKind.PARAM_VECTOR:
                 raise ValueError(f"round {rnd}: expected a parameter broadcast")
@@ -569,16 +587,29 @@ class SequenceClient:
                     f"round {rnd}: broadcast for view {msg.view}, "
                     f"client trains view {c.view_index}"
                 )
-        first = clients[0]
-        stacked = _sgd(
-            first.arch, stack_rows([m.vector for m in msgs]),
-            first.data.take([c.slot for c in clients]), first.cfg,
-            np.array([c.stream(rnd) for c in clients]), first.scratch,
-        )
-        return [
-            FedMessage.param_vector(rnd, c.party, c.view_index, w)
-            for c, w in zip(clients, seal_rows(stacked))
-        ]
+        stacks: dict[int, list[int]] = {}
+        for i, c in enumerate(clients):
+            stacks.setdefault(id(c.data), []).append(i)
+        replies: list[FedMessage] = [None] * len(clients)  # type: ignore[list-item]
+        for idx in stacks.values():
+            group = [clients[i] for i in idx]
+            first, slots = group[0], [c.slot for c in group]
+            # Each run of one view's clients is stacked from its own
+            # broadcasts and sealed apart, so its server sums it as it is.
+            sizes = [len(list(run)) for _, run in itertools.groupby(c.view_index for c in group)]
+            runs = list(itertools.pairwise(itertools.accumulate(sizes, initial=0)))
+            stacked = _sgd(
+                first.arch,
+                np.concatenate([stack_rows([msgs[i].vector for i in idx[a:b]]) for a, b in runs]),
+                first.data.take(slots), first.cfg,
+                first.streams[rnd, slots] if rnd < len(first.streams)
+                else np.array([c.stream(rnd) for c in group]),
+                first.scratch,
+            )
+            rows = [row for a, b in runs for row in seal_rows(stacked[a:b])]
+            for c, i, w in zip(group, idx, rows):
+                replies[i] = FedMessage.param_vector(rnd, c.party, c.view_index, w)
+        return replies
 
     def step(self, rnd: int, msg: FedMessage | None) -> FedMessage:
         """This client's round alone: `steps` of a stack of one."""
@@ -623,41 +654,63 @@ def make_sequence_parties(
     arch: EncoderArch,
     cfg: TrainerConfig,
 ) -> tuple[SequenceServer, list[SequenceClient]]:
-    """Server and one client per local dataset for one view's encoder.
+    """Server and one client per local dataset for one view's encoder:
+    `_federations` of one view."""
+    return _federations([(datasets, view_index, arch)], cfg)[0]
 
-    Every client's sequences are padded once, here, into one stack
-    that all clients share; client l holds slot l.  The shuffle streams
-    of every client and round are derived here too, in one pass.
+
+def _federations(
+    views: Sequence[tuple[Sequence[SequenceDataset], int, EncoderArch]],
+    cfg: TrainerConfig,
+) -> list[tuple[SequenceServer, list[SequenceClient]]]:
+    """Server and one client per local dataset for the encoder of each
+    (datasets, view index, arch) in views.
+
+    The views of one arch share one padded stack, made here once, with
+    slots view-major: the first such view's clients hold its first
+    slots, in order, then the next view's.  The shuffle streams of every
+    (client, view, round) are derived here too, in one pass, and every
+    client shares one `_Scratch`.
     """
-    if len(datasets) == 0:
-        raise InvalidSpec("sequence training needs at least one client")
-    for data in datasets:
-        if data.n_samples == 0:
-            raise EmptyDataset("every client must hold at least one sequence")
-        if data.n_features != arch.n_features:
-            raise DimensionMismatch(
-                f"client width {data.n_features}, arch expects {arch.n_features}"
-            )
-    server = SequenceServer(
-        w=arch.init_params(cfg.seed, KEY_ENCODER, view_index),
-        counts=[data.n_samples for data in datasets], view_index=view_index,
-    )
-    padded = _pad([(data.sequences, data.y) for data in datasets])
-    keys = [
-        (KEY_SHUFFLE, l, view_index, rnd)
-        for rnd in range(cfg.max_rounds) for l in range(len(datasets))
-    ]
-    streams = stream_states(cfg.seed, keys).reshape(cfg.max_rounds, len(datasets), 4)
-    streams.setflags(write=False)  # `stream` hands out its rows
-    scratch = _Scratch()
-    clients = [
-        SequenceClient(
-            party=PartyId.client(l), data=padded, slot=l, arch=arch, cfg=cfg,
-            view_index=view_index, streams=streams, scratch=scratch,
+    for datasets, _, arch in views:
+        if len(datasets) == 0:
+            raise InvalidSpec("sequence training needs at least one client")
+        for data in datasets:
+            if data.n_samples == 0:
+                raise EmptyDataset("every client must hold at least one sequence")
+            if data.n_features != arch.n_features:
+                raise DimensionMismatch(
+                    f"client width {data.n_features}, arch expects {arch.n_features}"
+                )
+    servers = [
+        SequenceServer(
+            w=arch.init_params(cfg.seed, KEY_ENCODER, view_index),
+            counts=[data.n_samples for data in datasets], view_index=view_index,
         )
-        for l in range(len(datasets))
+        for datasets, view_index, arch in views
     ]
-    return server, clients
+    stacks: dict[EncoderArch, list[int]] = {}
+    for v, (_, _, arch) in enumerate(views):
+        stacks.setdefault(arch, []).append(v)
+    # Every (view, client) slot, stack after stack, view-major within each.
+    slots = [(v, l) for vs in stacks.values() for v in vs for l in range(len(views[v][0]))]
+    keys = [(KEY_SHUFFLE, l, views[v][1], rnd) for rnd in range(cfg.max_rounds) for v, l in slots]
+    table = stream_states(cfg.seed, keys).reshape(cfg.max_rounds, len(slots), 4)
+    table.setflags(write=False)  # `stream` hands out its rows
+    scratch = _Scratch()
+    parties: list[list[SequenceClient]] = [[] for _ in views]
+    start = 0
+    for arch, vs in stacks.items():
+        padded = _pad([(d.sequences, d.y) for v in vs for d in views[v][0]])
+        end = start + len(padded.counts)
+        streams = table[:, start:end]
+        for slot, (v, l) in enumerate(slots[start:end]):
+            parties[v].append(SequenceClient(
+                party=PartyId.client(l), data=padded, slot=slot, arch=arch, cfg=cfg,
+                view_index=views[v][1], streams=streams, scratch=scratch,
+            ))
+        start = end
+    return list(zip(servers, parties))
 
 
 def train_view_encoder(
@@ -692,9 +745,15 @@ def sfed_train(
 ) -> SfedResult:
     """Train every view's encoder independently across all clients.
 
-    Views share nothing, so their training order is irrelevant; they
-    run ascending here.  The returned parameters are the final
-    aggregates, which is also what feature extraction uses.
+    Each view is its own FedAvg federation; they run in lock-step
+    (`fedcore.run_federations`), and the views of one width share one
+    padded stack, so a round's local SGD is one lock-step pass per
+    width.  Views share no parameters, so each view's encoder, frames
+    and round records are those of its `train_view_encoder` alone.
+    transport (None: a fresh InProcessTransport) carries every view's
+    traffic, and each view's records are appended to log in view order.
+    The returned parameters are the final aggregates, which is also
+    what feature extraction uses.
     """
     if len(clients) == 0:
         raise InvalidSpec("sequence training needs at least one client")
@@ -703,20 +762,26 @@ def sfed_train(
     for data in clients:
         if data.n_views != n_views:
             raise DimensionMismatch("clients disagree on view count")
-    log = log if log is not None else RoundLog()
-    archs, params = [], []
-    for k in range(n_views):
-        arch = EncoderArch(
+    archs = [
+        EncoderArch(
             n_features=clients[0].views[k].n_features,
             embed_dim=embed_dim, n_classes=n_classes,
         )
-        w = train_view_encoder(
-            [c.views[k] for c in clients], k, arch, cfg,
-            transport=transport, log=log,
-        )
-        archs.append(arch)
-        params.append(w)
-    return SfedResult(archs=archs, params=params, log=log)
+        for k in range(n_views)
+    ]
+    federations = _federations(
+        [([c.views[k] for c in clients], k, arch) for k, arch in enumerate(archs)], cfg
+    )
+    transport = transport if transport is not None else InProcessTransport()
+    logs = run_federations(
+        [Federation(server, parties, transport) for server, parties in federations],
+        cfg.max_rounds,
+    )
+    log = log if log is not None else RoundLog()
+    for view_log in logs:
+        for record in view_log.records:
+            log.append(record)
+    return SfedResult(archs=archs, params=[server.w for server, _ in federations], log=log)
 
 
 def extract_features(

@@ -8,6 +8,7 @@ import pytest
 from mvfed.errors import MalformedFrame, MissingClient, PartyFailure
 from mvfed.fedcore import (
     FedMessage,
+    Federation,
     FramedByteTransport,
     InProcessTransport,
     MessageKind,
@@ -18,6 +19,7 @@ from mvfed.fedcore import (
     encode_message,
     fedavg_aggregate,
     frame_size,
+    run_federations,
     run_rounds,
     seal_rows,
     stack_rows,
@@ -725,3 +727,122 @@ class TestPrestep:
         # The stack's reply for client 2 raised, so each client stepped
         # alone, as a stack of one, until client 2 failed.
         assert lone_steps(events) == [(0, 0), (0, 1), (0, 2)]
+
+
+class AveragingServer:
+    """Broadcasts its state and replaces it by the mean of the replies;
+    done() after stop_after rounds."""
+
+    reply_kind = MessageKind.CONSENSUS
+
+    def __init__(self, start, stop_after=None):
+        self.party = SERVER
+        self.w = start
+        self.rounds = 0
+        self.stop_after = stop_after
+
+    def broadcast(self, rnd):
+        return FedMessage.consensus(rnd, self.party, self.w)
+
+    def aggregate(self, rnd, replies):
+        self.w = fedavg_aggregate([m.matrix for m in replies], [1] * len(replies))
+        self.rounds += 1
+
+    def done(self):
+        return self.stop_after is not None and self.rounds >= self.stop_after
+
+
+class ScalingClient:
+    """Replies with the broadcast times its own factor, plus the round.
+    `steps` answers every client it is given, of any federation, as one
+    stack, and records how many it got; a lone `step` is a stack of one.
+    A client with fail=True raises from its own step only."""
+
+    def __init__(self, party, factor, calls, fail=False):
+        self.party = party
+        self.factor = factor
+        self.calls = calls
+        self.fail = fail
+
+    @classmethod
+    def steps(cls, clients, rnd, msgs):
+        clients[0].calls.append(len(clients))
+        if any(c.fail for c in clients):
+            raise RuntimeError("boom")
+        factors = np.array([c.factor for c in clients])[:, None, None]
+        stack = np.stack([m.matrix for m in msgs]) * factors + rnd
+        return [FedMessage.consensus(rnd, c.party, row) for c, row in zip(clients, seal_rows(stack))]
+
+    def step(self, rnd, msg):
+        if self.fail:
+            raise RuntimeError("boom")
+        return type(self).steps([self], rnd, [msg])[0]
+
+
+def scaling_federation(seed, n_clients, calls, stop_after=None):
+    """A server and its clients, given in descending id order."""
+    start = np.random.default_rng(seed).standard_normal((2, 3))
+    clients = [
+        ScalingClient(PartyId.client(i), 0.5 + 0.25 * i + seed, calls)
+        for i in reversed(range(n_clients))
+    ]
+    return AveragingServer(start, stop_after), clients
+
+
+def messages_of(log):
+    """Every logged field but seconds."""
+    return [(r.round, r.messages) for r in log.records]
+
+
+class TestRunFederations:
+    """Several federations in lock-step: each runs exactly as it does
+    alone, while one `steps` call a round serves all of them."""
+
+    # (seed, clients, stop_after): the second federation stops after two
+    # of the four rounds.
+    SPECS = [(0, 3, None), (1, 2, 2), (2, 4, None)]
+
+    def test_each_federation_matches_its_solo_run(self):
+        solo = []
+        for spec in self.SPECS:
+            transport = FramedByteTransport(capture=True)
+            server, clients = scaling_federation(*spec[:2], [], spec[2])
+            log = run_rounds(server, clients, transport, max_rounds=4)
+            solo.append((server.w, log, transport.captured))
+        calls = []
+        shared = FramedByteTransport(capture=True)
+        feds = [scaling_federation(seed, n, calls, stop) for seed, n, stop in self.SPECS]
+        logs = run_federations([Federation(s, c, shared) for s, c in feds], max_rounds=4)
+        assert [log.n_rounds for log in logs] == [4, 2, 4]
+        for (server, _), log, (w, solo_log, _) in zip(feds, logs, solo):
+            assert server.w.tobytes() == w.tobytes()
+            assert messages_of(log) == messages_of(solo_log)
+        # One stack a round over every live federation's clients.
+        assert calls == [9, 9, 7, 7]
+        # Each round's frames: every live federation's broadcasts, then
+        # each federation's replies in turn, each as it was sent alone.
+        per_round = []
+        for _, solo_log, frames in solo:
+            sizes = [len(r.messages) for r in solo_log.records]
+            bounds = np.cumsum([0, *sizes])
+            per_round.append([frames[a:b] for a, b in zip(bounds[:-1], bounds[1:])])
+        expected = []
+        for rnd in range(4):
+            live = [rounds[rnd] for rounds in per_round if rnd < len(rounds)]
+            expected += [f for frames in live for f in frames[: len(frames) // 2]]
+            expected += [f for frames in live for f in frames[len(frames) // 2 :]]
+        assert shared.captured == expected
+
+    @pytest.mark.parametrize("transport_cls", [InProcessTransport, FramedByteTransport])
+    def test_failing_client_is_named_in_its_federation(self, transport_cls):
+        calls = []
+        feds = [scaling_federation(seed, n, calls) for seed, n, _ in self.SPECS]
+        feds[1][1][0].fail = True  # client 1 of the second federation
+        transport = transport_cls()
+        with pytest.raises(PartyFailure) as info:
+            run_federations([Federation(s, c, transport) for s, c in feds], max_rounds=3)
+        assert (info.value.round_index, info.value.party_id) == (0, 1)
+        # The stack raised, so each client stepped alone: the first
+        # federation's three, then client 0 of the second, which replied.
+        assert calls == [9, 1, 1, 1, 1]
+        assert feds[0][0].rounds == 1 and feds[1][0].rounds == 0

@@ -266,6 +266,25 @@ class TestTrain:
             hfed_train([data, tiny], HyperParams.uniform(2), seed=1, log=log)
         assert log.n_rounds == 0
 
+    @pytest.mark.parametrize("max_local", [2.5, -1, np.float64(3.0)])
+    def test_max_local_must_be_a_non_negative_integer(self, max_local):
+        # 2.5 used to fail in round 0 as a PartyFailure wrapping a
+        # TypeError, and -1 ran no local pass without complaint.
+        log = RoundLog()
+        with pytest.raises(InvalidSpec, match="max_local must be an integer >= 0"):
+            hfed_train(split_rows(blob_dataset(24), 2), HyperParams.uniform(2), seed=1,
+                       max_local=max_local, log=log)
+        assert log.n_rounds == 0
+
+    @pytest.mark.parametrize("rounds", [2.5, -1])
+    def test_round_count_must_be_a_non_negative_integer(self, rounds):
+        # -1 used to run no round without complaint; 0 rounds return the
+        # server's start.
+        parts, hp = split_rows(blob_dataset(24), 2), HyperParams.uniform(2)
+        with pytest.raises(InvalidSpec, match="rounds must be an integer >= 0"):
+            hfed_train(parts, hp, seed=1, rounds=rounds)
+        assert hfed_train(parts, hp, seed=1, rounds=0).log.n_rounds == 0
+
     def test_zero_epsilon_rejected_before_any_round(self):
         data = blob_dataset(24)
         zero = dataclasses.replace(HyperParams.uniform(2), epsilon=0.0)

@@ -298,6 +298,12 @@ class TestIrlsFit:
         with pytest.raises(DimensionMismatch, match="w_init"):
             fit_view_transform(np.ones((6, 3)), np.ones((6, 2)), beta=1.0, w_init=np.zeros(shape))
 
+    @pytest.mark.parametrize("max_inner", [2.5, 0, -1, "3"])
+    def test_max_inner_must_be_a_positive_integer(self, max_inner):
+        # 2.5 used to escape as a bare TypeError from range().
+        with pytest.raises(InvalidSpec, match="max_inner must be an integer >= 1"):
+            fit_view_transform(np.eye(3), np.eye(3), beta=1.0, max_inner=max_inner)
+
     @pytest.mark.parametrize("beta", [-1.0, 0.0, np.nan])
     def test_beta_must_be_positive(self, beta):
         # A negative or NaN beta used to surface as NotSPD from the solve.
@@ -705,13 +711,13 @@ class TestTrainStack:
         data = self.data(n, dims, c, seed=n)
         hps = self.candidates(len(dims))
         sizes = record_calls(monkeypatch, mvfed.mvl, "_fit_stats", 1, group=True)
-        stacked = mvfed.mvl._train_stack(data, hps, seed=4)
+        states, reports = mvfed.mvl._train_stack(data, hps, seed=4)
         monkeypatch.undo()
         outer = []
-        for hp, (state, trace) in zip(hps, stacked):
+        for i, (hp, state) in enumerate(zip(hps, states)):
             ref_state, ref_rows = reference_train_mvl(data, hp, seed=4)
             assert_same_state(state, ref_state)
-            assert trace.rows == ref_rows
+            assert mvfed.mvl._trace(reports, i).rows == ref_rows
             single_state, single_trace = train_mvl(data, hp, seed=4)
             assert_same_state(single_state, ref_state)
             assert single_trace.rows == ref_rows
@@ -745,9 +751,10 @@ class TestTrainStack:
         data = self.data(20, (4, 3), 2, seed=0)
         hps = [dataclasses.replace(hp, max_outer=0) for hp in self.candidates(2)]
         ref = init_state(data.dims, data.n_samples, data.n_classes, seed=1)
-        for state, trace in mvfed.mvl._train_stack(data, hps, seed=1):
+        states, reports = mvfed.mvl._train_stack(data, hps, seed=1)
+        for i, state in enumerate(states):
             assert_same_state(state, ref)
-            assert [r.iteration for r in trace.rows] == [0]
+            assert [r.iteration for r in mvfed.mvl._trace(reports, i).rows] == [0]
 
 
 class TestPasses:
@@ -832,6 +839,15 @@ class TestPredictMvl:
     def test_zero_zeta_rejected(self):
         with pytest.raises(InvalidSpec):
             predict_mvl([np.ones((2, 2))], [np.ones((2, 2))], zeta=(0.0,))
+
+    @pytest.mark.parametrize("max_outer", [2.5, -1, None])
+    def test_max_outer_must_be_a_non_negative_integer(self, max_outer):
+        # 2.5 used to escape as a bare TypeError from range(); 0 rounds
+        # stay legal and return the start, the blend of X_k W_k.
+        x, w = np.eye(2), np.ones((2, 2))
+        with pytest.raises(InvalidSpec, match="max_outer must be an integer >= 0"):
+            predict_mvl([x], [w], zeta=(1.0,), max_outer=max_outer)
+        assert np.array_equal(predict_mvl([x], [w], zeta=(1.0,), max_outer=0), x @ w)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):

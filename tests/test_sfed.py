@@ -647,6 +647,70 @@ class TestCohort:
         assert kernel[:steps] == [3, 3, 2, 1] * RAGGED_CFG.local_epochs
 
 
+def mixed_width_clients(seed, widths=(3, 5, 3, 3)):
+    """Ragged clients (5, 9 and 14 sequences) holding one view per width
+    given; the views of one width share one padded stack."""
+    clients = []
+    for l, a in enumerate(ragged_clients(seed)):
+        views = [make_sequences(seed + 7 * l + k, n=a.n_samples, p=p) for k, p in enumerate(widths)]
+        for view in views:
+            view.y[:] = a.y
+        clients.append(SequenceClientData(views=views))
+    return clients
+
+
+class TestLockStep:
+    """sfed_train runs its views' federations in lock-step: three views
+    of width 3 share one padded stack, the width-5 view has its own."""
+
+    def test_each_view_matches_its_federation_alone(self, monkeypatch):
+        clients = mixed_width_clients(110)
+        framed = FramedByteTransport(capture=True)
+        sgd = record_calls(monkeypatch, mvfed.sfed, "_sgd", 1)
+        padded = record_calls(monkeypatch, mvfed.sfed, "_pad", 0)
+        result = sfed_train(clients, RAGGED_CFG, embed_dim=4, transport=framed)
+        # One `_sgd` per width a round, over all of that width's slots,
+        # and one padding per width.
+        assert sgd == [9, 3] * RAGGED_CFG.max_rounds
+        assert padded == [9, 3]
+        monkeypatch.undo()
+        records, frames = [], {}
+        for frame in framed.captured:
+            frames.setdefault(decode_message(frame).view, []).append(frame)
+        for k, (arch, w) in enumerate(zip(result.archs, result.params)):
+            alone_framed, alone_log = FramedByteTransport(capture=True), RoundLog()
+            alone = train_view_encoder(
+                [c.views[k] for c in clients], k, arch, RAGGED_CFG, alone_framed, alone_log
+            )
+            assert w.tobytes() == alone.tobytes()
+            assert frames[k] == alone_framed.captured
+            records += [(r.round, r.messages) for r in alone_log.records]
+        # The views' records, appended in view order.
+        assert [(r.round, r.messages) for r in result.log.records] == records
+
+    def test_non_finite_client_is_named(self, monkeypatch):
+        # Client 2's width-5 view trains to NaN: the stacked round raises,
+        # each client steps alone, and client 2 fails in round 0.
+        clients = mixed_width_clients(120)
+        clients[2].views[1].sequences[4][0, 0] = 777.0
+        original = mvfed.sfed._grads
+
+        def poisoned(arch, w, batch, *args):
+            log_probs, grad = original(arch, w, batch, *args)
+            grad[(batch[0] == 777.0).any(axis=(1, 2, 3))] = np.nan
+            return log_probs, grad
+
+        monkeypatch.setattr(mvfed.sfed, "_grads", poisoned)
+        sgd = record_calls(monkeypatch, mvfed.sfed, "_sgd", 1)
+        with pytest.raises(PartyFailure) as err:
+            sfed_train(clients, RAGGED_CFG, embed_dim=4)
+        assert (err.value.round_index, err.value.party_id) == (0, 2)
+        assert "non-finite" in str(err.value.cause)
+        # The two stacks, then view 0's three clients alone, then view 1's
+        # clients 0 and 1, and client 2, which fails.
+        assert sgd == [9, 3] + [1] * 6
+
+
 class TestStreams:
     def test_make_rng_only_for_the_inits(self, monkeypatch):
         clients = two_view_clients(45)
