@@ -15,6 +15,11 @@ and hands out its rows; a message keeps such a row as it is, and
 `stack_rows` gives `np.stack` of such rows back as the stack itself.
 The invariant is that nothing writes a stack once rows of it are out:
 the stack and every view of it refuse writes.
+
+`FedMessage.batch` builds the replies a client class cuts from such a
+stack, one per sender, as equal to messages built one at a time: it
+checks the round, the kind and the fields every reply shares once, and
+each sender and each row as the constructor would.
 """
 
 from __future__ import annotations
@@ -207,6 +212,9 @@ _CHECKS = {
     "vector": lambda v: _checked_array(v, 1, "vector"),
 }
 
+# The payload fields that `FedMessage.batch` shares between messages.
+_SHARED = frozenset({"zeta", "view"})
+
 # Per kind: (field, check) of each field it carries, and the payload
 # fields it must leave None.
 _FIELDS = {
@@ -216,6 +224,25 @@ _FIELDS = {
     )
     for kind, fields in PAYLOADS.items()
 }
+
+
+def _check_round(rnd: int) -> None:
+    if not 0 <= rnd < 2**32:
+        raise ValueError(f"round {rnd} does not fit in u32")
+
+
+def _check_sender(sender) -> None:
+    if not isinstance(sender, PartyId):
+        raise ValueError(f"sender must be a PartyId, got {sender!r}")
+
+
+def _check_kind(kind) -> MessageKind:
+    if type(kind) is MessageKind:
+        return kind
+    try:
+        return MessageKind(kind)
+    except ValueError:
+        raise ValueError(f"unknown message kind {kind!r}") from None
 
 
 def _equal(a, b) -> bool:
@@ -247,16 +274,10 @@ class FedMessage:
     vector: np.ndarray | None = field(default=None)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.round < 2**32:
-            raise ValueError(f"round {self.round} does not fit in u32")
-        if not isinstance(self.sender, PartyId):
-            raise ValueError(f"sender must be a PartyId, got {self.sender!r}")
-        kind = self.kind
-        if type(kind) is not MessageKind:
-            try:
-                kind = MessageKind(kind)
-            except ValueError:
-                raise ValueError(f"unknown message kind {kind!r}") from None
+        _check_round(self.round)
+        _check_sender(self.sender)
+        kind = _check_kind(self.kind)
+        if kind is not self.kind:
             object.__setattr__(self, "kind", kind)
         carried, absent = _FIELDS[kind]
         for name, check in carried:
@@ -276,6 +297,55 @@ class FedMessage:
         return all(
             _equal(getattr(self, name), getattr(other, name)) for name in PAYLOADS[self.kind]
         )
+
+    @classmethod
+    def batch(
+        cls, round: int, senders: Sequence[PartyId], kind: MessageKind, **fields
+    ) -> list["FedMessage"]:
+        """One message of the given round and kind per sender, in order:
+        the replies a client class cuts from one stack it computed.
+
+        The kind's array fields (matrix, vector; matrices as one sequence
+        of matrices) take one value per sender; its scalar fields (zeta,
+        view) take one value that every message shares.  Each message
+        equals, field for field, the one the constructor builds from its
+        sender's values, and fails where that one fails: round, kind and
+        the shared fields are checked once, every sender must be a
+        PartyId, and every array goes through the same check, so a row of
+        a sealed stack (`seal_rows`) is kept without a copy and a row of a
+        non-finite stack raises ValueError when its sender's turn comes.
+        """
+        _check_round(round)
+        kind = _check_kind(kind)
+        unknown = sorted(fields.keys() - _CHECKS.keys())
+        if unknown:
+            raise TypeError(f"FedMessage has no payload field {unknown[0]!r}")
+        carried, absent = _FIELDS[kind]
+        shared = {"round": round, "sender": None, "kind": kind, **dict.fromkeys(_CHECKS)}
+        columns = []
+        for name, check in carried:
+            value = fields.get(name)
+            if value is None:
+                raise ValueError(f"{kind.name} requires {name}")
+            if name in _SHARED:
+                shared[name] = check(value)
+            elif len(value) != len(senders):
+                raise ValueError(f"{len(senders)} senders, {len(value)} {name} values")
+            else:
+                columns.append((name, check, value))
+        for name in absent:
+            if fields.get(name) is not None:
+                raise ValueError(f"{kind.name} does not carry {name}")
+        messages = []
+        for i, sender in enumerate(senders):
+            _check_sender(sender)
+            msg = object.__new__(cls)
+            values = msg.__dict__
+            values.update(shared, sender=sender)
+            for name, check, value in columns:
+                values[name] = check(value[i])
+            messages.append(msg)
+        return messages
 
     # --- constructors per kind -------------------------------------------
 

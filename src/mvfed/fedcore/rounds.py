@@ -46,7 +46,13 @@ The driver owns the round contract, so servers keep only their math:
 - `transport=None` means a fresh InProcessTransport.
 
 All traffic flows through the transport, so the same protocol code runs
-over in-process queues of messages or of encoded frames.  Each logged
+over in-process queues of messages or of encoded frames.  A federation's
+traffic moves per phase, not per message: its broadcast is one
+`send_all` to every client and one `receive_all` from every downlink,
+and its replies, gathered in client id order, one `send_all` and one
+`receive_all` more, so a round of N clients makes four transport calls
+whatever N is.  Each phase's records are built in one pass once its
+messages are sent; a `MessageRecord` is a named tuple, and each logged
 message's byte count is its `frame_size`, the length of its encoded
 frame, computed without encoding.
 """
@@ -55,7 +61,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from ..errors import MissingClient, PartyFailure
 from .messages import FedMessage, MessageKind
@@ -76,8 +82,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MessageRecord:
+class MessageRecord(NamedTuple):
     sender: int
     receiver: int
     kind: MessageKind
@@ -141,42 +146,47 @@ class Federation:
 
 class _Run:
     """A federation inside `run_federations`: its clients in id order,
-    their endpoints, its log and what its current round has received."""
+    its transport, its log and what its current round has received."""
 
     def __init__(self, fed: Federation) -> None:
         self.server = fed.server
         self.clients = sorted(fed.clients, key=lambda c: c.party.id)
-        transport = fed.transport if fed.transport is not None else InProcessTransport()
-        self.server_ep = transport.endpoint(self.server.party)
-        self.client_eps = [transport.endpoint(c.party) for c in self.clients]
+        self.transport = fed.transport if fed.transport is not None else InProcessTransport()
         self.done = getattr(self.server, "done", None)
         self.log = fed.log if fed.log is not None else RoundLog()
         self.by_class: dict[type, list[int]] = {}
         for i, client in enumerate(self.clients):
             self.by_class.setdefault(type(client), []).append(i)
+        server = self.server.party
+        parties = [c.party for c in self.clients]
+        self.ids = [p.id for p in parties]
+        self.downlinks = [(server, p) for p in parties]
+        self.uplinks = [(p, server) for p in parties]
         self.records: list[MessageRecord] = []
         self.inbound: list[FedMessage | None] = []
         self.answered: dict[int, FedMessage | None] = {}
 
     def broadcast(self, rnd: int) -> None:
         """Open the round: the server's broadcast, if any, is sent to
-        every client and every client receives it."""
+        every client in one phase and every client receives it in one
+        more."""
         self.records, self.answered = [], {}
         msg = self.server.broadcast(rnd)
         if msg is None:
             self.inbound = [None] * len(self.clients)
             return
-        size, server = frame_size(msg), self.server.party
-        for client in self.clients:
-            self.server_ep.send(client.party, msg)
-            self.records.append(MessageRecord(server.id, client.party.id, msg.kind, size))
-        self.inbound = [ep.receive(server) for ep in self.client_eps]
+        self.transport.send_all([(frm, to, msg) for frm, to in self.downlinks])
+        self.inbound = self.transport.receive_all(self.downlinks)
+        sid, kind, size = self.server.party.id, msg.kind, frame_size(msg)
+        self.records = [MessageRecord(sid, cid, kind, size) for cid in self.ids]
 
     def close(self, rnd: int, t0: float) -> bool:
-        """Send every client's reply, its class's `steps` answer or else
-        the reply of its own `step`, aggregate them and log the round;
-        True when the server is done."""
+        """Gather every client's reply, its class's `steps` answer or else
+        the reply of its own `step`, send them in one phase, receive them
+        in one more, aggregate them and log the round; True when the
+        server is done."""
         server = self.server
+        replies = []
         for i, (client, inbound) in enumerate(zip(self.clients, self.inbound)):
             try:
                 reply = self.answered[i] if i in self.answered else client.step(rnd, inbound)
@@ -184,20 +194,23 @@ class _Run:
                 raise PartyFailure(rnd, client.party.id, exc) from exc
             if reply is None:
                 raise MissingClient(f"round {rnd}: no reply from client {client.party.id}")
-            self.client_eps[i].send(server.party, reply)
-            self.records.append(
-                MessageRecord(client.party.id, server.party.id, reply.kind, frame_size(reply))
-            )
-        replies = []
-        for client in self.clients:
-            reply = self.server_ep.receive(client.party)
+            replies.append(reply)
+        self.transport.send_all(
+            [(frm, to, reply) for (frm, to), reply in zip(self.uplinks, replies)]
+        )
+        received = self.transport.receive_all(self.uplinks)
+        for cid, reply in zip(self.ids, received):
             if reply.kind is not server.reply_kind:
                 raise ValueError(
-                    f"round {rnd}: client {client.party.id} sent {reply.kind.name}, "
+                    f"round {rnd}: client {cid} sent {reply.kind.name}, "
                     f"expected {server.reply_kind.name}"
                 )
-            replies.append(reply)
-        server.aggregate(rnd, replies)
+        sid = server.party.id
+        self.records += [
+            MessageRecord(cid, sid, reply.kind, frame_size(reply))
+            for cid, reply in zip(self.ids, replies)
+        ]
+        server.aggregate(rnd, received)
         self.log.append(RoundRecord(rnd, tuple(self.records), time.perf_counter() - t0))
         return self.done is not None and self.done()
 

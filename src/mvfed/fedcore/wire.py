@@ -135,12 +135,20 @@ def encode_message(msg: FedMessage) -> bytes:
     return header + payload
 
 
+# Per kind: (field, size function) of each payload field in wire order,
+# so that sizing a message looks up nothing but its kind.
+_SIZES = {
+    kind: tuple((name, _CODECS[name][2]) for name in fields) for kind, fields in PAYLOADS.items()
+}
+
+
 def frame_size(msg: FedMessage) -> int:
     """`len(encode_message(msg))`, computed from the payload shapes
     without encoding."""
-    return HEADER_SIZE + sum(
-        _CODECS[name][2](getattr(msg, name)) for name in PAYLOADS[msg.kind]
-    )
+    size = HEADER_SIZE
+    for name, field_size in _SIZES[msg.kind]:
+        size += field_size(getattr(msg, name))
+    return size
 
 
 def decode_message(frame: bytes) -> FedMessage:

@@ -28,7 +28,8 @@ slice is bit-identical to what its client computes alone.  A lone
 
 Each block's transform stacks are sealed (`fedcore.seal_rows`): checked
 finite once and read-only, so a reply carries its client's rows without
-a copy and the server's FedAvg sums the stack itself.  The local state
+a copy and the server's FedAvg sums the stack itself; a block's replies
+are built in one `FedMessage.batch` call.  The local state
 is committed to the blocks (`_Rows.commit`) only once every reply is
 built, so when `steps` raises no client has changed, and the driver
 lets each client step alone; a failure is then reported by the client
@@ -214,8 +215,12 @@ class HorizontalClient:
                 [np.full(len(slots), q) for q in hp.zeta], np.full(len(slots), hp.eta),
                 hp, block.max_local, fit_first=False, layout=_layout(block.rows),
             )
-            for i, *w_i in zip(idx, *map(seal_rows, w)):
-                replies[i] = FedMessage.transform_set(rnd, clients[i].party, w_i)
+            built = FedMessage.batch(
+                rnd, [clients[i].party for i in idx], MessageKind.TRANSFORM_SET,
+                matrices=list(zip(*map(seal_rows, w))),
+            )
+            for i, reply in zip(idx, built):
+                replies[i] = reply
             commits.append((rows, slots, pseudo, consensus))
         for rows, *state in commits:
             rows.commit(*state)

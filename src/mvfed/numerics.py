@@ -8,11 +8,14 @@ parties) derive bitwise-identical initial states from one seed.
 :func:`stream_states` derives the same streams' start states for a
 batch of keys in one pass, running numpy's `SeedSequence` hash as uint32
 array operations over all keys, and :func:`draw_streams` draws from
-them on one reused generator.  The pass has a fixed cost of about 150
-array operations, so it pays off from about 30 keys: a caller that
-knows many keys in advance derives them together (hfed's client inits,
-one row-count group at a time; sfed's shuffles, every client and round
-of a view's federation), and a lone stream stays on `make_rng`.
+them on one reused generator, set to each stream through one reused
+state dict.  :func:`orthonormal_inits` draws its streams that way
+straight into the rows of one array.  The pass has a fixed cost of
+about 150 array operations, so it pays off from about 30 keys: a
+caller that knows many keys in advance derives them together (hfed's
+client inits, one row-count group at a time; sfed's shuffles, every
+client, view and round of its federations), and a lone stream stays on
+`make_rng`.
 
 :func:`solve_spd` solves an (s, n, n) stack of SPD systems, and one
 system as a stack of one, on one of two engines, chosen by the order n
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -219,17 +222,25 @@ def draw_streams(
     """`[draw(make_rng(seed, *key)) for key in keys]`, bit for bit.
 
     The streams are derived for all keys in one pass, as in
-    `stream_states`, and each is set in turn on one reused generator, so
-    `draw` must finish with its generator before it returns.  Worth it
-    from about 30 keys.
+    `stream_states`, and each is set in turn on one reused generator
+    (`_streams`), so `draw` must finish with its generator before it
+    returns.  Worth it from about 30 keys.
     """
+    return [draw(rng) for rng in _streams(seed, keys)]
+
+
+def _streams(seed: int, keys: Sequence[tuple[int, ...]]) -> Iterator[np.random.Generator]:
+    """One generator, set to `make_rng(seed, *key)`'s start state for
+    each key in turn.  The states are derived together
+    (`_pcg64_states`) and each is set through one reused state dict, so
+    a stream costs no more than the state assignment."""
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    out = []
-    for state, inc in _pcg64_states(seed, keys):
-        bit_generator.state = _state_dict(state, inc)
-        out.append(draw(rng))
-    return out
+    state = _state_dict(0, 0)
+    words = state["state"]
+    for words["state"], words["inc"] in _pcg64_states(seed, keys):
+        bit_generator.state = state
+        yield rng
 
 
 def gaussian_init(rows: int, cols: int, seed: int, *key: int, scale: float = 1.0) -> np.ndarray:
@@ -256,12 +267,15 @@ def orthonormal_inits(
     n: int, c: int, seed: int, keys: Sequence[tuple[int, ...]]
 ) -> np.ndarray:
     """`orthonormal_init(n, c, seed, *key)` for every key, as one
-    (len(keys), n, c) stack: each block is drawn from its own stream,
-    the streams derived together by `draw_streams`, and all of them are
-    factored by one stacked QR."""
+    (len(keys), n, c) stack: each block is drawn from its own stream
+    straight into its row of one array allocated up front, the streams
+    derived together and set on one reused generator (`_streams`), and
+    all of them are factored by one stacked QR."""
     _check_init_shape(n, c)
-    g = draw_streams(seed, keys, lambda rng: rng.standard_normal((n, c)))
-    return _orthonormalize(np.stack(g))
+    g = np.empty((len(keys), n, c))
+    for row, rng in zip(g, _streams(seed, keys)):
+        rng.standard_normal(out=row)
+    return _orthonormalize(g)
 
 
 def _check_init_shape(n: int, c: int) -> None:

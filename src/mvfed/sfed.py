@@ -35,9 +35,11 @@ stack.
 The shuffle streams of every client, view and round, keyed (client,
 view, round), are derived together when the parties are built
 (`numerics.stream_states`) and kept as 32-byte start states.  `_sgd`
-draws each slice's order from one shared generator set to the slice's
-state, so each stream is bit for bit the `make_rng` generator of
-its key; lone callers derive their start states the same way.
+sets each slice's state on one shared generator through one reused
+state dict and shuffles rows pre-filled with arange, so each stream is
+bit for bit the `make_rng` generator of its key; lone callers derive
+their start states the same way.  The replies of each view's run of a
+stack are built in one `FedMessage.batch` call from its sealed rows.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ from .fedcore import (
     seal_rows,
     stack_rows,
 )
+from .mvl import _check_cap
 from .numerics import KEY_ENCODER, KEY_SHUFFLE, make_rng, pcg64_state, stream_states
 
 
@@ -238,12 +241,15 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise InvalidSpec(f"batch_size {self.batch_size} < 1")
+        # Counts are integers at the boundary: a float or bool here would
+        # fail later, inside a client's round or as a bare TypeError.
+        for name, low in (("batch_size", 1), ("local_epochs", 0), ("max_rounds", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise InvalidSpec(f"{name} must be an integer >= {low}, got {value!r}")
+            _check_cap(name, value, low)
         if self.learning_rate <= 0:
             raise InvalidSpec(f"learning_rate {self.learning_rate} <= 0")
-        if self.local_epochs < 0 or self.max_rounds < 0:
-            raise InvalidSpec("epoch and round counts must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -476,13 +482,15 @@ def _sgd(
 
     Slice s starts from w[s] and shuffles with its own stream, which
     starts at the PCG64 state of row s of streams (S, 4), a
-    `numerics.stream_states` row.  Each epoch sets every slice's state
-    in turn on scratch's generator, draws the slice's order and, when
-    another epoch follows, keeps the state it reached, so a stream
-    continues as a live generator would.  Step j of an epoch runs batch
-    j of every slice that has one as one kernel call; a slice out of
-    batches sits the later steps out.  Returns the (S, n_params) trained
-    rows.  The steps share scratch's buffers (see `_buffer`).
+    `numerics.stream_states` row.  Every epoch's order of every slice is
+    drawn first, slice by slice: its state is set on scratch's generator
+    through one reused state dict, and each epoch's order is a
+    `Generator.shuffle` of a row pre-filled with arange, which is bit for
+    bit `permutation`, so a stream runs through its epochs as a live
+    generator would.  Step j of an epoch runs batch j of every slice
+    that has one as one kernel call; a slice out of batches sits the
+    later steps out.  Returns the (S, n_params) trained rows.  The steps
+    share scratch's buffers (see `_buffer`).
     """
     w = np.array(w, dtype=float)
     counts = data.counts
@@ -492,20 +500,23 @@ def _sgd(
     # order is padding (row n), which sorts to the end of its batch.
     chunk = min(cfg.batch_size, data.n)
     rng, work = scratch.rng, scratch.work
-    bit_generator = rng.bit_generator
-    states = [pcg64_state(row) for row in streams.tolist()]
-    order = np.full((len(counts), steps * chunk), data.n)
-    for epoch in range(cfg.local_epochs):
-        for s, state in enumerate(states):
-            bit_generator.state = state
-            order[s, : counts[s]] = rng.permutation(counts[s])
-            if epoch + 1 < cfg.local_epochs:
-                states[s] = bit_generator.state
-        batches = np.sort(order.reshape(len(counts), steps, chunk), axis=2)
+    cols = np.arange(steps * chunk)
+    order = np.repeat(
+        np.where(cols < counts[:, None], cols, data.n)[None], cfg.local_epochs, axis=0
+    )
+    state = pcg64_state((0, 0, 0, 0))
+    words = state["state"]
+    for s, ((hi, lo, inc_hi, inc_lo), k) in enumerate(zip(streams.tolist(), counts.tolist())):
+        words["state"], words["inc"] = (hi << 64) | lo, (inc_hi << 64) | inc_lo
+        rng.bit_generator.state = state
+        for row in order[:, s, :k]:
+            rng.shuffle(row)
+    batches = np.sort(order.reshape(cfg.local_epochs, len(counts), steps, chunk), axis=3)
+    for epoch in batches:
         for j in range(steps):
             live = np.flatnonzero(n_batches > j)
             # Past the fullest batch of step j, every column is padding.
-            rows = batches[live, j, : min(chunk, most - j * chunk)]
+            rows = epoch[live, j, : min(chunk, most - j * chunk)]
             batch = data.gather(live, rows, work)
             if len(live) == len(counts):  # w itself, no gather and scatter
                 _, grad = _grads(arch, w, batch, work)
@@ -606,9 +617,13 @@ class SequenceClient:
                 else np.array([c.stream(rnd) for c in group]),
                 first.scratch,
             )
-            rows = [row for a, b in runs for row in seal_rows(stacked[a:b])]
-            for c, i, w in zip(group, idx, rows):
-                replies[i] = FedMessage.param_vector(rnd, c.party, c.view_index, w)
+            for a, b in runs:
+                built = FedMessage.batch(
+                    rnd, [c.party for c in group[a:b]], MessageKind.PARAM_VECTOR,
+                    view=group[a].view_index, vector=seal_rows(stacked[a:b]),
+                )
+                for i, reply in zip(idx[a:b], built):
+                    replies[i] = reply
         return replies
 
     def step(self, rnd: int, msg: FedMessage | None) -> FedMessage:

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import sys
 import threading
 
 import numpy as np
@@ -12,6 +13,7 @@ from mvfed.fedcore import (
     FramedByteTransport,
     InProcessTransport,
     MessageKind,
+    MessageRecord,
     PartyId,
     RoundLog,
     decode_message,
@@ -218,6 +220,89 @@ class TestMessages:
             FedMessage.param_vector(0, sender, 0, np.ones(3))
         with pytest.raises(ValueError, match="sender must be a PartyId"):
             FedMessage(round=0, sender=sender, kind=1, matrix=np.ones((1, 1)))
+
+    def test_batch_equals_messages_built_one_at_a_time(self):
+        rng = np.random.default_rng(12)
+        senders = [PartyId.client(i) for i in (3, 0, 7)]
+        stacks = [rng.standard_normal((3, 4, 2)), rng.standard_normal((3, 5, 2))]
+        vectors = rng.standard_normal((3, 6))
+        cases = [
+            (MessageKind.PARAM_VECTOR, dict(view=2), dict(vector=list(vectors))),
+            (MessageKind.CONSENSUS, {}, dict(matrix=list(stacks[0]))),
+            (MessageKind.PSEUDO_LABEL, dict(zeta=0.5), dict(matrix=list(stacks[1]))),
+            (MessageKind.TEST_PSEUDO_LABEL, dict(zeta=3.0), dict(matrix=list(stacks[0]))),
+            (MessageKind.TRANSFORM_SET, {}, dict(matrices=list(zip(*stacks)))),
+        ]
+        for kind, shared, rows in cases:
+            got = FedMessage.batch(9, senders, kind, **shared, **rows)
+            for i, (msg, sender) in enumerate(zip(got, senders)):
+                own = {name: values[i] for name, values in rows.items()}
+                want = FedMessage(round=9, sender=sender, kind=kind, **shared, **own)
+                assert type(msg) is FedMessage and msg == want
+                assert vars(msg).keys() == vars(want).keys()
+                for name, value in vars(want).items():
+                    if isinstance(value, tuple):
+                        assert len(msg.matrices) == len(value)
+                        for a, b in zip(msg.matrices, value):
+                            assert a.tobytes() == b.tobytes() and not a.flags.writeable
+                    elif isinstance(value, np.ndarray):
+                        got_value = getattr(msg, name)
+                        assert got_value.tobytes() == value.tobytes()
+                        assert got_value.shape == value.shape and not got_value.flags.writeable
+                    else:
+                        assert getattr(msg, name) == value
+                        assert type(getattr(msg, name)) is type(value)
+        assert FedMessage.batch(0, [], MessageKind.PARAM_VECTOR, view=0, vector=[]) == []
+
+    def test_batch_keeps_sealed_rows_and_copies_the_rest(self):
+        rows = seal_rows(np.arange(12.0).reshape(3, 4))
+        got = FedMessage.batch(1, [C0, C1, PartyId.client(2)], MessageKind.PARAM_VECTOR,
+                               view=0, vector=rows)
+        assert all(m.vector is r for m, r in zip(got, rows))
+        # `stack_rows` and `fedavg_aggregate` still read the sealed stack.
+        assert stack_rows([m.vector for m in got]) is stack_rows(rows)
+        plain = np.ones((2, 4))
+        copied = FedMessage.batch(1, [C0, C1], MessageKind.PARAM_VECTOR, view=0, vector=plain)
+        assert not any(np.shares_memory(m.vector, plain) for m in copied)
+        # A transform set keeps each sealed row of each stack.
+        stacks = [seal_rows(np.ones((2, 3, 2))), seal_rows(np.zeros((2, 1, 2)))]
+        sets = FedMessage.batch(1, [C0, C1], MessageKind.TRANSFORM_SET, matrices=list(zip(*stacks)))
+        for i, msg in enumerate(sets):
+            assert msg.matrices[0] is stacks[0][i] and msg.matrices[1] is stacks[1][i]
+
+    @pytest.mark.parametrize("sender", [0, None, (3, "client")])
+    def test_batch_rejects_a_sender_that_is_not_a_party_id(self, sender):
+        with pytest.raises(ValueError, match="sender must be a PartyId"):
+            FedMessage.batch(0, [C0, sender], MessageKind.PARAM_VECTOR, view=0,
+                             vector=np.ones((2, 3)))
+
+    def test_batch_checks_as_the_constructor_does(self):
+        rows = list(np.ones((2, 3)))
+        batch = FedMessage.batch
+        with pytest.raises(ValueError, match="round"):
+            batch(2**32, [C0, C1], MessageKind.PARAM_VECTOR, view=0, vector=rows)
+        with pytest.raises(ValueError, match="unknown message kind"):
+            batch(0, [C0, C1], 99, view=0, vector=rows)
+        with pytest.raises(ValueError, match="requires view"):
+            batch(0, [C0, C1], MessageKind.PARAM_VECTOR, vector=rows)
+        with pytest.raises(ValueError, match="does not carry zeta"):
+            batch(0, [C0, C1], MessageKind.PARAM_VECTOR, view=0, vector=rows, zeta=1.0)
+        with pytest.raises(ValueError, match="view index"):
+            batch(0, [C0, C1], MessageKind.PARAM_VECTOR, view=-1, vector=rows)
+        with pytest.raises(ValueError, match="2 senders, 1 vector values"):
+            batch(0, [C0, C1], MessageKind.PARAM_VECTOR, view=0, vector=rows[:1])
+        with pytest.raises(ValueError, match="must be 1-D"):
+            batch(0, [C0, C1], MessageKind.PARAM_VECTOR, view=0, vector=[rows[0], np.ones((1, 3))])
+        with pytest.raises(TypeError, match="vectors"):
+            batch(0, [C0, C1], MessageKind.PARAM_VECTOR, view=0, vectors=rows)
+        # The one with a non-finite row raises; a stack that is not
+        # finite is not sealed, so each row is checked on its own.
+        stack = np.ones((3, 2))
+        stack[1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            batch(0, [C0, C1, PartyId.client(2)], MessageKind.PARAM_VECTOR, view=0,
+                  vector=seal_rows(stack))
+        assert batch(0, [C0], MessageKind.PARAM_VECTOR, view=0, vector=seal_rows(stack)[:1])
 
     def test_party_ids(self):
         assert PartyId.from_wire(0xFFFFFFFF) == SERVER
@@ -458,6 +543,85 @@ class TestTransports:
                 assert srv.receive(p).round == r
 
 
+    def test_phase_calls_keep_fifo_per_channel(self, transport_cls):
+        tp = transport_cls()
+        c2 = PartyId.client(2)
+        sends = [
+            (party, SERVER, FedMessage.consensus(r, party, np.full((1, 1), 10.0 * r + party.id)))
+            for r in range(3) for party in (C1, C0, c2)
+        ]
+        tp.send_all(sends[:4])
+        tp.endpoint(C0).send(SERVER, FedMessage.consensus(7, C0, np.zeros((1, 1))))
+        tp.send_all(sends[4:])
+        got = tp.receive_all([(C0, SERVER), (C0, SERVER), (c2, SERVER), (C1, SERVER)])
+        assert [m.round for m in got] == [0, 7, 0, 0]
+        got = tp.receive_all([(C0, SERVER), (C1, SERVER), (C1, SERVER), (c2, SERVER)])
+        assert [m.round for m in got] == [1, 1, 2, 1]
+        assert tp.endpoint(SERVER).receive(C0) == sends[7][2]
+        assert tp.receive_all([(c2, SERVER)]) == [sends[8][2]]
+        # An empty channel is named; the channels listed before it were read.
+        with pytest.raises(MissingClient, match="no message from"):
+            tp.receive_all([(C0, SERVER)])
+
+    def test_phase_call_checks_every_sender_before_queueing(self, transport_cls):
+        tp = transport_cls()
+        good = FedMessage.consensus(0, C0, np.ones((1, 1)))
+        with pytest.raises(ValueError, match="cannot send as"):
+            tp.send_all([(C0, SERVER, good), (C0, SERVER, FedMessage.consensus(0, C1, np.ones((1, 1))))])
+        with pytest.raises(MissingClient):
+            tp.receive_all([(C0, SERVER)])
+
+    def test_push_override_sees_every_message(self, transport_cls):
+        seen = []
+
+        class Recording(transport_cls):
+            def _push(self, frm, to, msg):
+                seen.append((frm.id, to.id, msg))
+                super()._push(frm, to, msg)
+
+        tp = Recording()
+        parties = [PartyId.client(i) for i in range(3)]
+        msg = FedMessage.consensus(0, SERVER, np.ones((1, 2)))
+        tp.send_all([(SERVER, p, msg) for p in parties])
+        assert seen == [(SERVER.id, p.id, msg) for p in parties]
+        assert tp.receive_all([(SERVER, p) for p in parties]) == [msg] * 3
+        seen.clear()
+        clients = [EchoClient(np.full((1, 1), float(i)), PartyId.client(i)) for i in range(3)]
+        log = run_rounds(EchoServer(), clients, tp, max_rounds=2)
+        logged = [(m.sender, m.receiver, m.kind) for r in log.records for m in r.messages]
+        assert [(frm, to, m.kind) for frm, to, m in seen] == logged and len(seen) == 9
+
+    def test_concurrent_phase_calls(self, transport_cls):
+        tp = transport_cls()
+        n_each, parties = 40, [PartyId.client(i) for i in range(6)]
+        errors = []
+
+        def blast(party):
+            try:
+                for r in range(n_each):
+                    msg = FedMessage.consensus(r, party, np.full((1, 1), float(r)))
+                    tp.send_all([(party, SERVER, msg), (party, SERVER, msg)])
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=blast, args=(p,)) for p in parties]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        for p in parties:
+            got = tp.receive_all([(p, SERVER)] * (2 * n_each))
+            assert [m.round for m in got] == [r for r in range(n_each) for _ in (0, 1)]
+        if transport_cls is FramedByteTransport:
+            assert tp._memo == {}
+
+
 class EchoServer:
     """Broadcasts the first reply of the previous round back to everyone."""
 
@@ -579,6 +743,15 @@ class TestRunRounds:
                          InProcessTransport(), 2)
         assert log.bytes_sent_by(C0.id) > 0
         assert log.total_bytes() >= log.bytes_sent_by(C0.id)
+
+    def test_message_records_are_named_tuples_of_four_fields(self):
+        log = run_rounds(EchoServer(), [EchoClient(np.ones((1, 2)))], InProcessTransport(), 2)
+        first, *rest = [m for r in log.records for m in r.messages]
+        assert MessageRecord._fields == ("sender", "receiver", "kind", "n_bytes")
+        assert first == MessageRecord(C0.id, SERVER.id, MessageKind.CONSENSUS, 54)
+        assert (first.sender, first.receiver, first.kind, first.n_bytes) == tuple(first)
+        assert first != MessageRecord(C0.id, SERVER.id, MessageKind.CONSENSUS, 55)
+        assert rest[0] == MessageRecord(SERVER.id, C0.id, MessageKind.CONSENSUS, 54)
 
     def test_capture_records_every_frame(self):
         tp = FramedByteTransport(capture=True)
@@ -726,6 +899,79 @@ class TestPrestep:
         assert "non-finite" in str(info.value.cause)
         # The stack's reply for client 2 raised, so each client stepped
         # alone, as a stack of one, until client 2 failed.
+        assert lone_steps(events) == [(0, 0), (0, 1), (0, 2)]
+
+
+class BatchEcho(StackedEcho):
+    """StackedEcho whose `steps` replies with `FedMessage.batch` over the
+    rows of one sealed stack."""
+
+    @classmethod
+    def steps(cls, clients, rnd, msgs):
+        clients[0].events.append(("steps", rnd, [c.party.id for c in clients]))
+        rows = seal_rows(np.stack([2.0 * c.payload for c in clients]))
+        return FedMessage.batch(rnd, [c.party for c in clients], MessageKind.CONSENSUS, matrix=rows)
+
+
+class TestPhases:
+    """A round's traffic moves per phase: one transport call sends or
+    receives every message of a phase."""
+
+    def test_framed_phase_encodes_and_decodes_each_message_once(self, monkeypatch):
+        import mvfed.fedcore.transport as transport
+
+        encoded, decoded = [], []
+        encode, decode = transport.encode_message, transport.decode_message
+        monkeypatch.setattr(transport, "encode_message", lambda m: encoded.append(m) or encode(m))
+        monkeypatch.setattr(transport, "decode_message", lambda f: decoded.append(f) or decode(f))
+        tp = FramedByteTransport(capture=True)
+        parties = [PartyId.client(i) for i in range(4)]
+        a = FedMessage.consensus(0, SERVER, np.ones((2, 2)))
+        b = FedMessage.consensus(1, SERVER, np.zeros((1, 2)))
+        sends = [(SERVER, p, m) for m in (a, b) for p in parties] + [(SERVER, parties[0], a)]
+        tp.send_all(sends)
+        assert encoded == [a, b]
+        # One frame per (sender, receiver), in send order.
+        assert tp.captured == [encode(m) for _, _, m in sends]
+        got = tp.receive_all([(SERVER, p) for p in parties] * 2 + [(SERVER, parties[0])])
+        assert len(decoded) == 2 and got == [m for _, _, m in sends]
+        assert got[0] is got[3] is got[8] and got[4] is got[7]
+        # Each call encodes afresh: nothing is kept between calls.
+        tp.send_all([(SERVER, parties[1], a)])
+        assert encoded == [a, b, a] and tp._memo == {}
+
+    @pytest.mark.parametrize("transport_cls", [InProcessTransport, FramedByteTransport])
+    def test_run_round_makes_four_transport_calls(self, transport_cls, monkeypatch):
+        calls = []
+        for name in ("send_all", "receive_all"):
+            original = getattr(transport_cls, name)
+
+            def counting(self, items, name=name, original=original):
+                calls.append((name, len(items)))
+                return original(self, items)
+
+            monkeypatch.setattr(transport_cls, name, counting)
+        events = []
+        clients = [BatchEcho(np.full((1, 1), float(i)), PartyId.client(i), events) for i in range(5)]
+        server = EchoServer()
+        log = run_rounds(server, clients, transport_cls(), max_rounds=3)
+        # Round 0 has no broadcast; each later round broadcasts.
+        replies = [("send_all", 5), ("receive_all", 5)]
+        assert calls == replies + 2 * ([("send_all", 5), ("receive_all", 5)] + replies)
+        assert lone_steps(events) == [] and server.senders == [[0, 1, 2, 3, 4]] * 3
+        assert log.message_count() == 5 + 2 * 10
+
+    @pytest.mark.parametrize("transport_cls", [InProcessTransport, FramedByteTransport])
+    def test_non_finite_batch_row_names_its_client(self, transport_cls):
+        events = []
+        clients = [BatchEcho(np.full((2, 2), float(i)), PartyId.client(i), events) for i in range(4)]
+        clients[2].payload[0, 1] = np.nan
+        with pytest.raises(PartyFailure) as info:
+            run_rounds(EchoServer(), clients, transport_cls(), max_rounds=2)
+        assert (info.value.round_index, info.value.party_id) == (0, 2)
+        assert "non-finite" in str(info.value.cause)
+        # The batch raised, so each client stepped alone until client 2 failed.
+        assert events[0] == ("steps", 0, [0, 1, 2, 3])
         assert lone_steps(events) == [(0, 0), (0, 1), (0, 2)]
 
 

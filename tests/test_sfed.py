@@ -121,6 +121,28 @@ class TestDatasetTypes:
         with pytest.raises(InvalidSpec):
             TrainerConfig(learning_rate=0.0)
 
+    # A float or bool count used to pass construction and fail later: a
+    # bare TypeError from `sfed_train` (max_rounds) or a PartyFailure
+    # wrapping one (local_epochs, batch_size).
+    @pytest.mark.parametrize("value", [2.5, True, False, -1, "4", None])
+    def test_batch_size_must_be_an_integer(self, value):
+        with pytest.raises(InvalidSpec, match="batch_size must be an integer >= 1"):
+            TrainerConfig(batch_size=value)
+
+    @pytest.mark.parametrize("value", [1.5, True, -1, np.float64(1.0)])
+    def test_local_epochs_must_be_an_integer(self, value):
+        with pytest.raises(InvalidSpec, match="local_epochs must be an integer >= 0"):
+            TrainerConfig(local_epochs=value)
+
+    @pytest.mark.parametrize("value", [2.5, True, -1, np.float64(2.0)])
+    def test_max_rounds_must_be_an_integer(self, value):
+        with pytest.raises(InvalidSpec, match="max_rounds must be an integer >= 0"):
+            TrainerConfig(max_rounds=value)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = TrainerConfig(batch_size=np.int64(3), local_epochs=np.int32(0), max_rounds=np.uint8(2))
+        assert (cfg.batch_size, cfg.local_epochs, cfg.max_rounds) == (3, 0, 2)
+
 
 def embed_one(arch, w, seq, label=0):
     """Embedding of a single sequence, through extract_features."""
@@ -709,6 +731,51 @@ class TestLockStep:
         # The two stacks, then view 0's three clients alone, then view 1's
         # clients 0 and 1, and client 2, which fails.
         assert sgd == [9, 3] + [1] * 6
+
+
+    def test_shuffle_draws_follow_each_key(self, monkeypatch):
+        """Pins sfed's shuffle bits without BLAS: each batch that a
+        lock-step `_Padded.gather` receives is the sorted cut of its
+        slot's `make_rng(seed, KEY_SHUFFLE, client, view, round)`
+        permutations, one per epoch.  Only integers are compared, so this
+        holds on any CPU."""
+        clients = mixed_width_clients(130, widths=(3, 5, 3))
+        calls = {}
+        original = mvfed.sfed._Padded.gather
+
+        def recording(self, live, rows, *args):
+            calls.setdefault(id(self), (self, []))[1].append((live.tolist(), rows.copy()))
+            return original(self, live, rows, *args)
+
+        monkeypatch.setattr(mvfed.sfed._Padded, "gather", recording)
+        cfg = RAGGED_CFG
+        sfed_train(clients, cfg, embed_dim=4)
+        # One stack per width, in the order of its first view, its slots
+        # view-major.
+        stacks = [[(v, l) for v in views for l in range(len(clients))] for views in ([0, 2], [1])]
+        assert len(calls) == len(stacks)
+        for (padded, got), slots in zip(calls.values(), stacks):
+            assert padded.counts.tolist() == [clients[l].n_samples for _, l in slots]
+            expected = []
+            for rnd in range(cfg.max_rounds):
+                rngs = [make_rng(cfg.seed, KEY_SHUFFLE, l, v, rnd) for v, l in slots]
+                for _ in range(cfg.local_epochs):
+                    cuts = []
+                    for rng, count in zip(rngs, padded.counts.tolist()):
+                        order = rng.permutation(count)
+                        cuts.append([
+                            sorted(order[a : a + cfg.batch_size].tolist())
+                            for a in range(0, count, cfg.batch_size)
+                        ])
+                    for j in range(max(map(len, cuts))):
+                        live = [s for s, c in enumerate(cuts) if j < len(c)]
+                        expected.append((live, [cuts[s][j] for s in live]))
+            assert len(got) == len(expected)
+            for (live, rows), (want_live, batches) in zip(got, expected):
+                assert live == want_live
+                for row, batch in zip(rows.tolist(), batches):
+                    # The batch, then padding (row n) to the stack's width.
+                    assert row == batch + [padded.n] * (len(row) - len(batch))
 
 
 class TestStreams:

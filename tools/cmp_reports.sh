@@ -1,0 +1,76 @@
+#!/usr/bin/env bash
+# Byte-compare the CLI reports of a git revision with those of this
+# checkout.
+#
+#   tools/cmp_reports.sh REF
+#
+# Checks out REF in a temporary git worktree, generates the input data
+# once with this checkout's code, writes the reports of the CI step
+# "Report determinism" with each tree's `src/`, and `cmp`s every pair.
+# The reports hold classification metrics only, which a last-bit change
+# in training seldom moves, so the full-precision files of the CI step
+# "CLI file round trip" (trained models, exported embeddings) are
+# compared too.  Exits 0 when all are identical and 1 naming each file
+# that differs.  The worktree and the outputs are removed on exit.  A
+# change that means to alter outputs fails here by design.
+set -euo pipefail
+
+ref=${1:?usage: tools/cmp_reports.sh REF}
+root=$(git rev-parse --show-toplevel)
+work=$(mktemp -d)
+cleanup() {
+    git -C "$root" worktree remove --force "$work/ref" 2>/dev/null || true
+    git -C "$root" worktree prune
+    rm -rf "$work"
+}
+trap cleanup EXIT
+git -C "$root" worktree add --quiet --detach "$work/ref" "$ref"
+cd "$work"
+
+cli() { python -m mvfed.cli "$@" >/dev/null; }
+
+export PYTHONPATH="$root/src"
+cli gen-data --out flat --kind complementary
+cli gen-data --out seq --kind sequences
+cli gen-data --out seqmix --kind sequences --step-dims 6,6,4
+
+# The reports of the CI step "Report determinism", written with the
+# source tree $1 into the directory $2.
+reports() {
+    local PYTHONPATH="$1/src" out=$2
+    export PYTHONPATH
+    mkdir -p "$out"
+    for mode in hfed mv_local; do
+        cli report --data flat --mode $mode --clients 7 --rounds 2 --repeats 2 --out "$out/$mode"
+    done
+    for mode in sfed local_seq_localmv; do
+        cli report --data seq --mode $mode --clients 3 --enc-rounds 2 --rounds 2 --repeats 2 --out "$out/$mode"
+    done
+    cli report --data seqmix --mode sfed --clients 3 --enc-rounds 2 --rounds 2 --repeats 2 --out "$out/sfed_mixed"
+    cli report --data flat --mode mvl --grid --repeats 2 --out "$out/mvl_grid"
+    cli report --data flat --mode pairwise --views 0,2 --grid --repeats 2 --out "$out/pairwise_grid"
+    cli report --data flat --mode hfed --clients 16 --rounds 2 --repeats 2 --out "$out/hfed16"
+    cli report --data flat --mode vfed --grid --repeats 2 --out "$out/vfed_grid"
+    cli report --data flat --mode single_view --views 1 --repeats 2 --out "$out/single_view"
+    for mode in hfed mv_local; do
+        cli report --data flat --mode $mode --clients 3 --rounds 1 --max-local 3 --grid --repeats 1 --out "$out/${mode}_grid"
+    done
+    cli train --data flat --model-out "$out/model"
+    cli train --data flat --mode single_view --views 1 --model-out "$out/m1"
+    cli train --data flat --mode hfed --clients 7 --rounds 2 --model-out "$out/mh"
+    cli export-embeddings --mode vfed --data flat --out "$out/emb.csv"
+    cli export-embeddings --mode sfed --data seq --clients 2 --enc-rounds 2 --out "$out/seq_emb.csv"
+}
+
+reports "$root" head
+reports "$work/ref" ref
+
+status=0
+for file in $(cd head && find . -type f | sort); do
+    if ! cmp -s "head/$file" "ref/$file"; then
+        echo "${file#./} differs from $ref" >&2
+        status=1
+    fi
+done
+[ $status -eq 0 ] && echo "every report, model and embedding file identical to $ref"
+exit $status
