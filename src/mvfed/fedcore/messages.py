@@ -33,6 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ..errors import PartyFailure
+
 __all__ = [
     "SERVER_WIRE_ID",
     "Role",
@@ -313,7 +315,8 @@ class FedMessage:
         the shared fields are checked once, every sender must be a
         PartyId, and every array goes through the same check, so a row of
         a sealed stack (`seal_rows`) is kept without a copy and a row of a
-        non-finite stack raises ValueError when its sender's turn comes.
+        non-finite stack fails when its sender's turn comes, as the
+        PartyFailure of that sender with the ValueError as its cause.
         """
         _check_round(round)
         kind = _check_kind(kind)
@@ -343,7 +346,10 @@ class FedMessage:
             values = msg.__dict__
             values.update(shared, sender=sender)
             for name, check, value in columns:
-                values[name] = check(value[i])
+                try:
+                    values[name] = check(value[i])
+                except ValueError as exc:
+                    raise PartyFailure(round, sender.id, exc) from exc
             messages.append(msg)
         return messages
 

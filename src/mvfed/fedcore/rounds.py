@@ -8,29 +8,30 @@ A protocol is a server object plus client objects:
     server.aggregate(round, replies: list[FedMessage]) -> None
     server.done() -> bool               optional early stop
     client.party                        PartyId
-    client.step(round, msg) -> FedMessage
-    type(client).steps(clients, round, msgs) -> list[FedMessage]  optional
+    type(client).steps(clients, round, msgs) -> list[FedMessage]
+    client.step(round, msg) -> FedMessage   for a class without steps
 
 `run_federations` drives several such federations in lock-step, and
 `run_rounds` is its list of one.  Each round runs in phases:
 
 1. each live federation in turn: its server broadcasts (if it has a
    message), and every client receives;
-2. each client class that defines the classmethod `steps` is called
-   once, with its clients of every live federation (federation order,
-   then ascending id) and the message each received, and answers them
-   all;
+2. each client class is called once, with its clients of every live
+   federation (federation order, then ascending id) and the message
+   each received: its `steps`, or each client's `step` in turn;
 3. each federation in turn sends its replies in ascending client id
-   order, a client that `steps` did not answer running its own `step`,
-   and after the barrier its server consumes them; the round is
-   logged, and a server whose done() is True leaves the later rounds.
+   order; then each server consumes its own, the round is logged, and
+   a server whose done() is True leaves the later rounds.
 
 `steps` lets a class compute all its clients' work as one stacked
-computation, across federations too, so a lone `step` can be that
-stack of one.  An exception from `steps` is dropped and each of the
-class's clients runs its own `step` instead, so the one that fails is
-named; a `steps` must therefore commit no client's state unless it
-returns.
+computation, across federations too, and returns one reply per client
+or raises.  A failure that is one client's (a broadcast it cannot take,
+a reply that is not finite) raises PartyFailure naming the round and
+that client, as any exception of a lone `step` does; any other
+exception of a stack propagates as it is.  A `steps` commits no
+client's state unless it returns, and every reply is checked before
+any server aggregates, so a round that raises aggregates in no
+federation and logs nothing.
 
 Federations may share a transport: channels are FIFO per (sender,
 receiver) pair, and each phase sends and receives in federation order,
@@ -146,7 +147,8 @@ class Federation:
 
 class _Run:
     """A federation inside `run_federations`: its clients in id order,
-    its transport, its log and what its current round has received."""
+    its transport, its log and what its current round has sent and
+    received."""
 
     def __init__(self, fed: Federation) -> None:
         self.server = fed.server
@@ -164,13 +166,14 @@ class _Run:
         self.uplinks = [(p, server) for p in parties]
         self.records: list[MessageRecord] = []
         self.inbound: list[FedMessage | None] = []
-        self.answered: dict[int, FedMessage | None] = {}
+        self.replies: list[FedMessage | None] = []
+        self.received: list[FedMessage] = []
 
     def broadcast(self, rnd: int) -> None:
         """Open the round: the server's broadcast, if any, is sent to
         every client in one phase and every client receives it in one
         more."""
-        self.records, self.answered = [], {}
+        self.records, self.replies = [], [None] * len(self.clients)
         msg = self.server.broadcast(rnd)
         if msg is None:
             self.inbound = [None] * len(self.clients)
@@ -180,26 +183,18 @@ class _Run:
         sid, kind, size = self.server.party.id, msg.kind, frame_size(msg)
         self.records = [MessageRecord(sid, cid, kind, size) for cid in self.ids]
 
-    def close(self, rnd: int, t0: float) -> bool:
-        """Gather every client's reply, its class's `steps` answer or else
-        the reply of its own `step`, send them in one phase, receive them
-        in one more, aggregate them and log the round; True when the
-        server is done."""
-        server = self.server
-        replies = []
-        for i, (client, inbound) in enumerate(zip(self.clients, self.inbound)):
-            try:
-                reply = self.answered[i] if i in self.answered else client.step(rnd, inbound)
-            except Exception as exc:
-                raise PartyFailure(rnd, client.party.id, exc) from exc
+    def deliver(self, rnd: int) -> None:
+        """Send the clients' replies in one phase, receive them in one
+        more and check them."""
+        for cid, reply in zip(self.ids, self.replies):
             if reply is None:
-                raise MissingClient(f"round {rnd}: no reply from client {client.party.id}")
-            replies.append(reply)
+                raise MissingClient(f"round {rnd}: no reply from client {cid}")
         self.transport.send_all(
-            [(frm, to, reply) for (frm, to), reply in zip(self.uplinks, replies)]
+            [(frm, to, reply) for (frm, to), reply in zip(self.uplinks, self.replies)]
         )
-        received = self.transport.receive_all(self.uplinks)
-        for cid, reply in zip(self.ids, received):
+        self.received = self.transport.receive_all(self.uplinks)
+        server = self.server
+        for cid, reply in zip(self.ids, self.received):
             if reply.kind is not server.reply_kind:
                 raise ValueError(
                     f"round {rnd}: client {cid} sent {reply.kind.name}, "
@@ -208,30 +203,41 @@ class _Run:
         sid = server.party.id
         self.records += [
             MessageRecord(cid, sid, reply.kind, frame_size(reply))
-            for cid, reply in zip(self.ids, replies)
+            for cid, reply in zip(self.ids, self.replies)
         ]
-        server.aggregate(rnd, received)
+
+    def close(self, rnd: int, t0: float) -> bool:
+        """Aggregate the received replies and log the round; True when
+        the server is done."""
+        self.server.aggregate(rnd, self.received)
         self.log.append(RoundRecord(rnd, tuple(self.records), time.perf_counter() - t0))
         return self.done is not None and self.done()
 
 
+def _each_step(clients: list, rnd: int, msgs: list) -> list:
+    """The `steps` of a class without one: each client's `step` in
+    turn, whose exception is that client's PartyFailure."""
+    replies = []
+    for client, msg in zip(clients, msgs):
+        try:
+            replies.append(client.step(rnd, msg))
+        except Exception as exc:
+            raise PartyFailure(rnd, client.party.id, exc) from exc
+    return replies
+
+
 def run_federations(federations: Sequence[Federation], max_rounds: int) -> list[RoundLog]:
     """Drive several federations in lock-step for up to max_rounds
-    rounds; returns their logs, in order.
-
-    Each round runs in phases: every live server broadcasts and its
-    clients receive, federation by federation; each client class's `steps` runs once over its
-    clients of every live federation (federation order, then client id);
-    then each federation in turn sends its replies, aggregates and logs.
-    A federation whose server's done() is True leaves the later rounds.
-    Client exceptions surface as PartyFailure carrying the round and
-    party id.
+    rounds, in the phases of the module docstring; returns their logs,
+    in order.  A federation whose server's done() is True leaves the
+    later rounds.  A client's failure surfaces as PartyFailure carrying
+    the round and party id.
     """
     runs = [_Run(fed) for fed in federations]
-    classes = [
-        cls for cls in dict.fromkeys(c for run in runs for c in run.by_class)
-        if hasattr(cls, "steps")
-    ]
+    classes = {
+        cls: getattr(cls, "steps", _each_step)
+        for run in runs for cls in run.by_class
+    }
     live = runs
     for rnd in range(max_rounds):
         if not live:
@@ -239,19 +245,18 @@ def run_federations(federations: Sequence[Federation], max_rounds: int) -> list[
         t0 = time.perf_counter()
         for run in live:
             run.broadcast(rnd)
-        for cls in classes:
+        for cls, steps in classes.items():
             members = [(run, i) for run in live for i in run.by_class.get(cls, ())]
             if not members:
                 continue
-            try:
-                replies = cls.steps(
-                    [run.clients[i] for run, i in members], rnd,
-                    [run.inbound[i] for run, i in members],
-                )
-            except Exception:
-                continue  # each of the class's clients steps alone
+            replies = steps(
+                [run.clients[i] for run, i in members], rnd,
+                [run.inbound[i] for run, i in members],
+            )
             for (run, i), reply in zip(members, replies):
-                run.answered[i] = reply
+                run.replies[i] = reply
+        for run in live:
+            run.deliver(rnd)
         live = [run for run in live if not run.close(rnd, t0)]
     return [run.log for run in runs]
 
@@ -267,7 +272,7 @@ def run_rounds(
     `run_federations` of a list of one.
 
     Stops early when the server's done(), if it has one, returns True
-    after aggregation.  Client exceptions surface as PartyFailure
+    after aggregation.  A client's failure surfaces as PartyFailure
     carrying the round and party id.
     """
     return run_federations([Federation(server, clients, transport, log)], max_rounds)[0]

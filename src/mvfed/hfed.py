@@ -18,35 +18,36 @@ block and its slot.
 
 `HorizontalClient.steps`, which the round driver calls once a round
 with all the clients, is the first client's `step` with the others as
-its peers: it checks every broadcast's shapes, then runs each block's
-local passes as one stacked computation in the centralized trainer's
-loop (`mvl._passes`, refit last): products and sums over rows once per
-row count, the solves and all other d-space work once per block, each
-slice starting from the transforms its own client received.  Each
-slice is bit-identical to what its client computes alone.  A lone
-`step` is a stack of one, on its own slot of the block.
+its peers: it checks every broadcast's kind and shapes, then runs each
+block's local passes as one stacked computation in the centralized
+trainer's loop (`mvl._passes`, refit last): products and sums over
+rows once per row count, the solves and all other d-space work once
+per block, each slice starting from the transforms its own client
+received.  Each slice is bit-identical to what its client computes
+alone.  A step covers whole blocks: given part of one, it raises
+InvalidSpec, so the lone `step` of a client is that of a block of one.
 
 Each block's transform stacks are sealed (`fedcore.seal_rows`): checked
 finite once and read-only, so a reply carries its client's rows without
 a copy and the server's FedAvg sums the stack itself; a block's replies
-are built in one `FedMessage.batch` call.  The local state
-is committed to the blocks (`_Rows.commit`) only once every reply is
-built, so when `steps` raises no client has changed, and the driver
-lets each client step alone; a failure is then reported by the client
-that fails.  Committed stacks are read-only and never written: a step
-of every member replaces them, and a step of some members writes its
-rows into copies.
+are built in one `FedMessage.batch` call.  A broadcast a client cannot
+take, or a reply row that is not finite, raises PartyFailure naming
+that client; any other failure of the stacked passes (NotSPD, say)
+propagates as it is.  The local state is committed to the blocks
+(`_Rows.commit`) only once every reply is built, so a step that raises
+changes no client.  Committed stacks are read-only and never written:
+each step replaces them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSpec, MissingClient
+from .errors import DimensionMismatch, InvalidSpec, MissingClient, PartyFailure
 from .fedcore import (
     FedMessage,
     MessageKind,
@@ -126,37 +127,9 @@ class _Rows:
         shapes = [(v.shape[1], labels.shape[1]) for v in views]
         return cls(views, labels, rows, grams, shapes, hp, max_local, pseudo, consensus)
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def _index(self, slots: list[int]) -> np.ndarray:
-        """The row indices of the given slots, in order."""
-        starts = [0, *itertools.accumulate(self.rows)]
-        return np.concatenate([np.arange(starts[i], starts[i + 1]) for i in slots])
-
-    def take(self, slots: list[int]) -> "_Rows":
-        """The block of the given slots, in order, with their state; the
-        whole block as it is."""
-        if slots == list(range(len(self))):
-            return self
-        idx = self._index(slots)
-        return replace(
-            self, views=[v[idx] for v in self.views], labels=self.labels[idx],
-            rows=[self.rows[i] for i in slots],
-            grams=[None if g is None else g[slots] for g in self.grams],
-            pseudo=[m[idx] for m in self.pseudo], consensus=self.consensus[idx],
-        )
-
-    def commit(self, slots: list[int], pseudo, consensus) -> None:
-        """Make pseudo and consensus, ragged stacks of the given slots in
-        order, those slots' state.  They replace the state when every
-        member stepped; otherwise their rows go into copies of it."""
-        if slots != list(range(len(self))):
-            idx = self._index(slots)
-            state = [m.copy() for m in (*self.pseudo, self.consensus)]
-            for m, new in zip(state, (*pseudo, consensus)):
-                m[idx] = new
-            *pseudo, consensus = state
+    def commit(self, pseudo, consensus) -> None:
+        """Make pseudo and consensus, ragged stacks in slot order, the
+        members' state."""
         for m in (*pseudo, consensus):
             m.setflags(write=False)
         self.pseudo, self.consensus = list(pseudo), consensus
@@ -189,16 +162,20 @@ class HorizontalClient:
         """This client's round, and its reply.  With `peers`, (client,
         broadcast) pairs of other clients of this class, the round of
         this client and its peers, and every reply, this client's first;
-        alone, a stack of one.  Every client's local passes run as one
-        stack per block.  All messages are checked before any
-        computation and the blocks' state is committed only after every
-        reply is built, so a call that raises changes no client."""
+        alone, a stack of one.  The clients make up whole blocks, else
+        InvalidSpec, and each block's local passes run as one stack.
+        All messages are checked before any computation and the blocks'
+        state is committed only after every reply is built, so a call
+        that raises changes no client."""
         clients = [self, *(c for c, _ in peers or ())]
         msgs = [msg, *(m for _, m in peers or ())]
         for c, msg in zip(clients, msgs):
-            if msg is None or msg.kind is not MessageKind.TRANSFORM_SET:
-                raise ValueError(f"round {rnd}: expected a transform broadcast")
-            c._check_shapes(msg.matrices)
+            try:
+                if msg is None or msg.kind is not MessageKind.TRANSFORM_SET:
+                    raise ValueError(f"round {rnd}: expected a transform broadcast")
+                c._check_shapes(msg.matrices)
+            except (ValueError, DimensionMismatch) as exc:
+                raise PartyFailure(rnd, c.party.id, exc) from exc
         blocks: dict[int, list[int]] = {}
         for i, c in enumerate(clients):
             blocks.setdefault(id(c.rows), []).append(i)
@@ -206,13 +183,17 @@ class HorizontalClient:
         commits = []
         for idx in blocks.values():
             idx.sort(key=lambda i: clients[i].slot)
-            rows, slots = clients[idx[0]].rows, [clients[i].slot for i in idx]
-            block, hp = rows.take(slots), rows.hp
+            block, s = clients[idx[0]].rows, len(idx)
+            if [clients[i].slot for i in idx] != list(range(len(block.rows))):
+                raise InvalidSpec(
+                    f"round {rnd}: a step covers {s} of its block's {len(block.rows)} clients"
+                )
+            hp = block.hp
             w, pseudo, consensus, _ = _passes(
                 block.views, block.labels, block.grams,
                 [stack_rows(a) for a in zip(*(msgs[i].matrices for i in idx))],
                 block.pseudo, block.consensus,
-                [np.full(len(slots), q) for q in hp.zeta], np.full(len(slots), hp.eta),
+                [np.full(s, q) for q in hp.zeta], np.full(s, hp.eta),
                 hp, block.max_local, fit_first=False, layout=_layout(block.rows),
             )
             built = FedMessage.batch(
@@ -221,9 +202,9 @@ class HorizontalClient:
             )
             for i, reply in zip(idx, built):
                 replies[i] = reply
-            commits.append((rows, slots, pseudo, consensus))
-        for rows, *state in commits:
-            rows.commit(*state)
+            commits.append((block, pseudo, consensus))
+        for block, *state in commits:
+            block.commit(*state)
         return replies if peers is not None else replies[0]
 
     def _check_shapes(self, matrices: Sequence[np.ndarray]) -> None:

@@ -25,12 +25,12 @@ term as an exact zero after or between real ones, so each client's row
 is bit-identical to what it computes alone, in its own view's
 federation; a lone `step` is `steps` of a stack of one,
 `loss_and_grad` is the kernel on a stack of one and `local_training`
-the lock-step SGD of a stack of one.  When `steps` raises, the driver
-lets each client step alone, so a failure is reported by the client
-that fails.  The trained stack is sealed (`fedcore.seal_rows`): checked
-finite once and read-only, so each reply carries its client's row
-without a copy and the server's FedAvg sums its view's rows of the
-stack.
+the lock-step SGD of a stack of one.  A client's own failure (a
+broadcast it cannot take, a row that trains to non-finite values)
+raises PartyFailure naming it.  The trained stack is sealed
+(`fedcore.seal_rows`): checked finite once and read-only, so each reply
+carries its client's row without a copy and the server's FedAvg sums
+its view's rows of the stack.
 
 The shuffle streams of every client, view and round, keyed (client,
 view, round), are derived together when the parties are built
@@ -57,6 +57,7 @@ from .errors import (
     EmptyDataset,
     EmptySequence,
     InvalidSpec,
+    PartyFailure,
 )
 from .fedcore import (
     FedMessage,
@@ -591,13 +592,16 @@ class SequenceClient:
         padded stack, of every view of its width, run as one lock-step
         pass over their slots.  All messages are checked first."""
         for c, msg in zip(clients, msgs):
-            if msg is None or msg.kind is not MessageKind.PARAM_VECTOR:
-                raise ValueError(f"round {rnd}: expected a parameter broadcast")
-            if msg.view != c.view_index:
-                raise ValueError(
-                    f"round {rnd}: broadcast for view {msg.view}, "
-                    f"client trains view {c.view_index}"
-                )
+            try:
+                if msg is None or msg.kind is not MessageKind.PARAM_VECTOR:
+                    raise ValueError(f"round {rnd}: expected a parameter broadcast")
+                if msg.view != c.view_index:
+                    raise ValueError(
+                        f"round {rnd}: broadcast for view {msg.view}, "
+                        f"client trains view {c.view_index}"
+                    )
+            except ValueError as exc:
+                raise PartyFailure(rnd, c.party.id, exc) from exc
         stacks: dict[int, list[int]] = {}
         for i, c in enumerate(clients):
             stacks.setdefault(id(c.data), []).append(i)

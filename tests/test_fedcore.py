@@ -291,17 +291,24 @@ class TestMessages:
             batch(0, [C0, C1], MessageKind.PARAM_VECTOR, view=-1, vector=rows)
         with pytest.raises(ValueError, match="2 senders, 1 vector values"):
             batch(0, [C0, C1], MessageKind.PARAM_VECTOR, view=0, vector=rows[:1])
-        with pytest.raises(ValueError, match="must be 1-D"):
+        # A row that fails its check is its sender's failure.
+        with pytest.raises(PartyFailure) as info:
             batch(0, [C0, C1], MessageKind.PARAM_VECTOR, view=0, vector=[rows[0], np.ones((1, 3))])
+        assert (info.value.round_index, info.value.party_id) == (0, 1)
+        assert type(info.value.cause) is ValueError
+        assert "must be 1-D" in str(info.value.cause)
         with pytest.raises(TypeError, match="vectors"):
             batch(0, [C0, C1], MessageKind.PARAM_VECTOR, view=0, vectors=rows)
         # The one with a non-finite row raises; a stack that is not
         # finite is not sealed, so each row is checked on its own.
         stack = np.ones((3, 2))
         stack[1, 0] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            batch(0, [C0, C1, PartyId.client(2)], MessageKind.PARAM_VECTOR, view=0,
-                  vector=seal_rows(stack))
+        with pytest.raises(PartyFailure) as info:
+            batch(3, [C0, PartyId.client(5), PartyId.client(2)], MessageKind.PARAM_VECTOR,
+                  view=0, vector=seal_rows(stack))
+        assert (info.value.round_index, info.value.party_id) == (3, 5)
+        assert type(info.value.cause) is ValueError
+        assert "non-finite" in str(info.value.cause)
         assert batch(0, [C0], MessageKind.PARAM_VECTOR, view=0, vector=seal_rows(stack)[:1])
 
     def test_party_ids(self):
@@ -785,9 +792,10 @@ class TestRoundContract:
 
 class StackedEcho(EchoClient):
     """Echo client whose reply payload, twice its own, `steps` computes
-    for every client of the class at once; a lone `step` is `steps` of a
-    stack of one.  Events go to a shared list; a client with fail=True
-    makes every stack it is in raise."""
+    for every client of the class at once; a lone `step`, which the
+    driver never calls, is `steps` of a stack of one.  Events go to a
+    shared list; a client with fail=True makes every stack it is in
+    raise a RuntimeError, which is no client's own failure."""
 
     def __init__(self, payload, party, events, fail=False):
         super().__init__(payload, party)
@@ -808,12 +816,20 @@ class StackedEcho(EchoClient):
 
 class SealedEcho(StackedEcho):
     """StackedEcho whose `steps` replies with the rows of one sealed
-    stack."""
+    stack, each built by the constructor; a row it rejects is its
+    client's failure."""
 
     @classmethod
     def steps(cls, clients, rnd, msgs):
+        clients[0].events.append(("steps", rnd, [c.party.id for c in clients]))
         rows = seal_rows(np.stack([2.0 * c.payload for c in clients]))
-        return [FedMessage.consensus(rnd, c.party, row) for c, row in zip(clients, rows)]
+        replies = []
+        for c, row in zip(clients, rows):
+            try:
+                replies.append(FedMessage.consensus(rnd, c.party, row))
+            except ValueError as exc:
+                raise PartyFailure(rnd, c.party.id, exc) from exc
+        return replies
 
 
 def lone_steps(events):
@@ -859,20 +875,21 @@ class TestPrestep:
             r.messages for r in plain_log.records
         ]
 
-    def test_failing_prestep_leaves_each_client_to_step_alone(self, transport_cls):
+    def test_failing_steps_propagates_unchanged(self, transport_cls):
+        # An exception from `steps` that is no client's own failure ends
+        # the run as it is: no client steps alone, and the round that
+        # raised reaches no server and no log.
         events = []
-        clients = [
-            StackedEcho(np.ones((1, 1)), PartyId.client(i), events, fail=i == 2)
-            for i in range(4)
-        ]
-        with pytest.raises(PartyFailure) as info:
-            run_rounds(EchoServer(), clients, transport_cls(), max_rounds=2)
-        assert (info.value.round_index, info.value.party_id) == (0, 2)
-        assert str(info.value.cause) == "boom"
-        # The stack raised, so each client stepped alone until client 2
-        # failed; client 3 never stepped.
-        assert events[0] == ("steps", 0, [0, 1, 2, 3])
-        assert lone_steps(events) == [(0, 0), (0, 1), (0, 2)]
+        clients = [StackedEcho(np.ones((1, 1)), PartyId.client(i), events) for i in range(4)]
+        server, log = EchoServer(), RoundLog()
+        run_rounds(server, clients, transport_cls(), max_rounds=1, log=log)
+        clients[2].fail = True
+        with pytest.raises(RuntimeError, match="^boom$") as info:
+            run_rounds(server, clients, transport_cls(), max_rounds=2, log=log)
+        assert type(info.value) is RuntimeError
+        assert events == [("steps", 0, [0, 1, 2, 3])] * 2
+        assert lone_steps(events) == []
+        assert server.senders == [[0, 1, 2, 3]] and log.n_rounds == 1
 
     def test_sealed_replies_reach_the_server_as_sent(self, transport_cls):
         events = []
@@ -897,9 +914,9 @@ class TestPrestep:
             run_rounds(EchoServer(), clients, transport_cls(), max_rounds=2)
         assert (info.value.round_index, info.value.party_id) == (0, 2)
         assert "non-finite" in str(info.value.cause)
-        # The stack's reply for client 2 raised, so each client stepped
-        # alone, as a stack of one, until client 2 failed.
-        assert lone_steps(events) == [(0, 0), (0, 1), (0, 2)]
+        # One stack, whose reply for client 2 raised; no client steps alone.
+        assert events == [("steps", 0, [0, 1, 2, 3])]
+        assert lone_steps(events) == []
 
 
 class BatchEcho(StackedEcho):
@@ -970,9 +987,9 @@ class TestPhases:
             run_rounds(EchoServer(), clients, transport_cls(), max_rounds=2)
         assert (info.value.round_index, info.value.party_id) == (0, 2)
         assert "non-finite" in str(info.value.cause)
-        # The batch raised, so each client stepped alone until client 2 failed.
-        assert events[0] == ("steps", 0, [0, 1, 2, 3])
-        assert lone_steps(events) == [(0, 0), (0, 1), (0, 2)]
+        # One stack, whose batch named client 2; no client steps alone.
+        assert events == [("steps", 0, [0, 1, 2, 3])]
+        assert lone_steps(events) == []
 
 
 class AveragingServer:
@@ -1001,8 +1018,8 @@ class AveragingServer:
 class ScalingClient:
     """Replies with the broadcast times its own factor, plus the round.
     `steps` answers every client it is given, of any federation, as one
-    stack, and records how many it got; a lone `step` is a stack of one.
-    A client with fail=True raises from its own step only."""
+    stack, and records how many it got; it names the first client with
+    fail=True in a PartyFailure."""
 
     def __init__(self, party, factor, calls, fail=False):
         self.party = party
@@ -1013,16 +1030,12 @@ class ScalingClient:
     @classmethod
     def steps(cls, clients, rnd, msgs):
         clients[0].calls.append(len(clients))
-        if any(c.fail for c in clients):
-            raise RuntimeError("boom")
+        for c in clients:
+            if c.fail:
+                raise PartyFailure(rnd, c.party.id, RuntimeError("boom"))
         factors = np.array([c.factor for c in clients])[:, None, None]
         stack = np.stack([m.matrix for m in msgs]) * factors + rnd
         return [FedMessage.consensus(rnd, c.party, row) for c, row in zip(clients, seal_rows(stack))]
-
-    def step(self, rnd, msg):
-        if self.fail:
-            raise RuntimeError("boom")
-        return type(self).steps([self], rnd, [msg])[0]
 
 
 def scaling_federation(seed, n_clients, calls, stop_after=None):
@@ -1088,7 +1101,24 @@ class TestRunFederations:
         with pytest.raises(PartyFailure) as info:
             run_federations([Federation(s, c, transport) for s, c in feds], max_rounds=3)
         assert (info.value.round_index, info.value.party_id) == (0, 1)
-        # The stack raised, so each client stepped alone: the first
-        # federation's three, then client 0 of the second, which replied.
-        assert calls == [9, 1, 1, 1, 1]
-        assert feds[0][0].rounds == 1 and feds[1][0].rounds == 0
+        assert str(info.value.cause) == "boom"
+        # One stack over all three federations, and no server aggregated.
+        assert calls == [9]
+        assert [server.rounds for server, _ in feds] == [0, 0, 0]
+
+    @pytest.mark.parametrize("bad, error, match", [
+        (SilentClient, MissingClient, r"round 0\b.*client 2\b"),
+        (WrongKindClient, ValueError, r"round 0: client 2 sent PARAM_VECTOR"),
+        (FailingClient, PartyFailure, r"party 2 failed in round 0"),
+    ], ids=["missing", "wrong_kind", "failing"])
+    def test_failing_round_aggregates_in_no_federation(self, bad, error, match):
+        # Every client answers and every federation's replies are checked
+        # before any server aggregates, so a client of the second
+        # federation that fails keeps the first from aggregating too.
+        calls = []
+        feds = [scaling_federation(seed, n, calls) for seed, n, _ in self.SPECS[:2]]
+        feds[1][1].append(bad(PartyId.client(2)))
+        with pytest.raises(error, match=match):
+            run_federations([Federation(s, c) for s, c in feds], max_rounds=2)
+        assert calls == [5]
+        assert [server.rounds for server, _ in feds] == [0, 0]

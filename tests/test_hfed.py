@@ -138,8 +138,10 @@ class TestClientStep:
         hp = HyperParams.uniform(2)
         _, clients = make_horizontal_parties([data], hp, seed=1)
         bad = FedMessage.transform_set(0, SERVER, [np.zeros((9, 2)), np.zeros((4, 2))])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(PartyFailure) as err:
             clients[0].step(0, bad)
+        assert (err.value.round_index, err.value.party_id) == (0, 0)
+        assert isinstance(err.value.cause, DimensionMismatch)
 
 
 class TestAggregate:
@@ -361,13 +363,11 @@ class TestCohorts:
             alg3_local(d, hp, sent.matrices, *client_state(c), 6)
             for c, d in zip(clients, shards)
         ]
-        _, solo = make_horizontal_parties(shards, hp, seed=50, max_local=6)
         sizes = record_calls(monkeypatch, mvfed.mvl, "_fit_stats", 0, group=True)
         replies = stage(clients, 0, [sent] * len(clients))
         assert sizes[: len(groups)] == [5 * g for g in groups]
-        for c, reply, alone, (w, pseudo, consensus) in zip(clients, replies, solo, expected):
+        for c, reply, (w, pseudo, consensus) in zip(clients, replies, expected):
             assert_client_is(c, reply, w, pseudo, consensus)
-            assert_client_is(alone, alone.step(0, sent), w, pseudo, consensus)
 
     @pytest.mark.parametrize("dims, stacks", [((4, 3), [6]), ((8, 3), [3, 2, 1])])
     def test_cohorts_group_by_width_pattern(self, monkeypatch, dims, stacks):
@@ -434,82 +434,33 @@ class TestCohorts:
             state = MvlState(W=list(replies[c.party.id].matrices), Zk=pseudo, Z=consensus)
             assert value == objective(shards[c.party.id], state, hp)
 
-    def test_block_restacks_after_a_member_computes_alone(self, monkeypatch):
-        # Every stack of passes starts from the state its block holds for
-        # its members.  In round 2 member 1 steps alone with another
-        # broadcast, after the other five stepped as one stack; the
-        # 6-member stack of round 3 starts from both steps' rows.
-        shards = rows_of([8, 11, 9, 8, 13, 11], seed=59, dims=(4, 3))
-        hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-4, max_inner=6)
-        server, clients = make_horizontal_parties(shards, hp, seed=60, max_local=4)
-        reference = [
-            ReferenceClient(c.party, d, hp, 4, *client_state(c))
-            for c, d in zip(clients, shards)
-        ]
-        calls, before = [], []
-        original = mvfed.hfed._passes
-
-        def recording(views, labels, grams, w, pseudo, consensus, zeta, eta, *args, **kwargs):
-            calls.append((len(eta), [m.copy() for m in pseudo], consensus.copy()))
-            return original(views, labels, grams, w, pseudo, consensus, zeta, eta, *args, **kwargs)
-
-        monkeypatch.setattr(mvfed.hfed, "_passes", recording)
-        for rnd in range(5):
-            before.append([(ref.pseudo, ref.consensus) for ref in reference])
-            sent = server.broadcast(rnd)
-            msgs = [sent] * len(clients)
-            if rnd == 2:
-                msgs[1] = FedMessage.transform_set(rnd, SERVER, [m + 0.5 for m in sent.matrices])
-                others = [c for i, c in enumerate(clients) if i != 1]
-                replies = stage(others, rnd, msgs[:1] + msgs[2:])
-                replies.insert(1, clients[1].step(rnd, msgs[1]))
-            else:
-                replies = stage(clients, rnd, msgs)
-            for c, ref, msg, reply in zip(clients, reference, msgs, replies):
-                want = ref.step(rnd, msg)
-                assert_client_is(c, reply, want.matrices, ref.pseudo, ref.consensus)
-            server.aggregate(rnd, replies)
-        everyone = sorted(range(len(clients)), key=lambda l: clients[l].slot)
-        others = [l for l in everyone if l != 1]
-        members = [everyone, everyone, others, [1], everyone, everyone]
-        assert [n for n, *_ in calls] == list(map(len, members))
-        for (_, pseudo, consensus), who, rnd in zip(calls, members, [0, 1, 2, 2, 3, 4]):
-            state = [before[rnd][l] for l in who]
-            for k in range(2):
-                assert pseudo[k].tobytes() == np.concatenate([p[k] for p, _ in state]).tobytes()
-            assert consensus.tobytes() == np.concatenate([z for _, z in state]).tobytes()
-
-    def test_lone_step_changes_only_its_own_rows(self):
-        # A client is its slot of the block, and the block owns the state.
-        # After a stacked round, a member that steps alone commits its own
-        # rows into copies of the block's stacks: every other row, and every
-        # array taken from the block before the step, stays as it was.
+    def test_part_of_a_block_is_rejected(self):
+        # A step covers whole blocks.  The 9-wide view puts the 8-row
+        # clients in a block of their own (dual form); a step given part
+        # of the other block raises InvalidSpec, alone or beside a whole
+        # block, and no client's state changes.
         assert [f.name for f in dataclasses.fields(HorizontalClient)] == ["party", "rows", "slot"]
-        shards = rows_of([8, 11, 9, 8, 13], seed=67, dims=(4, 3))
+        shards = rows_of([8, 11, 9, 8], seed=57, dims=(4, 9))
         hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-4, max_inner=6)
-        server, clients = make_horizontal_parties(shards, hp, seed=68, max_local=3)
+        server, clients = make_horizontal_parties(shards, hp, seed=58, max_local=3)
+        assert clients[0].rows is clients[3].rows is not clients[1].rows is clients[2].rows
         stage(clients, 0, [server.broadcast(0)] * len(clients))
-        block, lone = clients[0].rows, clients[2]
-
-        def as_bytes(arrays):
-            return [m.tobytes() for m in arrays]
-
-        taken = [*block.pseudo, block.consensus]
-        slices = [[*pseudo, consensus] for pseudo, consensus in map(client_state, clients)]
-        saved, saved_slices = as_bytes(taken), [as_bytes(m) for m in slices]
         sent = server.broadcast(1)
-        w, pseudo, consensus = alg3_local(shards[2], hp, sent.matrices, *client_state(lone), 3)
-        reply = lone.step(1, sent)
-        assert as_bytes(taken) == saved
-        assert [as_bytes(m) for m in slices] == saved_slices
-        for c, was in zip(clients, saved_slices):
-            now = as_bytes([*client_state(c)[0], client_state(c)[1]])
-            if c is lone:
-                assert_client_is(c, reply, w, pseudo, consensus)
-                assert now != was
-            else:
-                assert now == was
-        assert not any(m.flags.writeable for m in (*block.pseudo, block.consensus))
+        block = clients[1].rows
+        taken = [*block.pseudo, block.consensus]
+
+        def state():
+            return [m.tobytes() for pseudo, z in map(client_state, clients) for m in (*pseudo, z)]
+
+        before = state()
+        for some in ([clients[2]], [clients[0], clients[3], clients[1]]):
+            with pytest.raises(InvalidSpec, match="covers 1 of its block's 2 clients"):
+                stage(some, 1, [sent] * len(some))
+            assert state() == before
+        with pytest.raises(InvalidSpec, match="covers 1 of its block's 2 clients"):
+            clients[1].step(1, sent)
+        assert state() == before
+        assert all(a is b for a, b in zip(taken, [*block.pseudo, block.consensus]))
 
     def test_back_to_back_federations_are_equal(self):
         # Blocks keep their state per federation: a federation run after
@@ -544,25 +495,6 @@ class TestCohorts:
         for c, reply, (w, pseudo, consensus) in zip(clients, replies, expected):
             assert_client_is(c, reply, w, pseudo, consensus)
 
-    def test_subset_of_a_block_stages_its_own_rows(self, monkeypatch):
-        # Stepping some clients of a ragged block stacks only their rows,
-        # whatever order they come in.
-        shards = rows_of([8, 11, 9, 8], seed=57, dims=(4, 3))
-        hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-9)
-        server, clients = make_horizontal_parties(shards, hp, seed=58, max_local=3)
-        sent = server.broadcast(0)
-        some = [clients[3], clients[1]]
-        expected = [
-            alg3_local(shards[c.party.id], hp, sent.matrices, *client_state(c), 3)
-            for c in some
-        ]
-        passes = record_stacks(monkeypatch)
-        replies = stage(some, 0, [sent, sent])
-        assert passes == [2]
-        assert [r.sender for r in replies] == [c.party for c in some]
-        for c, reply, (w, pseudo, consensus) in zip(some, replies, expected):
-            assert_client_is(c, reply, w, pseudo, consensus)
-
     def test_framed_transport_stages_and_matches_in_process(self, monkeypatch):
         # Over framed bytes every client decodes its own broadcast; the
         # clients still step as one stack, and every reply equals the
@@ -595,16 +527,17 @@ class TestCohorts:
             shards, HyperParams.uniform(2), seed=54, max_local=0
         )
         bad = FedMessage.transform_set(0, SERVER, [np.zeros((4, 1)), np.zeros((3, 1))])
-        with pytest.raises(DimensionMismatch):
-            stage(clients, 0, [bad, bad])
-        with pytest.raises(DimensionMismatch):
-            clients[0].step(0, bad)
+        for step in (lambda: stage(clients, 0, [bad, bad]), lambda: clients[0].step(0, bad)):
+            with pytest.raises(PartyFailure) as err:
+                step()
+            assert (err.value.round_index, err.value.party_id) == (0, 0)
+            assert isinstance(err.value.cause, DimensionMismatch)
 
     def test_raising_steps_commits_nothing(self, monkeypatch):
         # `steps` checks every broadcast before it computes and commits
         # the blocks' state only once every reply is built: when one
         # client's broadcast has the wrong shapes, or its result is not
-        # finite, no client's state changes.  The 9-wide view puts the
+        # finite, that client is named and no client's state changes.  The 9-wide view puts the
         # 8-row clients in a block of their own (dual form), stepped
         # before the block of the others, whose result is poisoned.
         shards = rows_of([8, 11, 9, 8], seed=65, dims=(4, 9))
@@ -619,8 +552,10 @@ class TestCohorts:
             return [m.tobytes() for pseudo, z in map(client_state, clients) for m in (*pseudo, z)]
 
         before = state()
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(PartyFailure) as err:
             stage(clients, 1, [sent, sent, bad, sent])
+        assert (err.value.round_index, err.value.party_id) == (1, 2)
+        assert isinstance(err.value.cause, DimensionMismatch)
         assert state() == before
 
         original = mvfed.hfed._passes
@@ -632,8 +567,10 @@ class TestCohorts:
             return w, pseudo, consensus, reports
 
         monkeypatch.setattr(mvfed.hfed, "_passes", poisoned)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(PartyFailure) as err:
             stage(clients, 1, [sent] * len(clients))
+        assert (err.value.round_index, err.value.party_id) == (1, 2)
+        assert type(err.value.cause) is ValueError and "non-finite" in str(err.value.cause)
         assert state() == before
         monkeypatch.undo()
 
@@ -662,11 +599,11 @@ class TestCohorts:
 
         monkeypatch.setattr(mvfed.mvl, "_fit_stats", failing)
         passes = record_stacks(monkeypatch)
-        with pytest.raises(PartyFailure) as err:
+        # A failure of the stacked passes is no one client's: it ends the
+        # run as it is, after the one stack of all four clients.
+        with pytest.raises(NotSPD, match="injected"):
             hfed_train(shards, HyperParams.uniform(2), seed=46, rounds=2, max_local=3)
-        assert (err.value.round_index, err.value.party_id) == (0, 2)
-        assert isinstance(err.value.cause, NotSPD)
-        assert passes == [4, 1, 1, 1]
+        assert passes == [4]
 
 
 class TestPredict:

@@ -5,14 +5,16 @@
 #   tools/cmp_reports.sh REF
 #
 # Checks out REF in a temporary git worktree, generates the input data
-# once with this checkout's code, writes the reports of the CI step
-# "Report determinism" with each tree's `src/`, and `cmp`s every pair.
-# The reports hold classification metrics only, which a last-bit change
-# in training seldom moves, so the full-precision files of the CI step
-# "CLI file round trip" (trained models, exported embeddings) are
-# compared too.  Exits 0 when all are identical and 1 naming each file
-# that differs.  The worktree and the outputs are removed on exit.  A
-# change that means to alter outputs fails here by design.
+# once with this checkout's code, writes the reports listed below with
+# each tree's `src/`, and `cmp`s every pair.  The reports hold
+# classification metrics only, which a last-bit change in training
+# seldom moves, so the full-precision files of the CI step "CLI file
+# round trip" (trained models, exported embeddings) are compared too.
+# Exits 0 when all are identical and 1 naming each file that differs.
+# The worktree and the outputs are removed on exit.  A change that
+# means to alter outputs fails here by design.  CI runs it against HEAD
+# (equal configs give byte-identical outputs) and against a pull
+# request's base commit.
 set -euo pipefail
 
 ref=${1:?usage: tools/cmp_reports.sh REF}
@@ -34,8 +36,16 @@ cli gen-data --out flat --kind complementary
 cli gen-data --out seq --kind sequences
 cli gen-data --out seqmix --kind sequences --step-dims 6,6,4
 
-# The reports of the CI step "Report determinism", written with the
-# source tree $1 into the directory $2.
+# The reports, models and embeddings, written with the source tree $1
+# into the directory $2.  In mv_local and local_seq_localmv every client
+# trains as a federation of one; the mvl grid reports train and score 36
+# candidates as one stack, and the hfed and mv_local grids run 36 and
+# 108 small federations back to back.  hfed16's shards have 7 and 8 rows
+# beside an 8-wide view, so its federation runs a dual-form block per
+# row count beside the primal block.  vfed's clients and the single-view
+# baseline fit one 2-D problem at a time, each as a stack of one.  sfed
+# runs its views' federations in lock-step; on seqmix the two 6-wide
+# views share one padded stack beside the 4-wide view's own.
 reports() {
     local PYTHONPATH="$1/src" out=$2
     export PYTHONPATH
