@@ -7,15 +7,14 @@ different drivers (e.g. a centralized trainer and a set of federated
 parties) derive bitwise-identical initial states from one seed.
 :func:`stream_states` derives the same streams' start states for a
 batch of keys in one pass, running numpy's `SeedSequence` hash as uint32
-array operations over all keys, and :func:`draw_streams` draws from
-them on one reused generator, set to each stream through one reused
-state dict.  :func:`orthonormal_inits` draws its streams that way
-straight into the rows of one array.  The pass has a fixed cost of
-about 150 array operations, so it pays off from about 30 keys: a
-caller that knows many keys in advance derives them together (hfed's
-client inits, one row-count group at a time; sfed's shuffles, every
-client, view and round of its federations), and a lone stream stays on
-`make_rng`.
+array operations over all keys, and :func:`orthonormal_inits` draws
+from them on one reused generator, set to each stream through one
+reused state dict, straight into the rows of one array.  The pass has
+a fixed cost of about 0.4 ms (2-core VM; one `make_rng` stream takes
+about 40 us), so it pays off from about 20 keys: a caller that knows
+many keys in advance derives them together (hfed's client inits, one
+row-count group at a time; sfed's shuffles, every client, view and
+round of its federations), and a lone stream stays on `make_rng`.
 
 :func:`solve_spd` solves an (s, n, n) stack of SPD systems, and one
 system as a stack of one, on one of two engines, chosen by the order n
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -50,7 +49,6 @@ __all__ = [
     "make_rng",
     "stream_states",
     "pcg64_state",
-    "draw_streams",
     "gaussian_init",
     "orthonormal_init",
     "orthonormal_inits",
@@ -173,37 +171,35 @@ def _pcg64_states(seed: int, keys: Sequence[tuple[int, ...]]) -> list[tuple[int,
     entropy = np.zeros((len(keys), width), dtype=np.uint32)
     entropy[:, : len(run)] = run
     entropy[:, len(run):][np.arange(len(run), width) < lengths[:, None]] = words
-    const = _INIT_A
+    const, mult = _INIT_A, _MULT_A
 
     def hashmix(value):
+        """numpy's hashmix of each row of an (r, K) value, as r calls in turn."""
         nonlocal const
-        value = value ^ const
-        const = (const * _MULT_A) & _MASK32
-        value = value * const
+        chain = [const]
+        for _ in range(len(value)):
+            chain.append(chain[-1] * mult & _MASK32)
+        const, chain = chain[-1], np.array(chain, dtype=np.uint32)[:, None]
+        value = (value ^ chain[:-1]) * chain[1:]
         return value ^ (value >> 16)
 
     def mix(x, y):
         value = _MIX_MULT_L * x - _MIX_MULT_R * y
         return value ^ (value >> 16)
 
-    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
+    # The pool is one (4, K) array: each source row hashes into the other
+    # three rows in one operation.
+    pool = hashmix(entropy[:, :_POOL_SIZE].T)
     for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        dst = np.arange(_POOL_SIZE) != src
+        pool[dst] = mix(pool[dst], hashmix(np.broadcast_to(pool[src], (_POOL_SIZE - 1, len(keys)))))
     for src in range(_POOL_SIZE, width):
-        live = lengths > src
-        for dst in range(_POOL_SIZE):
-            pool[dst] = np.where(live, mix(pool[dst], hashmix(entropy[:, src])), pool[dst])
+        hashed = hashmix(np.broadcast_to(entropy[:, src], pool.shape))
+        pool = np.where(lengths > src, mix(pool, hashed), pool)
     # generate_state(4, np.uint64): eight words, little-endian pairs.
-    const = _INIT_B
-    words = []
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ const
-        const = (const * _MULT_B) & _MASK32
-        value = value * const
-        words.append(value ^ (value >> 16))
-    seeds = np.stack(words, axis=1).astype("<u4").view("<u8").tolist()
+    const, mult = _INIT_B, _MULT_B
+    words = hashmix(pool[np.arange(2 * _POOL_SIZE) % _POOL_SIZE])
+    seeds = words.T.astype("<u4", order="C").view("<u8").tolist()
     states = []
     # PCG64 seeding: inc = 2 * initseq + 1; state = ((inc + initstate) * M + inc).
     for state_hi, state_lo, seq_hi, seq_lo in seeds:
@@ -211,22 +207,6 @@ def _pcg64_states(seed: int, keys: Sequence[tuple[int, ...]]) -> list[tuple[int,
         state = ((inc + ((state_hi << 64) | state_lo)) * _PCG_MULT + inc) & _MASK128
         states.append((state, inc))
     return states
-
-
-T = TypeVar("T")
-
-
-def draw_streams(
-    seed: int, keys: Sequence[tuple[int, ...]], draw: Callable[[np.random.Generator], T]
-) -> list[T]:
-    """`[draw(make_rng(seed, *key)) for key in keys]`, bit for bit.
-
-    The streams are derived for all keys in one pass, as in
-    `stream_states`, and each is set in turn on one reused generator
-    (`_streams`), so `draw` must finish with its generator before it
-    returns.  Worth it from about 30 keys.
-    """
-    return [draw(rng) for rng in _streams(seed, keys)]
 
 
 def _streams(seed: int, keys: Sequence[tuple[int, ...]]) -> Iterator[np.random.Generator]:

@@ -27,6 +27,8 @@ from mvfed.fedcore import (
     stack_rows,
 )
 from mvfed.fedcore.messages import PAYLOADS
+from suite_utils import fedavg_in_order, scaling_federation
+from test_contracts import check_batch, check_replies, check_run_federations, draw_replies
 
 SERVER = PartyId.server()
 C0 = PartyId.client(0)
@@ -234,25 +236,8 @@ class TestMessages:
             (MessageKind.TRANSFORM_SET, {}, dict(matrices=list(zip(*stacks)))),
         ]
         for kind, shared, rows in cases:
-            got = FedMessage.batch(9, senders, kind, **shared, **rows)
-            for i, (msg, sender) in enumerate(zip(got, senders)):
-                own = {name: values[i] for name, values in rows.items()}
-                want = FedMessage(round=9, sender=sender, kind=kind, **shared, **own)
-                assert type(msg) is FedMessage and msg == want
-                assert vars(msg).keys() == vars(want).keys()
-                for name, value in vars(want).items():
-                    if isinstance(value, tuple):
-                        assert len(msg.matrices) == len(value)
-                        for a, b in zip(msg.matrices, value):
-                            assert a.tobytes() == b.tobytes() and not a.flags.writeable
-                    elif isinstance(value, np.ndarray):
-                        got_value = getattr(msg, name)
-                        assert got_value.tobytes() == value.tobytes()
-                        assert got_value.shape == value.shape and not got_value.flags.writeable
-                    else:
-                        assert getattr(msg, name) == value
-                        assert type(getattr(msg, name)) is type(value)
-        assert FedMessage.batch(0, [], MessageKind.PARAM_VECTOR, view=0, vector=[]) == []
+            check_batch(9, senders, kind, {**shared, **rows})
+        check_batch(0, [], MessageKind.PARAM_VECTOR, dict(view=0, vector=[]))
 
     def test_batch_keeps_sealed_rows_and_copies_the_rest(self):
         rows = seal_rows(np.arange(12.0).reshape(3, 4))
@@ -420,15 +405,6 @@ class TestWireFormat:
                 assert decode_message(encode_message(msg)) == msg
 
 
-def fedavg_in_order(arrays, counts):
-    """FedAvg as the terms are added one by one, in client order."""
-    total = float(sum(counts))
-    acc = (counts[0] / total) * arrays[0]
-    for a, n in zip(arrays[1:], counts[1:]):
-        acc += (n / total) * a
-    return acc
-
-
 class TestFedavg:
     @pytest.mark.parametrize("shape", [(1,), (2,), (57,), (1, 1), (1, 3), (3, 1), (6, 2)])
     def test_bitwise_equal_to_in_order_loop(self, shape):
@@ -448,32 +424,12 @@ class TestFedavg:
 
     @pytest.mark.parametrize("shape", [(1,), (57,), (1, 1), (6, 2)])
     def test_sealed_rows_equal_the_stacked_path(self, shape):
-        # Rows of a sealed stack in client order, out of order, a subset of
-        # them, or mixed with plain arrays: each bit equal to np.stack of
-        # plain copies.
         rng = np.random.default_rng(5)
         for n_clients in (1, 2, 7, 128):
-            stack = rng.standard_normal((n_clients, *shape)) * 10.0 ** rng.uniform(-8, 8)
-            stack[rng.random(stack.shape) < 0.2] = -0.0
-            rows = seal_rows(stack)
-            counts = [int(n) for n in rng.integers(1, 100, n_clients)]
-            perm = rng.permutation(n_clients).tolist()
-            some = perm[: max(1, n_clients // 2)]
-            mixed = [r if i % 2 else r.copy() for i, r in enumerate(rows)]
-            cases = [
-                (rows, counts),
-                ([rows[i] for i in perm], [counts[i] for i in perm]),
-                ([rows[i] for i in some], [counts[i] for i in some]),
-                (mixed, counts),
-                ([rows[0]] * n_clients, counts),
-            ]
-            for arrays, weights in cases:
-                plain = [a.copy() for a in arrays]
-                got = fedavg_aggregate(arrays, weights)
-                assert stack_rows(arrays).tobytes() == np.stack(plain).tobytes()
-                assert got.tobytes() == fedavg_aggregate(plain, weights).tobytes()
-                assert got.tobytes() == fedavg_in_order(plain, weights).tobytes()
+            stack, rows, cases = draw_replies(rng, n_clients, shape)
             assert stack_rows(rows) is stack
+            for arrays, counts in cases:
+                check_replies(arrays, counts)
 
     def test_negative_zero_kept(self):
         zeros = [np.full((2, 2), -0.0), np.full((2, 2), -0.0)]
@@ -992,67 +948,6 @@ class TestPhases:
         assert lone_steps(events) == []
 
 
-class AveragingServer:
-    """Broadcasts its state and replaces it by the mean of the replies;
-    done() after stop_after rounds."""
-
-    reply_kind = MessageKind.CONSENSUS
-
-    def __init__(self, start, stop_after=None):
-        self.party = SERVER
-        self.w = start
-        self.rounds = 0
-        self.stop_after = stop_after
-
-    def broadcast(self, rnd):
-        return FedMessage.consensus(rnd, self.party, self.w)
-
-    def aggregate(self, rnd, replies):
-        self.w = fedavg_aggregate([m.matrix for m in replies], [1] * len(replies))
-        self.rounds += 1
-
-    def done(self):
-        return self.stop_after is not None and self.rounds >= self.stop_after
-
-
-class ScalingClient:
-    """Replies with the broadcast times its own factor, plus the round.
-    `steps` answers every client it is given, of any federation, as one
-    stack, and records how many it got; it names the first client with
-    fail=True in a PartyFailure."""
-
-    def __init__(self, party, factor, calls, fail=False):
-        self.party = party
-        self.factor = factor
-        self.calls = calls
-        self.fail = fail
-
-    @classmethod
-    def steps(cls, clients, rnd, msgs):
-        clients[0].calls.append(len(clients))
-        for c in clients:
-            if c.fail:
-                raise PartyFailure(rnd, c.party.id, RuntimeError("boom"))
-        factors = np.array([c.factor for c in clients])[:, None, None]
-        stack = np.stack([m.matrix for m in msgs]) * factors + rnd
-        return [FedMessage.consensus(rnd, c.party, row) for c, row in zip(clients, seal_rows(stack))]
-
-
-def scaling_federation(seed, n_clients, calls, stop_after=None):
-    """A server and its clients, given in descending id order."""
-    start = np.random.default_rng(seed).standard_normal((2, 3))
-    clients = [
-        ScalingClient(PartyId.client(i), 0.5 + 0.25 * i + seed, calls)
-        for i in reversed(range(n_clients))
-    ]
-    return AveragingServer(start, stop_after), clients
-
-
-def messages_of(log):
-    """Every logged field but seconds."""
-    return [(r.round, r.messages) for r in log.records]
-
-
 class TestRunFederations:
     """Several federations in lock-step: each runs exactly as it does
     alone, while one `steps` call a round serves all of them."""
@@ -1062,35 +957,8 @@ class TestRunFederations:
     SPECS = [(0, 3, None), (1, 2, 2), (2, 4, None)]
 
     def test_each_federation_matches_its_solo_run(self):
-        solo = []
-        for spec in self.SPECS:
-            transport = FramedByteTransport(capture=True)
-            server, clients = scaling_federation(*spec[:2], [], spec[2])
-            log = run_rounds(server, clients, transport, max_rounds=4)
-            solo.append((server.w, log, transport.captured))
-        calls = []
-        shared = FramedByteTransport(capture=True)
-        feds = [scaling_federation(seed, n, calls, stop) for seed, n, stop in self.SPECS]
-        logs = run_federations([Federation(s, c, shared) for s, c in feds], max_rounds=4)
-        assert [log.n_rounds for log in logs] == [4, 2, 4]
-        for (server, _), log, (w, solo_log, _) in zip(feds, logs, solo):
-            assert server.w.tobytes() == w.tobytes()
-            assert messages_of(log) == messages_of(solo_log)
         # One stack a round over every live federation's clients.
-        assert calls == [9, 9, 7, 7]
-        # Each round's frames: every live federation's broadcasts, then
-        # each federation's replies in turn, each as it was sent alone.
-        per_round = []
-        for _, solo_log, frames in solo:
-            sizes = [len(r.messages) for r in solo_log.records]
-            bounds = np.cumsum([0, *sizes])
-            per_round.append([frames[a:b] for a, b in zip(bounds[:-1], bounds[1:])])
-        expected = []
-        for rnd in range(4):
-            live = [rounds[rnd] for rounds in per_round if rnd < len(rounds)]
-            expected += [f for frames in live for f in frames[: len(frames) // 2]]
-            expected += [f for frames in live for f in frames[len(frames) // 2 :]]
-        assert shared.captured == expected
+        assert check_run_federations(self.SPECS, max_rounds=4) == [9, 9, 7, 7]
 
     @pytest.mark.parametrize("transport_cls", [InProcessTransport, FramedByteTransport])
     def test_failing_client_is_named_in_its_federation(self, transport_cls):

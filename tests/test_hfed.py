@@ -26,47 +26,14 @@ from mvfed.hfed import (
 from mvfed.mvl import (
     HyperParams,
     MultiViewDataset,
-    MvlState,
     argmax_decode,
     fit_view_transform,
-    objective,
     predict_mvl,
-    update_consensus,
-    update_pseudo_labels,
 )
-from suite_utils import blob_dataset, client_state, record_calls, stage
+from suite_utils import ReferenceClient, alg3_local, blob_dataset, client_state, record_calls, stage
+from test_contracts import check_hfed, width_groups
 
 SERVER = PartyId.server()
-
-
-def alg3_local(data, hp, w, pseudo, consensus, max_local):
-    """Reference local pass: pseudo-labels, consensus, then the refit."""
-    from mvfed.mvl import _fit_stats
-
-    w = [m.copy() for m in w]
-    pseudo = [m.copy() for m in pseudo]
-    consensus = consensus.copy()
-
-    def value():
-        return objective(data, MvlState(W=w, Zk=pseudo, Z=consensus), hp)
-
-    prev = value()
-    for _ in range(max_local):
-        for k in range(data.n_views):
-            pseudo[k] = update_pseudo_labels(
-                data.views[k] @ w[k], consensus, hp.zeta[k]
-            )
-        consensus = update_consensus(pseudo, data.labels, hp.zeta, hp.eta)
-        for k in range(data.n_views):
-            w[k], _, _, _ = _fit_stats(
-                data.views[k], pseudo[k], hp.beta[k], hp.epsilon,
-                hp.max_inner, hp.tol, w_init=w[k],
-            )
-        v = value()
-        if abs(v - prev) / max(1.0, abs(prev)) < hp.tol:
-            break
-        prev = v
-    return w, pseudo, consensus
 
 
 def record_stacks(monkeypatch):
@@ -303,53 +270,19 @@ def rows_of(sizes, seed, dims):
     return [data.subset(np.arange(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-@dataclasses.dataclass
-class ReferenceClient:
-    """A horizontal client that runs `alg3_local` on its own rows."""
-
-    party: PartyId
-    data: MultiViewDataset
-    hp: HyperParams
-    max_local: int
-    pseudo: list
-    consensus: np.ndarray
-
-    def step(self, rnd, msg):
-        w, self.pseudo, self.consensus = alg3_local(
-            self.data, self.hp, msg.matrices, self.pseudo, self.consensus,
-            self.max_local,
-        )
-        return FedMessage.transform_set(rnd, self.party, w)
-
-
 class TestCohorts:
-    def test_matches_per_client_reference(self, monkeypatch):
+    def test_matches_per_client_reference(self):
         # 19 clients of 6, 7, 9 and 11 rows; a view of width 8 takes the
         # dual form on the 6- and 7-row clients, which stack by row count,
         # while the 9- and 11-row clients share one block of 7.
-        sizes = [6, 7, 9] * 6 + [11]
-        shards = rows_of(sizes, seed=40, dims=(8, 3))
+        shards = rows_of([6, 7, 9] * 6 + [11], seed=40, dims=(8, 3))
         hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-3, max_inner=6)
-        server, clients = make_horizontal_parties(shards, hp, seed=41, max_local=8)
-        reference = [
-            ReferenceClient(c.party, d, hp, 8, *client_state(c))
-            for c, d in zip(clients, shards)
-        ]
-        ref_log = run_rounds(server, reference, None, max_rounds=3)
-        fit_sizes = record_calls(monkeypatch, mvfed.mvl, "_fit_stats", 0, group=True)
-        result = hfed_train(shards, hp, seed=41, rounds=3, max_local=8)
-        for got, want in zip(result.transforms, server.w):
-            assert np.array_equal(got, want)
-        assert [r.messages for r in result.log.records] == [
-            r.messages for r in ref_log.records
-        ]
-        # Members of one stack stop after different numbers of passes.
-        assert set(fit_sizes) - {1, 6, 7} and max(fit_sizes) == 7
+        assert check_hfed(shards, hp, 41, 8, 3) == [6, 6, 7] * 3
 
     @pytest.mark.parametrize("dims, groups", [
         ((6, 6, 6), [3]), ((6, 6, 4), [2, 1]), ((6, 12, 6), [2, 1]),
     ])
-    def test_width_groups_match_solo_members(self, monkeypatch, dims, groups):
+    def test_width_groups_match_solo_members(self, dims, groups):
         # Views of one width are fitted in one kernel call for every
         # member; the 12-wide view is wider than the 8-row clients (dual
         # form) and is fitted alone.
@@ -357,39 +290,20 @@ class TestCohorts:
         hp = HyperParams(
             beta=(2.0, 0.5, 1.0), zeta=(1.0, 4.0, 0.5), eta=2.0, tol=1e-3, max_inner=6
         )
-        server, clients = make_horizontal_parties(shards, hp, seed=50, max_local=6)
-        sent = server.broadcast(0)
-        expected = [
-            alg3_local(d, hp, sent.matrices, *client_state(c), 6)
-            for c, d in zip(clients, shards)
-        ]
-        sizes = record_calls(monkeypatch, mvfed.mvl, "_fit_stats", 0, group=True)
-        replies = stage(clients, 0, [sent] * len(clients))
-        assert sizes[: len(groups)] == [5 * g for g in groups]
-        for c, reply, (w, pseudo, consensus) in zip(clients, replies, expected):
-            assert_client_is(c, reply, w, pseudo, consensus)
+        assert width_groups(shards[0].views, 8) == groups
+        check_hfed(shards, hp, 50, 6, 1)
 
     @pytest.mark.parametrize("dims, stacks", [((4, 3), [6]), ((8, 3), [3, 2, 1])])
-    def test_cohorts_group_by_width_pattern(self, monkeypatch, dims, stacks):
+    def test_cohorts_group_by_width_pattern(self, dims, stacks):
         # Every client whose views are all no wider than its rows is in one
         # stack, whatever its row count; with a view of width 8 the 6- and
         # 7-row clients take the dual form and stack by row count.
         shards = rows_of([6, 7, 6, 9, 7, 6], seed=42, dims=dims)
         hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-9)
-        server, clients = make_horizontal_parties(shards, hp, seed=1, max_local=3)
-        sent = server.broadcast(0)
-        expected = [
-            alg3_local(d, hp, sent.matrices, *client_state(c), 3)
-            for c, d in zip(clients, shards)
-        ]
-        passes = record_stacks(monkeypatch)
-        replies = stage(clients, 0, [sent] * len(clients))
-        assert passes == stacks
-        for c, reply, (w, pseudo, consensus) in zip(clients, replies, expected):
-            assert_client_is(c, reply, w, pseudo, consensus)
+        assert check_hfed(shards, hp, 1, 3, 1) == stacks
 
     @pytest.mark.parametrize("dims, n_classes", [((6, 3), 2), ((17, 4), 2), ((6, 3, 8), 3)])
-    def test_ragged_clients_match_reference(self, monkeypatch, dims, n_classes):
+    def test_ragged_clients_match_reference(self, dims, n_classes):
         # Clients of 2-40 rows: those with a view wider than their rows
         # stack by row count (dual form), all others in one ragged block
         # whose products and sums over rows must run per row count
@@ -400,39 +314,10 @@ class TestCohorts:
         bounds = np.cumsum([0, *sizes])
         shards = [pool.subset(np.arange(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
         hp = dataclasses.replace(HyperParams.uniform(len(dims)), tol=1e-4, max_inner=6)
-        server, clients = make_horizontal_parties(shards, hp, seed=56, max_local=5)
-        reference = [
-            ReferenceClient(c.party, d, hp, 5, *client_state(c))
-            for c, d in zip(clients, shards)
-        ]
         primal = [n for n in sizes if n >= max(dims)]
         assert len(set(primal)) > 1 and len(primal) < len(sizes)
-        passes = record_stacks(monkeypatch)
-        for rnd in range(3):
-            sent = server.broadcast(rnd)
-            replies = stage(clients, rnd, [sent] * len(clients))
-            for c, ref, reply in zip(clients, reference, replies):
-                want = ref.step(rnd, sent)
-                assert_client_is(c, reply, want.matrices, ref.pseudo, ref.consensus)
-            server.aggregate(rnd, replies)
+        passes = check_hfed(shards, hp, 56, 5, 3)
         assert max(passes) == len(primal) and sum(passes) == 3 * len(sizes)
-        # The objective the ragged block computes for each of its slots,
-        # which decides when the slot stops, is the client's own.
-        block = next(c.rows for c, n in zip(clients, sizes) if n >= max(dims))
-        members = sorted((c for c in clients if c.rows is block), key=lambda c: c.slot)
-        layout = mvfed.mvl._layout(block.rows)
-        sent_back = [replies[c.party.id].matrices for c in members]
-        w = [np.stack(m) for m in zip(*sent_back)]
-        s = len(members)
-        *_, reports = mvfed.mvl._passes(
-            block.views, block.labels, block.grams, w, block.pseudo, block.consensus,
-            [np.full(s, q) for q in hp.zeta], np.full(s, hp.eta), hp, 0, False, layout,
-        )
-        (_, values, _, _), = reports
-        for c, value in zip(members, values.tolist()):
-            pseudo, consensus = client_state(c)
-            state = MvlState(W=list(replies[c.party.id].matrices), Zk=pseudo, Z=consensus)
-            assert value == objective(shards[c.party.id], state, hp)
 
     def test_part_of_a_block_is_rejected(self):
         # A step covers whole blocks.  The 9-wide view puts the 8-row

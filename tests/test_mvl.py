@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from mvfed.mvl import (
     HyperParams,
     MultiViewDataset,
     MvlState,
-    TraceRow,
     argmax_decode,
     fit_view_transform,
     init_state,
@@ -23,19 +23,17 @@ from mvfed.mvl import (
     update_pseudo_labels,
 )
 from mvfed.numerics import row_l2_norms, solve_spd
-from suite_utils import blob_dataset, random_instance, record_calls
+from suite_utils import (
+    assert_same_state, blob_dataset, random_instance, reference_objective, smoothed_l21,
+)
+from test_contracts import (
+    check_passes, check_predict_stack, check_train_stack, check_width_group, width_groups,
+)
 
 
 def irls_row_weights(w, epsilon):
     """The IRLS reweighting of w's rows, 1 / (2 (||w_i|| + epsilon))."""
     return 1.0 / (2.0 * (row_l2_norms(w) + epsilon))
-
-
-def smoothed_l21(w, epsilon):
-    """The smoothed l2,1 penalty of w, sum_i sqrt(||w_i||^2 + eps^2), as
-    the objective reports it."""
-    norms = row_l2_norms(w)
-    return float(np.sqrt(norms * norms + epsilon * epsilon).sum())
 
 
 def solve_view_transform(x, target, row_weights, beta):
@@ -429,71 +427,25 @@ class TestKernel:
         assert res < 1e-8
 
     @pytest.mark.parametrize("n, d", [(30, 6), (12, 12), (200, 40), (8, 20), (15, 40)])
-    def test_stack_is_bit_identical_per_slice(self, monkeypatch, n, d):
+    def test_stack_is_bit_identical_per_slice(self, n, d):
         rng = np.random.default_rng(n * d)
-        s = 6
-        x = rng.standard_normal((s, n, d)) * rng.uniform(0.1, 3.0, (s, 1, 1))
-        z = rng.standard_normal((s, n, 3))
-        w0 = rng.standard_normal((s, d, 3)) / np.sqrt(d)
-        w, a, res, xw, calls = self.fit_stack(monkeypatch, x, z, 2.0, 30, 1e-4, w0)
-        iterations = []
-        for i in range(s):
-            w_i, a_i, res_i, calls_i = self.fit(monkeypatch, x[i], z[i], 2.0, 30, 1e-4, w0[i])
-            assert np.array_equal(w[i], w_i)
-            assert np.array_equal(a[i], a_i)
-            assert np.array_equal(xw[i], x[i] @ w_i)
-            assert res[i] == res_i
-            iterations.append(len(calls_i))
-        # each solve covers exactly the slices whose own fit is still running
-        assert len(set(iterations)) > 1
-        assert [c[0] for c in calls] == [
-            sum(it > j for it in iterations) for j in range(max(iterations))
-        ]
+        x = rng.standard_normal((6, n, d)) * rng.uniform(0.1, 3.0, (6, 1, 1))
+        z, w0 = rng.standard_normal((6, n, 3)), rng.standard_normal((6, d, 3)) / np.sqrt(d)
+        assert len(set(check_width_group([(x, z, 2.0, w0, None)], 30, 1e-4))) > 1
 
     @pytest.mark.parametrize("n, d", [(30, 6), (12, 12), (8, 20), (15, 40)])
-    def test_shared_x_is_bit_identical_per_slice(self, monkeypatch, n, d):
+    def test_shared_x_is_bit_identical_per_slice(self, n, d):
         # One 2-D X under a stack of targets and warm starts: the form
         # the grid's candidate stack uses, primal (d <= n) and dual.
         rng = np.random.default_rng(n + 7 * d)
-        s = 5
         x = rng.standard_normal((n, d))
-        z = rng.standard_normal((s, n, 3)) * rng.uniform(0.1, 3.0, (s, 1, 1))
-        w0 = rng.standard_normal((s, d, 3)) / np.sqrt(d)
-        w, a, res, xw, calls = self.fit_stack(monkeypatch, x, z, 2.0, 30, 1e-4, w0)
-        iterations = []
-        for i in range(s):
-            w_i, a_i, res_i, calls_i = self.fit(monkeypatch, x, z[i], 2.0, 30, 1e-4, w0[i])
-            assert np.array_equal(w[i], w_i)
-            assert np.array_equal(a[i], a_i)
-            assert np.array_equal(xw[i], x @ w_i)
-            assert res[i] == res_i
-            iterations.append(len(calls_i))
-        assert len(set(iterations)) > 1
-        assert [c[0] for c in calls] == [
-            sum(it > j for it in iterations) for j in range(max(iterations))
-        ]
+        z = rng.standard_normal((5, n, 3)) * rng.uniform(0.1, 3.0, (5, 1, 1))
+        w0 = rng.standard_normal((5, d, 3)) / np.sqrt(d)
+        assert len(set(check_width_group([(x, z, 2.0, w0, None)], 30, 1e-4))) > 1
 
-    def test_shared_x_stack_of_one_equals_the_2d_call(self, monkeypatch):
+    def test_shared_x_stack_of_one_equals_the_2d_call(self):
         x, z, w0 = self.problem(20, 5, seed=3)
-        w, a, res, xw, calls = self.fit_stack(monkeypatch, x, z[None], 2.0, 20, 1e-6, w0[None])
-        w_2d, a_2d, res_2d, calls_2d = self.fit(monkeypatch, x, z, 2.0, 20, 1e-6, w0)
-        assert np.array_equal(w[0], w_2d) and np.array_equal(a[0], a_2d)
-        assert np.array_equal(xw[0], x @ w_2d)
-        assert res.tolist() == [res_2d]
-        assert calls == calls_2d == [(1, 5, 5)] * len(calls_2d)
-
-    @staticmethod
-    def fit_stack(monkeypatch, x, z, beta, max_inner, tol, w0):
-        """The kernel on a stack, as a width group of one view."""
-        calls = []
-
-        def counting_solve(a, b):
-            calls.append(a.shape)
-            return solve_spd(a, b)
-
-        monkeypatch.setattr(mvfed.mvl, "solve_spd", counting_solve)
-        w, a, res, xw = mvfed.mvl._fit_stats([x], [z], [beta], 1e-8, max_inner, tol, [w0], [None])
-        return w[0], a[0], res[0], next(xw), calls
+        check_width_group([(x, z[None], 2.0, w0[None], None)], 20, 1e-6)
 
 
 class TestClosedFormUpdates:
@@ -615,61 +567,6 @@ class TestTrainMvl:
         assert t1.objectives() == t2.objectives()
 
 
-def reference_objective(data, state, hp):
-    """`objective` as it was written before the stacked form, kept as
-    the reference for its order of operations."""
-    total = hp.eta * float(np.sum((state.Z - data.labels) ** 2))
-    for i in range(data.n_views):
-        fit = data.views[i] @ state.W[i] - state.Zk[i]
-        total += float(np.sum(fit * fit))
-        total += hp.beta[i] * smoothed_l21(state.W[i], hp.epsilon)
-        gap = state.Zk[i] - state.Z
-        total += hp.zeta[i] * float(np.sum(gap * gap))
-    return total
-
-
-def reference_train_mvl(data, hp, seed):
-    """The per-candidate training loop before the candidate stack, kept
-    as its reference: 2-D `_fit_stats` calls and the objective
-    recomputed from the state for every trace row."""
-    state = init_state(data.dims, data.n_samples, data.n_classes, seed)
-    rows = []
-
-    def record(t, value, residual):
-        norms = [row_l2_norms(w) for w in state.W]
-        rows.append(TraceRow(
-            t, value, tuple(float(m.min()) for m in norms),
-            tuple(float(m.max()) for m in norms), residual,
-        ))
-
-    prev = reference_objective(data, state, hp)
-    record(0, prev, 0.0)
-    for t in range(1, hp.max_outer + 1):
-        max_residual = 0.0
-        for i in range(data.n_views):
-            w, _, res, xw = mvfed.mvl._fit_stats(
-                data.views[i], state.Zk[i], hp.beta[i], hp.epsilon,
-                hp.max_inner, hp.tol, state.W[i],
-            )
-            state.W[i] = w
-            max_residual = max(max_residual, res)
-            state.Zk[i] = update_pseudo_labels(xw, state.Z, hp.zeta[i])
-        state.Z = update_consensus(state.Zk, data.labels, hp.zeta, hp.eta)
-        value = reference_objective(data, state, hp)
-        record(t, value, max_residual)
-        if abs(value - prev) / max(1.0, abs(prev)) < hp.tol:
-            break
-        prev = value
-    return state, rows
-
-
-def assert_same_state(a, b):
-    for k in range(len(a.W)):
-        assert a.W[k].tobytes() == b.W[k].tobytes()
-        assert a.Zk[k].tobytes() == b.Zk[k].tobytes()
-    assert a.Z.tobytes() == b.Z.tobytes()
-
-
 class TestTrainStack:
     """`_train_stack` (the grid's candidate stack) and `train_mvl`, its
     stack of one, against the per-candidate reference loop."""
@@ -700,35 +597,18 @@ class TestTrainStack:
         (40, (5, 3, 7), 3), (15, (40, 3), 2), (30, (6, 6, 6), 3), (30, (6, 6, 4), 3),
         (20, (6, 40, 6), 2),
     ])
-    def test_bit_identical_to_per_candidate_training(self, monkeypatch, n, dims, c):
+    def test_bit_identical_to_per_candidate_training(self, n, dims, c):
         # Views of one width share a kernel call; a view wider than its
-        # rows (dual form) is fitted alone.  The slice count of each
-        # call, per running candidate:
+        # rows (dual form) is fitted alone.  The views of each call:
         groups = {
             (5, 3, 7): [1, 1, 1], (40, 3): [1, 1], (6, 6, 6): [3], (6, 6, 4): [2, 1],
             (6, 40, 6): [2, 1],
         }[dims]
         data = self.data(n, dims, c, seed=n)
-        hps = self.candidates(len(dims))
-        sizes = record_calls(monkeypatch, mvfed.mvl, "_fit_stats", 1, group=True)
-        states, reports = mvfed.mvl._train_stack(data, hps, seed=4)
-        monkeypatch.undo()
-        outer = []
-        for i, (hp, state) in enumerate(zip(hps, states)):
-            ref_state, ref_rows = reference_train_mvl(data, hp, seed=4)
-            assert_same_state(state, ref_state)
-            assert mvfed.mvl._trace(reports, i).rows == ref_rows
-            single_state, single_trace = train_mvl(data, hp, seed=4)
-            assert_same_state(single_state, ref_state)
-            assert single_trace.rows == ref_rows
-            outer.append(len(ref_rows) - 1)
+        assert width_groups(data.views, n) == groups
+        outer = check_train_stack(data, self.candidates(len(dims)), seed=4)
         # candidates stop at different outer iterations, one at max_outer
         assert len(set(outer)) > 2 and max(outer) == self.MAX_OUTER
-        # one kernel call per width group and outer iteration, over the
-        # candidates still running
-        assert sizes == [
-            g * sum(o > t for o in outer) for t in range(max(outer)) for g in groups
-        ]
 
     def test_trace_objectives_equal_objective_of_each_state(self):
         data = self.data(40, (5, 3, 7), 3, seed=1)
@@ -765,42 +645,21 @@ class TestPasses:
     @pytest.mark.parametrize("rows, dims", [([5, 5, 7, 9, 9, 12], (4, 3, 4)), ([6] * 5, (4, 9))])
     def test_each_slot_equals_its_stack_of_one(self, fit_first, rows, dims):
         # The second block's 9-wide view is wider than its rows (dual form).
-        mvl = mvfed.mvl
         rng = np.random.default_rng(len(rows))
         s, n, c = len(rows), sum(rows), 3
         y = rng.integers(0, c, n)
-        views = [rng.standard_normal((n, d)) + y[:, None] for d in dims]
-        labels = np.eye(c)[y]
-        w = [rng.standard_normal((s, d, c)) for d in dims]
-        zk = [rng.standard_normal((n, c)) for _ in dims]
-        z = rng.standard_normal((n, c))
-        zeta = [rng.uniform(0.25, 16.0, s) for _ in dims]
-        eta = rng.uniform(0.25, 16.0, s)
-        hp = HyperParams.uniform(len(dims), beta=(2.0, 0.5, 1.0)[: len(dims)], tol=1e-3, max_inner=6)
-
-        def passes(slots):
-            idx = np.concatenate([np.arange(sum(rows[:i]), sum(rows[: i + 1])) for i in slots])
-            layout = mvl._layout([rows[i] for i in slots])
-            xs = [x[idx] for x in views]
-            grams = [mvl._grams(mvl._runs(x, layout)) for x in xs]
-            return mvl._passes(
-                xs, labels[idx], [None if g[0] is None else mvl._join(g) for g in grams],
-                [m[slots] for m in w], [m[idx] for m in zk], z[idx],
-                [q[slots] for q in zeta], eta[slots], hp, 20, fit_first, layout,
-            )
-
-        w_all, zk_all, z_all, reports = passes(list(range(s)))
-        made = [sum(i in live for live, *_ in reports[1:]) for i in range(s)]
+        made = check_passes(types.SimpleNamespace(
+            layout=True, rows=np.array(rows),
+            views=[rng.standard_normal((n, d)) + y[:, None] for d in dims],
+            labels=np.eye(c)[y], w=[rng.standard_normal((s, d, c)) for d in dims],
+            zk=[rng.standard_normal((n, c)) for _ in dims], z=rng.standard_normal((n, c)),
+            zeta=[rng.uniform(0.25, 16.0, s) for _ in dims], eta=rng.uniform(0.25, 16.0, s),
+            hp=HyperParams.uniform(
+                len(dims), beta=(2.0, 0.5, 1.0)[: len(dims)], tol=1e-3, max_inner=6
+            ),
+            max_passes=20, fit_first=fit_first,
+        ))
         assert len(set(made)) > 1 and max(made) == 20  # some stop early, some at the cap
-        start = 0
-        for i, r in enumerate(rows):
-            w_i, zk_i, z_i, alone = passes([i])
-            assert len(alone) - 1 == made[i]
-            for k in range(len(dims)):
-                assert w_i[k][0].tobytes() == w_all[k][i].tobytes()
-                assert zk_i[k].tobytes() == zk_all[k][start : start + r].tobytes()
-            assert z_i.tobytes() == z_all[start : start + r].tobytes()
-            start += r
 
 
 class TestPredictMvl:
@@ -861,35 +720,6 @@ class TestPredictMvl:
         assert np.allclose(out, (zks[0] + 3.0 * zks[1]) / 4.0, atol=1e-14)
 
 
-def reference_predict(views, transforms, zeta, tol=1e-6, max_outer=100):
-    """`predict_mvl` as the loop over Python floats it was before the
-    stacked predictor; also returns how many rounds it made."""
-    xw = [x @ w for x, w in zip(views, transforms)]
-
-    def consensus_of(estimates):
-        acc = zeta[0] * estimates[0]
-        for z, m in zip(zeta[1:], estimates[1:]):
-            acc = acc + z * m
-        return acc / float(sum(zeta))
-
-    estimates = [m.copy() for m in xw]
-    consensus = consensus_of(estimates)
-    prev, rounds = np.inf, 0
-    for _ in range(max_outer):
-        rounds += 1
-        consensus = consensus_of(estimates)
-        estimates = [(m + z * consensus) / (1.0 + z) for m, z in zip(xw, zeta)]
-        value = 0.0
-        for k in range(len(xw)):
-            fit = xw[k] - estimates[k]
-            gap = estimates[k] - consensus
-            value += float(np.sum(fit * fit)) + zeta[k] * float(np.sum(gap * gap))
-        if abs(value - prev) / max(1.0, abs(prev)) < tol:
-            break
-        prev = value
-    return consensus, rounds
-
-
 class TestPredictStack:
     """`_predict_stack` runs many transform sets over one set of test
     views; each slice must be bit-identical to its own `predict_mvl`, and
@@ -908,27 +738,14 @@ class TestPredictStack:
     @pytest.mark.parametrize("tol, max_outer", [(1e-6, 100), (1e-9, 100), (1e-12, 60), (1e-6, 1), (1e-6, 0)])
     def test_slices_equal_per_candidate_predict(self, n_views, tol, max_outer):
         views, transforms, zeta = self.problem(n_views, 10, seed=7 + n_views)
-        stacked = mvfed.mvl._predict_stack(views, transforms, zeta, tol, max_outer)
-        assert stacked.shape == (10, 30, 3)
-        rounds = []
-        for i in range(10):
-            w = [m[i] for m in transforms]
-            z = [float(m[i]) for m in zeta]
-            alone = predict_mvl(views, w, z, tol=tol, max_outer=max_outer)
-            reference, r = reference_predict(views, w, z, tol, max_outer)
-            assert np.array_equal(stacked[i], alone)
-            assert np.array_equal(alone, reference)
-            rounds.append(r)
+        rounds = check_predict_stack(views, transforms, zeta, tol, max_outer)
         if n_views == 3 and max_outer > 1:
             # the slices stop at different rounds, and some run to the cap
             assert len(set(rounds)) >= 3
             assert min(rounds) < max_outer == max(rounds)
 
     def test_one_slice_stack_is_predict_mvl(self):
-        views, transforms, zeta = self.problem(3, 1, seed=3)
-        alone = predict_mvl(views, [m[0] for m in transforms], [float(z[0]) for z in zeta])
-        stacked = mvfed.mvl._predict_stack(views, transforms, zeta, 1e-6, 100)
-        assert np.array_equal(stacked[0], alone)
+        check_predict_stack(*self.problem(3, 1, seed=3), 1e-6, 100)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_runs_clean_with_runtime_warnings_as_errors(self):

@@ -13,17 +13,15 @@ from mvfed.errors import DimensionMismatch, InvalidShape, NotSPD
 from mvfed.hfed import hfed_train
 from mvfed.mvl import HyperParams
 from mvfed.numerics import (
-    draw_streams,
     gaussian_init,
     make_rng,
     orthonormal_init,
-    orthonormal_inits,
-    pcg64_state,
     row_l2_norms,
     solve_spd,
     stream_states,
 )
-from suite_utils import blob_dataset
+from suite_utils import BATCH_SEEDS, MIXED_KEYS, blob_dataset, refines
+from test_contracts import check_inits, check_solve_spd, check_streams
 
 
 def reference_solve_spd(a, b):
@@ -158,29 +156,13 @@ def spd_stack(rng, s, n, m, spread):
     return a, rng.standard_normal((s, n, m))
 
 
-def refines(a, b):
-    """Whether the raw solve of one system, by the engine that owns its
-    order, takes the refinement pass."""
-    if a.shape[0] <= 16:
-        raw = np.linalg.solve(a, b)
-    else:
-        raw = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), b)
-    return float(np.max(np.abs(b - a @ raw))) > 1e-10 * (1.0 + np.max(np.abs(b)))
-
-
 class TestSolveSpdStack:
     def test_bitwise_equal_to_per_slice_calls(self):
         rng = np.random.default_rng(98)
-        refined = 0
-        for s, n, m, spread in [(1, 1, 1, 2), (4, 2, 3, 2), (7, 6, 2, 4), (5, 20, 1, 12),
-                                (3, 64, 4, 12), (6, 8, 3, 12)]:
-            a, b = spd_stack(rng, s, n, m, spread)
-            x = solve_spd(a, b)
-            assert x.shape == (s, n, m) and x.flags.c_contiguous
-            for i in range(s):
-                assert np.array_equal(x[i], solve_spd(a[i], b[i]))
-                refined += refines(a[i], b[i])
-        assert refined > 0
+        stacks = [
+            (1, 1, 1, 2), (4, 2, 3, 2), (7, 6, 2, 4), (5, 20, 1, 12), (3, 64, 4, 12), (6, 8, 3, 12)
+        ]
+        assert any(r for args in stacks for r in check_solve_spd(*spd_stack(rng, *args)))
 
     def test_bad_slice_raises(self):
         rng = np.random.default_rng(99)
@@ -413,17 +395,9 @@ class TestEngineBoundary:
         g = rng.standard_normal((8, n, n))
         g[::2, :, : n // 2] = 0.0
         well = g.transpose(0, 2, 1) @ g + rng.uniform(1e-6, 1.0, (8, 1, 1)) * np.eye(n)
-        refined = 0
-        for a, b, bounded in ((ill, ill_b, False), (well, rng.standard_normal((8, n, 3)), True)):
-            x = solve_spd(a, b)
-            for i in range(len(a)):
-                alone = solve_spd(a[i], b[i])
-                assert np.array_equal(x[i], alone)
-                if bounded:
-                    bound = 1e-8 * (1.0 + np.max(np.abs(b[i])))
-                    assert np.max(np.abs(a[i] @ alone - b[i])) <= bound
-                refined += refines(a[i], b[i])
-        assert 0 < refined < 16
+        well_b = rng.standard_normal((8, n, 3))
+        refined = check_solve_spd(ill, ill_b) + check_solve_spd(well, well_b, bounded=range(8))
+        assert 0 < sum(refined) < 16
 
     def test_bad_system_named_even_with_empty_rhs(self, n):
         rng = np.random.default_rng(n)
@@ -543,17 +517,7 @@ class TestOrthonormalInit:
 
     @pytest.mark.parametrize("n, c", [(10, 2), (7, 7), (40, 3), (3, 1)])
     def test_stack_matches_each_block_alone(self, n, c):
-        keys = [(1, l, k) for l in range(6) for k in range(3)] + [(2, 4)]
-        stack = orthonormal_inits(n, c, 9, keys)
-        assert stack.shape == (len(keys), n, c)
-        for key, block in zip(keys, stack):
-            # The per-block recipe: one 2-D QR of the key's own draw.
-            g = make_rng(9, *key).standard_normal((n, c))
-            q, r = np.linalg.qr(g, mode="reduced")
-            signs = np.sign(np.diag(r))
-            signs[signs == 0.0] = 1.0
-            assert np.array_equal(block, q * signs)
-            assert np.array_equal(block, orthonormal_init(n, c, 9, *key))
+        check_inits(n, c, 9, [(1, l, k) for l in range(6) for k in range(3)] + [(2, 4)])
 
 
 class TestRowL2Norms:
@@ -591,7 +555,7 @@ class TestRng:
         with pytest.raises(InvalidShape):
             make_rng(*bad)
         with pytest.raises(InvalidShape):
-            draw_streams(bad[0], [(0,), bad[1:]], lambda rng: rng.random())
+            stream_states(bad[0], [(0,), bad[1:]])
 
     def test_gaussian_init_scale(self):
         m = gaussian_init(4, 3, 9, 0, scale=0.0)
@@ -600,12 +564,9 @@ class TestRng:
         assert abs(float(np.std(m2)) - 2.0) < 0.2
 
 
-BATCH_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1]
-MIXED_KEYS = [(), (0,), (2**32,), (4, 1, 2), (2**64 + 3, 7), (9,), (1, 2, 3, 4, 5, 6)]
-
-
 class TestDrawStreams:
-    """The batch path must give `make_rng(seed, *key)`'s streams bit for bit."""
+    """The batch path, `stream_states` and `_streams`, must give
+    `make_rng(seed, *key)`'s streams bit for bit."""
 
     @pytest.mark.parametrize("seed", BATCH_SEEDS)
     @pytest.mark.parametrize("keys", [[()], [(0,)], [(2**32,)], MIXED_KEYS])
@@ -614,35 +575,21 @@ class TestDrawStreams:
         lambda rng: rng.permutation(17),
     ])
     def test_equals_make_rng(self, seed, keys, draw):
-        got = draw_streams(seed, keys, draw)
-        assert len(got) == len(keys)
-        for key, g in zip(keys, got):
-            assert g.tobytes() == draw(make_rng(seed, *key)).tobytes()
+        check_streams(seed, keys, [draw])
 
     def test_many_keys(self):
         keys = [(1, l, k) for l in range(100) for k in range(4)] + MIXED_KEYS
-        got = draw_streams(5, keys, lambda rng: rng.standard_normal(6))
-        for key, g in zip(keys, got):
-            assert g.tobytes() == make_rng(5, *key).standard_normal(6).tobytes()
+        check_streams(5, keys, [lambda rng: rng.standard_normal(6)])
 
     def test_no_keys(self):
-        assert draw_streams(3, [], lambda rng: rng.random()) == []
-        assert stream_states(3, []).shape == (0, 4)
+        check_streams(3, [])
 
     @pytest.mark.parametrize("seed", BATCH_SEEDS)
     def test_states_equal_make_rng_state(self, seed):
         keys = MIXED_KEYS + [(4, l, 1, r) for r in range(3) for l in range(24)]
-        states = stream_states(seed, keys)
-        assert states.shape == (len(keys), 4) and states.dtype == np.uint64
-        for key, words in zip(keys, states):
-            assert pcg64_state(words) == make_rng(seed, *key).bit_generator.state
+        check_streams(seed, keys, draws=())
 
     def test_orthonormal_inits_match_make_rng_reference(self):
         # hfed's client init keys for 128 clients of 3 views.
         keys = [(1, l, k) for l in range(128) for k in range(3)] + [(2, l) for l in range(128)]
-        stack = orthonormal_inits(10, 2, 7, keys)
-        for key, block in zip(keys, stack):
-            q, r = np.linalg.qr(make_rng(7, *key).standard_normal((10, 2)), mode="reduced")
-            signs = np.sign(np.diag(r))
-            signs[signs == 0.0] = 1.0
-            assert block.tobytes() == (q * signs).tobytes()
+        check_inits(10, 2, 7, keys)

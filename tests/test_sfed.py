@@ -43,6 +43,7 @@ from mvfed.sfed import (
     train_view_encoder,
 )
 from suite_utils import record_calls, stage
+from test_contracts import check_grads, check_local_encoders, check_local_stack, check_sfed_views
 
 ARCH = EncoderArch(n_features=3, embed_dim=4, n_classes=2)
 
@@ -302,13 +303,8 @@ class TestLocalTraining:
 
     def test_local_encoders_equal_per_dataset_loop(self):
         # Isolated encoders run rounds x local epochs epochs on one stream each.
-        datasets = ragged_clients(40)
         cfg = TrainerConfig(batch_size=4, local_epochs=2, learning_rate=0.1, max_rounds=3, seed=9)
-        got = mvfed.experiments._local_encoders(datasets, ARCH, cfg, view=1)
-        start = ARCH.init_params(9, KEY_ENCODER, 1)
-        solo = dataclasses.replace(cfg, local_epochs=6)
-        for l, (data, row) in enumerate(zip(datasets, got)):
-            assert row.tobytes() == local_training(data, ARCH, start, solo, (l, 1, 0)).tobytes()
+        check_local_encoders(ARCH, ragged_clients(40), cfg, view=1)
 
     def test_descent_at_small_rate(self):
         for seed in range(10):
@@ -512,21 +508,9 @@ RAGGED_CFG = TrainerConfig(batch_size=4, local_epochs=2, learning_rate=0.2, max_
 
 class TestCohort:
     @pytest.mark.parametrize("arch", [ARCH, EncoderArch(1, 1, 2)], ids=["3x4", "1x1"])
-    def test_ragged_replies_match_solo_training(self, arch, monkeypatch):
-        datasets = ragged_clients(50, p=arch.n_features)
-        server, clients = make_sequence_parties(datasets, 2, arch, RAGGED_CFG)
-        sizes = record_calls(monkeypatch, mvfed.sfed, "_sgd", 1)
-        rounds = []
-        for rnd in range(2):
-            sent = server.broadcast(rnd)
-            replies = stage(clients, rnd, [sent] * len(clients))
-            server.aggregate(rnd, replies)
-            rounds.append((sent, replies))
-        assert sizes == [3, 3]
-        for rnd, (sent, replies) in enumerate(rounds):
-            for l, (data, reply) in enumerate(zip(datasets, replies)):
-                solo = local_training(data, arch, sent.vector, RAGGED_CFG, seed_key=(l, 2, rnd))
-                assert reply.vector.tobytes() == solo.tobytes()
+    def test_ragged_replies_match_solo_training(self, arch):
+        clients = [SequenceClientData(views=[d]) for d in ragged_clients(50, p=arch.n_features)]
+        assert check_sfed_views(clients, RAGGED_CFG, arch.embed_dim) == [3]
 
     def test_two_epoch_stack_and_federation_match_reference(self):
         datasets = ragged_clients(65)
@@ -544,39 +528,22 @@ class TestCohort:
             assert clients[l].step(2, sent).vector.tobytes() == want.tobytes()
 
     def test_stack_rows_match_solo_training(self):
-        datasets = ragged_clients(60)
         starts = np.stack([random_params(ARCH, 61 + l) for l in range(3)])
         keys = [(l, 1, 0) for l in range(3)]
-        stacked = local_training_stack(datasets, ARCH, starts, RAGGED_CFG, keys)
-        for data, start, key, row in zip(datasets, starts, keys, stacked):
-            want = local_training(data, ARCH, start, RAGGED_CFG, key)
-            assert row.tobytes() == want.tobytes()
+        check_local_stack(ARCH, ragged_clients(60), starts, RAGGED_CFG, keys)
 
     @pytest.mark.parametrize("arch", [ARCH, EncoderArch(1, 1, 2)], ids=["3x4", "1x1"])
     def test_kernel_slices_match_each_slice_alone(self, arch):
         # Slices of 1, 3, 6 and 2 sequences, some one step long, each
-        # batch a sorted subset of its slice padded with row n: every
-        # slice's log-probabilities and gradient are its own, bit for bit,
-        # signs of zero included.
+        # batch a sorted subset of its slice.
         rng = np.random.default_rng(75)
         sets, batches = [], []
         for count, t_range in [(1, (1, 2)), (3, (1, 3)), (6, (2, 9)), (2, (1, 2))]:
             data = make_sequences(76 + count, n=count, p=arch.n_features, t_range=t_range)
             sets.append((data.sequences, data.y))
             batches.append(np.sort(rng.permutation(count)[: max(1, count - 1)]))
-        padded = mvfed.sfed._pad(sets)
-        rows = np.full((len(sets), max(map(len, batches))), padded.n)
-        for s, batch in enumerate(batches):
-            rows[s, : len(batch)] = batch
         w = np.stack([random_params(arch, 77 + s) for s in range(len(sets))])
-        live = np.arange(len(sets))
-        log_probs, grad = mvfed.sfed._grads(arch, w, padded.gather(live, rows))
-        for s, ((seqs, y), batch) in enumerate(zip(sets, batches)):
-            alone = mvfed.sfed._pad([([seqs[i] for i in batch], y[batch])])
-            one = alone.gather(np.zeros(1, dtype=np.int64), np.arange(len(batch))[None])
-            want_lp, want_grad = mvfed.sfed._grads(arch, w[s][None], one)
-            assert log_probs[s, : len(batch)].tobytes() == want_lp[0, : len(batch)].tobytes()
-            assert grad[s].tobytes() == want_grad[0].tobytes()
+        check_grads(arch, sets, batches, w)
 
     def test_member_with_other_broadcast_stays_in_the_stack(self, monkeypatch):
         datasets = ragged_clients(70)
@@ -687,30 +654,9 @@ class TestLockStep:
     """sfed_train runs its views' federations in lock-step: three views
     of width 3 share one padded stack, the width-5 view has its own."""
 
-    def test_each_view_matches_its_federation_alone(self, monkeypatch):
-        clients = mixed_width_clients(110)
-        framed = FramedByteTransport(capture=True)
-        sgd = record_calls(monkeypatch, mvfed.sfed, "_sgd", 1)
-        padded = record_calls(monkeypatch, mvfed.sfed, "_pad", 0)
-        result = sfed_train(clients, RAGGED_CFG, embed_dim=4, transport=framed)
-        # One `_sgd` per width a round, over all of that width's slots,
-        # and one padding per width.
-        assert sgd == [9, 3] * RAGGED_CFG.max_rounds
-        assert padded == [9, 3]
-        monkeypatch.undo()
-        records, frames = [], {}
-        for frame in framed.captured:
-            frames.setdefault(decode_message(frame).view, []).append(frame)
-        for k, (arch, w) in enumerate(zip(result.archs, result.params)):
-            alone_framed, alone_log = FramedByteTransport(capture=True), RoundLog()
-            alone = train_view_encoder(
-                [c.views[k] for c in clients], k, arch, RAGGED_CFG, alone_framed, alone_log
-            )
-            assert w.tobytes() == alone.tobytes()
-            assert frames[k] == alone_framed.captured
-            records += [(r.round, r.messages) for r in alone_log.records]
-        # The views' records, appended in view order.
-        assert [(r.round, r.messages) for r in result.log.records] == records
+    def test_each_view_matches_its_federation_alone(self):
+        # One `_sgd` per width a round, over all of that width's slots.
+        assert check_sfed_views(mixed_width_clients(110), RAGGED_CFG, 4) == [9, 3]
 
     def test_non_finite_client_is_named(self, monkeypatch):
         # Client 2's width-5 view trains to NaN: its reply names it in
