@@ -46,6 +46,7 @@ from .metrics import MetricsReport, MetricsRow, average_rows, compute_metrics
 from .mvl import (
     HyperParams,
     MultiViewDataset,
+    _check_cap,
     _predict_stack,
     _train_stack,
     argmax_decode,
@@ -158,18 +159,11 @@ class RunConfig:
         mode = lookup_mode(self.mode)
         if self.generator not in GENERATORS:
             raise ConfigError(f"generator: unknown generator {self.generator!r}")
-        if self.repeats < 1:
-            raise ConfigError(f"repeats: must be >= 1, got {self.repeats}")
-        if self.n_clients < 1:
-            raise ConfigError(f"n_clients: must be >= 1, got {self.n_clients}")
-        if self.embed_dim < 1:
-            raise ConfigError(f"embed_dim: must be >= 1, got {self.embed_dim}")
-        if self.rounds < 1:
-            raise ConfigError(f"rounds: must be >= 1, got {self.rounds}")
-        if self.max_local < 1:
-            raise ConfigError(f"max_local: must be >= 1, got {self.max_local}")
-        if self.positive_class < 0:
-            raise ConfigError("positive_class: must be a class index >= 0")
+        for name, low in (
+            ("repeats", 1), ("n_clients", 1), ("embed_dim", 1), ("rounds", 1),
+            ("max_local", 1), ("positive_class", 0), ("seed", 0),
+        ):
+            _check_cap(f"{name}:", getattr(self, name), low, ConfigError)
         split = tuple(float(f) for f in self.split)
         if len(split) != 3 or any(f <= 0 for f in split):
             raise ConfigError(f"split: need three positive fractions, got {split}")

@@ -8,7 +8,6 @@ from .messages import (
     FedMessage,
     MessageKind,
     PartyId,
-    Role,
     seal_rows,
     stack_rows,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "MessageKind",
     "MessageRecord",
     "PartyId",
-    "Role",
     "RoundLog",
     "RoundRecord",
     "SEQUENTIAL_KINDS",

@@ -17,9 +17,9 @@ def fedavg_aggregate(arrays: Sequence[np.ndarray], counts: Sequence[int]) -> np.
 
     One weighted sum over the stacked arrays that adds `n / total *
     array` in client order, so equal inputs give bit-identical results,
-    equal to adding the terms one by one.  Replies that are rows of one
-    sealed stack (`seal_rows`) are not stacked again: the sum reads that
-    stack, or one gather of its rows when they come in another order.
+    equal to adding the terms one by one.  Replies that are all the rows
+    of one sealed stack (`seal_rows`), in order, are not stacked again:
+    the sum reads that stack.
     """
     if len(arrays) == 0:
         raise MissingClient("no arrays to aggregate")

@@ -37,7 +37,6 @@ from ..errors import PartyFailure
 
 __all__ = [
     "SERVER_WIRE_ID",
-    "Role",
     "PartyId",
     "MessageKind",
     "FedMessage",
@@ -53,36 +52,26 @@ __all__ = [
 SERVER_WIRE_ID = 0xFFFFFFFF
 
 
-class Role(enum.Enum):
-    SERVER = "server"
-    CLIENT = "client"
-
-
 @dataclass(frozen=True)
 class PartyId:
+    """A party by its wire id, all that a frame carries: the server is
+    `SERVER_WIRE_ID` and clients are dense from 0."""
+
     id: int
-    role: Role
 
     def __post_init__(self) -> None:
-        if self.role is Role.SERVER:
-            if self.id != SERVER_WIRE_ID:
-                raise ValueError("server party must use the reserved wire id")
-        elif not 0 <= self.id < SERVER_WIRE_ID:
-            raise ValueError(f"client id {self.id} out of range")
+        if not 0 <= self.id <= SERVER_WIRE_ID:
+            raise ValueError(f"party id {self.id} does not fit in u32")
 
     @classmethod
     def server(cls) -> "PartyId":
-        return cls(SERVER_WIRE_ID, Role.SERVER)
+        return cls(SERVER_WIRE_ID)
 
     @classmethod
     def client(cls, index: int) -> "PartyId":
-        return cls(index, Role.CLIENT)
-
-    @classmethod
-    def from_wire(cls, wire_id: int) -> "PartyId":
-        if wire_id == SERVER_WIRE_ID:
-            return cls.server()
-        return cls.client(wire_id)
+        if index == SERVER_WIRE_ID:
+            raise ValueError("a client cannot take the server's wire id")
+        return cls(index)
 
 
 class MessageKind(enum.IntEnum):
@@ -116,7 +105,8 @@ class _Sealed:
     `_Sealed`: one identity test, with no lookup table, tells a message
     that the array needs no copy and no check.  `rows` holds weak
     references to the rows handed out, in stack order, so `stack_rows`
-    can tell which rows it was given without keeping any of them alive.
+    can tell when it is given all of them, in order, without keeping
+    any of them alive.
     """
 
     def __init__(self, stack: np.ndarray) -> None:
@@ -148,19 +138,12 @@ def seal_rows(stack: np.ndarray) -> list[np.ndarray]:
 def stack_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """`np.stack(arrays)`, bit for bit, without copying each array where
     it can: the sealed stack itself when the arrays are all its rows in
-    order, one gather of its rows when they are rows of it in another
     order, and one repeat when they are all one array."""
     first = arrays[0]
     owner = getattr(getattr(first, "base", None), "base", None)
-    if type(owner) is _Sealed:
-        live = [r() for r in owner.rows]
-        if len(live) == len(arrays) and all(map(operator.is_, arrays, live)):
+    if type(owner) is _Sealed and len(owner.rows) == len(arrays):
+        if all(map(operator.is_, arrays, (r() for r in owner.rows))):
             return owner.stack
-        # Live rows have distinct ids, and `arrays` keeps its own alive.
-        at = {id(r): i for i, r in enumerate(live) if r is not None}
-        idx = [at.get(id(a)) for a in arrays]
-        if None not in idx:
-            return owner.stack[idx]
     if all(a is first for a in arrays):
         return np.repeat(first[None], len(arrays), axis=0)
     return np.stack(arrays)

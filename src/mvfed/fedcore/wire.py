@@ -168,7 +168,7 @@ def decode_message(frame: bytes) -> FedMessage:
         raise MalformedFrame(
             f"payload length {length} != {len(frame) - HEADER_SIZE} bytes present"
         )
-    sender = PartyId.from_wire(sender_id)
+    sender = PartyId(sender_id)
     fields = {}
     offset = HEADER_SIZE
     for name in PAYLOADS[kind]:

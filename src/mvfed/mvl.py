@@ -91,7 +91,6 @@ __all__ = [
     "objective",
     "predict_mvl",
     "test_consensus",
-    "test_objective",
     "train_mvl",
     "train_single_view",
     "update_consensus",
@@ -99,11 +98,11 @@ __all__ = [
 ]
 
 
-def _check_cap(name: str, value, low: int = 0) -> None:
-    """Reject an iteration or round cap that is not an integer >= low
-    with InvalidSpec."""
-    if not isinstance(value, (int, np.integer)) or value < low:
-        raise InvalidSpec(f"{name} must be an integer >= {low}, got {value!r}")
+def _check_cap(name: str, value, low: int = 0, error: type[Exception] = InvalidSpec) -> None:
+    """Reject a count (an iteration or round cap, a size, a seed) that is
+    not an integer >= low, a bool included, with `error`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _as_float_tuple(values: float | Iterable[float], k: int, name: str) -> tuple[float, ...]:
@@ -948,19 +947,10 @@ def _passes(views, labels, grams, w, zk, z, zeta, eta, hp, max_passes, fit_first
     return w, zk, z, reports
 
 
-def test_objective(
-    xw: Sequence[np.ndarray],
-    pseudo_labels: Sequence[np.ndarray],
-    consensus: np.ndarray,
-    zeta: Sequence[float],
-) -> float:
-    """Test-phase objective: fit of each view plus consensus disagreement."""
-    return float(_test_objectives(xw, pseudo_labels, consensus, zeta))
-
-
 def _test_objectives(xw, pseudo_labels, consensus, zeta) -> np.ndarray:
-    """`test_objective` of every slice of a stack, term by term in its
-    order; zeta entries are scalars or (s,) per-slice weights."""
+    """The test-phase objective of every slice of a stack, each view's
+    fit plus its consensus disagreement, term by term in its order; zeta
+    entries are scalars or (s,) per-slice weights."""
     total = 0.0
     for k in range(len(xw)):
         fit = xw[k] - pseudo_labels[k]

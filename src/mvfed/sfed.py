@@ -244,11 +244,8 @@ class TrainerConfig:
     def __post_init__(self):
         # Counts are integers at the boundary: a float or bool here would
         # fail later, inside a client's round or as a bare TypeError.
-        for name, low in (("batch_size", 1), ("local_epochs", 0), ("max_rounds", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                raise InvalidSpec(f"{name} must be an integer >= {low}, got {value!r}")
-            _check_cap(name, value, low)
+        for name, low in (("batch_size", 1), ("local_epochs", 0), ("max_rounds", 0), ("seed", 0)):
+            _check_cap(name, getattr(self, name), low)
         if self.learning_rate <= 0:
             raise InvalidSpec(f"learning_rate {self.learning_rate} <= 0")
 
@@ -574,7 +571,8 @@ class SequenceClient:
     view of its feature width, and `slot` this client's slice of it.
     `streams` (rounds, slots, 4) holds the `numerics.stream_states` row
     of every slot's shuffle stream of every round below cfg.max_rounds,
-    also shared, as is the `scratch` its lock-step passes reuse.
+    also shared, as is the `scratch` its lock-step passes reuse.  A round
+    past that table raises InvalidSpec.
     """
 
     party: PartyId
@@ -609,6 +607,10 @@ class SequenceClient:
         for idx in stacks.values():
             group = [clients[i] for i in idx]
             first, slots = group[0], [c.slot for c in group]
+            if rnd >= len(first.streams):
+                raise InvalidSpec(
+                    f"round {rnd}: past the {len(first.streams)} rounds of the stream table"
+                )
             # Each run of one view's clients is stacked from its own
             # broadcasts and sealed apart, so its server sums it as it is.
             sizes = [len(list(run)) for _, run in itertools.groupby(c.view_index for c in group)]
@@ -616,10 +618,7 @@ class SequenceClient:
             stacked = _sgd(
                 first.arch,
                 np.concatenate([stack_rows([msgs[i].vector for i in idx[a:b]]) for a, b in runs]),
-                first.data.take(slots), first.cfg,
-                first.streams[rnd, slots] if rnd < len(first.streams)
-                else np.array([c.stream(rnd) for c in group]),
-                first.scratch,
+                first.data.take(slots), first.cfg, first.streams[rnd, slots], first.scratch,
             )
             for a, b in runs:
                 built = FedMessage.batch(
@@ -633,15 +632,6 @@ class SequenceClient:
     def step(self, rnd: int, msg: FedMessage | None) -> FedMessage:
         """This client's round alone: `steps` of a stack of one."""
         return type(self).steps([self], rnd, [msg])[0]
-
-    def stream(self, rnd: int) -> np.ndarray:
-        """The `numerics.stream_states` row of this client's round-rnd
-        shuffle stream, keyed (client, view, round); from the shared
-        table below max_rounds."""
-        if rnd < len(self.streams):
-            return self.streams[rnd, self.slot]
-        key = (KEY_SHUFFLE, self.party.id, self.view_index, rnd)
-        return stream_states(self.cfg.seed, [key])[0]
 
 
 @dataclass
@@ -715,7 +705,7 @@ def _federations(
     slots = [(v, l) for vs in stacks.values() for v in vs for l in range(len(views[v][0]))]
     keys = [(KEY_SHUFFLE, l, views[v][1], rnd) for rnd in range(cfg.max_rounds) for v, l in slots]
     table = stream_states(cfg.seed, keys).reshape(cfg.max_rounds, len(slots), 4)
-    table.setflags(write=False)  # `stream` hands out its rows
+    table.setflags(write=False)  # every client shares it
     scratch = _Scratch()
     parties: list[list[SequenceClient]] = [[] for _ in views]
     start = 0

@@ -15,7 +15,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSpec
+from .errors import DimensionMismatch
 from .fedcore import (
     FedMessage,
     MessageKind,
@@ -26,6 +26,7 @@ from .fedcore import (
 from .mvl import (
     HyperParams,
     MultiViewDataset,
+    _check_cap,
     _check_irls_epsilon,
     _fit_stats,
     init_state,
@@ -232,8 +233,7 @@ def vfed_predict(
             f"{len(test_views)} views, {len(transforms)} transforms, "
             f"{len(zeta)} zeta values"
         )
-    if max_rounds < 1:
-        raise InvalidSpec("prediction needs at least one round")
+    _check_cap("max_rounds", max_rounds, low=1)
     clients = [
         VerticalPredictClient(party=PartyId.client(k), x=x, w=w, zeta=z)
         for k, (x, w, z) in enumerate(zip(test_views, transforms, zeta))

@@ -81,6 +81,22 @@ class TestRunConfig:
                 base_cfg(**overrides)
             assert field in str(err.value), overrides
 
+    # Each count is an integer at the boundary.  Before, a fractional
+    # repeats or n_clients failed later with a TypeError from range, a
+    # fractional positive_class was accepted, and a negative seed failed
+    # only in make_rng, which the CLI reports as a run failure.
+    @pytest.mark.parametrize("field, value", [
+        ("repeats", 2.5), ("n_clients", 2.5), ("embed_dim", True), ("rounds", 3.0),
+        ("max_local", "5"), ("positive_class", 0.5), ("seed", -1),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}: must be an integer >= [01], got"):
+            base_cfg(mode="hfed", **{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = base_cfg(repeats=np.int64(2), seed=np.uint32(3), positive_class=np.int8(0))
+        assert (cfg.repeats, cfg.seed, cfg.positive_class) == (2, 3, 0)
+
     def test_data_source_rules(self):
         with pytest.raises(ConfigError):
             base_cfg(spec=None)

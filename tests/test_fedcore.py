@@ -297,10 +297,13 @@ class TestMessages:
         assert batch(0, [C0], MessageKind.PARAM_VECTOR, view=0, vector=seal_rows(stack)[:1])
 
     def test_party_ids(self):
-        assert PartyId.from_wire(0xFFFFFFFF) == SERVER
-        assert PartyId.from_wire(3) == PartyId.client(3)
+        assert PartyId(0xFFFFFFFF) == SERVER == PartyId.server()
+        assert PartyId(3) == PartyId.client(3) != SERVER
         with pytest.raises(ValueError):
             PartyId.client(0xFFFFFFFF)
+        for bad in (-1, 2**32):
+            with pytest.raises(ValueError, match="u32"):
+                PartyId(bad)
 
 
 class TestWireFormat:
@@ -441,25 +444,22 @@ class TestFedavg:
 class TestTransports:
     def test_fifo_per_channel(self, transport_cls):
         tp = transport_cls()
-        ep = tp.endpoint(C0)
-        srv = tp.endpoint(SERVER)
         first = FedMessage.consensus(0, C0, np.array([[1.0]]))
         second = FedMessage.consensus(1, C0, np.array([[2.0]]))
-        ep.send(SERVER, first)
-        ep.send(SERVER, second)
-        assert srv.receive(C0) == first
-        assert srv.receive(C0) == second
+        tp.send_all([(C0, SERVER, first)])
+        tp.send_all([(C0, SERVER, second)])
+        assert tp.receive_all([(C0, SERVER)]) == [first]
+        assert tp.receive_all([(C0, SERVER)]) == [second]
         with pytest.raises(MissingClient):
-            srv.receive(C0)
+            tp.receive_all([(C0, SERVER)])
 
     def test_delivery_by_value(self, transport_cls):
         tp = transport_cls()
-        ep = tp.endpoint(C0)
         payload = np.ones((2, 2))
         msg = FedMessage.consensus(0, C0, payload)
-        ep.send(SERVER, msg)
+        tp.send_all([(C0, SERVER, msg)])
         payload[:] = -1.0
-        got = tp.endpoint(SERVER).receive(C0)
+        [got] = tp.receive_all([(C0, SERVER)])
         assert np.array_equal(got.matrix, np.ones((2, 2)))
 
     def test_received_payload_is_read_only(self, transport_cls):
@@ -467,8 +467,8 @@ class TestTransports:
         rng = np.random.default_rng(4)
         for kind in MessageKind:
             msg = random_message(rng, kind)
-            tp.endpoint(msg.sender).send(SERVER, msg)
-            got = tp.endpoint(SERVER).receive(msg.sender)
+            tp.send_all([(msg.sender, SERVER, msg)])
+            [got] = tp.receive_all([(msg.sender, SERVER)])
             arrays = [a for a in (got.matrix, got.vector) if a is not None]
             arrays += list(got.matrices or ())
             assert arrays
@@ -480,10 +480,10 @@ class TestTransports:
         tp = transport_cls()
         msg = FedMessage.consensus(0, C1, np.ones((1, 1)))
         with pytest.raises(ValueError):
-            tp.endpoint(C0).send(SERVER, msg)
+            tp.send_all([(C0, SERVER, msg)])
         # An equal PartyId that is another object may send too.
-        tp.endpoint(PartyId.client(1)).send(SERVER, msg)
-        assert tp.endpoint(SERVER).receive(C1) == msg
+        tp.send_all([(PartyId.client(1), SERVER, msg)])
+        assert tp.receive_all([(C1, SERVER)]) == [msg]
 
     def test_concurrent_sends(self, transport_cls):
         tp = transport_cls()
@@ -491,20 +491,18 @@ class TestTransports:
         parties = [PartyId.client(i) for i in range(4)]
 
         def blast(party):
-            ep = tp.endpoint(party)
             for r in range(n_each):
-                ep.send(SERVER, FedMessage.consensus(r, party, np.full((1, 1), float(r))))
+                msg = FedMessage.consensus(r, party, np.full((1, 1), float(r)))
+                tp.send_all([(party, SERVER, msg)])
 
         threads = [threading.Thread(target=blast, args=(p,)) for p in parties]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        srv = tp.endpoint(SERVER)
         for p in parties:
             for r in range(n_each):
-                assert srv.receive(p).round == r
-
+                assert tp.receive_all([(p, SERVER)])[0].round == r
 
     def test_phase_calls_keep_fifo_per_channel(self, transport_cls):
         tp = transport_cls()
@@ -514,13 +512,13 @@ class TestTransports:
             for r in range(3) for party in (C1, C0, c2)
         ]
         tp.send_all(sends[:4])
-        tp.endpoint(C0).send(SERVER, FedMessage.consensus(7, C0, np.zeros((1, 1))))
+        tp.send_all([(C0, SERVER, FedMessage.consensus(7, C0, np.zeros((1, 1))))])
         tp.send_all(sends[4:])
         got = tp.receive_all([(C0, SERVER), (C0, SERVER), (c2, SERVER), (C1, SERVER)])
         assert [m.round for m in got] == [0, 7, 0, 0]
         got = tp.receive_all([(C0, SERVER), (C1, SERVER), (C1, SERVER), (c2, SERVER)])
         assert [m.round for m in got] == [1, 1, 2, 1]
-        assert tp.endpoint(SERVER).receive(C0) == sends[7][2]
+        assert tp.receive_all([(C0, SERVER)]) == [sends[7][2]]
         assert tp.receive_all([(c2, SERVER)]) == [sends[8][2]]
         # An empty channel is named; the channels listed before it were read.
         with pytest.raises(MissingClient, match="no message from"):
@@ -581,8 +579,6 @@ class TestTransports:
         for p in parties:
             got = tp.receive_all([(p, SERVER)] * (2 * n_each))
             assert [m.round for m in got] == [r for r in range(n_each) for _ in (0, 1)]
-        if transport_cls is FramedByteTransport:
-            assert tp._memo == {}
 
 
 class EchoServer:
@@ -890,7 +886,7 @@ class TestPhases:
     """A round's traffic moves per phase: one transport call sends or
     receives every message of a phase."""
 
-    def test_framed_phase_encodes_and_decodes_each_message_once(self, monkeypatch):
+    def test_framed_phase_encodes_and_decodes_every_message(self, monkeypatch):
         import mvfed.fedcore.transport as transport
 
         encoded, decoded = [], []
@@ -903,15 +899,13 @@ class TestPhases:
         b = FedMessage.consensus(1, SERVER, np.zeros((1, 2)))
         sends = [(SERVER, p, m) for m in (a, b) for p in parties] + [(SERVER, parties[0], a)]
         tp.send_all(sends)
-        assert encoded == [a, b]
-        # One frame per (sender, receiver), in send order.
+        # One encode and one frame per (sender, receiver), in send order.
+        assert encoded == [m for _, _, m in sends]
         assert tp.captured == [encode(m) for _, _, m in sends]
         got = tp.receive_all([(SERVER, p) for p in parties] * 2 + [(SERVER, parties[0])])
-        assert len(decoded) == 2 and got == [m for _, _, m in sends]
-        assert got[0] is got[3] is got[8] and got[4] is got[7]
-        # Each call encodes afresh: nothing is kept between calls.
-        tp.send_all([(SERVER, parties[1], a)])
-        assert encoded == [a, b, a] and tp._memo == {}
+        # One decode per frame popped, each its own message.
+        assert decoded == tp.captured
+        assert got == [m for _, _, m in sends] and len({id(m) for m in got}) == len(got)
 
     @pytest.mark.parametrize("transport_cls", [InProcessTransport, FramedByteTransport])
     def test_run_round_makes_four_transport_calls(self, transport_cls, monkeypatch):

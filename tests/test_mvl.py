@@ -107,6 +107,8 @@ class TestTypes:
         ("max_inner", 2.5, "max_inner must be an integer"),
         ("max_outer", 2.5, "max_outer must be an integer"),
         ("max_outer", 3.0, "max_outer must be an integer"),
+        ("max_outer", True, "max_outer must be an integer"),
+        ("max_inner", True, "max_inner must be an integer"),
     ])
     def test_hyperparams_reject_non_finite_weights_and_fractional_caps(
         self, field, value, message

@@ -29,6 +29,7 @@ from mvfed.fedcore import (
 from mvfed.numerics import KEY_ENCODER, KEY_SHUFFLE, make_rng, pcg64_state
 from mvfed.sfed import (
     EncoderArch,
+    SequenceClient,
     SequenceClientData,
     SequenceDataset,
     SfedResult,
@@ -139,6 +140,12 @@ class TestDatasetTypes:
     def test_max_rounds_must_be_an_integer(self, value):
         with pytest.raises(InvalidSpec, match="max_rounds must be an integer >= 0"):
             TrainerConfig(max_rounds=value)
+
+    # A negative seed used to fail only when the first stream was drawn.
+    @pytest.mark.parametrize("value", [-1, 1.5, True])
+    def test_seed_must_be_an_integer(self, value):
+        with pytest.raises(InvalidSpec, match="seed must be an integer >= 0"):
+            TrainerConfig(seed=value)
 
     def test_numpy_integer_counts_accepted(self):
         cfg = TrainerConfig(batch_size=np.int64(3), local_epochs=np.int32(0), max_rounds=np.uint8(2))
@@ -743,13 +750,16 @@ class TestStreams:
     def test_table_states_equal_make_rng(self, n_clients, rounds):
         datasets = ragged_clients(46)[:n_clients]
         cfg = dataclasses.replace(RAGGED_CFG, max_rounds=rounds)
-        _, clients = make_sequence_parties(datasets, 2, ARCH, cfg)
+        server, clients = make_sequence_parties(datasets, 2, ARCH, cfg)
         assert clients[0].streams.shape == (rounds, n_clients, 4)
         for l, c in enumerate(clients):
             assert c.streams is clients[0].streams
             assert c.scratch is clients[0].scratch
             assert not c.streams.flags.writeable
-            # Rounds past the table fall back to a stream of their own.
-            for rnd in range(rounds + 1):
+            for rnd in range(rounds):
                 want = make_rng(cfg.seed, KEY_SHUFFLE, l, 2, rnd).bit_generator.state
-                assert pcg64_state(c.stream(rnd)) == want
+                assert pcg64_state(c.streams[rnd, c.slot]) == want
+        # No stream is derived for a round past the table.
+        msg = server.broadcast(rounds)
+        with pytest.raises(InvalidSpec, match=f"round {rounds}: past the {rounds} rounds"):
+            SequenceClient.steps(clients, rounds, [msg] * n_clients)

@@ -312,6 +312,14 @@ class TestPredict:
         with pytest.raises(InvalidSpec):
             vfed_predict([x], [w], [0.0], max_rounds=2)
 
+    # A fractional or bool cap used to raise a bare TypeError from the
+    # round loop, or to run as an int.
+    @pytest.mark.parametrize("value", [2.5, True, np.float64(2.0), "2"])
+    def test_max_rounds_must_be_an_integer(self, value):
+        x, w = np.zeros((4, 3)), np.zeros((3, 2))
+        with pytest.raises(InvalidSpec, match="max_rounds must be an integer >= 1"):
+            vfed_predict([x], [w], [1.0], max_rounds=value)
+
 
 class TestValidation:
     def test_zero_epsilon_rejected_before_any_round(self):
