@@ -24,7 +24,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import InvalidSpec, ParseError, ShapeError
-from .mvl import MultiViewDataset
+from .mvl import MultiViewDataset, _check_cap
 from .numerics import KEY_DATA, make_rng, orthonormal_init
 from .sfed import SequenceClientData, SequenceDataset
 
@@ -42,6 +42,7 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_cap("seed", self.seed)
         if self.n_classes < 2:
             raise InvalidSpec("need at least two classes")
         if self.n_samples < self.n_classes:
@@ -81,6 +82,7 @@ class SeqGeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_cap("seed", self.seed)
         if self.n_classes < 2:
             raise InvalidSpec("need at least two classes")
         if self.n_samples < self.n_classes:

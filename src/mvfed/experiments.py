@@ -426,10 +426,7 @@ def _local_encoders(
     them train as one stack."""
     w = arch.init_params(trainer.seed, KEY_ENCODER, view)
     stack = np.repeat(w[None], len(datasets), axis=0)
-    epochs = trainer.local_epochs * trainer.max_rounds
-    if epochs == 0:
-        return list(stack)
-    solo = dataclasses.replace(trainer, local_epochs=epochs)
+    solo = dataclasses.replace(trainer, local_epochs=trainer.local_epochs * trainer.max_rounds)
     keys = [(l, view, 0) for l in range(len(datasets))]
     return list(local_training_stack(datasets, arch, stack, solo, keys))
 

@@ -406,16 +406,16 @@ def _fit_stats(x, target, beta, epsilon, max_inner, tol, w_init, gram=None):
     with its X, (s, n, c) targets, beta, (s, d, c) initial transforms
     and X^T X (or None) in that argument's list, as one stack of all
     their slices.  A view's X is an (s, n, d) stack, one matrix per
-    slice, or one (n, d) matrix that its slices share.  It returns lists
-    of per-view stacked W and A and (s,) residuals, and an iterator that
-    forms each view's X W as it is read.
+    slice, or one (n, d) matrix that its slices share.  It returns the
+    group's W, A and residual stacks over all its slices, uncut, in
+    input order: the first view's slices, then the next view's.
     """
     if isinstance(x, list):
         return _fit_group(x, target, beta, epsilon, max_inner, tol, w_init, gram)
-    w, a, res, _ = _fit_group(
+    w, a, res = _fit_group(
         [x], [target[None]], [beta], epsilon, max_inner, tol, [w_init[None]], [gram]
     )
-    return w[0][0], a[0][0], float(res[0][0]), x @ w[0][0]
+    return w[0], a[0], float(res[0]), x @ w[0]
 
 
 def _stack_sums(m: np.ndarray) -> np.ndarray:
@@ -620,12 +620,7 @@ def _fit_group(xs, targets, betas, epsilon, max_inner, tol, w_inits, grams):
         prev = value
     if live is not None:
         w, a, max_residual = _thawed(frozen)
-    parts = list(itertools.pairwise(itertools.accumulate(sizes, initial=0)))
-    ws = [w[i:j] for i, j in parts]
-    return (
-        ws, [a[i:j] for i, j in parts], [max_residual[i:j] for i, j in parts],
-        (m @ v for m, v in zip(xs, ws)),
-    )
+    return w, a, max_residual
 
 
 def _stacked_gram(gram: np.ndarray, s: int) -> np.ndarray:
@@ -645,11 +640,12 @@ def _fit_views(views, grams, targets, w, hp: HyperParams, layout=None):
     (s, d_k, c) warm starts.  Given a layout, the slots are a ragged
     stack: views[k] and targets[k] hold their rows one slot after
     another, grams[k] is (s, d_k, d_k) or None, and each run of one row
-    count goes to the width group as its own part, so that X^T T,
-    ||T||^2 and X W are formed per row count while the solves run once
-    for the group.  Returns an iterator of (k, W_k, residual_k, X_k W_k)
-    whose X W blocks, ragged if the views are, are formed one at a time,
-    as it is read.
+    count goes to the width group as its own part, so that X^T T and
+    ||T||^2 are formed per row count while the solves run once for the
+    group.  Returns an iterator of (k, W_k, residual_k, X_k W_k), view
+    by view: W_k and residual_k are view k's rows of its group's stacks,
+    and X_k W_k (`_row_products`, ragged if the views are) is formed as
+    it is read.
     """
     groups: dict[int, list[int]] = {}
     for k, (x, g) in enumerate(zip(views, grams)):
@@ -664,27 +660,14 @@ def _fit_views(views, grams, targets, w, hp: HyperParams, layout=None):
             ))
             for k in range(len(views))
         }
-    fits = []
+    s, fits = len(w[0]), []
     for ks in groups.values():
         x, t, w0, g = (list(a) for a in zip(*(p for k in ks for p in parts[k])))
         betas = [hp.beta[k] for k in ks for _ in parts[k]]
-        ws, _, res, xws = _fit_stats(x, t, betas, hp.epsilon, hp.max_inner, hp.tol, w0, g)
-        fits.append(_view_fits(ks, [len(parts[k]) for k in ks], ws, res, xws, layout))
-    return itertools.chain(*fits)
-
-
-def _view_fits(ks, n_parts, ws, res, xws, layout):
-    """(k, W_k, residual_k, X_k W_k) of each view of a width group, its
-    parts joined back into one stack; X W is formed as it is read."""
-    start = 0
-    for k, n in zip(ks, n_parts):
-        end = start + n
-        xw = [next(xws) for _ in range(n)]
-        yield k, _join(ws[start:end]), _join(res[start:end]), (
-            xw[0] if layout is None else _ragged(xw)
-        )
-        del xw  # so that the next view's block is formed without this one
-        start = end
+        ws, _, res = _fit_stats(x, t, betas, hp.epsilon, hp.max_inner, hp.tol, w0, g)
+        fits += [(k, ws[j * s : (j + 1) * s], res[j * s : (j + 1) * s]) for j, k in enumerate(ks)]
+    # Holds no target, so that a caller that replaces one frees it.
+    return ((k, w_k, r, _row_products(views[k], w_k, layout)) for k, w_k, r in fits)
 
 
 def fit_view_transform(

@@ -7,14 +7,16 @@ different drivers (e.g. a centralized trainer and a set of federated
 parties) derive bitwise-identical initial states from one seed.
 :func:`stream_states` derives the same streams' start states for a
 batch of keys in one pass, running numpy's `SeedSequence` hash as uint32
-array operations over all keys, and :func:`orthonormal_inits` draws
-from them on one reused generator, set to each stream through one
-reused state dict, straight into the rows of one array.  The pass has
-a fixed cost of about 0.4 ms (2-core VM; one `make_rng` stream takes
-about 40 us), so it pays off from about 20 keys: a caller that knows
-many keys in advance derives them together (hfed's client inits, one
-row-count group at a time; sfed's shuffles, every client, view and
-round of its federations), and a lone stream stays on `make_rng`.
+array operations over all keys, and returns each as the PCG64 (state,
+inc) pair of Python ints that :func:`pcg64_state` makes a generator
+state of.  :func:`orthonormal_inits` draws from them on one reused
+generator, set to each stream through one reused state dict, straight
+into the rows of one array.  The pass has a fixed cost of about 0.4 ms
+(2-core VM; one `make_rng` stream takes about 40 us), so it pays off
+from about 20 keys: a caller that knows many keys in advance derives
+them together (hfed's client inits, one row-count group at a time;
+sfed's shuffles, every client, view and round of its federations), and
+a lone stream stays on `make_rng`.
 
 :func:`solve_spd` solves an (s, n, n) stack of SPD systems, and one
 system as a stack of one, on one of two engines, chosen by the order n
@@ -98,7 +100,6 @@ def make_rng(seed: int, *key: int) -> np.random.Generator:
 # PCG64's 128-bit multiplier.  NEP 19 keeps both streams fixed across numpy
 # versions, so `stream_states` can derive them a second way, bit for bit.
 _MASK32 = 0xFFFFFFFF
-_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -116,34 +117,18 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def stream_states(seed: int, keys: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """The start state of `make_rng(seed, *key).bit_generator` for every
-    key, derived in one pass, as a (len(keys), 4) uint64 array of the
-    PCG64 state's and increment's high and low words: 32 bytes a stream.
-    `pcg64_state` turns a row into the generator's state."""
-    words = [
-        (state >> 64, state & _MASK64, inc >> 64, inc & _MASK64)
-        for state, inc in _pcg64_states(seed, keys)
-    ]
-    return np.array(words, dtype=np.uint64).reshape(-1, 4)
-
-
-def pcg64_state(words) -> dict:
-    """The PCG64 `bit_generator.state` of one `stream_states` row."""
-    state_hi, state_lo, inc_hi, inc_lo = map(int, words)
-    return _state_dict((state_hi << 64) | state_lo, (inc_hi << 64) | inc_lo)
-
-
-def _state_dict(state: int, inc: int) -> dict:
+def pcg64_state(state: int, inc: int) -> dict:
+    """The PCG64 `bit_generator.state` of one `stream_states` pair."""
     return {
         "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
         "has_uint32": 0, "uinteger": 0,
     }
 
 
-def _pcg64_states(seed: int, keys: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
-    """The (state, inc) of `make_rng(seed, *key).bit_generator` for every
-    key, hashed together.
+def stream_states(seed: int, keys: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """The start state of `make_rng(seed, *key).bit_generator` for every
+    key, as its PCG64 (state, inc) pair, all keys hashed together;
+    `pcg64_state` turns a pair into the generator's state.
 
     SeedSequence pads the seed's words with zeros to its 4-word pool when
     the key is not empty, and hashing a missing pool word is hashing a 0,
@@ -212,13 +197,13 @@ def _pcg64_states(seed: int, keys: Sequence[tuple[int, ...]]) -> list[tuple[int,
 def _streams(seed: int, keys: Sequence[tuple[int, ...]]) -> Iterator[np.random.Generator]:
     """One generator, set to `make_rng(seed, *key)`'s start state for
     each key in turn.  The states are derived together
-    (`_pcg64_states`) and each is set through one reused state dict, so
+    (`stream_states`) and each is set through one reused state dict, so
     a stream costs no more than the state assignment."""
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    state = _state_dict(0, 0)
+    state = pcg64_state(0, 0)
     words = state["state"]
-    for words["state"], words["inc"] in _pcg64_states(seed, keys):
+    for words["state"], words["inc"] in stream_states(seed, keys):
         bit_generator.state = state
         yield rng
 

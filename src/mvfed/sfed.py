@@ -15,31 +15,32 @@ stack that they share, slots view-major, each client holding its slot;
 the stack keeps no step weights, which each batch gather forms from
 its mask feature.  `SequenceClient.steps`, which the round driver
 calls once a round with the clients of every view, checks every
-broadcast, then runs the local SGD of each stack's clients in
-lock-step (`_sgd`), each row starting from the vector its own client
-received: each client keeps its own shuffle stream, batch membership
-and short final batch, step j of an epoch is one kernel call
-(`_grads`) over batch j of every client that has one, and a client out
-of batches sits the later steps out.  The kernel adds every padded
-term as an exact zero after or between real ones, so each client's row
-is bit-identical to what it computes alone, in its own view's
-federation; a lone `step` is `steps` of a stack of one,
-`loss_and_grad` is the kernel on a stack of one and `local_training`
-the lock-step SGD of a stack of one.  A client's own failure (a
-broadcast it cannot take, a row that trains to non-finite values)
-raises PartyFailure naming it.  The trained stack is sealed
-(`fedcore.seal_rows`): checked finite once and read-only, so each reply
-carries its client's row without a copy and the server's FedAvg sums
-its view's rows of the stack.
+broadcast, then runs the local SGD of each whole stack in lock-step
+(`_sgd`), each row starting from the vector its own client received:
+each client keeps its own shuffle stream, batch membership and short
+final batch, step j of an epoch is one kernel call (`_grads`) over
+batch j of every client that has one, and a client out of batches sits
+the later steps out.  The kernel adds every padded term as an exact
+zero after or between real ones, so each client's row is bit-identical
+to what it computes alone, in its own view's federation.  A step covers
+whole stacks: given part of one, it raises InvalidSpec, so the lone
+`step` of a client is that of a stack of one; `loss_and_grad` is the
+kernel on a stack of one and `local_training` the lock-step SGD of a
+stack of one.  A client's own failure (a broadcast it cannot take, a
+row that trains to non-finite values) raises PartyFailure naming it.
+The trained stack is sealed (`fedcore.seal_rows`): checked finite once
+and read-only, so each reply carries its client's row without a copy
+and the server's FedAvg sums its view's rows of the stack.
 
 The shuffle streams of every client, view and round, keyed (client,
 view, round), are derived together when the parties are built
-(`numerics.stream_states`) and kept as 32-byte start states.  `_sgd`
-sets each slice's state on one shared generator through one reused
-state dict and shuffles rows pre-filled with arange, so each stream is
-bit for bit the `make_rng` generator of its key; lone callers derive
-their start states the same way.  The replies of each view's run of a
-stack are built in one `FedMessage.batch` call from its sealed rows.
+(`numerics.stream_states`) and kept as PCG64 (state, inc) pairs, one
+tuple of them per round and stack.  `_sgd` sets each slice's pair on
+one shared generator through one reused state dict and shuffles rows
+pre-filled with arange, so each stream is bit for bit the `make_rng`
+generator of its key; lone callers derive their start states the same
+way.  The replies of each view's run of a stack are built in one
+`FedMessage.batch` call from its sealed rows.
 """
 
 from __future__ import annotations
@@ -272,13 +273,6 @@ class _Padded:
     def n(self) -> int:
         return self.x.shape[1] - 1
 
-    def take(self, slots: list[int]) -> "_Padded":
-        """The stack of the given slots, in order; the whole stack
-        without a copy."""
-        if slots == list(range(len(self.counts))):
-            return self
-        return _Padded(self.x[slots], self.lengths[slots], self.y[slots], self.counts[slots])
-
     def gather(self, live: np.ndarray, rows: np.ndarray, work: dict | None = None):
         """Batch tensors of slices live: rows (L, B) index each slice's
         sequences, n marking padding.  A one-row batch gets a padding row
@@ -473,16 +467,16 @@ def _sgd(
     w: np.ndarray,
     data: _Padded,
     cfg: TrainerConfig,
-    streams: np.ndarray,
+    streams: Sequence[tuple[int, int]],
     scratch: _Scratch,
 ) -> np.ndarray:
     """`local_training` of every slice of a padded stack, in lock-step.
 
     Slice s starts from w[s] and shuffles with its own stream, which
-    starts at the PCG64 state of row s of streams (S, 4), a
-    `numerics.stream_states` row.  Every epoch's order of every slice is
-    drawn first, slice by slice: its state is set on scratch's generator
-    through one reused state dict, and each epoch's order is a
+    starts at the PCG64 (state, inc) pair streams[s], as
+    `numerics.stream_states` gives it.  Every epoch's order of every
+    slice is drawn first, slice by slice: its pair is set on scratch's
+    generator through one reused state dict, and each epoch's order is a
     `Generator.shuffle` of a row pre-filled with arange, which is bit for
     bit `permutation`, so a stream runs through its epochs as a live
     generator would.  Step j of an epoch runs batch j of every slice
@@ -502,10 +496,9 @@ def _sgd(
     order = np.repeat(
         np.where(cols < counts[:, None], cols, data.n)[None], cfg.local_epochs, axis=0
     )
-    state = pcg64_state((0, 0, 0, 0))
+    state = pcg64_state(0, 0)
     words = state["state"]
-    for s, ((hi, lo, inc_hi, inc_lo), k) in enumerate(zip(streams.tolist(), counts.tolist())):
-        words["state"], words["inc"] = (hi << 64) | lo, (inc_hi << 64) | inc_lo
+    for s, ((words["state"], words["inc"]), k) in enumerate(zip(streams, counts.tolist())):
         rng.bit_generator.state = state
         for row in order[:, s, :k]:
             rng.shuffle(row)
@@ -533,8 +526,10 @@ def local_training_stack(
     seed_keys: Sequence[tuple[int, ...]],
 ) -> np.ndarray:
     """`local_training` of each dataset from its row of w (S, n_params),
-    with its own seed key, run as one padded stack; row s of the result
-    is bit-identical to dataset s trained alone."""
+    with its own seed key, run as one padded stack: the keys' shuffle
+    streams are derived together, as (state, inc) pairs
+    (`numerics.stream_states`).  Row s of the result is bit-identical to
+    dataset s trained alone, and with zero epochs is w's row s."""
     for data in datasets:
         if data.n_samples == 0:
             raise EmptyDataset("local training needs at least one sequence")
@@ -569,10 +564,11 @@ class SequenceClient:
 
     `data` is the padded stack its federation shares with every other
     view of its feature width, and `slot` this client's slice of it.
-    `streams` (rounds, slots, 4) holds the `numerics.stream_states` row
-    of every slot's shuffle stream of every round below cfg.max_rounds,
-    also shared, as is the `scratch` its lock-step passes reuse.  A round
-    past that table raises InvalidSpec.
+    `streams` holds, for every round below cfg.max_rounds, a tuple of
+    the `numerics.stream_states` (state, inc) pair of every slot's
+    shuffle stream; it is shared too, read-only as tuples are, as is the
+    `scratch` its lock-step passes reuse.  A round past that table
+    raises InvalidSpec.
     """
 
     party: PartyId
@@ -581,14 +577,16 @@ class SequenceClient:
     arch: EncoderArch
     cfg: TrainerConfig
     view_index: int
-    streams: np.ndarray = field(repr=False, compare=False)
+    streams: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, compare=False)
     scratch: _Scratch = field(repr=False, compare=False)
 
     @classmethod
     def steps(cls, clients, rnd: int, msgs: Sequence[FedMessage]) -> list[FedMessage]:
         """Every client's local SGD and its reply.  The clients of one
         padded stack, of every view of its width, run as one lock-step
-        pass over their slots.  All messages are checked first."""
+        pass over the whole stack.  All messages are checked first, and
+        every stack must be covered whole, else InvalidSpec before any
+        SGD."""
         for c, msg in zip(clients, msgs):
             try:
                 if msg is None or msg.kind is not MessageKind.PARAM_VECTOR:
@@ -603,14 +601,22 @@ class SequenceClient:
         stacks: dict[int, list[int]] = {}
         for i, c in enumerate(clients):
             stacks.setdefault(id(c.data), []).append(i)
-        replies: list[FedMessage] = [None] * len(clients)  # type: ignore[list-item]
         for idx in stacks.values():
-            group = [clients[i] for i in idx]
-            first, slots = group[0], [c.slot for c in group]
+            idx.sort(key=lambda i: clients[i].slot)
+            first = clients[idx[0]]
+            n = len(first.data.counts)
+            if [clients[i].slot for i in idx] != list(range(n)):
+                raise InvalidSpec(
+                    f"round {rnd}: a step covers {len(idx)} of its stack's {n} clients"
+                )
             if rnd >= len(first.streams):
                 raise InvalidSpec(
                     f"round {rnd}: past the {len(first.streams)} rounds of the stream table"
                 )
+        replies: list[FedMessage] = [None] * len(clients)  # type: ignore[list-item]
+        for idx in stacks.values():
+            group = [clients[i] for i in idx]
+            first = group[0]
             # Each run of one view's clients is stacked from its own
             # broadcasts and sealed apart, so its server sums it as it is.
             sizes = [len(list(run)) for _, run in itertools.groupby(c.view_index for c in group)]
@@ -618,7 +624,7 @@ class SequenceClient:
             stacked = _sgd(
                 first.arch,
                 np.concatenate([stack_rows([msgs[i].vector for i in idx[a:b]]) for a, b in runs]),
-                first.data.take(slots), first.cfg, first.streams[rnd, slots], first.scratch,
+                first.data, first.cfg, first.streams[rnd], first.scratch,
             )
             for a, b in runs:
                 built = FedMessage.batch(
@@ -630,7 +636,8 @@ class SequenceClient:
         return replies
 
     def step(self, rnd: int, msg: FedMessage | None) -> FedMessage:
-        """This client's round alone: `steps` of a stack of one."""
+        """This client's round alone: `steps` of a stack of one, which
+        raises InvalidSpec unless this client is its stack's only one."""
         return type(self).steps([self], rnd, [msg])[0]
 
 
@@ -704,15 +711,15 @@ def _federations(
     # Every (view, client) slot, stack after stack, view-major within each.
     slots = [(v, l) for vs in stacks.values() for v in vs for l in range(len(views[v][0]))]
     keys = [(KEY_SHUFFLE, l, views[v][1], rnd) for rnd in range(cfg.max_rounds) for v, l in slots]
-    table = stream_states(cfg.seed, keys).reshape(cfg.max_rounds, len(slots), 4)
-    table.setflags(write=False)  # every client shares it
+    states = stream_states(cfg.seed, keys)
+    table = [tuple(states[r : r + len(slots)]) for r in range(0, len(states), len(slots))]
     scratch = _Scratch()
     parties: list[list[SequenceClient]] = [[] for _ in views]
     start = 0
     for arch, vs in stacks.items():
         padded = _pad([(d.sequences, d.y) for v in vs for d in views[v][0]])
         end = start + len(padded.counts)
-        streams = table[:, start:end]
+        streams = tuple(row[start:end] for row in table)
         for slot, (v, l) in enumerate(slots[start:end]):
             parties[v].append(SequenceClient(
                 party=PartyId.client(l), data=padded, slot=slot, arch=arch, cfg=cfg,

@@ -56,6 +56,15 @@ class TestGenData:
         assert code == 2
         assert "error:" in stderr
 
+    @pytest.mark.parametrize("kind", ["complementary", "sequences"])
+    def test_negative_seed_is_setup_error(self, tmp_path, capsys, kind):
+        out = os.path.join(tmp_path, "x")
+        code, _, stderr = run(capsys, "gen-data", "--out", out, "--kind", kind, "--seed", "-1")
+        assert code == 2
+        assert stderr.startswith("error:") and "seed" in stderr
+        assert "Traceback" not in stderr
+        assert not os.path.exists(out)
+
 
 class TestTrainEvaluate:
     def test_train_prints_metrics_and_saves(self, tmp_path, capsys):

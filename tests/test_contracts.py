@@ -104,13 +104,13 @@ DRAWS = (lambda g: g.standard_normal((3, 4)), lambda g: g.permutation(17))
 
 
 def check_streams(seed, keys, draws=DRAWS):
-    """`stream_states` rows and `_streams` generators start and run as
-    `make_rng(seed, *key)`, bit for bit."""
+    """`stream_states` (state, inc) pairs and `_streams` generators start
+    and run as `make_rng(seed, *key)`, bit for bit."""
     states = numerics.stream_states(seed, keys)
-    assert states.shape == (len(keys), 4) and states.dtype == np.uint64
-    for key, words, got in zip(keys, states, numerics._streams(seed, keys), strict=True):
+    assert all(len(pair) == 2 and all(type(v) is int for v in pair) for pair in states)
+    for key, pair, got in zip(keys, states, numerics._streams(seed, keys), strict=True):
         want = numerics.make_rng(seed, *key)
-        assert numerics.pcg64_state(words) == got.bit_generator.state == want.bit_generator.state
+        assert numerics.pcg64_state(*pair) == got.bit_generator.state == want.bit_generator.state
         for draw in draws:
             assert draw(got).tobytes() == draw(want).tobytes()
 
@@ -148,20 +148,25 @@ def test_streams(seed, shape):
 
 def check_width_group(views, max_inner, tol):
     """`_fit_stats` over a width group, views[k] = (X, targets, beta, W
-    inits, X^T X or None), gives each slice the outputs of its 2-D call,
-    and each solve covers exactly the slices whose own fit still runs.
-    Returns each slice's iteration count."""
+    inits, X^T X or None), returns uncut stacks over all its slices, view
+    after view, that give each slice the outputs of its 2-D call, X W as
+    `_fit_views` forms it (`_row_products`) included; and each solve
+    covers exactly the slices whose own fit still runs.  Returns each
+    slice's iteration count."""
     xs, targets, betas, w_inits, grams = (list(f) for f in zip(*views))
     with recording(mvl, "solve_spd", 0) as solves:
-        w, a, res, xws = mvl._fit_stats(xs, targets, betas, 1e-8, max_inner, tol, w_inits, grams)
+        w, a, res = mvl._fit_stats(xs, targets, betas, 1e-8, max_inner, tol, w_inits, grams)
+    assert len(w) == len(a) == len(res) == sum(len(t) for t in targets)
     iterations = []
-    for k, (x, t, beta, w0, _) in enumerate(views):
-        for i, xw in enumerate(next(xws)):
+    for x, t, beta, w0, _ in views:
+        start = len(iterations)
+        for i, xw in enumerate(mvl._row_products(x, w[start : start + len(t)])):
             with recording(mvl, "solve_spd", 0) as solo:
                 x_i = x if x.ndim == 2 else x[i]
                 want = mvl._fit_stats(x_i, t[i], beta, 1e-8, max_inner, tol, w0[i])
-            assert w[k][i].tobytes() == want[0].tobytes() and a[k][i].tobytes() == want[1].tobytes()
-            assert res[k][i] == want[2] and xw.tobytes() == want[3].tobytes()
+            j = start + i
+            assert w[j].tobytes() == want[0].tobytes() and a[j].tobytes() == want[1].tobytes()
+            assert res[j] == want[2] and xw.tobytes() == want[3].tobytes()
             iterations.append(len(solo))
     assert solves == [sum(it > j for it in iterations) for j in range(max(iterations))]
     return iterations

@@ -532,7 +532,10 @@ class TestCohort:
             assert row.tobytes() == want.tobytes()
             want = reference_sgd(data, ARCH, sent.vector, RAGGED_CFG, (l, 1, 2))
             assert replies[l].vector.tobytes() == want.tobytes()
-            assert clients[l].step(2, sent).vector.tobytes() == want.tobytes()
+            # A lone step is that of a stack of one, the client's own.
+            _, (alone,) = make_sequence_parties([data], 1, ARCH, RAGGED_CFG)
+            want = reference_sgd(data, ARCH, sent.vector, RAGGED_CFG, (0, 1, 2))
+            assert alone.step(2, sent).vector.tobytes() == want.tobytes()
 
     def test_stack_rows_match_solo_training(self):
         starts = np.stack([random_params(ARCH, 61 + l) for l in range(3)])
@@ -569,18 +572,21 @@ class TestCohort:
         assert sizes == [3]
 
     def test_subset_of_clients_steps_its_own_slots(self, monkeypatch):
-        # Stepping some clients gathers only their slots, in the order
-        # given; all slots in order are the shared stack itself.
+        # A step covers whole stacks: part of one, a lone client of a
+        # stack of three included, raises before any SGD.  The whole
+        # stack, in any order, steps as the shared stack itself.
         datasets = ragged_clients(72)
         server, clients = make_sequence_parties(datasets, 1, ARCH, RAGGED_CFG)
-        padded = clients[0].data
-        assert padded.take([0, 1, 2]) is padded
-        assert padded.take([2, 0]).counts.tolist() == [14, 5]
         sent = server.broadcast(0)
         sizes = record_calls(monkeypatch, mvfed.sfed, "_sgd", 1)
-        replies = stage([clients[2], clients[0]], 0, [sent, sent])
-        assert sizes == [2]
-        for l, reply in zip((2, 0), replies):
+        with pytest.raises(InvalidSpec, match="round 0: a step covers 2 of its stack's 3 clients"):
+            stage([clients[2], clients[0]], 0, [sent, sent])
+        with pytest.raises(InvalidSpec, match="round 0: a step covers 1 of its stack's 3 clients"):
+            clients[1].step(0, sent)
+        assert sizes == []
+        replies = stage([clients[2], clients[0], clients[1]], 0, [sent] * 3)
+        assert sizes == [3]
+        for l, reply in zip((2, 0, 1), replies):
             solo = local_training(datasets[l], ARCH, sent.vector, RAGGED_CFG, seed_key=(l, 1, 0))
             assert reply.sender == clients[l].party
             assert reply.vector.tobytes() == solo.tobytes()
@@ -751,14 +757,15 @@ class TestStreams:
         datasets = ragged_clients(46)[:n_clients]
         cfg = dataclasses.replace(RAGGED_CFG, max_rounds=rounds)
         server, clients = make_sequence_parties(datasets, 2, ARCH, cfg)
-        assert clients[0].streams.shape == (rounds, n_clients, 4)
+        assert [len(row) for row in clients[0].streams] == [n_clients] * rounds
         for l, c in enumerate(clients):
             assert c.streams is clients[0].streams
             assert c.scratch is clients[0].scratch
-            assert not c.streams.flags.writeable
+            # Read-only, as every client shares it: tuples of (state, inc) pairs.
+            assert type(c.streams) is tuple and all(type(row) is tuple for row in c.streams)
             for rnd in range(rounds):
                 want = make_rng(cfg.seed, KEY_SHUFFLE, l, 2, rnd).bit_generator.state
-                assert pcg64_state(c.streams[rnd, c.slot]) == want
+                assert pcg64_state(*c.streams[rnd][c.slot]) == want
         # No stream is derived for a round past the table.
         msg = server.broadcast(rounds)
         with pytest.raises(InvalidSpec, match=f"round {rounds}: past the {rounds} rounds"):

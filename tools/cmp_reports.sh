@@ -45,7 +45,11 @@ cli gen-data --out seqmix --kind sequences --step-dims 6,6,4
 # row count beside the primal block.  vfed's clients and the single-view
 # baseline fit one 2-D problem at a time, each as a stack of one.  sfed
 # runs its views' federations in lock-step; on seqmix the two 6-wide
-# views share one padded stack beside the 4-wide view's own.
+# views share one padded stack beside the 4-wide view's own.  Every
+# sequential mode runs on seq: local_seq_localmv and local_seq_hfed
+# train each client's encoders alone, as one stack per view, and
+# central_seq_hfed trains each view's encoder on the pooled sequences,
+# a stack of one.
 reports() {
     local PYTHONPATH="$1/src" out=$2
     export PYTHONPATH
@@ -53,7 +57,7 @@ reports() {
     for mode in hfed mv_local; do
         cli report --data flat --mode $mode --clients 7 --rounds 2 --repeats 2 --out "$out/$mode"
     done
-    for mode in sfed local_seq_localmv; do
+    for mode in sfed local_seq_localmv local_seq_hfed central_seq_hfed; do
         cli report --data seq --mode $mode --clients 3 --enc-rounds 2 --rounds 2 --repeats 2 --out "$out/$mode"
     done
     cli report --data seqmix --mode sfed --clients 3 --enc-rounds 2 --rounds 2 --repeats 2 --out "$out/sfed_mixed"
