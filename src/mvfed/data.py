@@ -51,8 +51,10 @@ class GeneratorSpec:
             )
         if len(self.dims) < 1 or any(d < 1 for d in self.dims):
             raise InvalidSpec(f"bad view widths {self.dims}")
-        if self.noise < 0:
-            raise InvalidSpec(f"noise {self.noise} < 0")
+        if not 0 <= self.noise < np.inf:
+            raise InvalidSpec(f"noise must be finite and >= 0, got {self.noise!r}")
+        if not np.isfinite(self.margin):
+            raise InvalidSpec(f"margin must be finite, got {self.margin!r}")
         if self.informative is not None:
             if len(self.informative) != len(self.dims):
                 raise InvalidSpec(
@@ -94,8 +96,9 @@ class SeqGeneratorSpec:
         lo, hi = self.t_range
         if lo < 1 or hi < lo:
             raise InvalidSpec(f"bad length range {self.t_range}")
-        if self.noise < 0 or self.drift < 0:
-            raise InvalidSpec("noise and drift must be nonnegative")
+        for name, value in (("noise", self.noise), ("drift", self.drift)):
+            if not 0 <= value < np.inf:
+                raise InvalidSpec(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def _balanced_labels(rng, n: int, c: int) -> np.ndarray:

@@ -165,8 +165,8 @@ class RunConfig:
         ):
             _check_cap(f"{name}:", getattr(self, name), low, ConfigError)
         split = tuple(float(f) for f in self.split)
-        if len(split) != 3 or any(f <= 0 for f in split):
-            raise ConfigError(f"split: need three positive fractions, got {split}")
+        if len(split) != 3 or not all(0 < f < np.inf for f in split):
+            raise ConfigError(f"split: need three finite positive fractions, got {split}")
         if abs(sum(split) - 1.0) > 1e-9:
             raise ConfigError(f"split: fractions sum to {sum(split)!r}, not 1")
         object.__setattr__(self, "split", split)

@@ -62,13 +62,9 @@ from .mvl import (
     HyperParams,
     MultiViewDataset,
     _check_cap,
-    _check_irls_epsilon,
     _fit_stats,  # not called here; mvbench/tracer.py wraps `mvfed.hfed:_fit_stats`
-    _grams,
-    _join,
     _layout,
     _passes,
-    _runs,
     objective,  # not called here; mvbench/tracer.py wraps `mvfed.hfed:objective`
     predict_mvl,  # not called here; mvbench/tracer.py wraps `mvfed.hfed:predict_mvl`
 )
@@ -86,9 +82,8 @@ class _Rows:
 
     The block is a ragged stack in slot order: views[k] is (N, d_k) and
     labels (N, c), slot after slot, `rows` lists each slot's row count
-    and slots of one row count are adjacent.  grams[k] is the (s, d_k,
-    d_k) stack of every slot's X^T X, formed once per row count, or None
-    for a view in dual form.  `transform_shapes` lists the (d_k, c) a
+    and slots of one row count are adjacent; `mvl._passes` forms their
+    X^T X once a round.  `transform_shapes` lists the (d_k, c) a
     broadcast must carry.  pseudo[k] and consensus are the members'
     (N, c) pseudo-label and consensus blocks, in that row order, which
     `mvl._passes` updates; `hp` and `max_local` are every member's."""
@@ -96,7 +91,6 @@ class _Rows:
     views: list[np.ndarray]
     labels: np.ndarray
     rows: list[int]
-    grams: list[np.ndarray | None]
     transform_shapes: list[tuple[int, int]]
     hp: HyperParams
     max_local: int
@@ -114,18 +108,13 @@ class _Rows:
         views = [np.concatenate(v) for v in zip(*(d.views for d in members))]
         labels = np.concatenate([d.labels for d in members])
         rows = [d.n_samples for d in members]
-        layout = _layout(rows)
-        grams = []
-        for x in views:
-            g = _grams(_runs(x, layout))
-            grams.append(None if g[0] is None else _join(g))
         runs = itertools.groupby(group, key=lambda l: datasets[l].n_samples)
         inits = [_client_inits(datasets, seed, list(run)) for _, run in runs]
         *pseudo, consensus = (np.concatenate(m) for m in zip(*inits))
-        for m in (*views, labels, *pseudo, consensus, *(g for g in grams if g is not None)):
+        for m in (*views, labels, *pseudo, consensus):
             m.setflags(write=False)
         shapes = [(v.shape[1], labels.shape[1]) for v in views]
-        return cls(views, labels, rows, grams, shapes, hp, max_local, pseudo, consensus)
+        return cls(views, labels, rows, shapes, hp, max_local, pseudo, consensus)
 
     def commit(self, pseudo, consensus) -> None:
         """Make pseudo and consensus, ragged stacks in slot order, the
@@ -190,7 +179,7 @@ class HorizontalClient:
                 )
             hp = block.hp
             w, pseudo, consensus, _ = _passes(
-                block.views, block.labels, block.grams,
+                block.views, block.labels,
                 [stack_rows(a) for a in zip(*(msgs[i].matrices for i in idx))],
                 block.pseudo, block.consensus,
                 [np.full(s, q) for q in hp.zeta], np.full(s, hp.eta),
@@ -301,7 +290,6 @@ def make_horizontal_parties(
         raise DimensionMismatch(
             f"hyperparams cover {hp.n_views} views, data has {len(dims)}"
         )
-    _check_irls_epsilon(hp.epsilon)
     w0 = [
         gaussian_init(d, c, seed, KEY_TRANSFORM, k, scale=1.0 / np.sqrt(d))
         for k, d in enumerate(dims)

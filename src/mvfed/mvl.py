@@ -45,10 +45,10 @@ Each inner iteration solves the reweighted normal equations
 the shape of X (n rows, d columns) alone:
 
 * primal, d <= n: X^T T and ||T||^2 are formed once per fit, and X^T X
-  once per fit or, handed in, once per training (grid) or pass call
-  (hfed), O(n d^2); each iteration works on d-sized arrays only: it
-  adds beta a to the diagonal and factors the d x d system, O(d^3),
-  and takes the fit term from the Gram identity
+  once per lone fit or `_passes` call (a training with its grid, or an
+  hfed block's round), O(n d^2); each iteration works on d-sized arrays
+  only: it adds beta a to the diagonal and factors the d x d system,
+  O(d^3), and takes the fit term from the Gram identity
   ||X W - T||^2 = <W, X^T X W> - 2 <W, X^T T> + ||T||^2, O(d^2 c).
   X W is formed once, after the last iteration;
 * dual, d > n: (X A^{-1} X^T + beta I) U = T, W = A^{-1} X^T U, with
@@ -118,9 +118,12 @@ def _as_float_tuple(values: float | Iterable[float], k: int, name: str) -> tuple
 class HyperParams:
     """Weights and loop controls for the multi-view objective.
 
-    beta/zeta hold one entry per view; weights and epsilon are finite.
-    Iteration caps are integers and may be zero (the corresponding loop
-    is skipped); the IRLS cap must be at least 1.
+    beta/zeta hold one entry per view.  Every weight is finite, beta > 0
+    and zeta, eta >= 0; tol lies in (0, 1); epsilon is finite and > 0,
+    since IRLS divides by ||w_i|| + epsilon and a zero row would
+    otherwise get an infinite weight.  Iteration caps are integers and
+    may be zero (the corresponding loop is skipped); the IRLS cap must
+    be at least 1.
     """
 
     beta: tuple[float, ...]
@@ -140,15 +143,17 @@ class HyperParams:
                 f"got {len(self.beta)} and {len(self.zeta)}"
             )
         if not all(0 < b < np.inf for b in self.beta):
-            raise InvalidSpec("every beta must be finite and > 0")
+            raise InvalidSpec(f"beta must be finite and > 0, got {self.beta}")
         if not all(0 <= z < np.inf for z in self.zeta):
-            raise InvalidSpec("every zeta must be finite and >= 0")
+            raise InvalidSpec(f"zeta must be finite and >= 0, got {self.zeta}")
         if not 0 <= self.eta < np.inf:
-            raise InvalidSpec("eta must be finite and >= 0")
-        if not 0 <= self.epsilon < np.inf:
-            raise InvalidSpec("epsilon must be finite and >= 0")
+            raise InvalidSpec(f"eta must be finite and >= 0, got {self.eta!r}")
+        if not 0 < self.epsilon < np.inf:
+            raise InvalidSpec(
+                f"epsilon must be finite; IRLS needs epsilon > 0, got {self.epsilon!r}"
+            )
         if not 0.0 < self.tol < 1.0:
-            raise InvalidSpec("tol must lie in (0, 1)")
+            raise InvalidSpec(f"tol must lie in (0, 1), got {self.tol!r}")
         _check_cap("max_outer", self.max_outer)
         _check_cap("max_inner", self.max_inner, low=1)
 
@@ -172,6 +177,15 @@ class HyperParams:
             eta=float(eta),
             **kwargs,
         )
+
+
+def _check_blend(zeta, tol) -> None:
+    """The prediction loops' settings: every zeta finite and >= 0, as in
+    `HyperParams`, and tol in [0, 1), where 0 runs every round."""
+    if not all(0 <= z < np.inf for z in zeta):
+        raise InvalidSpec(f"zeta must be finite and >= 0, got {zeta!r}")
+    if not 0 <= tol < 1:
+        raise InvalidSpec(f"tol must lie in [0, 1), got {tol!r}")
 
 
 def _check_one_hot(labels: np.ndarray) -> None:
@@ -232,10 +246,7 @@ class MultiViewDataset:
     def subset(self, indices: np.ndarray) -> "MultiViewDataset":
         """Dataset restricted to the given sample indices (copied)."""
         idx = np.asarray(indices)
-        return MultiViewDataset(
-            views=[v[idx].copy() for v in self.views],
-            labels=self.labels[idx].copy(),
-        )
+        return MultiViewDataset(views=[v[idx] for v in self.views], labels=self.labels[idx])
 
     def select_views(self, view_indices: Sequence[int]) -> "MultiViewDataset":
         """Dataset restricted to a subset of views (shared arrays)."""
@@ -326,16 +337,15 @@ def _row_weights_of(norms: np.ndarray, epsilon: float) -> np.ndarray:
     return 0.5 / (norms + epsilon)
 
 
-def _check_irls_epsilon(epsilon: float) -> None:
-    """IRLS divides by ||w_i|| + epsilon, so a zero row needs epsilon > 0."""
-    if epsilon <= 0:
-        raise InvalidSpec("IRLS requires epsilon > 0")
-
-
-def _grams(views: Sequence[np.ndarray]) -> list[np.ndarray | None]:
-    """X^T X of every view, one matrix or one per slice of a stack; None
-    for a view wider than its rows, which the dual form fits without it."""
-    return [None if x.shape[-1] > x.shape[-2] else x.swapaxes(-1, -2) @ x for x in views]
+def _grams(views: Sequence[np.ndarray], layout=None) -> list[np.ndarray | None]:
+    """X^T X of every view, one matrix or one per slice of a stack or,
+    given its layout, one per slot of a ragged stack, formed once per
+    run (`_runs`); None for a view wider than its rows, which the dual
+    form fits without it."""
+    if layout is None:
+        return [None if x.shape[-1] > x.shape[-2] else x.swapaxes(-1, -2) @ x for x in views]
+    runs = [_grams(_runs(x, layout)) for x in views]
+    return [None if g[0] is None else _join(g) for g in runs]
 
 
 def _gram_fit(w, gw, rhs, tt):
@@ -684,13 +694,11 @@ def fit_view_transform(
     Alternates the diagonal reweighting and the closed-form solve until
     the smoothed per-view value stabilizes or max_inner is reached.
     Returns the transform and the final reweighting diagonal.  X and the
-    target are fitted as float64; beta must be > 0 (InvalidSpec) and a
-    given w_init must be (d, c) (DimensionMismatch).
+    target are fitted as float64; beta, epsilon, tol and max_inner must
+    meet `HyperParams`' rules (InvalidSpec), and a given w_init must be
+    (d, c) (DimensionMismatch).
     """
-    _check_irls_epsilon(epsilon)
-    _check_cap("max_inner", max_inner, low=1)
-    if not beta > 0:
-        raise InvalidSpec("beta must be > 0")
+    HyperParams((beta,), (0.0,), 0.0, epsilon, tol, max_inner=max_inner)
     x = np.asarray(x, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if x.ndim != 2 or target.ndim != 2 or x.shape[0] != target.shape[0]:
@@ -831,12 +839,11 @@ def _train_stack(
         raise DimensionMismatch(f"hyperparams cover {hp.n_views} views, data has {k}")
     if any(dataclasses.replace(h, zeta=hp.zeta, eta=hp.eta) != hp for h in hps):
         raise InvalidSpec("stacked hyperparameter sets may differ in zeta and eta only")
-    _check_irls_epsilon(hp.epsilon)
     s = len(hps)
     init = init_state(data.dims, data.n_samples, data.n_classes, seed)
     # No name here holds the initial stacks, so the passes free each one they replace.
     w, zk, z, passes = _passes(
-        data.views, data.labels, _grams(data.views),
+        data.views, data.labels,
         [np.repeat(m[None], s, axis=0) for m in init.W],
         [np.repeat(m[None], s, axis=0) for m in init.Zk], np.repeat(init.Z[None], s, axis=0),
         [np.array([h.zeta[i] for h in hps]) for i in range(k)], np.array([h.eta for h in hps]),
@@ -846,7 +853,7 @@ def _train_stack(
     return states, passes
 
 
-def _passes(views, labels, grams, w, zk, z, zeta, eta, hp, max_passes, fit_first, layout=None):
+def _passes(views, labels, w, zk, z, zeta, eta, hp, max_passes, fit_first, layout=None):
     """Block-coordinate passes over a stack of multi-view states: the
     loop of `train_mvl` (grid candidates) and of hfed (a client block).
 
@@ -856,15 +863,16 @@ def _passes(views, labels, grams, w, zk, z, zeta, eta, hp, max_passes, fit_first
     (hfed).  Slice i, weighted by zeta[k][i], eta[i] and hp, stops when
     its objective changes by less than hp.tol relative, or after
     max_passes, and is frozen: it makes exactly the passes it would
-    make alone.  With no layout, zk and z are (s, n, c) stacks over
-    shared views, labels and `_grams` entries, never shrunk; given a
-    layout, the slots are a ragged stack (`_fit_views`), and a stopped
-    slot's rows go with it.  Returns (w, zk, z), the running stacks if
-    every slice stops at one pass, and one report per pass, the start
-    included: the running slices' original indices, objective values,
-    W row norms and maximum solve residuals.
+    make alone.  The views' X^T X are formed once per call (`_grams`).
+    With no layout, zk and z are (s, n, c) stacks over shared views and
+    labels, never shrunk; given a layout, the slots are a ragged stack
+    (`_fit_views`), and a stopped slot's rows and X^T X go with it.
+    Returns (w, zk, z), the running stacks if every slice stops at one
+    pass, and one report per pass, the start included: the running
+    slices' original indices, objective values, W row norms and maximum
+    solve residuals.
     """
-    s = len(w[0])
+    s, grams = len(w[0]), _grams(views, layout)
     rows = None if layout is None else np.array([r for r, n in layout for _ in range(n)])
 
     def in_rows(q):
@@ -955,6 +963,7 @@ def predict_mvl(
     test-time consensus and per-view blends until the test objective's
     relative change falls below tol (or max_outer rounds).  It is the
     stacked predictor `_predict_stack` on a stack of one transform set.
+    A zeta or tol outside `_check_blend`'s rules is InvalidSpec.
     """
     _check_cap("max_outer", max_outer)
     if len(test_views) != len(transforms) or len(test_views) != len(zeta):
@@ -962,6 +971,7 @@ def predict_mvl(
             f"{len(test_views)} views, {len(transforms)} transforms, "
             f"{len(zeta)} zeta values"
         )
+    _check_blend(zeta, tol)
     for k, (x, w) in enumerate(zip(test_views, transforms)):
         if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
             raise DimensionMismatch(

@@ -125,7 +125,7 @@ class SequenceDataset:
         idx = np.asarray(indices, dtype=np.int64)
         return SequenceDataset(
             sequences=[self.sequences[i].copy() for i in idx],
-            y=self.y[idx].copy(),
+            y=self.y[idx],
             n_classes=self.n_classes,
         )
 
@@ -247,8 +247,8 @@ class TrainerConfig:
         # fail later, inside a client's round or as a bare TypeError.
         for name, low in (("batch_size", 1), ("local_epochs", 0), ("max_rounds", 0), ("seed", 0)):
             _check_cap(name, getattr(self, name), low)
-        if self.learning_rate <= 0:
-            raise InvalidSpec(f"learning_rate {self.learning_rate} <= 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise InvalidSpec(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,8 @@ from .fedcore import (
 from .mvl import (
     HyperParams,
     MultiViewDataset,
+    _check_blend,
     _check_cap,
-    _check_irls_epsilon,
     _fit_stats,
     init_state,
     test_consensus,
@@ -113,7 +113,6 @@ def make_vertical_parties(
         raise DimensionMismatch(
             f"hyperparams cover {hp.n_views} views, data has {data.n_views}"
         )
-    _check_irls_epsilon(hp.epsilon)
     state = init_state(data.dims, data.n_samples, data.n_classes, seed)
     server = VerticalServer(labels=data.labels, eta=hp.eta, tol=hp.tol, z=state.Z)
     clients = [
@@ -226,7 +225,8 @@ def vfed_predict(
     Round 0 initializes each client's estimate at X_k W_k and takes the
     first weighted average; later rounds alternate the client blend and
     the server average until the average's relative drift falls below
-    tol.  Matches `predict_mvl` under equal caps.
+    tol.  Matches `predict_mvl` under equal caps, and rejects the zeta
+    and tol it rejects.
     """
     if len(test_views) != len(transforms) or len(test_views) != len(zeta):
         raise DimensionMismatch(
@@ -234,6 +234,7 @@ def vfed_predict(
             f"{len(zeta)} zeta values"
         )
     _check_cap("max_rounds", max_rounds, low=1)
+    _check_blend(zeta, tol)
     clients = [
         VerticalPredictClient(party=PartyId.client(k), x=x, w=w, zeta=z)
         for k, (x, w, z) in enumerate(zip(test_views, transforms, zeta))

@@ -214,18 +214,15 @@ def run_passes(p, slots):
     weights = [q[slots] for q in p.zeta], p.eta[slots]
     if not p.layout:
         return mvl._passes(
-            p.views, p.labels, mvl._grams(p.views), [m[slots] for m in p.w],
+            p.views, p.labels, [m[slots] for m in p.w],
             [m[slots] for m in p.zk], p.z[slots], *weights, p.hp, p.max_passes, p.fit_first,
         )
     starts = np.cumsum([0, *p.rows])
     idx = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in slots])
-    layout = mvl._layout(p.rows[slots].tolist())
-    xs = [x[idx] for x in p.views]
-    grams = [mvl._grams(mvl._runs(x, layout)) for x in xs]
     return mvl._passes(
-        xs, p.labels[idx], [None if g[0] is None else mvl._join(g) for g in grams],
+        [x[idx] for x in p.views], p.labels[idx],
         [m[slots] for m in p.w], [m[idx] for m in p.zk], p.z[idx], *weights,
-        p.hp, p.max_passes, p.fit_first, layout,
+        p.hp, p.max_passes, p.fit_first, mvl._layout(p.rows[slots].tolist()),
     )
 
 
@@ -678,7 +675,7 @@ def check_hfed(shards, hp, seed, max_local, rounds):
     ref_framed, framed = (fedcore.FramedByteTransport(capture=True) for _ in range(2))
     fedcore.run_rounds(ref_server, reference, ref_framed, max_rounds=rounds)
     server, clients = hfed.make_horizontal_parties(shards, hp, seed, max_local)
-    with recording(hfed, "_passes", 7) as passes:
+    with recording(hfed, "_passes", 6) as passes:
         fedcore.run_rounds(server, clients, framed, max_rounds=rounds)
     assert framed.captured == ref_framed.captured
     for c, ref in zip(clients, reference):

@@ -39,7 +39,7 @@ SERVER = PartyId.server()
 def record_stacks(monkeypatch):
     """The slot count of every stack of local passes hfed runs, read
     from the engine's eta, which holds one weight per slot."""
-    return record_calls(monkeypatch, mvfed.hfed, "_passes", 7)
+    return record_calls(monkeypatch, mvfed.hfed, "_passes", 6)
 
 
 def split_rows(data, m, seed=0):
@@ -256,9 +256,9 @@ class TestTrain:
 
     def test_zero_epsilon_rejected_before_any_round(self):
         data = blob_dataset(24)
-        zero = dataclasses.replace(HyperParams.uniform(2), epsilon=0.0)
         log = RoundLog()
         with pytest.raises(InvalidSpec, match="epsilon"):
+            zero = dataclasses.replace(HyperParams.uniform(2), epsilon=0.0)
             hfed_train(split_rows(data, 2), zero, seed=1, log=log)
         assert log.n_rounds == 0
 

@@ -150,7 +150,7 @@ class TestObjective:
             Zk=[np.array([[1.0]])],
             Z=np.array([[1.0]]),
         )
-        hp = HyperParams(beta=(1.0,), zeta=(1.0,), eta=1.0, epsilon=0.0)
+        hp = HyperParams(beta=(1.0,), zeta=(1.0,), eta=1.0)
         assert objective(data, state, hp) == 1.0
 
     def test_matches_term_by_term_oracle(self):
@@ -541,8 +541,8 @@ class TestTrainMvl:
         # infinite IRLS weight.
         data = blob_dataset(seed=1, n=20, dims=(4,))
         data.views[0][:, 1] = 0.0
-        hp = HyperParams.uniform(1, epsilon=0.0)
         with pytest.raises(InvalidSpec, match="epsilon"):
+            hp = HyperParams.uniform(1, epsilon=0.0)
             train_mvl(data, hp, seed=0)
 
     def test_max_outer_zero_returns_initialization(self):
