@@ -455,10 +455,32 @@ COMMANDS = {
 SETUP_ERRORS = (ConfigError, InvalidSpec, ParseError, ShapeError, OSError)
 
 
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """``argv`` with each token that starts with one "-" (but is not
+    ``-h``) joined to the long option before it: ``--margin -inf`` reads
+    as ``--margin=-inf``.
+
+    argparse takes such a token for an option unless it looks like a
+    negative number, so ``--margin -inf`` would fail as a missing
+    argument before the setting's own check could name the value.
+    """
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (
+            len(prev) > 2 and prev.startswith("--") and "=" not in prev
+            and token.startswith("-") and not token.startswith("--") and token != "-h"
+        ):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -1,5 +1,8 @@
 """Synthetic data generation, partitioning and every on-disk format.
 
+This module owns the sequence dataset types, `SequenceDataset` and
+`SequenceClientData` (the flat `MultiViewDataset` is `mvl`'s), so
+loading it loads neither the encoder in `sfed` nor `fedcore`.
 Generators draw class-conditional structure with a controllable noise
 level and seed, so every benchmark in the test suite and the demos is
 reproducible from a couple of integers.  Partitioners split a dataset
@@ -23,10 +26,115 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InvalidSpec, ParseError, ShapeError
+from .errors import (
+    DimensionMismatch,
+    EmptyDataset,
+    EmptySequence,
+    InvalidSpec,
+    ParseError,
+    ShapeError,
+)
 from .mvl import MultiViewDataset, _check_cap
 from .numerics import KEY_DATA, make_rng, orthonormal_init
-from .sfed import SequenceClientData, SequenceDataset
+
+
+@dataclass
+class SequenceDataset:
+    """Variable-length sequences with one class index per sequence."""
+
+    sequences: list[np.ndarray]
+    y: np.ndarray
+    n_classes: int
+
+    def __post_init__(self):
+        self.y = np.asarray(self.y, dtype=np.int64)
+        if self.y.ndim != 1 or len(self.sequences) != self.y.shape[0]:
+            raise DimensionMismatch(
+                f"{len(self.sequences)} sequences, label shape {self.y.shape}"
+            )
+        if self.n_classes < 2:
+            raise InvalidSpec("need at least two classes")
+        if self.y.size and (self.y.min() < 0 or self.y.max() >= self.n_classes):
+            raise InvalidSpec("class index out of range")
+        width = None
+        for i, seq in enumerate(self.sequences):
+            if seq.ndim != 2:
+                raise DimensionMismatch(f"sample {i}: expected 2-D steps array")
+            if seq.shape[0] < 1:
+                raise EmptySequence(f"sample {i} has no time steps")
+            if not np.isfinite(seq).all():
+                raise InvalidSpec(f"sample {i} contains non-finite entries")
+            if width is None:
+                width = seq.shape[1]
+            elif seq.shape[1] != width:
+                raise DimensionMismatch(
+                    f"sample {i}: {seq.shape[1]} features, first sample has {width}"
+                )
+
+    @property
+    def n_samples(self) -> int:
+        return len(self.sequences)
+
+    @property
+    def n_features(self) -> int:
+        if not self.sequences:
+            raise EmptyDataset("no sequences to infer the feature width from")
+        return self.sequences[0].shape[1]
+
+    def subset(self, indices) -> "SequenceDataset":
+        """Dataset restricted to the given sample indices (copied)."""
+        idx = np.asarray(indices, dtype=np.int64)
+        return SequenceDataset(
+            sequences=[self.sequences[i].copy() for i in idx],
+            y=self.y[idx],
+            n_classes=self.n_classes,
+        )
+
+
+@dataclass
+class SequenceClientData:
+    """One client's sequences for every view, sharing the label vector."""
+
+    views: list[SequenceDataset]
+
+    def __post_init__(self):
+        if not self.views:
+            raise InvalidSpec("client needs at least one view")
+        first = self.views[0]
+        for k, view in enumerate(self.views[1:], start=1):
+            if view.n_samples != first.n_samples or not np.array_equal(
+                view.y, first.y
+            ):
+                raise DimensionMismatch(f"view {k} disagrees on sample labels")
+            if view.n_classes != first.n_classes:
+                raise DimensionMismatch(f"view {k} disagrees on class count")
+
+    @property
+    def n_samples(self) -> int:
+        return self.views[0].n_samples
+
+    @property
+    def n_views(self) -> int:
+        return len(self.views)
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.views[0].y
+
+    @property
+    def n_classes(self) -> int:
+        return self.views[0].n_classes
+
+    def class_indices(self) -> np.ndarray:
+        return self.y
+
+    def subset(self, indices) -> "SequenceClientData":
+        return SequenceClientData(views=[v.subset(indices) for v in self.views])
+
+    def select_views(self, view_indices) -> "SequenceClientData":
+        if len(view_indices) == 0:
+            raise InvalidSpec("view selection must keep at least one view")
+        return SequenceClientData(views=[self.views[k] for k in view_indices])
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,8 @@ import numpy as np
 from .data import (
     GeneratorSpec,
     SeqGeneratorSpec,
+    SequenceClientData,
+    SequenceDataset,
     _read_manifest,
     _read_matrix,
     _write_manifest,
@@ -57,8 +59,6 @@ from .mvl import (
 from .numerics import KEY_DATA, KEY_ENCODER, make_rng
 from .sfed import (
     EncoderArch,
-    SequenceClientData,
-    SequenceDataset,
     TrainerConfig,
     extract_features,
     local_training,  # not called here; mvbench/tracer.py wraps this name

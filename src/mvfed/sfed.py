@@ -6,7 +6,10 @@ classifier head).  Each view's encoder trains independently across
 clients with plain FedAvg over minibatch SGD; afterwards every client
 embeds its own sequences locally, producing the per-view feature
 matrices that the horizontal trainer consumes.  Parameters travel as
-flat vectors, so the wire format stays model-agnostic.
+flat vectors, so the wire format stays model-agnostic.  The sequence
+dataset types it trains on, `SequenceDataset` and `SequenceClientData`,
+live in `data`; this module imports them, so both names resolve here
+too.
 
 The views' federations run in lock-step (`fedcore.run_federations`).
 The clients of every view of one feature width are zero-padded once,
@@ -52,6 +55,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
+from .data import SequenceClientData, SequenceDataset
 from .errors import (
     DimensionMismatch,
     EmptyBatch,
@@ -75,105 +79,6 @@ from .fedcore import (
 )
 from .mvl import _check_cap
 from .numerics import KEY_ENCODER, KEY_SHUFFLE, make_rng, pcg64_state, stream_states
-
-
-@dataclass
-class SequenceDataset:
-    """Variable-length sequences with one class index per sequence."""
-
-    sequences: list[np.ndarray]
-    y: np.ndarray
-    n_classes: int
-
-    def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=np.int64)
-        if self.y.ndim != 1 or len(self.sequences) != self.y.shape[0]:
-            raise DimensionMismatch(
-                f"{len(self.sequences)} sequences, label shape {self.y.shape}"
-            )
-        if self.n_classes < 2:
-            raise InvalidSpec("need at least two classes")
-        if self.y.size and (self.y.min() < 0 or self.y.max() >= self.n_classes):
-            raise InvalidSpec("class index out of range")
-        width = None
-        for i, seq in enumerate(self.sequences):
-            if seq.ndim != 2:
-                raise DimensionMismatch(f"sample {i}: expected 2-D steps array")
-            if seq.shape[0] < 1:
-                raise EmptySequence(f"sample {i} has no time steps")
-            if not np.isfinite(seq).all():
-                raise InvalidSpec(f"sample {i} contains non-finite entries")
-            if width is None:
-                width = seq.shape[1]
-            elif seq.shape[1] != width:
-                raise DimensionMismatch(
-                    f"sample {i}: {seq.shape[1]} features, first sample has {width}"
-                )
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.sequences)
-
-    @property
-    def n_features(self) -> int:
-        if not self.sequences:
-            raise EmptyDataset("no sequences to infer the feature width from")
-        return self.sequences[0].shape[1]
-
-    def subset(self, indices) -> "SequenceDataset":
-        """Dataset restricted to the given sample indices (copied)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return SequenceDataset(
-            sequences=[self.sequences[i].copy() for i in idx],
-            y=self.y[idx],
-            n_classes=self.n_classes,
-        )
-
-
-@dataclass
-class SequenceClientData:
-    """One client's sequences for every view, sharing the label vector."""
-
-    views: list[SequenceDataset]
-
-    def __post_init__(self):
-        if not self.views:
-            raise InvalidSpec("client needs at least one view")
-        first = self.views[0]
-        for k, view in enumerate(self.views[1:], start=1):
-            if view.n_samples != first.n_samples or not np.array_equal(
-                view.y, first.y
-            ):
-                raise DimensionMismatch(f"view {k} disagrees on sample labels")
-            if view.n_classes != first.n_classes:
-                raise DimensionMismatch(f"view {k} disagrees on class count")
-
-    @property
-    def n_samples(self) -> int:
-        return self.views[0].n_samples
-
-    @property
-    def n_views(self) -> int:
-        return len(self.views)
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.views[0].y
-
-    @property
-    def n_classes(self) -> int:
-        return self.views[0].n_classes
-
-    def class_indices(self) -> np.ndarray:
-        return self.y
-
-    def subset(self, indices) -> "SequenceClientData":
-        return SequenceClientData(views=[v.subset(indices) for v in self.views])
-
-    def select_views(self, view_indices) -> "SequenceClientData":
-        if len(view_indices) == 0:
-            raise InvalidSpec("view selection must keep at least one view")
-        return SequenceClientData(views=[self.views[k] for k in view_indices])
 
 
 @dataclass(frozen=True)

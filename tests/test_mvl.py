@@ -545,6 +545,14 @@ class TestTrainMvl:
             hp = HyperParams.uniform(1, epsilon=0.0)
             train_mvl(data, hp, seed=0)
 
+    def test_stop_rule_measures_small_objectives_against_one(self):
+        # Below |prev| = 1 a change counts against 1, not |prev|: a step
+        # of 5e-7 from 0.1 stops at tol 1e-6, though it is 5e-6 of 0.1.
+        prev = np.array([0.1, 0.1, 10.0])
+        value = prev + np.array([5e-7, 2e-6, 5e-6])
+        stop = mvfed.mvl._stops(value, prev, 1e-6, last=False)
+        assert stop.tolist() == [True, False, True]
+
     def test_max_outer_zero_returns_initialization(self):
         data, hp = random_instance(6)
         hp0 = HyperParams(

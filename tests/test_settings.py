@@ -3,7 +3,8 @@
 NaN, both infinities and the domain edge of each setting are rejected
 where the setting enters: the package raises InvalidSpec (ConfigError
 for RunConfig) with a message that states the setting's domain and
-names the value; the CLI exits 2 with that message on one `error:` line.
+names the value; the CLI, given `--opt=value` or `--opt value`, exits 2
+with that message on one `error:` line.
 Before, a NaN learning rate failed inside a client's round, a NaN split
 fraction failed as a run error or went into the report, and a NaN noise
 or infinite margin was blamed on the generated data.
@@ -101,7 +102,13 @@ def test_real_setting_rejected_at_entry(setting, value):
     (("gen-data", "--margin={}"), "margin must be finite"),
     (("gen-data", "--kind", "sequences", "--drift={}"), "drift must be finite and >= 0"),
     (("train", "--mode", "mvl", "--epsilon={}"), "epsilon must be finite; IRLS needs epsilon > 0"),
-], ids=["learning-rate", "split", "noise", "margin", "drift", "epsilon"])
+    (("gen-data", "--margin", "{}"), "margin must be finite"),
+    (("train", "--mode", "sfed", "--learning-rate", "{}"), "learning_rate must be finite and > 0"),
+    (("train", "--mode", "mvl", "--split", "{},0.2,0.2"), "split: need three finite positive fractions"),
+], ids=[
+    "learning-rate", "split", "noise", "margin", "drift", "epsilon",
+    "margin-spaced", "learning-rate-spaced", "split-spaced",
+])
 def test_cli_rejects_real_setting(tmp_path, capsys, argv, message, value):
     out = os.path.join(tmp_path, "out")
     if argv[0] == "gen-data":
@@ -112,3 +119,12 @@ def test_cli_rejects_real_setting(tmp_path, capsys, argv, message, value):
     assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
     assert message in stderr and "Traceback" not in stderr
     assert not os.path.exists(out)
+
+
+def test_cli_spaced_negative_value_parses_as_joined(tmp_path):
+    outs = [os.path.join(tmp_path, name) for name in ("spaced", "joined")]
+    assert main(["gen-data", "--samples", "20", "--margin", "-2", "--out", outs[0]]) == 0
+    assert main(["gen-data", "--samples", "20", "--margin=-2", "--out", outs[1]]) == 0
+    for name in os.listdir(outs[1]):
+        with open(os.path.join(outs[0], name)) as a, open(os.path.join(outs[1], name)) as b:
+            assert a.read() == b.read()

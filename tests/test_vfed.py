@@ -29,6 +29,7 @@ from mvfed.mvl import test_consensus as consensus_mean
 from mvfed.vfed import (
     VerticalServer,
     VfedResult,
+    _relative_drift,
     make_vertical_parties,
     vfed_predict,
     vfed_train,
@@ -134,6 +135,13 @@ class TestServerStep:
         ]
         server.aggregate(0, msgs)
         assert np.array_equal(server.z, update_consensus(zks, y, zetas, 3.0))
+
+    @pytest.mark.parametrize("old, drift", [
+        (np.full((1, 4), 0.25), 0.25),  # ||old|| = 0.5 scales the distance up
+        (np.zeros((1, 4)), 0.125),  # a zero consensus gives the plain distance
+    ], ids=["norm-half", "zero"])
+    def test_drift_is_relative_to_the_old_consensus(self, old, drift):
+        assert _relative_drift(old + 0.0625, old) == drift
 
 
 class TestTrainEquivalence:
