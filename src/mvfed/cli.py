@@ -455,10 +455,23 @@ COMMANDS = {
 SETUP_ERRORS = (ConfigError, InvalidSpec, ParseError, ShapeError, OSError)
 
 
-def _join_dash_values(argv: list[str]) -> list[str]:
-    """``argv`` with each token that starts with one "-" (but is not
-    ``-h``) joined to the long option before it: ``--margin -inf`` reads
-    as ``--margin=-inf``.
+def _value_options(parser: argparse.ArgumentParser) -> frozenset[str]:
+    """The long options, of any subcommand, that take a value (not
+    ``--grid``, which takes none)."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return frozenset(
+        flag
+        for sub in commands.choices.values()
+        for action in sub._actions
+        if action.nargs != 0
+        for flag in action.option_strings
+    )
+
+
+def _join_dash_values(argv: list[str], value_options: frozenset[str]) -> list[str]:
+    """``argv`` with each token that starts with one "-" joined to the
+    option before it when that option takes a value: ``--margin -inf``
+    reads as ``--margin=-inf``.
 
     argparse takes such a token for an option unless it looks like a
     negative number, so ``--margin -inf`` would fail as a missing
@@ -466,12 +479,9 @@ def _join_dash_values(argv: list[str]) -> list[str]:
     """
     out: list[str] = []
     for token in argv:
-        prev = out[-1] if out else ""
-        if (
-            len(prev) > 2 and prev.startswith("--") and "=" not in prev
-            and token.startswith("-") and not token.startswith("--") and token != "-h"
-        ):
-            out[-1] = f"{prev}={token}"
+        dash_led = token.startswith("-") and not token.startswith("--")
+        if dash_led and out and out[-1] in value_options:
+            out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
     return out
@@ -480,7 +490,9 @@ def _join_dash_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(
+            _join_dash_values(sys.argv[1:] if argv is None else argv, _value_options(parser))
+        )
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import mvl
 from .data import (
     GeneratorSpec,
     SeqGeneratorSpec,
@@ -52,7 +53,7 @@ from .mvl import (
     _predict_stack,
     _train_stack,
     argmax_decode,
-    predict_mvl,
+    predict_mvl,  # not called here; mvbench/tracer.py wraps this name
     train_mvl,
     train_single_view,
 )
@@ -321,7 +322,8 @@ def _eval_transforms(
             views, transforms, hp.zeta, tol=hp.tol, max_rounds=hp.max_outer
         )
     else:
-        scores = predict_mvl(
+        # Through `mvl`, for the tracer, as vfed calls `_fit_stats`.
+        scores = mvl.predict_mvl(
             views, transforms, hp.zeta, tol=hp.tol, max_outer=hp.max_outer
         )
     return _metrics(scores, data, positive)
@@ -588,7 +590,7 @@ class ModelBundle:
         if self.single:
             scores = views[0] @ self.transforms[0]
         else:
-            scores = predict_mvl(views, self.transforms, self.zeta)
+            scores = mvl.predict_mvl(views, self.transforms, self.zeta)
         return argmax_decode(scores)
 
 

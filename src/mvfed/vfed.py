@@ -15,6 +15,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
+from . import mvl
 from .errors import DimensionMismatch
 from .fedcore import (
     FedMessage,
@@ -28,7 +29,7 @@ from .mvl import (
     MultiViewDataset,
     _check_blend,
     _check_cap,
-    _fit_stats,
+    _fit_stats,  # not called here; mvbench/tracer.py wraps `mvfed.vfed:_fit_stats`
     init_state,
     test_consensus,
     update_consensus,
@@ -59,7 +60,10 @@ class VerticalClient:
             raise DimensionMismatch(
                 f"server consensus is {z.shape}, client holds {self.pseudo.shape}"
             )
-        self.w, _, _, xw = _fit_stats(
+        # Through `mvl`: the tracer may wrap `mvl._fit_stats` before it
+        # first imports this module, whose own binding then holds that
+        # wrapper and is wrapped again.
+        self.w, _, _, xw = mvl._fit_stats(
             self.x, self.pseudo, self.beta, self.epsilon,
             self.max_inner, self.tol, w_init=self.w,
         )

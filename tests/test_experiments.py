@@ -252,13 +252,13 @@ class TestGrid:
         # and calls predict_mvl once, for the chosen fit on the test part.
         cfg = base_cfg(grid=True, repeats=2, hp=quick_hp(2, max_outer=8))
         calls = []
-        stacked, lone = mvfed.experiments._predict_stack, mvfed.experiments.predict_mvl
+        stacked, lone = mvfed.experiments._predict_stack, mvfed.mvl.predict_mvl
         monkeypatch.setattr(
             mvfed.experiments, "_predict_stack",
             lambda views, w, *args: calls.append(len(w[0])) or stacked(views, w, *args),
         )
         monkeypatch.setattr(
-            mvfed.experiments, "predict_mvl",
+            mvfed.mvl, "predict_mvl",
             lambda *args, **kw: calls.append("predict_mvl") or lone(*args, **kw),
         )
         run_experiment(cfg)

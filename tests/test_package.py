@@ -5,6 +5,7 @@ load checks run in a fresh interpreter, where no other test has
 imported anything yet.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -65,3 +66,49 @@ def test_unknown_name_is_an_attribute_error_and_subpackages_still_import():
     from mvfed import fedcore
 
     assert fedcore is sys.modules["mvfed.fedcore"]
+
+
+TRACED_COUNTS = """
+import json
+import sys
+
+import mvfed
+from mvbench.tracer import Tracer
+from mvbench.worker import run_jobs
+from mvbench.workloads import WORKLOADS
+
+if sys.argv[1] == "every-module-first":
+    import mvfed.experiments, mvfed.hfed, mvfed.sfed, mvfed.vfed
+tracer = Tracer()
+with tracer.installed():
+    for name in sorted(WORKLOADS):
+        size = WORKLOADS[name].tiny
+        _, records = run_jobs(WORKLOADS[name], size, seed=0, jobs=1, tracer=tracer)
+        assert "error" not in records[0], (name, records[0])
+spans = len(tracer.names)
+_, records = run_jobs(WORKLOADS["wide_views"], WORKLOADS["wide_views"].tiny, seed=0, jobs=1)
+assert "error" not in records[0] and len(tracer.names) == spans, "a span after uninstall"
+print(json.dumps({name: row["calls"] for name, row in tracer.summary().items()}))
+"""
+
+
+def test_traced_call_counts_do_not_depend_on_what_was_imported_first():
+    # The benchmark's tracer imports each module it wraps names in as it
+    # goes, so under lazy loading `vfed` and `experiments` are first
+    # imported after `mvl`'s names are wrapped; their calls into `mvl`
+    # must still count once, and nothing may record after uninstall.
+    root = Path(__file__).resolve().parent.parent
+    counts = []
+    for first in ("what-the-worker-imports", "every-module-first"):
+        proc = subprocess.run(
+            [sys.executable, "-c", TRACED_COUNTS, first],
+            cwd=root,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)])),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        counts.append(json.loads(proc.stdout.splitlines()[-1]))
+    assert counts[0] == counts[1]
+    assert counts[0]["mvl.fit"] > 0 and counts[0]["mvl.predict"] > 0

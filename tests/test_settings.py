@@ -128,3 +128,9 @@ def test_cli_spaced_negative_value_parses_as_joined(tmp_path):
     for name in os.listdir(outs[1]):
         with open(os.path.join(outs[0], name)) as a, open(os.path.join(outs[1], name)) as b:
             assert a.read() == b.read()
+
+
+def test_cli_joins_a_dash_token_only_to_an_option_that_takes_a_value(capsys):
+    # --grid takes no value, so "-inf" after it stays an unknown option.
+    assert main(["train", "--grid", "-inf"]) == 2
+    assert "unrecognized arguments: -inf" in capsys.readouterr().err
