@@ -4,13 +4,17 @@ The centralized model lives in `mvl`; `vfed`, `hfed`, and `sfed` retrain
 it under vertical, horizontal, and sequential data ownership over the
 round protocol in `fedcore`.  The dataset types (`MultiViewDataset` in
 `mvl`, `SequenceDataset` and `SequenceClientData` in `data`), the
-synthetic generators and the disk formats are in `data`, benchmark
-orchestration in `experiments`, and the command line entry point in
-`cli`.
+encoder's SGD settings (`TrainerConfig`, in `data`), the synthetic
+generators and the disk formats are in `data`, benchmark orchestration
+in `experiments`, and the command line entry point in `cli`.
 
 Each public name below is imported from its submodule on first access
 (PEP 562) and then cached here, so a process loads only the modules it
-uses: a vertical run never loads `hfed`, `sfed` or `experiments`.
+uses; `fedcore` loads its own submodules the same way, and
+`experiments` imports a trainer only in the mode that calls it.  A
+vertical run never loads `hfed`, `sfed` or `experiments`; a centralized
+run, or the command line's set-up, loads no trainer and no `fedcore`
+module.
 """
 
 import importlib
@@ -23,6 +27,7 @@ _EXPORTS = {
         "SeqGeneratorSpec",
         "SequenceClientData",
         "SequenceDataset",
+        "TrainerConfig",
         "gen_complementary",
         "gen_multiview",
         "gen_sequences",
@@ -58,7 +63,7 @@ _EXPORTS = {
         "train_mvl",
         "train_single_view",
     ),
-    "sfed": ("EncoderArch", "TrainerConfig", "extract_features", "sfed_train"),
+    "sfed": ("EncoderArch", "extract_features", "sfed_train"),
     "vfed": ("vfed_predict", "vfed_train"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

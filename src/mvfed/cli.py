@@ -22,6 +22,7 @@ import numpy as np
 from .data import (
     GeneratorSpec,
     SeqGeneratorSpec,
+    TrainerConfig,
     _read_manifest,
     gen_complementary,
     gen_multiview,
@@ -46,7 +47,6 @@ from .experiments import (
 )
 from .metrics import METRIC_NAMES
 from .mvl import HyperParams
-from .sfed import TrainerConfig
 
 GEN_KINDS = ("multiview", "complementary", "sequences")
 

@@ -1,8 +1,10 @@
 """Synthetic data generation, partitioning and every on-disk format.
 
 This module owns the sequence dataset types, `SequenceDataset` and
-`SequenceClientData` (the flat `MultiViewDataset` is `mvl`'s), so
-loading it loads neither the encoder in `sfed` nor `fedcore`.
+`SequenceClientData` (the flat `MultiViewDataset` is `mvl`'s), and the
+encoder's SGD settings, `TrainerConfig`, so a run configuration can be
+built and its data loaded without loading the encoder in `sfed` or
+`fedcore`.
 Generators draw class-conditional structure with a controllable noise
 level and seed, so every benchmark in the test suite and the demos is
 reproducible from a couple of integers.  Partitioners split a dataset
@@ -34,7 +36,7 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .mvl import MultiViewDataset, _check_cap
+from .mvl import MultiViewDataset, _check_cap, _check_view_indices
 from .numerics import KEY_DATA, make_rng, orthonormal_init
 
 
@@ -134,6 +136,7 @@ class SequenceClientData:
     def select_views(self, view_indices) -> "SequenceClientData":
         if len(view_indices) == 0:
             raise InvalidSpec("view selection must keep at least one view")
+        _check_view_indices(view_indices, self.n_views)
         return SequenceClientData(views=[self.views[k] for k in view_indices])
 
 
@@ -207,6 +210,25 @@ class SeqGeneratorSpec:
         for name, value in (("noise", self.noise), ("drift", self.drift)):
             if not 0 <= value < np.inf:
                 raise InvalidSpec(f"{name} must be finite and >= 0, got {value!r}")
+
+
+@dataclass(frozen=True)
+class TrainerConfig:
+    """Minibatch SGD settings for the federated encoder rounds."""
+
+    batch_size: int = 16
+    local_epochs: int = 1
+    learning_rate: float = 0.05
+    max_rounds: int = 10
+    seed: int = 0
+
+    def __post_init__(self):
+        # Counts are integers at the boundary: a float or bool here would
+        # fail later, inside a client's round or as a bare TypeError.
+        for name, low in (("batch_size", 1), ("local_epochs", 0), ("max_rounds", 0), ("seed", 0)):
+            _check_cap(name, getattr(self, name), low)
+        if not 0 < self.learning_rate < np.inf:
+            raise InvalidSpec(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
 
 
 def _balanced_labels(rng, n: int, c: int) -> np.ndarray:
@@ -299,8 +321,7 @@ def _deal_rows(
 ) -> list[np.ndarray]:
     """Sorted index arrays for M near-equal shards of len(classes) rows."""
     n = classes.shape[0]
-    if m < 1:
-        raise InvalidSpec(f"cannot split across {m} clients")
+    _check_cap("m", m, 1)
     if m > n:
         raise InvalidSpec(f"{m} clients cannot all receive one of {n} samples")
     if stratified:

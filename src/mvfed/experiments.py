@@ -21,7 +21,7 @@ import dataclasses
 import os
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .data import (
     SeqGeneratorSpec,
     SequenceClientData,
     SequenceDataset,
+    TrainerConfig,
     _read_manifest,
     _read_matrix,
     _write_manifest,
@@ -44,9 +45,10 @@ from .data import (
     partition_sequences,
 )
 from .errors import ConfigError, ShapeError
-from .hfed import DEFAULT_MAX_LOCAL, DEFAULT_ROUNDS, _check_client_rows, hfed_train
 from .metrics import MetricsReport, MetricsRow, average_rows, compute_metrics
 from .mvl import (
+    DEFAULT_MAX_LOCAL,
+    DEFAULT_ROUNDS,
     HyperParams,
     MultiViewDataset,
     _check_cap,
@@ -58,15 +60,21 @@ from .mvl import (
     train_single_view,
 )
 from .numerics import KEY_DATA, KEY_ENCODER, make_rng
-from .sfed import (
-    EncoderArch,
-    TrainerConfig,
-    extract_features,
-    local_training,  # not called here; mvbench/tracer.py wraps this name
-    local_training_stack,
-    sfed_train,
-)
-from .vfed import vfed_predict, vfed_train
+
+if TYPE_CHECKING:
+    from .sfed import EncoderArch
+
+
+def __getattr__(name):
+    # Not called here; mvbench/tracer.py wraps these names.  They resolve
+    # through `sfed`, which a run loads only when it trains encoders, and
+    # are then cached here, where the tracer's restore puts them back.
+    if name not in ("local_training", "extract_features"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import sfed
+
+    value = globals()[name] = getattr(sfed, name)
+    return value
 
 
 @dataclass(frozen=True)
@@ -86,9 +94,11 @@ class Mode:
     (`mvl._predict_stack`); the protocol trainers, vfed and hfed, train
     and score one candidate at a time.
 
-    Entries name trainers instead of holding functions, so the trainers
-    stay module globals looked up at call time, where tests and the
-    benchmark tracer can patch them.
+    Entries name trainers instead of holding functions.  The federated
+    trainers (`vfed`, `hfed`, `sfed`) are imported in the branches that
+    use them, so a run loads only its own, and are called through their
+    modules at call time, where tests and the benchmark tracer can patch
+    them.
     """
 
     trainer: str
@@ -318,7 +328,9 @@ def _eval_transforms(
     if trainer == "single_view":
         scores = views[0] @ transforms[0]
     elif trainer == "vfed":
-        scores = vfed_predict(
+        from . import vfed
+
+        scores = vfed.vfed_predict(
             views, transforms, hp.zeta, tol=hp.tol, max_rounds=hp.max_outer
         )
     else:
@@ -335,7 +347,9 @@ def _metrics(scores: np.ndarray, data: MultiViewDataset, positive: int) -> Metri
 
 
 def _hfed(cfg: RunConfig, datasets, hp: HyperParams, seed: int) -> list[np.ndarray]:
-    return hfed_train(
+    from . import hfed
+
+    return hfed.hfed_train(
         datasets, hp, seed, rounds=cfg.rounds, max_local=cfg.max_local
     ).transforms
 
@@ -353,7 +367,9 @@ def _fit_flat(cfg: RunConfig, train: MultiViewDataset, hp: HyperParams, seed: in
         )
         return [w]
     if trainer == "vfed":
-        return vfed_train(train, hp, seed).transforms
+        from . import vfed
+
+        return vfed.vfed_train(train, hp, seed).transforms
     shards = partition_horizontal(train, cfg.n_clients, stratified=True, seed=seed)
     return _hfed(cfg, shards, hp, seed)
 
@@ -362,8 +378,10 @@ def _flat_fits(cfg: RunConfig, train: MultiViewDataset, hp: HyperParams, seed: i
     """Every set of transforms a flat mode trains: one per client shard
     in the isolated modes, else the one global set."""
     if MODES[cfg.mode].isolated:
+        from . import hfed
+
         shards = partition_horizontal(train, cfg.n_clients, stratified=True, seed=seed)
-        _check_client_rows(shards)  # each shard trains alone, as client 0
+        hfed._check_client_rows(shards)  # each shard trains alone, as client 0
         return [_hfed(cfg, [shard], hp, seed) for shard in shards]
     return [_fit_flat(cfg, train, hp, seed)]
 
@@ -426,35 +444,41 @@ def _local_encoders(
     federated compute budget (rounds times local epochs) and
     initialization.  Dataset l shuffles with key (l, view, 0); all of
     them train as one stack."""
+    from . import sfed
+
     w = arch.init_params(trainer.seed, KEY_ENCODER, view)
     stack = np.repeat(w[None], len(datasets), axis=0)
     solo = dataclasses.replace(trainer, local_epochs=trainer.local_epochs * trainer.max_rounds)
     keys = [(l, view, 0) for l in range(len(datasets))]
-    return list(local_training_stack(datasets, arch, stack, solo, keys))
+    return list(sfed.local_training_stack(datasets, arch, stack, solo, keys))
 
 
 def _feature_dataset(
     bundle: SequenceClientData, archs, params, n_classes: int
 ) -> MultiViewDataset:
+    from . import sfed
+
     views = [
-        extract_features(archs[k], params[k], bundle.views[k])
+        sfed.extract_features(archs[k], params[k], bundle.views[k])
         for k in range(len(archs))
     ]
     return MultiViewDataset.from_class_indices(views, bundle.y, n_classes=n_classes)
 
 
 def _seq_repeat(cfg: RunConfig, bundle: SequenceClientData, seed: int) -> MetricsRow:
+    from . import hfed, sfed
+
     mode = MODES[cfg.mode]
     masked, hp = _select(cfg, bundle)
     train_b, _, test_b = _split(cfg, masked, seed)
     n_classes = masked.n_classes
     clients = partition_sequences(train_b, cfg.n_clients, stratified=True, seed=seed)
     if mode.isolated:
-        _check_client_rows(clients)  # each client's consensus trains alone, as client 0
+        hfed._check_client_rows(clients)  # each client's consensus trains alone, as client 0
     trainer = dataclasses.replace(cfg.trainer, seed=seed)
     k_views = train_b.n_views
     archs = [
-        EncoderArch(
+        sfed.EncoderArch(
             n_features=train_b.views[k].n_features,
             embed_dim=cfg.embed_dim,
             n_classes=n_classes,
@@ -463,7 +487,7 @@ def _seq_repeat(cfg: RunConfig, bundle: SequenceClientData, seed: int) -> Metric
     ]
 
     if mode.encoders == "federated":
-        params = sfed_train(clients, trainer, embed_dim=cfg.embed_dim).params
+        params = sfed.sfed_train(clients, trainer, embed_dim=cfg.embed_dim).params
         per_client = [params] * len(clients)
     elif mode.encoders == "pooled":
         pooled = [
@@ -706,21 +730,25 @@ def compute_embeddings(
     if not mode.embeds:
         raise ConfigError(f"mode: {cfg.mode!r} has no per-sample embedding to export")
     if mode.sequential:
+        from . import sfed
+
         bundle = _source(cfg, sequences)
         masked = bundle.select_views(_resolve_mask(cfg, bundle.n_views))
         clients = partition_sequences(
             masked, cfg.n_clients, stratified=True, seed=cfg.seed
         )
         trainer = dataclasses.replace(cfg.trainer, seed=cfg.seed)
-        res = sfed_train(clients, trainer, embed_dim=cfg.embed_dim)
+        res = sfed.sfed_train(clients, trainer, embed_dim=cfg.embed_dim)
         feats = [
-            extract_features(res.archs[k], res.params[k], masked.views[k])
+            sfed.extract_features(res.archs[k], res.params[k], masked.views[k])
             for k in range(masked.n_views)
         ]
         return np.hstack(feats), masked.y.copy()
     masked, hp = _select(cfg, _source(cfg, dataset))
     if mode.trainer == "vfed":
-        consensus = vfed_train(masked, hp, cfg.seed).consensus
+        from . import vfed
+
+        consensus = vfed.vfed_train(masked, hp, cfg.seed).consensus
     else:
         state, _ = train_mvl(masked, hp, cfg.seed)
         consensus = state.Z

@@ -1,50 +1,53 @@
-"""Federation substrate: typed messages, wire codec, transports, rounds."""
+"""Federation substrate: typed messages, wire codec, transports, rounds.
 
-from .messages import (
-    HORIZONTAL_KINDS,
-    SEQUENTIAL_KINDS,
-    SERVER_WIRE_ID,
-    VERTICAL_KINDS,
-    FedMessage,
-    MessageKind,
-    PartyId,
-    seal_rows,
-    stack_rows,
-)
-from .fedavg import fedavg_aggregate
-from .rounds import (
-    Federation,
-    MessageRecord,
-    RoundLog,
-    RoundRecord,
-    disallowed_kinds,
-    run_federations,
-    run_rounds,
-)
-from .transport import FramedByteTransport, InProcessTransport
-from .wire import decode_message, encode_message, frame_size
+`messages` holds the typed messages and the sealed reply stacks, `wire`
+the byte codec, `transport` the in-process and framed transports,
+`rounds` the round drivers and their logs, and `fedavg` the weighted
+average.  Each public name below is imported from its submodule on
+first access (PEP 562) and then cached here, as in the `mvfed` package,
+so `from mvfed import fedcore` loads no submodule: only a federated run
+(`vfed`, `hfed`, `sfed`) loads the parts it uses.
+"""
 
-__all__ = [
-    "FedMessage",
-    "Federation",
-    "FramedByteTransport",
-    "HORIZONTAL_KINDS",
-    "InProcessTransport",
-    "MessageKind",
-    "MessageRecord",
-    "PartyId",
-    "RoundLog",
-    "RoundRecord",
-    "SEQUENTIAL_KINDS",
-    "SERVER_WIRE_ID",
-    "VERTICAL_KINDS",
-    "decode_message",
-    "disallowed_kinds",
-    "encode_message",
-    "fedavg_aggregate",
-    "frame_size",
-    "run_federations",
-    "run_rounds",
-    "seal_rows",
-    "stack_rows",
-]
+import importlib
+
+_EXPORTS = {
+    "fedavg": ("fedavg_aggregate",),
+    "messages": (
+        "HORIZONTAL_KINDS",
+        "SEQUENTIAL_KINDS",
+        "SERVER_WIRE_ID",
+        "VERTICAL_KINDS",
+        "FedMessage",
+        "MessageKind",
+        "PartyId",
+        "seal_rows",
+        "stack_rows",
+    ),
+    "rounds": (
+        "Federation",
+        "MessageRecord",
+        "RoundLog",
+        "RoundRecord",
+        "disallowed_kinds",
+        "run_federations",
+        "run_rounds",
+    ),
+    "transport": ("FramedByteTransport", "InProcessTransport"),
+    "wire": ("decode_message", "encode_message", "frame_size"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _HOME.keys())

@@ -59,6 +59,8 @@ from .fedcore import (
     stack_rows,
 )
 from .mvl import (
+    DEFAULT_MAX_LOCAL,
+    DEFAULT_ROUNDS,
     HyperParams,
     MultiViewDataset,
     _check_cap,
@@ -69,9 +71,6 @@ from .mvl import (
     predict_mvl,  # not called here; mvbench/tracer.py wraps `mvfed.hfed:predict_mvl`
 )
 from .numerics import KEY_CONSENSUS, KEY_PSEUDO, KEY_TRANSFORM, gaussian_init, orthonormal_inits
-
-DEFAULT_ROUNDS = 20
-DEFAULT_MAX_LOCAL = 30
 
 
 @dataclass(eq=False)

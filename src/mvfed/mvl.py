@@ -114,6 +114,12 @@ def _as_float_tuple(values: float | Iterable[float], k: int, name: str) -> tuple
     return out
 
 
+# The horizontal trainer's default caps on server rounds and on each
+# client's local passes a round; `hfed` and the run configuration share them.
+DEFAULT_ROUNDS = 20
+DEFAULT_MAX_LOCAL = 30
+
+
 @dataclass(frozen=True)
 class HyperParams:
     """Weights and loop controls for the multi-view objective.
@@ -177,6 +183,13 @@ class HyperParams:
             eta=float(eta),
             **kwargs,
         )
+
+
+def _check_view_indices(view_indices, n_views: int) -> None:
+    """Reject a view index that is not an integer in [0, n_views)."""
+    for k in view_indices:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < n_views:
+            raise DimensionMismatch(f"view index {k!r} is not one of the {n_views} views")
 
 
 def _check_blend(zeta, tol) -> None:
@@ -250,8 +263,9 @@ class MultiViewDataset:
 
     def select_views(self, view_indices: Sequence[int]) -> "MultiViewDataset":
         """Dataset restricted to a subset of views (shared arrays)."""
-        if not view_indices:
+        if len(view_indices) == 0:
             raise DimensionMismatch("view selection must keep at least one view")
+        _check_view_indices(view_indices, self.n_views)
         return MultiViewDataset(
             views=[self.views[k] for k in view_indices], labels=self.labels
         )
@@ -260,10 +274,20 @@ class MultiViewDataset:
     def from_class_indices(
         cls, views: list[np.ndarray], y: np.ndarray, n_classes: int | None = None
     ) -> "MultiViewDataset":
-        y = np.asarray(y, dtype=np.int64)
-        c = int(n_classes) if n_classes is not None else int(y.max()) + 1
+        """One-hot labels from class indices, each an integer in
+        [0, n_classes); n_classes defaults to the largest index plus one."""
+        y = np.asarray(y)
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught below
+            index = y.astype(np.int64, copy=False)
+        c = int(n_classes) if n_classes is not None else int(index.max()) + 1
+        bad = (index != y) | (index < 0) | (index >= c)
+        if bad.any():
+            i = int(bad.argmax())
+            raise InvalidSpec(
+                f"label of sample {i} must be an integer in [0, {c}), got {y[i].item()!r}"
+            )
         labels = np.zeros((y.shape[0], c))
-        labels[np.arange(y.shape[0]), y] = 1.0
+        labels[np.arange(y.shape[0]), index] = 1.0
         return cls(views=views, labels=labels)
 
 

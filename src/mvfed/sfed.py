@@ -8,8 +8,8 @@ embeds its own sequences locally, producing the per-view feature
 matrices that the horizontal trainer consumes.  Parameters travel as
 flat vectors, so the wire format stays model-agnostic.  The sequence
 dataset types it trains on, `SequenceDataset` and `SequenceClientData`,
-live in `data`; this module imports them, so both names resolve here
-too.
+and its SGD settings, `TrainerConfig`, live in `data`; this module
+imports them, so the three names resolve here too.
 
 The views' federations run in lock-step (`fedcore.run_federations`).
 The clients of every view of one feature width are zero-padded once,
@@ -55,7 +55,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .data import SequenceClientData, SequenceDataset
+from .data import SequenceClientData, SequenceDataset, TrainerConfig
 from .errors import (
     DimensionMismatch,
     EmptyBatch,
@@ -77,7 +77,6 @@ from .fedcore import (
     seal_rows,
     stack_rows,
 )
-from .mvl import _check_cap
 from .numerics import KEY_ENCODER, KEY_SHUFFLE, make_rng, pcg64_state, stream_states
 
 
@@ -135,25 +134,6 @@ class EncoderArch:
         step = rng.standard_normal((p, e)) / np.sqrt(p)
         head = rng.standard_normal((e, c)) / np.sqrt(e)
         return self.pack(step, np.zeros(e), head, np.zeros(c))
-
-
-@dataclass(frozen=True)
-class TrainerConfig:
-    """Minibatch SGD settings for the federated encoder rounds."""
-
-    batch_size: int = 16
-    local_epochs: int = 1
-    learning_rate: float = 0.05
-    max_rounds: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        # Counts are integers at the boundary: a float or bool here would
-        # fail later, inside a client's round or as a bare TypeError.
-        for name, low in (("batch_size", 1), ("local_epochs", 0), ("max_rounds", 0), ("seed", 0)):
-            _check_cap(name, getattr(self, name), low)
-        if not 0 < self.learning_rate < np.inf:
-            raise InvalidSpec(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
 
 
 @dataclass(frozen=True)

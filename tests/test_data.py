@@ -1,19 +1,24 @@
+import re
+
 import numpy as np
 import pytest
 
 from mvfed.data import (
     GeneratorSpec,
     SeqGeneratorSpec,
+    SequenceClientData,
+    SequenceDataset,
     gen_complementary,
     gen_multiview,
     gen_sequences,
     load_dataset,
     load_sequences,
     partition_horizontal,
+    partition_sequences,
     save_dataset,
     save_sequences,
 )
-from mvfed.errors import InvalidSpec, ParseError, ShapeError
+from mvfed.errors import DimensionMismatch, InvalidSpec, ParseError, ShapeError
 from mvfed.mvl import (
     HyperParams,
     MultiViewDataset,
@@ -22,7 +27,6 @@ from mvfed.mvl import (
     train_mvl,
     train_single_view,
 )
-from mvfed.sfed import SequenceClientData, SequenceDataset
 
 
 def single_view_accuracy(x, labels, beta=1.0):
@@ -179,6 +183,47 @@ class TestPartitionHorizontal:
             partition_horizontal(data, 5)
         with pytest.raises(InvalidSpec):
             partition_horizontal(data, 0)
+
+
+class TestIndicesAtTheBoundary:
+    """Labels, client counts and view indices are checked where they
+    enter.  Before, a label of -1 one-hot encoded the last class, 5 of 2
+    classes raised a bare IndexError and 0.5 became class 0; a client
+    count of 1.5 raised TypeError; view index -1 picked the last view,
+    5 raised IndexError and an index array raised numpy's ValueError."""
+
+    VIEWS = [np.zeros((4, 2))]
+
+    @pytest.mark.parametrize("bad", [-1, 2, 5, 0.5, np.nan, np.inf, -np.inf])
+    def test_label_outside_the_classes_is_rejected_naming_its_sample(self, bad):
+        y = np.array([0, 1, bad, -1])  # float64 for a float label, else int64
+        with pytest.raises(InvalidSpec, match=r"label of sample 2 must be an integer in \[0, 2\)"):
+            MultiViewDataset.from_class_indices(self.VIEWS, y, n_classes=2)
+
+    def test_integral_labels_of_any_dtype_encode_alike(self):
+        want = MultiViewDataset.from_class_indices(self.VIEWS, [0, 2, 1, 2]).labels  # 3 classes
+        for y in ([0.0, 2.0, 1.0, 2.0], np.array([0, 2, 1, 2], dtype=np.int32)):
+            got = MultiViewDataset.from_class_indices(self.VIEWS, y, n_classes=3)
+            assert got.labels.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, True, np.float64(2), 0])
+    def test_client_count_must_be_a_positive_integer(self, m):
+        data = gen_multiview(GeneratorSpec(n_samples=8, dims=(3,), seed=8))
+        bundle = gen_sequences(SeqGeneratorSpec(n_samples=8, step_dims=(2,), seed=8))
+        message = re.escape(f"m must be an integer >= 1, got {m!r}")
+        for partition, whole in ((partition_horizontal, data), (partition_sequences, bundle)):
+            with pytest.raises(InvalidSpec, match=message):
+                partition(whole, m)
+
+    @pytest.mark.parametrize("index", [2, 5, -1, 1.0, True])
+    def test_view_index_outside_the_views_is_rejected(self, index):
+        data = gen_multiview(GeneratorSpec(n_samples=8, dims=(3, 2), seed=8))
+        bundle = gen_sequences(SeqGeneratorSpec(n_samples=8, step_dims=(3, 2), seed=8))
+        message = re.escape(f"view index {index!r} is not one of the 2 views")
+        for whole in (data, bundle):
+            with pytest.raises(DimensionMismatch, match=message):
+                whole.select_views((0, index))
+        assert data.select_views(np.array([0, 1])).dims == (3, 2)
 
 
 class TestDatasetFiles:

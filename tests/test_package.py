@@ -5,6 +5,7 @@ load checks run in a fresh interpreter, where no other test has
 imported anything yet.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -34,10 +35,45 @@ assert "mvfed.vfed" in sys.modules and not loaded(*others), loaded(*others)
 """
 
 
-def test_a_flat_vertical_run_loads_only_its_modules():
+FEDCORE_ON_FIRST_USE = """
+import sys
+
+from mvfed import fedcore
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("mvfed.fedcore."))
+
+assert not loaded(), loaded()
+fedcore.fedavg_aggregate
+assert loaded() == ["mvfed.fedcore.fedavg", "mvfed.fedcore.messages"], loaded()
+"""
+
+CENTRALIZED_LOADS_NO_FEDERATION = """
+import sys
+
+def federated():
+    trainers = {"mvfed.hfed", "mvfed.sfed", "mvfed.vfed"}
+    return sorted(m for m in sys.modules if m in trainers or m.startswith("mvfed.fedcore"))
+
+import mvfed.cli
+assert mvfed.cli.main(["--help"]) == 0
+assert not federated(), federated()
+from mvfed import GeneratorSpec, HyperParams, RunConfig, gen_complementary, run_experiment
+spec = GeneratorSpec(n_samples=40, dims=(4, 3), seed=0)
+cfg = RunConfig(
+    mode="mvl", spec=spec, generator="complementary", grid=True, repeats=1,
+    hp=HyperParams.uniform(2, max_outer=3),
+)
+assert run_experiment(cfg, dataset=gen_complementary(spec)).grid_choices
+assert not federated(), federated()
+"""
+
+
+def _fresh(script: str) -> None:
+    """Run script in a new interpreter that imports mvfed from src."""
     root = Path(__file__).resolve().parent.parent
     proc = subprocess.run(
-        [sys.executable, "-c", ONLY_WHAT_RUNS],
+        [sys.executable, "-c", script],
         env=dict(os.environ, PYTHONPATH=str(root / "src")),
         capture_output=True,
         text=True,
@@ -46,11 +82,43 @@ def test_a_flat_vertical_run_loads_only_its_modules():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_a_flat_vertical_run_loads_only_its_modules():
+    _fresh(ONLY_WHAT_RUNS)
+
+
+def test_fedcore_loads_a_submodule_on_first_use_of_its_names():
+    _fresh(FEDCORE_ON_FIRST_USE)
+
+
+def test_the_cli_and_a_centralized_grid_load_no_federation_code():
+    _fresh(CENTRALIZED_LOADS_NO_FEDERATION)
+
+
 def test_every_public_name_is_its_submodules_object():
     for name in mvfed.__all__:
         obj = getattr(mvfed, name)
         assert obj.__module__.startswith("mvfed.")
         assert getattr(sys.modules[obj.__module__], name) is obj
+
+
+def test_every_fedcore_name_is_its_defining_submodules_object():
+    from mvfed import fedcore
+
+    for name in fedcore.__all__:
+        obj = getattr(fedcore, name)
+        home = importlib.import_module(f"mvfed.fedcore.{fedcore._HOME[name]}")
+        assert getattr(home, name) is obj
+        if callable(obj):  # a class or function, not a constant
+            assert obj.__module__ == home.__name__
+    assert set(fedcore.__all__) <= set(dir(fedcore))
+
+
+def test_trainer_config_lives_in_data_and_resolves_in_sfed():
+    import mvfed.data
+    import mvfed.sfed
+
+    assert mvfed.TrainerConfig is mvfed.data.TrainerConfig is mvfed.sfed.TrainerConfig
+    assert mvfed.TrainerConfig.__module__ == "mvfed.data"
 
 
 def test_star_import_and_dir_list_every_public_name():
