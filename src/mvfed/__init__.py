@@ -4,9 +4,9 @@ The centralized model lives in `mvl`; `vfed`, `hfed`, and `sfed` retrain
 it under vertical, horizontal, and sequential data ownership over the
 round protocol in `fedcore`.  The dataset types (`MultiViewDataset` in
 `mvl`, `SequenceDataset` and `SequenceClientData` in `data`), the
-encoder's SGD settings (`TrainerConfig`, in `data`), the synthetic
-generators and the disk formats are in `data`, benchmark orchestration
-in `experiments`, and the command line entry point in `cli`.
+encoder's SGD settings (`TrainerConfig`), the synthetic generators and
+the disk formats are in `data`, benchmark orchestration in
+`experiments`, and the command line entry point in `cli`.
 
 Each public name below is imported from its submodule on first access
 (PEP 562) and then cached here, so a process loads only the modules it
