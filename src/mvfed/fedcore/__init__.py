@@ -25,6 +25,7 @@ _EXPORTS = {
         "stack_rows",
     ),
     "rounds": (
+        "BlockClient",
         "Federation",
         "MessageRecord",
         "RoundLog",

@@ -33,12 +33,25 @@ client's state unless it returns, and every reply is checked before
 any server aggregates, so a round that raises aggregates in no
 federation and logs nothing.
 
+A `BlockClient` is one slot of a block, clients whose local work runs
+as one stacked computation.  Its class's `steps`, for the clients it is
+given, (1) checks each broadcast (`check_broadcast`) in call order and
+raises PartyFailure naming the first client that cannot take its own;
+(2) groups the clients by block, sorts each group by slot and raises
+InvalidSpec ("round r: a step covers k of its block's n clients")
+unless every block is whole, so nothing is computed before these checks
+pass and a lone `step` is that of a block of one; (3) runs each block's
+math (`run_block`); (4) puts the replies back in call order; and (5)
+commits every block's state only once every block's replies are built.
+
 Federations may share a transport: channels are FIFO per (sender,
 receiver) pair, and each phase sends and receives in federation order,
 so every message reaches the client or server of its own federation.
 
 The driver owns the round contract, so servers keep only their math:
 
+- a federation's client ids are distinct, else InvalidSpec before any
+  round;
 - every client replies: a `None` reply raises MissingClient naming the
   round and the client;
 - every reply has the server's `reply_kind`, otherwise ValueError;
@@ -60,11 +73,12 @@ frame, computed without encoding.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, NamedTuple, Sequence
 
-from ..errors import MissingClient, PartyFailure
+from ..errors import InvalidSpec, MissingClient, PartyFailure
 from .messages import FedMessage, MessageKind
 from .transport import InProcessTransport
 from .wire import (
@@ -77,6 +91,7 @@ __all__ = [
     "RoundRecord",
     "RoundLog",
     "Federation",
+    "BlockClient",
     "run_federations",
     "run_rounds",
     "disallowed_kinds",
@@ -162,6 +177,9 @@ class _Run:
         server = self.server.party
         parties = [c.party for c in self.clients]
         self.ids = [p.id for p in parties]
+        for a, b in itertools.pairwise(self.ids):
+            if a == b:
+                raise InvalidSpec(f"client {a} joins a federation twice")
         self.downlinks = [(server, p) for p in parties]
         self.uplinks = [(p, server) for p in parties]
         self.records: list[MessageRecord] = []
@@ -224,6 +242,56 @@ def _each_step(clients: list, rnd: int, msgs: list) -> list:
         except Exception as exc:
             raise PartyFailure(rnd, client.party.id, exc) from exc
     return replies
+
+
+class BlockClient:
+    """A slot of a block, stepped by the block contract of the module
+    docstring.  A subclass has `party` and `slot` and supplies `block`,
+    whose len() is its slot count, `check_broadcast(round, msg)`, which
+    raises for a broadcast the client cannot take, and the classmethod
+    `run_block(round, clients, msgs)`, which takes a whole block in slot
+    order and returns its replies and a commit of its state (or None).
+    """
+
+    @classmethod
+    def steps(cls, clients, rnd: int, msgs: Sequence[FedMessage]) -> list[FedMessage]:
+        """Every client's reply: the first client's `step`, with the
+        others as its peers.  mvbench/tracer.py's `hfed.client_step` span
+        wraps `HorizontalClient.step`, so a round's blocks run inside it."""
+        first, *peers = clients
+        return first.step(rnd, msgs[0], peers=list(zip(peers, msgs[1:])))
+
+    def step(self, rnd: int, msg: FedMessage | None, peers=None):
+        """This client's round, and its reply.  With `peers`, (client,
+        broadcast) pairs of other clients of this class, the round of
+        this client and its peers, and every reply, this client's
+        first; alone, a block of one."""
+        clients = [self, *(c for c, _ in peers or ())]
+        msgs = [msg, *(m for _, m in peers or ())]
+        for client, m in zip(clients, msgs):
+            try:
+                client.check_broadcast(rnd, m)
+            except Exception as exc:
+                raise PartyFailure(rnd, client.party.id, exc) from exc
+        blocks: dict[int, list[int]] = {}
+        for i, client in enumerate(clients):
+            blocks.setdefault(id(client.block), []).append(i)
+        for idx in blocks.values():
+            idx.sort(key=lambda i: clients[i].slot)
+            n = len(clients[idx[0]].block)
+            if [clients[i].slot for i in idx] != list(range(n)):
+                raise InvalidSpec(
+                    f"round {rnd}: a step covers {len(idx)} of its block's {n} clients"
+                )
+        replies, commits = [None] * len(clients), []
+        for idx in blocks.values():
+            built, commit = self.run_block(rnd, [clients[i] for i in idx], [msgs[i] for i in idx])
+            for i, reply in zip(idx, built):
+                replies[i] = reply
+            commits.append(commit)
+        for commit in filter(None, commits):
+            commit()
+        return replies if peers is not None else replies[0]
 
 
 def run_federations(federations: Sequence[Federation], max_rounds: int) -> list[RoundLog]:

@@ -7,48 +7,32 @@ settles), and the server takes the sample-count-weighted average of the
 returned transforms.  Only transform matrices ever cross the wire;
 pseudo-labels and consensus stay on the client between rounds.
 
-Clients are slots of blocks.  `make_horizontal_parties` stacks the
-views and labels of every client whose views all take the primal form
+Clients are slots of blocks (`fedcore.BlockClient`, whose contract
+`fedcore.rounds` states).  `make_horizontal_parties` stacks the views
+and labels of every client whose views all take the primal form
 (d_k <= n_i) once, whatever its row count, into one `_Rows` block; a
 client with a view wider than its rows (dual form) shares one with the
-clients of its row count only.  The block also owns its members' local
-state: their pseudo-label and consensus blocks, as ragged stacks, and
-the hyperparameters they share.  A `HorizontalClient` is its party, its
-block and its slot.
-
-`HorizontalClient.steps`, which the round driver calls once a round
-with all the clients, is the first client's `step` with the others as
-its peers: it checks every broadcast's kind and shapes, then runs each
-block's local passes as one stacked computation in the centralized
-trainer's loop (`mvl._passes`, refit last): products and sums over
-rows once per row count, the solves and all other d-space work once
-per block, each slice starting from the transforms its own client
-received.  Each slice is bit-identical to what its client computes
-alone.  A step covers whole blocks: given part of one, it raises
-InvalidSpec, so the lone `step` of a client is that of a block of one.
-
-Each block's transform stacks are sealed (`fedcore.seal_rows`): checked
-finite once and read-only, so a reply carries its client's rows without
-a copy and the server's FedAvg sums the stack itself; a block's replies
-are built in one `FedMessage.batch` call.  A broadcast a client cannot
-take, or a reply row that is not finite, raises PartyFailure naming
-that client; any other failure of the stacked passes (NotSPD, say)
-propagates as it is.  The local state is committed to the blocks
-(`_Rows.commit`) only once every reply is built, so a step that raises
-changes no client.  Committed stacks are read-only and never written:
-each step replaces them.
+clients of its row count only.  The block also owns its members'
+pseudo-label and consensus blocks, as read-only ragged stacks that each
+step replaces, and the hyperparameters they share.  A block's math is
+its local passes as one stack in the centralized trainer's loop
+(`mvl._passes`, refit last), each slice bit-identical to its client
+alone; its replies are cut from the sealed transform stacks
+(`fedcore.seal_rows`), so the server's FedAvg sums the stack itself.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSpec, MissingClient, PartyFailure
+from .errors import DimensionMismatch, InvalidSpec, MissingClient
 from .fedcore import (
+    BlockClient,
     FedMessage,
     MessageKind,
     PartyId,
@@ -115,6 +99,9 @@ class _Rows:
         shapes = [(v.shape[1], labels.shape[1]) for v in views]
         return cls(views, labels, rows, shapes, hp, max_local, pseudo, consensus)
 
+    def __len__(self) -> int:
+        return len(self.rows)
+
     def commit(self, pseudo, consensus) -> None:
         """Make pseudo and consensus, ragged stacks in slot order, the
         members' state."""
@@ -124,83 +111,43 @@ class _Rows:
 
 
 @dataclass
-class HorizontalClient:
-    """One participant: its slot of the block it is stacked in.
-
-    `rows` is that block: every client whose views are all in primal
-    form, or, if one of this client's views is wider than its rows,
-    every client of its row count.  The block holds this client's rows
-    and its pseudo-label and consensus blocks, which survive across
-    rounds; its passes (`mvl._passes`) start from each broadcast.
-    """
+class HorizontalClient(BlockClient):
+    """One participant: its slot of the block `rows`, which holds its
+    rows and its pseudo-label and consensus blocks across rounds."""
 
     party: PartyId
     rows: _Rows = field(repr=False, compare=False)
     slot: int
 
-    @classmethod
-    def steps(cls, clients, rnd: int, msgs: Sequence[FedMessage]) -> list[FedMessage]:
-        """Every client's reply: the first client's `step`, with the
-        others as its peers (mvbench/tracer.py's `hfed.client_step` span
-        wraps `step`, so the stacked round runs inside it)."""
-        first, *peers = clients
-        return first.step(rnd, msgs[0], peers=list(zip(peers, msgs[1:])))
+    block = property(lambda self: self.rows)
 
-    def step(self, rnd: int, msg: FedMessage | None, peers=None):
-        """This client's round, and its reply.  With `peers`, (client,
-        broadcast) pairs of other clients of this class, the round of
-        this client and its peers, and every reply, this client's first;
-        alone, a stack of one.  The clients make up whole blocks, else
-        InvalidSpec, and each block's local passes run as one stack.
-        All messages are checked before any computation and the blocks'
-        state is committed only after every reply is built, so a call
-        that raises changes no client."""
-        clients = [self, *(c for c, _ in peers or ())]
-        msgs = [msg, *(m for _, m in peers or ())]
-        for c, msg in zip(clients, msgs):
-            try:
-                if msg is None or msg.kind is not MessageKind.TRANSFORM_SET:
-                    raise ValueError(f"round {rnd}: expected a transform broadcast")
-                c._check_shapes(msg.matrices)
-            except (ValueError, DimensionMismatch) as exc:
-                raise PartyFailure(rnd, c.party.id, exc) from exc
-        blocks: dict[int, list[int]] = {}
-        for i, c in enumerate(clients):
-            blocks.setdefault(id(c.rows), []).append(i)
-        replies = [None] * len(clients)
-        commits = []
-        for idx in blocks.values():
-            idx.sort(key=lambda i: clients[i].slot)
-            block, s = clients[idx[0]].rows, len(idx)
-            if [clients[i].slot for i in idx] != list(range(len(block.rows))):
-                raise InvalidSpec(
-                    f"round {rnd}: a step covers {s} of its block's {len(block.rows)} clients"
-                )
-            hp = block.hp
-            w, pseudo, consensus, _ = _passes(
-                block.views, block.labels,
-                [stack_rows(a) for a in zip(*(msgs[i].matrices for i in idx))],
-                block.pseudo, block.consensus,
-                [np.full(s, q) for q in hp.zeta], np.full(s, hp.eta),
-                hp, block.max_local, fit_first=False, layout=_layout(block.rows),
-            )
-            built = FedMessage.batch(
-                rnd, [clients[i].party for i in idx], MessageKind.TRANSFORM_SET,
-                matrices=list(zip(*map(seal_rows, w))),
-            )
-            for i, reply in zip(idx, built):
-                replies[i] = reply
-            commits.append((block, pseudo, consensus))
-        for block, *state in commits:
-            block.commit(*state)
-        return replies if peers is not None else replies[0]
-
-    def _check_shapes(self, matrices: Sequence[np.ndarray]) -> None:
-        got = [m.shape for m in matrices]
+    def check_broadcast(self, rnd: int, msg: FedMessage | None) -> None:
+        if msg is None or msg.kind is not MessageKind.TRANSFORM_SET:
+            raise ValueError(f"round {rnd}: expected a transform broadcast")
+        got = [m.shape for m in msg.matrices]
         if got != self.rows.transform_shapes:
             raise DimensionMismatch(
                 f"broadcast shapes {got}, expected {self.rows.transform_shapes}"
             )
+
+    @classmethod
+    def run_block(cls, rnd: int, clients, msgs: Sequence[FedMessage]):
+        """One block's local passes as one stack, each slice from its
+        client's broadcast."""
+        block, s = clients[0].rows, len(clients)
+        hp = block.hp
+        w, pseudo, consensus, _ = _passes(
+            block.views, block.labels,
+            [stack_rows(a) for a in zip(*(m.matrices for m in msgs))],
+            block.pseudo, block.consensus,
+            [np.full(s, q) for q in hp.zeta], np.full(s, hp.eta),
+            hp, block.max_local, fit_first=False, layout=_layout(block.rows),
+        )
+        replies = FedMessage.batch(
+            rnd, [c.party for c in clients], MessageKind.TRANSFORM_SET,
+            matrices=list(zip(*map(seal_rows, w))),
+        )
+        return replies, functools.partial(block.commit, pseudo, consensus)
 
 
 def aggregate_transforms(

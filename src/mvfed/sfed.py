@@ -16,24 +16,19 @@ The clients of every view of one feature width are zero-padded once,
 when the parties are built, into one (slots, rows, steps, features)
 stack that they share, slots view-major, each client holding its slot;
 the stack keeps no step weights, which each batch gather forms from
-its mask feature.  `SequenceClient.steps`, which the round driver
-calls once a round with the clients of every view, checks every
-broadcast, then runs the local SGD of each whole stack in lock-step
-(`_sgd`), each row starting from the vector its own client received:
-each client keeps its own shuffle stream, batch membership and short
-final batch, step j of an epoch is one kernel call (`_grads`) over
-batch j of every client that has one, and a client out of batches sits
-the later steps out.  The kernel adds every padded term as an exact
-zero after or between real ones, so each client's row is bit-identical
-to what it computes alone, in its own view's federation.  A step covers
-whole stacks: given part of one, it raises InvalidSpec, so the lone
-`step` of a client is that of a stack of one; `loss_and_grad` is the
-kernel on a stack of one and `local_training` the lock-step SGD of a
-stack of one.  A client's own failure (a broadcast it cannot take, a
-row that trains to non-finite values) raises PartyFailure naming it.
-The trained stack is sealed (`fedcore.seal_rows`): checked finite once
-and read-only, so each reply carries its client's row without a copy
-and the server's FedAvg sums its view's rows of the stack.
+its mask feature.  That stack is the clients' block
+(`fedcore.BlockClient`, whose contract `fedcore.rounds` states), and
+its math is its local SGD in lock-step (`_sgd`): each client keeps its
+own shuffle stream, batch membership and short final batch, step j of
+an epoch is one kernel call (`_grads`) over batch j of every client
+that has one, and a client out of batches sits the later steps out.
+The kernel adds every padded term as an exact zero after or between
+real ones, so each client's row is bit-identical to what it computes
+alone, in its own view's federation; `loss_and_grad` is the kernel on
+a stack of one and `local_training` the lock-step SGD of a stack of
+one.  Each view's run of the trained stack is sealed
+(`fedcore.seal_rows`), so each reply carries its client's row without
+a copy and the server's FedAvg sums its view's rows of the stack.
 
 The shuffle streams of every client, view and round, keyed (client,
 view, round), are derived together when the parties are built
@@ -42,8 +37,7 @@ tuple of them per round and stack.  `_sgd` sets each slice's pair on
 one shared generator through one reused state dict and shuffles rows
 pre-filled with arange, so each stream is bit for bit the `make_rng`
 generator of its key; lone callers derive their start states the same
-way.  The replies of each view's run of a stack are built in one
-`FedMessage.batch` call from its sealed rows.
+way.
 """
 
 from __future__ import annotations
@@ -62,9 +56,9 @@ from .errors import (
     EmptyDataset,
     EmptySequence,
     InvalidSpec,
-    PartyFailure,
 )
 from .fedcore import (
+    BlockClient,
     FedMessage,
     Federation,
     InProcessTransport,
@@ -153,6 +147,9 @@ class _Padded:
     lengths: np.ndarray
     y: np.ndarray
     counts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.counts)
 
     @property
     def n(self) -> int:
@@ -444,7 +441,7 @@ def local_training(
 
 
 @dataclass
-class SequenceClient:
+class SequenceClient(BlockClient):
     """Runs local SGD on one view's sequences when polled.
 
     `data` is the padded stack its federation shares with every other
@@ -465,65 +462,44 @@ class SequenceClient:
     streams: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, compare=False)
     scratch: _Scratch = field(repr=False, compare=False)
 
-    @classmethod
-    def steps(cls, clients, rnd: int, msgs: Sequence[FedMessage]) -> list[FedMessage]:
-        """Every client's local SGD and its reply.  The clients of one
-        padded stack, of every view of its width, run as one lock-step
-        pass over the whole stack.  All messages are checked first, and
-        every stack must be covered whole, else InvalidSpec before any
-        SGD."""
-        for c, msg in zip(clients, msgs):
-            try:
-                if msg is None or msg.kind is not MessageKind.PARAM_VECTOR:
-                    raise ValueError(f"round {rnd}: expected a parameter broadcast")
-                if msg.view != c.view_index:
-                    raise ValueError(
-                        f"round {rnd}: broadcast for view {msg.view}, "
-                        f"client trains view {c.view_index}"
-                    )
-            except ValueError as exc:
-                raise PartyFailure(rnd, c.party.id, exc) from exc
-        stacks: dict[int, list[int]] = {}
-        for i, c in enumerate(clients):
-            stacks.setdefault(id(c.data), []).append(i)
-        for idx in stacks.values():
-            idx.sort(key=lambda i: clients[i].slot)
-            first = clients[idx[0]]
-            n = len(first.data.counts)
-            if [clients[i].slot for i in idx] != list(range(n)):
-                raise InvalidSpec(
-                    f"round {rnd}: a step covers {len(idx)} of its stack's {n} clients"
-                )
-            if rnd >= len(first.streams):
-                raise InvalidSpec(
-                    f"round {rnd}: past the {len(first.streams)} rounds of the stream table"
-                )
-        replies: list[FedMessage] = [None] * len(clients)  # type: ignore[list-item]
-        for idx in stacks.values():
-            group = [clients[i] for i in idx]
-            first = group[0]
-            # Each run of one view's clients is stacked from its own
-            # broadcasts and sealed apart, so its server sums it as it is.
-            sizes = [len(list(run)) for _, run in itertools.groupby(c.view_index for c in group)]
-            runs = list(itertools.pairwise(itertools.accumulate(sizes, initial=0)))
-            stacked = _sgd(
-                first.arch,
-                np.concatenate([stack_rows([msgs[i].vector for i in idx[a:b]]) for a, b in runs]),
-                first.data, first.cfg, first.streams[rnd], first.scratch,
-            )
-            for a, b in runs:
-                built = FedMessage.batch(
-                    rnd, [c.party for c in group[a:b]], MessageKind.PARAM_VECTOR,
-                    view=group[a].view_index, vector=seal_rows(stacked[a:b]),
-                )
-                for i, reply in zip(idx[a:b], built):
-                    replies[i] = reply
-        return replies
+    block = property(lambda self: self.data)
 
-    def step(self, rnd: int, msg: FedMessage | None) -> FedMessage:
-        """This client's round alone: `steps` of a stack of one, which
-        raises InvalidSpec unless this client is its stack's only one."""
-        return type(self).steps([self], rnd, [msg])[0]
+    def check_broadcast(self, rnd: int, msg: FedMessage | None) -> None:
+        if msg is None or msg.kind is not MessageKind.PARAM_VECTOR:
+            raise ValueError(f"round {rnd}: expected a parameter broadcast")
+        if msg.view != self.view_index:
+            raise ValueError(
+                f"round {rnd}: broadcast for view {msg.view}, "
+                f"client trains view {self.view_index}"
+            )
+        if len(msg.vector) != self.arch.n_params:
+            raise DimensionMismatch(
+                f"broadcast has {len(msg.vector)} parameters, arch needs {self.arch.n_params}"
+            )
+
+    @classmethod
+    def run_block(cls, rnd: int, clients, msgs: Sequence[FedMessage]):
+        """One padded stack's lock-step SGD, each row from its client's
+        broadcast; each view's run of rows is sealed apart."""
+        first = clients[0]
+        if rnd >= len(first.streams):
+            raise InvalidSpec(
+                f"round {rnd}: past the {len(first.streams)} rounds of the stream table"
+            )
+        sizes = [len(list(run)) for _, run in itertools.groupby(c.view_index for c in clients)]
+        runs = list(itertools.pairwise(itertools.accumulate(sizes, initial=0)))
+        stacked = _sgd(
+            first.arch,
+            np.concatenate([stack_rows([m.vector for m in msgs[a:b]]) for a, b in runs]),
+            first.data, first.cfg, first.streams[rnd], first.scratch,
+        )
+        replies = []
+        for a, b in runs:
+            replies += FedMessage.batch(
+                rnd, [c.party for c in clients[a:b]], MessageKind.PARAM_VECTOR,
+                view=clients[a].view_index, vector=seal_rows(stacked[a:b]),
+            )
+        return replies, None
 
 
 @dataclass

@@ -6,8 +6,9 @@ import threading
 import numpy as np
 import pytest
 
-from mvfed.errors import MalformedFrame, MissingClient, PartyFailure
+from mvfed.errors import InvalidSpec, MalformedFrame, MissingClient, PartyFailure
 from mvfed.fedcore import (
+    BlockClient,
     FedMessage,
     Federation,
     FramedByteTransport,
@@ -27,7 +28,7 @@ from mvfed.fedcore import (
     stack_rows,
 )
 from mvfed.fedcore.messages import PAYLOADS
-from suite_utils import fedavg_in_order, scaling_federation
+from suite_utils import ScalingClient, fedavg_in_order, scaling_federation
 from test_contracts import check_batch, check_replies, check_run_federations, draw_replies
 
 SERVER = PartyId.server()
@@ -984,3 +985,102 @@ class TestRunFederations:
             run_federations([Federation(s, c) for s, c in feds], max_rounds=2)
         assert calls == [5]
         assert [server.rounds for server, _ in feds] == [0, 0]
+
+    def test_repeated_client_id_is_rejected_before_any_broadcast(self):
+        # A second client 0 would share the first one's FedAvg count.
+        calls, transport = [], FramedByteTransport(capture=True)
+        feds = [scaling_federation(seed, n, calls) for seed, n, _ in self.SPECS[:2]]
+        feds[1][1].append(ScalingClient(PartyId.client(0), 2.0, calls))
+        with pytest.raises(InvalidSpec, match="^client 0 joins a federation twice$"):
+            run_federations([Federation(s, c, transport) for s, c in feds], max_rounds=2)
+        assert transport.captured == [] and calls == []
+        assert [server.rounds for server, _ in feds] == [0, 0]
+
+
+class FakeBlock:
+    """A block of n slots for `Slot`: the slots of each run of its math,
+    in order, and the rounds it committed; fail=True makes its math
+    raise after it runs."""
+
+    def __init__(self, n, fail=False):
+        self.n, self.fail = n, fail
+        self.runs, self.committed = [], []
+
+    def __len__(self):
+        return self.n
+
+
+class Slot(BlockClient):
+    """A slot of a FakeBlock whose reply is its broadcast plus its slot;
+    a broadcast of None is one it cannot take."""
+
+    def __init__(self, party, block, slot):
+        self.party, self.block, self.slot = party, block, slot
+
+    def check_broadcast(self, rnd, msg):
+        if msg is None:
+            raise ValueError("no broadcast")
+
+    @classmethod
+    def run_block(cls, rnd, clients, msgs):
+        block = clients[0].block
+        block.runs.append([c.slot for c in clients])
+        if block.fail:
+            raise RuntimeError("boom")
+        replies = [FedMessage.consensus(rnd, c.party, m.matrix + c.slot) for c, m in zip(clients, msgs)]
+        return replies, lambda: block.committed.append(rnd)
+
+
+def two_blocks(fail=False):
+    """Blocks of 2 and 3 slots, the second raising if fail, and their
+    clients 0-4, block by block in slot order."""
+    a, b = FakeBlock(2), FakeBlock(3, fail)
+    slots = [(a, 0), (a, 1), (b, 0), (b, 1), (b, 2)]
+    return a, b, [Slot(PartyId.client(i), block, s) for i, (block, s) in enumerate(slots)]
+
+
+def sent(rnd, value=0.0):
+    return FedMessage.consensus(rnd, SERVER, np.full((1, 1), value))
+
+
+class TestBlockClient:
+    """The block contract of `fedcore.rounds`, on a fake class of two
+    blocks."""
+
+    def test_interleaved_call_order_gets_replies_in_call_order(self):
+        a, b, clients = two_blocks()
+        order = [3, 0, 4, 2, 1]
+        replies = Slot.steps([clients[i] for i in order], 1, [sent(1, 10.0 * i) for i in order])
+        assert [r.sender.id for r in replies] == order
+        assert [r.matrix[0, 0] for r in replies] == [10.0 * i + clients[i].slot for i in order]
+        assert (a.runs, b.runs) == ([[0, 1]], [[0, 1, 2]])
+        assert a.committed == b.committed == [1]
+
+    def test_raising_block_leaves_every_block_uncommitted(self):
+        a, b, clients = two_blocks(fail=True)
+        with pytest.raises(RuntimeError, match="^boom$"):
+            Slot.steps(clients, 0, [sent(0)] * 5)
+        assert (a.runs, b.runs) == ([[0, 1]], [[0, 1, 2]])
+        assert a.committed == b.committed == []
+
+    def test_first_bad_broadcast_in_call_order_is_named(self):
+        a, b, clients = two_blocks()
+        order, bad = [4, 3, 0, 1, 2], {1, 3}
+        msgs = [None if i in bad else sent(2) for i in order]
+        with pytest.raises(PartyFailure) as info:
+            Slot.steps([clients[i] for i in order], 2, msgs)
+        assert (info.value.round_index, info.value.party_id) == (2, 3)
+        assert type(info.value.cause) is ValueError
+        with pytest.raises(PartyFailure) as info:
+            clients[1].step(2, None)
+        assert info.value.party_id == 1
+        assert a.runs == b.runs == []
+
+    @pytest.mark.parametrize("taken, covered", [
+        ([0, 1, 2, 3], 2), ([1, 0, 3, 2, 3], 3), ([2], 1),
+    ], ids=["missing", "duplicated", "lone"])
+    def test_partial_block_is_rejected_before_any_block_runs(self, taken, covered):
+        a, b, clients = two_blocks()
+        with pytest.raises(InvalidSpec, match=f"^round 0: a step covers {covered} of its block's 3 clients$"):
+            Slot.steps([clients[i] for i in taken], 0, [sent(0)] * len(taken))
+        assert a.runs == b.runs == []

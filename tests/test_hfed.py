@@ -319,11 +319,12 @@ class TestCohorts:
         passes = check_hfed(shards, hp, 56, 5, 3)
         assert max(passes) == len(primal) and sum(passes) == 3 * len(sizes)
 
-    def test_part_of_a_block_is_rejected(self):
+    def test_part_of_a_block_is_rejected(self, monkeypatch):
         # A step covers whole blocks.  The 9-wide view puts the 8-row
         # clients in a block of their own (dual form); a step given part
         # of the other block raises InvalidSpec, alone or beside a whole
-        # block, and no client's state changes.
+        # block, before any block's passes run, and no client's state
+        # changes.
         assert [f.name for f in dataclasses.fields(HorizontalClient)] == ["party", "rows", "slot"]
         shards = rows_of([8, 11, 9, 8], seed=57, dims=(4, 9))
         hp = dataclasses.replace(HyperParams.uniform(2), tol=1e-4, max_inner=6)
@@ -338,6 +339,7 @@ class TestCohorts:
             return [m.tobytes() for pseudo, z in map(client_state, clients) for m in (*pseudo, z)]
 
         before = state()
+        passes = record_calls(monkeypatch, mvfed.hfed, "_passes", 6)
         for some in ([clients[2]], [clients[0], clients[3], clients[1]]):
             with pytest.raises(InvalidSpec, match="covers 1 of its block's 2 clients"):
                 stage(some, 1, [sent] * len(some))
@@ -345,6 +347,7 @@ class TestCohorts:
         with pytest.raises(InvalidSpec, match="covers 1 of its block's 2 clients"):
             clients[1].step(1, sent)
         assert state() == before
+        assert passes == []
         assert all(a is b for a, b in zip(taken, [*block.pseudo, block.consensus]))
 
     def test_back_to_back_federations_are_equal(self):

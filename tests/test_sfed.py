@@ -579,9 +579,9 @@ class TestCohort:
         server, clients = make_sequence_parties(datasets, 1, ARCH, RAGGED_CFG)
         sent = server.broadcast(0)
         sizes = record_calls(monkeypatch, mvfed.sfed, "_sgd", 1)
-        with pytest.raises(InvalidSpec, match="round 0: a step covers 2 of its stack's 3 clients"):
+        with pytest.raises(InvalidSpec, match="round 0: a step covers 2 of its block's 3 clients"):
             stage([clients[2], clients[0]], 0, [sent, sent])
-        with pytest.raises(InvalidSpec, match="round 0: a step covers 1 of its stack's 3 clients"):
+        with pytest.raises(InvalidSpec, match="round 0: a step covers 1 of its block's 3 clients"):
             clients[1].step(0, sent)
         assert sizes == []
         replies = stage([clients[2], clients[0], clients[1]], 0, [sent] * 3)
@@ -595,6 +595,27 @@ class TestCohort:
             stage(clients, 0, [sent, wrong, sent])
         assert (err.value.round_index, err.value.party_id) == (0, 1)
         assert type(err.value.cause) is ValueError and "view 0" in str(err.value.cause)
+
+    def test_wrong_length_broadcast_names_its_client(self, monkeypatch):
+        # A 27-entry vector for the 26-parameter arch is its client's
+        # DimensionMismatch, before any SGD: stacked, where only client 1
+        # gets it, and in a lone step of a federation of one.
+        datasets = ragged_clients(74)
+        server, clients = make_sequence_parties(datasets, 0, ARCH, RAGGED_CFG)
+        _, (alone,) = make_sequence_parties(datasets[:1], 0, ARCH, RAGGED_CFG)
+        sent = server.broadcast(0)
+        long = FedMessage.param_vector(0, PartyId.server(), 0, np.append(sent.vector, 0.0))
+        assert ARCH.n_params == 26
+        sizes = record_calls(monkeypatch, mvfed.sfed, "_sgd", 1)
+        for step, party in [
+            (lambda: stage(clients, 0, [sent, long, long]), 1),
+            (lambda: alone.step(0, long), 0),
+        ]:
+            with pytest.raises(PartyFailure) as err:
+                step()
+            assert (err.value.round_index, err.value.party_id) == (0, party)
+            assert type(err.value.cause) is DimensionMismatch
+        assert sizes == []
 
     def test_framed_transport_stages_and_matches_in_process(self, monkeypatch):
         # Over framed bytes every client decodes its own broadcast; each

@@ -42,7 +42,8 @@ cli gen-data --out seqmix --kind sequences --step-dims 6,6,4
 # candidates as one stack, and the hfed and mv_local grids run 36 and
 # 108 small federations back to back.  hfed16's shards have 7 and 8 rows
 # beside an 8-wide view, so its federation runs a dual-form block per
-# row count beside the primal block.  vfed's clients and the single-view
+# row count beside the primal block; its trained model (mh16) is
+# compared too, at full precision.  vfed's clients and the single-view
 # baseline fit one 2-D problem at a time, each as a stack of one.  sfed
 # runs its views' federations in lock-step; on seqmix the two 6-wide
 # views share one padded stack beside the 4-wide view's own.  Every
@@ -72,6 +73,7 @@ reports() {
     cli train --data flat --model-out "$out/model"
     cli train --data flat --mode single_view --views 1 --model-out "$out/m1"
     cli train --data flat --mode hfed --clients 7 --rounds 2 --model-out "$out/mh"
+    cli train --data flat --mode hfed --clients 16 --rounds 2 --model-out "$out/mh16"
     cli export-embeddings --mode vfed --data flat --out "$out/emb.csv"
     cli export-embeddings --mode sfed --data seq --clients 2 --enc-rounds 2 --out "$out/seq_emb.csv"
 }
