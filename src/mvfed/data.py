@@ -15,7 +15,12 @@ key=value manifest.txt: dataset directories (view_k.csv, labels.csv),
 sequence directories (sequences_view_k.csv, one step per row, and
 labels.csv), model directories (transform_i.csv, zeta.csv) and
 embedding CSVs (a trailing class column).  A bad or non-finite cell or
-a missing manifest key is a ParseError, a wrong count a ShapeError.
+a missing manifest key is a ParseError, a wrong count a ShapeError; the
+writer rejects a non-finite cell (InvalidSpec) before it opens the file.
+The class-count rule, at least two classes and, for a generator, enough
+samples for one of each, is `_check_classes`, which both generator specs
+and `SequenceDataset` call; the dataset types take their label and view
+selection rules from `mvl` (`_class_indices`, `_check_view_indices`).
 """
 
 from __future__ import annotations
@@ -36,8 +41,16 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .mvl import MultiViewDataset, _check_cap, _check_view_indices
+from .mvl import MultiViewDataset, _check_cap, _check_view_indices, _class_indices
 from .numerics import KEY_DATA, make_rng, orthonormal_init
+
+
+def _check_classes(n_classes: int, n_samples: int | None = None) -> None:
+    """At least two classes and, given n_samples, enough samples for one of each."""
+    if n_classes < 2:
+        raise InvalidSpec("need at least two classes")
+    if n_samples is not None and n_samples < n_classes:
+        raise InvalidSpec(f"{n_samples} samples cannot cover {n_classes} classes")
 
 
 @dataclass
@@ -49,15 +62,11 @@ class SequenceDataset:
     n_classes: int
 
     def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=np.int64)
-        if self.y.ndim != 1 or len(self.sequences) != self.y.shape[0]:
-            raise DimensionMismatch(
-                f"{len(self.sequences)} sequences, label shape {self.y.shape}"
-            )
-        if self.n_classes < 2:
-            raise InvalidSpec("need at least two classes")
-        if self.y.size and (self.y.min() < 0 or self.y.max() >= self.n_classes):
-            raise InvalidSpec("class index out of range")
+        y = np.asarray(self.y)
+        if y.ndim != 1 or len(self.sequences) != y.shape[0]:
+            raise DimensionMismatch(f"{len(self.sequences)} sequences, label shape {y.shape}")
+        _check_classes(self.n_classes)
+        self.y, _ = _class_indices(y, self.n_classes)
         width = None
         for i, seq in enumerate(self.sequences):
             if seq.ndim != 2:
@@ -134,8 +143,6 @@ class SequenceClientData:
         return SequenceClientData(views=[v.subset(indices) for v in self.views])
 
     def select_views(self, view_indices) -> "SequenceClientData":
-        if len(view_indices) == 0:
-            raise InvalidSpec("view selection must keep at least one view")
         _check_view_indices(view_indices, self.n_views)
         return SequenceClientData(views=[self.views[k] for k in view_indices])
 
@@ -154,12 +161,7 @@ class GeneratorSpec:
 
     def __post_init__(self):
         _check_cap("seed", self.seed)
-        if self.n_classes < 2:
-            raise InvalidSpec("need at least two classes")
-        if self.n_samples < self.n_classes:
-            raise InvalidSpec(
-                f"{self.n_samples} samples cannot cover {self.n_classes} classes"
-            )
+        _check_classes(self.n_classes, self.n_samples)
         if len(self.dims) < 1 or any(d < 1 for d in self.dims):
             raise InvalidSpec(f"bad view widths {self.dims}")
         if not 0 <= self.noise < np.inf:
@@ -196,12 +198,7 @@ class SeqGeneratorSpec:
 
     def __post_init__(self):
         _check_cap("seed", self.seed)
-        if self.n_classes < 2:
-            raise InvalidSpec("need at least two classes")
-        if self.n_samples < self.n_classes:
-            raise InvalidSpec(
-                f"{self.n_samples} samples cannot cover {self.n_classes} classes"
-            )
+        _check_classes(self.n_classes, self.n_samples)
         if len(self.step_dims) < 1 or any(p < 1 for p in self.step_dims):
             raise InvalidSpec(f"bad step widths {self.step_dims}")
         lo, hi = self.t_range
@@ -416,8 +413,12 @@ def _parse_int64(path: str, line_no: int, col: int, text: str) -> int:
 def _write_matrix(path: str, prefix: str, m, classes=None) -> None:
     """m's rows under the header {prefix}0..{prefix}{cols-1}, each cell
     as repr(float) so it reads back bit for bit; with classes, a
-    trailing integer class column."""
+    trailing integer class column.  A non-finite cell is InvalidSpec."""
     m = np.asarray(m, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise InvalidSpec(f"{path}: row {i}, column {j} is non-finite: {m[i, j].item()!r}")
     header = [f"{prefix}{j}" for j in range(m.shape[1])]
     rows = ([repr(v) for v in row] for row in m.tolist())
     if classes is not None:

@@ -144,6 +144,14 @@ def lookup_mode(name: str) -> Mode:
     return MODES[name]
 
 
+def _increasing_views(prefix: str, views) -> tuple[int, ...]:
+    """views as ints; ConfigError unless non-negative and strictly increasing."""
+    views = tuple(int(k) for k in views)
+    if any(b <= a for a, b in zip((-1, *views), views)):
+        raise ConfigError(f"{prefix} {views} must be non-negative and strictly increasing")
+    return views
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one experiment run depends on."""
@@ -182,13 +190,9 @@ class RunConfig:
             raise ConfigError(f"split: fractions sum to {sum(split)!r}, not 1")
         object.__setattr__(self, "split", split)
         if self.view_mask is not None:
-            mask = tuple(int(k) for k in self.view_mask)
-            if not mask or any(k < 0 for k in mask):
+            mask = _increasing_views("view_mask: indices", self.view_mask)
+            if not mask:
                 raise ConfigError(f"view_mask: bad view indices {mask}")
-            if len(set(mask)) != len(mask) or list(mask) != sorted(mask):
-                raise ConfigError(
-                    f"view_mask: indices must be strictly increasing, got {mask}"
-                )
             object.__setattr__(self, "view_mask", mask)
         if self.grid and not mode.grid:
             raise ConfigError(
@@ -301,6 +305,15 @@ def _split(cfg: RunConfig, data, seed: int):
     """Stratified train, validation and test parts of data."""
     parts = split_indices(data.class_indices(), data.n_classes, cfg.split, seed)
     return tuple(data.subset(p) for p in parts)
+
+
+def _given(cfg: RunConfig, dataset, sequences):
+    """The data given for cfg's kind of mode; ConfigError if the other kind was."""
+    given, wrong = (sequences, dataset) if cfg.is_sequential else (dataset, sequences)
+    if wrong is not None:
+        need = "sequence data" if cfg.is_sequential else "flat view matrices"
+        raise ConfigError(f"data source: mode {cfg.mode!r} needs {need}")
+    return given
 
 
 def _source(cfg: RunConfig, given=None, r: int = 0):
@@ -542,10 +555,7 @@ def run_experiment(
     cfg.data_dir, is reused across repeats with varying splits; with a
     generator spec each repeat regenerates at the shifted seed.
     """
-    given, wrong = (sequences, dataset) if cfg.is_sequential else (dataset, sequences)
-    if wrong is not None:
-        need = "sequence data" if cfg.is_sequential else "flat view matrices"
-        raise ConfigError(f"data source: mode {cfg.mode!r} needs {need}")
+    given = _given(cfg, dataset, sequences)
     generated = given is None and cfg.data_dir is None
     if not generated:
         given = _source(cfg, given)
@@ -601,10 +611,8 @@ class ModelBundle:
         if self.single and len(self.transforms) != 1:
             raise ConfigError("model: a single-view model holds one transform")
         if self.views is not None:
-            self.views = tuple(int(k) for k in self.views)
-            if len(self.views) != len(self.transforms) or any(
-                b <= a for a, b in zip((-1, *self.views), self.views)
-            ):
+            self.views = _increasing_views("model: source views", self.views)
+            if len(self.views) != len(self.transforms):
                 raise ConfigError(
                     f"model: source views {self.views} for "
                     f"{len(self.transforms)} transforms"
@@ -729,11 +737,11 @@ def compute_embeddings(
     mode = MODES[cfg.mode]
     if not mode.embeds:
         raise ConfigError(f"mode: {cfg.mode!r} has no per-sample embedding to export")
+    data = _source(cfg, _given(cfg, dataset, sequences))
     if mode.sequential:
         from . import sfed
 
-        bundle = _source(cfg, sequences)
-        masked = bundle.select_views(_resolve_mask(cfg, bundle.n_views))
+        masked = data.select_views(_resolve_mask(cfg, data.n_views))
         clients = partition_sequences(
             masked, cfg.n_clients, stratified=True, seed=cfg.seed
         )
@@ -744,7 +752,7 @@ def compute_embeddings(
             for k in range(masked.n_views)
         ]
         return np.hstack(feats), masked.y.copy()
-    masked, hp = _select(cfg, _source(cfg, dataset))
+    masked, hp = _select(cfg, data)
     if mode.trainer == "vfed":
         from . import vfed
 

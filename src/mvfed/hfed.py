@@ -48,6 +48,8 @@ from .mvl import (
     HyperParams,
     MultiViewDataset,
     _check_cap,
+    _check_hp_views,
+    _dual,
     _fit_stats,  # not called here; mvbench/tracer.py wraps `mvfed.hfed:_fit_stats`
     _layout,
     _passes,
@@ -232,10 +234,7 @@ def make_horizontal_parties(
             raise DimensionMismatch("clients disagree on view widths or classes")
     _check_client_rows(datasets)
     _check_cap("max_local", max_local)
-    if hp.n_views != len(dims):
-        raise DimensionMismatch(
-            f"hyperparams cover {hp.n_views} views, data has {len(dims)}"
-        )
+    _check_hp_views(hp, len(dims))
     w0 = [
         gaussian_init(d, c, seed, KEY_TRANSFORM, k, scale=1.0 / np.sqrt(d))
         for k, d in enumerate(dims)
@@ -246,7 +245,7 @@ def make_horizontal_parties(
     blocks: dict[int | None, list[int]] = {}
     for l, data in enumerate(datasets):
         n = data.n_samples
-        blocks.setdefault(None if max(dims) <= n else n, []).append(l)
+        blocks.setdefault(n if _dual(max(dims), n) else None, []).append(l)
     clients: list[HorizontalClient] = [None] * len(datasets)
     for group in blocks.values():
         group.sort(key=lambda l: datasets[l].n_samples)

@@ -56,6 +56,17 @@ the shape of X (n rows, d columns) alone:
   system costs O(n^2 d + n^3) per iteration and nothing is d x d
   (Nie et al., "Efficient and Robust Feature Selection via Joint
   l2,1-Norms Minimization", NeurIPS 2010).
+  `_dual` states that choice once, for the kernel and hfed's blocks.
+
+The input rules that several entry points share each have one function
+here, which every such entry point calls: `_check_cap` (counts, seeds),
+`_check_view_indices` (a non-empty selection of existing views, for both
+dataset types), `_class_indices` (integer labels in [0, classes), for
+`MultiViewDataset` and `data.SequenceDataset`, which `sfed.loss_and_grad`
+builds from its batch),
+`_check_hp_views` (hyperparameters for the data's views, for every
+trainer), `_check_prediction` (for `predict_mvl` and `vfed_predict`) and
+`_check_block_count` (one zeta per pseudo-label block).
 """
 
 from __future__ import annotations
@@ -186,19 +197,55 @@ class HyperParams:
 
 
 def _check_view_indices(view_indices, n_views: int) -> None:
-    """Reject a view index that is not an integer in [0, n_views)."""
+    """Reject an empty selection or an index that is not an integer in [0, n_views)."""
+    if len(view_indices) == 0:
+        raise DimensionMismatch("view selection must keep at least one view")
     for k in view_indices:
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < n_views:
             raise DimensionMismatch(f"view index {k!r} is not one of the {n_views} views")
 
 
-def _check_blend(zeta, tol) -> None:
-    """The prediction loops' settings: every zeta finite and >= 0, as in
-    `HyperParams`, and tol in [0, 1), where 0 runs every round."""
+def _check_hp_views(hp: HyperParams, k: int) -> None:
+    """Reject hyperparameters that do not cover exactly the data's k views."""
+    if hp.n_views != k:
+        raise DimensionMismatch(f"hyperparams cover {hp.n_views} views, data has {k}")
+
+
+def _check_prediction(test_views, transforms, zeta, tol) -> None:
+    """The prediction loops' inputs: an (n, d_k) X_k, a (d_k, c) W_k and
+    a zeta_k per view, every zeta finite and >= 0, as in `HyperParams`,
+    and tol in [0, 1), where 0 runs every round."""
+    if len(test_views) != len(transforms) or len(test_views) != len(zeta):
+        raise DimensionMismatch(
+            f"{len(test_views)} views, {len(transforms)} transforms, "
+            f"{len(zeta)} zeta values"
+        )
     if not all(0 <= z < np.inf for z in zeta):
         raise InvalidSpec(f"zeta must be finite and >= 0, got {zeta!r}")
     if not 0 <= tol < 1:
         raise InvalidSpec(f"tol must lie in [0, 1), got {tol!r}")
+    for k, (x, w) in enumerate(zip(test_views, transforms)):
+        if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+            raise DimensionMismatch(
+                f"view {k}: X shape {x.shape} incompatible with W shape {w.shape}"
+            )
+
+
+def _class_indices(y, n_classes: int | None = None) -> tuple[np.ndarray, int]:
+    """y as int64 class indices, and the class count: n_classes, else the
+    largest index plus one.  InvalidSpec names the first sample whose
+    label is not an integer in [0, that count)."""
+    y = np.asarray(y)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught below
+        index = y.astype(np.int64, copy=False)
+    c = int(n_classes) if n_classes is not None else int(index.max()) + 1
+    bad = (index != y) | (index < 0) | (index >= c)
+    if bad.any():
+        i = int(bad.argmax())
+        raise InvalidSpec(
+            f"label of sample {i} must be an integer in [0, {c}), got {y[i].item()!r}"
+        )
+    return index, c
 
 
 def _check_one_hot(labels: np.ndarray) -> None:
@@ -263,8 +310,6 @@ class MultiViewDataset:
 
     def select_views(self, view_indices: Sequence[int]) -> "MultiViewDataset":
         """Dataset restricted to a subset of views (shared arrays)."""
-        if len(view_indices) == 0:
-            raise DimensionMismatch("view selection must keep at least one view")
         _check_view_indices(view_indices, self.n_views)
         return MultiViewDataset(
             views=[self.views[k] for k in view_indices], labels=self.labels
@@ -274,20 +319,10 @@ class MultiViewDataset:
     def from_class_indices(
         cls, views: list[np.ndarray], y: np.ndarray, n_classes: int | None = None
     ) -> "MultiViewDataset":
-        """One-hot labels from class indices, each an integer in
-        [0, n_classes); n_classes defaults to the largest index plus one."""
-        y = np.asarray(y)
-        with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught below
-            index = y.astype(np.int64, copy=False)
-        c = int(n_classes) if n_classes is not None else int(index.max()) + 1
-        bad = (index != y) | (index < 0) | (index >= c)
-        if bad.any():
-            i = int(bad.argmax())
-            raise InvalidSpec(
-                f"label of sample {i} must be an integer in [0, {c}), got {y[i].item()!r}"
-            )
-        labels = np.zeros((y.shape[0], c))
-        labels[np.arange(y.shape[0]), index] = 1.0
+        """One-hot labels from class indices (`_class_indices`)."""
+        index, c = _class_indices(y, n_classes)
+        labels = np.zeros((index.shape[0], c))
+        labels[np.arange(index.shape[0]), index] = 1.0
         return cls(views=views, labels=labels)
 
 
@@ -341,8 +376,7 @@ def _check_state_shapes(data: MultiViewDataset, state: MvlState, k: int) -> None
 def objective(data: MultiViewDataset, state: MvlState, hp: HyperParams) -> float:
     """Smoothed training objective over the full dataset."""
     k = data.n_views
-    if hp.n_views != k:
-        raise DimensionMismatch(f"hyperparams cover {hp.n_views} views, data has {k}")
+    _check_hp_views(hp, k)
     _check_state_shapes(data, state, k)
     zk = [m[None] for m in state.Zk]
     value = _stack_objective(
@@ -361,13 +395,18 @@ def _row_weights_of(norms: np.ndarray, epsilon: float) -> np.ndarray:
     return 0.5 / (norms + epsilon)
 
 
+def _dual(d: int, n: int) -> bool:
+    """Whether a view d wide over n rows is fitted in the dual form."""
+    return d > n
+
+
 def _grams(views: Sequence[np.ndarray], layout=None) -> list[np.ndarray | None]:
     """X^T X of every view, one matrix or one per slice of a stack or,
     given its layout, one per slot of a ragged stack, formed once per
     run (`_runs`); None for a view wider than its rows, which the dual
     form fits without it."""
     if layout is None:
-        return [None if x.shape[-1] > x.shape[-2] else x.swapaxes(-1, -2) @ x for x in views]
+        return [None if _dual(x.shape[-1], x.shape[-2]) else x.swapaxes(-1, -2) @ x for x in views]
     runs = [_grams(_runs(x, layout)) for x in views]
     return [None if g[0] is None else _join(g) for g in runs]
 
@@ -613,7 +652,7 @@ def _fit_group(xs, targets, betas, epsilon, max_inner, tol, w_inits, grams):
     x = xs[0]
     beta = np.array(betas).repeat(sizes)
     w = _join(w_inits)
-    if x.shape[-1] > x.shape[-2]:
+    if _dual(x.shape[-1], x.shape[-2]):
         target = targets[0]
         fit = _stack_sums((x @ w - target) ** 2)
         step = _dual_step if x.ndim == 3 else functools.partial(_dual_step, x)
@@ -748,6 +787,14 @@ def update_pseudo_labels(
     return (xw + zeta * consensus) / (1.0 + zeta)
 
 
+def _check_block_count(pseudo_labels, zeta) -> None:
+    """Reject a zeta count that differs from the pseudo-label block count."""
+    if len(pseudo_labels) != len(zeta):
+        raise DimensionMismatch(
+            f"{len(pseudo_labels)} pseudo-label blocks for {len(zeta)} zeta values"
+        )
+
+
 def update_consensus(
     pseudo_labels: Sequence[np.ndarray],
     labels: np.ndarray,
@@ -758,10 +805,7 @@ def update_consensus(
 
     The weights may be (s, 1, 1) arrays, one weight per slice of stacked
     pseudo-label blocks; labels may be shared by every slice."""
-    if len(pseudo_labels) != len(zeta):
-        raise DimensionMismatch(
-            f"{len(pseudo_labels)} pseudo-label blocks for {len(zeta)} zeta values"
-        )
+    _check_block_count(pseudo_labels, zeta)
     acc = eta * labels
     denom = eta
     for z, zk in zip(zeta, pseudo_labels):
@@ -779,10 +823,7 @@ def test_consensus(pseudo_labels: Sequence[np.ndarray], zeta: Sequence) -> np.nd
 
     The weights may be (s, 1, 1) arrays, one weight per slice of stacked
     estimates."""
-    if len(pseudo_labels) != len(zeta):
-        raise DimensionMismatch(
-            f"{len(pseudo_labels)} pseudo-label blocks for {len(zeta)} zeta values"
-        )
+    _check_block_count(pseudo_labels, zeta)
     denom = sum(zeta)
     if np.any(denom <= 0.0):
         raise InvalidSpec("test consensus undefined: sum(zeta) must be > 0")
@@ -859,8 +900,7 @@ def _train_stack(
     trace.
     """
     hp, k = hps[0], data.n_views
-    if hp.n_views != k:
-        raise DimensionMismatch(f"hyperparams cover {hp.n_views} views, data has {k}")
+    _check_hp_views(hp, k)
     if any(dataclasses.replace(h, zeta=hp.zeta, eta=hp.eta) != hp for h in hps):
         raise InvalidSpec("stacked hyperparameter sets may differ in zeta and eta only")
     s = len(hps)
@@ -987,20 +1027,10 @@ def predict_mvl(
     test-time consensus and per-view blends until the test objective's
     relative change falls below tol (or max_outer rounds).  It is the
     stacked predictor `_predict_stack` on a stack of one transform set.
-    A zeta or tol outside `_check_blend`'s rules is InvalidSpec.
+    `_check_prediction` checks the inputs before any round.
     """
     _check_cap("max_outer", max_outer)
-    if len(test_views) != len(transforms) or len(test_views) != len(zeta):
-        raise DimensionMismatch(
-            f"{len(test_views)} views, {len(transforms)} transforms, "
-            f"{len(zeta)} zeta values"
-        )
-    _check_blend(zeta, tol)
-    for k, (x, w) in enumerate(zip(test_views, transforms)):
-        if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
-            raise DimensionMismatch(
-                f"view {k}: X shape {x.shape} incompatible with W shape {w.shape}"
-            )
+    _check_prediction(test_views, transforms, zeta, tol)
     return _predict_stack(
         test_views, [w[None] for w in transforms],
         [np.array([z], dtype=np.float64) for z in zeta], tol, max_outer,

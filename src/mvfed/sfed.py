@@ -50,13 +50,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .data import SequenceClientData, SequenceDataset, TrainerConfig
-from .errors import (
-    DimensionMismatch,
-    EmptyBatch,
-    EmptyDataset,
-    EmptySequence,
-    InvalidSpec,
-)
+from .errors import DimensionMismatch, EmptyBatch, EmptyDataset, InvalidSpec
 from .fedcore import (
     BlockClient,
     FedMessage,
@@ -128,6 +122,14 @@ class EncoderArch:
         step = rng.standard_normal((p, e)) / np.sqrt(p)
         head = rng.standard_normal((e, c)) / np.sqrt(e)
         return self.pack(step, np.zeros(e), head, np.zeros(c))
+
+
+def _check_width(arch: EncoderArch, data: SequenceDataset) -> None:
+    """Reject sequences whose steps are not as wide as the encoder's."""
+    if data.n_features != arch.n_features:
+        raise DimensionMismatch(
+            f"sequence width {data.n_features}, arch expects {arch.n_features}"
+        )
 
 
 @dataclass(frozen=True)
@@ -311,25 +313,16 @@ def loss_and_grad(
     labels: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy over the batch and its exact gradient:
-    the encoder kernel on a stack of one."""
+    the encoder kernel on a stack of one.  The batch must make a
+    `SequenceDataset` of arch's classes and width."""
     if len(sequences) == 0:
         raise EmptyBatch("loss needs at least one sequence")
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (len(sequences),):
-        raise DimensionMismatch(
-            f"{len(sequences)} sequences, label shape {labels.shape}"
-        )
-    for i, seq in enumerate(sequences):
-        if seq.shape[0] == 0:
-            raise EmptySequence(f"sample {i} has no time steps")
-        if seq.shape[1] != arch.n_features:
-            raise DimensionMismatch(
-                f"sample {i} width {seq.shape[1]}, arch expects {arch.n_features}"
-            )
-    padded = _pad([(sequences, labels)])
+    data = SequenceDataset(list(sequences), labels, arch.n_classes)
+    _check_width(arch, data)
+    padded = _pad([(data.sequences, data.y)])
     batch = padded.gather(np.zeros(1, dtype=np.int64), np.arange(len(sequences))[None])
     log_probs, grad = _grads(arch, np.asarray(w, dtype=float)[None], batch)
-    loss = float(-log_probs[0, np.arange(len(sequences)), labels].mean())
+    loss = float(-log_probs[0, np.arange(len(sequences)), data.y].mean())
     return loss, grad[0]
 
 
@@ -555,10 +548,7 @@ def _federations(
         for data in datasets:
             if data.n_samples == 0:
                 raise EmptyDataset("every client must hold at least one sequence")
-            if data.n_features != arch.n_features:
-                raise DimensionMismatch(
-                    f"client width {data.n_features}, arch expects {arch.n_features}"
-                )
+            _check_width(arch, data)
     servers = [
         SequenceServer(
             w=arch.init_params(cfg.seed, KEY_ENCODER, view_index),
@@ -667,10 +657,7 @@ def extract_features(
     """Embedding matrix (n_samples by embed_dim) for one view's sequences."""
     if data.n_samples == 0:
         return np.zeros((0, arch.embed_dim))
-    if data.n_features != arch.n_features:
-        raise DimensionMismatch(
-            f"sequence width {data.n_features}, arch expects {arch.n_features}"
-        )
+    _check_width(arch, data)
     padded = _pad([(data.sequences, data.y)])
     # The padded rows in place; a lone sequence keeps the padding row,
     # so every product in `_forward` stays a matrix product.

@@ -27,8 +27,9 @@ from .fedcore import (
 from .mvl import (
     HyperParams,
     MultiViewDataset,
-    _check_blend,
     _check_cap,
+    _check_hp_views,
+    _check_prediction,
     _fit_stats,  # not called here; mvbench/tracer.py wraps `mvfed.vfed:_fit_stats`
     init_state,
     test_consensus,
@@ -113,10 +114,7 @@ def make_vertical_parties(
     The state split mirrors data ownership: client k receives W_k and
     Z_k, the server receives Z and the labels.
     """
-    if hp.n_views != data.n_views:
-        raise DimensionMismatch(
-            f"hyperparams cover {hp.n_views} views, data has {data.n_views}"
-        )
+    _check_hp_views(hp, data.n_views)
     state = init_state(data.dims, data.n_samples, data.n_classes, seed)
     server = VerticalServer(labels=data.labels, eta=hp.eta, tol=hp.tol, z=state.Z)
     clients = [
@@ -176,10 +174,6 @@ class VerticalPredictClient:
 
     def step(self, rnd: int, msg: FedMessage | None) -> FedMessage:
         if rnd == 0:
-            if self.x.shape[1] != self.w.shape[0]:
-                raise DimensionMismatch(
-                    f"X shape {self.x.shape} incompatible with W {self.w.shape}"
-                )
             self.scores = self.x @ self.w
             self.estimate = self.scores.copy()
         else:
@@ -229,16 +223,11 @@ def vfed_predict(
     Round 0 initializes each client's estimate at X_k W_k and takes the
     first weighted average; later rounds alternate the client blend and
     the server average until the average's relative drift falls below
-    tol.  Matches `predict_mvl` under equal caps, and rejects the zeta
-    and tol it rejects.
+    tol.  Matches `predict_mvl` under equal caps, and rejects, before
+    any round, the inputs it rejects (`mvl._check_prediction`).
     """
-    if len(test_views) != len(transforms) or len(test_views) != len(zeta):
-        raise DimensionMismatch(
-            f"{len(test_views)} views, {len(transforms)} transforms, "
-            f"{len(zeta)} zeta values"
-        )
     _check_cap("max_rounds", max_rounds, low=1)
-    _check_blend(zeta, tol)
+    _check_prediction(test_views, transforms, zeta, tol)
     clients = [
         VerticalPredictClient(party=PartyId.client(k), x=x, w=w, zeta=z)
         for k, (x, w, z) in enumerate(zip(test_views, transforms, zeta))

@@ -27,6 +27,7 @@ from mvfed.mvl import (
     train_mvl,
     train_single_view,
 )
+from mvfed.sfed import EncoderArch, loss_and_grad
 
 
 def single_view_accuracy(x, labels, beta=1.0):
@@ -177,6 +178,20 @@ class TestPartitionHorizontal:
             total, np.bincount(data.class_indices(), minlength=2)
         )
 
+    def test_unstratified_deal_covers_every_row_once(self):
+        ids, y = np.arange(23.0), np.arange(23) % 2  # each row carries its own index
+        flat = MultiViewDataset.from_class_indices([ids[:, None]], y)
+        bundle = SequenceClientData([SequenceDataset([np.full((1, 1), i) for i in ids], y, 2)])
+        for partition, whole, rows_of in (
+            (partition_horizontal, flat, lambda d: d.views[0][:, 0].tolist()),
+            (partition_sequences, bundle, lambda d: [s[0, 0] for s in d.views[0].sequences]),
+        ):
+            dealt = [rows_of(s) for s in partition(whole, 5, stratified=False, seed=3)]
+            assert sorted(r for shard in dealt for r in shard) == ids.tolist()
+            assert max(map(len, dealt)) - min(map(len, dealt)) <= 1
+            again = partition(whole, 5, stratified=False, seed=3)
+            assert [rows_of(s) for s in again] == dealt
+
     def test_more_clients_than_samples_rejected(self):
         data = gen_multiview(GeneratorSpec(n_samples=4, dims=(3,), seed=8))
         with pytest.raises(InvalidSpec):
@@ -190,15 +205,25 @@ class TestIndicesAtTheBoundary:
     enter.  Before, a label of -1 one-hot encoded the last class, 5 of 2
     classes raised a bare IndexError and 0.5 became class 0; a client
     count of 1.5 raised TypeError; view index -1 picked the last view,
-    5 raised IndexError and an index array raised numpy's ValueError."""
+    5 raised IndexError and an index array raised numpy's ValueError.
+    Sequence labels of 0.5 became class 0 and NaN warned, and the
+    encoder loss scored -1 as the last class; sequence views rejected
+    an empty selection with another error type."""
 
     VIEWS = [np.zeros((4, 2))]
+    ARCH = EncoderArch(n_features=2, embed_dim=2, n_classes=2)
 
     @pytest.mark.parametrize("bad", [-1, 2, 5, 0.5, np.nan, np.inf, -np.inf])
     def test_label_outside_the_classes_is_rejected_naming_its_sample(self, bad):
         y = np.array([0, 1, bad, -1])  # float64 for a float label, else int64
-        with pytest.raises(InvalidSpec, match=r"label of sample 2 must be an integer in \[0, 2\)"):
-            MultiViewDataset.from_class_indices(self.VIEWS, y, n_classes=2)
+        steps = [np.zeros((1, 2))] * 4
+        for build in (
+            lambda: MultiViewDataset.from_class_indices(self.VIEWS, y, n_classes=2),
+            lambda: SequenceDataset(steps, y, 2),
+            lambda: loss_and_grad(self.ARCH, np.zeros(self.ARCH.n_params), steps, y),
+        ):
+            with pytest.raises(InvalidSpec, match=r"label of sample 2 must be an integer in \[0, 2\)"):
+                build()
 
     def test_integral_labels_of_any_dtype_encode_alike(self):
         want = MultiViewDataset.from_class_indices(self.VIEWS, [0, 2, 1, 2]).labels  # 3 classes
@@ -224,6 +249,13 @@ class TestIndicesAtTheBoundary:
             with pytest.raises(DimensionMismatch, match=message):
                 whole.select_views((0, index))
         assert data.select_views(np.array([0, 1])).dims == (3, 2)
+
+    def test_empty_view_selection_is_rejected(self):
+        data = gen_multiview(GeneratorSpec(n_samples=8, dims=(3, 2), seed=8))
+        bundle = gen_sequences(SeqGeneratorSpec(n_samples=8, step_dims=(3, 2), seed=8))
+        for whole in (data, bundle):
+            with pytest.raises(DimensionMismatch, match="view selection must keep at least one view"):
+                whole.select_views([])
 
 
 class TestDatasetFiles:

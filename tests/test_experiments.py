@@ -14,7 +14,7 @@ from mvfed.data import (
     gen_multiview,
     partition_horizontal,
 )
-from mvfed.errors import ConfigError, ParseError, ShapeError
+from mvfed.errors import ConfigError, InvalidSpec, ParseError, ShapeError
 from mvfed.experiments import (
     MODES,
     ModelBundle,
@@ -354,6 +354,8 @@ class TestSequentialModes:
         data = gen_multiview(easy_spec())
         with pytest.raises(ConfigError):
             run_experiment(seq_cfg(), dataset=data)
+        with pytest.raises(ConfigError, match="needs sequence data"):
+            compute_embeddings(seq_cfg(), dataset=data)
 
     def test_flat_mode_rejects_sequences(self):
         from mvfed.data import gen_sequences
@@ -361,6 +363,8 @@ class TestSequentialModes:
         bundle = gen_sequences(seq_cfg().seq_spec)
         with pytest.raises(ConfigError):
             run_experiment(base_cfg(), sequences=bundle)
+        with pytest.raises(ConfigError, match="needs flat view matrices"):
+            compute_embeddings(base_cfg(), sequences=bundle)
 
 
 SEQUENTIAL = {"sfed", "local_seq_localmv", "local_seq_hfed", "central_seq_hfed"}
@@ -555,6 +559,15 @@ class TestEmbeddings:
         with pytest.raises(ParseError, match="non-finite") as info:
             load_embeddings(path)
         assert f"{path}:3:2" in str(info.value)
+
+    def test_writers_reject_non_finite_cells_before_opening_the_file(self, tmp_path):
+        path = os.path.join(tmp_path, "emb.csv")
+        with pytest.raises(InvalidSpec, match="emb.csv: row 1, column 0 is non-finite: nan"):
+            export_embeddings(np.array([[0.0, 1.0], [np.nan, 2.0]]), np.array([0, 1]), path)
+        model = ModelBundle(transforms=[np.array([[1.0, np.inf]])], zeta=(1.0,), single=True)
+        with pytest.raises(InvalidSpec, match="transform_0.csv: row 0, column 1 is non-finite: inf"):
+            save_model(model, os.path.join(tmp_path, "model"))
+        assert [name for _, _, files in os.walk(tmp_path) for name in files] == []
 
     def test_load_requires_class_column(self, tmp_path):
         path = os.path.join(tmp_path, "bad.csv")

@@ -319,6 +319,12 @@ class TestPredict:
             vfed_predict([x], [w], [1.0, 2.0])
         with pytest.raises(InvalidSpec):
             vfed_predict([x], [w], [0.0], max_rounds=2)
+        log = RoundLog()
+        with pytest.raises(
+            DimensionMismatch, match=r"view 1: X shape \(4, 3\) incompatible with W shape \(2, 2\)"
+        ):
+            vfed_predict([x, x], [w, np.zeros((2, 2))], [1.0, 1.0], log=log)
+        assert log.n_rounds == 0
 
     # A fractional or bool cap used to raise a bare TypeError from the
     # round loop, or to run as an int.
