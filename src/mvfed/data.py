@@ -9,18 +9,24 @@ Generators draw class-conditional structure with a controllable noise
 level and seed, so every benchmark in the test suite and the demos is
 reproducible from a couple of integers.  Partitioners split a dataset
 by rows (for horizontal training) or by views (for vertical training).
-Four formats go through this module's one CSV matrix codec (a header
-row, then cells as repr(float), so save/load is bitwise faithful) and a
-key=value manifest.txt: dataset directories (view_k.csv, labels.csv),
-sequence directories (sequences_view_k.csv, one step per row, and
-labels.csv), model directories (transform_i.csv, zeta.csv) and
-embedding CSVs (a trailing class column).  A bad or non-finite cell or
-a missing manifest key is a ParseError, a wrong count a ShapeError; the
-writer rejects a non-finite cell (InvalidSpec) before it opens the file.
+Sequence data is drawn, checked and stored a view at a time:
+`gen_sequences` fills one buffer per view, `SequenceDataset` checks all
+steps at once, and the sequences_view_k.csv files (one step per row:
+sample_id, t, then the features) are formatted and converted a whole
+column at a time by their own writer and reader, which walks the rows
+only to name the first bad line.  The other formats go through one CSV
+matrix codec (a header row, then cells as repr(float), so save/load is
+bitwise faithful) and a key=value manifest.txt: dataset directories
+(view_k.csv, labels.csv), a sequence directory's labels.csv, model
+directories (transform_i.csv, zeta.csv) and embedding CSVs (a trailing
+class column).  A bad or non-finite cell or a missing manifest key is a
+ParseError, a wrong count a ShapeError; the matrix writer rejects a
+non-finite cell (InvalidSpec) before it opens the file.
 The class-count rule, at least two classes and, for a generator, enough
-samples for one of each, is `_check_classes`, which both generator specs
-and `SequenceDataset` call; the dataset types take their label and view
-selection rules from `mvl` (`_class_indices`, `_check_view_indices`).
+samples for one of each, is `_check_classes`, which the generator specs,
+`SequenceDataset` and sfed's `EncoderArch` call; the dataset types take
+their label and view selection rules from `mvl` (`_class_indices`,
+`_check_view_indices`).
 """
 
 from __future__ import annotations
@@ -67,19 +73,23 @@ class SequenceDataset:
             raise DimensionMismatch(f"{len(self.sequences)} sequences, label shape {y.shape}")
         _check_classes(self.n_classes)
         self.y, _ = _class_indices(y, self.n_classes)
-        width = None
-        for i, seq in enumerate(self.sequences):
+        # Shapes and finiteness checked whole; a failing dataset walks its
+        # samples to name the first fault, in the order below.
+        seqs = self.sequences
+        if not any(
+            s.ndim != 2 or not s.shape[0] or s.shape[1] != seqs[0].shape[1] for s in seqs
+        ) and (not seqs or np.isfinite(np.concatenate(seqs)).all()):
+            return
+        for i, seq in enumerate(seqs):
             if seq.ndim != 2:
                 raise DimensionMismatch(f"sample {i}: expected 2-D steps array")
             if seq.shape[0] < 1:
                 raise EmptySequence(f"sample {i} has no time steps")
             if not np.isfinite(seq).all():
                 raise InvalidSpec(f"sample {i} contains non-finite entries")
-            if width is None:
-                width = seq.shape[1]
-            elif seq.shape[1] != width:
+            if seq.shape[1] != seqs[0].shape[1]:
                 raise DimensionMismatch(
-                    f"sample {i}: {seq.shape[1]} features, first sample has {width}"
+                    f"sample {i}: {seq.shape[1]} features, first sample has {seqs[0].shape[1]}"
                 )
 
     @property
@@ -305,10 +315,16 @@ def gen_sequences(spec: SeqGeneratorSpec) -> SequenceClientData:
         directions = rng.standard_normal((c, p))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         means = spec.drift * directions
-        seqs = []
-        for i in range(n):
-            t = int(rng.integers(lo, hi + 1))
-            seqs.append(means[y[i]] + spec.noise * rng.standard_normal((t, p)))
+        # Per sample, its length and then its noise: drawing every length
+        # first would change the draws (PCG64 keeps half a 64-bit word).
+        noise, ends = np.empty((n * hi, p)), [0]
+        for _ in range(n):
+            ends.append(ends[-1] + int(rng.integers(lo, hi + 1)))
+            rng.standard_normal(out=noise[ends[-2] : ends[-1]])
+        steps = noise[: ends[-1]]
+        steps *= spec.noise
+        steps += means[np.repeat(y, np.diff(ends))]
+        seqs = [steps[a:b] for a, b in zip(ends, ends[1:])]
         views.append(SequenceDataset(seqs, y.copy(), c))
     return SequenceClientData(views=views)
 
@@ -410,15 +426,21 @@ def _parse_int64(path: str, line_no: int, col: int, text: str) -> int:
     return value
 
 
-def _write_matrix(path: str, prefix: str, m, classes=None) -> None:
-    """m's rows under the header {prefix}0..{prefix}{cols-1}, each cell
-    as repr(float) so it reads back bit for bit; with classes, a
-    trailing integer class column.  A non-finite cell is InvalidSpec."""
+def _finite_matrix(path: str, m) -> np.ndarray:
+    """m as a float matrix; InvalidSpec names path and a non-finite cell."""
     m = np.asarray(m, dtype=np.float64)
     bad = np.argwhere(~np.isfinite(m))
     if bad.size:
         i, j = bad[0].tolist()
         raise InvalidSpec(f"{path}: row {i}, column {j} is non-finite: {m[i, j].item()!r}")
+    return m
+
+
+def _write_matrix(path: str, prefix: str, m, classes=None) -> None:
+    """m's rows under the header {prefix}0..{prefix}{cols-1}, each cell
+    as repr(float) so it reads back bit for bit; with classes, a
+    trailing integer class column.  A non-finite cell is InvalidSpec."""
+    m = _finite_matrix(path, m)
     header = [f"{prefix}{j}" for j in range(m.shape[1])]
     rows = ([repr(v) for v in row] for row in m.tolist())
     if classes is not None:
@@ -516,7 +538,8 @@ def save_sequences(bundle: SequenceClientData, path: str) -> None:
     """Write per-view sequence CSVs plus labels and a manifest.
 
     Sequence records are one step per row: sample_id, t, then the step
-    features; lengths are implicit in the step counts.
+    features; lengths are implicit in the step counts.  Each column is
+    formatted whole, its cells as str(int) and repr(float).
     """
     os.makedirs(path, exist_ok=True)
     manifest = {
@@ -528,15 +551,54 @@ def save_sequences(bundle: SequenceClientData, path: str) -> None:
         width = view.sequences[0].shape[1] if view.n_samples else 0
         manifest[f"step_dim_{k}"] = width
         header = ["sample_id", "t"] + [f"f{j}" for j in range(width)]
-
-        def records(view=view):
-            for i, seq in enumerate(view.sequences):
-                for t, step in enumerate(seq):
-                    yield [str(i), str(t)] + [repr(float(v)) for v in step]
-
-        _write_csv(os.path.join(path, f"sequences_view_{k}.csv"), header, records())
+        lengths = np.array([len(seq) for seq in view.sequences], dtype=np.int64)
+        steps = np.concatenate([np.empty((0, width)), *view.sequences], dtype=np.float64)
+        ids = np.repeat(np.arange(len(lengths)), lengths)
+        t = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        columns = [map(str, ids.tolist()), map(str, t.tolist())]
+        columns += [map(repr, column) for column in steps.T.tolist()]
+        _write_csv(os.path.join(path, f"sequences_view_{k}.csv"), header, zip(*columns))
     _write_labels(path, bundle.y)
     _write_manifest(path, manifest)
+
+
+def _read_steps(path: str, n: int, p: int) -> list[np.ndarray]:
+    """Each sample's (t, p) steps in a sequence file of n samples, read
+    a whole column at a time; a bad file's rows are walked in order to
+    name its first bad line."""
+    rows = _read_csv(path, ["sample_id", "t"] + [f"f{j}" for j in range(p)])
+    columns = list(zip(*rows)) or [()] * (p + 2)
+    try:
+        ids, t = (np.array(list(map(int, column)), dtype=np.int64) for column in columns[:2])
+        steps = np.array([list(map(float, column)) for column in columns[2:]])
+        good = bool(((ids >= 0) & (ids < n)).all())
+    except (ValueError, OverflowError):
+        good = False
+    if good:
+        counts = np.bincount(ids, minlength=n)
+        order = np.argsort(ids, kind="stable")  # each sample's rows, in file order
+        ranks = np.arange(len(ids)) - np.repeat(np.cumsum(counts) - counts, counts)
+        good = (t[order] == ranks).all() and np.isfinite(steps).all()
+    if not good:
+        seen = [0] * n
+        for line_no, row in enumerate(rows, start=2):
+            sample = _parse(int, path, line_no, 0, row[0])
+            step = _parse(int, path, line_no, 1, row[1])
+            if sample < 0 or sample >= n:
+                raise ShapeError(f"{path}:{line_no}: sample_id {sample} outside 0..{n - 1}")
+            if step != seen[sample]:
+                raise ParseError(
+                    f"{path}:{line_no}: step {step} out of order, expected {seen[sample]}"
+                )
+            seen[sample] += 1
+            for j, v in enumerate(row[2:], start=2):
+                _parse_finite(path, line_no, j, v)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        raise ShapeError(f"{path}: sample {empty[0]} has no steps")
+    ends = [0, *np.cumsum(counts).tolist()]
+    steps = steps.reshape(p, len(rows)).T[order]
+    return [steps[a:b] for a, b in zip(ends, ends[1:])]
 
 
 def load_sequences(path: str) -> SequenceClientData:
@@ -544,36 +606,11 @@ def load_sequences(path: str) -> SequenceClientData:
     manifest = _read_manifest(path, ("views", "samples", "classes"), "step_dim")
     n, c = manifest["samples"], manifest["classes"]
     y = _read_labels(path, n, c)
-    views = []
-    for k in range(manifest["views"]):
-        p = manifest[f"step_dim_{k}"]
-        file_path = os.path.join(path, f"sequences_view_{k}.csv")
-        header = ["sample_id", "t"] + [f"f{j}" for j in range(p)]
-        rows = _read_csv(file_path, header)
-        steps: list[list[np.ndarray]] = [[] for _ in range(n)]
-        for i, row in enumerate(rows):
-            line_no = i + 2
-            sample = _parse(int, file_path, line_no, 0, row[0])
-            t = _parse(int, file_path, line_no, 1, row[1])
-            if sample < 0 or sample >= n:
-                raise ShapeError(
-                    f"{file_path}:{line_no}: sample_id {sample} outside 0..{n - 1}"
-                )
-            if t != len(steps[sample]):
-                raise ParseError(
-                    f"{file_path}:{line_no}: step {t} out of order, "
-                    f"expected {len(steps[sample])}"
-                )
-            steps[sample].append(
-                np.array(
-                    [_parse_finite(file_path, line_no, j + 2, v)
-                     for j, v in enumerate(row[2:])]
-                )
-            )
-        for sample, collected in enumerate(steps):
-            if not collected:
-                raise ShapeError(f"{file_path}: sample {sample} has no steps")
-        views.append(
-            SequenceDataset([np.stack(s) for s in steps], y.copy(), c)
+    views = [
+        SequenceDataset(
+            _read_steps(os.path.join(path, f"sequences_view_{k}.csv"), n, manifest[f"step_dim_{k}"]),
+            y.copy(), c,
         )
+        for k in range(manifest["views"])
+    ]
     return SequenceClientData(views=views)

@@ -32,6 +32,7 @@ from .data import (
     SequenceClientData,
     SequenceDataset,
     TrainerConfig,
+    _finite_matrix,
     _read_manifest,
     _read_matrix,
     _write_manifest,
@@ -466,16 +467,25 @@ def _local_encoders(
     return list(sfed.local_training_stack(datasets, arch, stack, solo, keys))
 
 
-def _feature_dataset(
-    bundle: SequenceClientData, archs, params, n_classes: int
-) -> MultiViewDataset:
+def _feature_datasets(
+    groups: Sequence[SequenceClientData], archs, params, n_classes: int
+) -> list[MultiViewDataset]:
+    """Each group's features under one set of encoders: one
+    `extract_features` call per view over the rows of every group, split
+    back by group.  Padding leaves each row's bits as a call on its
+    group alone gives them."""
     from . import sfed
 
-    views = [
-        sfed.extract_features(archs[k], params[k], bundle.views[k])
-        for k in range(len(archs))
+    y = np.concatenate([g.y for g in groups])
+    ends = np.cumsum([g.n_samples for g in groups])[:-1]
+    views = []
+    for k, arch in enumerate(archs):
+        rows = SequenceDataset([s for g in groups for s in g.views[k].sequences], y, n_classes)
+        views.append(np.split(sfed.extract_features(arch, params[k], rows), ends))
+    return [
+        MultiViewDataset.from_class_indices([v[i] for v in views], g.y, n_classes=n_classes)
+        for i, g in enumerate(groups)
     ]
-    return MultiViewDataset.from_class_indices(views, bundle.y, n_classes=n_classes)
 
 
 def _seq_repeat(cfg: RunConfig, bundle: SequenceClientData, seed: int) -> MetricsRow:
@@ -501,7 +511,6 @@ def _seq_repeat(cfg: RunConfig, bundle: SequenceClientData, seed: int) -> Metric
 
     if mode.encoders == "federated":
         params = sfed.sfed_train(clients, trainer, embed_dim=cfg.embed_dim).params
-        per_client = [params] * len(clients)
     elif mode.encoders == "pooled":
         pooled = [
             SequenceDataset(
@@ -515,32 +524,30 @@ def _seq_repeat(cfg: RunConfig, bundle: SequenceClientData, seed: int) -> Metric
             _local_encoders([pooled[k]], archs[k], trainer, view=k)[0]
             for k in range(k_views)
         ]
-        per_client = [params] * len(clients)
     else:
         by_view = [
             _local_encoders([c.views[k] for c in clients], archs[k], trainer, view=k)
             for k in range(k_views)
         ]
-        per_client = [list(params) for params in zip(*by_view)]
-
-    feature_sets = [
-        _feature_dataset(c, archs, per_client[l], n_classes)
-        for l, c in enumerate(clients)
-    ]
+        # Every client embeds its rows and the test rows with its own encoders.
+        feature_sets, test_sets = zip(*(
+            _feature_datasets([c, test_b], archs, params, n_classes)
+            for c, params in zip(clients, zip(*by_view))
+        ))
+    if mode.encoders != "local":
+        # The clients and the test rows share the encoders, so each view's
+        # rows are padded and embedded once.
+        *feature_sets, test_set = _feature_datasets([*clients, test_b], archs, params, n_classes)
+        test_sets = [test_set] * len(clients)
     if mode.isolated:
         fits = [_hfed(cfg, [f], hp, seed) for f in feature_sets]
     else:
         fits = [_hfed(cfg, feature_sets, hp, seed)] * len(clients)
-    # Every client embeds the test rows with its own encoders; when all
-    # clients share the encoders and the consensus they score as one.
+    # Clients that share the encoders and the consensus score as one.
     shared = mode.encoders != "local" and not mode.isolated
     n_scored = 1 if shared else len(clients)
     rows = [
-        _eval_transforms(
-            mode.trainer, fits[l],
-            _feature_dataset(test_b, archs, per_client[l], n_classes),
-            hp, cfg.positive_class,
-        )
+        _eval_transforms(mode.trainer, fits[l], test_sets[l], hp, cfg.positive_class)
         for l in range(n_scored)
     ]
     return average_rows(rows)
@@ -603,6 +610,7 @@ class ModelBundle:
 
     def __post_init__(self):
         self.zeta = tuple(float(z) for z in self.zeta)
+        mvl._check_zeta(self.zeta)  # as prediction will
         if len(self.transforms) != len(self.zeta):
             raise ConfigError(
                 f"model: {len(self.transforms)} transforms vs "
@@ -662,20 +670,26 @@ def evaluate_model(model: ModelBundle, data: MultiViewDataset) -> MetricsRow:
 
 
 def save_model(model: ModelBundle, path: str) -> None:
-    """Persist a model as one CSV per transform, zeta.csv and a manifest."""
-    os.makedirs(path, exist_ok=True)
+    """Persist a model as one CSV per transform, zeta.csv and a manifest.
+    Every matrix is checked before any file or directory is made."""
     k = len(model.transforms)
     classes = model.transforms[0].shape[1]
     entries = {"views": k, "classes": classes, "single": int(model.single),
                "positive_class": model.positive_class}
+    files = []
     for i, w in enumerate(model.transforms):
         if w.ndim != 2 or w.shape[1] != classes:
             raise ShapeError(f"transform {i} has shape {w.shape}")
         entries[f"dim_{i}"] = w.shape[0]
         if model.views is not None:
             entries[f"source_view_{i}"] = model.views[i]
-        _write_matrix(os.path.join(path, f"transform_{i}.csv"), "c", w)
-    _write_matrix(os.path.join(path, "zeta.csv"), "z", [model.zeta])
+        files.append((f"transform_{i}.csv", "c", w))
+    files.append(("zeta.csv", "z", [model.zeta]))
+    for name, _, m in files:
+        _finite_matrix(os.path.join(path, name), m)
+    os.makedirs(path, exist_ok=True)
+    for name, prefix, m in files:
+        _write_matrix(os.path.join(path, name), prefix, m)
     _write_manifest(path, entries)
 
 

@@ -65,7 +65,9 @@ dataset types), `_class_indices` (integer labels in [0, classes), for
 `MultiViewDataset` and `data.SequenceDataset`, which `sfed.loss_and_grad`
 builds from its batch),
 `_check_hp_views` (hyperparameters for the data's views, for every
-trainer), `_check_prediction` (for `predict_mvl` and `vfed_predict`) and
+trainer), `_check_zeta` (every zeta finite and >= 0, for `HyperParams`,
+the prediction inputs and a saved model's `ModelBundle`),
+`_check_prediction` (for `predict_mvl` and `vfed_predict`) and
 `_check_block_count` (one zeta per pseudo-label block).
 """
 
@@ -161,8 +163,7 @@ class HyperParams:
             )
         if not all(0 < b < np.inf for b in self.beta):
             raise InvalidSpec(f"beta must be finite and > 0, got {self.beta}")
-        if not all(0 <= z < np.inf for z in self.zeta):
-            raise InvalidSpec(f"zeta must be finite and >= 0, got {self.zeta}")
+        _check_zeta(self.zeta)
         if not 0 <= self.eta < np.inf:
             raise InvalidSpec(f"eta must be finite and >= 0, got {self.eta!r}")
         if not 0 < self.epsilon < np.inf:
@@ -211,6 +212,12 @@ def _check_hp_views(hp: HyperParams, k: int) -> None:
         raise DimensionMismatch(f"hyperparams cover {hp.n_views} views, data has {k}")
 
 
+def _check_zeta(zeta) -> None:
+    """Reject a zeta entry that is not finite and >= 0."""
+    if not all(0 <= z < np.inf for z in zeta):
+        raise InvalidSpec(f"zeta must be finite and >= 0, got {zeta!r}")
+
+
 def _check_prediction(test_views, transforms, zeta, tol) -> None:
     """The prediction loops' inputs: an (n, d_k) X_k, a (d_k, c) W_k and
     a zeta_k per view, every zeta finite and >= 0, as in `HyperParams`,
@@ -220,8 +227,7 @@ def _check_prediction(test_views, transforms, zeta, tol) -> None:
             f"{len(test_views)} views, {len(transforms)} transforms, "
             f"{len(zeta)} zeta values"
         )
-    if not all(0 <= z < np.inf for z in zeta):
-        raise InvalidSpec(f"zeta must be finite and >= 0, got {zeta!r}")
+    _check_zeta(zeta)
     if not 0 <= tol < 1:
         raise InvalidSpec(f"tol must lie in [0, 1), got {tol!r}")
     for k, (x, w) in enumerate(zip(test_views, transforms)):

@@ -49,7 +49,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .data import SequenceClientData, SequenceDataset, TrainerConfig
+from .data import SequenceClientData, SequenceDataset, TrainerConfig, _check_classes
 from .errors import DimensionMismatch, EmptyBatch, EmptyDataset, InvalidSpec
 from .fedcore import (
     BlockClient,
@@ -82,11 +82,12 @@ class EncoderArch:
     n_classes: int
 
     def __post_init__(self):
-        if self.n_features < 1 or self.embed_dim < 1 or self.n_classes < 2:
+        if self.n_features < 1 or self.embed_dim < 1:
             raise InvalidSpec(
                 f"bad encoder sizes {self.n_features}, {self.embed_dim}, "
                 f"{self.n_classes}"
             )
+        _check_classes(self.n_classes)
 
     @property
     def n_params(self) -> int:
@@ -518,6 +519,12 @@ class SequenceServer:
         )
 
 
+def _check_clients(clients: Sequence) -> None:
+    """Reject a federation without clients."""
+    if len(clients) == 0:
+        raise InvalidSpec("sequence training needs at least one client")
+
+
 def make_sequence_parties(
     datasets: Sequence[SequenceDataset],
     view_index: int,
@@ -543,8 +550,7 @@ def _federations(
     client shares one `_Scratch`.
     """
     for datasets, _, arch in views:
-        if len(datasets) == 0:
-            raise InvalidSpec("sequence training needs at least one client")
+        _check_clients(datasets)
         for data in datasets:
             if data.n_samples == 0:
                 raise EmptyDataset("every client must hold at least one sequence")
@@ -622,8 +628,7 @@ def sfed_train(
     The returned parameters are the final aggregates, which is also
     what feature extraction uses.
     """
-    if len(clients) == 0:
-        raise InvalidSpec("sequence training needs at least one client")
+    _check_clients(clients)
     n_views = clients[0].n_views
     n_classes = clients[0].views[0].n_classes
     for data in clients:

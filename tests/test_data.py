@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -436,6 +437,54 @@ class TestSequences:
         seq_file.write_text("\n".join(lines) + "\n")
         with pytest.raises(ShapeError):
             load_sequences(str(root))
+
+    def test_generated_steps_match_their_golden_hash(self):
+        # Taken when the generator drew one standard_normal((t, p)) per
+        # sample; the draws and their order must not change.
+        bundle = gen_sequences(SeqGeneratorSpec(
+            n_samples=40, step_dims=(3, 2, 3), t_range=(1, 9), n_classes=3, seed=23
+        ))
+        digest = hashlib.sha256()
+        for view in bundle.views:
+            digest.update(np.array([len(s) for s in view.sequences], dtype=np.int64).tobytes())
+            digest.update(np.concatenate(view.sequences).tobytes())
+        digest.update(bundle.y.astype(np.int64).tobytes())
+        assert digest.hexdigest() == (
+            "76726c0e0ac27b772193f76276fa49ef1502024ffbdc8f7024071fc970668d95"
+        )
+
+    @pytest.mark.parametrize(
+        "col, cell, error, message",
+        [
+            (1, "60", ShapeError, "150: sample_id 60 outside 0..59"),
+            (1, "-1", ShapeError, "150: sample_id -1 outside 0..59"),
+            (1, "9" * 30, ShapeError, f"150: sample_id {'9' * 30} outside 0..59"),
+            (1, "1" + "0" * 12, ShapeError, "150: sample_id 1000000000000 outside 0..59"),
+            (1, "x", ParseError, "150:1: not an integer: 'x'"),
+            (2, "99", ParseError, "150: step 99 out of order, expected "),
+            (4, "nan", ParseError, "150:4: non-finite 'nan'"),
+            (3, "1e", ParseError, "150:3: not a number: '1e'"),
+        ],
+    )
+    def test_first_bad_line_of_a_long_file_is_named(self, tmp_path, col, cell, error, message):
+        # Rows are read a whole column at a time; the error still names
+        # the first bad line, line 150, ahead of a non-finite cell further on.
+        bundle = gen_sequences(
+            SeqGeneratorSpec(n_samples=60, step_dims=(2,), t_range=(4, 8), seed=22)
+        )
+        root = tmp_path / "seq"
+        save_sequences(bundle, str(root))
+        seq_file = root / "sequences_view_0.csv"
+        lines = seq_file.read_text().splitlines()
+        assert len(lines) > 200
+        for line_no, col_no, text in ((150, col, cell), (len(lines), 3, "inf")):
+            cells = lines[line_no - 1].split(",")
+            cells[col_no - 1] = text
+            lines[line_no - 1] = ",".join(cells)
+        seq_file.write_text("\n".join(lines) + "\n")
+        with pytest.raises(error) as info:
+            load_sequences(str(root))
+        assert f"{seq_file}:{message}" in str(info.value)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_step_rejected(self, tmp_path, cell):

@@ -12,7 +12,9 @@ from mvfed.data import (
     GeneratorSpec,
     SeqGeneratorSpec,
     gen_multiview,
+    gen_sequences,
     partition_horizontal,
+    partition_sequences,
 )
 from mvfed.errors import ConfigError, InvalidSpec, ParseError, ShapeError
 from mvfed.experiments import (
@@ -32,7 +34,7 @@ from mvfed.experiments import (
 from mvfed.hfed import hfed_train
 from mvfed.metrics import average_rows, compute_metrics
 from mvfed.mvl import HyperParams, argmax_decode, predict_mvl
-from mvfed.sfed import TrainerConfig
+from mvfed.sfed import EncoderArch, TrainerConfig, extract_features
 from suite_utils import reference_grid
 
 
@@ -350,6 +352,41 @@ class TestSequentialModes:
         # Two clients each scored the same global test rows.
         assert n_test % 2 == 0 and n_test > 0
 
+    @pytest.mark.parametrize(
+        "mode, calls", [("sfed", 2), ("central_seq_hfed", 2), ("local_seq_hfed", 6)]
+    )
+    def test_each_encoder_set_embeds_its_rows_once_per_view(self, monkeypatch, mode, calls):
+        # Shared encoders embed every client's and the test rows in one
+        # call per view; local encoders, their client's and the test rows.
+        sizes = []
+        original = mvfed.sfed.extract_features
+
+        def recording(arch, w, data):
+            sizes.append(data.n_samples)
+            return original(arch, w, data)
+
+        monkeypatch.setattr(mvfed.sfed, "extract_features", recording)
+        cfg = seq_cfg(mode=mode)
+        run_experiment(cfg)
+        y = gen_sequences(cfg.seq_spec).y
+        train, _, test = (len(part) for part in split_indices(y, 2, cfg.split, cfg.seed))
+        assert len(sizes) == calls
+        assert sum(sizes) == 2 * (train + (calls // 2) * test)
+
+    def test_one_call_gives_each_group_the_bits_of_its_own(self):
+        bundle = gen_sequences(
+            SeqGeneratorSpec(n_samples=60, step_dims=(3, 2), t_range=(1, 12), seed=4)
+        )
+        groups = [*partition_sequences(bundle.subset(range(44)), 3, seed=4), bundle.subset(range(44, 60))]
+        archs = [EncoderArch(view.n_features, 4, 2) for view in bundle.views]
+        params = [a.init_params(5, k) for k, a in enumerate(archs)]
+        got = mvfed.experiments._feature_datasets(groups, archs, params, 2)
+        for features, group in zip(got, groups):
+            assert np.array_equal(features.class_indices(), group.y)
+            for k, arch in enumerate(archs):
+                alone = extract_features(arch, params[k], group.views[k])
+                assert features.views[k].tobytes() == alone.tobytes()
+
     def test_rejects_flat_dataset(self):
         data = gen_multiview(easy_spec())
         with pytest.raises(ConfigError):
@@ -358,8 +395,6 @@ class TestSequentialModes:
             compute_embeddings(seq_cfg(), dataset=data)
 
     def test_flat_mode_rejects_sequences(self):
-        from mvfed.data import gen_sequences
-
         bundle = gen_sequences(seq_cfg().seq_spec)
         with pytest.raises(ConfigError):
             run_experiment(base_cfg(), sequences=bundle)
@@ -496,6 +531,19 @@ class TestModels:
             fh.writelines(kept)
         with pytest.raises(ParseError, match="missing source_view_1"):
             load_model(path)
+
+    @pytest.mark.parametrize("zeta", [np.inf, np.nan, -1.0])
+    def test_bad_zeta_rejected_at_construction(self, zeta):
+        with pytest.raises(InvalidSpec, match="zeta must be finite and >= 0"):
+            ModelBundle(transforms=GOLDEN_TRANSFORMS, zeta=(8.0, zeta), single=False)
+
+    def test_bad_later_transform_leaves_nothing_on_disk(self, tmp_path):
+        path = os.path.join(tmp_path, "model")
+        bad = [GOLDEN_TRANSFORMS[0], np.array([[0.1, np.inf, 7.0]])]
+        model = ModelBundle(transforms=bad, zeta=(8.0, 0.1), single=False)
+        with pytest.raises(InvalidSpec, match="transform_1.csv: row 0, column 1 is non-finite"):
+            save_model(model, path)
+        assert not os.path.exists(path)
 
     def test_train_once_needs_global_model_mode(self):
         with pytest.raises(ConfigError):

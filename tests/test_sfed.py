@@ -99,6 +99,27 @@ class TestDatasetTypes:
                     [np.zeros((2, 3)), np.array([[0.0, bad, 0.0]])], np.array([0, 1]), 2
                 )
 
+    OK, NAN = np.zeros((2, 3)), np.array([[0.0, np.nan, 0.0]])
+
+    @pytest.mark.parametrize(
+        "seqs, error, message",
+        [
+            ([OK, NAN, np.zeros((2, 4))], InvalidSpec, "sample 1 contains non-finite"),
+            ([OK, NAN, np.zeros(3)], InvalidSpec, "sample 1 contains non-finite"),
+            ([OK, NAN, np.zeros((0, 3))], InvalidSpec, "sample 1 contains non-finite"),
+            ([OK, np.full((2, 4), np.nan)], InvalidSpec, "sample 1 contains non-finite"),
+            ([OK, np.full(3, np.nan)], DimensionMismatch, "sample 1: expected 2-D"),
+            ([OK, np.zeros((2, 4)), NAN], DimensionMismatch, "sample 1: 4 features, first sample has 3"),
+        ],
+        ids=["nan-before-width", "nan-before-ndim", "nan-before-empty", "nan-then-width",
+             "ndim-then-nan", "width-before-nan"],
+    )
+    def test_first_fault_in_sample_order_is_named(self, seqs, error, message):
+        # Steps are checked whole; a failing dataset names the fault that
+        # the per-sample checks (2-D, steps, finite, width) meet first.
+        with pytest.raises(error, match=message):
+            SequenceDataset(seqs, np.arange(len(seqs)) % 2, 2)
+
     def test_client_data_shares_labels(self):
         a = make_sequences(1, n=10)
         b = make_sequences(2, n=10, p=5)
@@ -109,6 +130,16 @@ class TestDatasetTypes:
         c.y[:] = (a.y + 1) % 2
         with pytest.raises(DimensionMismatch):
             SequenceClientData(views=[a, c])
+
+    def test_each_rule_has_one_message(self):
+        with pytest.raises(InvalidSpec, match="need at least two classes"):
+            EncoderArch(n_features=3, embed_dim=4, n_classes=1)
+        for train in (
+            lambda: sfed_train([], TrainerConfig()),
+            lambda: make_sequence_parties([], 0, ARCH, TrainerConfig()),
+        ):
+            with pytest.raises(InvalidSpec, match="sequence training needs at least one client"):
+                train()
 
     def test_arch_pack_unpack_round_trip(self):
         w = random_params(ARCH, 4)

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Byte-compare the CLI reports of a git revision with those of this
-# checkout.
+# Byte-compare the generated data and the CLI reports of a git revision
+# with those of this checkout.
 #
 #   tools/cmp_reports.sh REF
 #
 # Checks out REF in a temporary git worktree, generates the input data
-# once with this checkout's code, writes the reports listed below with
-# each tree's `src/`, and `cmp`s every pair.  The reports hold
+# with each tree's `src/` and `cmp`s the data files (every cell is
+# written as repr(float), so equal files mean equal bits), writes the
+# reports listed below with each tree's `src/` from this checkout's
+# data, and `cmp`s every pair.  The reports hold
 # classification metrics only, which a last-bit change in training
 # seldom moves, so the full-precision files of the CI step "CLI file
 # round trip" (trained models, exported embeddings) are compared too.
@@ -31,10 +33,14 @@ cd "$work"
 
 cli() { python -m mvfed.cli "$@" >/dev/null; }
 
-export PYTHONPATH="$root/src"
-cli gen-data --out flat --kind complementary
-cli gen-data --out seq --kind sequences
-cli gen-data --out seqmix --kind sequences --step-dims 6,6,4
+# The input data, written with the source tree $1 into the directory $2.
+gen() {
+    local PYTHONPATH="$1/src" out=$2
+    export PYTHONPATH
+    cli gen-data --out "$out/flat" --kind complementary
+    cli gen-data --out "$out/seq" --kind sequences
+    cli gen-data --out "$out/seqmix" --kind sequences --step-dims 6,6,4
+}
 
 # The reports, models and embeddings, written with the source tree $1
 # into the directory $2.  In mv_local and local_seq_localmv every client
@@ -78,15 +84,21 @@ reports() {
     cli export-embeddings --mode sfed --data seq --clients 2 --enc-rounds 2 --out "$out/seq_emb.csv"
 }
 
+gen "$root" .
+gen "$work/ref" ref/data
 reports "$root" head
 reports "$work/ref" ref
 
 status=0
-for file in $(cd head && find . -type f | sort); do
-    if ! cmp -s "head/$file" "ref/$file"; then
-        echo "${file#./} differs from $ref" >&2
-        status=1
-    fi
+differs() {
+    echo "$1 differs from $ref" >&2
+    status=1
+}
+for file in $(find flat seq seqmix -type f | sort); do
+    cmp -s "$file" "ref/data/$file" || differs "$file"
 done
-[ $status -eq 0 ] && echo "every report, model and embedding file identical to $ref"
+for file in $(cd head && find . -type f | sort); do
+    cmp -s "head/$file" "ref/$file" || differs "${file#./}"
+done
+[ $status -eq 0 ] && echo "every data, report, model and embedding file identical to $ref"
 exit $status
