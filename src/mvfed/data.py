@@ -9,19 +9,21 @@ Generators draw class-conditional structure with a controllable noise
 level and seed, so every benchmark in the test suite and the demos is
 reproducible from a couple of integers.  Partitioners split a dataset
 by rows (for horizontal training) or by views (for vertical training).
-Sequence data is drawn, checked and stored a view at a time:
-`gen_sequences` fills one buffer per view, `SequenceDataset` checks all
-steps at once, and the sequences_view_k.csv files (one step per row:
-sample_id, t, then the features) are formatted and converted a whole
-column at a time by their own writer and reader, which walks the rows
-only to name the first bad line.  The other formats go through one CSV
-matrix codec (a header row, then cells as repr(float), so save/load is
-bitwise faithful) and a key=value manifest.txt: dataset directories
-(view_k.csv, labels.csv), a sequence directory's labels.csv, model
-directories (transform_i.csv, zeta.csv) and embedding CSVs (a trailing
-class column).  A bad or non-finite cell or a missing manifest key is a
-ParseError, a wrong count a ShapeError; the matrix writer rejects a
-non-finite cell (InvalidSpec) before it opens the file.
+Sequence data is drawn and checked a view at a time: `gen_sequences`
+fills one buffer per view and `SequenceDataset` checks all steps at once.
+Every on-disk format is a key=value manifest.txt beside CSV tables that
+go through one codec: dataset directories (view_k.csv, labels.csv),
+sequence directories (sequences_view_k.csv, one step per row: sample_id,
+t, then the features; labels.csv), model directories (transform_i.csv,
+zeta.csv) and embedding CSVs (a trailing class column).  A table is a
+header row, then cells as repr(float), so save/load is bitwise faithful,
+or as str(int) under the names sample_id, t and class.  The writer,
+`_write_tables`, checks every cell of every file before it makes a
+directory or opens a file: a non-finite cell is InvalidSpec.  The
+reader, `_read_table`, converts a whole column at a time and walks a
+failing file once, in file order, to name its first bad cell: a bad or
+non-finite cell or a missing manifest key is a ParseError, a wrong count
+or a sample_id outside the samples a ShapeError.
 The class-count rule, at least two classes and, for a generator, enough
 samples for one of each, is `_check_classes`, which the generator specs,
 `SequenceDataset` and sfed's `EncoderArch` call; the dataset types take
@@ -375,114 +377,146 @@ def partition_sequences(
     return [bundle.subset(r) for r in rows]
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+_INT_COLUMNS = ("sample_id", "t", "class")
 
 
-def _read_csv(path: str, header: list[str]) -> list[list[str]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            got = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}:1: empty file") from None
-        if got != header:
-            raise ParseError(f"{path}:1: header {got!r}, expected {header!r}")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}:{line_no}: {len(row)} fields, expected {len(header)}"
-                )
-            rows.append(row)
-    return rows
+def _names(prefix: str, k: int) -> list[str]:
+    return [f"{prefix}{j}" for j in range(k)]
 
 
-def _parse(kind, path: str, line_no: int, col: int, text: str):
-    """kind(text), kind float or int; ParseError naming path:line:col."""
+def _table_text(path: str, header: list[str], m, ints=()) -> str:
+    """The CSV text of a table: header, then one row per row of m.  The
+    cells under _INT_COLUMNS names come, in order, from ints, as
+    str(int); the others are m's columns, as repr(float), which reads
+    back bit for bit.  A non-finite cell of m is InvalidSpec naming path
+    and the cell's row and column in the file."""
+    m = np.asarray(m, dtype=np.float64)
+    floats = [j for j, name in enumerate(header) if name not in _INT_COLUMNS]
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise InvalidSpec(f"{path}: row {i}, column {floats[j]} is non-finite: {m[i, j].item()!r}")
+    cells, ints = iter(m.T.tolist()), iter(ints)
+    columns = [
+        map(str, np.asarray(next(ints), dtype=np.int64).tolist()) if name in _INT_COLUMNS
+        else map(repr, next(cells))
+        for name in header
+    ]
+    rows = zip(*columns) if columns else [()] * len(m)
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+
+
+def _write_tables(tables, path: str | None = None, manifest: dict[str, int] | None = None) -> None:
+    """Write each (file, header, m, ints) of tables as by _table_text
+    and, given a directory path, manifest as its key=value manifest.txt.
+    Every cell of every table is checked before path is made and before
+    any file is opened, so a bad cell writes nothing."""
+    texts = {table[0]: _table_text(*table) for table in tables}
+    if path is not None:
+        os.makedirs(path, exist_ok=True)
+        texts[os.path.join(path, "manifest.txt")] = "".join(
+            f"{key}={value}\n" for key, value in manifest.items()
+        )
+    for name, text in texts.items():
+        with open(name, "w", newline="") as fh:
+            fh.write(text)
+
+
+def _parse(kind, where: str, text: str):
+    """kind(text), kind float or int; ParseError naming where (path:line:col)."""
     try:
         return kind(text)
     except ValueError:
         what = "an integer" if kind is int else "a number"
-        raise ParseError(f"{path}:{line_no}:{col + 1}: not {what}: {text!r}") from None
+        raise ParseError(f"{where}: not {what}: {text!r}") from None
 
 
-def _parse_finite(path: str, line_no: int, col: int, text: str) -> float:
-    """`_parse(float, ...)` that also rejects nan and inf."""
-    value = _parse(float, path, line_no, col, text)
-    if not math.isfinite(value):
-        raise ParseError(f"{path}:{line_no}:{col + 1}: non-finite {text!r}")
-    return value
-
-
-def _parse_int64(path: str, line_no: int, col: int, text: str) -> int:
-    """`_parse(int, ...)` that also rejects values outside int64."""
-    value = _parse(int, path, line_no, col, text)
-    if not -(2**63) <= value < 2**63:
-        raise ParseError(f"{path}:{line_no}:{col + 1}: outside int64: {text!r}")
-    return value
-
-
-def _finite_matrix(path: str, m) -> np.ndarray:
-    """m as a float matrix; InvalidSpec names path and a non-finite cell."""
-    m = np.asarray(m, dtype=np.float64)
-    bad = np.argwhere(~np.isfinite(m))
-    if bad.size:
-        i, j = bad[0].tolist()
-        raise InvalidSpec(f"{path}: row {i}, column {j} is non-finite: {m[i, j].item()!r}")
-    return m
-
-
-def _write_matrix(path: str, prefix: str, m, classes=None) -> None:
-    """m's rows under the header {prefix}0..{prefix}{cols-1}, each cell
-    as repr(float) so it reads back bit for bit; with classes, a
-    trailing integer class column.  A non-finite cell is InvalidSpec."""
-    m = _finite_matrix(path, m)
-    header = [f"{prefix}{j}" for j in range(m.shape[1])]
-    rows = ([repr(v) for v in row] for row in m.tolist())
-    if classes is not None:
-        header.append("class")
-        rows = (row + [str(int(c))] for row, c in zip(rows, classes))
-    _write_csv(path, header, rows)
-
-
-def _read_matrix(path: str, prefix: str, cols: int, rows, classes: bool = False):
-    """Inverse of _write_matrix; rows None takes any row count."""
-    lines = _read_csv(path, [f"{prefix}{j}" for j in range(cols)] + ["class"] * classes)
+def _read_table(path: str, header, rows: int | None = None, n: int = 0):
+    """(m, ints), the float matrix and the int columns of a table that
+    _write_tables wrote.  header is the expected first line, or a
+    function of the file's first line that returns it; rows, if given,
+    is the row count.  A bad header or field count is a ParseError, a
+    wrong row count a ShapeError.  The cells are converted a whole
+    column at a time, with Python's float and int, and checked by their
+    column's rule (see _first_bad_cell); a file that fails is walked to
+    name its first bad cell."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got is None:
+            raise ParseError(f"{path}:1: empty file")
+        if callable(header):
+            header = header(got)
+        if got != header:
+            raise ParseError(f"{path}:1: header {got!r}, expected {header!r}")
+        lines = []
+        for line_no, line in enumerate(reader, start=2):
+            if len(line) != len(header):
+                raise ParseError(f"{path}:{line_no}: {len(line)} fields, expected {len(header)}")
+            lines.append(line)
     if rows is not None and len(lines) != rows:
         raise ShapeError(f"{path}: {len(lines)} rows, expected {rows}")
-    m = np.empty((len(lines), cols))
-    for i, line in enumerate(lines):
-        for j in range(cols):
-            m[i, j] = _parse_finite(path, i + 2, j, line[j])
-    if not classes:
-        return m
-    y = [_parse_int64(path, i + 2, cols, line[cols]) for i, line in enumerate(lines)]
-    return m, np.array(y, dtype=np.int64)
+    columns = dict(zip(header, zip(*lines))) if lines else dict.fromkeys(header, ())
+    floats = [name for name in header if name not in _INT_COLUMNS]
+    m = np.empty((len(lines), len(floats)))
+    try:
+        for j, name in enumerate(floats):
+            m[:, j] = list(map(float, columns[name]))
+        ints = {
+            name: np.array(list(map(int, columns[name])), dtype=np.int64)
+            for name in header if name in _INT_COLUMNS
+        }
+        good = bool(np.isfinite(m).all())
+        if "sample_id" in ints:
+            ids = ints["sample_id"]
+            order = np.argsort(ids, kind="stable")  # each sample's rows, in file order
+            ranks = np.arange(len(ids)) - np.searchsorted(ids[order], ids[order])
+            good &= bool(((ids >= 0) & (ids < n)).all() and (ints["t"][order] == ranks).all())
+    except (ValueError, OverflowError):
+        good = False
+    if not good:
+        _first_bad_cell(path, header, lines, n)
+    return m, list(ints.values())
 
 
-def _write_labels(path: str, y) -> None:
+def _first_bad_cell(path: str, header: list[str], lines, n: int) -> None:
+    """Raise the error of the first bad cell of lines, walked in file
+    order and each line from the left.  A feature cell must be a finite
+    float, a class cell an int64 (else ParseError), a sample_id in
+    0..n-1 (else ShapeError, whatever its size) and t its sample's count
+    of earlier rows (else ParseError)."""
+    seen = [0] * n
+    for line_no, line in enumerate(lines, start=2):
+        where = f"{path}:{line_no}"
+        for col, (name, text) in enumerate(zip(header, line), start=1):
+            value = _parse(int if name in _INT_COLUMNS else float, f"{where}:{col}", text)
+            if name not in _INT_COLUMNS and not math.isfinite(value):
+                raise ParseError(f"{where}:{col}: non-finite {text!r}")
+            if name == "class" and not -(2**63) <= value < 2**63:
+                raise ParseError(f"{where}:{col}: outside int64: {text!r}")
+            if name == "sample_id":
+                if not 0 <= value < n:
+                    raise ShapeError(f"{where}: sample_id {value} outside 0..{n - 1}")
+                sample = value
+            if name == "t":
+                if value != seen[sample]:
+                    raise ParseError(f"{where}: step {value} out of order, expected {seen[sample]}")
+                seen[sample] += 1
+
+
+def _labels_table(path: str, y):
     """labels.csv: a class column beside zero feature columns."""
-    _write_matrix(os.path.join(path, "labels.csv"), "", np.empty((len(y), 0)), y)
+    return os.path.join(path, "labels.csv"), ["class"], np.empty((len(y), 0)), [y]
 
 
 def _read_labels(path: str, n: int, c: int) -> np.ndarray:
     labels_path = os.path.join(path, "labels.csv")
-    _, y = _read_matrix(labels_path, "", 0, n, classes=True)
+    _, (y,) = _read_table(labels_path, ["class"], n)
     bad = np.flatnonzero((y < 0) | (y >= c))
     if bad.size:
         i = bad[0]
         raise ShapeError(f"{labels_path}:{i + 2}: class {y[i]} outside 0..{c - 1}")
     return y
-
-
-def _write_manifest(path: str, entries: dict[str, int]) -> None:
-    with open(os.path.join(path, "manifest.txt"), "w") as fh:
-        for key, value in entries.items():
-            fh.write(f"{key}={value}\n")
 
 
 def _read_manifest(path: str, required, per_view: str | None = None) -> dict[str, int]:
@@ -498,7 +532,7 @@ def _read_manifest(path: str, required, per_view: str | None = None) -> dict[str
             if "=" not in line:
                 raise ParseError(f"{name}:{line_no}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            entries[key.strip()] = _parse(int, name, line_no, 0, value.strip())
+            entries[key.strip()] = _parse(int, f"{name}:{line_no}:1", value.strip())
     views = range(entries.get("views", 0)) if per_view else ()
     for key in chain(required, (f"{per_view}_{k}" for k in views)):
         if key not in entries:
@@ -507,19 +541,15 @@ def _read_manifest(path: str, required, per_view: str | None = None) -> dict[str
 
 
 def save_dataset(data: MultiViewDataset, path: str) -> None:
-    """Write one CSV per view, the class indices, and a manifest."""
-    os.makedirs(path, exist_ok=True)
-    for k, view in enumerate(data.views):
-        _write_matrix(os.path.join(path, f"view_{k}.csv"), "f", view)
-    _write_labels(path, data.class_indices())
-    manifest = {
-        "views": data.n_views,
-        "samples": data.n_samples,
-        "classes": data.n_classes,
-    }
-    for k, d in enumerate(data.dims):
-        manifest[f"dim_{k}"] = d
-    _write_manifest(path, manifest)
+    """Write one CSV per view (header f0..f{d-1}), the class indices
+    (labels.csv) and a manifest."""
+    manifest = {"views": data.n_views, "samples": data.n_samples, "classes": data.n_classes}
+    manifest.update((f"dim_{k}", d) for k, d in enumerate(data.dims))
+    tables = [
+        (os.path.join(path, f"view_{k}.csv"), _names("f", d), view)
+        for k, (d, view) in enumerate(zip(data.dims, data.views))
+    ]
+    _write_tables([*tables, _labels_table(path, data.class_indices())], path, manifest)
 
 
 def load_dataset(path: str) -> MultiViewDataset:
@@ -527,7 +557,7 @@ def load_dataset(path: str) -> MultiViewDataset:
     manifest = _read_manifest(path, ("views", "samples", "classes"), "dim")
     n, c = manifest["samples"], manifest["classes"]
     views = [
-        _read_matrix(os.path.join(path, f"view_{k}.csv"), "f", manifest[f"dim_{k}"], n)
+        _read_table(os.path.join(path, f"view_{k}.csv"), _names("f", manifest[f"dim_{k}"]), n)[0]
         for k in range(manifest["views"])
     ]
     y = _read_labels(path, n, c)
@@ -536,69 +566,24 @@ def load_dataset(path: str) -> MultiViewDataset:
 
 def save_sequences(bundle: SequenceClientData, path: str) -> None:
     """Write per-view sequence CSVs plus labels and a manifest.
-
     Sequence records are one step per row: sample_id, t, then the step
-    features; lengths are implicit in the step counts.  Each column is
-    formatted whole, its cells as str(int) and repr(float).
-    """
-    os.makedirs(path, exist_ok=True)
+    features; lengths are implicit in the step counts."""
     manifest = {
         "views": bundle.n_views,
         "samples": bundle.n_samples,
         "classes": bundle.views[0].n_classes,
     }
+    tables = []
     for k, view in enumerate(bundle.views):
         width = view.sequences[0].shape[1] if view.n_samples else 0
         manifest[f"step_dim_{k}"] = width
-        header = ["sample_id", "t"] + [f"f{j}" for j in range(width)]
         lengths = np.array([len(seq) for seq in view.sequences], dtype=np.int64)
         steps = np.concatenate([np.empty((0, width)), *view.sequences], dtype=np.float64)
         ids = np.repeat(np.arange(len(lengths)), lengths)
         t = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        columns = [map(str, ids.tolist()), map(str, t.tolist())]
-        columns += [map(repr, column) for column in steps.T.tolist()]
-        _write_csv(os.path.join(path, f"sequences_view_{k}.csv"), header, zip(*columns))
-    _write_labels(path, bundle.y)
-    _write_manifest(path, manifest)
-
-
-def _read_steps(path: str, n: int, p: int) -> list[np.ndarray]:
-    """Each sample's (t, p) steps in a sequence file of n samples, read
-    a whole column at a time; a bad file's rows are walked in order to
-    name its first bad line."""
-    rows = _read_csv(path, ["sample_id", "t"] + [f"f{j}" for j in range(p)])
-    columns = list(zip(*rows)) or [()] * (p + 2)
-    try:
-        ids, t = (np.array(list(map(int, column)), dtype=np.int64) for column in columns[:2])
-        steps = np.array([list(map(float, column)) for column in columns[2:]])
-        good = bool(((ids >= 0) & (ids < n)).all())
-    except (ValueError, OverflowError):
-        good = False
-    if good:
-        counts = np.bincount(ids, minlength=n)
-        order = np.argsort(ids, kind="stable")  # each sample's rows, in file order
-        ranks = np.arange(len(ids)) - np.repeat(np.cumsum(counts) - counts, counts)
-        good = (t[order] == ranks).all() and np.isfinite(steps).all()
-    if not good:
-        seen = [0] * n
-        for line_no, row in enumerate(rows, start=2):
-            sample = _parse(int, path, line_no, 0, row[0])
-            step = _parse(int, path, line_no, 1, row[1])
-            if sample < 0 or sample >= n:
-                raise ShapeError(f"{path}:{line_no}: sample_id {sample} outside 0..{n - 1}")
-            if step != seen[sample]:
-                raise ParseError(
-                    f"{path}:{line_no}: step {step} out of order, expected {seen[sample]}"
-                )
-            seen[sample] += 1
-            for j, v in enumerate(row[2:], start=2):
-                _parse_finite(path, line_no, j, v)
-    empty = np.flatnonzero(counts == 0)
-    if empty.size:
-        raise ShapeError(f"{path}: sample {empty[0]} has no steps")
-    ends = [0, *np.cumsum(counts).tolist()]
-    steps = steps.reshape(p, len(rows)).T[order]
-    return [steps[a:b] for a, b in zip(ends, ends[1:])]
+        header = ["sample_id", "t", *_names("f", width)]
+        tables.append((os.path.join(path, f"sequences_view_{k}.csv"), header, steps, [ids, t]))
+    _write_tables([*tables, _labels_table(path, bundle.y)], path, manifest)
 
 
 def load_sequences(path: str) -> SequenceClientData:
@@ -606,11 +591,14 @@ def load_sequences(path: str) -> SequenceClientData:
     manifest = _read_manifest(path, ("views", "samples", "classes"), "step_dim")
     n, c = manifest["samples"], manifest["classes"]
     y = _read_labels(path, n, c)
-    views = [
-        SequenceDataset(
-            _read_steps(os.path.join(path, f"sequences_view_{k}.csv"), n, manifest[f"step_dim_{k}"]),
-            y.copy(), c,
-        )
-        for k in range(manifest["views"])
-    ]
+    views = []
+    for k in range(manifest["views"]):
+        name = os.path.join(path, f"sequences_view_{k}.csv")
+        header = ["sample_id", "t", *_names("f", manifest[f"step_dim_{k}"])]
+        steps, (ids, _) = _read_table(name, header, n=n)
+        counts = np.bincount(ids, minlength=n)
+        if not counts.all():
+            raise ShapeError(f"{name}: sample {np.argmin(counts)} has no steps")
+        steps, ends = steps[np.argsort(ids, kind="stable")], [0, *np.cumsum(counts).tolist()]
+        views.append(SequenceDataset([steps[a:b] for a, b in zip(ends, ends[1:])], y.copy(), c))
     return SequenceClientData(views=views)

@@ -32,11 +32,10 @@ from .data import (
     SequenceClientData,
     SequenceDataset,
     TrainerConfig,
-    _finite_matrix,
+    _names,
     _read_manifest,
-    _read_matrix,
-    _write_manifest,
-    _write_matrix,
+    _read_table,
+    _write_tables,
     gen_complementary,
     gen_multiview,
     gen_sequences,
@@ -670,32 +669,30 @@ def evaluate_model(model: ModelBundle, data: MultiViewDataset) -> MetricsRow:
 
 
 def save_model(model: ModelBundle, path: str) -> None:
-    """Persist a model as one CSV per transform, zeta.csv and a manifest.
-    Every matrix is checked before any file or directory is made."""
+    """Persist a model as transform_i.csv (header c0..c{classes-1}, one
+    row per feature of view i), zeta.csv (header z0..z{views-1}, one
+    row) and a manifest.  Every cell is checked before any file or
+    directory is made."""
     k = len(model.transforms)
     classes = model.transforms[0].shape[1]
     entries = {"views": k, "classes": classes, "single": int(model.single),
                "positive_class": model.positive_class}
-    files = []
+    tables = []
     for i, w in enumerate(model.transforms):
         if w.ndim != 2 or w.shape[1] != classes:
             raise ShapeError(f"transform {i} has shape {w.shape}")
         entries[f"dim_{i}"] = w.shape[0]
         if model.views is not None:
             entries[f"source_view_{i}"] = model.views[i]
-        files.append((f"transform_{i}.csv", "c", w))
-    files.append(("zeta.csv", "z", [model.zeta]))
-    for name, _, m in files:
-        _finite_matrix(os.path.join(path, name), m)
-    os.makedirs(path, exist_ok=True)
-    for name, prefix, m in files:
-        _write_matrix(os.path.join(path, name), prefix, m)
-    _write_manifest(path, entries)
+        tables.append((os.path.join(path, f"transform_{i}.csv"), _names("c", classes), w))
+    tables.append((os.path.join(path, "zeta.csv"), _names("z", k), [model.zeta]))
+    _write_tables(tables, path, entries)
 
 
 def load_model(path: str) -> ModelBundle:
-    """Read a model directory written by save_model.  The source view
-    entries are optional, as in models saved before they were kept."""
+    """Read a model directory written by save_model: each transform's
+    and zeta's row count and width come from the manifest.  The source
+    view entries are optional, as in models saved before they were kept."""
     manifest = _read_manifest(
         path, ("views", "classes", "single", "positive_class"), "dim"
     )
@@ -705,11 +702,11 @@ def load_model(path: str) -> ModelBundle:
         keys = [f"source_view_{i}" for i in range(k)]
         views = tuple(map(_read_manifest(path, keys).get, keys))  # ParseError names a gap
     transforms = [
-        _read_matrix(os.path.join(path, f"transform_{i}.csv"), "c", classes,
-                     manifest[f"dim_{i}"])
+        _read_table(os.path.join(path, f"transform_{i}.csv"), _names("c", classes),
+                    manifest[f"dim_{i}"])[0]
         for i in range(k)
     ]
-    (zeta,) = _read_matrix(os.path.join(path, "zeta.csv"), "z", k, 1)
+    (zeta,), _ = _read_table(os.path.join(path, "zeta.csv"), _names("z", k), 1)
     return ModelBundle(
         transforms=transforms,
         zeta=tuple(zeta),
@@ -727,16 +724,21 @@ def export_embeddings(matrix: np.ndarray, y: np.ndarray, path: str) -> None:
         raise ShapeError(
             f"embeddings {matrix.shape} do not align with labels {y.shape}"
         )
-    _write_matrix(path, "e", matrix, y)
+    _write_tables([(path, [*_names("e", matrix.shape[1]), "class"], matrix, [y])])
 
 
 def load_embeddings(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of export_embeddings; exact for finite doubles."""
-    with open(path, newline="") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-    if header[-1] != "class":
-        raise ShapeError(f"{path}: expected a trailing class column")
-    return _read_matrix(path, "e", len(header) - 1, None, classes=True)
+    """Inverse of export_embeddings, exact for finite doubles: the
+    header e0..e{k-1},class gives the width k, and any row count reads.
+    A header without the trailing class column is a ShapeError."""
+
+    def header(got: list[str]) -> list[str]:
+        if got[-1:] != ["class"]:
+            raise ShapeError(f"{path}: expected a trailing class column")
+        return [*_names("e", len(got) - 1), "class"]
+
+    matrix, (y,) = _read_table(path, header)
+    return matrix, y
 
 
 def compute_embeddings(

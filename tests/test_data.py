@@ -20,6 +20,7 @@ from mvfed.data import (
     save_sequences,
 )
 from mvfed.errors import DimensionMismatch, InvalidSpec, ParseError, ShapeError
+from mvfed.experiments import export_embeddings, load_embeddings
 from mvfed.mvl import (
     HyperParams,
     MultiViewDataset,
@@ -357,6 +358,17 @@ class TestDatasetFiles:
             load_dataset(str(root))
         assert f"{labels}:4:1" in str(info.value)
 
+    def test_zero_width_view_round_trips(self, tmp_path):
+        # No columns: an empty header line, then one empty line per row.
+        data = MultiViewDataset.from_class_indices(
+            [np.empty((3, 0)), GOLDEN_VIEWS[1]], GOLDEN_Y, n_classes=3
+        )
+        save_dataset(data, str(tmp_path / "ds"))
+        assert (tmp_path / "ds" / "view_0.csv").read_bytes() == b"\n\n\n\n"
+        loaded = load_dataset(str(tmp_path / "ds"))
+        assert loaded.views[0].shape == (3, 0)
+        assert np.array_equal(loaded.views[1], GOLDEN_VIEWS[1])
+
     def test_row_count_mismatch(self, tmp_path):
         data = gen_multiview(GeneratorSpec(n_samples=5, dims=(2,), seed=15))
         root = tmp_path / "ds"
@@ -500,6 +512,38 @@ class TestSequences:
         with pytest.raises(ParseError) as info:
             load_sequences(str(root))
         assert f"{seq_file}:4:4: non-finite {cell!r}" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "kind, edits, error, message",
+    [
+        # A bad class cell on a line before a bad feature cell.
+        ("embeddings", [(3, 1, "nan"), (2, 3, "x")], ParseError, ":2:3: not an integer: 'x'"),
+        # One line with a sample_id outside 0..3 and a step that is no integer.
+        ("sequences", [(3, 1, "99"), (3, 2, "x")], ShapeError, ":3: sample_id 99 outside 0..3"),
+    ],
+)
+def test_two_faults_raise_the_first_cell_in_file_order(tmp_path, kind, edits, error, message):
+    # Every format names its first bad line and, within it, the first
+    # bad cell from the left, whatever the columns' rules.
+    if kind == "embeddings":
+        target = tmp_path / "emb.csv"
+        export_embeddings(GOLDEN_VIEWS[0], GOLDEN_Y, str(target))
+        load = lambda: load_embeddings(str(target))
+    else:
+        bundle = gen_sequences(SeqGeneratorSpec(n_samples=4, step_dims=(2,), t_range=(2, 3)))
+        save_sequences(bundle, str(tmp_path))
+        target = tmp_path / "sequences_view_0.csv"
+        load = lambda: load_sequences(str(tmp_path))
+    lines = target.read_text().splitlines()
+    for line_no, col, text in edits:
+        cells = lines[line_no - 1].split(",")
+        cells[col - 1] = text
+        lines[line_no - 1] = ",".join(cells)
+    target.write_text("\n".join(lines) + "\n")
+    with pytest.raises(error) as info:
+        load()
+    assert f"{target}{message}" in str(info.value)
 
 
 # Golden files: the exact bytes each on-disk format writes for a tiny

@@ -15,6 +15,8 @@ from mvfed.data import (
     gen_sequences,
     partition_horizontal,
     partition_sequences,
+    save_dataset,
+    save_sequences,
 )
 from mvfed.errors import ConfigError, InvalidSpec, ParseError, ShapeError
 from mvfed.experiments import (
@@ -615,7 +617,19 @@ class TestEmbeddings:
         model = ModelBundle(transforms=[np.array([[1.0, np.inf]])], zeta=(1.0,), single=True)
         with pytest.raises(InvalidSpec, match="transform_0.csv: row 0, column 1 is non-finite: inf"):
             save_model(model, os.path.join(tmp_path, "model"))
+        # Cells set non-finite after construction: one of the second view,
+        # and a step of the second sequence view (file columns count
+        # sample_id and t).
+        data = gen_multiview(easy_spec(n=12, dims=(3, 2)))
+        data.views[1][2, 1] = np.nan
+        with pytest.raises(InvalidSpec, match="view_1.csv: row 2, column 1 is non-finite: nan"):
+            save_dataset(data, os.path.join(tmp_path, "ds"))
+        bundle = gen_sequences(SeqGeneratorSpec(n_samples=4, step_dims=(2, 3), t_range=(2, 3)))
+        bundle.views[1].sequences[0][1, 0] = np.inf
+        with pytest.raises(InvalidSpec, match="sequences_view_1.csv: row 1, column 2 is non-finite: inf"):
+            save_sequences(bundle, os.path.join(tmp_path, "seq"))
         assert [name for _, _, files in os.walk(tmp_path) for name in files] == []
+        assert os.listdir(tmp_path) == []
 
     def test_load_requires_class_column(self, tmp_path):
         path = os.path.join(tmp_path, "bad.csv")
@@ -675,6 +689,20 @@ class TestGoldenFiles:
         assert loaded.zeta == (8.0, 0.1)
         assert not loaded.single and loaded.positive_class == 2
         assert all(map(same_bits, loaded.transforms, GOLDEN_TRANSFORMS))
+
+    @pytest.mark.parametrize("case", ["crlf", "empty"])
+    def test_embeddings_file_reads_as_every_table_does(self, tmp_path, case):
+        # The header is read by the one CSV reader too: CRLF line ends
+        # read as LF ones do, and an empty file is a ParseError.
+        lf, path = tmp_path / "lf.csv", tmp_path / "emb.csv"
+        lf.write_bytes(GOLDEN_EMBEDDINGS)
+        path.write_bytes(GOLDEN_EMBEDDINGS.replace(b"\n", b"\r\n") if case == "crlf" else b"")
+        if case == "empty":
+            with pytest.raises(ParseError, match=f"{path}:1: empty file"):
+                load_embeddings(str(path))
+            return
+        (back, y), (back_lf, y_lf) = load_embeddings(str(path)), load_embeddings(str(lf))
+        assert same_bits(back, back_lf) and np.array_equal(y, y_lf)
 
     def test_embeddings_bytes(self, tmp_path):
         matrix = np.array([[-0.0, 1e-300], [0.1, 2.5], [1.0, -3.0]])
