@@ -5,9 +5,11 @@ never leave their owner; the round traffic is the server's consensus
 matrix going out and (transform output, pseudo-label) updates coming
 back.  Because every party starts from the same seeded state and runs
 the same closed-form updates as the centralized trainer, the federated
-transforms match `train_mvl` exactly, not just approximately.  We run
-the protocol over the length-prefixed byte transport to also count the
-actual wire traffic.
+transforms match `train_mvl` exactly, not just approximately, and the
+federated predictions match `predict_mvl`; the script asserts both, so
+it fails when the vertical contract breaks.  We run the protocol over
+the length-prefixed byte transport to also count the actual wire
+traffic.
 """
 
 import numpy as np
@@ -49,6 +51,7 @@ def main():
     same_z = np.array_equal(result.consensus, central.Z)
     print(f"transforms identical to centralized run: {same_w}")
     print(f"consensus identical to centralized run:  {same_z}")
+    assert same_w and same_z, "vfed_train differs from train_mvl"
 
     print(f"\nrounds: {log.n_rounds}, messages: {log.message_count()}")
     kinds = sorted(k.name for k in log.message_kinds())
@@ -61,12 +64,14 @@ def main():
     per_round = log.total_bytes() / log.n_rounds
     print(f"average traffic per round: {per_round:.0f} bytes")
 
-    # Prediction runs the same protocol without labels: clients send
-    # transform outputs, the server iterates the unlabeled consensus.
+    # Prediction is one round without labels: clients send their
+    # transform outputs once, and the server runs predict_mvl's own loop
+    # on them, so nothing goes back out.
     scores = vfed_predict(data.views, result.transforms, hp.zeta)
     central_scores = predict_mvl(data.views, central.W, hp.zeta)
-    print(f"\nfederated predictions match centralized: "
-          f"{np.array_equal(scores, central_scores)}")
+    same_scores = np.array_equal(scores, central_scores)
+    print(f"\nfederated predictions match centralized: {same_scores}")
+    assert same_scores, "vfed_predict differs from predict_mvl"
     acc = np.mean(argmax_decode(scores) == data.class_indices())
     print(f"training-set accuracy: {acc:.3f}")
 

@@ -15,6 +15,7 @@ data that does not fit the model), 3 when training itself fails.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -415,7 +416,7 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
     if args.positive_class is not None:
-        model.positive_class = args.positive_class
+        model = dataclasses.replace(model, positive_class=args.positive_class)
     data = load_dataset(args.data)
     row = evaluate_model(model, data)
     _print_row(row)

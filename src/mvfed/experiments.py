@@ -610,6 +610,7 @@ class ModelBundle:
     def __post_init__(self):
         self.zeta = tuple(float(z) for z in self.zeta)
         mvl._check_zeta(self.zeta)  # as prediction will
+        _check_cap("positive_class:", self.positive_class, 0, ConfigError)  # as RunConfig
         if len(self.transforms) != len(self.zeta):
             raise ConfigError(
                 f"model: {len(self.transforms)} transforms vs "
@@ -717,13 +718,15 @@ def load_model(path: str) -> ModelBundle:
 
 
 def export_embeddings(matrix: np.ndarray, y: np.ndarray, path: str) -> None:
-    """Write per-sample embedding rows with a trailing class column."""
+    """Write per-sample embedding rows with a trailing class column; the
+    labels are integers >= 0 (`mvl._class_indices`, no class count)."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
     if matrix.ndim != 2 or y.ndim != 1 or matrix.shape[0] != y.shape[0]:
         raise ShapeError(
             f"embeddings {matrix.shape} do not align with labels {y.shape}"
         )
+    y, _ = mvl._class_indices(y)
     _write_tables([(path, [*_names("e", matrix.shape[1]), "class"], matrix, [y])])
 
 

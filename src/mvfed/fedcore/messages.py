@@ -387,7 +387,6 @@ VERTICAL_KINDS = frozenset(
     {
         MessageKind.CONSENSUS,
         MessageKind.PSEUDO_LABEL,
-        MessageKind.TEST_CONSENSUS,
         MessageKind.TEST_PSEUDO_LABEL,
     }
 )

@@ -39,6 +39,8 @@ it on a stack of one, the grid on its candidates over one X, and hfed
 on a ragged block of clients.  Prediction is stacked the same way:
 `predict_mvl` is `_predict_stack` on a stack of one, and the grid
 scores all its candidates' transforms on the validation rows at once.
+Its loop, `_predict_scores`, takes the X_k W_k products as given, so
+vfed's prediction server runs it on the products its clients send.
 
 Each inner iteration solves the reweighted normal equations
 (X^T X + beta A) W = X^T T, A = diag(a), in one of two forms chosen by
@@ -63,7 +65,7 @@ here, which every such entry point calls: `_check_cap` (counts, seeds),
 `_check_view_indices` (a non-empty selection of existing views, for both
 dataset types), `_class_indices` (integer labels in [0, classes), for
 `MultiViewDataset` and `data.SequenceDataset`, which `sfed.loss_and_grad`
-builds from its batch),
+builds from its batch; labels >= 0 for `experiments.export_embeddings`),
 `_check_hp_views` (hyperparameters for the data's views, for every
 trainer), `_check_zeta` (every zeta finite and >= 0, for `HyperParams`,
 the prediction inputs and a saved model's `ModelBundle`),
@@ -219,9 +221,9 @@ def _check_zeta(zeta) -> None:
 
 
 def _check_prediction(test_views, transforms, zeta, tol) -> None:
-    """The prediction loops' inputs: an (n, d_k) X_k, a (d_k, c) W_k and
-    a zeta_k per view, every zeta finite and >= 0, as in `HyperParams`,
-    and tol in [0, 1), where 0 runs every round."""
+    """The prediction entry points' inputs: an (n, d_k) X_k, a (d_k, c)
+    W_k and a zeta_k per view, every zeta finite and >= 0, as in
+    `HyperParams`, and tol in [0, 1), where 0 runs every round."""
     if len(test_views) != len(transforms) or len(test_views) != len(zeta):
         raise DimensionMismatch(
             f"{len(test_views)} views, {len(transforms)} transforms, "
@@ -237,19 +239,31 @@ def _check_prediction(test_views, transforms, zeta, tol) -> None:
             )
 
 
+def _int64_or_minus_one(label) -> int:
+    try:
+        return np.int64(label)
+    except (OverflowError, TypeError, ValueError):
+        return -1
+
+
 def _class_indices(y, n_classes: int | None = None) -> tuple[np.ndarray, int]:
     """y as int64 class indices, and the class count: n_classes, else the
     largest index plus one.  InvalidSpec names the first sample whose
-    label is not an integer in [0, that count)."""
+    label is not an integer in [0, n_classes), or >= 0 when no count is
+    given; a label with no int64 value (too large, a string, None) too."""
     y = np.asarray(y)
-    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught below
-        index = y.astype(np.int64, copy=False)
-    c = int(n_classes) if n_classes is not None else int(index.max()) + 1
+    try:
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught below
+            index = y.astype(np.int64, copy=False)
+    except (OverflowError, TypeError, ValueError):  # such a label becomes -1, caught below
+        index = np.array([_int64_or_minus_one(v) for v in y.ravel().tolist()], dtype=np.int64)
+    c = int(n_classes) if n_classes is not None else int(index.max(initial=-1)) + 1
     bad = (index != y) | (index < 0) | (index >= c)
     if bad.any():
         i = int(bad.argmax())
+        rule = f"in [0, {c})" if n_classes is not None else ">= 0"
         raise InvalidSpec(
-            f"label of sample {i} must be an integer in [0, {c}), got {y[i].item()!r}"
+            f"label of sample {i} must be an integer {rule}, got {y.ravel().tolist()[i]!r}"
         )
     return index, c
 
@@ -1048,11 +1062,22 @@ def _predict_stack(test_views, transforms, zeta, tol, max_outer) -> np.ndarray:
 
     transforms[k] is the (s, d_k, c) stack of view k's transforms and
     zeta[k] its (s,) per-slice weights; the (n, d_k) test views are
-    shared.  Slice i stops at the round where `predict_mvl` with its
-    own transforms and weights stops, and is then frozen, so each
-    (n, c) slice of the result is bit-identical to that call's.
+    shared.  It is `_predict_scores` on the X_k W_k products.
     """
-    xw = [x @ w for x, w in zip(test_views, transforms)]
+    return _predict_scores(
+        [x @ w for x, w in zip(test_views, transforms)], zeta, tol, max_outer
+    )
+
+
+def _predict_scores(xw, zeta, tol, max_outer) -> np.ndarray:
+    """The prediction loop on given scores: xw[k] is the (s, n, c)
+    stack of view k's X_k W_k and zeta[k] its (s,) per-slice weights.
+
+    Slice i stops at the round where `predict_mvl` with its own
+    transforms and weights stops, and is then frozen, so each (n, c)
+    slice of the result is bit-identical to that call's.  vfed's
+    prediction server runs it on the scores its clients send.
+    """
     zeta = [z[:, None, None] for z in zeta]
     s = len(xw[0])
     estimates, prev, live, frozen = xw, np.full(s, np.inf), np.arange(s), []

@@ -1,11 +1,16 @@
 """Vertical federated training: one client per feature view, shared samples.
 
 Every client holds a single view's feature block and never sends it
-anywhere.  The round traffic is the server's consensus matrix going out
-and (zeta, pseudo-label) pairs coming back.  Because all parties start
-from the same seeded state and run the same update functions as the
-centralized trainer, the protocol reproduces `train_mvl` bit for bit
-under equal iteration caps.
+anywhere.  The training round traffic is the server's consensus matrix
+going out and (zeta, pseudo-label) pairs coming back.  Because all
+parties start from the same seeded state and run the same update
+functions as the centralized trainer, the protocol reproduces
+`train_mvl` bit for bit under equal iteration caps.
+
+Prediction is one round with no broadcast: each client sends its test
+scores X_k W_k and its zeta_k, and the server runs `predict_mvl`'s own
+loop on them (`mvl._predict_scores`), so `vfed_predict` equals
+`predict_mvl` bit for bit at every tol.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from .mvl import (
     _check_hp_views,
     _check_prediction,
     _fit_stats,  # not called here; mvbench/tracer.py wraps `mvfed.vfed:_fit_stats`
+    _predict_scores,
     init_state,
-    test_consensus,
     update_consensus,
     update_pseudo_labels,
 )
@@ -163,50 +168,37 @@ def vfed_train(
 
 @dataclass
 class VerticalPredictClient:
-    """Blends its local score estimate toward the broadcast consensus."""
+    """Sends its view's test scores X_k W_k and its zeta_k, once."""
 
     party: PartyId
     x: np.ndarray
     w: np.ndarray
     zeta: float
-    scores: np.ndarray | None = None
-    estimate: np.ndarray | None = None
 
     def step(self, rnd: int, msg: FedMessage | None) -> FedMessage:
-        if rnd == 0:
-            self.scores = self.x @ self.w
-            self.estimate = self.scores.copy()
-        else:
-            if msg is None or msg.kind is not MessageKind.TEST_CONSENSUS:
-                raise ValueError(f"round {rnd}: expected a test-consensus broadcast")
-            self.estimate = update_pseudo_labels(self.scores, msg.matrix, self.zeta)
-        return FedMessage.test_pseudo_label(rnd, self.party, self.zeta, self.estimate)
+        return FedMessage.test_pseudo_label(rnd, self.party, self.zeta, self.x @ self.w)
 
 
 @dataclass
 class VerticalPredictServer:
-    """Averages the clients' estimates; stops when the average settles."""
+    """Runs `predict_mvl`'s loop on the clients' scores; broadcasts nothing."""
 
     reply_kind: ClassVar[MessageKind] = MessageKind.TEST_PSEUDO_LABEL
 
     tol: float
+    max_outer: int
     party: PartyId = field(default_factory=PartyId.server)
     consensus: np.ndarray | None = None
-    drift: float | None = None
 
-    def broadcast(self, rnd: int) -> FedMessage | None:
-        if self.consensus is None:
-            return None
-        return FedMessage.test_consensus(rnd, self.party, self.consensus)
+    def broadcast(self, rnd: int) -> None:
+        return None
 
     def aggregate(self, rnd: int, replies: Sequence[FedMessage]) -> None:
-        z_new = test_consensus([m.matrix for m in replies], [m.zeta for m in replies])
-        if self.consensus is not None:
-            self.drift = _relative_drift(z_new, self.consensus)
-        self.consensus = z_new
-
-    def done(self) -> bool:
-        return self.drift is not None and self.drift < self.tol
+        self.consensus = _predict_scores(
+            [m.matrix[None] for m in replies],
+            [np.array([m.zeta], dtype=np.float64) for m in replies],
+            self.tol, self.max_outer,
+        )[0]
 
 
 def vfed_predict(
@@ -220,11 +212,12 @@ def vfed_predict(
 ) -> np.ndarray:
     """Consensus score estimates for test rows split across the clients.
 
-    Round 0 initializes each client's estimate at X_k W_k and takes the
-    first weighted average; later rounds alternate the client blend and
-    the server average until the average's relative drift falls below
-    tol.  Matches `predict_mvl` under equal caps, and rejects, before
-    any round, the inputs it rejects (`mvl._check_prediction`).
+    One round: each client sends X_k W_k with its zeta_k, and the server
+    runs `predict_mvl`'s loop on them (`mvl._predict_scores`) for at
+    most max_rounds iterations, stopping on the test objective's
+    relative change below tol.  So it equals `predict_mvl(test_views,
+    transforms, zeta, tol, max_rounds)` bit for bit, and rejects,
+    before the round, the inputs it rejects (`mvl._check_prediction`).
     """
     _check_cap("max_rounds", max_rounds, low=1)
     _check_prediction(test_views, transforms, zeta, tol)
@@ -232,6 +225,6 @@ def vfed_predict(
         VerticalPredictClient(party=PartyId.client(k), x=x, w=w, zeta=z)
         for k, (x, w, z) in enumerate(zip(test_views, transforms, zeta))
     ]
-    server = VerticalPredictServer(tol=tol)
-    run_rounds(server, clients, transport, max_rounds=max_rounds, log=log)
+    server = VerticalPredictServer(tol=tol, max_outer=max_rounds)
+    run_rounds(server, clients, transport, max_rounds=1, log=log)
     return server.consensus

@@ -100,6 +100,16 @@ class TestTrainEvaluate:
         )
         assert code == 0
 
+    def test_evaluate_negative_positive_class_exits_2(self, tmp_path, capsys):
+        model_dir = self.train_model(tmp_path)
+        capsys.readouterr()
+        code, stdout, stderr = run(
+            capsys, "evaluate", "--model", model_dir,
+            "--data", os.path.join(tmp_path, "data"), "--positive-class", "-5",
+        )
+        assert code == 2 and stdout == ""
+        assert stderr == "error: positive_class: must be an integer >= 0, got -5\n"
+
     def test_train_rejects_per_client_mode(self, capsys):
         code, _, stderr = run(
             capsys, "train", "--mode", "mv_local", *SMALL_FLAT, *QUICK_FIT

@@ -215,9 +215,10 @@ class TestIndicesAtTheBoundary:
     VIEWS = [np.zeros((4, 2))]
     ARCH = EncoderArch(n_features=2, embed_dim=2, n_classes=2)
 
-    @pytest.mark.parametrize("bad", [-1, 2, 5, 0.5, np.nan, np.inf, -np.inf])
-    def test_label_outside_the_classes_is_rejected_naming_its_sample(self, bad):
-        y = np.array([0, 1, bad, -1])  # float64 for a float label, else int64
+    @pytest.mark.parametrize("bad", [-1, 2, 5, 0.5, np.nan, np.inf, -np.inf, 2**70, "a", None])
+    def test_label_outside_the_classes_is_rejected_naming_its_sample(self, bad, tmp_path):
+        # float64 for a float label, int64 for a small int, else object
+        y = np.array([0, 1, bad, -1], dtype=object if isinstance(bad, str) else None)
         steps = [np.zeros((1, 2))] * 4
         for build in (
             lambda: MultiViewDataset.from_class_indices(self.VIEWS, y, n_classes=2),
@@ -226,6 +227,13 @@ class TestIndicesAtTheBoundary:
         ):
             with pytest.raises(InvalidSpec, match=r"label of sample 2 must be an integer in \[0, 2\)"):
                 build()
+        # Embeddings carry no class count, so 2 and 5 are classes there.
+        path = tmp_path / "embeddings.csv"
+        if bad not in (2, 5):
+            message = re.escape(f"label of sample 2 must be an integer >= 0, got {bad!r}")
+            with pytest.raises(InvalidSpec, match=message):
+                export_embeddings(np.zeros((4, 1)), y, str(path))
+            assert not path.exists()
 
     def test_integral_labels_of_any_dtype_encode_alike(self):
         want = MultiViewDataset.from_class_indices(self.VIEWS, [0, 2, 1, 2]).labels  # 3 classes

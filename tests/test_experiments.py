@@ -539,6 +539,17 @@ class TestModels:
         with pytest.raises(InvalidSpec, match="zeta must be finite and >= 0"):
             ModelBundle(transforms=GOLDEN_TRANSFORMS, zeta=(8.0, zeta), single=False)
 
+    def test_negative_positive_class_rejected_on_load(self, tmp_path):
+        path = os.path.join(tmp_path, "model")
+        save_model(ModelBundle(transforms=GOLDEN_TRANSFORMS, zeta=(8.0, 0.1), single=False), path)
+        manifest = os.path.join(path, "manifest.txt")
+        with open(manifest) as fh:
+            text = fh.read().replace("positive_class=1", "positive_class=-1")
+        with open(manifest, "w") as fh:
+            fh.write(text)
+        with pytest.raises(ConfigError, match=r"positive_class: must be an integer >= 0, got -1"):
+            load_model(path)
+
     def test_bad_later_transform_leaves_nothing_on_disk(self, tmp_path):
         path = os.path.join(tmp_path, "model")
         bad = [GOLDEN_TRANSFORMS[0], np.array([[0.1, np.inf, 7.0]])]
@@ -596,6 +607,11 @@ class TestEmbeddings:
         back, y_back = load_embeddings(path)
         assert np.array_equal(back, matrix)
         assert np.array_equal(y_back, y)
+
+    def test_no_labels_write_a_header_only_file(self, tmp_path):
+        path = tmp_path / "emb.csv"
+        export_embeddings(np.zeros((0, 2)), [], str(path))
+        assert path.read_text() == "e0,e1,class\n"
 
     def test_shape_validation(self, tmp_path):
         with pytest.raises(ShapeError):

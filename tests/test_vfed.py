@@ -253,21 +253,19 @@ class TestPredict:
         return result, test_data, hp
 
     def test_matches_centralized_bitwise(self):
-        # Equal caps: vfed_predict stops on zero consensus drift and
-        # predict_mvl on zero objective change, which can fall in
-        # different rounds, so only tol=0.0 (met by neither) pins both
-        # loops to max rounds.
         for seed in range(80, 120):
             result, test_data, hp = self.trained(seed)
-            central = predict_mvl(
-                test_data.views, result.transforms, hp.zeta,
-                tol=0.0, max_outer=7,
-            )
-            federated = vfed_predict(
-                test_data.views, result.transforms, hp.zeta,
-                tol=0.0, max_rounds=7,
-            )
-            assert np.array_equal(federated, central), seed
+            for tol in (0.0, 1e-300, 1e-6):
+                central = predict_mvl(
+                    test_data.views, result.transforms, hp.zeta,
+                    tol=tol, max_outer=7,
+                )
+                for transport in (None, FramedByteTransport()):
+                    federated = vfed_predict(
+                        test_data.views, result.transforms, hp.zeta,
+                        tol=tol, max_rounds=7, transport=transport,
+                    )
+                    assert np.array_equal(federated, central), (seed, tol)
 
     def test_framed_transport_within_tolerance(self):
         result, test_data, hp = self.trained(101)
@@ -305,10 +303,22 @@ class TestPredict:
             test_data.views, result.transforms, hp.zeta,
             tol=1e-300, max_rounds=3, log=log,
         )
-        assert log.message_kinds() == {
-            MessageKind.TEST_CONSENSUS, MessageKind.TEST_PSEUDO_LABEL,
-        }
+        assert log.message_kinds() == {MessageKind.TEST_PSEUDO_LABEL}
         assert disallowed_kinds(log, VERTICAL_KINDS) == set()
+
+    @pytest.mark.parametrize("tol, max_rounds", [(0.0, 1), (1e-300, 7), (1e-6, 100)])
+    def test_one_round_of_client_replies(self, tol, max_rounds):
+        result, test_data, hp = self.trained(97)
+        log = RoundLog()
+        vfed_predict(
+            test_data.views, result.transforms, hp.zeta, tol=tol,
+            max_rounds=max_rounds, transport=FramedByteTransport(), log=log,
+        )
+        (record,) = log.records
+        assert [(m.sender, m.kind) for m in record.messages] == [
+            (k, MessageKind.TEST_PSEUDO_LABEL) for k in range(3)
+        ]
+        assert log.bytes_sent_by(SERVER.id) == 0
 
     def test_rejects_zero_rounds_and_bad_shapes(self):
         x = np.zeros((4, 3))
